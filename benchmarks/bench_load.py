@@ -16,9 +16,9 @@ Budget (tiered, recorded with the core count as in
 BENCH_pipeline.json): the N-process server's total RPS must be at
 least the threaded baseline's on one core, and >=1.5x it when two or
 more cores are present.  The run also asserts that the pre-fork
-``/metrics`` exposition aggregates every worker and that pre-fork +
-sharded responses are byte-identical to the single-process
-monolithic-index server on every benchmarked route.
+``/metrics`` exposition aggregates every worker and that pre-fork
+responses are byte-identical to the single-process server on every
+benchmarked route.
 
 Run as a script (``python benchmarks/bench_load.py``) for the
 self-contained report + budget assertions — this is what CI runs.
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
         # so slow drift on a shared box hits both variants equally;
         # each variant keeps its best round.
         print(f"\ninterleaved rounds: threaded baseline vs pre-fork "
-              f"x{args.processes} (sharded index), {args.clients} "
+              f"x{args.processes}, {args.clients} "
               f"client processes, {args.duration:.1f}s "
               f"x{args.rounds} each:")
         baseline: dict | None = None
@@ -251,8 +251,7 @@ def main(argv=None) -> int:
         with QueryServer(db, port=0,
                          registry=MetricsRegistry()) as single, \
                 PreforkServer(db_path, port=0,
-                              processes=args.processes,
-                              index_backend="sharded") as server:
+                              processes=args.processes) as server:
             if not server.wait_ready(60):
                 print("FAIL: pre-fork server never became ready")
                 return 1

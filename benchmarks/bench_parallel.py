@@ -40,12 +40,17 @@ import pickle
 import time
 from pathlib import Path
 
+from repro.errors import ParseError, QuarantinedError
 from repro.nlp.dictionary import FailureDictionary
 from repro.nlp.evaluation import evaluate_tagger
 from repro.nlp.tagger import VotingTagger
 from repro.nlp.textcache import cached_tokens
-from repro.parsing import default_registry, filter_records
-from repro.parsing.normalize import normalize_records
+from repro.parsing import (
+    default_registry,
+    filter_records,
+    parse_accident_report,
+)
+from repro.parsing.normalize import normalize_accident, normalize_records
 from repro.pipeline import (
     FailureDatabase,
     PipelineConfig,
@@ -86,11 +91,11 @@ def _config(**overrides) -> PipelineConfig:
 def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
     """The pre-parallel serial pipeline loop, reproduced inline.
 
-    Exactly what ``process_corpus`` did before the fan-out layer
-    existed: the same per-unit helpers, no executor plumbing, no
-    stage timers.  Serves as the baseline for the serial-overhead
-    budget — and as a correctness witness, since its database must be
-    byte-identical to the real runner's.
+    What ``process_corpus`` did before the fan-out layer existed: each
+    unit computed straight into the run state — no executor, no
+    journal bodies, no stage timers.  Serves as the baseline for the
+    serial-overhead budget — and as a correctness witness, since its
+    database must be byte-identical to the real runner's.
     """
     diagnostics = PipelineDiagnostics()
     database = FailureDatabase()
@@ -103,14 +108,40 @@ def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
         config.fallback_threshold) if config.ocr_enabled else None
     registry = default_registry()
     raw_disengagements, raw_mileage = [], []
+
+    def read(document):
+        return guard.run(
+            "ocr", document.document_id,
+            lambda: runner._through_ocr(document, ocr_stage, config,
+                                        diagnostics.ocr))
+
     for document in corpus.disengagement_documents:
-        runner._process_disengagement(
-            document, config, diagnostics, database, guard, ocr_stage,
-            registry, raw_disengagements, raw_mileage, journal=False)
+        try:
+            lines = read(document)
+            parsed = guard.run(
+                "parse", document.document_id,
+                lambda: registry.resolve(lines).parse(
+                    lines, document.document_id),
+                expected=(ParseError,))
+        except (ParseError, QuarantinedError):
+            continue
+        if config.attach_truth:
+            runner._attach_truth(document, parsed.disengagements)
+        raw_disengagements.extend(parsed.disengagements)
+        raw_mileage.extend(parsed.mileage)
     for document in corpus.accident_documents:
-        runner._process_accident(
-            document, config, diagnostics, database, guard, ocr_stage,
-            journal=False)
+        try:
+            lines = read(document)
+            accident = guard.run(
+                "parse", document.document_id,
+                lambda: parse_accident_report(
+                    lines, document.document_id),
+                expected=(ParseError,))
+            database.accidents.append(guard.run(
+                "normalize", document.document_id,
+                lambda: normalize_accident(accident)))
+        except (ParseError, QuarantinedError):
+            continue
     normalized, mileage, _ = normalize_records(
         raw_disengagements, raw_mileage)
     filtered, _ = filter_records(

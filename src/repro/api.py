@@ -73,7 +73,6 @@ from .query import (
     QueryEngine,
     QueryResult,
     QueryServer,
-    ShardedIndex,
     Snapshot,
     SnapshotManager,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "QueryServer",
-    "ShardedIndex",
     "Snapshot",
     "SnapshotManager",
     "serve_prefork",

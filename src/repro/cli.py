@@ -48,7 +48,6 @@ from .pipeline import (
 )
 from .pipeline.chaos import CHAOS_KINDS, CRASH_POINTS
 from .pipeline.config import STORAGE_BACKENDS
-from .pipeline.parallel import WORKER_MODES
 from .pipeline.resilience import POLICY_MODES
 from .rng import DEFAULT_SEED
 
@@ -150,13 +149,9 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
                         help="disable checkpointing even when "
                              "--checkpoint-dir is set")
     parser.add_argument("--workers", type=int, default=0,
-                        help="fan Stage II-III out across this many "
-                             "workers (0 = serial; output is "
-                             "byte-identical either way)")
-    parser.add_argument("--worker-mode", choices=WORKER_MODES,
-                        default="auto",
-                        help="worker pool kind (default: %(default)s; "
-                             "auto picks processes at >= 2 workers)")
+                        help="fan Stage II-III out across a pool of "
+                             "this many worker processes (0 = serial; "
+                             "output is byte-identical either way)")
     parser.add_argument("--batch-size", default="auto",
                         help="units per dispatched worker chunk "
                              "(default: auto = spread each stage over "
@@ -224,7 +219,6 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
         checkpoint_enabled=not args.no_checkpoint,
         crash=crash,
         workers=args.workers,
-        worker_mode=args.worker_mode,
         batch_size=_parse_batch_size(args.batch_size),
         trace_enabled=args.trace,
         trace_dir=args.trace_dir,
@@ -623,8 +617,6 @@ def _cmd_serve_prefork(args: argparse.Namespace) -> int:
                   cache_size=args.cache_size,
                   max_inflight=args.max_inflight,
                   deadline_s=args.deadline,
-                  index_backend=args.index_backend,
-                  shards=args.shards,
                   verbose=not args.quiet,
                   watch=args.watch,
                   watch_interval_s=args.watch_interval)
@@ -642,9 +634,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          cache_size=args.cache_size,
                          verbose=not args.quiet,
                          max_inflight=args.max_inflight,
-                         deadline_s=args.deadline,
-                         index_backend=args.index_backend,
-                         shards=args.shards)
+                         deadline_s=args.deadline)
     if args.watch:
         server.watch(args.watch, args.watch_interval)
     if not args.quiet:
@@ -913,16 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "crash-respawn and graceful drain; 0 = "
                             "single-process threaded server "
                             "(default: %(default)s)")
-    serve.add_argument("--index-backend", default="monolithic",
-                       choices=("monolithic", "sharded"),
-                       help="index layout: one monolithic index, or "
-                            "manufacturer shards with byte-identical "
-                            "responses (default: %(default)s)")
-    serve.add_argument("--shards", type=int, default=8,
-                       metavar="N",
-                       help="shard count for --index-backend sharded "
-                            "(capped at the manufacturer count; "
-                            "default: %(default)s)")
     serve.set_defaults(handler=_cmd_serve)
 
     trace = commands.add_parser(

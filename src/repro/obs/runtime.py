@@ -5,7 +5,10 @@ enabled) metrics registry, plus the pre-resolved hot-path handles the
 stage loops use.  A disabled context is a handful of ``None``/
 :data:`~repro.obs.trace.NULL_TRACER` fields, so the instrumented
 runner costs one branch per unit when observability is off —
-``benchmarks/bench_obs.py`` holds that to ~0%.
+``benchmarks/bench_obs.py`` holds that to ~0%.  Its :meth:`stage`
+timer is the run's one stage clock: the stage span, the
+stage-duration histogram and the run's per-stage wall times all come
+from it.
 """
 
 from __future__ import annotations
@@ -29,12 +32,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Observability:
     """Tracer + metrics for one pipeline run (both optional)."""
 
-    __slots__ = ("tracer", "registry", "_stage_hist", "_units")
+    __slots__ = ("tracer", "registry", "stage_wall_s", "_stage_hist",
+                 "_units")
 
     def __init__(self, tracer: Tracer | NullTracer = NULL_TRACER,
-                 registry: MetricsRegistry | None = None) -> None:
+                 registry: MetricsRegistry | None = None,
+                 stage_wall_s: dict[str, float] | None = None) -> None:
         self.tracer = tracer
         self.registry = registry
+        #: Stage name -> summed wall seconds, filled by :meth:`stage`.
+        self.stage_wall_s = {} if stage_wall_s is None else stage_wall_s
         self._stage_hist = None
         self._units = None
         if registry is not None:
@@ -55,6 +62,7 @@ class Observability:
     @classmethod
     def for_run(cls, config: "PipelineConfig",
                 registry: MetricsRegistry | None = None,
+                stage_wall_s: dict[str, float] | None = None,
                 ) -> "Observability":
         """The context a :class:`PipelineConfig` asks for.
 
@@ -62,7 +70,10 @@ class Observability:
         is given) so its diagnostics snapshot covers exactly this run;
         :meth:`publish` folds the run into the process-global default
         registry afterwards so an in-process query server still
-        exposes cumulative pipeline series on ``/metrics``.
+        exposes cumulative pipeline series on ``/metrics``.  Stage
+        wall times accumulate into ``stage_wall_s`` (the run's
+        :class:`~repro.pipeline.parallel.ParallelStats` dict) whether
+        or not anything else is on.
         """
         path = config.trace_path
         tracer = Tracer(path) if config.tracing_active else NULL_TRACER
@@ -70,7 +81,7 @@ class Observability:
             registry = None
         elif registry is None:
             registry = MetricsRegistry()
-        return cls(tracer, registry)
+        return cls(tracer, registry, stage_wall_s)
 
     def publish(self) -> None:
         """Fold this run's metrics into the process-global registry.
@@ -96,7 +107,8 @@ class Observability:
 
     @contextmanager
     def stage(self, name: str, **attrs: Any) -> Iterator[None]:
-        """Span + duration histogram around one stage; flushes after.
+        """Time one stage once: span, duration histogram and
+        ``stage_wall_s`` share the reading; flushes after.
 
         The flush at every stage boundary is what makes a crash-killed
         trace a valid JSONL prefix of the run.
@@ -106,23 +118,17 @@ class Observability:
             with self.tracer.span(name, kind="stage", **attrs):
                 yield
         finally:
+            elapsed = time.perf_counter() - started
+            self.stage_wall_s[name] = (
+                self.stage_wall_s.get(name, 0.0) + elapsed)
             if self._stage_hist is not None:
-                self._stage_hist.labels(name).observe(
-                    time.perf_counter() - started)
+                self._stage_hist.labels(name).observe(elapsed)
             self.tracer.flush()
 
-    def unit(self, stage: str, unit_id: str):
-        """A span around one serially computed unit (no-op when off)."""
-        if not self.tracer.enabled:
-            return _NULL_UNIT
-        return self.tracer.span(unit_id, kind="unit", stage=stage)
-
-    def merged_unit(self, stage: str, unit_id: str,
-                    elapsed: float) -> None:
-        """Record a pool-computed unit from its shipped wall time."""
+    def unit(self, stage: str, unit_id: str, elapsed: float) -> None:
+        """Record a computed unit from its shipped wall time."""
         if self.tracer.enabled:
-            self.tracer.record(unit_id, "unit", elapsed, stage=stage,
-                               pooled=True)
+            self.tracer.record(unit_id, "unit", elapsed, stage=stage)
 
     def restored_unit(self, stage: str, unit_id: str) -> None:
         """Record a unit adopted from a checkpoint (zero duration)."""
@@ -139,18 +145,3 @@ class Observability:
     def close(self) -> None:
         """Final trace flush (safe after a simulated crash)."""
         self.tracer.close()
-
-
-class _NullUnit:
-    """Shared no-op for :meth:`Observability.unit` when tracing is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        return False
-
-
-_NULL_UNIT = _NullUnit()

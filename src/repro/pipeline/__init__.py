@@ -36,8 +36,6 @@ from .ingest import (
     ingest_corpus,
 )
 from .parallel import (
-    PROCESS_POOL_MIN_WORKERS,
-    WORKER_MODES,
     BatchOutcome,
     ParallelExecutor,
     ParallelStats,
@@ -69,14 +67,12 @@ __all__ = [
     "IngestReport",
     "IngestResult",
     "BatchOutcome",
-    "PROCESS_POOL_MIN_WORKERS",
     "ParallelExecutor",
     "ParallelStats",
     "PipelineConfig",
     "FailureDatabase",
     "PipelineDiagnostics",
     "PipelineResult",
-    "WORKER_MODES",
     "Quarantine",
     "QuarantineEntry",
     "RunHealth",

@@ -491,7 +491,7 @@ def config_fingerprint(config: Any) -> str:
     Two runs share checkpoints only if their fingerprints match.
     Checkpointing knobs themselves, the kill-point
     (:class:`~repro.pipeline.chaos.CrashPoint`), and the
-    ``workers``/``worker_mode``/``batch_size`` parallelism knobs, and
+    ``workers``/``batch_size`` parallelism knobs, and
     the observability knobs (``trace_enabled``/``trace_dir``/
     ``metrics_enabled``) are deliberately excluded: a crash aborts a
     run but never changes any unit's output, a worker pool is an

@@ -9,7 +9,6 @@ from ..ocr.fallback import DEFAULT_CONFIDENCE_THRESHOLD
 from ..ocr.scanner import ScannerProfile
 from ..rng import DEFAULT_SEED
 from .chaos import ChaosConfig, CrashPoint
-from .parallel import PROCESS_POOL_MIN_WORKERS, WORKER_MODES
 from .resilience import POLICY_MODES, FailurePolicy
 
 #: Database layouts a run may select.  Names only — the columnar
@@ -70,14 +69,10 @@ class PipelineConfig:
     #: Optional kill-point injection: die hard at a named pipeline
     #: boundary (crash-recovery testing only).
     crash: CrashPoint | None = None
-    #: Fan Stage II-III out across this many workers (0 = serial, the
-    #: historical behavior; any count produces byte-identical output).
+    #: Fan Stage II-III out across a pool of this many worker
+    #: processes (0 = serial: the same chunks run in-process; any
+    #: count produces byte-identical output).
     workers: int = 0
-    #: Executor selection: ``auto`` picks a process pool from
-    #: :data:`~repro.pipeline.parallel.PROCESS_POOL_MIN_WORKERS`
-    #: workers up and the threaded fallback below it; ``thread`` /
-    #: ``process`` force one kind.
-    worker_mode: str = "auto"
     #: Units per dispatched chunk in the parallel fan-out.  ``None``
     #: resolves per stage to ``ceil(n_units / (workers * 4))``,
     #: clamped (see :func:`~repro.pipeline.parallel.resolve_batch_size`);
@@ -132,10 +127,6 @@ class PipelineConfig:
         if self.workers < 0:
             raise ValueError(
                 f"workers must be >= 0, got {self.workers}")
-        if self.worker_mode not in WORKER_MODES:
-            raise ValueError(
-                f"worker_mode must be one of {WORKER_MODES}, got "
-                f"{self.worker_mode!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}")
@@ -170,21 +161,17 @@ class PipelineConfig:
     def resolved_parallelism(self) -> tuple[int, str]:
         """``(worker count, executor mode)`` for this run.
 
-        ``workers=0`` resolves to ``(0, "serial")`` — the historical
-        single-process path, untouched.  Worker count and mode are
-        deliberately excluded from the checkpoint
-        :func:`~repro.pipeline.checkpoint.config_fingerprint`: they
-        choose an execution strategy, never an output, so a run
+        ``workers=0`` resolves to ``(0, "serial")`` (chunks run
+        in-process), any other count to an N-process pool.  The worker
+        count is deliberately excluded from the checkpoint
+        :func:`~repro.pipeline.checkpoint.config_fingerprint`: it
+        chooses an execution strategy, never an output, so a run
         crashed under 4 workers may resume serially (or vice versa)
         and still reproduce the uninterrupted database byte for byte.
         """
         if self.workers <= 0:
             return 0, "serial"
-        if self.worker_mode == "auto":
-            return self.workers, (
-                "process" if self.workers >= PROCESS_POOL_MIN_WORKERS
-                else "thread")
-        return self.workers, self.worker_mode
+        return self.workers, "process"
 
     def resolved_policy(self) -> FailurePolicy:
         """The :class:`FailurePolicy` these knobs describe."""

@@ -1,40 +1,41 @@
-"""Deterministic multi-worker fan-out for Stage II-III (perf layer).
+"""Deterministic chunked execution of Stage II-III (perf layer).
 
-The per-document Stage II work (OCR -> parse -> filter) and the
-per-record Stage III tagging are embarrassingly parallel: every unit
-draws its randomness from its own child stream of the pipeline seed
-(see :mod:`repro.rng`), so no unit's output depends on when — or in
-which worker — it runs.  This module exploits that:
+The per-document Stage II work (OCR -> parse) and the per-record
+Stage III tagging are embarrassingly parallel: every unit draws its
+randomness from its own child stream of the pipeline seed (see
+:mod:`repro.rng`), so no unit's output depends on when — or in which
+process — it runs.  Every run therefore computes its units one way:
 
-* Workers compute each unit in isolation and return its **journal
-  body** — the exact JSON-serializable outcome record the checkpoint
-  layer already defines — plus sidecar deltas (OCR stats, resilience
-  health, wall time) that never touch the journal format.
-* The **coordinator** merges results strictly in original corpus
+* The chunk functions (:func:`_stage2_batch`, :func:`_stage3_batch`)
+  compute each unit in isolation and return its **result** — the
+  parsed records, parse error or quarantine entry of a document, the
+  tag of a record — plus sidecar deltas (OCR stats, resilience
+  health, wall time) that never touch the journal.
+* The **coordinator** merges outcomes strictly in original corpus
   order: records enter the database, quarantine entries are adopted,
-  health counters accumulate, and checkpoint journals are appended in
-  exactly the sequence the serial pipeline would have produced them.
-  The saved :class:`~repro.pipeline.store.FailureDatabase` is
-  byte-identical to a serial run — under quarantine, chaos
-  injection, and crash -> resume alike.
+  health counters accumulate, and checkpoint journal bodies are
+  encoded from the results and appended in corpus order.  The saved
+  :class:`~repro.pipeline.store.FailureDatabase` is byte-identical at
+  every worker count — under quarantine, chaos injection, and
+  crash -> resume alike.
 
-Worker pools come from :mod:`concurrent.futures`: a process pool for
-real CPU parallelism, with a thread pool as the low-worker-count
-fallback (one worker, or an explicit ``worker_mode="thread"``) where
-process spawn cost would dominate.  Checkpoint journals are written
-only by the coordinator, and :class:`~repro.pipeline.chaos.CrashPoint`
-kill points fire in the coordinator's merge loop, so ``--resume`` and
-``--crash-at`` semantics are unchanged under N workers.
+:class:`ParallelExecutor` decides only *where* a chunk runs: with
+``workers=0`` (the default) in-process, when the merge loop pulls it,
+on the coordinator's own tagger; with ``workers=N`` in an N-process
+pool.  Checkpoint journals are written only by the coordinator, and
+:class:`~repro.pipeline.chaos.CrashPoint` kill points fire in its
+merge loop, so ``--resume`` and ``--crash-at`` semantics are the same
+at every worker count.
 
 Failure-policy semantics are preserved per unit:
 
-* ``quarantine`` — a worker dead-letters the unit locally and ships
-  the quarantine entry home inside the journal body.
-* ``threshold``  — workers capture failures like ``quarantine``; the
+* ``quarantine`` — a chunk dead-letters the unit locally and ships
+  the quarantine entry home as the unit's result.
+* ``threshold``  — chunks capture failures like ``quarantine``; the
   coordinator re-enforces the stage error-rate threshold on the
-  *merged* counters after each unit, so the run aborts at the same
-  unit (with the same message) as a serial run.
-* ``fail_fast``  — the worker converts the
+  *merged* counters after each unit, so the run aborts at the unit
+  whose failure crosses it.
+* ``fail_fast``  — the chunk converts the
   :class:`~repro.errors.PipelineError` verdict into a marker that the
   coordinator re-raises when the failing unit's turn comes up in
   corpus order.
@@ -44,23 +45,19 @@ from __future__ import annotations
 
 import math
 import pickle
-import threading
 import time
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner
     from .config import PipelineConfig  # imports this module)
+    from ..nlp.tagger import VotingTagger
 
-#: Recognized executor selection modes for ``PipelineConfig.worker_mode``.
-WORKER_MODES = ("auto", "thread", "process")
-
-#: ``auto`` mode uses a process pool from this many workers up; below
-#: it (i.e. a single worker) the threaded fallback avoids process
-#: spawn + transfer cost that parallelism could never repay.
-PROCESS_POOL_MIN_WORKERS = 2
+#: Stages whose units run through the executor; their summed wall
+#: time is a pooled run's ``parallel_wall_s``.
+FANNED_STAGES = ("parse-documents", "accident-documents", "tag")
 
 #: ``auto`` batch sizing spreads a stage over about this many chunks
 #: per worker: enough slack for the pool to balance unevenly sized
@@ -79,9 +76,9 @@ def resolve_batch_size(batch_size: int | None, n_units: int,
 
     An explicit ``batch_size`` wins as-is; ``None`` (the ``auto``
     default) targets :data:`BATCH_AUTO_CHUNKS_PER_WORKER` chunks per
-    worker, clamped to ``[1, BATCH_SIZE_CLAMP]``.  Pure function of
-    its inputs so the resolved size is reproducible from the run
-    report.
+    worker (an in-process run, ``workers=0``, counts as one), clamped
+    to ``[1, BATCH_SIZE_CLAMP]``.  Pure function of its inputs so the
+    resolved size is reproducible from the run report.
     """
     if batch_size is not None:
         return max(1, batch_size)
@@ -89,7 +86,8 @@ def resolve_batch_size(batch_size: int | None, n_units: int,
         return 1
     return max(1, min(
         BATCH_SIZE_CLAMP,
-        math.ceil(n_units / (workers * BATCH_AUTO_CHUNKS_PER_WORKER))))
+        math.ceil(n_units / (max(1, workers)
+                             * BATCH_AUTO_CHUNKS_PER_WORKER))))
 
 
 # ----------------------------------------------------------------------
@@ -101,14 +99,14 @@ class ParallelStats:
     """What the parallel layer observed about one run.
 
     Lives on :class:`~repro.pipeline.stages.PipelineDiagnostics`;
-    stage wall times are recorded for serial runs too (they cost a
-    handful of ``perf_counter`` calls), the worker fields only when a
-    pool was actually used.
+    stage wall times are recorded for serial runs too (the run's one
+    stage timer, :meth:`repro.obs.Observability.stage`, fills them),
+    the worker fields only when a pool was actually used.
     """
 
     #: Configured worker count (0 = serial).
     workers: int = 0
-    #: Resolved executor kind: ``serial``, ``thread``, or ``process``.
+    #: Resolved executor kind: ``serial`` (in-process) or ``process``.
     mode: str = "serial"
     #: Stage name -> coordinator wall-clock seconds.
     stage_wall_s: dict[str, float] = field(default_factory=dict)
@@ -117,7 +115,9 @@ class ParallelStats:
     #: Summed worker-side compute seconds across those units — the
     #: serial-time estimate for the fanned-out portion of the run.
     unit_compute_s: float = 0.0
-    #: Coordinator wall-clock seconds spent in fanned-out stages.
+    #: Coordinator wall-clock seconds spent in the
+    #: :data:`FANNED_STAGES` (derived from ``stage_wall_s`` at the end
+    #: of a pooled run).
     parallel_wall_s: float = 0.0
     #: Dispatch chunks shipped to the pool (0 for serial runs).
     batch_tasks: int = 0
@@ -164,10 +164,10 @@ class ParallelStats:
 class UnitOutcome:
     """One unit of work's outcome, as the merge loop consumes it.
 
-    ``body`` is the unit's checkpoint-journal body (``None`` only when
-    ``error`` carries a ``fail_fast`` verdict); the remaining fields
-    are coordinator-side sidecars that never enter the journal, so the
-    journal format stays identical to serial runs.
+    ``body`` is the unit's result, which the coordinator adopts and
+    journals (``None`` only when ``error`` carries a ``fail_fast``
+    verdict); the remaining fields are coordinator-side sidecars that
+    never enter the journal.
 
     Since chunked dispatch, units cross the process-pool pipe inside a
     :class:`BatchOutcome` and the coordinator unpacks them into these
@@ -178,7 +178,7 @@ class UnitOutcome:
     payload benchmark measures chunking against.
     """
 
-    body: dict[str, Any] | None
+    body: Any
     #: Per-stage resilience counter deltas + degradation events, as
     #: the ``(stages, events)`` pair :func:`_health_delta` builds —
     #: ``None`` when the delta was merged at chunk level instead.
@@ -209,15 +209,15 @@ class UnitOutcome:
 class BatchOutcome:
     """What one worker computed for one dispatched chunk of units.
 
-    ``bodies`` holds the checkpoint-journal bodies of the chunk's
-    completed units in task (corpus) order.  Everything the per-unit
-    encoding shipped once per unit — health delta, metrics dump, chaos
-    count, wall time — rides once per chunk here, which is where the
+    ``bodies`` holds the results of the chunk's completed units in
+    task (corpus) order.  Everything the per-unit encoding shipped
+    once per unit — health delta, metrics dump, chaos count, wall
+    time — rides once per chunk here, which is where the
     payload and per-task-overhead win comes from (measured in
     ``benchmarks/bench_parallel.py``).  The coordinator unpacks a
     chunk back into :class:`UnitOutcome` views strictly in corpus
     order, so every merge-side state transition — and therefore every
-    output byte — is identical to per-unit dispatch and to serial.
+    output byte — is identical at every batch size and worker count.
 
     Health granularity is adaptive: normally one merged delta for the
     whole chunk suffices, but when any unit in the chunk quarantined,
@@ -226,10 +226,10 @@ class BatchOutcome:
     exactly as they stood at each quarantined unit's turn.
     """
 
-    #: Journal bodies of completed units, in task order.  A unit that
-    #: raised a ``fail_fast`` verdict contributes no body; the chunk
-    #: stops at it, exactly where a serial run would have.
-    bodies: list[dict[str, Any] | None]
+    #: Results of completed units, in task order.  A unit that raised
+    #: a ``fail_fast`` verdict contributes none; the chunk stops at it,
+    #: exactly where a per-unit loop would have.
+    bodies: list[Any]
     #: One merged ``(stages, events)`` delta for the chunk, or ``None``
     #: when ``unit_health`` carries per-unit deltas.
     health: tuple | None
@@ -265,42 +265,42 @@ class BatchOutcome:
          self.ocr, self.elapsed, self.injected, self.metrics) = state
 
 
-#: Pickled ``(config, dictionary_json | None, pool_mode)`` for the
-#: current pool, set by the pool initializer (per process, shared
-#: across threads).
-_WORKER_PAYLOAD: bytes | None = None
-
-#: Per-thread lazily built worker state.  Thread pools need the
-#: isolation (the OCR stage carries mutable accounting state); in a
-#: process pool each single-threaded worker simply gets one.
-_TLS = threading.local()
+#: This pool process's worker state, built by the pool initializer
+#: (``None`` outside a pool).
+_POOL_STATE: "_WorkerState | None" = None
 
 
 def _init_worker(payload: bytes) -> None:
-    """Pool initializer: stash the run payload for lazy state builds."""
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
-    _TLS.__dict__.pop("state", None)
+    """Pool initializer: build this process's worker state."""
+    global _POOL_STATE
+    config, dictionary_json = pickle.loads(payload)
+    tagger = None
+    if dictionary_json is not None:
+        from ..nlp.dictionary import FailureDictionary
+        from ..nlp.tagger import VotingTagger
+
+        tagger = VotingTagger(FailureDictionary.from_json(dictionary_json))
+    _POOL_STATE = _WorkerState(config, tagger, private_cache=True)
 
 
 class _WorkerState:
-    """Everything a worker builds once and reuses across its units."""
+    """Everything the chunk functions build once and reuse."""
 
     def __init__(self, config: "PipelineConfig",
-                 dictionary_json: str | None,
-                 pool_mode: str = "process") -> None:
+                 tagger: "VotingTagger | None" = None,
+                 private_cache: bool = False) -> None:
         from ..parsing import default_registry
         from .resilience import FailurePolicy
         from .stages import OcrStage
 
         self.config = config
-        #: ``thread`` workers share the coordinator's process-global
-        #: token cache (the coordinator's own start/end sampling
-        #: already covers them); ``process`` workers own a private
-        #: cache, so only they ship token-cache deltas home.
-        self.pool_mode = pool_mode
+        self.tagger = tagger
+        #: Pool processes own a private token cache, so only they ship
+        #: token-cache deltas home; in-process chunks share the
+        #: coordinator's cache, which the runner samples as a whole.
+        self.private_cache = private_cache
         # ``threshold`` enforcement needs run-global counters, which
-        # only the coordinator has: workers capture failures like
+        # only the coordinator has: chunks capture failures like
         # ``quarantine`` and the coordinator re-checks the threshold
         # on the merged stats.
         mode = config.failure_policy
@@ -313,16 +313,9 @@ class _WorkerState:
                                    config.correction_enabled,
                                    config.fallback_threshold)
                           if config.ocr_enabled else None)
-        self.tagger = None
-        if dictionary_json is not None:
-            from ..nlp.dictionary import FailureDictionary
-            from ..nlp.tagger import VotingTagger
-
-            self.tagger = VotingTagger(
-                FailureDictionary.from_json(dictionary_json))
 
     def guard(self, quarantine, metrics=None):
-        """A fresh per-unit guard (so health deltas are per unit)."""
+        """A fresh per-chunk guard (so health deltas are per chunk)."""
         from .chaos import ChaosInjector
         from .resilience import StageGuard
 
@@ -333,24 +326,12 @@ class _WorkerState:
                           metrics=metrics)
 
     def unit_metrics(self):
-        """A fresh per-unit registry (``None`` when metrics are off)."""
+        """A fresh per-chunk registry (``None`` when metrics are off)."""
         if not self.config.metrics_enabled:
             return None
         from ..obs.metrics import MetricsRegistry
 
         return MetricsRegistry()
-
-
-def _worker_state() -> _WorkerState:
-    state = getattr(_TLS, "state", None)
-    if state is None:
-        if _WORKER_PAYLOAD is None:  # pragma: no cover - misuse guard
-            raise RuntimeError("worker used outside an initialized pool")
-        config, dictionary_json, pool_mode = pickle.loads(
-            _WORKER_PAYLOAD)
-        state = _WorkerState(config, dictionary_json, pool_mode)
-        _TLS.state = state
-    return state
 
 
 def _health_delta(guard) -> tuple:
@@ -400,11 +381,12 @@ def _per_unit_deltas(snaps: list[dict], events: list,
     return deltas
 
 
-def _stage2_batch(tasks: list[tuple[str, Any]]) -> BatchOutcome:
+def _stage2_batch(tasks: list[tuple[str, Any]],
+                  state: _WorkerState | None = None) -> BatchOutcome:
     """Compute one chunk of Stage II documents with shared context.
 
-    One guard / database / metrics registry serves the whole chunk —
-    their per-task setup and shipping cost is exactly what chunking
+    One guard / quarantine / metrics registry serves the whole chunk
+    — their per-task setup and shipping cost is exactly what chunking
     amortizes — while the per-unit isolation that shapes output is
     preserved: OCR stats are reset per document (one document's
     running mean IS its confidence, which the coordinator's merge
@@ -412,19 +394,19 @@ def _stage2_batch(tasks: list[tuple[str, Any]]) -> BatchOutcome:
     so a quarantine anywhere in the chunk ships unit-aligned deltas
     for the coordinator's threshold re-check.  A ``fail_fast``
     verdict stops the chunk at the failing unit, exactly where a
-    serial run would have stopped.
+    per-unit loop would have stopped.
     """
     from ..errors import PipelineError
     from . import runner
-    from .stages import OcrStageStats, PipelineDiagnostics
-    from .store import FailureDatabase
+    from .resilience import Quarantine
+    from .stages import OcrStageStats
 
-    state = _worker_state()
+    if state is None:
+        state = _POOL_STATE
     started = time.perf_counter()
-    diagnostics = PipelineDiagnostics()
-    database = FailureDatabase()
+    quarantine = Quarantine()
     metrics = state.unit_metrics()
-    guard = state.guard(database.quarantine, metrics=metrics)
+    guard = state.guard(quarantine, metrics=metrics)
     queue = (state.ocr_stage.queue if state.ocr_stage is not None
              else None)
     bodies: list = []
@@ -436,22 +418,21 @@ def _stage2_batch(tasks: list[tuple[str, Any]]) -> BatchOutcome:
     snaps = [_snapshot_health(guard)]
     events_at = [0]
     for kind, document in tasks:
-        diagnostics.ocr = OcrStageStats()
+        ocr = OcrStageStats()
         pages_before = (queue.pages_transcribed
                         if queue is not None else 0)
         lines_before = (queue.lines_transcribed
                         if queue is not None else 0)
-        quarantined_before = len(database.quarantine)
+        quarantined_before = len(quarantine)
         try:
             if kind == "disengagement":
                 body = runner._process_disengagement(
-                    document, state.config, diagnostics, database,
-                    guard, state.ocr_stage, state.registry, [], [],
-                    journal=True)
+                    document, state.config, ocr, guard,
+                    state.ocr_stage, state.registry)
             else:
                 body = runner._process_accident(
-                    document, state.config, diagnostics, database,
-                    guard, state.ocr_stage, journal=True)
+                    document, state.config, ocr, guard,
+                    state.ocr_stage)
         except PipelineError as exc:
             error = str(exc)
             snaps.append(_snapshot_health(guard))
@@ -460,15 +441,15 @@ def _stage2_batch(tasks: list[tuple[str, Any]]) -> BatchOutcome:
         bodies.append(body)
         snaps.append(_snapshot_health(guard))
         events_at.append(len(events))
-        if len(database.quarantine) > quarantined_before:
+        if len(quarantine) > quarantined_before:
             any_quarantine = True
-        if diagnostics.ocr.documents:
+        if ocr.documents:
             any_ocr = True
             ocr_deltas.append({
-                "pages": diagnostics.ocr.pages,
-                "lines": diagnostics.ocr.lines,
+                "pages": ocr.pages,
+                "lines": ocr.lines,
                 # One document: the running mean IS its confidence.
-                "confidence": diagnostics.ocr.mean_confidence,
+                "confidence": ocr.mean_confidence,
                 "fallback_pages":
                     queue.pages_transcribed - pages_before,
                 "fallback_lines":
@@ -489,7 +470,8 @@ def _stage2_batch(tasks: list[tuple[str, Any]]) -> BatchOutcome:
         metrics=metrics.dump() if metrics is not None else None)
 
 
-def _stage3_batch(tasks: list[tuple[str, str]]) -> BatchOutcome:
+def _stage3_batch(tasks: list[tuple[str, str]],
+                  state: _WorkerState | None = None) -> BatchOutcome:
     """Tag one chunk of records with shared context.
 
     The chunk's narratives go through the batch-native
@@ -506,15 +488,15 @@ def _stage3_batch(tasks: list[tuple[str, str]]) -> BatchOutcome:
     from . import runner
     from .resilience import Quarantine
 
-    state = _worker_state()
+    if state is None:
+        state = _POOL_STATE
     started = time.perf_counter()
     metrics = state.unit_metrics()
     guard = state.guard(Quarantine(), metrics=metrics)
     cache_before = None
-    if metrics is not None and state.pool_mode == "process":
-        # A process worker owns a private token cache; its delta must
-        # ride home with the chunk.  Thread workers share the
-        # coordinator's cache, which the runner samples globally.
+    if metrics is not None and state.private_cache:
+        # A pool process owns a private token cache; its delta must
+        # ride home with the chunk.
         from ..nlp.textcache import token_cache
 
         cache_before = token_cache().stats()
@@ -527,8 +509,7 @@ def _stage3_batch(tasks: list[tuple[str, str]]) -> BatchOutcome:
                                lambda precomputed=precomputed:
                                precomputed,
                                fallback=runner._unknown_tag)
-            bodies.append({"tag": result.tag.value,
-                           "category": result.category.value})
+            bodies.append((result.tag, result.category))
         except PipelineError as exc:
             error = str(exc)
             break
@@ -581,7 +562,7 @@ def iter_units(batches: Iterator[BatchOutcome],
 
 
 # ----------------------------------------------------------------------
-# Coordinator-side pool management.
+# Coordinator side.
 # ----------------------------------------------------------------------
 
 def worker_config(config: "PipelineConfig") -> "PipelineConfig":
@@ -597,64 +578,79 @@ def worker_config(config: "PipelineConfig") -> "PipelineConfig":
     identical at every batch size.
     """
     return replace(config, crash=None, checkpoint_dir=None,
-                   resume=False, workers=0, worker_mode="auto",
-                   batch_size=None, trace_enabled=False, trace_dir=None)
+                   resume=False, workers=0, batch_size=None,
+                   trace_enabled=False, trace_dir=None)
 
 
 class ParallelExecutor:
-    """Owns the worker pool(s) for one pipeline run.
+    """Runs one pipeline run's Stage II-III chunks.
 
-    Stage II and Stage III need different worker payloads (the tagging
+    ``workers=0`` computes each chunk in-process, lazily, when the
+    coordinator's merge loop pulls it (so a kill point or an abort
+    leaves later chunks uncomputed); ``workers=N`` submits every chunk
+    to an N-process pool up front.  Both run the same chunk functions
+    and yield :class:`BatchOutcome` objects in submission order.
+
+    Stage II and Stage III need different pool payloads (the tagging
     pool carries the built failure dictionary), so the pool is rebuilt
-    whenever the payload changes; within a stage it is reused across
-    ``map`` calls.  ``close`` is idempotent and safe mid-exception —
-    the runner calls it from a ``finally`` so a
+    whenever the payload changes.  Used as a context manager: closing
+    is safe mid-exception, so a
     :class:`~repro.pipeline.chaos.SimulatedCrash` or a policy abort
     still tears the pool down.
     """
 
     def __init__(self, config: "PipelineConfig",
                  stats: ParallelStats) -> None:
-        self.workers, self.mode = config.resolved_parallelism()
-        if self.mode == "serial":  # pragma: no cover - misuse guard
-            raise ValueError("ParallelExecutor needs workers >= 1")
+        self.workers, stats.mode = config.resolved_parallelism()
+        stats.workers = self.workers
+        self.stats = stats
         self._config = worker_config(config)
         self._batch_size = config.batch_size
-        self.stats = stats
-        stats.workers = self.workers
-        stats.mode = self.mode
-        self._pool: Executor | None = None
+        self._local: _WorkerState | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._payload: bytes | None = None
 
-    def _ensure_pool(self, dictionary_json: str | None) -> Executor:
-        payload = pickle.dumps(
-            (self._config, dictionary_json, self.mode))
-        if self._pool is not None and payload == self._payload:
-            return self._pool
+    def __enter__(self) -> "ParallelExecutor":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
         self.close()
-        self._payload = payload
-        if self.mode == "thread":
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-worker",
-                initializer=_init_worker, initargs=(payload,))
-        else:
+
+    def _run(self, fn: Callable[..., BatchOutcome], chunks: list[list],
+             tagger: "VotingTagger | None") -> Iterator[BatchOutcome]:
+        if not self.workers:
+            if self._local is None:
+                self._local = _WorkerState(self._config)
+            state = self._local
+            state.tagger = tagger
+            return (fn(chunk, state) for chunk in chunks)
+        dictionary_json = (tagger.dictionary.to_json()
+                           if tagger is not None else None)
+        payload = pickle.dumps((self._config, dictionary_json))
+        if self._pool is None or payload != self._payload:
+            self.close()
+            self._payload = payload
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker, initargs=(payload,))
-        return self._pool
+        return self._pool.map(fn, chunks, chunksize=1)
 
-    def _chunk(self, tasks: list, stage: str) -> list[list]:
+    def _chunk(self, tasks: list, stage: str,
+               whole_stage: bool = False) -> list[list]:
         """Split a stage's pending units into dispatch chunks.
 
-        Records the resolved batch size on the run stats (so reports
-        and benchmarks can attribute speedups to it) and warns — once
-        per stage, without failing — when an explicit ``batch_size``
-        exceeds the unit count, because the whole stage then rides in
-        a single task and the pool cannot balance at all.
+        ``whole_stage`` makes ``auto`` one chunk.  Records the resolved
+        batch size on the run stats (so reports and benchmarks can
+        attribute speedups to it) and warns — once per stage, without
+        failing — when an explicit ``batch_size`` exceeds the unit
+        count, because the whole stage then rides in a single task and
+        the pool cannot balance at all.
         """
-        size = resolve_batch_size(self._batch_size, len(tasks),
-                                  self.workers)
+        if whole_stage and self._batch_size is None:
+            size = max(1, len(tasks))
+        else:
+            size = resolve_batch_size(self._batch_size, len(tasks),
+                                      self.workers)
         self.stats.batch_size[stage] = size
         if (self._batch_size is not None and tasks
                 and self._batch_size > len(tasks)):
@@ -666,23 +662,26 @@ class ParallelExecutor:
 
     def map_documents(self, tasks: list[tuple[str, Any]], stage: str,
                       ) -> Iterator[BatchOutcome]:
-        """Fan Stage II documents out in chunks; yields chunk outcomes
-        in submission order (documents are coarse units, so ``auto``
-        resolves to small chunks that keep the pool load-balanced).
+        """Stage II documents in chunks; yields chunk outcomes in
+        submission order (documents are coarse units, so ``auto``
+        resolves to small chunks that keep a pool load-balanced).
         """
-        return self._ensure_pool(None).map(
-            _stage2_batch, self._chunk(tasks, stage), chunksize=1)
+        return self._run(_stage2_batch, self._chunk(tasks, stage), None)
 
-    def map_tags(self, dictionary_json: str,
+    def map_tags(self, tagger: "VotingTagger",
                  tasks: list[tuple[str, str]],
                  ) -> Iterator[BatchOutcome]:
-        """Fan Stage III tagging out in chunks; yields chunk outcomes
-        in submission order.  Records are tiny uniform units — the
-        chunk is also the tagger's batch, so per-task overhead *and*
-        per-record tagging overhead amortize together.
+        """Stage III tagging in chunks; yields chunk outcomes in
+        submission order.  Records are tiny uniform units — the chunk
+        is also the tagger's batch, so per-task overhead *and*
+        per-record tagging overhead amortize together.  A pool
+        rebuilds the tagger from the dictionary's JSON; in-process,
+        ``tagger`` itself tags the stage in one chunk (there is no pool
+        to balance, tag bodies are tiny, and one ``tag_batch`` call
+        dedupes every repeated narrative).
         """
-        return self._ensure_pool(dictionary_json).map(
-            _stage3_batch, self._chunk(tasks, "tag"), chunksize=1)
+        chunks = self._chunk(tasks, "tag", whole_stage=not self.workers)
+        return self._run(_stage3_batch, chunks, tagger)
 
     def close(self) -> None:
         """Tear the pool down, dropping queued (not yet running) work.

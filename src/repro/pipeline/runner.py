@@ -28,6 +28,7 @@ import pickle
 import time
 import warnings
 from dataclasses import asdict, dataclass
+from typing import Callable, Iterator
 
 from ..errors import (
     DegradedModeWarning,
@@ -46,11 +47,7 @@ from ..obs.metrics import (
     TOKEN_CACHE_MISSES,
 )
 from ..obs.runtime import Observability
-from ..parsing import (
-    default_registry,
-    filter_records,
-    parse_accident_report,
-)
+from ..parsing import filter_records, parse_accident_report
 from ..parsing.filters import FilterStats
 from ..parsing.normalize import (
     NormalizationStats,
@@ -70,6 +67,7 @@ from .chaos import ChaosInjector, CrashController
 from .checkpoint import CheckpointStore, config_fingerprint
 from .config import PipelineConfig
 from .parallel import (
+    FANNED_STAGES,
     BatchOutcome,
     ParallelExecutor,
     ParallelStats,
@@ -77,7 +75,7 @@ from .parallel import (
     iter_units,
 )
 from .resilience import QuarantineEntry, StageGuard
-from .stages import OcrStage, PipelineDiagnostics
+from .stages import OcrStage, OcrStageStats, PipelineDiagnostics
 from .store import FailureDatabase
 
 
@@ -103,7 +101,8 @@ def process_corpus(corpus: SyntheticCorpus,
     config = config or PipelineConfig()
     diagnostics = PipelineDiagnostics()
     database = FailureDatabase()
-    obs = Observability.for_run(config)
+    obs = Observability.for_run(
+        config, stage_wall_s=diagnostics.parallel.stage_wall_s)
     guard = StageGuard(
         policy=config.resolved_policy(),
         seed=config.seed,
@@ -123,8 +122,12 @@ def process_corpus(corpus: SyntheticCorpus,
     try:
         with obs.tracer.span("run", kind="run", seed=config.seed,
                              workers=config.workers):
-            result = _process(corpus, config, diagnostics, database,
-                              guard, store, obs)
+            with ParallelExecutor(config,
+                                  diagnostics.parallel) as executor:
+                run = _Run(config, diagnostics, database, guard, store,
+                           CrashController(config.crash), executor,
+                           obs)
+                result = _run_stages(run, corpus)
             _finalize_storage(result, config, store, obs)
         _snapshot_obs(obs, diagnostics, config, cache_before)
         return result
@@ -179,9 +182,9 @@ def _snapshot_obs(obs: Observability,
     """Fold end-of-run samples in and snapshot onto diagnostics.
 
     The token-cache counters are sampled as a start/end delta of the
-    process-global cache: in serial and thread-pool runs that covers
-    every consumer; process-pool workers ship their private caches'
-    deltas home per unit instead (see ``parallel._stage3_unit``).
+    process-global cache: in a serial run that covers every consumer;
+    process-pool workers ship their private caches' deltas home per
+    chunk instead (see ``parallel._stage3_batch``).
     """
     registry = obs.registry
     if registry is not None:
@@ -199,66 +202,40 @@ def _snapshot_obs(obs: Observability,
         diagnostics.trace_path = str(config.trace_path)
 
 
-def _process(corpus: SyntheticCorpus, config: PipelineConfig,
-             diagnostics: PipelineDiagnostics,
-             database: FailureDatabase, guard: StageGuard,
-             store: CheckpointStore | None,
-             obs: Observability) -> PipelineResult:
-    executor = None
-    if config.resolved_parallelism()[1] != "serial":
-        executor = ParallelExecutor(config, diagnostics.parallel)
-    try:
-        return _run_stages(corpus, config, diagnostics, database,
-                           guard, store, executor, obs)
-    finally:
-        if executor is not None:
-            executor.close()
+@dataclass
+class _Run:
+    """What every stage of one run shares."""
+
+    config: PipelineConfig
+    diagnostics: PipelineDiagnostics
+    database: FailureDatabase
+    guard: StageGuard
+    store: CheckpointStore | None
+    crash: CrashController
+    executor: ParallelExecutor
+    obs: Observability
 
 
-def _run_stages(corpus: SyntheticCorpus, config: PipelineConfig,
-                diagnostics: PipelineDiagnostics,
-                database: FailureDatabase, guard: StageGuard,
-                store: CheckpointStore | None,
-                executor: ParallelExecutor | None,
-                obs: Observability) -> PipelineResult:
-    crash = CrashController(config.crash)
-    checkpoint = guard.health.checkpoint
-    par = diagnostics.parallel
-    ocr_stage = OcrStage(
-        config.scanner_profile, config.correction_enabled,
-        config.fallback_threshold) if config.ocr_enabled else None
-    registry = default_registry()
+def _run_stages(run: _Run, corpus: SyntheticCorpus) -> PipelineResult:
+    config, diagnostics, obs = run.config, run.diagnostics, run.obs
+    store, crash = run.store, run.crash
+    checkpoint = run.guard.health.checkpoint
 
-    # ---- Stage II: disengagement reports (per-document) --------------
+    # ---- Stage II: per-document OCR -> parse ---------------------------
     raw_disengagements: list[DisengagementRecord] = []
     raw_mileage: list[MonthlyMileage] = []
-    started = time.perf_counter()
-    with obs.stage("parse-documents",
-                   documents=len(corpus.disengagement_documents)):
-        _stage2_disengagements(
-            corpus.disengagement_documents, config, diagnostics,
-            database, guard, store, crash, ocr_stage, registry,
-            executor, raw_disengagements, raw_mileage, obs)
-    _mark_stage(par, "parse-documents", started, executor is not None)
-    crash.reached("parse-documents")
-    if store is not None:
-        store.sync()
-
-    # ---- Stage II: accident reports (per-document) -------------------
-    started = time.perf_counter()
-    with obs.stage("accident-documents",
-                   documents=len(corpus.accident_documents)):
-        _stage2_accidents(
-            corpus.accident_documents, config, diagnostics, database,
-            guard, store, crash, ocr_stage, executor, obs)
-    _mark_stage(par, "accident-documents", started,
-                executor is not None)
-    crash.reached("accident-documents")
-    if store is not None:
-        store.sync()
+    for kind, documents in (
+            ("disengagement", corpus.disengagement_documents),
+            ("accident", corpus.accident_documents)):
+        stage = _DOCUMENT_STAGES[kind][0]
+        with obs.stage(stage, documents=len(documents)):
+            _stage2(run, kind, documents, raw_disengagements,
+                    raw_mileage)
+        crash.reached(stage)
+        if store is not None:
+            store.sync()
 
     # ---- Stage II/III boundary: normalize + filter -------------------
-    started = time.perf_counter()
     with obs.stage("normalize"):
         restored_norm = _restore_normalized(store, config, diagnostics,
                                             checkpoint)
@@ -278,15 +255,13 @@ def _run_stages(corpus: SyntheticCorpus, config: PipelineConfig,
                     "normalization": asdict(norm_stats),
                     "filters": asdict(filter_stats),
                 })
-    _mark_stage(par, "normalize", started)
     crash.reached("normalize")
 
     # ---- Stage III: dictionary + tagging -----------------------------
-    started = time.perf_counter()
     with obs.stage("dictionary", mode=config.dictionary_mode):
         dictionary = _restore_dictionary(store, config, checkpoint)
         if dictionary is None:
-            dictionary = guard.run(
+            dictionary = run.guard.run(
                 "dictionary", "corpus",
                 lambda: _build_dictionary(filtered, config),
                 fallback=lambda: _degraded_dictionary())
@@ -294,297 +269,247 @@ def _run_stages(corpus: SyntheticCorpus, config: PipelineConfig,
                 store.write_artifact(
                     "dictionary", json.loads(dictionary.to_json()))
         diagnostics.dictionary_entries = len(dictionary)
-    _mark_stage(par, "dictionary", started)
     crash.reached("dictionary")
 
     tagger = VotingTagger(dictionary)
-    started = time.perf_counter()
     with obs.stage("tag", records=len(filtered)):
-        _stage3_tags(filtered, dictionary, tagger, config, guard,
-                     store, crash, checkpoint, executor, par, obs)
-    _mark_stage(par, "tag", started, executor is not None)
+        _stage3(run, filtered, tagger)
     crash.reached("tag")
     if store is not None:
         store.sync()
 
     if config.attach_truth:
-        started = time.perf_counter()
         with obs.stage("evaluate"):
             diagnostics.tagging = evaluate_tagger(tagger, filtered)
-        _mark_stage(par, "evaluate", started)
 
-    database.disengagements = filtered
-    database.mileage = mileage
+    par = diagnostics.parallel
+    if par.enabled:
+        par.parallel_wall_s = sum(par.stage_wall_s.get(stage, 0.0)
+                                  for stage in FANNED_STAGES)
+    run.database.disengagements = filtered
+    run.database.mileage = mileage
     return PipelineResult(
-        database=database, diagnostics=diagnostics, config=config)
-
-
-def _mark_stage(par: ParallelStats, stage: str, started: float,
-                fanned: bool = False) -> None:
-    """Record one stage's coordinator wall time."""
-    elapsed = time.perf_counter() - started
-    par.stage_wall_s[stage] = (
-        par.stage_wall_s.get(stage, 0.0) + elapsed)
-    if fanned:
-        par.parallel_wall_s += elapsed
+        database=run.database, diagnostics=diagnostics, config=config)
 
 
 # ----------------------------------------------------------------------
-# Stage loops.  Each has a serial branch (the historical loop,
-# byte-for-byte) and a parallel branch that fans units out to the
-# worker pool and merges the outcomes back in original corpus order.
+# Stage loops.  Every unit is either restored from its journal entry or
+# adopted from the executor's outcome, strictly in corpus order — the
+# same loop at every worker count.
 # ----------------------------------------------------------------------
 
-def _stage2_disengagements(documents, config: PipelineConfig,
-                           diagnostics: PipelineDiagnostics,
-                           database: FailureDatabase,
-                           guard: StageGuard,
-                           store: CheckpointStore | None,
-                           crash: CrashController,
-                           ocr_stage: OcrStage | None, registry,
-                           executor: ParallelExecutor | None,
-                           raw_disengagements: list,
-                           raw_mileage: list,
-                           obs: Observability) -> None:
+#: Stage II document kind -> (stage, journal, mid-stage kill point).
+_DOCUMENT_STAGES = {
+    "disengagement": ("parse-documents", "documents",
+                      "mid-parse-documents"),
+    "accident": ("accident-documents", "accidents", None),
+}
+
+
+def _stage2(run: _Run, kind: str, documents: list[RawDocument],
+            raw_disengagements: list, raw_mileage: list) -> None:
+    """Stage II over one document kind: restore or adopt each one."""
+    stage, journal, mid_crash = _DOCUMENT_STAGES[kind]
+    diagnostics, database = run.diagnostics, run.database
+    parse = diagnostics.parse
+
+    def adopt(result: tuple) -> None:
+        verdict, value = result
+        if verdict == "quarantined":
+            database.quarantine.add(value)
+        elif verdict == "parse_error":
+            parse.unparsed_lines += value
+        elif kind == "accident":
+            parse.accidents_parsed += 1
+            database.accidents.append(value)
+        else:
+            records, cells, unparsed = value
+            parse.documents += 1
+            parse.disengagements_parsed += len(records)
+            parse.mileage_cells_parsed += len(cells)
+            parse.unparsed_lines += unparsed
+            raw_disengagements.extend(records)
+            raw_mileage.extend(cells)
+
+    def on_restored(index: int, result: tuple) -> None:
+        adopt(result)
+        parse.documents_restored += 1
+        if result[0] == "quarantined":
+            # Re-adopt the pre-crash verdict's health too.
+            stats = run.guard.health.stage(result[1].stage)
+            stats.attempts += 1
+            stats.errors += 1
+            stats.quarantined += 1
+
+    def on_outcome(index: int, outcome: UnitOutcome) -> None:
+        if outcome.ocr is not None:
+            _merge_ocr_stats(outcome.ocr, diagnostics)
+        adopt(outcome.body)
+        if outcome.body[0] == "quarantined":
+            _check_merged_thresholds(outcome, run.guard)
+
+    _merge_units(
+        run, stage, [document.document_id for document in documents],
+        journal, lambda entry: _decode_document(entry, kind),
+        _encode_document,
+        lambda pending: run.executor.map_documents(
+            [(kind, documents[i]) for i in pending], stage),
+        on_restored, on_outcome, mid_crash)
+
+
+def _stage3(run: _Run, filtered: list[DisengagementRecord],
+            tagger: VotingTagger) -> None:
+    """Stage III: restore or adopt each record's tag."""
+
+    def on_restored(index: int, result: tuple) -> None:
+        filtered[index].tag, filtered[index].category = result
+
+    def on_outcome(index: int, outcome: UnitOutcome) -> None:
+        on_restored(index, outcome.body)
+
+    ids = [record_id(record) for record in filtered]
+    _merge_units(
+        run, "tag", ids, "tags", _decode_tag, _encode_tag,
+        lambda pending: run.executor.map_tags(
+            tagger, [(ids[i], filtered[i].description) for i in pending]),
+        on_restored, on_outcome, "mid-tag")
+
+
+def _merge_units(run: _Run, stage: str, unit_ids: list[str],
+                 journal: str, decode: Callable[[dict], tuple],
+                 encode: Callable[[tuple], dict],
+                 dispatch: Callable[[list[int]], Iterator[BatchOutcome]],
+                 on_restored: Callable[[int, tuple], None],
+                 on_outcome: Callable[[int, UnitOutcome], None],
+                 mid_crash: str | None) -> None:
+    """The one stage loop: restore each unit or adopt its outcome.
+
+    Journal entries of ``journal`` that ``decode`` turns into unit
+    results are restored through ``on_restored``; every other unit's
+    index goes to ``dispatch`` (the executor), whose chunk outcomes
+    come back in the same order.  Walking ``unit_ids`` in corpus
+    order, each computed unit's health and ``fail_fast`` sidecars are
+    folded, its result is adopted through ``on_outcome`` and then
+    journaled (``encode``), buffered per chunk.
+    """
+    guard, store, obs = run.guard, run.store, run.obs
     checkpoint = guard.health.checkpoint
-    restored_docs = store.restored("documents") if store else {}
-    units_c = obs.unit_counter("parse-documents")
-    results = None
-    batcher = None
-    if executor is not None:
-        pending = [("disengagement", document)
-                   for document in documents
-                   if document.document_id not in restored_docs]
-        if store is not None:
-            batcher = _JournalBatcher(store, "documents")
-        results = iter_units(
-            executor.map_documents(pending, "parse-documents"),
-            _batch_folder("parse-documents", guard,
-                          diagnostics.parallel, batcher))
+    restored = _restorable(store, journal, unit_ids, decode, checkpoint)
+    batcher = (_JournalBatcher(store, journal)
+               if store is not None else None)
+    outcomes = iter_units(
+        dispatch([i for i, unit_id in enumerate(unit_ids)
+                  if unit_id not in restored]),
+        _batch_folder(stage, guard, run.diagnostics.parallel, batcher))
+    units_c = obs.unit_counter(stage)
     try:
-        for index, document in enumerate(documents):
-            crash.reached_mid("mid-parse-documents", index,
-                              len(documents))
+        for index, unit_id in enumerate(unit_ids):
+            if mid_crash is not None:
+                run.crash.reached_mid(mid_crash, index, len(unit_ids))
             if units_c is not None:
                 units_c.inc()
-            entry = restored_docs.get(document.document_id)
-            if entry is not None and _restore_disengagement(
-                    entry, diagnostics, database, guard,
-                    raw_disengagements, raw_mileage):
+            decoded = restored.get(unit_id)
+            if decoded is not None:
+                on_restored(index, decoded)
                 checkpoint.restored_units += 1
-                obs.restored_unit("parse-documents",
-                                  document.document_id)
+                obs.restored_unit(stage, unit_id)
                 continue
-            if results is None or entry is not None:
-                # Serial path — also the fallback for a unit whose
-                # checkpoint entry was corrupt (it was never
-                # dispatched, so it is recomputed inline, exactly
-                # like a serial run).
-                with obs.unit("parse-documents",
-                              document.document_id):
-                    body = _process_disengagement(
-                        document, config, diagnostics, database,
-                        guard, ocr_stage, registry,
-                        raw_disengagements, raw_mileage,
-                        journal=store is not None)
-            else:
-                outcome = next(results)
-                obs.merged_unit("parse-documents",
-                                document.document_id, outcome.elapsed)
-                body = _merge_stage2(
-                    outcome, "disengagement", diagnostics, database,
-                    guard, raw_disengagements, raw_mileage)
-            if store is not None:
-                if batcher is not None:
-                    batcher.append(document.document_id, body)
-                else:
-                    store.append("documents", document.document_id,
-                                 body)
+            outcome = next(outcomes)
+            obs.unit(stage, unit_id, outcome.elapsed)
+            if outcome.health is not None:
+                # Per-unit delta: its chunk carried a quarantine.
+                _fold_health_delta(outcome.health, guard)
+            if outcome.error is not None:
+                raise PipelineError(outcome.error)
+            on_outcome(index, outcome)
+            if batcher is not None:
+                batcher.append(unit_id, encode(outcome.body))
                 checkpoint.recomputed_units += 1
     finally:
         # Buffered entries are completed units: journal them even
-        # when a crash/abort unwinds the loop, exactly as the serial
-        # per-unit appends would have survived via the writer buffer.
+        # when a crash/abort unwinds the loop.
         if batcher is not None:
             batcher.flush()
 
 
-def _stage2_accidents(documents, config: PipelineConfig,
-                      diagnostics: PipelineDiagnostics,
-                      database: FailureDatabase, guard: StageGuard,
-                      store: CheckpointStore | None,
-                      crash: CrashController,
-                      ocr_stage: OcrStage | None,
-                      executor: ParallelExecutor | None,
-                      obs: Observability) -> None:
-    checkpoint = guard.health.checkpoint
-    restored_accidents = store.restored("accidents") if store else {}
-    units_c = obs.unit_counter("accident-documents")
-    results = None
-    batcher = None
-    if executor is not None:
-        pending = [("accident", document) for document in documents
-                   if document.document_id not in restored_accidents]
-        if store is not None:
-            batcher = _JournalBatcher(store, "accidents")
-        results = iter_units(
-            executor.map_documents(pending, "accident-documents"),
-            _batch_folder("accident-documents", guard,
-                          diagnostics.parallel, batcher))
-    try:
-        for document in documents:
-            if units_c is not None:
-                units_c.inc()
-            entry = restored_accidents.get(document.document_id)
-            if entry is not None and _restore_accident(
-                    entry, diagnostics, database, guard):
-                checkpoint.restored_units += 1
-                obs.restored_unit("accident-documents",
-                                  document.document_id)
-                continue
-            if results is None or entry is not None:
-                with obs.unit("accident-documents",
-                              document.document_id):
-                    body = _process_accident(
-                        document, config, diagnostics, database,
-                        guard, ocr_stage, journal=store is not None)
-            else:
-                outcome = next(results)
-                obs.merged_unit("accident-documents",
-                                document.document_id, outcome.elapsed)
-                body = _merge_stage2(
-                    outcome, "accident", diagnostics, database, guard,
-                    None, None)
-            if store is not None:
-                if batcher is not None:
-                    batcher.append(document.document_id, body)
-                else:
-                    store.append("accidents", document.document_id,
-                                 body)
-                checkpoint.recomputed_units += 1
-    finally:
-        if batcher is not None:
-            batcher.flush()
+def _restorable(store: CheckpointStore | None, journal: str,
+                unit_ids: list[str], decode: Callable[[dict], tuple],
+                checkpoint) -> dict[str, tuple]:
+    """Decoded journal entries for ``unit_ids``, keyed by unit id.
 
-
-def _stage3_tags(filtered, dictionary, tagger,
-                 config: PipelineConfig, guard: StageGuard,
-                 store: CheckpointStore | None,
-                 crash: CrashController, checkpoint,
-                 executor: ParallelExecutor | None,
-                 par: ParallelStats, obs: Observability) -> None:
-    restored_tags = store.restored("tags") if store else {}
-    record_ids = [_record_id(record) for record in filtered]
-    units_c = obs.unit_counter("tag")
-    pending = [(rid, record.description)
-               for rid, record in zip(record_ids, filtered)
-               if rid not in restored_tags]
-    results = None
-    batcher = None
-    precomputed = None
-    if executor is not None:
-        if store is not None:
-            batcher = _JournalBatcher(store, "tags")
-        results = iter_units(
-            executor.map_tags(dictionary.to_json(), pending),
-            _batch_folder("tag", guard, par, batcher))
-    elif pending:
-        # Serial runs tag through the batch-native entrypoint too:
-        # one tokenization/index pass over the whole stage, with each
-        # precomputed result adopted under the record's own guarded
-        # stage run — retries, chaos draws, fallbacks, and journal
-        # bytes are identical to the historical per-record loop.
-        precomputed = iter(
-            tagger.tag_batch([text for _, text in pending]))
-    try:
-        for index, record in enumerate(filtered):
-            crash.reached_mid("mid-tag", index, len(filtered))
-            if units_c is not None:
-                units_c.inc()
-            record_id = record_ids[index]
-            entry = restored_tags.get(record_id)
-            if entry is not None and _restore_tag(entry, record,
-                                                  checkpoint):
-                checkpoint.restored_units += 1
-                obs.restored_unit("tag", record_id)
-                continue
-            if results is not None and entry is None:
-                outcome = next(results)
-                obs.merged_unit("tag", record_id, outcome.elapsed)
-                _merge_tag(outcome, record, guard)
-            else:
-                with obs.unit("tag", record_id):
-                    if precomputed is not None and entry is None:
-                        pre = next(precomputed)
-                        result = guard.run("tag", record_id,
-                                           lambda: pre,
-                                           fallback=_unknown_tag)
-                    else:
-                        # Corrupt checkpoint entry: the record was
-                        # never dispatched or precomputed, so it is
-                        # re-tagged inline, exactly like a serial run.
-                        result = guard.run(
-                            "tag", record_id,
-                            lambda: tagger.tag(record.description),
-                            fallback=_unknown_tag)
-                    record.tag = result.tag
-                    record.category = result.category
-            if store is not None:
-                body = {
-                    "tag": record.tag.value,
-                    "category": record.category.value,
-                }
-                if batcher is not None:
-                    batcher.append(record_id, body)
-                else:
-                    store.append("tags", record_id, body)
-                checkpoint.recomputed_units += 1
-    finally:
-        if batcher is not None:
-            batcher.flush()
+    An entry that does not decode is noted and left out, so its unit
+    is computed like any other (corrupt shapes are never trusted).
+    """
+    entries = store.restored(journal) if store is not None else {}
+    if not entries:
+        return {}
+    restored = {}
+    for unit_id in unit_ids:
+        entry = entries.get(unit_id)
+        if entry is None:
+            continue
+        try:
+            restored[unit_id] = decode(entry)
+        except Exception:
+            checkpoint.corrupt_entries += 1
+            checkpoint.notes.append(
+                f"journal {journal!r} entry for {unit_id!r} unusable; "
+                "recomputed")
+    return restored
 
 
 # ----------------------------------------------------------------------
-# Parallel merge paths.  The coordinator adopts worker outcomes in
-# original corpus order, reproducing exactly the state transitions the
-# serial live path would have made.
+# Unit results and their journal bodies.  A Stage II result is
+# ``(verdict, value)``: ``("ok", (records, mileage, unparsed))`` for a
+# disengagement report, ``("ok", accident)`` for an accident report,
+# ``("parse_error", unparsed)`` or ``("quarantined", entry)``.  A tag
+# result is ``(tag, category)``.  Only the coordinator encodes them,
+# when it journals; a resume decodes them back.
 # ----------------------------------------------------------------------
 
-def _merge_stage2(outcome: UnitOutcome, kind: str,
-                  diagnostics: PipelineDiagnostics,
-                  database: FailureDatabase, guard: StageGuard,
-                  raw_disengagements: list | None,
-                  raw_mileage: list | None) -> dict:
-    _merge_worker_health(outcome, guard)
-    if outcome.error is not None:
-        raise PipelineError(outcome.error)
-    if outcome.ocr is not None:
-        _merge_ocr_stats(outcome.ocr, diagnostics)
-    body = outcome.body
+def _encode_document(result: tuple) -> dict:
+    """The journal body of a Stage II result."""
+    verdict, value = result
+    if verdict == "quarantined":
+        return {"outcome": verdict, "entry": value.to_dict()}
+    if verdict == "parse_error":
+        return {"outcome": verdict, "unparsed": value}
+    if isinstance(value, AccidentRecord):
+        return {"outcome": verdict, "accident": value.to_dict()}
+    records, cells, unparsed = value
+    return {"outcome": verdict,
+            "disengagements": [r.to_dict() for r in records],
+            "mileage": [m.to_dict() for m in cells],
+            "unparsed": unparsed}
+
+
+def _decode_document(body: dict, kind: str) -> tuple:
+    """The Stage II result a journal body encodes; raises if malformed."""
     verdict = body["outcome"]
     if verdict == "quarantined":
-        database.quarantine.add(
-            QuarantineEntry.from_dict(body["entry"]))
-        _check_merged_thresholds(outcome, guard)
-        return body
+        return verdict, QuarantineEntry.from_dict(body["entry"])
     if verdict == "parse_error":
-        diagnostics.parse.unparsed_lines += int(body["unparsed"])
-        return body
-    if kind == "disengagement":
-        records = [DisengagementRecord.from_dict(d)
-                   for d in body["disengagements"]]
-        cells = [MonthlyMileage.from_dict(m) for m in body["mileage"]]
-        diagnostics.parse.documents += 1
-        diagnostics.parse.disengagements_parsed += len(records)
-        diagnostics.parse.mileage_cells_parsed += len(cells)
-        diagnostics.parse.unparsed_lines += int(body["unparsed"])
-        raw_disengagements.extend(records)
-        raw_mileage.extend(cells)
-    else:
-        diagnostics.parse.accidents_parsed += 1
-        database.accidents.append(
-            AccidentRecord.from_dict(body["accident"]))
-    return body
+        return verdict, int(body["unparsed"])
+    if verdict != "ok":
+        raise ValueError(f"unknown outcome {verdict!r}")
+    if kind == "accident":
+        return verdict, AccidentRecord.from_dict(body["accident"])
+    return verdict, (
+        [DisengagementRecord.from_dict(d)
+         for d in body["disengagements"]],
+        [MonthlyMileage.from_dict(m) for m in body["mileage"]],
+        int(body["unparsed"]))
+
+
+def _encode_tag(result: tuple[FaultTag, FailureCategory]) -> dict:
+    """The journal body of a tag result."""
+    tag, category = result
+    return {"tag": tag.value, "category": category.value}
+
+
+def _decode_tag(body: dict) -> tuple[FaultTag, FailureCategory]:
+    """The tag result a journal body encodes; raises if malformed."""
+    return FaultTag(body["tag"]), FailureCategory(body["category"])
 
 
 class _JournalBatcher:
@@ -593,7 +518,7 @@ class _JournalBatcher:
     Entries accumulate in merge (corpus) order and land with one
     buffered multi-line :meth:`~repro.pipeline.checkpoint.
     CheckpointStore.append_many` per dispatch chunk, so the journal
-    file is line-for-line identical to a serial run's.  A crash can
+    file is line-for-line identical at every batch size.  A crash can
     additionally lose the current chunk's buffered entries (on top of
     the writer's usual fsync window); resume simply recomputes them.
     """
@@ -614,16 +539,16 @@ class _JournalBatcher:
 
 def _batch_folder(stage: str, guard: StageGuard, par: ParallelStats,
                   batcher: _JournalBatcher | None):
-    """The once-per-chunk merge hook for one stage's fan-out.
+    """The once-per-chunk merge hook for one stage.
 
     Fires when the coordinator pulls a chunk, right before its units
     unpack: the previous chunk's journal buffer flushes (one
     multi-line append per chunk), and the chunk-level sidecars — the
-    merged health delta, metrics dump, chaos count, and batch
-    accounting — fold exactly once.
+    merged health delta, metrics dump and chaos count, plus a pooled
+    run's dispatch accounting — fold exactly once.
     """
     counters = None
-    if guard.metrics is not None:
+    if guard.metrics is not None and par.enabled:
         from ..obs.metrics import (
             BATCH_PAYLOAD_BYTES_TOTAL, BATCH_TASKS_TOTAL,
             BATCH_UNITS_TOTAL)
@@ -644,15 +569,16 @@ def _batch_folder(stage: str, guard: StageGuard, par: ParallelStats,
     def fold(batch: BatchOutcome) -> None:
         if batcher is not None:
             batcher.flush()
-        par.batch_tasks += 1
-        par.parallel_units += batch.units
-        par.unit_compute_s += batch.elapsed
         if batch.health is not None:
             _fold_health_delta(batch.health, guard)
         if guard.chaos is not None:
             guard.chaos.injected += batch.injected
         if batch.metrics is not None and guard.metrics is not None:
             guard.metrics.merge(batch.metrics)
+        if par.enabled:
+            par.batch_tasks += 1
+            par.parallel_units += batch.units
+            par.unit_compute_s += batch.elapsed
         if counters is not None:
             tasks_c, units_c, bytes_c = counters
             tasks_c.inc()
@@ -662,32 +588,10 @@ def _batch_folder(stage: str, guard: StageGuard, par: ParallelStats,
     return fold
 
 
-def _merge_tag(outcome: UnitOutcome, record,
-               guard: StageGuard) -> None:
-    _merge_worker_health(outcome, guard)
-    if outcome.error is not None:
-        raise PipelineError(outcome.error)
-    record.tag = FaultTag(outcome.body["tag"])
-    record.category = FailureCategory(outcome.body["category"])
-
-
-def _merge_worker_health(outcome: UnitOutcome,
-                         guard: StageGuard) -> None:
-    """Fold one unpacked unit's sidecars into the run health.
-
-    ``health`` is ``None`` for units whose chunk shipped one merged
-    delta (already folded by the chunk hook); per-unit deltas appear
-    only when the chunk carried a quarantine.  ``injected`` and
-    ``metrics`` are zero/``None`` on unpacked units — kept here so
-    hand-built per-unit outcomes (tests, benchmarks) merge fully.
-    """
-    if outcome.health is not None:
-        _fold_health_delta(outcome.health, guard)
-    if guard.chaos is not None:
-        guard.chaos.injected += outcome.injected
-    if outcome.metrics is not None and guard.metrics is not None:
-        guard.metrics.merge(outcome.metrics)
-
+# ----------------------------------------------------------------------
+# Merge helpers.  The coordinator folds each outcome's sidecars in
+# corpus order, so run health is identical at every worker count.
+# ----------------------------------------------------------------------
 
 def _fold_health_delta(delta: tuple, guard: StageGuard) -> None:
     """Fold a ``(stages, events)`` health delta into the run health."""
@@ -705,13 +609,13 @@ def _fold_health_delta(delta: tuple, guard: StageGuard) -> None:
 
 def _check_merged_thresholds(outcome: UnitOutcome,
                              guard: StageGuard) -> None:
-    """Re-enforce the threshold policy on the merged counters.
+    """Enforce the threshold policy on the merged counters.
 
-    The serial path checks the threshold exactly when a unit is
-    quarantined, so the merge path checks only stages whose delta
-    carries a quarantine — with the merged (run-global) stats, the
-    run aborts at the same unit with the same message.  A quarantined
-    unit always arrives with a per-unit delta (its chunk switches to
+    Chunks run under ``quarantine`` (only the coordinator has the
+    run-global counters), so the merge checks each stage whose delta
+    carries a quarantine — with the merged stats, the run aborts at
+    the unit whose failure crosses the threshold.  A quarantined unit
+    always arrives with a per-unit delta (its chunk switches to
     ``unit_health``), so ``health`` is never ``None`` here.
     """
     if outcome.health is None:  # pragma: no cover - invariant guard
@@ -723,10 +627,11 @@ def _check_merged_thresholds(outcome: UnitOutcome,
 
 def _merge_ocr_stats(delta: dict, diagnostics: PipelineDiagnostics,
                      ) -> None:
-    """Fold one worker document's OCR stats into the run's.
+    """Fold one document's OCR stats into the run's.
 
-    Replays the serial stage's running-mean update in merge (corpus)
-    order, so the merged confidence is bit-identical to a serial run.
+    Replays the OCR stage's running-mean update in merge (corpus)
+    order, so the merged confidence is identical at every worker
+    count.
     """
     stats = diagnostics.ocr
     stats.documents += 1
@@ -739,27 +644,24 @@ def _merge_ocr_stats(delta: dict, diagnostics: PipelineDiagnostics,
 
 
 # ----------------------------------------------------------------------
-# Per-unit processing (live path).  Each returns the journal body that
-# lets a resume run replay the unit without recomputing it.
+# Per-unit processing, called by the chunk functions in
+# :mod:`~repro.pipeline.parallel`.  Each returns the unit's Stage II
+# result (see above).
 # ----------------------------------------------------------------------
 
 def _process_disengagement(document: RawDocument,
                            config: PipelineConfig,
-                           diagnostics: PipelineDiagnostics,
-                           database: FailureDatabase,
+                           ocr_stats: OcrStageStats,
                            guard: StageGuard,
                            ocr_stage: OcrStage | None,
-                           registry,
-                           raw_disengagements: list,
-                           raw_mileage: list,
-                           journal: bool = True) -> dict | None:
+                           registry) -> tuple:
     try:
         lines = guard.run(
             "ocr", document.document_id,
             lambda: _through_ocr(document, ocr_stage, config,
-                                 diagnostics))
+                                 ocr_stats))
     except QuarantinedError:
-        return _quarantined_body(database)
+        return _quarantined(guard)
     try:
         parsed = guard.run(
             "parse", document.document_id,
@@ -767,43 +669,25 @@ def _process_disengagement(document: RawDocument,
                 lines, document.document_id),
             expected=(ParseError,))
     except ParseError:
-        unparsed = _non_blank(lines)
-        diagnostics.parse.unparsed_lines += unparsed
-        return {"outcome": "parse_error", "unparsed": unparsed}
+        return "parse_error", _non_blank(lines)
     except QuarantinedError:
-        return _quarantined_body(database)
-    unparsed = _non_blank(parsed.unparsed_lines)
-    diagnostics.parse.documents += 1
-    diagnostics.parse.disengagements_parsed += len(
-        parsed.disengagements)
-    diagnostics.parse.mileage_cells_parsed += len(parsed.mileage)
-    diagnostics.parse.unparsed_lines += unparsed
+        return _quarantined(guard)
     if config.attach_truth:
         _attach_truth(document, parsed.disengagements)
-    raw_disengagements.extend(parsed.disengagements)
-    raw_mileage.extend(parsed.mileage)
-    if not journal:  # body building is pure checkpoint overhead
-        return None
-    return {
-        "outcome": "ok",
-        "disengagements": [r.to_dict() for r in parsed.disengagements],
-        "mileage": [m.to_dict() for m in parsed.mileage],
-        "unparsed": unparsed,
-    }
+    return "ok", (parsed.disengagements, parsed.mileage,
+                  _non_blank(parsed.unparsed_lines))
 
 
 def _process_accident(document: RawDocument, config: PipelineConfig,
-                      diagnostics: PipelineDiagnostics,
-                      database: FailureDatabase, guard: StageGuard,
-                      ocr_stage: OcrStage | None,
-                      journal: bool = True) -> dict | None:
+                      ocr_stats: OcrStageStats, guard: StageGuard,
+                      ocr_stage: OcrStage | None) -> tuple:
     try:
         lines = guard.run(
             "ocr", document.document_id,
             lambda: _through_ocr(document, ocr_stage, config,
-                                 diagnostics))
+                                 ocr_stats))
     except QuarantinedError:
-        return _quarantined_body(database)
+        return _quarantined(guard)
     try:
         accident = guard.run(
             "parse", document.document_id,
@@ -811,108 +695,26 @@ def _process_accident(document: RawDocument, config: PipelineConfig,
                 lines, document.document_id),
             expected=(ParseError,))
     except ParseError:
-        unparsed = _non_blank(lines)
-        diagnostics.parse.unparsed_lines += unparsed
-        return {"outcome": "parse_error", "unparsed": unparsed}
+        return "parse_error", _non_blank(lines)
     except QuarantinedError:
-        return _quarantined_body(database)
+        return _quarantined(guard)
     try:
-        normalized_accident = guard.run(
+        return "ok", guard.run(
             "normalize", document.document_id,
             lambda: normalize_accident(accident))
     except QuarantinedError:
-        return _quarantined_body(database)
-    diagnostics.parse.accidents_parsed += 1
-    database.accidents.append(normalized_accident)
-    if not journal:
-        return None
-    return {"outcome": "ok",
-            "accident": normalized_accident.to_dict()}
+        return _quarantined(guard)
 
 
-def _quarantined_body(database: FailureDatabase) -> dict:
-    """Journal body for a unit the guard just dead-lettered."""
-    return {"outcome": "quarantined",
-            "entry": database.quarantine.entries[-1].to_dict()}
+def _quarantined(guard: StageGuard) -> tuple:
+    """The result of a unit the guard just dead-lettered."""
+    return "quarantined", guard.quarantine.entries[-1]
 
 
 # ----------------------------------------------------------------------
-# Restore paths.  Each returns True when the journal entry was adopted;
-# False sends the unit back to the live path (corrupt/unknown shapes
-# are recomputed, never trusted).
+# Stage-artifact restore paths (corrupt payloads are recomputed, never
+# trusted).
 # ----------------------------------------------------------------------
-
-def _restore_disengagement(entry: dict,
-                           diagnostics: PipelineDiagnostics,
-                           database: FailureDatabase,
-                           guard: StageGuard,
-                           raw_disengagements: list,
-                           raw_mileage: list) -> bool:
-    try:
-        outcome = entry["outcome"]
-        if outcome == "ok":
-            records = [DisengagementRecord.from_dict(d)
-                       for d in entry["disengagements"]]
-            cells = [MonthlyMileage.from_dict(m)
-                     for m in entry["mileage"]]
-            unparsed = int(entry["unparsed"])
-            diagnostics.parse.documents += 1
-            diagnostics.parse.disengagements_parsed += len(records)
-            diagnostics.parse.mileage_cells_parsed += len(cells)
-            diagnostics.parse.unparsed_lines += unparsed
-            diagnostics.parse.documents_restored += 1
-            raw_disengagements.extend(records)
-            raw_mileage.extend(cells)
-            return True
-        if outcome == "parse_error":
-            diagnostics.parse.unparsed_lines += int(entry["unparsed"])
-            diagnostics.parse.documents_restored += 1
-            return True
-        if outcome == "quarantined":
-            _restore_quarantined(entry, database, guard)
-            diagnostics.parse.documents_restored += 1
-            return True
-    except Exception:
-        pass
-    _note_unusable(guard, entry)
-    return False
-
-
-def _restore_accident(entry: dict, diagnostics: PipelineDiagnostics,
-                      database: FailureDatabase,
-                      guard: StageGuard) -> bool:
-    try:
-        outcome = entry["outcome"]
-        if outcome == "ok":
-            accident = AccidentRecord.from_dict(entry["accident"])
-            diagnostics.parse.accidents_parsed += 1
-            diagnostics.parse.documents_restored += 1
-            database.accidents.append(accident)
-            return True
-        if outcome == "parse_error":
-            diagnostics.parse.unparsed_lines += int(entry["unparsed"])
-            diagnostics.parse.documents_restored += 1
-            return True
-        if outcome == "quarantined":
-            _restore_quarantined(entry, database, guard)
-            diagnostics.parse.documents_restored += 1
-            return True
-    except Exception:
-        pass
-    _note_unusable(guard, entry)
-    return False
-
-
-def _restore_quarantined(entry: dict, database: FailureDatabase,
-                         guard: StageGuard) -> None:
-    """Re-adopt a pre-crash quarantine verdict (and its health)."""
-    quarantined = QuarantineEntry.from_dict(entry["entry"])
-    database.quarantine.add(quarantined)
-    stats = guard.health.stage(quarantined.stage)
-    stats.attempts += 1
-    stats.errors += 1
-    stats.quarantined += 1
-
 
 def _restore_normalized(store: CheckpointStore | None,
                         config: PipelineConfig,
@@ -960,29 +762,6 @@ def _restore_dictionary(store: CheckpointStore | None,
         return None
     checkpoint.artifacts_restored += 1
     return dictionary
-
-
-def _restore_tag(entry: dict, record, checkpoint) -> bool:
-    try:
-        tag = FaultTag(entry["tag"])
-        category = FailureCategory(entry["category"])
-    except Exception:
-        checkpoint.corrupt_entries += 1
-        checkpoint.notes.append(
-            f"tag entry for {_record_id(record)!r} unusable; "
-            "recomputed")
-        return False
-    record.tag = tag
-    record.category = category
-    return True
-
-
-def _note_unusable(guard: StageGuard, entry: dict) -> None:
-    checkpoint = guard.health.checkpoint
-    checkpoint.corrupt_entries += 1
-    checkpoint.notes.append(
-        f"journal entry with outcome {entry.get('outcome')!r} "
-        "unusable; recomputed")
 
 
 # ----------------------------------------------------------------------
@@ -1036,11 +815,11 @@ def _degraded_dictionary() -> FailureDictionary:
 
 def _through_ocr(document: RawDocument, ocr_stage: OcrStage | None,
                  config: PipelineConfig,
-                 diagnostics: PipelineDiagnostics) -> list[str]:
+                 ocr_stats: OcrStageStats) -> list[str]:
     if ocr_stage is None:
         return list(document.lines)
     rng = child_generator(config.seed, f"ocr:{document.document_id}")
-    return ocr_stage.process(document, rng, diagnostics.ocr)
+    return ocr_stage.process(document, rng, ocr_stats)
 
 
 def _attach_truth(document: RawDocument, parsed) -> None:

@@ -34,9 +34,7 @@ Quickstart::
 
 from .cache import CacheStats, LruCache
 from .engine import (
-    DEFAULT_SHARDS,
     GROUP_BYS,
-    INDEX_BACKENDS,
     METRICS,
     Query,
     QueryEngine,
@@ -45,7 +43,6 @@ from .engine import (
 )
 from .index import (
     DatabaseIndex,
-    ShardedIndex,
     accident_id,
     disengagement_id,
 )
@@ -54,18 +51,15 @@ from .snapshot import DirectoryWatcher, Snapshot, SnapshotManager
 
 __all__ = [
     "CacheStats",
-    "DEFAULT_SHARDS",
     "DatabaseIndex",
     "DirectoryWatcher",
     "GROUP_BYS",
-    "INDEX_BACKENDS",
     "LruCache",
     "METRICS",
     "Query",
     "QueryEngine",
     "QueryResult",
     "QueryServer",
-    "ShardedIndex",
     "Snapshot",
     "SnapshotManager",
     "accident_id",

@@ -9,21 +9,8 @@ in :class:`types.MappingProxyType` and the record lists in tuples, so
 concurrent readers can share one index without locks: there is nothing
 to tear.
 
-:class:`ShardedIndex` offers the **same lookup API** over the database
-partitioned by manufacturer into independent per-shard
-:class:`DatabaseIndex` sub-indexes (months ride along inside each
-shard's monthly maps, so the shard key is effectively
-manufacturer/month).  Manufacturer-keyed lookups route to exactly one
-shard; cross-shard lookups (by month, tag, category, id) merge the
-per-shard answers back into global row order, so every answer is
-byte-identical to the monolithic index — the parity suite in
-``tests/test_sharded_index.py`` enforces it lookup by lookup.  The
-point of sharding is scale: shards are built independently (build cost
-per shard stays flat as the corpus grows) and a multi-process front
-end can spread shard builds across workers.
-
-Both index kinds carry the :meth:`~repro.pipeline.store.
-FailureDatabase.fingerprint` of the snapshot they were built from; the
+The index carries the :meth:`~repro.pipeline.store.
+FailureDatabase.fingerprint` of the snapshot it was built from; the
 engine uses it to detect content drift and the cache uses it as part
 of every key.
 """
@@ -31,7 +18,6 @@ of every key.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -280,232 +266,5 @@ class DatabaseIndex:
             "months": len(self.months),
             "tags": len(self._disengagements_by_tag),
             "categories": len(self._disengagements_by_category),
-            **dict(self.counts),
-        }
-
-
-# ----------------------------------------------------------------------
-# Sharded index.
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardedIndex:
-    """The :class:`DatabaseIndex` lookup API over manufacturer shards.
-
-    The database is partitioned by manufacturer into ``shard_count``
-    sub-databases (round-robin over the sorted manufacturer names, row
-    order preserved inside every shard) and one :class:`DatabaseIndex`
-    is built per shard.  Manufacturer-keyed lookups route to exactly
-    one shard; cross-shard lookups merge the per-shard answers back
-    into **global row order** via the per-record ordinals recorded at
-    build time, so every answer is byte-identical to a monolithic
-    index over the same snapshot.
-    """
-
-    fingerprint: str
-    manufacturers: tuple[str, ...]
-    months: tuple[str, ...]
-    #: The full database snapshot (same contract as
-    #: :attr:`DatabaseIndex.database`).
-    database: FailureDatabase = field(repr=False)
-    #: The per-shard sub-indexes.
-    shards: tuple[DatabaseIndex, ...] = field(repr=False)
-    #: Manufacturer -> owning shard position.
-    _shard_of: Mapping[str, int] = field(repr=False)
-    #: ``id(record)`` -> global row ordinal for disengagements — the
-    #: merge key that restores original interleaving on cross-shard
-    #: lookups.  Keyed by identity: the shard sub-databases hold the
-    #: same record objects, and the map lives exactly as long as the
-    #: index that holds those references.
-    _ordinal: Mapping[int, int] = field(repr=False)
-    _tags: tuple[FaultTag, ...] = field(repr=False)
-    _categories: tuple[FailureCategory, ...] = field(repr=False)
-    counts: Mapping[str, int] = field(repr=False)
-
-    @classmethod
-    def build(cls, db: FailureDatabase,
-              fingerprint: str | None = None,
-              shards: int = 8) -> "ShardedIndex":
-        """Partition by manufacturer, build one sub-index per shard."""
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        names = tuple(db.manufacturers())
-        shard_count = max(1, min(shards, len(names) or 1))
-        shard_of = {name: position % shard_count
-                    for position, name in enumerate(names)}
-
-        parts = [FailureDatabase() for _ in range(shard_count)]
-        ordinal: dict[int, int] = {}
-        months: set[str] = set()
-        for row, (record, manufacturer, month, _tag) in enumerate(
-                db.disengagement_index_rows()):
-            parts[shard_of[manufacturer]].disengagements.append(record)
-            ordinal[id(record)] = row
-            months.add(month)
-        for record, manufacturer in db.accident_index_rows():
-            parts[shard_of[manufacturer]].accidents.append(record)
-        for cell, manufacturer, month, _miles in db.mileage_index_rows():
-            parts[shard_of[manufacturer]].mileage.append(cell)
-            months.add(month)
-
-        top_fingerprint = (fingerprint if fingerprint is not None
-                           else db.fingerprint())
-        built = tuple(
-            DatabaseIndex.build(
-                part, fingerprint=f"{top_fingerprint}#shard{i}")
-            for i, part in enumerate(parts))
-
-        present_tags = {tag for shard in built for tag in shard.tags}
-        present_categories = {category for shard in built
-                              for category in shard.categories}
-        return cls(
-            fingerprint=top_fingerprint,
-            manufacturers=names,
-            months=tuple(sorted(months)),
-            database=db,
-            shards=built,
-            _shard_of=MappingProxyType(shard_of),
-            _ordinal=MappingProxyType(ordinal),
-            _tags=tuple(tag for tag in FaultTag
-                        if tag in present_tags),
-            _categories=tuple(category for category in FailureCategory
-                              if category in present_categories),
-            counts=MappingProxyType({
-                "disengagements": len(db.disengagements),
-                "accidents": len(db.accidents),
-                "mileage_cells": len(db.mileage),
-                "manufacturers": len(names),
-            }),
-        )
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards actually built."""
-        return len(self.shards)
-
-    # ------------------------------------------------------------------
-    # Routed lookups (one shard, O(1)).
-    # ------------------------------------------------------------------
-
-    def _shard(self, manufacturer: str) -> DatabaseIndex | None:
-        position = self._shard_of.get(manufacturer)
-        return None if position is None else self.shards[position]
-
-    def disengagements_for(self, manufacturer: str,
-                           ) -> tuple[DisengagementRecord, ...]:
-        """Disengagement records of one manufacturer."""
-        shard = self._shard(manufacturer)
-        return () if shard is None else shard.disengagements_for(
-            manufacturer)
-
-    def accidents_for(self, manufacturer: str,
-                      ) -> tuple[AccidentRecord, ...]:
-        """Accident records of one manufacturer."""
-        shard = self._shard(manufacturer)
-        return () if shard is None else shard.accidents_for(
-            manufacturer)
-
-    def mileage_for(self, manufacturer: str,
-                    ) -> tuple[MonthlyMileage, ...]:
-        """Mileage cells of one manufacturer."""
-        shard = self._shard(manufacturer)
-        return () if shard is None else shard.mileage_for(manufacturer)
-
-    def miles_for(self, manufacturer: str) -> float:
-        """Total autonomous miles of one manufacturer."""
-        shard = self._shard(manufacturer)
-        return 0.0 if shard is None else shard.miles_for(manufacturer)
-
-    def monthly_miles(self, manufacturer: str) -> Mapping[str, float]:
-        """Month -> miles of one manufacturer (months sorted)."""
-        shard = self._shard(manufacturer)
-        if shard is None:
-            return MappingProxyType({})
-        return shard.monthly_miles(manufacturer)
-
-    def monthly_disengagements(self, manufacturer: str,
-                               ) -> Mapping[str, int]:
-        """Month -> disengagement count of one manufacturer."""
-        shard = self._shard(manufacturer)
-        if shard is None:
-            return MappingProxyType({})
-        return shard.monthly_disengagements(manufacturer)
-
-    # ------------------------------------------------------------------
-    # Merged lookups (cross-shard, restored to global row order).
-    # ------------------------------------------------------------------
-
-    def _merged(self, per_shard) -> tuple[DisengagementRecord, ...]:
-        """Merge per-shard record tuples back into global row order.
-
-        Each shard's tuple is already ordinal-ascending (partitioning
-        preserves relative order), so this is an S-way sorted merge,
-        O(total merged records) — not a re-sort.
-        """
-        parts = [records for records in per_shard if records]
-        if len(parts) == 1:
-            return parts[0]
-        ordinal = self._ordinal
-        return tuple(heapq.merge(
-            *parts, key=lambda record: ordinal[id(record)]))
-
-    def disengagements_in_month(self, month: str,
-                                ) -> tuple[DisengagementRecord, ...]:
-        """Disengagement records of one ``YYYY-MM`` month."""
-        return self._merged(shard.disengagements_in_month(month)
-                            for shard in self.shards)
-
-    def disengagements_with_tag(self, tag: FaultTag,
-                                ) -> tuple[DisengagementRecord, ...]:
-        """Disengagement records carrying one NLP fault tag."""
-        return self._merged(shard.disengagements_with_tag(tag)
-                            for shard in self.shards)
-
-    def disengagements_in_category(
-            self, category: FailureCategory,
-            ) -> tuple[DisengagementRecord, ...]:
-        """Disengagement records in one root failure category."""
-        return self._merged(shard.disengagements_in_category(category)
-                            for shard in self.shards)
-
-    def disengagement(self, unit_id: str) -> DisengagementRecord | None:
-        """One disengagement record by its stable id."""
-        for shard in self.shards:
-            record = shard.disengagement(unit_id)
-            if record is not None:
-                return record
-        return None
-
-    def accident(self, unit_id: str) -> AccidentRecord | None:
-        """One accident record by its stable id."""
-        for shard in self.shards:
-            record = shard.accident(unit_id)
-            if record is not None:
-                return record
-        return None
-
-    @property
-    def tags(self) -> tuple[FaultTag, ...]:
-        """Fault tags present, in ontology order."""
-        return self._tags
-
-    @property
-    def categories(self) -> tuple[FailureCategory, ...]:
-        """Failure categories present, in ontology order."""
-        return self._categories
-
-    def summary(self) -> dict:
-        """JSON-able description — **identical** to the monolithic
-        index's summary over the same snapshot, so a sharded server's
-        ``/v1/stats`` body cannot be told apart from a monolithic one
-        (the shard layout is an implementation detail, reachable via
-        :attr:`shard_count` for operators, never on the wire)."""
-        return {
-            "fingerprint": self.fingerprint,
-            "manufacturers": len(self.manufacturers),
-            "months": len(self.months),
-            "tags": len(self._tags),
-            "categories": len(self._categories),
             **dict(self.counts),
         }

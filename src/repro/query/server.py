@@ -110,7 +110,7 @@ from ..obs.metrics import (
 )
 from ..pipeline.chaos import ServingChaos
 from ..pipeline.store import FailureDatabase
-from .engine import DEFAULT_SHARDS, Query, QueryEngine
+from .engine import Query, QueryEngine
 from .snapshot import DirectoryWatcher, Snapshot, SnapshotManager
 
 #: Metric families reachable as ``/v1/metrics/<name>`` shortcuts.
@@ -145,6 +145,10 @@ _EXEMPT_ROUTES = frozenset({"/v1/healthz", "/v1/readyz", "/metrics"})
 
 #: ``Retry-After`` seconds suggested on shed/drain/deadline 503s.
 RETRY_AFTER_S = 1
+
+#: Largest request body read, in bytes.  A query spec is a few hundred
+#: bytes; a longer ``Content-Length`` gets a 413 before any is read.
+MAX_BODY_BYTES = 64 * 1024
 
 #: How many fingerprint characters a page cursor embeds.
 _CURSOR_FP_CHARS = 12
@@ -573,6 +577,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         route = self._begin(self.path)
+        body = self._read_body()
+        if body is None:
+            return
         if route != "/v1/query":
             self._not_found()
             return
@@ -580,8 +587,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                data = json.loads(self.rfile.read(length) or b"{}")
+                data = json.loads(body or b"{}")
             except (ValueError, json.JSONDecodeError) as exc:
                 self._send_json(400, error_envelope(
                     "bad_json",
@@ -590,6 +596,37 @@ class _Handler(BaseHTTPRequestHandler):
             self._dispatch(self._query_post, data)
         finally:
             self._finish()
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or ``None`` once a bad length is answered.
+
+        ``Content-Length`` is checked before anything is read (a
+        negative one would make ``rfile.read`` block until EOF), and
+        the body is read before admission, so no request holds a slot
+        while its client trickles bytes.  A rejected request closes
+        its connection: the unread body would otherwise be parsed as
+        the next request.
+        """
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(400, error_envelope(
+                "invalid_content_length",
+                f"Content-Length must be a non-negative integer, "
+                f"got {raw!r}"), headers={"Connection": "close"})
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, error_envelope(
+                "payload_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                {"max_bytes": MAX_BODY_BYTES}),
+                headers={"Connection": "close"})
+            return None
+        return self.rfile.read(length)
 
     # -- endpoints -----------------------------------------------------
 
@@ -745,9 +782,7 @@ class QueryServer:
     bounds concurrent admitted requests (0 = unbounded);
     ``deadline_s`` is the per-request budget (0 = none);
     ``drain_timeout_s`` caps how long :meth:`shutdown` waits for
-    in-flight requests before closing anyway.  ``index_backend``
-    (``monolithic`` / ``sharded``) and ``shards`` pick the index
-    layout when the server builds the engine itself.
+    in-flight requests before closing anyway.
     """
 
     def __init__(self, db: FailureDatabase | QueryEngine
@@ -759,8 +794,6 @@ class QueryServer:
                  max_inflight: int = 64,
                  deadline_s: float = 10.0,
                  drain_timeout_s: float = 5.0,
-                 index_backend: str = "monolithic",
-                 shards: int = DEFAULT_SHARDS,
                  reuse_port: bool = False,
                  listen_socket: socket.socket | None = None,
                  chaos: ServingChaos | None = None) -> None:
@@ -772,7 +805,6 @@ class QueryServer:
         else:
             self.snapshots = SnapshotManager(
                 db, cache_size=cache_size, registry=self.registry,
-                index_backend=index_backend, shards=shards,
                 chaos=chaos)
         self.drain_timeout_s = drain_timeout_s
         httpd = _QueryHTTPServer((host, port), _Handler,
@@ -899,15 +931,12 @@ def serve(db: FailureDatabase, host: str = "127.0.0.1",
           port: int = 8350, *, cache_size: int = 256,
           verbose: bool = True, max_inflight: int = 64,
           deadline_s: float = 10.0,
-          index_backend: str = "monolithic",
-          shards: int = DEFAULT_SHARDS,
           watch: str | Path | None = None,
           watch_interval_s: float = 2.0) -> None:
     """Blocking convenience entry point (the ``repro serve`` verb)."""
     server = QueryServer(db, host, port, cache_size=cache_size,
                          verbose=verbose, max_inflight=max_inflight,
-                         deadline_s=deadline_s,
-                         index_backend=index_backend, shards=shards)
+                         deadline_s=deadline_s)
     if watch is not None:
         server.watch(watch, watch_interval_s)
     try:

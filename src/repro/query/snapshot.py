@@ -46,7 +46,7 @@ from ..obs.metrics import (
 from ..pipeline.chaos import ServingChaos
 from ..pipeline.checkpoint import sha256_text
 from ..pipeline.store import FailureDatabase
-from .engine import DEFAULT_SHARDS, QueryEngine
+from .engine import QueryEngine
 
 
 @dataclass(frozen=True)
@@ -87,22 +87,11 @@ class SnapshotManager:
 
     def __init__(self, db: FailureDatabase | QueryEngine, *,
                  source: str | None = None, cache_size: int = 256,
-                 index_backend: str = "monolithic",
-                 shards: int = DEFAULT_SHARDS,
                  registry: MetricsRegistry | None = None,
                  chaos: ServingChaos | None = None) -> None:
-        if isinstance(db, QueryEngine):
-            engine = db
-            # Replacement engines built here (swap_database / load)
-            # keep the layout the caller's engine already chose.
-            index_backend = db.index_backend
-        else:
-            engine = QueryEngine(db, cache_size=cache_size,
-                                 index_backend=index_backend,
-                                 shards=shards)
+        engine = (db if isinstance(db, QueryEngine)
+                  else QueryEngine(db, cache_size=cache_size))
         self._cache_size = cache_size
-        self._index_backend = index_backend
-        self._shards = shards
         self._chaos = chaos
         self._lock = threading.Lock()
         self._quarantined = 0
@@ -259,10 +248,8 @@ class SnapshotManager:
     # ------------------------------------------------------------------
 
     def _build_engine(self, db: FailureDatabase) -> QueryEngine:
-        """Build a replacement engine with this manager's layout."""
-        return QueryEngine(db, cache_size=self._cache_size,
-                           index_backend=self._index_backend,
-                           shards=self._shards)
+        """Build a replacement engine with this manager's cache size."""
+        return QueryEngine(db, cache_size=self._cache_size)
 
     def _read_candidate(self, path: Path) -> FailureDatabase:
         """Read + verify one candidate file (chaos garbles pre-decode,

@@ -49,7 +49,6 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from ..query.engine import DEFAULT_SHARDS
 from .generation import GenerationFile
 from .worker import WorkerConfig, run_worker
 
@@ -85,8 +84,6 @@ class PreforkServer:
                  max_inflight: int = 64,
                  deadline_s: float = 10.0,
                  drain_timeout_s: float = 5.0,
-                 index_backend: str = "monolithic",
-                 shards: int = DEFAULT_SHARDS,
                  verbose: bool = False,
                  poll_interval_s: float = 0.2,
                  flush_interval_s: float = 0.5) -> None:
@@ -101,8 +98,6 @@ class PreforkServer:
         self._max_inflight = max_inflight
         self._deadline_s = deadline_s
         self._drain_timeout_s = drain_timeout_s
-        self._index_backend = index_backend
-        self._shards = shards
         self._verbose = verbose
         self._poll_interval_s = poll_interval_s
         self._flush_interval_s = flush_interval_s
@@ -221,8 +216,6 @@ class PreforkServer:
             max_inflight=self._max_inflight,
             deadline_s=self._deadline_s,
             drain_timeout_s=self._drain_timeout_s,
-            index_backend=self._index_backend,
-            shards=self._shards,
             verbose=self._verbose,
             poll_interval_s=self._poll_interval_s,
             flush_interval_s=self._flush_interval_s,
@@ -324,8 +317,6 @@ def serve_prefork(db_path: str | Path, host: str = "127.0.0.1",
                   cache_size: int = 256,
                   max_inflight: int = 64,
                   deadline_s: float = 10.0,
-                  index_backend: str = "monolithic",
-                  shards: int = DEFAULT_SHARDS,
                   verbose: bool = True,
                   watch: str | Path | None = None,
                   watch_interval_s: float = 2.0) -> None:
@@ -341,15 +332,14 @@ def serve_prefork(db_path: str | Path, host: str = "127.0.0.1",
     server = PreforkServer(
         db_path, host, port, processes=processes, run_dir=run_dir,
         cache_size=cache_size, max_inflight=max_inflight,
-        deadline_s=deadline_s, index_backend=index_backend,
-        shards=shards, verbose=verbose)
+        deadline_s=deadline_s, verbose=verbose)
     server.start()
     if verbose:
         mode = ("SO_REUSEPORT" if reuse_port_supported()
                 else "shared listening socket")
         print(json.dumps({
             "serving": server.url, "processes": processes,
-            "port_mode": mode, "index_backend": index_backend,
+            "port_mode": mode,
         }), file=sys.stderr)
     watcher = DirectoryWatcher(watch) if watch is not None else None
     stop = threading.Event()

@@ -1,8 +1,8 @@
 """One pre-fork worker: an isolated engine behind the shared port.
 
 Each worker process owns the full single-process serving stack — its
-own immutable index (monolithic or sharded), query engine, result
-cache, snapshot manager, and admission control — so nothing is
+own immutable index, query engine, result cache, snapshot manager,
+and admission control — so nothing is
 shared across workers except the listening port and the generation
 file.  Two cross-process concerns live here:
 
@@ -43,7 +43,6 @@ from ..obs.metrics import (
     SERVING_WORKER_UP,
 )
 from ..pipeline.store import FailureDatabase
-from ..query.engine import DEFAULT_SHARDS
 from ..query.server import QueryServer
 from ..query.snapshot import SnapshotManager
 from .generation import GenerationFile, GenerationWatcher
@@ -62,8 +61,6 @@ class WorkerConfig:
     max_inflight: int = 64
     deadline_s: float = 10.0
     drain_timeout_s: float = 5.0
-    index_backend: str = "monolithic"
-    shards: int = DEFAULT_SHARDS
     verbose: bool = False
     #: Generation-file poll cadence.
     poll_interval_s: float = 0.2
@@ -140,7 +137,6 @@ def build_worker(config: WorkerConfig,
     registry = MetricsRegistry()
     manager = SnapshotManager(
         db, source=generation.path, cache_size=config.cache_size,
-        index_backend=config.index_backend, shards=config.shards,
         registry=registry)
     server = QueryServer(
         manager, config.host, config.port,

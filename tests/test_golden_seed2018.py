@@ -19,7 +19,16 @@ ANALYSIS = ["Mercedes-Benz", "Volkswagen", "Waymo", "Delphi", "Nissan",
             "Bosch", "GMCruise", "Tesla"]
 
 
+#: Fingerprint of the default seed-2018 database, pinned from the
+#: serial loop that predates the in-process executor.
+FINGERPRINT = (
+    "773494ce1046f9100967e8a657f66fcab35ec4061cbedbdd6d0bfcf09f2b5e2f")
+
+
 class TestGoldenPipeline:
+    def test_fingerprint(self, db):
+        assert db.fingerprint() == FINGERPRINT
+
     def test_record_counts(self, db):
         # Exact values for seed 2018 (the OCR channel is seeded too).
         assert len(db.disengagements) == 5324

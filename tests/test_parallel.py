@@ -1,15 +1,18 @@
 """Tests for the deterministic multi-worker fan-out and the tagger
 hot path.
 
-The acceptance bar: a run with ``--workers N`` (any N, process or
-thread pool) saves a FailureDatabase **byte-identical** to a serial
-run — under the quarantine policy, under chaos injection, and through
-a crash -> resume cycle.  Plus unit coverage for the worker/merge
-plumbing, the inverted dictionary index, and the token memo.
+The acceptance bar: a run with ``--workers N`` (any N) saves a
+FailureDatabase **byte-identical** to a serial run — under the
+quarantine policy, under chaos injection, and through a crash ->
+resume cycle — and the serial runs themselves match fingerprints
+pinned from the pre-executor serial loop.  Plus unit coverage for the
+worker/merge plumbing, the inverted dictionary index, and the token
+memo.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 
@@ -31,8 +34,6 @@ from repro.pipeline import (
 from repro.pipeline.parallel import (
     BATCH_AUTO_CHUNKS_PER_WORKER,
     BATCH_SIZE_CLAMP,
-    PROCESS_POOL_MIN_WORKERS,
-    WORKER_MODES,
     resolve_batch_size,
     worker_config,
 )
@@ -43,6 +44,25 @@ SEED = 5
 
 SMALL = dict(seed=SEED, manufacturers=["Nissan"], ocr_enabled=False,
              dictionary_mode="seed")
+
+#: Fingerprints of the ``SMALL`` run and of its parse-chaos quarantine
+#: variant, pinned from the serial loop that predates the in-process
+#: executor, so the parity matrix keeps a reference that does not
+#: depend on the code under test.  A quarantine entry's traceback
+#: names the source files by absolute path, so the chaos pin is taken
+#: without tracebacks (see :func:`_fingerprint_sans_tracebacks`).
+SMALL_FINGERPRINT = (
+    "980c15b0bc3145aeefa9300a632d2d01b0bc3b1d0566984cc7f1dbecc4eb7f17")
+CHAOS_FINGERPRINT = (
+    "f16ed54dd5012c18dcfc2ae5d38d60d82c5262214d754a4071b98250842ad2d9")
+
+
+def _fingerprint_sans_tracebacks(database) -> str:
+    data = json.loads(database.to_json())
+    for entry in data["quarantine"]:
+        del entry["traceback"]
+    return hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -69,30 +89,14 @@ class TestConfig:
     def test_default_is_serial(self):
         assert PipelineConfig().resolved_parallelism() == (0, "serial")
 
-    def test_auto_uses_threads_below_process_floor(self):
-        workers, mode = PipelineConfig(workers=1).resolved_parallelism()
-        assert (workers, mode) == (1, "thread")
-
-    def test_auto_uses_processes_at_floor(self):
-        workers, mode = PipelineConfig(
-            workers=PROCESS_POOL_MIN_WORKERS).resolved_parallelism()
-        assert (workers, mode) == (PROCESS_POOL_MIN_WORKERS, "process")
-
-    def test_explicit_mode_wins(self):
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_any_worker_count_is_a_process_pool(self, workers):
         assert PipelineConfig(
-            workers=8, worker_mode="thread"
-        ).resolved_parallelism() == (8, "thread")
+            workers=workers).resolved_parallelism() == (workers, "process")
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             PipelineConfig(workers=-1)
-
-    def test_unknown_worker_mode_rejected(self):
-        with pytest.raises(ValueError, match="worker_mode"):
-            PipelineConfig(worker_mode="gpu")
-
-    def test_worker_modes_constant(self):
-        assert WORKER_MODES == ("auto", "thread", "process")
 
     def test_worker_config_strips_coordinator_concerns(self, tmp_path):
         config = PipelineConfig(
@@ -123,7 +127,7 @@ class TestConfig:
         assert PipelineConfig(batch_size=None).batch_size is None
 
     def test_batch_size_excluded_from_fingerprint(self):
-        # Like workers/worker_mode, batch size is an execution
+        # Like workers, batch size is an execution
         # strategy with byte-identical output — a resume may change
         # it and still adopt the pre-crash checkpoints.
         plain = config_fingerprint(PipelineConfig(**SMALL))
@@ -159,14 +163,13 @@ class TestResolveBatchSize:
 # ----------------------------------------------------------------------
 
 class TestDeterminism:
+    def test_serial_fingerprint_pinned(self, corpus):
+        assert run_json(corpus).database.fingerprint() == SMALL_FINGERPRINT
+
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_clean_run_byte_identical(self, corpus, serial_json,
                                       workers):
         result = run_json(corpus, workers=workers)
-        assert result.database.to_json() == serial_json
-
-    def test_thread_mode_byte_identical(self, corpus, serial_json):
-        result = run_json(corpus, workers=4, worker_mode="thread")
         assert result.database.to_json() == serial_json
 
     def test_ocr_enabled_byte_identical(self):
@@ -187,6 +190,8 @@ class TestDeterminism:
                           failure_policy="quarantine")
         parallel = run_json(corpus, chaos=chaos,
                             failure_policy="quarantine", workers=4)
+        assert (_fingerprint_sans_tracebacks(serial.database)
+                == CHAOS_FINGERPRINT)
         assert (parallel.database.to_json()
                 == serial.database.to_json())
         assert len(serial.database.quarantine) > 0

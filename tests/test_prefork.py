@@ -2,7 +2,7 @@
 
 Covers the generation-file swap channel, worker metrics aggregation,
 and the :class:`~repro.serving.PreforkServer` acceptance contracts:
-byte-identical responses to the single-process monolithic server,
+byte-identical responses to the single-process server,
 swap-under-load with every response from exactly one generation,
 ``/metrics`` aggregating all workers, crash-respawn, and graceful
 shutdown.
@@ -55,7 +55,6 @@ def other_db_file(db, tmp_path_factory):
 @pytest.fixture(scope="module")
 def prefork(db_file):
     with PreforkServer(db_file, port=0, processes=PROCESSES,
-                       index_backend="sharded", shards=3,
                        **FAST) as server:
         assert server.wait_ready(60)
         yield server
@@ -156,8 +155,8 @@ class TestPreforkServing:
 
     def test_byte_identical_to_single_process(self, prefork,
                                               small_db):
-        """Acceptance: sharded + pre-fork responses byte-identical
-        to the single-process monolithic server for every route."""
+        """Acceptance: pre-fork responses byte-identical to the
+        single-process server for every route."""
         routes = [
             "/v1/healthz",
             "/v1/manufacturers",

@@ -10,6 +10,7 @@ check — under corrupt-candidate injection the server never returns a
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -24,6 +25,7 @@ from repro.pipeline import PipelineConfig, process_corpus
 from repro.pipeline.chaos import ServingChaos
 from repro.pipeline.checkpoint import canonical_json
 from repro.query import Query, QueryEngine, QueryServer, SnapshotManager
+from repro.query.server import MAX_BODY_BYTES
 from repro.synth.dataset import SyntheticCorpus
 
 THREADS = 8
@@ -220,6 +222,47 @@ class TestSanitized500:
                 "code": "internal",
                 "message": "internal server error",
                 "detail": None}}
+
+
+class TestRequestBodyLimits:
+    """A bad ``Content-Length`` is answered before any body is read,
+    so it can neither block a handler nor hold an admission slot."""
+
+    def _post(self, server, length: str) -> tuple[int, dict, dict]:
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=5)
+        try:
+            conn.putrequest("POST", "/v1/query")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            return (response.status, dict(response.headers),
+                    json.loads(response.read()))
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["-1", "12abc"])
+    def test_bad_length_is_400(self, small_db, length):
+        with QueryServer(small_db, port=0, max_inflight=1) as server:
+            code, headers, body = self._post(server, length)
+            assert code == 400
+            assert body["error"]["code"] == "invalid_content_length"
+            assert headers["Connection"] == "close"
+            assert _get(server, "/v1/healthz")[0] == 200
+            # The one admission slot was never taken.
+            assert _get(server, "/v1/query?metric=count")[0] == 200
+
+    def test_oversized_body_is_413(self, small_db):
+        with QueryServer(small_db, port=0, max_inflight=1) as server:
+            code, headers, body = self._post(
+                server, str(MAX_BODY_BYTES + 1))
+            assert code == 413
+            assert body["error"]["code"] == "payload_too_large"
+            assert body["error"]["detail"] == {
+                "max_bytes": MAX_BODY_BYTES}
+            assert headers["Connection"] == "close"
+            assert _get(server, "/v1/healthz")[0] == 200
+            assert _get(server, "/v1/query?metric=count")[0] == 200
 
 
 class TestWatchMode:
