@@ -7,9 +7,7 @@ free to keep moving underneath:
 * **Pipeline**: :func:`run_pipeline`, :func:`process_corpus`,
   :func:`build_corpus`, :class:`PipelineConfig`,
   :class:`PipelineResult`.
-* **Persistence**: :func:`load_database`, :class:`FailureDatabase`,
-  :class:`ColumnarFailureDatabase`, :func:`save_columnar`,
-  :func:`load_columnar`, :func:`detect_storage_format`.
+* **Persistence**: :func:`load_database`, :class:`FailureDatabase`.
 * **Query & serving**: :class:`Query`, :class:`QueryEngine`,
   :class:`QueryResult`, :class:`QueryServer`.
 * **Observability**: :class:`MetricsRegistry`,
@@ -27,8 +25,10 @@ Quickstart::
         ...  # GET {server.url}/query?metric=dpm&group_by=manufacturer
 
 Anything importable from here is covered by the compatibility
-promise: names are only added, never repurposed, and the CLI, docs,
-and tests consume the library exclusively through this surface.
+promise: a name is never repurposed, and it is removed only together
+with a verdict in the "Alternatives" table of ``docs/ARCHITECTURE.md``
+and an entry in ``CHANGES.md`` naming it.  The CLI, docs, and tests
+consume the library exclusively through this surface.
 """
 
 from __future__ import annotations
@@ -77,13 +77,6 @@ from .query import (
     SnapshotManager,
 )
 from .serving import PreforkServer, serve_prefork
-from .storage import (
-    ColumnarFailureDatabase,
-    detect_storage_format,
-    load_any,
-    load_columnar,
-    save_columnar,
-)
 from .synth import SyntheticCorpus, generate_corpus
 
 __all__ = [
@@ -102,12 +95,8 @@ __all__ = [
     "run_pipeline",
     "SyntheticCorpus",
     # Persistence.
-    "ColumnarFailureDatabase",
     "FailureDatabase",
-    "detect_storage_format",
-    "load_columnar",
     "load_database",
-    "save_columnar",
     # Query & serving.
     "PreforkServer",
     "Query",
@@ -153,20 +142,13 @@ def build_corpus(seed: int = 2018,
 def load_database(path: str | Path) -> FailureDatabase:
     """Load a persisted failure database, with typed failures.
 
-    The on-disk format is auto-detected from the file's magic bytes:
-    canonical JSON loads into the dict-backed database, a columnar
-    artifact (``repro convert``, checkpoint blob) into the
-    struct-of-arrays one — both satisfy the same
-    :class:`FailureDatabase` interface and hash to the same
-    fingerprint.
-
     Unlike calling :meth:`FailureDatabase.load` directly, a missing
     file surfaces as :class:`CorruptDatabaseError` too — callers
     (including every CLI verb) handle exactly one exception type for
     "this database is unusable", whatever the root cause.
     """
     try:
-        return load_any(path)
+        return FailureDatabase.load(path)
     except FileNotFoundError as exc:
         raise CorruptDatabaseError(
             f"database file {str(path)!r} does not exist "

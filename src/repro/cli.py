@@ -14,7 +14,6 @@ Commands::
     query      run one typed query against a database
     serve      expose a database over the embedded HTTP JSON API
     trace      render a saved span trace as a self-time table
-    convert    migrate a database between JSON and columnar formats
 
 Flag conventions (shared across subcommands): ``--db``/``--seed``
 select the database source everywhere a command reads one;
@@ -47,7 +46,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .pipeline.chaos import CHAOS_KINDS, CRASH_POINTS
-from .pipeline.config import STORAGE_BACKENDS
 from .pipeline.resilience import POLICY_MODES
 from .rng import DEFAULT_SEED
 
@@ -167,12 +165,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics", action="store_true",
                         help="collect run metrics (stage durations, "
                              "unit/retry/quarantine/cache counters)")
-    parser.add_argument("--storage", choices=STORAGE_BACKENDS,
-                        default="dict",
-                        help="in-memory database layout (columnar = "
-                             "struct-of-arrays; output bytes are "
-                             "identical either way; default: "
-                             "%(default)s)")
 
 
 def _parse_batch_size(value: str | None) -> int | None:
@@ -223,7 +215,6 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
         trace_enabled=args.trace,
         trace_dir=args.trace_dir,
         metrics_enabled=args.metrics,
-        storage_backend=args.storage,
     )
 
 
@@ -683,55 +674,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    from .storage import (
-        detect_storage_format,
-        load_any,
-        save_columnar,
-    )
-
-    source = Path(args.input)
-    if not source.exists():
-        raise ValueError(
-            f"database file {str(source)!r} does not exist")
-    source_format = detect_storage_format(source)
-    target = args.to or ("json" if source_format == "columnar"
-                         else "columnar")
-    db = load_any(source, verify_checksum=not args.no_checksum)
-    if target == "columnar":
-        from .storage import load_columnar
-
-        save_columnar(db, args.output)
-        reloaded = load_columnar(args.output)
-    else:
-        db.save(args.output)
-        reloaded = FailureDatabase.load(args.output)
-    # The round trip is the verification: whatever the on-disk layout,
-    # the content hash must survive the format change bit for bit.
-    before, after = db.fingerprint(), reloaded.fingerprint()
-    if before != after:
-        raise CorruptDatabaseError(
-            f"fingerprint changed across conversion "
-            f"({before[:12]} -> {after[:12]})",
-            path=str(args.output), reason="fingerprint-mismatch")
-    if args.json:
-        print(json.dumps({"convert": {
-            "input": str(source),
-            "source_format": source_format,
-            "output": str(args.output),
-            "target_format": target,
-            "fingerprint": after,
-            "disengagements": len(reloaded.disengagements),
-            "accidents": len(reloaded.accidents),
-            "mileage_cells": len(reloaded.mileage),
-        }}, indent=2))
-        return 0
-    if not args.quiet:
-        print(f"{source_format} -> {target}: {args.output} "
-              f"(fingerprint {after[:12]} verified)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -913,23 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace file from a --trace run "
                             "(default: %(default)s)")
     trace.set_defaults(handler=_cmd_trace)
-
-    convert = commands.add_parser(
-        "convert",
-        help="migrate a database between JSON and columnar formats",
-        parents=[out])
-    convert.add_argument("input",
-                         help="source database (format auto-detected "
-                              "from the file's magic bytes)")
-    convert.add_argument("output", help="destination path")
-    convert.add_argument("--to", choices=("columnar", "json"),
-                         default=None,
-                         help="target format (default: the opposite "
-                              "of the input's)")
-    convert.add_argument("--no-checksum", action="store_true",
-                         help="skip .sha256 sidecar verification when "
-                              "reading the input")
-    convert.set_defaults(handler=_cmd_convert)
 
     return parser
 

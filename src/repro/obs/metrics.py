@@ -70,10 +70,6 @@ REQUESTS_SHED = "repro_requests_shed_total"
 REQUEST_TIMEOUTS = "repro_request_timeouts_total"
 #: Serving: requests currently being handled (admission gauge).
 REQUESTS_INFLIGHT = "repro_requests_inflight"
-#: Storage: rows converted to the columnar backend, by table.
-STORAGE_ROWS = "repro_storage_rows_total"
-#: Storage: wall time spent converting to the columnar backend.
-STORAGE_CONVERT_SECONDS = "repro_storage_convert_seconds"
 #: Parallel: dispatch chunks shipped to the worker pool, by stage.
 BATCH_TASKS_TOTAL = "repro_batch_tasks_total"
 #: Parallel: units that rode those chunks (units/task = units/tasks).

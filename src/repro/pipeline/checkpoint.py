@@ -64,11 +64,6 @@ JOURNAL_NAMES = ("documents", "accidents", "tags")
 #: Names of the stage-level artifacts a store manages.
 ARTIFACT_NAMES = ("normalized", "dictionary")
 
-#: Names of the binary (non-JSON) artifacts a store manages — today
-#: just the columnar database snapshot a columnar-backend run leaves
-#: behind at the end.
-BLOB_ARTIFACT_NAMES = ("database",)
-
 #: How many journal appends may ride in process/OS buffers before the
 #: writer forces an ``fsync`` (stage boundaries always force one).
 #: This bounds the recompute window after a hard crash — at most this
@@ -337,9 +332,6 @@ class CheckpointStore:
             self._journal_path(name).unlink(missing_ok=True)
         for name in ARTIFACT_NAMES:
             self._artifact_path(name).unlink(missing_ok=True)
-        for name in BLOB_ARTIFACT_NAMES:
-            self._blob_path(name).unlink(missing_ok=True)
-            self._blob_sidecar_path(name).unlink(missing_ok=True)
         for leftover in self.directory.glob(".*.tmp.*"):
             leftover.unlink(missing_ok=True)
         atomic_write_text(
@@ -434,55 +426,6 @@ class CheckpointStore:
                 f"artifact {name!r} failed its checksum; recomputed")
             return None
         return payload
-
-    # -- binary artifacts ----------------------------------------------
-
-    def _blob_path(self, name: str) -> Path:
-        return self.directory / f"{name}.bin"
-
-    def _blob_sidecar_path(self, name: str) -> Path:
-        return self.directory / f"{name}.bin.sha256"
-
-    def write_blob_artifact(self, name: str, payload: bytes) -> None:
-        """Atomically commit one binary artifact + sha256 sidecar.
-
-        Binary payloads (the columnar database snapshot) cannot embed
-        their checksum the way the JSON artifacts do, so the digest
-        lives in a ``sha256sum``-compatible sidecar instead.
-        """
-        atomic_write_text(self._blob_path(name), payload,
-                          durable=self.durable)
-        atomic_write_text(
-            self._blob_sidecar_path(name),
-            f"{hashlib.sha256(payload).hexdigest()}  {name}.bin\n",
-            durable=self.durable)
-
-    def load_blob_artifact(self, name: str) -> bytes | None:
-        """A restored binary artifact, or None (absent or corrupt)."""
-        path = self._blob_path(name)
-        if not path.exists():
-            return None
-        try:
-            payload = path.read_bytes()
-            expected = self._blob_sidecar_path(name) \
-                .read_text(encoding="utf-8").split()
-            ok = bool(expected) and (
-                hashlib.sha256(payload).hexdigest() == expected[0])
-        except OSError:
-            ok = False
-            payload = None
-        if not ok:
-            self.health.corrupt_entries += 1
-            self.health.notes.append(
-                f"binary artifact {name!r} failed its checksum; "
-                "recomputed")
-            return None
-        return payload
-
-    def drop_blob_artifact(self, name: str) -> None:
-        """Delete one binary artifact (stale after an ingest delta)."""
-        self._blob_path(name).unlink(missing_ok=True)
-        self._blob_sidecar_path(name).unlink(missing_ok=True)
 
 
 def config_fingerprint(config: Any) -> str:

@@ -11,12 +11,6 @@ from ..rng import DEFAULT_SEED
 from .chaos import ChaosConfig, CrashPoint
 from .resilience import POLICY_MODES, FailurePolicy
 
-#: Database layouts a run may select.  Names only — the columnar
-#: implementation lives in :mod:`repro.storage` and is imported
-#: lazily by its consumers (a config import must stay dependency-free).
-STORAGE_BACKENDS = ("dict", "columnar")
-
-
 @dataclass
 class PipelineConfig:
     """Knobs for one end-to-end pipeline run.
@@ -93,14 +87,6 @@ class PipelineConfig:
     #: counters, cache hit rates) into the process-global
     #: :func:`repro.obs.default_registry`.  Off by default.
     metrics_enabled: bool = False
-    #: In-memory layout of the consolidated database: ``"dict"`` (the
-    #: historical record-object lists) or ``"columnar"``
-    #: (struct-of-arrays tables from :mod:`repro.storage`).  Purely a
-    #: representation choice — both backends produce byte-identical
-    #: JSON, fingerprints, and analysis results — so, like
-    #: ``workers``, it is excluded from the checkpoint config
-    #: fingerprint.
-    storage_backend: str = "dict"
 
     def __post_init__(self) -> None:
         if self.dictionary_mode not in ("seed", "expanded"):
@@ -130,10 +116,6 @@ class PipelineConfig:
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}")
-        if self.storage_backend not in STORAGE_BACKENDS:
-            raise ValueError(
-                f"storage_backend must be one of {STORAGE_BACKENDS}, "
-                f"got {self.storage_backend!r}")
 
     @property
     def checkpointing_active(self) -> bool:

@@ -259,12 +259,9 @@ def _surgery(directory: Path, config: PipelineConfig,
         report.removed_documents += removed
 
     # Corpus-wide artifacts are functions of the *whole* corpus —
-    # never reusable across an ingest that changed it.  The columnar
-    # database blob is one too: it snapshots the finished database.
+    # never reusable across an ingest that changed it.
     (directory / "normalized.json").unlink(missing_ok=True)
     (directory / "dictionary.json").unlink(missing_ok=True)
-    (directory / "database.bin").unlink(missing_ok=True)
-    (directory / "database.bin.sha256").unlink(missing_ok=True)
 
     tags_path = directory / "tags.jsonl"
     if config.dictionary_mode == "seed":

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-import time
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
@@ -40,12 +39,7 @@ from ..nlp.dictionary import FailureDictionary
 from ..nlp.evaluation import evaluate_tagger
 from ..nlp.tagger import VotingTagger
 from ..nlp.textcache import token_cache
-from ..obs.metrics import (
-    STORAGE_CONVERT_SECONDS,
-    STORAGE_ROWS,
-    TOKEN_CACHE_HITS,
-    TOKEN_CACHE_MISSES,
-)
+from ..obs.metrics import TOKEN_CACHE_HITS, TOKEN_CACHE_MISSES
 from ..obs.runtime import Observability
 from ..parsing import filter_records, parse_accident_report
 from ..parsing.filters import FilterStats
@@ -128,51 +122,12 @@ def process_corpus(corpus: SyntheticCorpus,
                            CrashController(config.crash), executor,
                            obs)
                 result = _run_stages(run, corpus)
-            _finalize_storage(result, config, store, obs)
         _snapshot_obs(obs, diagnostics, config, cache_before)
         return result
     finally:
         if store is not None:
             store.close()
         obs.close()
-
-
-def _finalize_storage(result: PipelineResult, config: PipelineConfig,
-                      store: CheckpointStore | None,
-                      obs: Observability) -> None:
-    """Swap the finished database to the configured storage backend.
-
-    ``storage_backend="columnar"`` repacks the corpus into
-    struct-of-arrays tables (byte-identical JSON/fingerprint — the
-    backend is a representation choice, never an output change) and,
-    when checkpointing is active, leaves an atomic columnar snapshot
-    artifact beside the journals so a later consumer can reload the
-    packed form directly.
-    """
-    if config.storage_backend != "columnar":
-        return
-    # Imported lazily: repro.storage imports this package.
-    from ..storage import ColumnarFailureDatabase, encode_columnar
-
-    started = time.perf_counter()
-    with obs.stage("storage-convert", backend=config.storage_backend):
-        columnar = ColumnarFailureDatabase.from_database(
-            result.database)
-        if store is not None:
-            store.write_blob_artifact(
-                "database", encode_columnar(columnar))
-    result.database = columnar
-    registry = obs.registry
-    if registry is not None:
-        rows = registry.counter(
-            STORAGE_ROWS, "Rows packed into columnar tables",
-            ("table",))
-        for name, table in columnar.tables.items():
-            rows.labels(name).inc(len(table))
-        registry.counter(
-            STORAGE_CONVERT_SECONDS,
-            "Wall time spent converting to the columnar backend",
-        ).inc(time.perf_counter() - started)
 
 
 def _snapshot_obs(obs: Observability,

@@ -137,13 +137,11 @@ class FailureDatabase:
         return sum(cell.miles for cell in self.mileage)
 
     # ------------------------------------------------------------------
-    # Scan hooks.
+    # Per-manufacturer scans.
     #
-    # Narrow, data-shaped questions Stage IV asks in hot loops.  The
-    # base implementations scan the record lists; the columnar backend
-    # (``repro.storage``) overrides them with struct-of-arrays scans
-    # that return the *same* values in the *same* order — analysis
-    # code calls the hook and never needs to know the layout.
+    # Narrow, data-shaped questions Stage IV asks per manufacturer
+    # (``analysis.dpm``, ``analysis.categories``).  Row order is part
+    # of the contract: downstream distributions depend on it.
     # ------------------------------------------------------------------
 
     def vehicle_attribution_counts(self, manufacturer: str,
@@ -196,27 +194,6 @@ class FailureDatabase:
         return [r.modality for r in self.disengagements
                 if r.manufacturer == manufacturer
                 and r.modality is not None]
-
-    def disengagement_index_rows(self):
-        """``(record, manufacturer, month, tag)`` rows for index builds.
-
-        :class:`~repro.query.index.DatabaseIndex` groups on these three
-        keys; yielding them alongside the record lets the columnar
-        backend serve the keys from its packed arrays while the index
-        keeps one build implementation.
-        """
-        for record in self.disengagements:
-            yield record, record.manufacturer, record.month, record.tag
-
-    def accident_index_rows(self):
-        """``(record, manufacturer)`` rows for index builds."""
-        for record in self.accidents:
-            yield record, record.manufacturer
-
-    def mileage_index_rows(self):
-        """``(cell, manufacturer, month, miles)`` rows for index builds."""
-        for cell in self.mileage:
-            yield cell, cell.manufacturer, cell.month, cell.miles
 
     # ------------------------------------------------------------------
     # Persistence.
@@ -358,16 +335,43 @@ class FailureDatabase:
         returning silently wrong data.
         """
         path = Path(path)
-        text = path.read_text(encoding="utf-8")
-        sidecar = _sidecar_path(path)
-        if verify_checksum and sidecar.exists():
-            expected = sidecar.read_text(encoding="utf-8").split()
-            if not expected or sha256_text(text) != expected[0]:
-                raise CorruptDatabaseError(
-                    f"database file {path} does not match its "
-                    ".sha256 sidecar",
-                    path=str(path), reason="checksum mismatch")
+        text = read_database_text(path)
+        if verify_checksum:
+            verify_sidecar(path, text)
         return cls.from_json(text, source=path)
+
+
+def read_database_text(path: Path) -> str:
+    """The text of a database file, decoded as UTF-8.
+
+    Every database reader decodes through here, so bytes that are not
+    UTF-8 (a binary file, a garbled drop) raise
+    :class:`~repro.errors.CorruptDatabaseError` like any other damaged
+    database.  A missing or unreadable file still raises ``OSError``.
+    """
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptDatabaseError(
+            f"database file {path} is not UTF-8 text: {exc}",
+            path=str(path), reason=f"not UTF-8: {exc.reason}") from exc
+
+
+def verify_sidecar(path: Path, text: str) -> None:
+    """Check ``text`` against the ``.sha256`` sidecar beside ``path``.
+
+    No sidecar means nothing to check.  A sidecar that does not match
+    (garbled bytes included) raises
+    :class:`~repro.errors.CorruptDatabaseError`.
+    """
+    sidecar = _sidecar_path(path)
+    if not sidecar.exists():
+        return
+    expected = sidecar.read_text(encoding="utf-8", errors="replace").split()
+    if not expected or sha256_text(text) != expected[0]:
+        raise CorruptDatabaseError(
+            f"database file {path} does not match its .sha256 sidecar",
+            path=str(path), reason="checksum mismatch")
 
 
 def _sidecar_path(path: Path) -> Path:

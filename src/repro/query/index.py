@@ -112,19 +112,15 @@ class DatabaseIndex:
         ``fingerprint`` lets a caller that already hashed the database
         (the engine does, for cache keying) avoid hashing it twice.
         """
-        # The grouping keys come from the database's index-row streams
-        # rather than per-record attribute access: the columnar
-        # backend serves (manufacturer, month, tag) straight from its
-        # packed arrays, the dict backend reads the attributes — one
-        # build implementation, byte-identical groupings either way.
         by_manufacturer: dict[str, list] = {}
         by_month: dict[str, list] = {}
         by_tag: dict[FaultTag, list] = {}
         by_category: dict[FailureCategory, list] = {}
         by_id: dict[str, DisengagementRecord] = {}
         monthly_events: dict[str, dict[str, int]] = {}
-        for record, manufacturer, month, tag \
-                in db.disengagement_index_rows():
+        for record in db.disengagements:
+            manufacturer, month, tag = (
+                record.manufacturer, record.month, record.tag)
             by_manufacturer.setdefault(manufacturer,
                                        []).append(record)
             by_month.setdefault(month, []).append(record)
@@ -138,17 +134,18 @@ class DatabaseIndex:
 
         accidents_by_manufacturer: dict[str, list] = {}
         accident_ids: dict[str, AccidentRecord] = {}
-        for record, manufacturer in db.accident_index_rows():
+        for record in db.accidents:
             accidents_by_manufacturer.setdefault(
-                manufacturer, []).append(record)
+                record.manufacturer, []).append(record)
             accident_ids[accident_id(record)] = record
 
         mileage_by_manufacturer: dict[str, list] = {}
         miles_totals: dict[str, float] = {}
         monthly_miles: dict[str, dict[str, float]] = {}
         months: set[str] = set(by_month)
-        for cell, manufacturer, month, miles \
-                in db.mileage_index_rows():
+        for cell in db.mileage:
+            manufacturer, month, miles = (
+                cell.manufacturer, cell.month, cell.miles)
             mileage_by_manufacturer.setdefault(
                 manufacturer, []).append(cell)
             miles_totals[manufacturer] = (

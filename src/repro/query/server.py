@@ -85,6 +85,7 @@ from __future__ import annotations
 import base64
 import json
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -149,6 +150,12 @@ RETRY_AFTER_S = 1
 #: Largest request body read, in bytes.  A query spec is a few hundred
 #: bytes; a longer ``Content-Length`` gets a 413 before any is read.
 MAX_BODY_BYTES = 64 * 1024
+
+#: Seconds a connection may stall on a read or a write before its
+#: handler gives up and closes it.  Without a bound, an idle keep-alive
+#: connection or a request whose client never finishes sending it
+#: holds a server thread for as long as the socket stays open.
+CONNECTION_TIMEOUT_S = 30.0
 
 #: How many fingerprint characters a page cursor embeds.
 _CURSOR_FP_CHARS = 12
@@ -323,6 +330,15 @@ class _QueryHTTPServer(ThreadingHTTPServer):
         self._inflight = 0
         self._draining = False
 
+    def handle_error(self, request, client_address) -> None:
+        """Skip the stderr traceback for a client that hung up."""
+        # A peer closing its socket before (or while) its response is
+        # written is routine for a server, not a fault to report.
+        if isinstance(sys.exc_info()[1],
+                      (BrokenPipeError, ConnectionResetError)):
+            return
+        super().handle_error(request, client_address)
+
     def server_bind(self) -> None:
         if self._reuse_port and hasattr(socket, "SO_REUSEPORT"):
             # Pre-fork mode: every worker binds its own socket to the
@@ -394,6 +410,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Nagle holds the second one for the peer's delayed ACK (~40ms
     # per request on keep-alive connections).
     disable_nagle_algorithm = True
+    # ``BaseHTTPRequestHandler`` closes a connection whose read or
+    # write stalls this long (an idle or half-sent request).
+    timeout = CONNECTION_TIMEOUT_S
     server: _QueryHTTPServer
 
     # -- plumbing ------------------------------------------------------

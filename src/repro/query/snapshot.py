@@ -44,8 +44,11 @@ from ..obs.metrics import (
     SNAPSHOT_SWAPS,
 )
 from ..pipeline.chaos import ServingChaos
-from ..pipeline.checkpoint import sha256_text
-from ..pipeline.store import FailureDatabase
+from ..pipeline.store import (
+    FailureDatabase,
+    read_database_text,
+    verify_sidecar,
+)
 from .engine import QueryEngine
 
 
@@ -254,17 +257,10 @@ class SnapshotManager:
     def _read_candidate(self, path: Path) -> FailureDatabase:
         """Read + verify one candidate file (chaos garbles pre-decode,
         exactly where a torn write would)."""
-        text = path.read_text(encoding="utf-8")
+        text = read_database_text(path)
         if self._chaos is not None:
             text = self._chaos.corrupt_text(text)
-        sidecar = path.with_name(path.name + ".sha256")
-        if sidecar.exists():
-            expected = sidecar.read_text(encoding="utf-8").split()
-            if not expected or sha256_text(text) != expected[0]:
-                raise CorruptDatabaseError(
-                    f"candidate database {path} does not match its "
-                    ".sha256 sidecar", path=str(path),
-                    reason="checksum mismatch")
+        verify_sidecar(path, text)
         return FailureDatabase.from_json(text, source=path)
 
     def _publish(self, engine: QueryEngine, fingerprint: str,

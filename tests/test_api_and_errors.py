@@ -1,5 +1,7 @@
 """Tests for the public API surface and the exception hierarchy."""
 
+import struct
+
 import pytest
 
 import repro
@@ -156,6 +158,24 @@ class TestApiFacade:
             api.load_database(tmp_path / "absent.json")
         assert excinfo.value.reason == "missing"
         assert str(tmp_path / "absent.json") in str(excinfo.value)
+
+    @pytest.mark.parametrize("payload", [
+        # UTF-16 text with its byte-order mark.
+        b"\xff\xfe" + '{"disengagements": []}'.encode("utf-16-le"),
+        # A file in the retired binary container format: 8-byte magic,
+        # header length, JSON header, then a packed float64 column.
+        (bytes.fromhex("5250524f434f4c31") + struct.pack("<Q", 13)
+         + b'{"format": 1}' + struct.pack("<d", 1234.5)),
+    ], ids=["utf16", "binary-container"])
+    def test_load_database_binary_file_is_corrupt_error(
+            self, tmp_path, payload):
+        from repro import api
+
+        path = tmp_path / "db.json"
+        path.write_bytes(payload)
+        with pytest.raises(CorruptDatabaseError) as excinfo:
+            api.load_database(path)
+        assert str(path) in str(excinfo.value)
 
     def test_load_database_roundtrip(self, small_db, tmp_path):
         from repro import api

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import warnings
 
 import pytest
@@ -34,6 +35,7 @@ from repro.pipeline import (
 from repro.pipeline.parallel import (
     BATCH_AUTO_CHUNKS_PER_WORKER,
     BATCH_SIZE_CLAMP,
+    UnitOutcome,
     resolve_batch_size,
     worker_config,
 )
@@ -584,3 +586,28 @@ class TestStatsDataclass:
         assert stats.speedup_estimate is None
         stats.parallel_wall_s = 0.5
         assert stats.speedup_estimate == pytest.approx(2.0)
+
+
+class TestCompactOutcomes:
+    def _outcome(self) -> UnitOutcome:
+        return UnitOutcome(
+            body={"tag": "software", "category": "machine"},
+            health=({"tag": (1, 0, 0, 0, 0)}, []),
+            elapsed=0.002)
+
+    def test_pickle_round_trip(self):
+        outcome = self._outcome()
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
+
+    def test_no_instance_dict(self):
+        assert not hasattr(self._outcome(), "__dict__")
+
+    def test_smaller_than_dict_baseline(self):
+        outcome = self._outcome()
+        baseline = {
+            "body": outcome.body,
+            "health": {"stages": {"tag": [1, 0, 0, 0, 0]},
+                       "events": []},
+            "error": None, "ocr": None, "elapsed": outcome.elapsed,
+            "injected": 0, "metrics": None}
+        assert len(pickle.dumps(outcome)) < len(pickle.dumps(baseline))

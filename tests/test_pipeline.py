@@ -3,6 +3,7 @@ the end-to-end runner."""
 
 import pytest
 
+from repro.parsing.records import DisengagementRecord, MonthlyMileage
 from repro.pipeline import (
     FailureDatabase,
     PipelineConfig,
@@ -141,3 +142,35 @@ class TestRunner:
     def test_modalities_preserved_through_pipeline(self, db):
         bosch = db.disengagements_by_manufacturer()["Bosch"]
         assert all(r.modality is Modality.PLANNED for r in bosch)
+
+
+def _fresh_database() -> FailureDatabase:
+    """A small database each test may mutate."""
+    return FailureDatabase(
+        disengagements=[DisengagementRecord(
+            manufacturer="Waymo", month="2016-03", vehicle_id="AV-017",
+            weather="clear", description="perception failure near merge",
+            tag=FaultTag.SOFTWARE)],
+        mileage=[MonthlyMileage("Waymo", "2016-03", 1234.5, "AV-017")])
+
+
+class TestFingerprintMemo:
+    def test_cached_between_calls(self):
+        db = _fresh_database()
+        first = db.fingerprint()
+        db._payload = lambda: pytest.fail(  # type: ignore[assignment]
+            "memoized fingerprint recomputed the payload")
+        assert db.fingerprint() == first
+
+    def test_append_invalidates(self):
+        db = _fresh_database()
+        before = db.fingerprint()
+        db.mileage.append(MonthlyMileage("Zoox", "2017-01", 5.0))
+        assert db.fingerprint() != before
+
+    def test_touch_invalidates_in_place_edit(self):
+        db = _fresh_database()
+        before = db.fingerprint()
+        db.disengagements[0].weather = "fog"
+        db.touch()
+        assert db.fingerprint() != before

@@ -297,6 +297,33 @@ class TestWatchMode:
             assert status == 200
             assert body["fingerprint"] == other_db.fingerprint()
 
+    def test_non_utf8_drop_quarantined_and_watch_survives(
+            self, small_db, other_db, tmp_path):
+        drops = tmp_path / "drops"
+        drops.mkdir()
+        with QueryServer(small_db, port=0,
+                         registry=MetricsRegistry()) as server:
+            server.watch(drops, interval_s=0.05)
+            (drops / "a-binary.json").write_bytes(
+                b"\xff\xfe" + "{}".encode("utf-16-le"))
+            deadline = time.monotonic() + 5.0
+            while (not server.snapshots.degraded
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            _, _, ready = _get(server, "/v1/readyz")
+            assert ready["status"] == "degraded"
+            assert ready["quarantined"] >= 1
+
+            # The watch loop is still alive: a later good drop goes live.
+            other_db.save(drops / "b-next.json")
+            deadline = time.monotonic() + 5.0
+            while (server.snapshots.generation < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert server.snapshots.generation == 2
+            _, _, body = _get(server, "/v1/query?metric=count")
+            assert body["fingerprint"] == other_db.fingerprint()
+
 
 class TestNever500UnderChaos:
     """Acceptance: with corrupt-candidate injection the server never
