@@ -75,15 +75,8 @@ _WORD_DIGIT_FIX = str.maketrans({"0": "o", "1": "l", "|": "l", "5": "s"})
 _DIGRAPH_SWAPS = (("rn", "m"), ("m", "rn"), ("cl", "d"), ("d", "cl"))
 
 
-def _single_edits(word: str) -> set[str]:
-    """All strings within one edit of ``word`` (lowercase letters)."""
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    splits = [(word[:i], word[i:]) for i in range(len(word) + 1)]
-    deletes = {left + right[1:] for left, right in splits if right}
-    replaces = {left + c + right[1:]
-                for left, right in splits if right for c in letters}
-    inserts = {left + c + right for left, right in splits for c in letters}
-    return deletes | replaces | inserts
+#: The characters a single-edit repair may insert or substitute.
+_EDIT_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 
 
 class OcrCorrector:
@@ -94,11 +87,35 @@ class OcrCorrector:
         if extra_lexicon:
             lexicon.update(w.lower() for w in extra_lexicon)
         self._lexicon = frozenset(lexicon)
+        #: Every delete-one variant of a lexicon word -> the (deleted
+        #: position, word) pairs it comes from.
+        self._deletions: dict[str, list[tuple[int, str]]] = {}
+        for word in self._lexicon:
+            for i in range(len(word)):
+                self._deletions.setdefault(
+                    word[:i] + word[i + 1:], []).append((i, word))
 
     @property
     def lexicon(self) -> frozenset[str]:
         """The correction lexicon in use."""
         return self._lexicon
+
+    def neighbours(self, word: str) -> set[str]:
+        """Lexicon words one edit from ``word``: a deletion, or an
+        insertion or substitution of a letter ``a``-``z``."""
+        found = set()
+        for i in range(len(word)):
+            variant = word[:i] + word[i + 1:]
+            if variant in self._lexicon:
+                found.add(variant)
+            # Same deleted position: a substitution (or word itself).
+            for position, candidate in self._deletions.get(variant, ()):
+                if position == i and candidate[i] in _EDIT_LETTERS:
+                    found.add(candidate)
+        for position, candidate in self._deletions.get(word, ()):
+            if candidate[position] in _EDIT_LETTERS:
+                found.add(candidate)
+        return found
 
     def correct_line(self, line: str) -> str:
         """Repair one OCR-output line."""
@@ -132,10 +149,9 @@ class OcrCorrector:
                 candidate = lowered.replace(source, target, 1)
                 if candidate in self._lexicon:
                     return _match_case(word, candidate)
-        candidates = [c for c in _single_edits(lowered)
-                      if c in self._lexicon]
+        candidates = self.neighbours(lowered)
         if len(candidates) == 1:
-            return _match_case(word, candidates[0])
+            return _match_case(word, candidates.pop())
         return word
 
 

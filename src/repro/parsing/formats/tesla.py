@@ -44,7 +44,9 @@ class TeslaParser(ReportParser):
         modality = coerce_modality(fields[1])
         rest = fields[2:]
         reaction = None
-        if rest:
+        # A trailing "rt ..." field is a reaction time only when a
+        # description precedes it; alone, it is the description.
+        if len(rest) > 1:
             match = _RT_RE.match(rest[-1])
             if match:
                 reaction = coerce_reaction_time(match.group(1))

@@ -160,6 +160,16 @@ CONNECTION_TIMEOUT_S = 30.0
 #: How many fingerprint characters a page cursor embeds.
 _CURSOR_FP_CHARS = 12
 
+#: Envelope codes for the requests ``http.server`` rejects before any
+#: route sees them (see :meth:`_Handler.send_error`).
+_PROTOCOL_ERROR_CODES: Mapping[int, str] = {
+    400: "bad_request",
+    414: "request_line_too_long",
+    431: "headers_too_large",
+    501: "method_not_implemented",
+    505: "http_version_not_supported",
+}
+
 
 def error_envelope(code: str, message: str,
                    detail: Any = None) -> dict[str, Any]:
@@ -450,8 +460,28 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        # Count the request before the client can read its answer, so
+        # a scrape that follows a read always sees it.
         self._observe(status)
+        self.wfile.write(body)
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """Answer a request ``http.server`` rejected before routing (a
+        malformed or oversized request line, too many or too long
+        headers, an unsupported version or method) with the JSON
+        envelope, and close the connection."""
+        # A request line without a usable version leaves the stdlib
+        # assuming HTTP/0.9, which would suppress the status line.
+        self.request_version = self.protocol_version
+        self._route = "<unknown>"
+        self._deprecated = False
+        self._started = None  # rejected before routing: no latency
+        self.log_error("code %d, message %s", code, message)
+        self._send_json(code, error_envelope(
+            _PROTOCOL_ERROR_CODES.get(code, "bad_request"),
+            message or self.responses.get(code, ("error",))[0], explain),
+            headers={"Connection": "close"})
 
     def _observe(self, status: int) -> None:
         """Record the request into the server's metrics registry."""

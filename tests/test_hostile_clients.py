@@ -4,11 +4,13 @@ A client that never finishes sending its request, one that leaves a
 keep-alive connection idle, and one that hangs up before its response
 is written must cost the server nothing lasting: the handler closes a
 stalled connection after its timeout, ``/v1/healthz`` keeps answering,
-and stderr stays clean.
+and stderr stays clean.  A malformed request gets the JSON error
+envelope over HTTP/1.1, like every other non-2xx answer.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -16,6 +18,8 @@ import urllib.request
 
 import pytest
 
+from repro.obs import MetricsRegistry
+from repro.obs.metrics import HTTP_REQUESTS
 from repro.query import QueryServer
 from repro.query import server as server_module
 
@@ -112,3 +116,59 @@ class TestEarlyHangUp:
         assert handled.wait(CLOSE_WAIT_S)
         assert _healthz(server) == 200
         assert capsys.readouterr().err == ""
+
+
+#: (raw request, status, envelope code) for requests ``http.server``
+#: rejects before any route sees them.
+MALFORMED = {
+    "no-version": (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+    "http-9.9": (b"GET /v1/healthz HTTP/9.9\r\n\r\n", 505,
+                 "http_version_not_supported"),
+    "long-line": (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414,
+                  "request_line_too_long"),
+    "many-headers": (b"GET /v1/healthz HTTP/1.1\r\n"
+                     + b"".join(b"X-Filler-%d: x\r\n" % i
+                                for i in range(120)) + b"\r\n",
+                     431, "headers_too_large"),
+    "put": (b"PUT /v1/query HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 0\r\n\r\n", 501, "method_not_implemented"),
+}
+
+
+def _read_response(sock: socket.socket) -> bytes:
+    """Everything the server sends before it closes ``sock``.  A reset
+    after the answer (the server closes with part of an oversized
+    request still unread) ends the read like a close."""
+    received = b""
+    try:
+        while chunk := sock.recv(65536):
+            received += chunk
+    except ConnectionResetError:
+        pass
+    return received
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_answered_with_the_json_envelope(self, name, small_db):
+        request, status, code = MALFORMED[name]
+        registry = MetricsRegistry()
+        with QueryServer(small_db, port=0, registry=registry) as server:
+            with _connect(server) as sock:
+                sock.sendall(request)
+                raw = _read_response(sock)
+            head, _, body = raw.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].startswith(f"HTTP/1.1 {status} "), lines[0]
+            headers = {k.lower(): v.strip() for k, _, v in
+                       (line.partition(":") for line in lines[1:])}
+            assert headers["content-type"] == "application/json"
+            assert headers["connection"] == "close"
+            assert int(headers["content-length"]) == len(body)
+            error = json.loads(body)["error"]
+            assert error["code"] == code
+            assert error["message"]
+            counted = registry.get(HTTP_REQUESTS).labels(
+                "<unknown>", str(status)).value
+            assert counted == 1
+            assert _healthz(server) == 200

@@ -342,5 +342,14 @@ class TestExposition:
                    and 'route="/v1/query"' in l]
         assert len(buckets) == len(DEFAULT_BUCKETS) + 1  # +Inf
 
+    def test_request_is_counted_before_its_answer_is_read(self, small_db):
+        registry = MetricsRegistry()
+        with QueryServer(small_db, port=0, registry=registry) as server:
+            requests = registry.get(HTTP_REQUESTS)
+            for count in range(1, 51):
+                urllib.request.urlopen(server.url + "/v1/healthz",
+                                       timeout=10).read()
+                assert requests.labels("/v1/healthz", "200").value == count
+
     def test_default_registry_is_shared(self):
         assert default_registry() is default_registry()

@@ -9,7 +9,7 @@ invariant the whole Stage II depends on.
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.parsing.formats import (
@@ -191,6 +191,11 @@ class TestTeslaRoundtrip:
     @given(event_date=_dates, time_of_day=_times,
            description=_description, reaction=_reaction,
            modality=_modality_am)
+    # A description that starts like a reaction-time field, with no
+    # reaction time after it.
+    @example(event_date=date(2015, 6, 1), time_of_day=(9, 14, 0),
+             description="rt ab cd", reaction=None,
+             modality=Modality.AUTOMATIC)
     @settings(max_examples=60)
     def test_fields_survive(self, event_date, time_of_day,
                             description, reaction, modality):
