@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..errors import InsufficientDataError
 
@@ -31,6 +30,8 @@ class CorrelationResult:
 def pearson(x: list[float] | np.ndarray,
             y: list[float] | np.ndarray) -> CorrelationResult:
     """Pearson correlation of ``(x, y)`` with its p-value."""
+    from scipy import stats as sstats
+
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.size != ya.size:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..errors import InsufficientDataError
 from ..pipeline.store import FailureDatabase
@@ -78,6 +77,8 @@ def _dpm_samples(db: FailureDatabase, manufacturer: str,
 def compare_pair(db: FailureDatabase, left: str, right: str,
                  ) -> PairwiseComparison:
     """Compare two manufacturers' DPM distributions."""
+    from scipy import stats as sstats
+
     left_values = _dpm_samples(db, left)
     right_values = _dpm_samples(db, right)
     if len(left_values) < 3 or len(right_values) < 3:

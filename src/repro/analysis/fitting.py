@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..errors import InsufficientDataError
 
@@ -27,6 +26,8 @@ class ExponWeibullFit:
 
     def pdf(self, x: float | np.ndarray) -> np.ndarray:
         """Density at ``x``."""
+        from scipy import stats as sstats
+
         return sstats.exponweib.pdf(
             np.asarray(x, dtype=float), self.a, self.c, loc=0.0,
             scale=self.scale)
@@ -34,12 +35,16 @@ class ExponWeibullFit:
     @property
     def mean(self) -> float:
         """Mean of the fitted distribution."""
+        from scipy import stats as sstats
+
         return float(sstats.exponweib.mean(
             self.a, self.c, loc=0.0, scale=self.scale))
 
     @property
     def median(self) -> float:
         """Median of the fitted distribution."""
+        from scipy import stats as sstats
+
         return float(sstats.exponweib.median(
             self.a, self.c, loc=0.0, scale=self.scale))
 
@@ -54,6 +59,8 @@ class ExponentialFit:
 
     def pdf(self, x: float | np.ndarray) -> np.ndarray:
         """Density at ``x``."""
+        from scipy import stats as sstats
+
         return sstats.expon.pdf(
             np.asarray(x, dtype=float), loc=0.0, scale=self.scale)
 
@@ -64,6 +71,8 @@ class ExponentialFit:
 
     def cdf(self, x: float) -> float:
         """P(X <= x) under the fit."""
+        from scipy import stats as sstats
+
         return float(sstats.expon.cdf(x, loc=0.0, scale=self.scale))
 
 
@@ -74,6 +83,8 @@ def fit_exponweibull(values: list[float] | np.ndarray,
     ``trim_above`` excludes implausible outliers before fitting — the
     paper excludes Volkswagen's ~4-hour reaction time from its fits.
     """
+    from scipy import stats as sstats
+
     array = np.asarray(values, dtype=float)
     array = array[array > 0]
     if trim_above is not None:
@@ -91,6 +102,8 @@ def fit_exponweibull(values: list[float] | np.ndarray,
 
 def fit_exponential(values: list[float] | np.ndarray) -> ExponentialFit:
     """Fit an exponential distribution to non-negative ``values``."""
+    from scipy import stats as sstats
+
     array = np.asarray(values, dtype=float)
     array = array[array >= 0]
     if array.size < 3:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats as sstats
-
 from ..errors import AnalysisError
 
 
@@ -35,6 +33,8 @@ def miles_to_demonstrate(rate_per_mile: float,
 def rate_upper_bound(miles: float, failures: int,
                      confidence: float = 0.95) -> float:
     """One-sided upper confidence bound on the per-mile failure rate."""
+    from scipy import stats as sstats
+
     if miles <= 0:
         raise AnalysisError("miles must be positive")
     if failures < 0:
@@ -48,6 +48,8 @@ def rate_upper_bound(miles: float, failures: int,
 def rate_lower_bound(miles: float, failures: int,
                      confidence: float = 0.95) -> float:
     """One-sided lower confidence bound on the per-mile failure rate."""
+    from scipy import stats as sstats
+
     if failures == 0:
         return 0.0
     if miles <= 0:
@@ -69,6 +71,8 @@ def failure_rate_confidence(miles: float, failures: int,
     ``P(X >= k | lambda)``; the returned confidence is its complement
     ``P(X < k | lambda)``.
     """
+    from scipy import stats as sstats
+
     if miles <= 0 or rate_per_mile <= 0:
         raise AnalysisError("miles and rate must be positive")
     if failures < 0:

@@ -64,12 +64,10 @@ def mann_kendall(values: list[float] | np.ndarray) -> TrendTest:
         z = (s + 1) / math.sqrt(variance)
     else:
         z = 0.0
-    p = 2.0 * (1.0 - _normal_cdf(abs(z)))
+    # Two-sided normal tail; erfc keeps it accurate where
+    # 1 - cdf(|z|) would cancel to 0.
+    p = math.erfc(abs(z) / math.sqrt(2.0))
     return TrendTest(s_statistic=s, z_score=z, p_value=p, n=n)
-
-
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def theil_sen_slope(values: list[float] | np.ndarray) -> float:

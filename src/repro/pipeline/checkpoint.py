@@ -148,9 +148,9 @@ def atomic_write_text(path: str | Path, text: str | bytes, *,
 # Journals: append-only, per-line checksummed JSONL.
 # ----------------------------------------------------------------------
 
-def _dumps_bytes(obj: Any) -> bytes:
+def canonical_bytes(obj: Any) -> bytes:
     """:func:`canonical_json` as UTF-8 bytes (avoids a decode/encode
-    round-trip on the journal hot path)."""
+    round-trip on the journal and fingerprint hot paths)."""
     if _orjson is not None:
         return _orjson.dumps(obj, option=_orjson.OPT_SORT_KEYS)
     return canonical_json(obj).encode("utf-8")
@@ -160,11 +160,11 @@ def _journal_line_bytes(unit_id: str, body: dict[str, Any]) -> bytes:
     # The body is serialized exactly once; embedding the canonical
     # bytes directly keeps the checksum consistent with what
     # ``read_journal`` recomputes after parsing.
-    body_bytes = _dumps_bytes(body)
+    body_bytes = canonical_bytes(body)
     digest = hashlib.sha256(body_bytes).hexdigest()
     return (b'{"body":' + body_bytes
             + b',"sha256":"' + digest.encode("ascii")
-            + b'","unit":' + _dumps_bytes(unit_id) + b"}")
+            + b'","unit":' + canonical_bytes(unit_id) + b"}")
 
 
 def journal_line(unit_id: str, body: dict[str, Any]) -> str:
@@ -197,7 +197,7 @@ def read_journal(path: str | Path) -> tuple[dict[str, dict[str, Any]], int]:
                 ok = (isinstance(unit, str) and isinstance(body, dict)
                       and record["sha256"]
                       == hashlib.sha256(
-                          _dumps_bytes(body)).hexdigest())
+                          canonical_bytes(body)).hexdigest())
             except (json.JSONDecodeError, KeyError, TypeError):
                 ok = False
             if not ok:
@@ -399,7 +399,7 @@ class CheckpointStore:
         """Atomically commit one stage-level artifact."""
         # Like the journal: one serialization pass, checksum over the
         # embedded canonical bytes.
-        payload_bytes = _dumps_bytes(payload)
+        payload_bytes = canonical_bytes(payload)
         digest = hashlib.sha256(payload_bytes).hexdigest()
         atomic_write_text(
             self._artifact_path(name),
@@ -416,7 +416,7 @@ class CheckpointStore:
             wrapper = json.loads(path.read_text(encoding="utf-8"))
             payload = wrapper["payload"]
             ok = (wrapper["sha256"] == hashlib.sha256(
-                _dumps_bytes(payload)).hexdigest())
+                canonical_bytes(payload)).hexdigest())
         except (OSError, json.JSONDecodeError, KeyError, TypeError):
             ok = False
             payload = None

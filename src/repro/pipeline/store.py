@@ -14,6 +14,7 @@ and reason.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from ..parsing.records import (
     DisengagementRecord,
     MonthlyMileage,
 )
-from .checkpoint import atomic_write_text, canonical_json, sha256_text
+from .checkpoint import atomic_write_text, canonical_bytes, sha256_text
 from .resilience import Quarantine, QuarantineEntry
 
 
@@ -200,8 +201,8 @@ class FailureDatabase:
     # ------------------------------------------------------------------
 
     def _payload(self) -> dict[str, Any]:
-        """JSON-serializable dictionary form (shared by
-        :meth:`to_json` and :meth:`fingerprint`)."""
+        """JSON-serializable dictionary form (what :meth:`to_json`
+        writes and :meth:`fingerprint` hashes)."""
         payload = {
             "disengagements": [r.to_dict() for r in self.disengagements],
             "accidents": [r.to_dict() for r in self.accidents],
@@ -238,12 +239,15 @@ class FailureDatabase:
     def fingerprint(self) -> str:
         """Stable content hash of the database.
 
-        The hex sha256 of the canonical JSON encoding (sorted keys,
-        compact separators — the same :func:`canonical_json` the
-        checkpoint sidecars use), so two databases with identical
-        content always fingerprint identically regardless of in-memory
-        construction order of equal JSON texts.  The query layer keys
-        its caches and indexes on this value.
+        The hex sha256 of the canonical JSON encoding of
+        :meth:`_payload` (sorted keys, compact separators — the same
+        :func:`~repro.pipeline.checkpoint.canonical_json` the checkpoint
+        sidecars use), so two databases with identical content always
+        fingerprint identically regardless of in-memory construction
+        order of equal JSON texts.  The query layer keys its caches and
+        indexes on this value.  The encoding is streamed into the hash
+        one record at a time, so neither the payload nor its text is
+        ever built whole.
 
         Memoized: snapshot swaps and cache lookups hit this on every
         request, so re-hashing the whole corpus each time is pure
@@ -255,7 +259,21 @@ class FailureDatabase:
         cached = self._fp_cache
         if cached is not None and cached[0] == token:
             return cached[1]
-        value = sha256_text(canonical_json(self._payload()))
+        sections = [(b'{"accidents":[', self.accidents),
+                    (b'],"disengagements":[', self.disengagements),
+                    (b'],"mileage":[', self.mileage)]
+        if self.quarantine:
+            sections.append((b'],"quarantine":[', self.quarantine))
+        digest = hashlib.sha256()
+        for opener, records in sections:
+            digest.update(opener)
+            separator = b""
+            for record in records:
+                digest.update(separator)
+                digest.update(canonical_bytes(record.to_dict()))
+                separator = b","
+        digest.update(b"]}")
+        value = digest.hexdigest()
         self._fp_cache = (token, value)
         return value
 

@@ -11,7 +11,6 @@ failures.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..analysis.alertness import fit_reaction_times
 from ..errors import InsufficientDataError
@@ -30,6 +29,8 @@ def _window_exceed_probability(driver: DriverConfig,
                                samples: int = 50000,
                                seed: int = 0) -> float:
     """P(response window > conflict budget), by Monte Carlo."""
+    from scipy import stats as sstats
+
     rng = np.random.default_rng(seed)
     reactions = sstats.exponweib.rvs(
         driver.reaction_a, driver.reaction_c,

@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..errors import AnalysisError
-from ..rng import generator
+from ..rng import exponweib_variate, generator
 from .config import SimulatorConfig
 
 
@@ -109,9 +108,8 @@ class FleetResult:
 def _sample_reaction(config: SimulatorConfig,
                      rng: np.random.Generator) -> float:
     driver = config.driver
-    value = float(sstats.exponweib.rvs(
-        driver.reaction_a, driver.reaction_c,
-        scale=driver.reaction_scale, random_state=rng))
+    value = exponweib_variate(
+        driver.reaction_a, driver.reaction_c, driver.reaction_scale, rng)
     return value * driver.alertness_factor
 
 

@@ -63,13 +63,6 @@ class SyntheticCorpus:
         return sorted({d.manufacturer for d in self.documents})
 
 
-def _period_of_month(month: str) -> ReportPeriod:
-    for period, (start, end) in PERIODS.items():
-        if month in months_between(start, end):
-            return period
-    raise ValueError(f"month {month} outside both reporting periods")
-
-
 def generate_corpus(seed: int = DEFAULT_SEED,
                     manufacturers: list[str] | None = None,
                     ) -> SyntheticCorpus:

@@ -14,7 +14,6 @@ import calendar
 from datetime import date
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..calibration.fault_model import fault_mixture
 from ..calibration.manufacturers import MANUFACTURERS, ReportPeriod
@@ -27,6 +26,7 @@ from ..calibration.roads import (
 )
 from ..calibration.trends import dpm_trend
 from ..parsing.records import DisengagementRecord
+from ..rng import cdf_index, exponweib_variate, weighted_cdf
 from ..taxonomy import FaultTag, Modality
 from .mileage import MonthlyPlan, _period_months
 from .narratives import NarrativeGenerator
@@ -74,8 +74,7 @@ def _sample_reaction_time(manufacturer: str, cumulative_miles: float,
     model = reaction_time_model(manufacturer)
     if model is None:
         return None
-    value = float(sstats.exponweib.rvs(
-        model.a, model.c, scale=model.scale, random_state=rng))
+    value = exponweib_variate(model.a, model.c, model.scale, rng)
     if model.drift_per_log_mile:
         log_miles = np.log10(max(cumulative_miles, 1.0))
         value += model.drift_per_log_mile * (
@@ -94,13 +93,14 @@ def synthesize_disengagements(manufacturer_name: str, plan: MonthlyPlan,
     narrator = NarrativeGenerator(rng)
 
     fault_tags = list(faults.weights)
-    fault_probs = np.array([faults.weights[t] for t in fault_tags])
+    fault_cdf = weighted_cdf([faults.weights[t] for t in fault_tags])
     modality_values = list(modalities.weights)
-    modality_probs = np.array(
+    modality_cdf = weighted_cdf(
         [modalities.weights[m] for m in modality_values])
 
     road_types = list(ROAD_TYPE_SHARES)
-    road_probs = np.array([ROAD_TYPE_SHARES[r] for r in road_types])
+    road_cdf = weighted_cdf([ROAD_TYPE_SHARES[r] for r in road_types])
+    weather_cdf = weighted_cdf(WEATHER_WEIGHTS)
 
     miles_by_month = plan.miles_by_month()
     cumulative = plan.cumulative_miles()
@@ -118,15 +118,12 @@ def synthesize_disengagements(manufacturer_name: str, plan: MonthlyPlan,
         for month, count in counts.items():
             vehicles = [c for c in plan.cells if c.month == month]
             vehicle_ids = [c.vehicle_id for c in vehicles]
-            vehicle_probs = np.array([c.miles for c in vehicles])
-            vehicle_probs = vehicle_probs / vehicle_probs.sum()
+            miles = np.array([c.miles for c in vehicles])
+            vehicle_cdf = weighted_cdf(miles / miles.sum())
             for _ in range(count):
-                tag = fault_tags[
-                    int(rng.choice(len(fault_tags), p=fault_probs))]
-                modality = modality_values[
-                    int(rng.choice(len(modality_values), p=modality_probs))]
-                vehicle_id = vehicle_ids[
-                    int(rng.choice(len(vehicle_ids), p=vehicle_probs))]
+                tag = fault_tags[cdf_index(fault_cdf, rng)]
+                modality = modality_values[cdf_index(modality_cdf, rng)]
+                vehicle_id = vehicle_ids[cdf_index(vehicle_cdf, rng)]
                 event_date = _sample_day(month, rng)
                 record = DisengagementRecord(
                     manufacturer=manufacturer_name,
@@ -139,12 +136,10 @@ def synthesize_disengagements(manufacturer_name: str, plan: MonthlyPlan,
                     vehicle_id=vehicle_id,
                     modality=modality,
                     road_type=(
-                        str(road_types[int(rng.choice(
-                            len(road_types), p=road_probs))])
+                        str(road_types[cdf_index(road_cdf, rng)])
                         if manufacturer.reports_conditions else None),
                     weather=(
-                        str(rng.choice(
-                            list(WEATHER_CONDITIONS), p=WEATHER_WEIGHTS))
+                        WEATHER_CONDITIONS[cdf_index(weather_cdf, rng)]
                         if manufacturer.reports_conditions else None),
                     reaction_time_s=_sample_reaction_time(
                         manufacturer_name, cumulative[month], rng),

@@ -1,7 +1,10 @@
 """Tests for the Section II case studies and temporal trend tools."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from repro.analysis.temporal import (
     dpm_trend_test,
@@ -88,6 +91,25 @@ class TestMannKendall:
     def test_too_short_raises(self):
         with pytest.raises(InsufficientDataError):
             mann_kendall([1, 2, 3])
+
+    def test_far_tail_p_value_does_not_underflow(self):
+        # S = -780 over 40 points gives z = -9.08, whose two-sided
+        # p-value 1.12e-19 is far below 1 - cdf's resolution.
+        n = 40
+        result = mann_kendall(list(range(n, 0, -1)))
+        z = (result.s_statistic + 1) / math.sqrt(
+            n * (n - 1) * (2 * n + 5) / 18.0)
+        assert result.s_statistic == -780
+        assert result.z_score == pytest.approx(z, rel=1e-12)
+        assert result.p_value > 0.0
+        assert result.p_value == pytest.approx(
+            math.erfc(abs(z) / math.sqrt(2.0)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 35, 40])
+    def test_p_value_matches_normal_tail(self, n):
+        result = mann_kendall(list(range(n, 0, -1)))
+        assert result.p_value == pytest.approx(
+            2.0 * sstats.norm.sf(abs(result.z_score)), rel=1e-9, abs=0.0)
 
     def test_theil_sen(self):
         assert theil_sen_slope([0, 2, 4, 6]) == pytest.approx(2.0)

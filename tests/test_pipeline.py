@@ -1,15 +1,27 @@
 """Tests for pipeline configuration, the failure database store, and
 the end-to-end runner."""
 
-import pytest
+from datetime import date
 
-from repro.parsing.records import DisengagementRecord, MonthlyMileage
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.parsing.records import (
+    AccidentRecord,
+    DisengagementRecord,
+    MonthlyMileage,
+)
 from repro.pipeline import (
     FailureDatabase,
     PipelineConfig,
+    Quarantine,
+    QuarantineEntry,
     process_corpus,
     run_pipeline,
 )
+from repro.pipeline import checkpoint
+from repro.pipeline.checkpoint import canonical_json, sha256_text
 from repro.synth import generate_corpus
 from repro.taxonomy import FaultTag, Modality
 
@@ -154,12 +166,17 @@ def _fresh_database() -> FailureDatabase:
         mileage=[MonthlyMileage("Waymo", "2016-03", 1234.5, "AV-017")])
 
 
+def _payload_fingerprint(db: FailureDatabase) -> str:
+    """The fingerprint's definition: sha256 of the canonical payload."""
+    return sha256_text(canonical_json(db._payload()))
+
+
 class TestFingerprintMemo:
     def test_cached_between_calls(self):
         db = _fresh_database()
         first = db.fingerprint()
-        db._payload = lambda: pytest.fail(  # type: ignore[assignment]
-            "memoized fingerprint recomputed the payload")
+        db.disengagements[0].to_dict = lambda: pytest.fail(
+            "memoized fingerprint re-encoded a record")
         assert db.fingerprint() == first
 
     def test_append_invalidates(self):
@@ -168,9 +185,112 @@ class TestFingerprintMemo:
         db.mileage.append(MonthlyMileage("Zoox", "2017-01", 5.0))
         assert db.fingerprint() != before
 
+    @pytest.mark.parametrize("section, record", [
+        ("disengagements", DisengagementRecord("Zoox", "2017-01")),
+        ("accidents", AccidentRecord("Zoox", description="rear-end")),
+        ("mileage", MonthlyMileage("Zoox", "2017-01", 5.0)),
+        ("quarantine", QuarantineEntry(
+            "doc-1", "parse", "ValueError", "bad row", "Traceback")),
+    ])
+    def test_append_to_any_section_invalidates(self, section, record):
+        db = _fresh_database()
+        before = db.fingerprint()
+        target = getattr(db, section)
+        (target.add if section == "quarantine" else target.append)(record)
+        after = db.fingerprint()
+        assert after != before
+        assert after == _payload_fingerprint(db)
+
     def test_touch_invalidates_in_place_edit(self):
         db = _fresh_database()
         before = db.fingerprint()
         db.disengagements[0].weather = "fog"
         db.touch()
-        assert db.fingerprint() != before
+        after = db.fingerprint()
+        assert after != before
+        assert after == _payload_fingerprint(db)
+
+
+_text = st.text(max_size=24)
+_optional_text = st.one_of(st.none(), _text)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_months = st.builds("{:04d}-{:02d}".format, st.integers(2014, 2017),
+                    st.integers(1, 12))
+_disengagements = st.builds(
+    DisengagementRecord, manufacturer=_text, month=_months,
+    event_date=st.one_of(st.none(), st.dates(date(2014, 1, 1),
+                                             date(2017, 12, 31))),
+    time_of_day=st.one_of(st.none(), st.tuples(
+        st.integers(0, 23), st.integers(0, 59), st.integers(0, 59))),
+    vehicle_id=_optional_text,
+    modality=st.one_of(st.none(), st.sampled_from(Modality)),
+    weather=_optional_text,
+    reaction_time_s=st.one_of(st.none(), _floats),
+    description=_text,
+    tag=st.one_of(st.none(), st.sampled_from(FaultTag)),
+    source_line=st.one_of(st.none(), st.integers(0, 10 ** 6)))
+_accidents = st.builds(
+    AccidentRecord, manufacturer=_text, location=_optional_text,
+    autonomous_at_collision=st.one_of(st.none(), st.booleans()),
+    av_speed_mph=st.one_of(st.none(), _floats),
+    injuries=st.booleans(), description=_text)
+_mileage = st.builds(MonthlyMileage, manufacturer=_text, month=_months,
+                     miles=_floats, vehicle_id=_optional_text)
+_quarantine_entries = st.builds(
+    QuarantineEntry, unit_id=_text, stage=_text, error_type=_text,
+    message=_text, traceback=_text)
+_databases = st.builds(
+    FailureDatabase,
+    disengagements=st.lists(_disengagements, max_size=4),
+    accidents=st.lists(_accidents, max_size=3),
+    mileage=st.lists(_mileage, max_size=3),
+    quarantine=st.builds(Quarantine,
+                         st.lists(_quarantine_entries, max_size=2)))
+
+
+@pytest.fixture(params=["orjson", "json"])
+def encoder(request, monkeypatch):
+    """Run a test under both canonical encoders (orjson when present,
+    and the stdlib fallback that is the contract)."""
+    if request.param == "orjson":
+        if checkpoint._orjson is None:
+            pytest.skip("orjson is not installed")
+    else:
+        monkeypatch.setattr(checkpoint, "_orjson", None)
+    return request.param
+
+
+class TestStreamedFingerprint:
+    """The streamed fingerprint equals the hash of the whole payload."""
+
+    def test_empty(self, encoder):
+        db = FailureDatabase()
+        assert db.fingerprint() == _payload_fingerprint(db)
+
+    def test_small_database(self, encoder):
+        corpus = generate_corpus(seed=5, manufacturers=["Nissan"])
+        db = process_corpus(corpus, PipelineConfig(
+            seed=5, ocr_enabled=False, dictionary_mode="seed")).database
+        assert db.disengagements and db.mileage
+        assert db.fingerprint() == _payload_fingerprint(db)
+
+    def test_quarantine_entries(self, encoder):
+        db = _fresh_database()
+        db.quarantine.add(QuarantineEntry(
+            "doc-7", "parse", "ValueError", "bad row", "Traceback ..."))
+        db.quarantine.add(QuarantineEntry(
+            "doc-9", "tag", "KeyError", "'x'", ""))
+        assert db.fingerprint() == _payload_fingerprint(db)
+
+    def test_non_ascii_descriptions(self, encoder):
+        db = _fresh_database()
+        db.disengagements[0].description = "Fußgänger — 行人 \u2028 \"q\" 🚗"
+        db.accidents.append(AccidentRecord(
+            "Waymo", location="Straße & Ave", description="ünïcode\n"))
+        db.touch()
+        assert db.fingerprint() == _payload_fingerprint(db)
+
+    @given(db=_databases)
+    @settings(max_examples=200, deadline=None)
+    def test_any_database(self, db):
+        assert db.fingerprint() == _payload_fingerprint(db)
