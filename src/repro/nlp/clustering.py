@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import NlpError
-from .ngrams import all_ngrams
+from .ngrams import distinct_ngrams
 from .normalize import normalize_tokens
 from .tokenize import tokenize
 
@@ -78,14 +78,14 @@ class ClusteringResult:
         inside: Counter = Counter()
         for index in cluster.member_indices:
             tokens = normalize_tokens(tokenize(self.texts[index]))
-            inside.update(set(all_ngrams(tokens, max_n=3)))
+            inside.update(distinct_ngrams(tokens))
         outside: Counter = Counter()
         member_set = set(cluster.member_indices)
         for index, text in enumerate(self.texts):
             if index in member_set:
                 continue
             tokens = normalize_tokens(tokenize(text))
-            outside.update(set(all_ngrams(tokens, max_n=3)))
+            outside.update(distinct_ngrams(tokens))
         scored = []
         for phrase, count in inside.items():
             if count < max(2, cluster.size // 4):

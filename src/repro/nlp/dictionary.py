@@ -19,13 +19,14 @@ the same narratives regardless of inflection.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..taxonomy import FaultTag
-from .ngrams import all_ngrams
+from .ngrams import distinct_ngrams
 from .normalize import normalize_tokens
-from .textcache import cached_tokens
+from .textcache import cached_tokens_batch
 from .tokenize import tokenize
 
 #: Hand-curated seed phrases per tag (surface form; normalized at
@@ -113,9 +114,8 @@ class FailureDictionary:
 
     Matching runs through an inverted index built once per dictionary
     (first phrase token -> candidate entries), so :meth:`match` costs
-    O(tokens) plus the handful of candidates that share a first token —
-    instead of the O(tokens x entries) full scan that
-    :meth:`match_linear` preserves as the reference implementation.
+    O(tokens) plus the handful of candidates that share a first token,
+    instead of an O(tokens x entries) scan of every entry.
     """
 
     entries: list[DictionaryEntry] = field(default_factory=list)
@@ -157,8 +157,9 @@ class FailureDictionary:
         """All entries whose phrase occurs in ``tokens``.
 
         One list element per occurrence, ordered by occurrence
-        position then entry insertion order — identical to
-        :meth:`match_linear` output (the voting weights depend on it).
+        position then entry insertion order — identical to a full
+        scan of every entry at every position (the voting weights
+        depend on it).
         """
         matches: list[DictionaryEntry] = []
         index = self._index
@@ -199,21 +200,6 @@ class FailureDictionary:
             return []
         return [entry for phrase, n, entry in candidates
                 if n == 1 or tokens[position:position + n] == phrase]
-
-    def match_linear(self, tokens: list[str]) -> list[DictionaryEntry]:
-        """Reference full-scan matcher (pre-index implementation).
-
-        Kept for the parity tests and as the benchmark baseline that
-        quantifies what the inverted index buys; output is identical
-        to :meth:`match`, element for element.
-        """
-        matches: list[DictionaryEntry] = []
-        for position in range(len(tokens)):
-            for entry in self.entries:
-                n = len(entry.phrase)
-                if tuple(tokens[position:position + n]) == entry.phrase:
-                    matches.append(entry)
-        return matches
 
     # ------------------------------------------------------------------
     # Persistence.
@@ -276,49 +262,63 @@ class FailureDictionary:
         ``boilerplate_df`` drops phrases occurring in more than that
         fraction of all narratives (shared boilerplate like "took
         immediate manual control" carries no causal signal).
+
+        Both passes run once per *distinct* narrative, weighted by its
+        multiplicity, so every count equals a per-narrative loop's.
+        Narratives are visited in first-occurrence order and each
+        one's n-grams in first-occurrence order too, so the learned
+        entries come out in one canonical order in every process
+        (``set`` iteration order would depend on ``PYTHONHASHSEED``).
         """
         dictionary = cls.from_seeds(seeds)
-        # Memoized: the tagging stage re-tokenizes the same narratives.
-        token_lists = [cached_tokens(t) for t in texts]
-        total = max(len(token_lists), 1)
+        multiplicity = Counter(texts)  # in first-occurrence order
+        total = max(len(texts), 1)
 
-        # Pass 1: tag each narrative with the seed dictionary alone.
-        pass1_tags: list[FaultTag | None] = []
-        for tokens in token_lists:
-            votes: Counter = Counter()
-            for entry in dictionary.match(tokens):
-                votes[entry.tag] += entry.weight
-            if votes:
-                best, second = _top_two(votes)
-                pass1_tags.append(best if best != second else None)
-            else:
-                pass1_tags.append(None)
-
-        # Pass 2: harvest phrases that co-occur purely with one tag.
-        phrase_tag_counts: dict[tuple[str, ...], Counter] = defaultdict(
-            Counter)
-        phrase_df: Counter = Counter()
-        for tokens, tag in zip(token_lists, pass1_tags):
-            seen = set(all_ngrams(tokens, max_n))
-            for phrase in seen:
-                phrase_df[phrase] += 1
-                if tag is not None:
-                    phrase_tag_counts[phrase][tag] += 1
+        # Pass 1 tags each distinct narrative with the seed dictionary
+        # alone; pass 2 adds its multiplicity to the document frequency
+        # of each of its n-grams and to their counts for that tag.
+        # Tags are counted by value: hashing a FaultTag member runs
+        # Python code on every lookup.
+        phrase_tag_counts: dict[tuple[str, ...], dict[str, int]] = {}
+        phrase_df: dict[tuple[str, ...], int] = {}
+        distinct = list(multiplicity)
+        for text, tokens in zip(distinct, cached_tokens_batch(distinct)):
+            count = multiplicity[text]
+            tag = _seed_vote(dictionary.match(tokens))
+            value = None if tag is None else tag.value
+            for phrase in distinct_ngrams(tokens, max_n):
+                phrase_df[phrase] = phrase_df.get(phrase, 0) + count
+                if value is not None:
+                    tag_counts = phrase_tag_counts.setdefault(phrase, {})
+                    tag_counts[value] = tag_counts.get(value, 0) + count
 
         for phrase, tag_counts in phrase_tag_counts.items():
             df = phrase_df[phrase]
             count = sum(tag_counts.values())
             if count < min_count or df / total > boilerplate_df:
                 continue
-            tag, tag_count = tag_counts.most_common(1)[0]
+            # ``max`` keeps the first of equal counts, as
+            # ``Counter.most_common(1)`` does.
+            value, tag_count = max(tag_counts.items(), key=itemgetter(1))
             if tag_count / count < purity:
                 continue
             idf = math.log(total / df)
             dictionary.add(DictionaryEntry(
-                phrase=phrase, tag=tag,
+                phrase=phrase, tag=FaultTag(value),
                 weight=float(len(phrase)) * idf / 3.0,
                 source="learned"))
         return dictionary
+
+
+def _seed_vote(matches: list[DictionaryEntry]) -> FaultTag | None:
+    """Pass-1 tag of one narrative: the top-voted tag, None on a tie."""
+    if not matches:
+        return None
+    votes: Counter = Counter()
+    for entry in matches:
+        votes[entry.tag] += entry.weight
+    best, second = _top_two(votes)
+    return best if best != second else None
 
 
 def _top_two(votes: Counter) -> tuple[FaultTag, FaultTag | None]:

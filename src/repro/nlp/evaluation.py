@@ -62,31 +62,38 @@ class TaggingReport:
 
 def evaluate_tagger(tagger, records: list[DisengagementRecord],
                     ) -> TaggingReport:
-    """Score ``tagger`` against records carrying ground-truth tags.
+    """Score tags against records carrying ground-truth tags.
 
-    ``tagger`` is anything with a ``tag(text) -> TagResult`` method; a
+    With ``tagger=None`` the tags already stored on the records
+    (``record.tag``, what Stage III wrote) are scored, so a pipeline
+    run reports exactly what its database holds, fallbacks included.
+    Otherwise ``tagger`` is anything with a ``tag(text) -> TagResult``
+    method and the records' narratives are tagged afresh; a
     batch-native ``tag_batch`` (see :class:`~repro.nlp.tagger.
-    VotingTagger`) is used when present so the evaluation re-tag pass
-    amortizes tokenization across the corpus.  Records without ground
-    truth are skipped.
+    VotingTagger`) is used when present.  Records without ground truth
+    are skipped.
     """
     report = TaggingReport()
     scored = [r for r in records if r.truth_tag is not None]
-    tag_batch = getattr(tagger, "tag_batch", None)
-    if tag_batch is not None:
-        results = tag_batch([r.description for r in scored])
+    if tagger is None:
+        predicted = [r.tag for r in scored]
     else:
-        results = [tagger.tag(r.description) for r in scored]
-    for record, result in zip(scored, results):
+        tag_batch = getattr(tagger, "tag_batch", None)
+        if tag_batch is not None:
+            results = tag_batch([r.description for r in scored])
+        else:
+            results = [tagger.tag(r.description) for r in scored]
+        predicted = [result.tag for result in results]
+    for record, tag in zip(scored, predicted):
         truth = record.truth_tag
         report.total += 1
         report.per_tag_truth[truth] += 1
-        report.per_tag_predicted[result.tag] += 1
-        report.confusion[(truth, result.tag)] += 1
-        if result.tag == truth:
+        report.per_tag_predicted[tag] += 1
+        report.confusion[(truth, tag)] += 1
+        if tag == truth:
             report.correct_tag += 1
             report.per_tag_hits[truth] += 1
-        if category_of(result.tag) is category_of(truth):
+        if category_of(tag) is category_of(truth):
             report.correct_category += 1
     return report
 

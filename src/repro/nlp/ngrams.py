@@ -22,6 +22,16 @@ def all_ngrams(tokens: list[str],
     return out
 
 
+def distinct_ngrams(tokens: list[str],
+                    max_n: int = 3) -> list[tuple[str, ...]]:
+    """Each 1..max_n-gram of ``tokens`` once, in first-occurrence order.
+
+    A ``set`` would do the dedupe too, but its iteration order depends
+    on ``PYTHONHASHSEED``, and callers build ordered artifacts from it.
+    """
+    return list(dict.fromkeys(all_ngrams(tokens, max_n)))
+
+
 def phrase_candidates(documents: Iterable[list[str]], max_n: int = 3,
                       min_count: int = 3) -> Counter:
     """Frequent phrases across tokenized ``documents``.
@@ -31,6 +41,6 @@ def phrase_candidates(documents: Iterable[list[str]], max_n: int = 3,
     """
     counts: Counter = Counter()
     for tokens in documents:
-        counts.update(set(all_ngrams(tokens, max_n)))
+        counts.update(distinct_ngrams(tokens, max_n))
     return Counter({phrase: count for phrase, count in counts.items()
                     if count >= min_count})

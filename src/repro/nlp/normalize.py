@@ -7,6 +7,8 @@ gerund suffixes so "disengagements"/"disengagement" and
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 STOPWORDS = frozenset((
     "a an the and or of to in on at for with by from as is was were are "
     "be been being it its this that these those there then than so such "
@@ -22,8 +24,13 @@ _SUFFIXES = ("ings", "ing", "edly", "ed", "es", "s")
 _MIN_STEM_LENGTH = 4
 
 
+@lru_cache(maxsize=8192)
 def stem(token: str) -> str:
-    """Strip one common suffix from ``token`` (light stemming)."""
+    """Strip one common suffix from ``token`` (light stemming).
+
+    Memoized: a corpus's vocabulary is a few hundred words, each
+    stemmed thousands of times.
+    """
     for suffix in _SUFFIXES:
         if token.endswith(suffix):
             candidate = token[: -len(suffix)]

@@ -19,7 +19,7 @@ from typing import Callable
 from ..parsing.records import DisengagementRecord
 from ..taxonomy import FaultTag
 from .dictionary import DictionaryEntry, FailureDictionary
-from .ngrams import all_ngrams
+from .ngrams import distinct_ngrams
 from .normalize import normalize_tokens
 from .tagger import VotingTagger
 from .tokenize import tokenize
@@ -87,7 +87,7 @@ def _distill_phrases(labeled: list[tuple[DisengagementRecord, FaultTag]],
     phrase_tags: dict[tuple[str, ...], Counter] = defaultdict(Counter)
     for record, tag in labeled:
         tokens = normalize_tokens(tokenize(record.description))
-        for phrase in set(all_ngrams(tokens, max_n=3)):
+        for phrase in distinct_ngrams(tokens):
             phrase_tags[phrase][tag] += 1
     known = {entry.phrase for entry in dictionary.entries}
     entries = []

@@ -1,17 +1,17 @@
 """Bounded memo for the tokenize -> normalize hot path.
 
-Every NLP consumer — the voting tagger, the ablation tagger, the
-dictionary builder, and the evaluation re-tag pass — needs the same
-``normalize_tokens(tokenize(text))`` preprocessing.  Narratives are
-re-tokenized several times per run (dictionary pass 1, tagging,
-evaluation), so a small memo keyed by the raw text removes the
-repeated stemming work entirely.
+Every NLP consumer — the voting tagger, the ablation tagger and the
+dictionary builder — needs the same ``normalize_tokens(tokenize(text))``
+preprocessing.  A run tokenizes each distinct narrative while building
+the dictionary and looks it up again when Stage III tags the records,
+so a small memo keyed by the raw text removes the repeated stemming
+work entirely.
 
 The cache is a thread-safe LRU with a hard capacity bound, so memory
 stays flat however many pipelines a process runs.  Entries are pure
 functions of the text (tokenization draws no randomness and has no
 config knobs), which makes sharing one process-global cache across
-runs — and across the threaded worker pool — safe.
+runs safe; each pool worker process holds its own.
 
 Contract: callers must treat a returned token list as **read-only**;
 it is shared with every other caller that asks about the same text.

@@ -78,6 +78,10 @@ _DIGRAPH_SWAPS = (("rn", "m"), ("m", "rn"), ("cl", "d"), ("d", "cl"))
 #: The characters a single-edit repair may insert or substitute.
 _EDIT_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 
+#: Entries each repair memo of a corrector keeps (a full corpus holds
+#: about 2,000 distinct words).
+_MEMO_SIZE = 8192
+
 
 class OcrCorrector:
     """Conservative post-OCR repair pass."""
@@ -94,6 +98,11 @@ class OcrCorrector:
             for i in range(len(word)):
                 self._deletions.setdefault(
                     word[:i] + word[i + 1:], []).append((i, word))
+        #: Repairs already made, by input word.  The repairs are pure
+        #: functions of the word and the lexicon, and one corpus
+        #: repeats a few thousand words over a hundred thousand times.
+        self._word_memo: dict[str, str] = {}
+        self._digit_word_memo: dict[str, str] = {}
 
     @property
     def lexicon(self) -> frozenset[str]:
@@ -125,8 +134,16 @@ class OcrCorrector:
         return _WORD_RE.sub(self._repair_word, line)
 
     def _repair_digit_word(self, match: re.Match[str]) -> str:
-        """Repair digits that crept inside an alphabetic word."""
+        """Repair digits that crept inside an alphabetic word (memoized)."""
         token = match.group()
+        repaired = self._digit_word_memo.get(token)
+        if repaired is None:
+            repaired = self._repair_digit_word_text(token)
+            _remember(self._digit_word_memo, token, repaired)
+        return repaired
+
+    def _repair_digit_word_text(self, token: str) -> str:
+        """The repair :meth:`_repair_digit_word` memoizes."""
         letters = sum(c.isalpha() for c in token)
         if letters < 0.6 * len(token):
             return token
@@ -140,7 +157,16 @@ class OcrCorrector:
         return [self.correct_line(line) for line in lines]
 
     def _repair_word(self, match: re.Match[str]) -> str:
+        """Lexicon repair of one word (memoized)."""
         word = match.group()
+        repaired = self._word_memo.get(word)
+        if repaired is None:
+            repaired = self._repair_word_text(word)
+            _remember(self._word_memo, word, repaired)
+        return repaired
+
+    def _repair_word_text(self, word: str) -> str:
+        """The repair :meth:`_repair_word` memoizes."""
         lowered = word.lower()
         if lowered in self._lexicon:
             return word
@@ -153,6 +179,13 @@ class OcrCorrector:
         if len(candidates) == 1:
             return _match_case(word, candidates.pop())
         return word
+
+
+def _remember(memo: dict[str, str], key: str, value: str) -> None:
+    """Store one repair, evicting the oldest entry once the memo is full."""
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 def _match_case(original: str, repaired: str) -> str:

@@ -14,6 +14,7 @@ Mileage lines report kilometres (converted to miles here)::
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from ...errors import ParseError
 from ...units import MILES_PER_KM
@@ -38,7 +39,10 @@ _KNOWN_KEYS = ("date", "time", "vehicle", "initiator", "cause", "road",
                "weather", "reaction", "month", "autonomous km")
 
 
+@lru_cache(maxsize=1024)
 def _snap_key(key: str) -> str:
+    """The known key ``key`` snaps to (memoized: a report repeats a
+    handful of labels, and a miss costs up to ten Levenshteins)."""
     from ..base import _levenshtein
 
     if key in _KNOWN_KEYS:

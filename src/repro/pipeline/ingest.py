@@ -70,6 +70,10 @@ INGEST_STATE = "ingest.json"
 INGEST_FORMAT = 1
 
 
+#: Types :func:`_plain` returns as they are.
+_PASS_THROUGH = frozenset({str, int, float, bool, type(None)})
+
+
 def _plain(value: Any) -> Any:
     """Strip numpy scalar types out of a truth-record payload.
 
@@ -78,6 +82,11 @@ def _plain(value: Any) -> Any:
     canonical JSON encoder rejects; the digest must also be identical
     whether a value arrived as a numpy scalar or a Python number.
     """
+    # Exact built-ins (almost every value: the report lines) pass
+    # through unchanged; only containers and subclasses need the
+    # checks below.
+    if type(value) in _PASS_THROUGH:
+        return value
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

@@ -235,7 +235,8 @@ def _run_stages(run: _Run, corpus: SyntheticCorpus) -> PipelineResult:
 
     if config.attach_truth:
         with obs.stage("evaluate"):
-            diagnostics.tagging = evaluate_tagger(tagger, filtered)
+            # Score the tags Stage III stored: no second tagging pass.
+            diagnostics.tagging = evaluate_tagger(None, filtered)
 
     par = diagnostics.parallel
     if par.enabled:

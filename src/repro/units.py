@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from datetime import date, datetime
+from functools import lru_cache
 
 from .errors import FieldCoercionError
 
@@ -121,8 +122,19 @@ def parse_duration_seconds(text: str) -> float:
     return value * multiplier
 
 
+#: Bound on each per-string parse memo below (a full corpus holds
+#: about 2,000 distinct dates and times).
+_PARSE_MEMO_SIZE = 8192
+
+
+@lru_cache(maxsize=_PARSE_MEMO_SIZE)
 def parse_date(text: str) -> date:
-    """Parse a date in any of the formats seen across manufacturer reports."""
+    """Parse a date in any of the formats seen across manufacturer reports.
+
+    Memoized: a corpus repeats each date string a few times, and every
+    miss can cost several failed ``strptime`` attempts.  Unparseable
+    text is not cached and raises on every call.
+    """
     cleaned = text.strip()
     for fmt in _DATE_FORMATS:
         try:
@@ -132,8 +144,12 @@ def parse_date(text: str) -> date:
     raise FieldCoercionError(f"unrecognized date {text!r}", line=text)
 
 
+@lru_cache(maxsize=_PARSE_MEMO_SIZE)
 def parse_time_of_day(text: str) -> tuple[int, int, int]:
-    """Parse a wall-clock time into an ``(hour, minute, second)`` tuple."""
+    """Parse a wall-clock time into an ``(hour, minute, second)`` tuple.
+
+    Memoized like :func:`parse_date`.
+    """
     cleaned = " ".join(text.strip().upper().split())
     for fmt in _TIME_FORMATS:
         try:

@@ -1,0 +1,102 @@
+"""Reference implementations the optimized code is checked against.
+
+Each function here is the straightforward form of something ``src/``
+now does faster; tests compare the two on real corpora and on drawn
+inputs.  None of them is used outside ``tests/``.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter, defaultdict
+from typing import Any
+
+from repro.nlp.dictionary import DictionaryEntry, FailureDictionary, _top_two
+from repro.nlp.ngrams import all_ngrams
+from repro.nlp.textcache import cached_tokens
+from repro.taxonomy import FaultTag
+
+
+def match_linear(dictionary: FailureDictionary,
+                 tokens: list[str]) -> list[DictionaryEntry]:
+    """Full-scan matcher: every entry tried at every position.
+
+    The pre-index form of :meth:`FailureDictionary.match`; its output
+    must equal ``match``'s element for element.
+    """
+    matches: list[DictionaryEntry] = []
+    for position in range(len(tokens)):
+        for entry in dictionary.entries:
+            n = len(entry.phrase)
+            if tuple(tokens[position:position + n]) == entry.phrase:
+                matches.append(entry)
+    return matches
+
+
+def pass1_tag(seeds: FailureDictionary,
+              tokens: list[str]) -> FaultTag | None:
+    """The seed dictionary's vote on one narrative (None: none or tied)."""
+    votes: Counter = Counter()
+    for entry in seeds.match(tokens):
+        votes[entry.tag] += entry.weight
+    if not votes:
+        return None
+    best, second = _top_two(votes)
+    return best if best != second else None
+
+
+def build_per_narrative(texts: list[str], max_n: int = 3,
+                        min_count: int = 5, purity: float = 0.8,
+                        boilerplate_df: float = 0.2) -> FailureDictionary:
+    """:meth:`FailureDictionary.build` as one loop per narrative.
+
+    Both passes visit every narrative, duplicates included, and each
+    narrative's n-grams in ``set`` order — so the learned entries come
+    out in an order that depends on ``PYTHONHASHSEED``, while their
+    set, weights and tags do not.
+    """
+    dictionary = FailureDictionary.from_seeds()
+    token_lists = [cached_tokens(t) for t in texts]
+    total = max(len(token_lists), 1)
+
+    pass1_tags = [pass1_tag(dictionary, tokens) for tokens in token_lists]
+
+    phrase_tag_counts: dict[tuple[str, ...], Counter] = defaultdict(Counter)
+    phrase_df: Counter = Counter()
+    for tokens, tag in zip(token_lists, pass1_tags):
+        for phrase in set(all_ngrams(tokens, max_n)):
+            phrase_df[phrase] += 1
+            if tag is not None:
+                phrase_tag_counts[phrase][tag] += 1
+
+    for phrase, tag_counts in phrase_tag_counts.items():
+        df = phrase_df[phrase]
+        count = sum(tag_counts.values())
+        if count < min_count or df / total > boilerplate_df:
+            continue
+        tag, tag_count = tag_counts.most_common(1)[0]
+        if tag_count / count < purity:
+            continue
+        dictionary.add(DictionaryEntry(
+            phrase=phrase, tag=tag,
+            weight=float(len(phrase)) * math.log(total / df) / 3.0,
+            source="learned"))
+    return dictionary
+
+
+def plain_reference(value: Any) -> Any:
+    """The digest payload scrub without its fast path for built-ins."""
+    if isinstance(value, dict):
+        return {key: plain_reference(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain_reference(item) for item in value]
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, int):
+        return int(value)
+    item = getattr(value, "item", None)
+    if callable(item) and getattr(value, "shape", None) == ():
+        return value.item()
+    return value

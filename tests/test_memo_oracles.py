@@ -1,0 +1,199 @@
+"""The per-string memos of Stages II and III change no result.
+
+Each memoized function must return what its undecorated body returns,
+on every call, and an input that raises must raise on every call.  An
+OCR corrector's memo must not make its output depend on the lines it
+corrected before.  The digest scrub's fast path for built-in values
+must agree with the plain recursive scrub kept in
+:mod:`tests.oracles`, so checkpoint directories keep resuming.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import units
+from repro.nlp import normalize
+from repro.ocr import correction
+from repro.ocr.correction import OcrCorrector
+from repro.parsing.formats import benz
+from repro.pipeline.ingest import _plain, document_digest
+from repro.synth import generate_corpus
+
+from .oracles import plain_reference
+
+
+def _outcome(fn, text):
+    """``("ok", value)`` or ``("raises", exception type)``."""
+    try:
+        return "ok", fn(text)
+    except Exception as error:  # noqa: BLE001 - compared by type
+        return "raises", type(error)
+
+
+def _assert_memo_matches_body(memoized, text):
+    expected = _outcome(memoized.__wrapped__, text)
+    for _ in range(3):  # cold, then warm (or re-raised)
+        assert _outcome(memoized, text) == expected
+
+
+_DATE_FORMATS = ("%m/%d/%y", "%m/%d/%Y", "%Y-%m-%d", "%b-%y",
+                 "%B %d, %Y", "%d %b %Y", "%m-%d-%Y", "%d.%m.%Y")
+_dates = st.builds(lambda day, fmt: day.strftime(fmt),
+                   st.dates(), st.sampled_from(_DATE_FORMATS))
+_TIME_FORMATS = ("%H:%M:%S", "%H:%M", "%I:%M %p", "%I:%M:%S %p",
+                 "%I%p", "%H.%M")
+_times = st.builds(lambda moment, fmt: moment.strftime(fmt),
+                   st.times(), st.sampled_from(_TIME_FORMATS))
+_noise = st.text(alphabet="0123456789/:-. APMapmOlI", max_size=12)
+
+
+class TestParseMemos:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(_dates, _noise, st.text(max_size=12)))
+    def test_parse_date_equals_body(self, text):
+        _assert_memo_matches_body(units.parse_date, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(_times, _noise, st.text(max_size=12)))
+    def test_parse_time_of_day_equals_body(self, text):
+        _assert_memo_matches_body(units.parse_time_of_day, text)
+
+    def test_bad_input_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(units.FieldCoercionError):
+                units.parse_date("14th of March")
+            with pytest.raises(units.FieldCoercionError):
+                units.parse_time_of_day("around noon")
+
+    @settings(max_examples=300, deadline=None)
+    @given(token=st.one_of(
+        st.text(alphabet="abcdegins'", max_size=10), st.text(max_size=8)))
+    def test_stem_equals_body(self, token):
+        _assert_memo_matches_body(normalize.stem, token)
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.one_of(
+        st.sampled_from(benz._KNOWN_KEYS),
+        st.text(alphabet="adefiklmnorstuv ", max_size=14)))
+    def test_snap_key_equals_body(self, key):
+        _assert_memo_matches_body(benz._snap_key, key)
+
+
+#: A corrector that grows warm across examples, and one whose memos
+#: stay empty because only the undecorated repairs are called on it.
+_CORRECTOR = OcrCorrector()
+_BODY = OcrCorrector()
+_LEXICON = sorted(_CORRECTOR.lexicon)
+
+
+@st.composite
+def _ocr_words(draw) -> str:
+    """A lexicon word, maybe cased, with 0-2 OCR-style edits."""
+    word = draw(st.sampled_from(_LEXICON))
+    word = draw(st.sampled_from((word, word.upper(), word.capitalize())))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(word)))
+        char = draw(st.sampled_from("abcdlmnrsO0l1|5I"))
+        edit = draw(st.sampled_from(("delete", "insert", "replace")))
+        if edit == "insert":
+            word = word[:i] + char + word[i:]
+        elif edit == "delete":
+            word = word[:i] + word[i + 1:]
+        else:
+            word = word[:i] + char + word[i + 1:]
+    return word
+
+
+_lines = st.lists(
+    st.one_of(_ocr_words(), st.text(alphabet="O0l1/:-.|SB ", max_size=8)),
+    max_size=8).map(" ".join)
+
+
+class TestOcrMemos:
+    @settings(max_examples=300, deadline=None)
+    @given(word=st.one_of(_ocr_words(),
+                          st.from_regex(r"[A-Za-z]{3,12}", fullmatch=True)))
+    def test_repair_word_equals_body(self, word):
+        match = correction._WORD_RE.fullmatch(word)
+        if match is None:  # edits made it more than one word
+            return
+        expected = _BODY._repair_word_text(word)
+        for _ in range(2):
+            assert _CORRECTOR._repair_word(match) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(token=st.from_regex(r"[A-Za-z]+[0l1|5I][A-Za-z0l1|5I]*[A-Za-z]",
+                               fullmatch=True))
+    def test_repair_digit_word_equals_body(self, token):
+        match = correction._DIGIT_IN_WORD_RE.fullmatch(token)
+        assert match is not None
+        expected = _BODY._repair_digit_word_text(token)
+        for _ in range(2):
+            assert _CORRECTOR._repair_digit_word(match) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(before=st.lists(_lines, max_size=4), line=_lines)
+    def test_warm_corrector_equals_fresh(self, before, line):
+        _CORRECTOR.correct_lines(before)
+        assert _CORRECTOR.correct_line(line) == OcrCorrector().correct_line(
+            line)
+
+    @settings(max_examples=50, deadline=None)
+    @given(before=st.lists(_lines, max_size=4), line=_lines)
+    def test_evicting_corrector_equals_fresh(self, before, line):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correction, "_MEMO_SIZE", 2)
+            corrector = OcrCorrector()
+            corrector.correct_lines(before)
+            assert corrector.correct_line(line) == (
+                OcrCorrector().correct_line(line))
+            assert len(corrector._word_memo) <= 2
+            assert len(corrector._digit_word_memo) <= 2
+
+
+_scalars = st.one_of(
+    st.text(max_size=6), st.booleans(), st.none(), st.integers(),
+    st.floats(), st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_))
+_payloads = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=24)
+
+
+def _typed(value):
+    """``value`` with every leaf's exact type made part of equality."""
+    if isinstance(value, dict):
+        return ("dict", [(key, _typed(item)) for key, item in value.items()])
+    if isinstance(value, list):
+        return ("list", [_typed(item) for item in value])
+    return type(value).__name__, repr(value)
+
+
+class TestDigestScrub:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_payloads)
+    def test_plain_equals_reference(self, payload):
+        assert _typed(_plain(payload)) == _typed(plain_reference(payload))
+
+    def test_small_document_digests_pinned(self):
+        # Taken before the scrub had a fast path: a checkpoint
+        # directory written then must still resume without
+        # re-ingesting every document.
+        documents = {d.document_id: d for d in
+                     generate_corpus(5, ["Nissan"]).documents}
+        assert document_digest(
+            documents["Nissan-2015-2016-disengagements"]) == (
+            "0aade29071a2b6283052a2d828c170d3"
+            "5e3c79c67830b8e3fef6af7f5dd5235f")
+        assert document_digest(documents["Nissan-accident-000"]) == (
+            "6260cb3e00b58b86188b0fa1907fd031"
+            "69508788bf504526c9e0a215af3fd805")

@@ -42,6 +42,8 @@ from repro.pipeline.parallel import (
 from repro.synth import generate_corpus
 from repro.taxonomy import FaultTag
 
+from .oracles import match_linear
+
 SEED = 5
 
 SMALL = dict(seed=SEED, manufacturers=["Nissan"], ocr_enabled=False,
@@ -455,8 +457,8 @@ class TestDictionaryIndex:
         dictionary = FailureDictionary.build(texts)
         for text in texts[:300]:
             tokens = cached_tokens(text)
-            assert (dictionary.match(tokens)
-                    == dictionary.match_linear(tokens))
+            assert dictionary.match(tokens) == match_linear(dictionary,
+                                                            tokens)
 
     def test_match_per_occurrence(self):
         dictionary = FailureDictionary()
