@@ -201,7 +201,7 @@ def _measure_swap_overhead(report: dict, failures: list[str],
     engines = (manager.engine, QueryEngine(db_b))
 
     with QueryServer(manager, port=0) as server:
-        url = server.url + "/query?metric=count"
+        url = server.url + "/v1/query?metric=count"
         _time_requests(url, 50)  # warm connections and caches
         static_p99 = _p99(_time_requests(url, requests))
 

@@ -1,8 +1,8 @@
 """Latency of the query & serving layer on the seed database.
 
 Measures p50/p99 end-to-end HTTP latency for the five endpoint
-families (``/healthz``, ``/stats``, ``/manufacturers``,
-``/metrics/*``, ``/query``) with a cold result cache (``cache_size=0``
+families (``/v1/healthz``, ``/v1/stats``, ``/v1/manufacturers``,
+``/v1/metrics/*``, ``/v1/query``) with a cold result cache (``cache_size=0``
 — every request recomputes) and a warm one, plus the recorded budget
 this layer exists for:
 
@@ -30,11 +30,11 @@ SPEEDUP_BUDGET = 10.0
 
 #: One representative request per endpoint family.
 ENDPOINT_FAMILIES = {
-    "healthz": "/healthz",
-    "stats": "/stats",
-    "manufacturers": "/manufacturers",
-    "metrics": "/metrics/dpm",
-    "query": "/query?metric=categories",
+    "healthz": "/v1/healthz",
+    "stats": "/v1/stats",
+    "manufacturers": "/v1/manufacturers",
+    "metrics": "/v1/metrics/dpm",
+    "query": "/v1/query?metric=categories",
 }
 
 

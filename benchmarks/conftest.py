@@ -1,8 +1,9 @@
 """Benchmark fixtures.
 
-The full pipeline runs once per benchmark session; each bench times
-its exhibit generator over the resulting database, asserts the paper's
-shape, and writes the rendered exhibit to ``benchmarks/output/``.
+The full pipeline runs once per benchmark session; each ablation or
+extension bench times its subject, asserts a design choice, and writes
+its report to ``benchmarks/output/``.  Paper numbers are checked by
+``tests/test_fidelity.py``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """One-command reproduction driver.
 
-Runs the test suite, the full benchmark harness, regenerates
-EXPERIMENTS.md, and leaves the rendered exhibits under
-``benchmarks/output/``.
+Runs the test suite (``tests/test_fidelity.py`` checks every number
+the paper prints), the ablation and timing benches, and regenerates
+EXPERIMENTS.md from the fidelity rows.
 
 Usage::
 
@@ -45,8 +45,8 @@ def main() -> int:
     if failures:
         print(f"DONE WITH FAILURES ({failures} step(s) failed)")
         return 1
-    print("DONE — exhibits in benchmarks/output/, comparison in "
-          "EXPERIMENTS.md")
+    print("DONE — paper comparison in EXPERIMENTS.md; render the "
+          "exhibits with `repro report all --out DIR`")
     return 0
 
 

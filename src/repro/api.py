@@ -22,7 +22,7 @@ Quickstart::
 
     result = run_pipeline(PipelineConfig(seed=2018))
     with QueryServer(result.database, port=0) as server:
-        ...  # GET {server.url}/query?metric=dpm&group_by=manufacturer
+        ...  # GET {server.url}/v1/query?metric=dpm&group_by=manufacturer
 
 Anything importable from here is covered by the compatibility
 promise: a name is never repurposed, and it is removed only together

@@ -12,7 +12,7 @@ Mercedes-Benz, Bosch, and GMCruise do not appear in Table IV (Bosch and
 GMCruise report all disengagements as planned tests; Mercedes-Benz logs
 lack causal narratives).  For these we assign representative mixtures so
 that every synthesized event still carries a ground-truth tag; the
-Table IV bench only prints the five manufacturers the paper lists.
+Table IV fidelity rows cover only the five manufacturers the paper lists.
 """
 
 from __future__ import annotations

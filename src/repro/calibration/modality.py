@@ -60,7 +60,7 @@ MODALITY_MIXTURES: dict[str, ModalityMixture] = {
     "Volkswagen": _mixture("Volkswagen", 100.0, 0.0, 0.0),
     "Waymo": _mixture("Waymo", 50.33, 49.67, 0.0),
     # Delphi is absent from Table V; assume an even automatic/manual
-    # split for synthesis (the Table V bench prints the paper's rows).
+    # split for synthesis (Table V's fidelity rows cover the paper's seven).
     "Delphi": _mixture("Delphi", 50.0, 50.0, 0.0),
 }
 

@@ -47,12 +47,9 @@ import os
 from pathlib import Path
 from typing import IO, Any
 
-from .resilience import CheckpointHealth
+import orjson
 
-try:  # optional accelerator; the stdlib encoder is the contract
-    import orjson as _orjson
-except ImportError:  # pragma: no cover - depends on environment
-    _orjson = None
+from .resilience import CheckpointHealth
 
 #: Bumped whenever the checkpoint layout changes incompatibly; a
 #: mismatch marks the directory stale.
@@ -78,21 +75,15 @@ def sha256_text(text: str) -> str:
 
 
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON encoding used for checksums.
+    """Deterministic JSON encoding used for checksums and fingerprints.
 
-    Sorted keys, compact separators, raw (non-escaped) unicode.
-    ``orjson`` (when present) is used because checkpoint
-    serialization sits on the per-unit hot path and it is several
-    times faster than the stdlib encoder.  The two encoders agree on
-    every payload the pipeline journals; where they could ever differ
-    (exotic float notation), a checkpoint written under one encoder
-    and read under the other merely fails its checksum and is
-    recomputed — integrity never depends on encoder parity.
+    Sorted keys, compact separators, raw (non-escaped) unicode, in
+    orjson's float notation.  orjson is the only encoder: the stdlib
+    one prints some floats differently (``2.5e-05`` for ``0.000025``,
+    and again at 1e16 and above), which would give one database two
+    fingerprints.
     """
-    if _orjson is not None:
-        return _orjson.dumps(obj, option=_orjson.OPT_SORT_KEYS).decode()
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
+    return canonical_bytes(obj).decode()
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -151,9 +142,7 @@ def atomic_write_text(path: str | Path, text: str | bytes, *,
 def canonical_bytes(obj: Any) -> bytes:
     """:func:`canonical_json` as UTF-8 bytes (avoids a decode/encode
     round-trip on the journal and fingerprint hot paths)."""
-    if _orjson is not None:
-        return _orjson.dumps(obj, option=_orjson.OPT_SORT_KEYS)
-    return canonical_json(obj).encode("utf-8")
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS)
 
 
 def _journal_line_bytes(unit_id: str, body: dict[str, Any]) -> bytes:

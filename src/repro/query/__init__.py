@@ -16,8 +16,8 @@ it.  Four cooperating pieces:
   keyed by (database fingerprint, canonical query); a content change
   changes the fingerprint, so stale entries can never be served.
 * :mod:`~repro.query.server` — a stdlib-only threaded JSON HTTP API
-  (``/healthz``, ``/stats``, ``/query``, ``/metrics/*``,
-  ``/manufacturers``) plus the ``repro serve`` / ``repro query`` CLI
+  (``/v1/healthz``, ``/v1/stats``, ``/v1/query``, ``/v1/metrics/*``,
+  ``/v1/manufacturers``) plus the ``repro serve`` / ``repro query`` CLI
   verbs.
 
 Quickstart::

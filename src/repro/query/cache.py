@@ -9,7 +9,7 @@ invalidation pass needed.  (The engine still clears the cache on
 memory; correctness never depends on it.)
 
 Hit/miss/eviction counters are kept under the same lock as the map
-and surfaced through :meth:`LruCache.stats` for ``/stats``.
+and surfaced through :meth:`LruCache.stats` for ``/v1/stats``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-able form (the ``/stats`` ``cache`` section)."""
+        """JSON-able form (the ``/v1/stats`` ``cache`` section)."""
         return {
             "hits": self.hits,
             "misses": self.misses,

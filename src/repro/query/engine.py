@@ -269,7 +269,7 @@ class QueryResult:
     value: Any
 
     def to_dict(self) -> dict[str, Any]:
-        """The ``/query`` response body."""
+        """The ``/v1/query`` response body."""
         return {
             "query": self.query.to_dict(),
             "fingerprint": self.fingerprint,
@@ -347,7 +347,7 @@ class QueryEngine:
         return True
 
     def stats(self) -> dict[str, Any]:
-        """JSON-able engine statistics (the ``/stats`` body)."""
+        """JSON-able engine statistics (the ``/v1/stats`` body)."""
         index = self._index
         return {
             "fingerprint": index.fingerprint,

@@ -256,7 +256,7 @@ class DatabaseIndex:
                      if cat in self._disengagements_by_category)
 
     def summary(self) -> dict:
-        """JSON-able description of the index (for ``/stats``)."""
+        """JSON-able description of the index (for ``/v1/stats``)."""
         return {
             "fingerprint": self.fingerprint,
             "manufacturers": len(self.manufacturers),

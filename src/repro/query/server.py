@@ -3,8 +3,7 @@
 A :class:`~http.server.ThreadingHTTPServer` front end for
 :class:`~repro.query.engine.QueryEngine`, hardened for always-on
 serving.  The API surface is **versioned**: every endpoint lives
-under ``/v1/`` and the unversioned paths from earlier releases keep
-working as deprecated aliases.
+under ``/v1/``.
 
 ==============================  ==================================
 ``GET /v1/healthz``             liveness: status, version, db
@@ -25,12 +24,10 @@ working as deprecated aliases.
                                 (infrastructure route, unversioned)
 ==============================  ==================================
 
-**Versioning & deprecation.**  The unversioned legacy paths
-(``/healthz``, ``/query``, …) answer identically to their ``/v1``
-canonical forms but carry a ``Deprecation: true`` header and a
-``Link: </v1/...>; rel="successor-version"`` pointer.  For metrics,
-an alias folds into its canonical route's label so per-route
-cardinality stays bounded.
+**Versioning.**  The unversioned paths of earlier releases
+(``/healthz``, ``/query``, …) are gone: they answer ``404
+not_found`` and count under the ``<unknown>`` metric label like any
+other unknown path.
 
 **Error envelope.**  Every non-2xx response carries the same
 structured body::
@@ -126,22 +123,13 @@ _V1_ROUTES = frozenset(
      "/v1/query"}
     | {f"/v1/metrics/{name}" for name in METRIC_SHORTCUTS})
 
-#: Legacy unversioned alias -> canonical ``/v1`` route.  Aliases
-#: answer identically but carry a ``Deprecation`` header, and fold
-#: into the canonical route's metric label so per-route cardinality
-#: stays bounded.  ``/metrics`` (the Prometheus exposition) is *not*
-#: an alias — it is the unversioned infrastructure route.
-LEGACY_ALIASES: Mapping[str, str] = {
-    route[len("/v1"):]: route for route in _V1_ROUTES}
-
 #: Routes the request metrics label individually; anything else is
 #: folded into ``<unknown>`` so scanners can't explode cardinality.
 _KNOWN_ROUTES = _V1_ROUTES | {"/", "/metrics"}
 
 #: Canonical routes exempt from admission control and deadlines:
 #: probes and scrapes must answer precisely when the server is
-#: saturated or draining.  (Legacy aliases resolve to canonical
-#: before this check, so ``/healthz`` is exempt too.)
+#: saturated or draining.
 _EXEMPT_ROUTES = frozenset({"/v1/healthz", "/v1/readyz", "/metrics"})
 
 #: ``Retry-After`` seconds suggested on shed/drain/deadline 503s.
@@ -452,11 +440,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_deprecated", False):
-            # RFC 8594-style deprecation signal on legacy aliases.
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f'<{self._route}>; rel="successor-version"')
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -475,7 +458,6 @@ class _Handler(BaseHTTPRequestHandler):
         # assuming HTTP/0.9, which would suppress the status line.
         self.request_version = self.protocol_version
         self._route = "<unknown>"
-        self._deprecated = False
         self._started = None  # rejected before routing: no latency
         self.log_error("code %d, message %s", code, message)
         self._send_json(code, error_envelope(
@@ -500,20 +482,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _begin(self, path: str) -> str:
         """Per-request state reset (handlers are reused across
-        keep-alive requests on one connection).
-
-        Resolves legacy aliases to their canonical ``/v1`` route —
-        everything downstream (routing, admission exemption, metric
-        labels) sees only canonical routes.
-        """
+        keep-alive requests on one connection)."""
         self._started = time.perf_counter()
         self._snapshot = self.server.snapshots.current()
         self._admitted = False
         route = urlsplit(path).path.rstrip("/") or "/"
-        canonical = LEGACY_ALIASES.get(route)
-        self._deprecated = canonical is not None
-        if canonical is not None:
-            route = canonical
         self._route = (route if route in _KNOWN_ROUTES
                        else "<unknown>")
         return route

@@ -68,7 +68,7 @@ class Snapshot:
     activated_at: float
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-able description (the ``/readyz`` snapshot section)."""
+        """JSON-able description (the ``/v1/readyz`` snapshot section)."""
         return {
             "generation": self.generation,
             "fingerprint": self.fingerprint,
@@ -154,7 +154,7 @@ class SnapshotManager:
         return self._last_error
 
     def stats(self) -> dict[str, Any]:
-        """JSON-able manager state (``/readyz`` body, tests)."""
+        """JSON-able manager state (``/v1/readyz`` body, tests)."""
         snapshot = self._snapshot
         return {
             "snapshot": snapshot.to_dict(),

@@ -7,9 +7,12 @@ the small two-manufacturer corpus instead.
 
 from __future__ import annotations
 
+from fnmatch import fnmatchcase
+
 import pytest
 
 from repro.pipeline import PipelineConfig, process_corpus
+from repro.reporting.fidelity import evaluate
 from repro.synth import generate_corpus
 
 FULL_SEED = 2018
@@ -32,6 +35,29 @@ def pipeline_result(corpus):
 def db(pipeline_result):
     """The consolidated failure database of the session run."""
     return pipeline_result.database
+
+
+class PaperRows:
+    """The paper-fidelity rows measured once against one database."""
+
+    def __init__(self, db):
+        self.outcomes = {outcome.row.id: outcome
+                         for outcome in evaluate(db)}
+
+    def check(self, *patterns: str) -> None:
+        """Assert every row whose id matches one of ``patterns``."""
+        for pattern in patterns:
+            ids = [i for i in self.outcomes if fnmatchcase(i, pattern)]
+            assert ids, f"no fidelity row matches {pattern!r}"
+            failures = {i: self.outcomes[i].problems() for i in ids
+                        if self.outcomes[i].problems()}
+            assert not failures, failures
+
+
+@pytest.fixture(scope="session")
+def paper_rows(db):
+    """Every paper-fidelity row measured against the session database."""
+    return PaperRows(db)
 
 
 @pytest.fixture(scope="session")

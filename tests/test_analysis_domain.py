@@ -4,38 +4,24 @@ missions, maturity, significance) over the session database."""
 import pytest
 
 from repro.analysis import (
-    accident_summary,
     alertness_summary,
     apm_summary,
     manufacturer_dpm_summary,
     miles_to_demonstrate,
     mission_comparison,
     monthly_series,
-    pooled_dpm_correlation,
     yearly_dpm_distributions,
 )
 from repro.analysis.alertness import (
     action_window,
     human_baseline,
-    overall_mean_reaction_time,
-    reaction_time_mileage_correlation,
-)
-from repro.analysis.apm import (
-    apm_miles_correlation,
-    collision_speed_distributions,
-    disengagements_per_accident_overall,
-    first_principles_apm,
-    miles_per_disengagement,
 )
 from repro.analysis.categories import (
-    automatic_share,
     category_percentages,
-    modality_percentages,
-    overall_category_shares,
     tag_fractions,
 )
 from repro.analysis.dpm import has_vehicle_attribution, per_unit_dpm
-from repro.analysis.maturity import all_assessments, assess_maturity
+from repro.analysis.maturity import assess_maturity
 from repro.analysis.missions import (
     accidents_per_mission,
     projected_yearly_accidents,
@@ -83,82 +69,51 @@ class TestDpm:
             if name != "Waymo":
                 assert summary.median_dpm > 10 * waymo
 
-    def test_median_dpm_orders_of_magnitude_match_paper(self, db):
-        # Shape check against Table VII column 2 (within ~3x).
-        from repro.calibration.baselines import PAPER_MEDIAN_DPM
-        summaries = manufacturer_dpm_summary(db, ANALYSIS)
-        for name, paper_value in PAPER_MEDIAN_DPM.items():
-            measured = summaries[name].median_dpm
-            assert paper_value / 3 <= measured <= paper_value * 3, name
+    def test_median_dpm_orders_of_magnitude_match_paper(self, paper_rows):
+        paper_rows.check("table7-*-median-dpm")
 
     def test_yearly_distributions_have_three_years(self, db):
         yearly = yearly_dpm_distributions(db, ["Waymo"])
         assert set(yearly["Waymo"]) == {2014, 2015, 2016}
 
-    def test_waymo_median_dpm_improves_by_year(self, db):
-        import numpy as np
-        yearly = yearly_dpm_distributions(db, ["Waymo"])["Waymo"]
-        medians = {year: float(np.median(values))
-                   for year, values in yearly.items()}
-        assert medians[2016] < medians[2014]
-        # Paper: ~8x decrease across the window (allow 3x-30x).
-        ratio = medians[2014] / max(medians[2016], 1e-12)
-        assert 3 <= ratio <= 30
+    def test_waymo_median_dpm_improves_by_year(self, paper_rows):
+        paper_rows.check("fig7-waymo-improvement")
 
 
 class TestMaturity:
-    def test_pooled_correlation_matches_paper(self, db):
-        result = pooled_dpm_correlation(db, ANALYSIS)
-        assert -0.95 <= result.r <= -0.75  # paper: -0.87
-        assert result.p_value < 1e-30
+    def test_pooled_correlation_matches_paper(self, paper_rows):
+        paper_rows.check("fig8-pooled-*")
 
-    def test_most_manufacturers_improving(self, db):
-        assessments = all_assessments(db, ANALYSIS)
-        improving = [name for name, a in assessments.items()
-                     if a.improving]
-        assert "Waymo" in improving
-        assert len(improving) >= 5
+    def test_most_manufacturers_improving(self, paper_rows):
+        paper_rows.check("fig9-not-improving", "fig9-waymo-dpm-slope")
 
     def test_bosch_is_not_improving(self, db):
         assessment = assess_maturity(db, "Bosch")
         assert not assessment.improving
 
-    def test_nobody_is_mature(self, db):
-        # "Waymo is still not quite approaching the target asymptote."
-        for name, assessment in all_assessments(db, ANALYSIS).items():
-            assert not assessment.mature, name
+    def test_nobody_is_mature(self, paper_rows):
+        paper_rows.check("fig9-nobody-mature")
 
-    def test_cumulative_fits_have_high_r2(self, db):
-        for name, assessment in all_assessments(db, ANALYSIS).items():
-            assert assessment.cumulative_fit.r_squared > 0.8, name
+    def test_cumulative_fits_have_high_r2(self, paper_rows):
+        paper_rows.check("fig5-min-cumulative-r2")
 
 
 class TestCategories:
-    def test_headline_64_percent_ml(self, db):
-        shares = overall_category_shares(db)
-        assert shares["ml_design"] == pytest.approx(0.64, abs=0.05)
-        assert shares["perception"] == pytest.approx(0.44, abs=0.05)
-        assert shares["planner"] == pytest.approx(0.20, abs=0.05)
-        assert shares["system"] == pytest.approx(0.336, abs=0.05)
+    def test_headline_64_percent_ml(self, paper_rows):
+        paper_rows.check("table4-*-share")
 
-    def test_table4_shape(self, db):
+    def test_table4_shape(self, db, paper_rows):
         rows = category_percentages(
             db, ["Delphi", "Nissan", "Tesla", "Volkswagen", "Waymo"])
-        assert rows["Tesla"]["Unknown-C"] > 90
-        assert rows["Volkswagen"]["System"] > 75
-        assert rows["Waymo"]["ML-Perception/Recognition"] > 45
         for row in rows.values():
             assert sum(row.values()) == pytest.approx(100.0, abs=0.1)
+        paper_rows.check(*(f"table4-{name.lower()}" for name in rows))
 
-    def test_modality_table5_shape(self, db):
-        rows = modality_percentages(db)
-        assert rows["Bosch"]["Planned"] == pytest.approx(100.0)
-        assert rows["GMCruise"]["Planned"] == pytest.approx(100.0)
-        assert rows["Volkswagen"]["Automatic"] == pytest.approx(100.0)
-        assert rows["Tesla"]["Automatic"] > 90
+    def test_modality_table5_shape(self, paper_rows):
+        paper_rows.check("table5-*")
 
-    def test_automatic_share_near_half(self, db):
-        assert automatic_share(db) == pytest.approx(0.48, abs=0.07)
+    def test_automatic_share_near_half(self, paper_rows):
+        paper_rows.check("table5-automatic-share")
 
     def test_tag_fractions_sum_to_one(self, db):
         for name, tags in tag_fractions(db).items():
@@ -166,29 +121,25 @@ class TestCategories:
 
 
 class TestAlertness:
-    def test_overall_mean_near_paper(self, db):
-        assert overall_mean_reaction_time(db) == pytest.approx(
-            0.85, abs=0.2)
+    def test_overall_mean_near_paper(self, paper_rows):
+        paper_rows.check("fig10-mean-reaction-time")
 
     def test_summaries_for_reporting_manufacturers(self, db):
         summaries = alertness_summary(db)
         assert {"Nissan", "Tesla", "Delphi", "Mercedes-Benz",
                 "Volkswagen", "Waymo"} <= set(summaries)
 
-    def test_vw_outlier_detected(self, db):
-        summary = alertness_summary(db)["Volkswagen"]
-        assert summary.outliers >= 1
-        assert summary.box.maximum > 10000
+    def test_vw_outlier_detected(self, db, paper_rows):
+        assert alertness_summary(db)["Volkswagen"].outliers >= 1
+        paper_rows.check("fig10-volkswagen-outlier")
 
     def test_means_comparable_to_non_av(self, db):
         summaries = alertness_summary(db)
         for name in ("Nissan", "Waymo", "Delphi"):
             assert summaries[name].comparable_to_non_av
 
-    def test_waymo_reaction_correlates_with_miles(self, db):
-        result = reaction_time_mileage_correlation(db, "Waymo")
-        assert result.r > 0.1
-        assert result.significant(0.01)
+    def test_waymo_reaction_correlates_with_miles(self, paper_rows):
+        paper_rows.check("fig11-waymo-rt-miles-*")
 
     def test_action_window(self):
         assert action_window(0.5, 0.85) == pytest.approx(1.35)
@@ -202,72 +153,47 @@ class TestAlertness:
 
 
 class TestApm:
-    def test_table6_counts(self, db):
-        summaries = accident_summary(db)
-        assert summaries["Waymo"].accidents == 25
-        assert summaries["GMCruise"].accidents == 14
-        assert summaries["Delphi"].accidents == 1
-        assert summaries["Nissan"].accidents == 1
-        assert summaries["Uber ATC"].accidents == 1
+    def test_table6_counts(self, paper_rows):
+        paper_rows.check("table6-*-accidents")
 
-    def test_waymo_fraction(self, db):
-        assert accident_summary(db)["Waymo"].fraction_of_total == \
-            pytest.approx(59.52, abs=0.1)
+    def test_waymo_fraction(self, paper_rows):
+        paper_rows.check("table6-waymo-share")
 
-    def test_dpa_values_match_paper_shape(self, db):
-        summaries = accident_summary(db)
-        assert summaries["Waymo"].dpa == pytest.approx(18, abs=2)
-        assert summaries["GMCruise"].dpa == pytest.approx(20, abs=2)
-        assert summaries["Delphi"].dpa == pytest.approx(572, abs=10)
-        assert summaries["Nissan"].dpa == pytest.approx(135, abs=5)
-        assert summaries["Uber ATC"].dpa is None
+    def test_dpa_values_match_paper_shape(self, paper_rows):
+        paper_rows.check("table6-*-dpa")
 
-    def test_avs_15_to_4000x_worse_than_humans(self, db):
+    def test_avs_15_to_4000x_worse_than_humans(self, db, paper_rows):
         rows = apm_summary(db, ANALYSIS)
-        ratios = [r.relative_to_human for r in rows.values()
-                  if r.relative_to_human is not None]
-        assert len(ratios) == 4
-        assert all(5 <= ratio <= 5000 for ratio in ratios)
-        assert max(ratios) > 1000  # GMCruise end
-        assert min(ratios) < 50    # Waymo end
+        assert sum(r.relative_to_human is not None
+                   for r in rows.values()) == 4
+        paper_rows.check("table7-*-vs-human", "table7-human-ratio-span")
 
-    def test_first_principles_apm_positive_correlation(self, db):
-        result = apm_miles_correlation(db)
-        assert result.r > 0.8  # paper: 0.98
+    def test_first_principles_apm_positive_correlation(self, paper_rows):
+        paper_rows.check("table7-accidents-miles-r")
 
-    def test_first_principles_values(self, db):
-        apm = first_principles_apm(db)
-        assert apm["Waymo"] == pytest.approx(25 / 1060200, rel=0.1)
+    def test_first_principles_values(self, paper_rows):
+        paper_rows.check("table7-waymo-first-principles-apm")
 
-    def test_speed_distributions_shape(self, db):
-        distributions = collision_speed_distributions(db)
-        assert distributions.fraction_relative_below(10.0) > 0.8
-        assert distributions.av_fit.scale < distributions.other_fit.scale
+    def test_speed_distributions_shape(self, paper_rows):
+        paper_rows.check("fig12-below-10mph", "fig12-av-slower")
 
-    def test_miles_per_disengagement_order(self, db):
-        # Paper: ~262 miles per disengagement (per-manufacturer mean).
-        value = miles_per_disengagement(db)
-        assert 100 <= value <= 500
+    def test_miles_per_disengagement_order(self, paper_rows):
+        paper_rows.check("table7-miles-per-disengagement")
 
-    def test_one_accident_per_127_disengagements(self, db):
-        assert disengagements_per_accident_overall(db) == pytest.approx(
-            127, abs=5)
+    def test_one_accident_per_127_disengagements(self, paper_rows):
+        paper_rows.check("table6-disengagements-per-accident")
 
 
 class TestMissions:
     def test_apmi_scaling(self):
         assert accidents_per_mission(2e-5) == pytest.approx(2e-4)
 
-    def test_table8_shape(self, db):
+    def test_table8_shape(self, db, paper_rows):
         rows = mission_comparison(db, ANALYSIS)
-        waymo = rows["Waymo"]
-        assert 1 <= waymo.vs_airline <= 10   # paper: 4.22
-        assert waymo.vs_surgical_robot < 0.1  # paper: 0.0398
-        assert not waymo.safer_than_airline
-        assert waymo.safer_than_surgical_robot
-        gm = rows["GMCruise"]
-        assert gm.vs_airline > 100
-        assert not gm.safer_than_surgical_robot
+        assert not rows["Waymo"].safer_than_airline
+        assert rows["Waymo"].safer_than_surgical_robot
+        assert not rows["GMCruise"].safer_than_surgical_robot
+        paper_rows.check("table8-waymo-*", "table8-gmcruise-*")
 
     def test_projection_helpers(self):
         assert projected_yearly_accidents(1e-4) == pytest.approx(9.6e6)

@@ -1,7 +1,7 @@
-"""Tests for the ``/v1`` API redesign: versioned routes with
-deprecation-signalled legacy aliases, the unified error envelope on
-every non-2xx status, and cursor-based pagination with
-snapshot-scoped cursors.
+"""Tests for the ``/v1`` API: versioned routes (the unversioned paths
+of earlier releases are gone), the unified error envelope on every
+non-2xx status, and cursor-based pagination with snapshot-scoped
+cursors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.query import QueryEngine, QueryServer, SnapshotManager
 from repro.query.server import (
-    LEGACY_ALIASES,
+    _V1_ROUTES,
     decode_cursor,
     encode_cursor,
     error_envelope,
@@ -50,33 +50,26 @@ class TestVersionedRoutes:
 
     def test_v1_routes_answer(self, server):
         for path in self.CANONICAL:
-            status, headers, _body = _get(server, path)
+            status, _headers, _body = _get(server, path)
             assert status == 200, path
-            assert "Deprecation" not in headers, path
 
-    def test_legacy_alias_same_body_plus_deprecation(self, server):
-        for legacy, canonical in sorted(LEGACY_ALIASES.items()):
-            suffix = "?metric=dpm" if legacy == "/query" else ""
-            status, headers, body = _get(server, legacy + suffix)
-            assert status == 200, legacy
-            assert headers["Deprecation"] == "true"
-            assert canonical in headers["Link"]
-            assert "successor-version" in headers["Link"]
-            _, v1_headers, v1_body = _get(server, canonical + suffix)
-            assert "Deprecation" not in v1_headers
-            for volatile in ("elapsed_ms", "cached"):
-                body.pop(volatile, None)
-                v1_body.pop(volatile, None)
-            assert body == v1_body, legacy
+    def test_unversioned_paths_answer_not_found(self, server):
+        for route in sorted(_V1_ROUTES):
+            legacy = route[len("/v1"):]
+            code, headers, body = _error(server, legacy + "?metric=dpm")
+            assert code == 404, legacy
+            assert body["error"]["code"] == "not_found"
+            assert "Deprecation" not in headers, legacy
+            assert "Link" not in headers, legacy
 
-    def test_alias_folds_into_canonical_metric_label(self, server):
-        registry = server.registry
-        _get(server, "/healthz")
-        _get(server, "/v1/healthz")
-        dump = registry.dump()["repro_http_requests_total"]["series"]
-        routes = {key[0] for key in dump}
-        assert "/v1/healthz" in routes
-        assert "/healthz" not in routes  # folded, not a new label
+    def test_unversioned_paths_count_as_unknown_route(self, small_db):
+        with QueryServer(small_db, port=0,
+                         registry=MetricsRegistry()) as fresh:
+            for route in sorted(_V1_ROUTES):
+                _error(fresh, route[len("/v1"):] + "?metric=dpm")
+            series = fresh.registry.dump()[
+                "repro_http_requests_total"]["series"]
+        assert {key[0] for key in series} == {"<unknown>"}
 
     def test_unknown_route_never_expands_labels(self, server):
         _error(server, "/v1/frobnicate")
@@ -86,18 +79,6 @@ class TestVersionedRoutes:
         routes = {key[0] for key in series}
         assert "<unknown>" in routes
         assert "/v1/frobnicate" not in routes
-
-    def test_legacy_exemption_still_applies(self, small_db):
-        # /healthz resolves to the exempt /v1/healthz before the
-        # admission check, so probes work during saturation.
-        with QueryServer(small_db, port=0, max_inflight=1,
-                         registry=MetricsRegistry()) as server:
-            assert server._httpd.try_admit() is None
-            try:
-                assert _get(server, "/healthz")[0] == 200
-                assert _get(server, "/readyz")[0] == 200
-            finally:
-                server._httpd.release()
 
 
 class TestErrorEnvelope:

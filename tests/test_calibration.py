@@ -18,6 +18,7 @@ from repro.calibration import (
     total_miles,
 )
 from repro.calibration.fault_model import TABLE4_MANUFACTURERS
+from repro.reporting.fidelity import TABLE4
 from repro.calibration.manufacturers import (
     ANALYSIS_MANUFACTURERS,
     EXCLUDED_MANUFACTURERS,
@@ -78,11 +79,8 @@ class TestFaultMixtures:
             assert sum(mixture.weights.values()) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("name,planner,perception,system,unknown", [
-        ("Delphi", 37.59, 50.17, 12.24, 0.0),
-        ("Nissan", 36.30, 49.63, 14.07, 0.0),
-        ("Tesla", 0.0, 0.0, 1.65, 98.35),
-        ("Waymo", 10.13, 53.45, 36.42, 0.0),
-    ])
+        (name, *TABLE4[name])
+        for name in ("Delphi", "Nissan", "Tesla", "Waymo")])
     def test_table4_category_sums(self, name, planner, perception,
                                   system, unknown):
         mixture = fault_mixture(name)
@@ -99,7 +97,8 @@ class TestFaultMixtures:
     def test_volkswagen_is_system_dominated(self):
         mixture = fault_mixture("Volkswagen")
         assert 100 * mixture.category_share(
-            FailureCategory.SYSTEM) == pytest.approx(83.08, abs=0.01)
+            FailureCategory.SYSTEM) == pytest.approx(
+                TABLE4["Volkswagen"][2], abs=0.01)
 
     def test_table4_manufacturer_set(self):
         assert set(TABLE4_MANUFACTURERS) == {

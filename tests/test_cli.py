@@ -275,7 +275,7 @@ class TestServeVerb:
         db = FailureDatabase.load(nissan_db_path)
         with QueryServer(db, port=0) as server:
             with urllib.request.urlopen(
-                    server.url + "/healthz", timeout=10) as res:
+                    server.url + "/v1/healthz", timeout=10) as res:
                 body = json_mod.loads(res.read())
         assert body["status"] == "ok"
         assert body["fingerprint"] == db.fingerprint()

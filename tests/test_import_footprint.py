@@ -35,7 +35,7 @@ assert not scipy_modules(), f"importing repro loaded {scipy_modules()[:5]}"
 from repro.analysis.kernels import KERNELS
 from repro.pipeline import PipelineConfig, process_corpus
 from repro.query import QueryServer
-from repro.query.server import LEGACY_ALIASES
+from repro.query.server import _V1_ROUTES
 from repro.synth import generate_corpus
 
 db = process_corpus(
@@ -44,7 +44,7 @@ db = process_corpus(
 ).database
 for kernel in KERNELS.values():
     kernel(db)
-routes = sorted(set(LEGACY_ALIASES.values()))
+routes = sorted(_V1_ROUTES)
 assert "/v1/query" in routes and "/v1/healthz" in routes, routes
 with QueryServer(db, port=0) as server:
     for route in routes:

@@ -1,119 +1,56 @@
-"""Integration tests: the paper's headline claims, end to end.
+"""The paper's headline claims, end to end.
 
-Each test reproduces one quantitative claim from the paper over the
-full pipeline output (synthetic corpus -> OCR -> parse -> NLP -> Stage
-IV analysis).  Tolerances are loose enough for channel noise but tight
-enough that a broken stage fails them.
+Each claim is a row of ``repro.reporting.fidelity``, which holds the
+printed value, its tolerance and the reason for it; these tests name
+the rows behind each claim of the abstract and of Section V.
 """
-
-import pytest
-
-from repro.analysis import (
-    apm_summary,
-    mission_comparison,
-    pooled_dpm_correlation,
-)
-from repro.analysis.alertness import (
-    overall_mean_reaction_time,
-    reaction_time_mileage_correlation,
-)
-from repro.analysis.apm import (
-    collision_speed_distributions,
-    disengagements_per_accident_overall,
-    miles_per_disengagement,
-)
-from repro.analysis.categories import (
-    automatic_share,
-    overall_category_shares,
-)
-from repro.calibration.reaction_times import (
-    NON_AV_BRAKING_REACTION_TIME_S,
-)
-
-ANALYSIS = ["Mercedes-Benz", "Volkswagen", "Waymo", "Delphi", "Nissan",
-            "Bosch", "GMCruise", "Tesla"]
 
 
 class TestAbstractClaims:
     """Claims from the abstract and introduction."""
 
-    def test_dataset_scale(self, db):
-        # "144 AVs ... 1,116,605 autonomous miles ... 5,328
-        # disengagements and 42 accidents"
-        assert db.total_miles == pytest.approx(1116605, rel=0.03)
-        assert len(db.disengagements) == pytest.approx(5328, abs=20)
-        assert len(db.accidents) == 42
+    def test_dataset_scale(self, paper_rows):
+        paper_rows.check("table1-total-*")
 
-    def test_claim_15_to_4000x_worse_than_humans(self, db):
-        ratios = [s.relative_to_human
-                  for s in apm_summary(db, ANALYSIS).values()
-                  if s.relative_to_human is not None]
-        assert min(ratios) >= 5 and min(ratios) <= 50
-        assert max(ratios) >= 1000 and max(ratios) <= 10000
+    def test_claim_15_to_4000x_worse_than_humans(self, paper_rows):
+        paper_rows.check("table7-human-ratio-span")
 
-    def test_claim_64_percent_ml_design(self, db):
-        shares = overall_category_shares(db)
-        assert shares["ml_design"] == pytest.approx(0.64, abs=0.05)
+    def test_claim_64_percent_ml_design(self, paper_rows):
+        paper_rows.check("table4-ml-design-share")
 
-    def test_claim_drivers_as_alert_as_non_av(self, db):
-        mean = overall_mean_reaction_time(db)
-        # Paper: 0.85 s AV vs 0.82 s non-AV braking.
-        assert abs(mean - NON_AV_BRAKING_REACTION_TIME_S) < 0.25
+    def test_claim_drivers_as_alert_as_non_av(self, paper_rows):
+        paper_rows.check("fig10-mean-reaction-time")
 
-    def test_claim_4x_worse_than_airplanes(self, db):
-        waymo = mission_comparison(db, ANALYSIS)["Waymo"]
-        # Paper: 4.22x worse than airlines; accept 1-10x.
-        assert 1.0 <= waymo.vs_airline <= 10.0
+    def test_claim_4x_worse_than_airplanes(self, paper_rows):
+        paper_rows.check("table8-waymo-vs-airline")
 
-    def test_claim_2_5x_better_than_surgical_robots(self, db):
-        waymo = mission_comparison(db, ANALYSIS)["Waymo"]
-        # Paper: 0.0398 (25x better); direction must hold.
-        assert waymo.vs_surgical_robot < 0.5
+    def test_claim_2_5x_better_than_surgical_robots(self, paper_rows):
+        paper_rows.check("table8-waymo-vs-surgical-robot")
 
 
 class TestSectionVClaims:
     """Claims from the statistical-analysis section."""
 
-    def test_262_miles_per_disengagement(self, db):
-        assert miles_per_disengagement(db) == pytest.approx(262,
-                                                            rel=0.6)
+    def test_262_miles_per_disengagement(self, paper_rows):
+        paper_rows.check("table7-miles-per-disengagement")
 
-    def test_one_accident_per_127_disengagements(self, db):
-        assert disengagements_per_accident_overall(db) == \
-            pytest.approx(127, abs=5)
+    def test_one_accident_per_127_disengagements(self, paper_rows):
+        paper_rows.check("table6-disengagements-per-accident")
 
-    def test_pooled_correlation_minus_087(self, db):
-        result = pooled_dpm_correlation(db, ANALYSIS)
-        assert result.r == pytest.approx(-0.87, abs=0.08)
-        assert result.p_value < 1e-30
+    def test_pooled_correlation_minus_087(self, paper_rows):
+        paper_rows.check("fig8-pooled-*")
 
-    def test_48_percent_automatic(self, db):
-        assert automatic_share(db) == pytest.approx(0.48, abs=0.07)
+    def test_48_percent_automatic(self, paper_rows):
+        paper_rows.check("table5-automatic-share")
 
-    def test_waymo_reaction_time_correlation(self, db):
-        result = reaction_time_mileage_correlation(db, "Waymo")
-        # Paper: r = 0.19 at p = 0.01.
-        assert 0.05 <= result.r <= 0.4
-        assert result.p_value < 0.01
+    def test_waymo_reaction_time_correlation(self, paper_rows):
+        paper_rows.check("fig11-waymo-rt-miles-*")
 
-    def test_benz_reaction_time_correlation(self, db):
-        result = reaction_time_mileage_correlation(db, "Mercedes-Benz")
-        # Paper: r = 0.11 at p = 0.007.
-        assert result.r > 0.0
-        assert result.p_value < 0.05
+    def test_benz_reaction_time_correlation(self, paper_rows):
+        paper_rows.check("fig11-mercedes-benz-rt-miles-*")
 
-    def test_80_percent_accidents_below_10mph(self, db):
-        distributions = collision_speed_distributions(db)
-        assert distributions.fraction_relative_below(10.0) > 0.8
+    def test_80_percent_accidents_below_10mph(self, paper_rows):
+        paper_rows.check("fig12-below-10mph")
 
-    def test_waymo_100x_better_dpm(self, db):
-        from repro.analysis import manufacturer_dpm_summary
-        summaries = manufacturer_dpm_summary(db, ANALYSIS)
-        waymo = summaries["Waymo"].median_dpm
-        others = [s.median_dpm for n, s in summaries.items()
-                  if n != "Waymo"]
-        # "Waymo does ~100x better than its competitors" (median of
-        # medians; allow 20x-1000x).
-        import numpy as np
-        ratio = float(np.median(others)) / waymo
-        assert 20 <= ratio <= 1000
+    def test_waymo_100x_better_dpm(self, paper_rows):
+        paper_rows.check("fig4-waymo-advantage")

@@ -307,7 +307,7 @@ class TestExposition:
         registry = MetricsRegistry()
         with QueryServer(small_db, port=0,
                          registry=registry) as server:
-            for path in ("/query?metric=dpm", "/query?metric=dpm",
+            for path in ("/v1/query?metric=dpm", "/v1/query?metric=dpm",
                          "/nope"):
                 try:
                     urllib.request.urlopen(server.url + path,
@@ -333,7 +333,6 @@ class TestExposition:
         assert families[HTTP_LATENCY] == "histogram"
         assert families[QUERY_CACHE_HITS] == "gauge"
         assert families[INDEX_RECORDS] == "gauge"
-        # Legacy /query hits fold into the canonical /v1 label.
         assert (f'{HTTP_REQUESTS}{{route="/v1/query",status="200"}} 2'
                 in text)
         assert 'route="<unknown>"' in text  # 404s fold into one label

@@ -167,7 +167,6 @@ class TestPreforkServing:
             "/v1/metrics/dpm",
             "/v1/metrics/apm",
             "/v1/metrics/dpa",
-            "/query?metric=dpm",  # legacy alias
         ]
         with QueryServer(small_db, port=0,
                          registry=MetricsRegistry()) as single:

@@ -58,13 +58,13 @@ def _error(server, path, method="GET", payload=None):
 
 class TestEndpoints:
     def test_healthz(self, server, engine):
-        status, body = _get(server, "/healthz")
+        status, body = _get(server, "/v1/healthz")
         assert status == 200
         assert body == {"status": "ok", "version": __version__,
                         "fingerprint": engine.fingerprint}
 
     def test_stats(self, server, engine):
-        status, body = _get(server, "/stats")
+        status, body = _get(server, "/v1/stats")
         assert status == 200
         assert body["fingerprint"] == engine.fingerprint
         assert {"hits", "misses", "evictions"} <= set(body["cache"])
@@ -72,12 +72,12 @@ class TestEndpoints:
             engine.db.disengagements)
 
     def test_manufacturers(self, server, small_db):
-        status, body = _get(server, "/manufacturers")
+        status, body = _get(server, "/v1/manufacturers")
         assert status == 200
         assert body["manufacturers"] == small_db.manufacturers()
 
     def test_query_get_matches_engine(self, server, engine):
-        status, body = _get(server, "/query?metric=dpm")
+        status, body = _get(server, "/v1/query?metric=dpm")
         assert status == 200
         direct = engine.execute(Query(metric="dpm"))
         assert canonical_json(body["result"]) == canonical_json(
@@ -88,7 +88,7 @@ class TestEndpoints:
         name = small_db.manufacturers()[0]
         status, body = _get(
             server,
-            f"/query?metric=count&group_by=tag&manufacturer={name}")
+            f"/v1/query?metric=count&group_by=tag&manufacturer={name}")
         assert status == 200
         direct = engine.execute(Query(
             metric="count", group_by="tag", manufacturers=(name,)))
@@ -96,25 +96,25 @@ class TestEndpoints:
 
     def test_query_post(self, server, engine):
         payload = {"metric": "tags"}
-        status, body = _post(server, "/query", payload)
+        status, body = _post(server, "/v1/query", payload)
         assert status == 200
         assert canonical_json(body["result"]) == canonical_json(
             engine.execute(Query(metric="tags")).value)
 
     def test_metric_shortcuts(self, server, engine):
         for name in ("dpm", "apm"):
-            status, body = _get(server, f"/metrics/{name}")
+            status, body = _get(server, f"/v1/metrics/{name}")
             assert status == 200
             assert canonical_json(body["result"]) == canonical_json(
                 engine.execute(Query(metric=name)).value)
-        status, body = _get(server, "/metrics/dpa")
+        status, body = _get(server, "/v1/metrics/dpa")
         assert status == 200
         assert body["result"] == engine.execute(
             Query(metric="dpa")).value
 
     def test_cached_flag_over_http(self, server):
-        _get(server, "/query?metric=modalities")
-        _, body = _get(server, "/query?metric=modalities")
+        _get(server, "/v1/query?metric=modalities")
+        _, body = _get(server, "/v1/query?metric=modalities")
         assert body["cached"] is True
 
 
@@ -132,24 +132,24 @@ class TestErrors:
         assert "unknown metric" in body["error"]["message"]
 
     def test_bad_query_400(self, server):
-        code, body = _error(server, "/query?metric=frobnicate")
+        code, body = _error(server, "/v1/query?metric=frobnicate")
         assert code == 400
         assert body["error"]["code"] == "invalid_query"
         assert "unknown metric" in body["error"]["message"]
 
     def test_unknown_parameter_400(self, server):
-        code, body = _error(server, "/query?metric=dpm&frob=1")
+        code, body = _error(server, "/v1/query?metric=dpm&frob=1")
         assert code == 400
         assert "unknown query parameter" in body["error"]["message"]
 
     def test_metric_shortcut_rejects_metric_param(self, server):
-        code, body = _error(server, "/metrics/dpm?metric=apm")
+        code, body = _error(server, "/v1/metrics/dpm?metric=apm")
         assert code == 400
         assert "fixes the metric" in body["error"]["message"]
 
     def test_post_bad_json_400(self, server):
         request = urllib.request.Request(
-            server.url + "/query", data=b"{not json",
+            server.url + "/v1/query", data=b"{not json",
             headers={"Content-Type": "application/json"},
             method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -157,7 +157,7 @@ class TestErrors:
         assert excinfo.value.code == 400
 
     def test_post_wrong_path_404(self, server):
-        code, body = _error(server, "/healthz", method="POST",
+        code, body = _error(server, "/v1/healthz", method="POST",
                             payload={})
         assert code == 404
 
@@ -168,7 +168,7 @@ class TestErrors:
             disengagements=list(small_db.disengagements),
             mileage=list(small_db.mileage))
         with QueryServer(empty_accidents, port=0) as server:
-            code, body = _error(server, "/metrics/apm")
+            code, body = _error(server, "/v1/metrics/apm")
             assert code == 422
             assert body["error"]["code"] == "insufficient_data"
             assert "no accidents" in body["error"]["message"]
@@ -240,7 +240,7 @@ class TestConcurrency:
             try:
                 for i in range(ROUNDS * len(self.QUERIES)):
                     q = self.QUERIES[(offset + i) % len(self.QUERIES)]
-                    status, body = _post(server, "/query", q.to_dict())
+                    status, body = _post(server, "/v1/query", q.to_dict())
                     if status != 200:
                         failures.append(f"status {status}")
                     elif (canonical_json(body["result"])

@@ -56,7 +56,7 @@ def _get_error(server, path):
 class TestReadiness:
     def test_ready_ok(self, small_db):
         with QueryServer(small_db, port=0) as server:
-            status, _, body = _get(server, "/readyz")
+            status, _, body = _get(server, "/v1/readyz")
             assert status == 200
             assert body["status"] == "ok"
             assert body["generation"] == 1
@@ -71,20 +71,20 @@ class TestReadiness:
         with QueryServer(small_db, port=0,
                          registry=MetricsRegistry()) as server:
             assert server.snapshots.load(bad) is False
-            status, _, body = _get(server, "/readyz")
+            status, _, body = _get(server, "/v1/readyz")
             assert status == 200  # still serving: traffic is fine
             assert body["status"] == "degraded"
             assert body["quarantined"] == 1
             assert body["last_error"]
             # Liveness is a different question, and its body is the
             # stable contract clients already depend on.
-            status, _, health = _get(server, "/healthz")
+            status, _, health = _get(server, "/v1/healthz")
             assert status == 200
             assert health == {
                 "status": "ok", "version": __version__,
                 "fingerprint": small_db.fingerprint()}
             # Queries keep answering from the last-good generation.
-            status, _, result = _get(server, "/query?metric=count")
+            status, _, result = _get(server, "/v1/query?metric=count")
             assert status == 200
             assert result["fingerprint"] == small_db.fingerprint()
 
@@ -93,11 +93,11 @@ class TestReadiness:
         server.start()
         try:
             server._httpd.begin_drain()
-            code, _, body = _get_error(server, "/readyz")
+            code, _, body = _get_error(server, "/v1/readyz")
             assert code == 503
             assert body["status"] == "draining"
             # Liveness stays 200 right through the drain.
-            status, _, _body = _get(server, "/healthz")
+            status, _, _body = _get(server, "/v1/healthz")
             assert status == 200
         finally:
             server.shutdown()
@@ -112,14 +112,14 @@ class TestAdmissionControl:
             assert server._httpd.try_admit() is None
             try:
                 code, headers, body = _get_error(
-                    server, "/query?metric=dpm")
+                    server, "/v1/query?metric=dpm")
                 assert code == 503
                 assert body["error"]["code"] == "overloaded"
                 assert body["error"]["detail"]["retry_after_s"] == 1
                 assert headers["Retry-After"] == "1"
                 # Probes and scrapes are exempt from admission.
-                assert _get(server, "/healthz")[0] == 200
-                assert _get(server, "/readyz")[0] == 200
+                assert _get(server, "/v1/healthz")[0] == 200
+                assert _get(server, "/v1/readyz")[0] == 200
                 with urllib.request.urlopen(
                         server.url + "/metrics", timeout=10) as res:
                     assert res.status == 200
@@ -128,7 +128,7 @@ class TestAdmissionControl:
             finally:
                 server._httpd.release()
             # Capacity back: admitted again.
-            status, _, _body = _get(server, "/query?metric=dpm")
+            status, _, _body = _get(server, "/v1/query?metric=dpm")
             assert status == 200
 
     def test_draining_refuses_new_queries(self, small_db):
@@ -137,7 +137,7 @@ class TestAdmissionControl:
         try:
             server._httpd.begin_drain()
             code, headers, body = _get_error(
-                server, "/query?metric=dpm")
+                server, "/v1/query?metric=dpm")
             assert code == 503
             assert body["error"]["code"] == "draining"
             assert headers["Retry-After"] == "1"
@@ -165,7 +165,7 @@ class TestAdmissionControl:
         def slow_client() -> None:
             try:
                 outcome["status"] = _get(
-                    server, "/query?metric=dpm")[0]
+                    server, "/v1/query?metric=dpm")[0]
             except Exception as exc:  # pragma: no cover
                 outcome["error"] = repr(exc)
 
@@ -188,7 +188,7 @@ class TestDeadlines:
         with QueryServer(small_db, port=0, deadline_s=0.05,
                          chaos=chaos, registry=registry) as server:
             code, headers, body = _get_error(
-                server, "/query?metric=dpm")
+                server, "/v1/query?metric=dpm")
             assert code == 503
             assert body["error"]["code"] == "deadline_exceeded"
             assert "deadline exceeded" in body["error"]["message"]
@@ -196,7 +196,7 @@ class TestDeadlines:
             assert chaos.injected_delays == 1
             # Exempt probes never run the chaos delay or the budget.
             started = time.perf_counter()
-            assert _get(server, "/healthz")[0] == 200
+            assert _get(server, "/v1/healthz")[0] == 200
             assert time.perf_counter() - started < 0.2
             with urllib.request.urlopen(
                     server.url + "/metrics", timeout=10) as res:
@@ -214,7 +214,7 @@ class TestSanitized500:
             original = engine.execute
             engine.execute = boom
             try:
-                code, _, body = _get_error(server, "/query?metric=dpm")
+                code, _, body = _get_error(server, "/v1/query?metric=dpm")
             finally:
                 engine.execute = original
             assert code == 500
@@ -279,7 +279,7 @@ class TestWatchMode:
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
             assert server.snapshots.generation == 2
-            status, _, body = _get(server, "/query?metric=count")
+            status, _, body = _get(server, "/v1/query?metric=count")
             assert status == 200
             assert body["fingerprint"] == other_db.fingerprint()
 
@@ -290,10 +290,10 @@ class TestWatchMode:
             while (not server.snapshots.degraded
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
-            status, _, ready = _get(server, "/readyz")
+            status, _, ready = _get(server, "/v1/readyz")
             assert ready["status"] == "degraded"
             assert server.snapshots.generation == 2
-            status, _, body = _get(server, "/query?metric=count")
+            status, _, body = _get(server, "/v1/query?metric=count")
             assert status == 200
             assert body["fingerprint"] == other_db.fingerprint()
 
@@ -344,12 +344,12 @@ class TestNever500UnderChaos:
                          registry=registry) as server:
             for _ in range(3):
                 assert server.snapshots.load(candidate) is False
-                status, _, body = _get(server, "/query?metric=dpm")
+                status, _, body = _get(server, "/v1/query?metric=dpm")
                 assert status == 200
                 assert body["fingerprint"] == small_db.fingerprint()
                 assert canonical_json(body["result"]) == expected
             assert chaos.injected_corruptions == 3
-            _, _, ready = _get(server, "/readyz")
+            _, _, ready = _get(server, "/v1/readyz")
             assert ready["status"] == "degraded"
             assert ready["quarantined"] == 3
             text = registry.render_prometheus()
@@ -391,7 +391,7 @@ class TestSwapUnderLoadHTTP:
                     q = self.QUERIES[(offset + rounds)
                                      % len(self.QUERIES)]
                     request = urllib.request.Request(
-                        server.url + "/query",
+                        server.url + "/v1/query",
                         data=json.dumps(q.to_dict()).encode("utf-8"),
                         headers={"Content-Type": "application/json"},
                         method="POST")
