@@ -96,10 +96,11 @@ class CorruptDatabaseError(ReproError):
 
     Raised by :meth:`repro.pipeline.store.FailureDatabase.from_json` /
     :meth:`~repro.pipeline.store.FailureDatabase.load` when the
-    on-disk JSON is torn, malformed, fails its checksum, or is missing
-    required fields — instead of surfacing raw ``KeyError`` /
-    ``json.JSONDecodeError``.  ``path`` names the offending file (when
-    known) and ``reason`` the specific integrity failure.
+    on-disk JSON is torn, malformed, not UTF-8, fails its checksum,
+    or is missing required fields — instead of surfacing raw
+    ``KeyError`` / ``orjson.JSONDecodeError``.  ``path`` names the
+    offending file (when known) and ``reason`` the specific integrity
+    failure.
     """
 
     def __init__(self, message: str, *, path: str | None = None,

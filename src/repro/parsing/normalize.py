@@ -4,11 +4,14 @@ Parsers already coerce field types; this pass enforces the cross-
 manufacturer invariants the analysis depends on: canonical month keys,
 non-negative quantities, trimmed text, and consistent casing of
 enumerated strings.  Records that violate a hard invariant are dropped
-(and counted), mirroring the paper's filtering step.
+(and counted), mirroring the paper's filtering step.  Quantities must
+also be finite: a report reading ``1e999`` parses to infinity, which
+JSON cannot carry and the database fingerprint would hash as ``null``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -30,10 +33,11 @@ class NormalizationStats:
     mileage_in: int = 0
     mileage_dropped: int = 0
     suspect_reaction_times: int = 0
+    #: Reason -> number of records dropped (or fields cleared) for it.
     reasons: dict[str, int] = field(default_factory=dict)
 
     def drop(self, reason: str) -> None:
-        """Record a dropped-record reason."""
+        """Count one dropped record (or cleared field) under ``reason``."""
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
 
@@ -67,7 +71,10 @@ def normalize_disengagement(record: DisengagementRecord,
     if record.weather is not None:
         record.weather = record.weather.strip() or None
     if record.reaction_time_s is not None:
-        if record.reaction_time_s <= 0:
+        if not math.isfinite(record.reaction_time_s):
+            record.reaction_time_s = None
+            stats.drop("non-finite reaction time")
+        elif record.reaction_time_s <= 0:
             record.reaction_time_s = None
         elif record.reaction_time_s > REACTION_TIME_SUSPECT_THRESHOLD_S:
             stats.suspect_reaction_times += 1
@@ -85,6 +92,10 @@ def normalize_mileage(cell: MonthlyMileage,
     if cell.miles < 0:
         stats.mileage_dropped += 1
         stats.drop("negative miles")
+        return None
+    if not math.isfinite(cell.miles):
+        stats.mileage_dropped += 1
+        stats.drop("non-finite miles")
         return None
     return cell
 
@@ -110,13 +121,21 @@ def normalize_records(
 
 
 def normalize_accident(record: AccidentRecord) -> AccidentRecord:
-    """Normalize one accident record in place (speeds, text, month)."""
+    """Normalize one accident record in place (speeds, text, month).
+
+    A negative or non-finite speed is unusable and becomes ``None``.
+    """
     record.description = " ".join(record.description.split())
-    if record.av_speed_mph is not None and record.av_speed_mph < 0:
-        record.av_speed_mph = None
-    if record.other_speed_mph is not None and record.other_speed_mph < 0:
-        record.other_speed_mph = None
+    record.av_speed_mph = _usable_speed(record.av_speed_mph)
+    record.other_speed_mph = _usable_speed(record.other_speed_mph)
     if record.month is None and record.event_date is not None:
         record.month = (f"{record.event_date.year:04d}-"
                         f"{record.event_date.month:02d}")
     return record
+
+
+def _usable_speed(speed: float | None) -> float | None:
+    """``speed`` if it is a finite, non-negative number, else ``None``."""
+    if speed is None or speed < 0 or not math.isfinite(speed):
+        return None
+    return speed

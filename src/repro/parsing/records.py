@@ -14,6 +14,15 @@ from typing import Any
 
 from ..taxonomy import FailureCategory, FaultTag, Modality
 
+#: ``(field, value -> member map, enum)`` for each enum-valued field of
+#: :class:`DisengagementRecord`; the maps are built once so decoding a
+#: database looks members up instead of calling ``Enum(value)``.
+_ENUM_FIELDS = tuple(
+    (key, {member.value: member for member in enum_cls}, enum_cls)
+    for key, enum_cls in (("modality", Modality), ("tag", FaultTag),
+                          ("category", FailureCategory),
+                          ("truth_tag", FaultTag)))
+
 
 @dataclass
 class DisengagementRecord:
@@ -94,11 +103,12 @@ class DisengagementRecord:
             kwargs["event_date"] = date.fromisoformat(kwargs["event_date"])
         if kwargs.get("time_of_day"):
             kwargs["time_of_day"] = tuple(kwargs["time_of_day"])
-        for key, enum_cls in (("modality", Modality), ("tag", FaultTag),
-                              ("category", FailureCategory),
-                              ("truth_tag", FaultTag)):
-            if kwargs.get(key):
-                kwargs[key] = enum_cls(kwargs[key])
+        for key, members, enum_cls in _ENUM_FIELDS:
+            value = kwargs.get(key)
+            if value:
+                # An unknown value falls through to ``Enum(value)`` for
+                # the usual ValueError.
+                kwargs[key] = members.get(value) or enum_cls(value)
         return cls(**kwargs)
 
 

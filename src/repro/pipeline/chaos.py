@@ -205,12 +205,12 @@ class ServingChaos:
 
     Slow-query decisions are drawn from a seeded child stream so a
     chaos run is reproducible; corruption is deterministic (the same
-    candidate text always garbles the same way).
+    candidate file always garbles the same way).
     """
 
     #: Die at this swap boundary (one of :data:`SWAP_POINTS`).
     crash_at: str | None = None
-    #: Garble every candidate database text before it is decoded.
+    #: Garble every candidate database file before it is decoded.
     corrupt_candidate: bool = False
     #: Injected per-query delay in seconds (when the rate draws a hit).
     slow_query_s: float = 0.0
@@ -238,17 +238,18 @@ class ServingChaos:
         if self.crash_at == point:
             raise SimulatedCrash(f"simulated hard crash at {point!r}")
 
-    def corrupt_text(self, text: str) -> str:
-        """Garble a candidate database payload (torn-file simulation).
+    def corrupt_text(self, data: bytes) -> bytes:
+        """Garble a candidate database file's bytes (torn-file
+        simulation).
 
         Truncates the tail and prepends a NUL — both JSON decoding and
         any checksum verification must fail, exactly like a torn or
         bit-rotted file; the serving layer must quarantine it.
         """
         if not self.corrupt_candidate:
-            return text
+            return data
         self.injected_corruptions += 1
-        return "\x00" + text[: max(1, len(text) // 2)]
+        return b"\x00" + data[: max(1, len(data) // 2)]
 
     def maybe_slow_query(self) -> float:
         """Sleep the injected latency (if drawn); returns the delay."""

@@ -44,6 +44,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from pathlib import Path
 from typing import IO, Any
 
@@ -100,10 +101,15 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_text(path: str | Path, text: str | bytes, *,
+def atomic_write_text(path: str | Path,
+                      text: str | bytes | Iterable[bytes], *,
                       durable: bool = True,
                       crash_hook: Any = None) -> None:
-    """Atomically publish ``text`` (str or UTF-8 bytes) at ``path``.
+    """Atomically publish ``text`` at ``path``.
+
+    ``text`` is a str, UTF-8 bytes, or an iterable of byte chunks
+    written in order as they are produced (so a large file is never
+    held whole in memory).
 
     The temporary file lives in the destination directory (same
     filesystem, so :func:`os.replace` is atomic); a crash at any point
@@ -119,8 +125,17 @@ def atomic_write_text(path: str | Path, text: str | bytes, *,
     tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
     if isinstance(text, str):
         text = text.encode("utf-8")
+    chunks = (text,) if isinstance(text, bytes) else text
     with open(tmp, "wb") as handle:
-        handle.write(text)
+        try:
+            for chunk in chunks:
+                handle.write(chunk)
+        except BaseException:
+            # The producer failed before the file was complete: there
+            # is nothing to publish, so leave no partial file behind.
+            handle.close()
+            tmp.unlink(missing_ok=True)
+            raise
         handle.flush()
         if durable:
             os.fsync(handle.fileno())

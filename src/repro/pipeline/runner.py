@@ -745,11 +745,6 @@ def record_id(record) -> str:
     return f"record:{digest}"
 
 
-#: Backward-compatible alias (the id became public API when the query
-#: layer's by-id index started exposing it).
-_record_id = record_id
-
-
 def _unknown_tag():
     """Degraded tagging outcome: the explicit UNKNOWN tag/category."""
     from ..nlp.tagger import TagResult

@@ -9,17 +9,20 @@ write-to-temp + fsync + ``os.replace`` (a crash mid-write can never
 tear an existing database file) and publishes a sha256 sidecar that
 :meth:`FailureDatabase.load` verifies; any integrity failure raises
 :class:`~repro.errors.CorruptDatabaseError` with the offending path
-and reason.
+and reason.  The file is the database's canonical JSON, so the
+sidecar's digest is also its :meth:`~FailureDatabase.fingerprint`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from orjson import JSONDecodeError, loads
 
 from ..errors import CorruptDatabaseError
 from ..parsing.records import (
@@ -27,8 +30,13 @@ from ..parsing.records import (
     DisengagementRecord,
     MonthlyMileage,
 )
-from .checkpoint import atomic_write_text, canonical_bytes, sha256_text
+from .checkpoint import atomic_write_text, canonical_bytes
 from .resilience import Quarantine, QuarantineEntry
+
+#: Records per orjson call when encoding a database: large enough that
+#: call overhead vanishes, small enough that one chunk's transient list
+#: of instance dicts and its bytes stay far below the whole file.
+ENCODE_CHUNK = 1000
 
 
 def manufacturer_names(*collections) -> set[str]:
@@ -200,22 +208,38 @@ class FailureDatabase:
     # Persistence.
     # ------------------------------------------------------------------
 
-    def _payload(self) -> dict[str, Any]:
-        """JSON-serializable dictionary form (what :meth:`to_json`
-        writes and :meth:`fingerprint` hashes)."""
-        payload = {
-            "disengagements": [r.to_dict() for r in self.disengagements],
-            "accidents": [r.to_dict() for r in self.accidents],
-            "mileage": [m.to_dict() for m in self.mileage],
-        }
+    def _canonical_chunks(self) -> Iterator[bytes]:
+        """The database's canonical JSON, as a stream of byte chunks.
+
+        The one encoder: :meth:`fingerprint` hashes this stream,
+        :meth:`to_json` joins it and :meth:`save` writes it.  The text
+        is :func:`~repro.pipeline.checkpoint.canonical_json` of the
+        payload ``{"accidents": [...], "disengagements": [...],
+        "mileage": [...]}`` (plus ``"quarantine"`` when non-empty),
+        each record in its ``to_dict()`` form.  Records are encoded
+        straight from their attributes, one orjson call per
+        :data:`ENCODE_CHUNK` records: orjson writes enum values, ISO
+        dates and tuples exactly as ``to_dict()`` spells them.
+        """
+        sections = [(b'{"accidents":[', self.accidents),
+                    (b'],"disengagements":[', self.disengagements),
+                    (b'],"mileage":[', self.mileage)]
         if self.quarantine:
-            payload["quarantine"] = [e.to_dict()
-                                     for e in self.quarantine]
-        return payload
+            sections.append((b'],"quarantine":[', self.quarantine.entries))
+        for opener, records in sections:
+            yield opener
+            for start in range(0, len(records), ENCODE_CHUNK):
+                if start:
+                    yield b","
+                chunk = records[start:start + ENCODE_CHUNK]
+                yield canonical_bytes(
+                    [vars(record) for record in chunk])[1:-1]
+        yield b"]}"
 
     def to_json(self) -> str:
-        """Serialize the database to a JSON string."""
-        return json.dumps(self._payload())
+        """The database's canonical JSON text (what :meth:`save`
+        writes)."""
+        return b"".join(self._canonical_chunks()).decode()
 
     def _content_token(self) -> tuple:
         """Cheap mutation witness guarding the fingerprint memo.
@@ -239,15 +263,15 @@ class FailureDatabase:
     def fingerprint(self) -> str:
         """Stable content hash of the database.
 
-        The hex sha256 of the canonical JSON encoding of
-        :meth:`_payload` (sorted keys, compact separators — the same
+        The hex sha256 of the canonical JSON encoding (sorted keys,
+        compact separators — the same
         :func:`~repro.pipeline.checkpoint.canonical_json` the checkpoint
         sidecars use), so two databases with identical content always
-        fingerprint identically regardless of in-memory construction
-        order of equal JSON texts.  The query layer keys its caches and
-        indexes on this value.  The encoding is streamed into the hash
-        one record at a time, so neither the payload nor its text is
-        ever built whole.
+        fingerprint identically.  The query layer keys its caches and
+        indexes on this value.  The hash is fed from the chunked
+        encoder :meth:`save` writes, so it equals the sha256 of a
+        saved file (and its ``.sha256`` sidecar), and neither the
+        payload nor its text is ever built whole.
 
         Memoized: snapshot swaps and cache lookups hit this on every
         request, so re-hashing the whole corpus each time is pure
@@ -259,38 +283,31 @@ class FailureDatabase:
         cached = self._fp_cache
         if cached is not None and cached[0] == token:
             return cached[1]
-        sections = [(b'{"accidents":[', self.accidents),
-                    (b'],"disengagements":[', self.disengagements),
-                    (b'],"mileage":[', self.mileage)]
-        if self.quarantine:
-            sections.append((b'],"quarantine":[', self.quarantine))
         digest = hashlib.sha256()
-        for opener, records in sections:
-            digest.update(opener)
-            separator = b""
-            for record in records:
-                digest.update(separator)
-                digest.update(canonical_bytes(record.to_dict()))
-                separator = b","
-        digest.update(b"]}")
+        for chunk in self._canonical_chunks():
+            digest.update(chunk)
         value = digest.hexdigest()
         self._fp_cache = (token, value)
         return value
 
     @classmethod
-    def from_json(cls, text: str, *,
+    def from_json(cls, text: str | bytes, *,
                   source: str | Path | None = None) -> "FailureDatabase":
-        """Inverse of :meth:`to_json`.
+        """Decode a database from JSON text or bytes.
 
-        Malformed, truncated, or structurally wrong JSON raises
+        Reads :meth:`to_json`'s canonical text and any other valid JSON
+        layout of the same payload (files saved before the encoder was
+        canonical included).  Bytes must be UTF-8.  Malformed,
+        truncated, non-UTF-8 or structurally wrong input — and the
+        non-JSON tokens ``NaN``/``Infinity`` — raise
         :class:`~repro.errors.CorruptDatabaseError` naming the source
         path (when given) and the offending section — never a raw
-        ``KeyError``/``json.JSONDecodeError``.
+        ``KeyError``/``JSONDecodeError``.
         """
         path = str(source) if source is not None else None
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = loads(text)
+        except JSONDecodeError as exc:
             raise CorruptDatabaseError(
                 f"database JSON is malformed: {exc}",
                 path=path, reason=f"invalid JSON: {exc}") from exc
@@ -316,30 +333,39 @@ class FailureDatabase:
 
     def save(self, path: str | Path, *, durable: bool = True,
              checksum: bool = True, crash: Any = None) -> None:
-        """Write the database to ``path`` as JSON — atomically.
+        """Write the database's canonical JSON to ``path`` — atomically.
 
-        Guarantee: the JSON is written to a temporary file in the same
+        Guarantee: the JSON is streamed to a temporary file in the same
         directory, fsynced, and published with :func:`os.replace`, so
         a crash at any instant leaves either the previous database
         file or the complete new one on disk — never a torn mix.
-        ``checksum=True`` additionally publishes a
-        ``<name>.sha256`` sidecar (``sha256sum``-compatible) that
-        :meth:`load` verifies before trusting the file.
+        The bytes are hashed as they are written, and that digest is
+        the :meth:`fingerprint`.  ``checksum=True`` additionally
+        publishes a ``<name>.sha256`` sidecar (``sha256sum``-compatible)
+        that :meth:`load` verifies before trusting the file.
 
         ``crash`` accepts a
         :class:`~repro.pipeline.chaos.CrashController` whose ``save``
         kill point fires mid-save (crash-recovery testing).
         """
         path = Path(path)
-        text = self.to_json()
+        token = self._content_token()
+        digest = hashlib.sha256()
+
+        def hashed_chunks() -> Iterator[bytes]:
+            for chunk in self._canonical_chunks():
+                digest.update(chunk)
+                yield chunk
+
         atomic_write_text(
-            path, text, durable=durable,
+            path, hashed_chunks(), durable=durable,
             crash_hook=(None if crash is None
                         else lambda: crash.reached("save")))
+        value = digest.hexdigest()
+        self._fp_cache = (token, value)
         if checksum:
             atomic_write_text(
-                _sidecar_path(path),
-                f"{sha256_text(text)}  {path.name}\n",
+                _sidecar_path(path), f"{value}  {path.name}\n",
                 durable=durable)
 
     @classmethod
@@ -347,36 +373,22 @@ class FailureDatabase:
              verify_checksum: bool = True) -> "FailureDatabase":
         """Read a database previously written with :meth:`save`.
 
-        When a ``.sha256`` sidecar exists (and ``verify_checksum`` is
-        on), the file content is verified against it first; a mismatch
-        raises :class:`~repro.errors.CorruptDatabaseError` instead of
-        returning silently wrong data.
+        The file's bytes are read once.  When a ``.sha256`` sidecar
+        exists (and ``verify_checksum`` is on), they are verified
+        against it first; a mismatch raises
+        :class:`~repro.errors.CorruptDatabaseError` instead of
+        returning silently wrong data.  Then :meth:`from_json` decodes
+        the same bytes.
         """
         path = Path(path)
-        text = read_database_text(path)
+        data = path.read_bytes()
         if verify_checksum:
-            verify_sidecar(path, text)
-        return cls.from_json(text, source=path)
+            verify_sidecar(path, data)
+        return cls.from_json(data, source=path)
 
 
-def read_database_text(path: Path) -> str:
-    """The text of a database file, decoded as UTF-8.
-
-    Every database reader decodes through here, so bytes that are not
-    UTF-8 (a binary file, a garbled drop) raise
-    :class:`~repro.errors.CorruptDatabaseError` like any other damaged
-    database.  A missing or unreadable file still raises ``OSError``.
-    """
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptDatabaseError(
-            f"database file {path} is not UTF-8 text: {exc}",
-            path=str(path), reason=f"not UTF-8: {exc.reason}") from exc
-
-
-def verify_sidecar(path: Path, text: str) -> None:
-    """Check ``text`` against the ``.sha256`` sidecar beside ``path``.
+def verify_sidecar(path: Path, data: bytes) -> None:
+    """Check ``data`` against the ``.sha256`` sidecar beside ``path``.
 
     No sidecar means nothing to check.  A sidecar that does not match
     (garbled bytes included) raises
@@ -386,7 +398,7 @@ def verify_sidecar(path: Path, text: str) -> None:
     if not sidecar.exists():
         return
     expected = sidecar.read_text(encoding="utf-8", errors="replace").split()
-    if not expected or sha256_text(text) != expected[0]:
+    if not expected or hashlib.sha256(data).hexdigest() != expected[0]:
         raise CorruptDatabaseError(
             f"database file {path} does not match its .sha256 sidecar",
             path=str(path), reason="checksum mismatch")

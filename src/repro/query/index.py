@@ -154,10 +154,15 @@ class DatabaseIndex:
             per_month[month] = per_month.get(month, 0.0) + miles
             months.add(month)
 
+        # Every manufacturer keys at least one of the three groupings,
+        # so their union is ``db.manufacturers()`` without another pass.
+        manufacturers = tuple(sorted(
+            by_manufacturer.keys() | accidents_by_manufacturer.keys()
+            | mileage_by_manufacturer.keys()))
         return cls(
             fingerprint=(fingerprint if fingerprint is not None
                          else db.fingerprint()),
-            manufacturers=tuple(db.manufacturers()),
+            manufacturers=manufacturers,
             months=tuple(sorted(months)),
             database=db,
             _disengagements_by_manufacturer=_frozen(by_manufacturer),
@@ -180,7 +185,7 @@ class DatabaseIndex:
                 "disengagements": len(db.disengagements),
                 "accidents": len(db.accidents),
                 "mileage_cells": len(db.mileage),
-                "manufacturers": len(db.manufacturers()),
+                "manufacturers": len(manufacturers),
             }),
         )
 

@@ -44,11 +44,7 @@ from ..obs.metrics import (
     SNAPSHOT_SWAPS,
 )
 from ..pipeline.chaos import ServingChaos
-from ..pipeline.store import (
-    FailureDatabase,
-    read_database_text,
-    verify_sidecar,
-)
+from ..pipeline.store import FailureDatabase, verify_sidecar
 from .engine import QueryEngine
 
 
@@ -257,11 +253,11 @@ class SnapshotManager:
     def _read_candidate(self, path: Path) -> FailureDatabase:
         """Read + verify one candidate file (chaos garbles pre-decode,
         exactly where a torn write would)."""
-        text = read_database_text(path)
+        data = path.read_bytes()
         if self._chaos is not None:
-            text = self._chaos.corrupt_text(text)
-        verify_sidecar(path, text)
-        return FailureDatabase.from_json(text, source=path)
+            data = self._chaos.corrupt_text(data)
+        verify_sidecar(path, data)
+        return FailureDatabase.from_json(data, source=path)
 
     def _publish(self, engine: QueryEngine, fingerprint: str,
                  source: str | None) -> None:

@@ -7,6 +7,7 @@ inputs.  None of them is used outside ``tests/``.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter, defaultdict
 from typing import Any
@@ -14,6 +15,8 @@ from typing import Any
 from repro.nlp.dictionary import DictionaryEntry, FailureDictionary, _top_two
 from repro.nlp.ngrams import all_ngrams
 from repro.nlp.textcache import cached_tokens
+from repro.pipeline.checkpoint import canonical_bytes
+from repro.pipeline.store import FailureDatabase
 from repro.taxonomy import FaultTag
 
 
@@ -100,3 +103,42 @@ def plain_reference(value: Any) -> Any:
     if callable(item) and getattr(value, "shape", None) == ():
         return value.item()
     return value
+
+
+def database_payload(db: FailureDatabase) -> dict[str, Any]:
+    """The database as one dict of ``to_dict()`` records.
+
+    Its canonical JSON is what ``FailureDatabase.to_json`` returns,
+    ``save`` writes and ``fingerprint`` hashes.
+    """
+    payload = {
+        "disengagements": [r.to_dict() for r in db.disengagements],
+        "accidents": [r.to_dict() for r in db.accidents],
+        "mileage": [m.to_dict() for m in db.mileage],
+    }
+    if db.quarantine:
+        payload["quarantine"] = [e.to_dict() for e in db.quarantine]
+    return payload
+
+
+def record_loop_fingerprint(db: FailureDatabase) -> str:
+    """``FailureDatabase.fingerprint`` as one hash update per record.
+
+    Each record goes ``to_dict`` -> ``canonical_bytes`` -> ``update``,
+    between the same section openers the chunked encoder writes.
+    """
+    sections = [(b'{"accidents":[', db.accidents),
+                (b'],"disengagements":[', db.disengagements),
+                (b'],"mileage":[', db.mileage)]
+    if db.quarantine:
+        sections.append((b'],"quarantine":[', db.quarantine))
+    digest = hashlib.sha256()
+    for opener, records in sections:
+        digest.update(opener)
+        separator = b""
+        for record in records:
+            digest.update(separator)
+            digest.update(canonical_bytes(record.to_dict()))
+            separator = b","
+    digest.update(b"]}")
+    return digest.hexdigest()

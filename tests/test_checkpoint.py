@@ -7,6 +7,7 @@ contract of the store, kill-point injection, the acceptance scenario
 stale-checkpoint invalidation, and checksum-corruption recovery.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -37,9 +38,11 @@ from repro.pipeline.checkpoint import (
     sha256_text,
 )
 from repro.pipeline.resilience import Quarantine, QuarantineEntry
-from repro.pipeline.runner import _record_id
+from repro.pipeline.runner import record_id
 from repro.reporting.summary import render_run_health
 from repro.synth import generate_corpus
+
+from .oracles import database_payload
 
 SEED = 7
 SUBSET = ["Nissan"]
@@ -84,6 +87,26 @@ class TestAtomicWrite:
         with pytest.raises(SimulatedCrash):
             atomic_write_text(target, "new", crash_hook=die)
         assert target.read_text() == "old"
+
+    def test_publishes_byte_chunks_in_order(self, tmp_path):
+        target = tmp_path / "x.json"
+        atomic_write_text(target, iter([b"[1", b",2", b"]"]))
+        assert target.read_bytes() == b"[1,2]"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_producer_leaves_old_content_and_no_debris(
+            self, tmp_path):
+        target = tmp_path / "x.json"
+        target.write_text("old")
+
+        def chunks():
+            yield b"half a fi"
+            raise TypeError("record is not JSON serializable")
+
+        with pytest.raises(TypeError):
+            atomic_write_text(target, chunks())
+        assert target.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestJournal:
@@ -248,6 +271,38 @@ class TestDatabasePersistence:
             _sample_database(True).save(path, crash=crash)
         assert path.read_text() == before
         assert FailureDatabase.load(path).to_json() == before
+
+    def test_stdlib_layout_file_loads(self, tmp_path):
+        # Files saved before the encoder became canonical hold
+        # ``json.dumps`` text: spaces, ``\uXXXX`` escapes, field order.
+        db = _sample_database(True)
+        db.disengagements[0].description = "Fußgänger — 行人"
+        db.touch()
+        text = json.dumps(database_payload(db))
+        path = tmp_path / "db.json"
+        path.write_text(text, encoding="utf-8")
+        (tmp_path / "db.json.sha256").write_text(
+            f"{sha256_text(text)}  db.json\n", encoding="utf-8")
+        loaded = FailureDatabase.load(path)
+        assert loaded == db
+        assert loaded.fingerprint() == db.fingerprint()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["NaN", "Infinity"])
+    def test_non_json_number_tokens_raise_typed_error(self, tmp_path,
+                                                      value):
+        db = _sample_database(False)
+        db.disengagements[0].reaction_time_s = value
+        text = json.dumps(database_payload(db))  # writes NaN/Infinity
+        path = tmp_path / "db.json"
+        path.write_text(text, encoding="utf-8")
+        (tmp_path / "db.json.sha256").write_text(
+            f"{hashlib.sha256(text.encode()).hexdigest()}  db.json\n",
+            encoding="utf-8")
+        with pytest.raises(CorruptDatabaseError) as info:
+            FailureDatabase.load(path)
+        assert "invalid JSON" in info.value.reason
+        assert info.value.path == str(path)
 
     def test_load_without_sidecar_still_works(self, tmp_path):
         db = _sample_database(False)
@@ -458,7 +513,7 @@ class TestRecordId:
         record = DisengagementRecord(
             manufacturer="Nissan", month="2016-01",
             source_document="doc-3", source_line=12)
-        assert _record_id(record) == "doc-3:12"
+        assert record_id(record) == "doc-3:12"
 
     def test_fallback_id_is_content_based_not_positional(self):
         records = [
@@ -466,10 +521,10 @@ class TestRecordId:
                                 month="2016-01", description=text)
             for text in ("lidar dropout", "planner hesitated")
         ]
-        before = [_record_id(r) for r in records]
+        before = [record_id(r) for r in records]
         # An earlier record being filtered/quarantined away must not
         # re-key the survivors.
-        assert _record_id(records[1]) == before[1]
+        assert record_id(records[1]) == before[1]
         assert before[0] != before[1]
         assert all(rid.startswith("record:") for rid in before)
 

@@ -9,6 +9,8 @@ EXPERIMENTS.md with ``scripts/generate_experiments_md.py``
 (``tests/test_fidelity.py`` fails until the committed file matches).
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis import manufacturer_dpm_summary
@@ -16,6 +18,8 @@ from repro.analysis.alertness import overall_mean_reaction_time
 from repro.analysis.apm import disengagements_per_accident_overall
 from repro.analysis.categories import overall_category_shares
 from repro.analysis.maturity import pooled_dpm_correlation
+
+from .oracles import record_loop_fingerprint
 
 ANALYSIS = ["Mercedes-Benz", "Volkswagen", "Waymo", "Delphi", "Nissan",
             "Bosch", "GMCruise", "Tesla"]
@@ -30,6 +34,17 @@ FINGERPRINT = (
 class TestGoldenPipeline:
     def test_fingerprint(self, db):
         assert db.fingerprint() == FINGERPRINT
+        assert record_loop_fingerprint(db) == FINGERPRINT
+
+    def test_saved_file_is_the_fingerprint(self, db, tmp_path):
+        # `sha256sum db.json` reads what /v1/healthz reports.
+        path = tmp_path / "db.json"
+        db.save(path)
+        data = path.read_bytes()
+        assert len(data) == 2_595_775
+        assert hashlib.sha256(data).hexdigest() == FINGERPRINT
+        assert (tmp_path / "db.json.sha256").read_text() == (
+            f"{FINGERPRINT}  db.json\n")
 
     def test_record_counts(self, db):
         # Exact values for seed 2018 (the OCR channel is seeded too).

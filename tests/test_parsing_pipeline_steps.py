@@ -13,7 +13,7 @@ from repro.parsing import (
     parse_report,
 )
 from repro.parsing.base import ParserRegistry, _levenshtein
-from repro.parsing.formats import NissanParser, WaymoParser
+from repro.parsing.formats import BenzParser, NissanParser, WaymoParser
 from repro.parsing.normalize import (
     NormalizationStats,
     normalize_accident,
@@ -74,6 +74,34 @@ class TestNormalization:
             [], [MonthlyMileage("Nissan", "2015-03", -5.0, "x")])
         assert mileage == []
         assert stats.mileage_dropped == 1
+
+    def test_non_finite_benz_values_rejected(self):
+        # "1e999" parses to infinity, which JSON cannot carry and the
+        # fingerprint would hash as null.
+        parser = BenzParser()
+        row = parser.parse_row(
+            "Date: 03/14/2015; Time: 14:02; Vehicle: S500-1; "
+            "Initiator: Driver; Cause: lidar dropout; Road: highway; "
+            "Weather: Sunny/Dry; Reaction: 1e999 s")
+        cell = parser.parse_mileage(
+            "Month: 2015-03; Vehicle: S500-1; Autonomous km: 1e999")
+        records, mileage, stats = normalize_records([row], [cell])
+        assert len(records) == 1
+        assert records[0].reaction_time_s is None
+        assert stats.suspect_reaction_times == 0
+        assert mileage == []
+        assert stats.mileage_dropped == 1
+        assert stats.reasons == {"non-finite reaction time": 1,
+                                 "non-finite miles": 1}
+
+    @pytest.mark.parametrize("speed", [float("inf"), float("-inf"),
+                                       float("nan"), -3.0])
+    def test_unusable_accident_speed_cleared(self, speed):
+        accident = normalize_accident(AccidentRecord(
+            manufacturer="Waymo", av_speed_mph=speed,
+            other_speed_mph=12.0, description="rear-end"))
+        assert accident.av_speed_mph is None
+        assert accident.other_speed_mph == 12.0
 
     def test_accident_month_derived_from_date(self):
         accident = AccidentRecord(

@@ -1,7 +1,10 @@
 """Tests for pipeline configuration, the failure database store, and
 the end-to-end runner."""
 
+import hashlib
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +23,11 @@ from repro.pipeline import (
     process_corpus,
     run_pipeline,
 )
-from repro.pipeline.checkpoint import (
-    canonical_bytes,
-    canonical_json,
-    sha256_text,
-)
+from repro.pipeline.checkpoint import canonical_json, sha256_text
 from repro.synth import generate_corpus
 from repro.taxonomy import FaultTag, Modality
+
+from .oracles import database_payload, record_loop_fingerprint
 
 
 class TestConfig:
@@ -170,16 +171,26 @@ def _fresh_database() -> FailureDatabase:
 
 def _payload_fingerprint(db: FailureDatabase) -> str:
     """The fingerprint's definition: sha256 of the canonical payload."""
-    return sha256_text(canonical_json(db._payload()))
+    return sha256_text(canonical_json(database_payload(db)))
 
 
 class TestFingerprintMemo:
-    def test_cached_between_calls(self):
+    def test_cached_between_calls(self, monkeypatch):
         db = _fresh_database()
         first = db.fingerprint()
-        db.disengagements[0].to_dict = lambda: pytest.fail(
-            "memoized fingerprint re-encoded a record")
+        monkeypatch.setattr(
+            "repro.pipeline.store.canonical_bytes",
+            lambda obj: pytest.fail(
+                "memoized fingerprint re-encoded a record"))
         assert db.fingerprint() == first
+
+    def test_save_seeds_the_memo(self, monkeypatch, tmp_path):
+        db = _fresh_database()
+        db.save(tmp_path / "db.json")
+        monkeypatch.setattr(
+            "repro.pipeline.store.canonical_bytes",
+            lambda obj: pytest.fail("fingerprint re-encoded after save"))
+        assert db.fingerprint() == _payload_fingerprint(db)
 
     def test_append_invalidates(self):
         db = _fresh_database()
@@ -263,6 +274,7 @@ class TestStreamedFingerprint:
             seed=5, ocr_enabled=False, dictionary_mode="seed")).database
         assert db.disengagements and db.mileage
         assert db.fingerprint() == _payload_fingerprint(db)
+        assert db.fingerprint() == record_loop_fingerprint(db)
 
     def test_quarantine_entries(self):
         db = _fresh_database()
@@ -283,14 +295,27 @@ class TestStreamedFingerprint:
     @given(db=_databases)
     @settings(max_examples=200, deadline=None)
     def test_any_database(self, db):
-        assert db.fingerprint() == _payload_fingerprint(db)
+        expected = _payload_fingerprint(db)
+        assert db.fingerprint() == expected
+        assert db.to_json() == canonical_json(database_payload(db))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "db.json"
+            db.save(path)
+            # The saved file is the canonical encoding: its sha256 is
+            # the fingerprint, and so is the sidecar's digest.
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+            sidecar = path.with_name("db.json.sha256").read_text()
+            assert sidecar == f"{expected}  db.json\n"
+            loaded = FailureDatabase.load(path)
+        assert loaded == db
+        assert loaded.fingerprint() == expected
 
     def test_tiny_float_pin(self):
         # orjson prints 2.5e-05 as 0.000025, where the stdlib encoder
         # wrote 2.5e-05 and so gave this database a second fingerprint.
         db = FailureDatabase(mileage=[
             MonthlyMileage("Waymo", "2016-03", 2.5e-05, "AV-017")])
-        assert b'"miles":0.000025' in canonical_bytes(db._payload())
+        assert '"miles":0.000025' in db.to_json()
         assert db.fingerprint() == (
             "3b90c99133942bb375531384e8aa740b"
             "c2d23364edf6b66ae42edf2e0791b860")
