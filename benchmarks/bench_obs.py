@@ -3,9 +3,9 @@
 The contract (docs/ARCHITECTURE.md, "Observability"): with tracing
 and metrics fully enabled a run must cost <5% over an uninstrumented
 one, and with observability disabled (the default) the instrumentation
-must be a true no-op — the null tracer and a ``None`` registry, not a
-cheap real one — so the disabled run is indistinguishable from the
-pre-observability pipeline.
+must be a true no-op — the null tracer, not a cheap real one, and no
+metrics rendered at the end of the run — so the disabled run is
+indistinguishable from the pre-observability pipeline.
 
 Run as a script (``python benchmarks/bench_obs.py``) to get a
 self-contained report that measures off vs. fully-on wall time,

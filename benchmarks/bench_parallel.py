@@ -22,8 +22,7 @@ Five budgets guard this perf work:
 5. **Chunked payload** — at 2 workers, the chunked ``BatchOutcome``
    wire encoding must cut pickled bytes per unit by >= 30% versus the
    per-unit ``UnitOutcome`` stream it replaced (the chunk ships one
-   merged health delta / metrics dump / wall time instead of one per
-   unit).
+   merged health delta / wall time instead of one per unit).
 
 Run as a script (``python benchmarks/bench_parallel.py``) for the
 self-contained report CI runs; ``--out`` additionally writes the
@@ -37,6 +36,8 @@ import argparse
 import json
 import os
 import pickle
+import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -178,6 +179,17 @@ def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
     return database
 
 
+def _git_sha() -> str:
+    """The checkout's commit, or ``unknown`` outside a git checkout."""
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, timeout=10, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return completed.stdout.strip()
+
+
 def _timed(func):
     start = time.perf_counter()
     result = func()
@@ -225,7 +237,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cores = os.cpu_count() or 1
     report: dict = {"seed": SEED, "manufacturers": SUBSET,
-                    "cpu_count": cores}
+                    "cpu_count": cores,
+                    "python": platform.python_version(),
+                    "git_sha": _git_sha()}
     failures: list[str] = []
 
     print(f"synthesizing seed-{SEED} corpus "
@@ -384,10 +398,11 @@ def main(argv=None) -> int:
 
     # -- worker payload size: slots/tuple pickle vs dict baseline -----
     # One Stage III outcome crosses the pool pipe per tagged record.
-    # Compare the shipped encoding (__slots__ dataclass with a 7-tuple
+    # Compare the shipped encoding (__slots__ dataclass with a tuple
     # __getstate__, (stages, events) health pair) against what the
     # same outcomes cost as plain keyed dicts — the pre-compaction
-    # wire shape.
+    # wire shape, whose ``metrics`` slot stays as the ``None`` it
+    # measured.
     outcomes = [
         UnitOutcome(
             body={"tag": r.tag.value, "category": r.category.value},
@@ -400,7 +415,7 @@ def main(argv=None) -> int:
                                for k, v in o.health[0].items()},
                     "events": list(o.health[1])},
          "error": o.error, "ocr": o.ocr, "elapsed": o.elapsed,
-         "injected": o.injected, "metrics": o.metrics}
+         "injected": o.injected, "metrics": None}
         for o in outcomes]
     compact_bytes = sum(len(pickle.dumps(o)) for o in outcomes)
     legacy_bytes = sum(len(pickle.dumps(o)) for o in legacy)

@@ -195,6 +195,12 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
                             kind=args.chaos_kind)
     crash = (CrashPoint(at=args.crash_at)
              if args.crash_at is not None else None)
+    # --no-checkpoint wins over --checkpoint-dir and --resume; --trace
+    # alone traces into the working directory.
+    checkpoint_dir = None if args.no_checkpoint else args.checkpoint_dir
+    trace_dir = args.trace_dir
+    if trace_dir is None and args.trace:
+        trace_dir = "."
     return PipelineConfig(
         seed=args.seed,
         manufacturers=args.manufacturers,
@@ -206,14 +212,12 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
         max_error_rate=args.max_error_rate,
         max_retries=args.max_retries,
         chaos=chaos,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        checkpoint_enabled=not args.no_checkpoint,
+        checkpoint_dir=checkpoint_dir,
+        resume=args.resume and not args.no_checkpoint,
         crash=crash,
         workers=args.workers,
         batch_size=_parse_batch_size(args.batch_size),
-        trace_enabled=args.trace,
-        trace_dir=args.trace_dir,
+        trace_dir=trace_dir,
         metrics_enabled=args.metrics,
     )
 
@@ -841,10 +845,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--processes", type=int, default=0,
                        metavar="N",
                        help="pre-fork N worker processes sharing the "
-                            "port (SO_REUSEPORT where available) with "
-                            "crash-respawn and graceful drain; 0 = "
-                            "single-process threaded server "
-                            "(default: %(default)s)")
+                            "port through SO_REUSEPORT (exits 2 where "
+                            "the platform lacks it) with crash-respawn "
+                            "and graceful drain; 0 = single-process "
+                            "threaded server (default: %(default)s)")
     serve.set_defaults(handler=_cmd_serve)
 
     trace = commands.add_parser(

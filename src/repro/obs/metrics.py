@@ -4,16 +4,17 @@ A zero-dependency, Prometheus-compatible metrics substrate for the
 pipeline and the query server.  Design constraints, in order:
 
 * **No-op cheap when unused.**  Nothing in this module is touched by a
-  run with metrics disabled: call sites hold ``None`` instead of a
-  registry and skip instrumentation with one ``is not None`` branch.
+  run with metrics disabled: a pipeline run renders its metrics once,
+  when it ends, from its diagnostics
+  (:func:`repro.pipeline.stages.render_metrics`), and only when asked.
 * **Exact under concurrency.**  Every mutation happens under the
   owning metric's lock, so eight threads incrementing one counter
   produce the exact sum (verified in ``tests/test_obs.py``).
-* **Mergeable.**  A worker process collects deltas in its own private
-  registry and ships :meth:`MetricsRegistry.dump` home inside the
-  unit outcome; the coordinator folds it in with
-  :meth:`MetricsRegistry.merge` — exactly the shape of the resilience
-  layer's health deltas.
+* **Mergeable.**  :meth:`MetricsRegistry.dump` is a picklable snapshot
+  that :meth:`MetricsRegistry.merge` folds in additively: a pre-fork
+  serving worker's ``/metrics`` scrape merges every sibling's dump,
+  and a finished pipeline run folds its rendered registry into the
+  process-global one.
 * **Stable names.**  Exposition names are module constants; tests pin
   them so dashboards never silently break.
 
@@ -383,10 +384,11 @@ class MetricsRegistry:
         return "\n".join(out) + ("\n" if out else "")
 
 
-#: Process-global default registry.  The pipeline writes here when a
-#: run has ``metrics_enabled``; the query server records its request
-#: metrics here (and samples cache/index gauges at scrape time), so
-#: one ``/metrics`` scrape shows pipeline + server + cache series.
+#: Process-global default registry.  A finished pipeline run with
+#: ``metrics_enabled`` is folded in here; the query server records its
+#: request metrics here (and samples cache/index gauges at scrape
+#: time), so one ``/metrics`` scrape shows pipeline + server + cache
+#: series.
 _DEFAULT = MetricsRegistry()
 
 

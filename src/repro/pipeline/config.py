@@ -57,9 +57,6 @@ class PipelineConfig:
     #: Resume from ``checkpoint_dir``: restore completed units and
     #: stage artifacts instead of recomputing them.
     resume: bool = False
-    #: Master switch: ``False`` ignores ``checkpoint_dir`` without
-    #: having to clear it (the CLI's ``--no-checkpoint``).
-    checkpoint_enabled: bool = True
     #: Optional kill-point injection: die hard at a named pipeline
     #: boundary (crash-recovery testing only).
     crash: CrashPoint | None = None
@@ -75,16 +72,14 @@ class PipelineConfig:
     #: from the checkpoint config fingerprint — a run journaled
     #: unbatched resumes under batching and vice versa.
     batch_size: int | None = None
-    #: Record hierarchical spans (run → stage → unit) for this run.
-    #: Off by default; tracing never alters pipeline output bytes.
-    trace_enabled: bool = False
-    #: Where the JSONL trace is published (``trace.jsonl`` inside).
-    #: Setting a directory implies tracing, mirroring
-    #: ``checkpoint_dir``; ``trace_enabled`` alone writes under the
-    #: working directory.
+    #: Record hierarchical spans (run → stage → unit) into
+    #: ``trace.jsonl`` inside this directory (None disables tracing,
+    #: mirroring ``checkpoint_dir``).  Tracing never alters pipeline
+    #: output bytes.
     trace_dir: str | Path | None = None
-    #: Collect run metrics (stage durations, unit/retry/quarantine
-    #: counters, cache hit rates) into the process-global
+    #: Render the finished run's metrics (stage durations,
+    #: unit/retry/quarantine counters, cache hit rates) from its
+    #: diagnostics and fold them into the process-global
     #: :func:`repro.obs.default_registry`.  Off by default.
     metrics_enabled: bool = False
 
@@ -120,25 +115,25 @@ class PipelineConfig:
     @property
     def checkpointing_active(self) -> bool:
         """Whether this run journals (and may restore) checkpoints."""
-        return self.checkpoint_dir is not None and self.checkpoint_enabled
+        return self.checkpoint_dir is not None
 
     @property
     def tracing_active(self) -> bool:
-        """Whether this run records spans (flag or directory set).
+        """Whether this run records spans (a trace directory is set).
 
         Like ``workers``, the observability knobs are excluded from
         the checkpoint config fingerprint: they observe the run, they
         never shape a unit's output, so a traced run may resume an
         untraced checkpoint (and vice versa).
         """
-        return self.trace_enabled or self.trace_dir is not None
+        return self.trace_dir is not None
 
     @property
     def trace_path(self) -> Path | None:
         """The JSONL trace file this run writes (None when inactive)."""
         if not self.tracing_active:
             return None
-        return Path(self.trace_dir or ".") / "trace.jsonl"
+        return Path(self.trace_dir) / "trace.jsonl"
 
     def resolved_parallelism(self) -> tuple[int, str]:
         """``(worker count, executor mode)`` for this run.

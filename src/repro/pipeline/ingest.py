@@ -189,9 +189,8 @@ def ingest_corpus(corpus: SyntheticCorpus,
     """
     if not config.checkpointing_active:
         raise ValueError(
-            "ingest requires a checkpoint_dir (and checkpointing "
-            "enabled): the checkpoint journals are what make "
-            "incremental processing possible")
+            "ingest requires a checkpoint_dir: the checkpoint "
+            "journals are what make incremental processing possible")
     started = time.perf_counter()
     report = IngestReport(total_documents=len(corpus.documents))
     directory = Path(config.checkpoint_dir)
@@ -212,8 +211,7 @@ def ingest_corpus(corpus: SyntheticCorpus,
     # (manifest mismatch) and this is an ordinary from-scratch run.
     result = process_corpus(corpus, replace(config, resume=True))
 
-    _write_state(directory, fingerprint, digests,
-                 durable=_durable(config))
+    _write_state(directory, fingerprint, digests)
     report.elapsed_s = time.perf_counter() - started
     return IngestResult(result=result, report=report)
 
@@ -263,8 +261,7 @@ def _surgery(directory: Path, config: PipelineConfig,
     current_ids = set(digests)
     for name in ("documents", "accidents"):
         removed = _rewrite_journal(
-            directory / f"{name}.jsonl", stale, current_ids,
-            durable=_durable(config))
+            directory / f"{name}.jsonl", stale, current_ids)
         report.removed_documents += removed
 
     # Corpus-wide artifacts are functions of the *whole* corpus —
@@ -278,8 +275,7 @@ def _surgery(directory: Path, config: PipelineConfig,
         # depends only on the record's description — reusable, except
         # for records of stale documents (unit ids are
         # ``<document_id>:<line>`` for provenance-carrying records).
-        _rewrite_tags(tags_path, stale, current_ids,
-                      durable=_durable(config))
+        _rewrite_tags(tags_path, stale, current_ids)
         report.tags_reused = True
     else:
         tags_path.unlink(missing_ok=True)
@@ -290,8 +286,7 @@ def _surgery(directory: Path, config: PipelineConfig,
 
 
 def _rewrite_journal(path: Path, stale: set[str],
-                     current_ids: set[str], *,
-                     durable: bool) -> int:
+                     current_ids: set[str]) -> int:
     """Keep only live entries of ``path``; returns removed-doc count.
 
     Entries for stale documents are dropped (recomputed by the resume
@@ -308,13 +303,12 @@ def _rewrite_journal(path: Path, stale: set[str],
     kept = [journal_line(unit, body)
             for unit, body in entries.items()
             if unit in current_ids and unit not in stale]
-    atomic_write_text(path, "".join(line + "\n" for line in kept),
-                      durable=durable)
+    atomic_write_text(path, "".join(line + "\n" for line in kept))
     return removed
 
 
 def _rewrite_tags(path: Path, stale: set[str],
-                  current_ids: set[str], *, durable: bool) -> None:
+                  current_ids: set[str]) -> None:
     """Drop tag entries belonging to stale or removed documents.
 
     A tag unit id is ``<document_id>:<line>`` when the record carries
@@ -337,8 +331,7 @@ def _rewrite_tags(path: Path, stale: set[str],
             for unit, body in entries.items() if live(unit)]
     if len(kept) == len(entries):
         return
-    atomic_write_text(path, "".join(line + "\n" for line in kept),
-                      durable=durable)
+    atomic_write_text(path, "".join(line + "\n" for line in kept))
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +372,7 @@ def _read_state(directory: Path,
 
 
 def _write_state(directory: Path, fingerprint: str,
-                 digests: dict[str, str], *, durable: bool) -> None:
+                 digests: dict[str, str]) -> None:
     """Atomically publish the digest map — only after a successful
     run, so a crashed ingest re-detects (and redoes) its delta."""
     atomic_write_text(
@@ -388,11 +381,4 @@ def _write_state(directory: Path, fingerprint: str,
             "format": INGEST_FORMAT,
             "fingerprint": fingerprint,
             "digests": digests,
-        }),
-        durable=durable)
-
-
-def _durable(config: PipelineConfig) -> bool:
-    # Journals rewritten by surgery follow the same durability the
-    # store itself uses (always durable today; kept as one knob).
-    return True
+        }))

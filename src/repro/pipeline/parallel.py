@@ -9,8 +9,9 @@ process — it runs.  Every run therefore computes its units one way:
 * The chunk functions (:func:`_stage2_batch`, :func:`_stage3_batch`)
   compute each unit in isolation and return its **result** — the
   parsed records, parse error or quarantine entry of a document, the
-  tag of a record — plus sidecar deltas (OCR stats, resilience
-  health, wall time) that never touch the journal.
+  tag of a record — plus diagnostics deltas (OCR stats, resilience
+  health, token-cache counts, wall time) that never touch the
+  journal.
 * The **coordinator** merges outcomes strictly in original corpus
   order: records enter the database, quarantine entries are adopted,
   health counters accumulate, and checkpoint journal bodies are
@@ -53,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner
     from .config import PipelineConfig  # imports this module)
+    from .stages import OcrStageStats
     from ..nlp.tagger import VotingTagger
 
 #: Stages whose units run through the executor; their summed wall
@@ -95,13 +97,27 @@ def resolve_batch_size(batch_size: int | None, n_units: int,
 # ----------------------------------------------------------------------
 
 @dataclass
+class StageDispatch:
+    """What one fanned stage of a pooled run shipped through the pool."""
+
+    #: Dispatch chunks folded by the coordinator.
+    tasks: int = 0
+    #: Units those chunks accounted for.
+    units: int = 0
+    #: Pickled chunk-outcome bytes, an estimate of pipe traffic
+    #: (measured only when the run collects metrics).
+    payload_bytes: int = 0
+
+
+@dataclass
 class ParallelStats:
     """What the parallel layer observed about one run.
 
     Lives on :class:`~repro.pipeline.stages.PipelineDiagnostics`;
-    stage wall times are recorded for serial runs too (the run's one
-    stage timer, :meth:`repro.obs.Observability.stage`, fills them),
-    the worker fields only when a pool was actually used.
+    stage wall times and unit counts are recorded for serial runs too
+    (the run's one stage timer, :meth:`repro.obs.Observability.stage`,
+    fills the former), the worker fields only when a pool was
+    actually used.
     """
 
     #: Configured worker count (0 = serial).
@@ -110,17 +126,18 @@ class ParallelStats:
     mode: str = "serial"
     #: Stage name -> coordinator wall-clock seconds.
     stage_wall_s: dict[str, float] = field(default_factory=dict)
-    #: Units of work computed by the pool (not restored, not serial).
-    parallel_units: int = 0
-    #: Summed worker-side compute seconds across those units — the
+    #: Fanned stage -> units it merged, restored or computed.
+    stage_units: dict[str, int] = field(default_factory=dict)
+    #: Fanned stage -> its pool traffic.  Pooled runs only; there every
+    #: fanned stage has an entry, zero when it shipped no chunk.
+    dispatch: dict[str, StageDispatch] = field(default_factory=dict)
+    #: Summed worker-side compute seconds across the pool's units — the
     #: serial-time estimate for the fanned-out portion of the run.
     unit_compute_s: float = 0.0
     #: Coordinator wall-clock seconds spent in the
     #: :data:`FANNED_STAGES` (derived from ``stage_wall_s`` at the end
     #: of a pooled run).
     parallel_wall_s: float = 0.0
-    #: Dispatch chunks shipped to the pool (0 for serial runs).
-    batch_tasks: int = 0
     #: Stage name -> resolved units-per-chunk batch size.
     batch_size: dict[str, int] = field(default_factory=dict)
 
@@ -128,6 +145,16 @@ class ParallelStats:
     def enabled(self) -> bool:
         """Whether this run actually fanned work out."""
         return self.mode != "serial"
+
+    @property
+    def parallel_units(self) -> int:
+        """Units of work computed by the pool (not restored, not serial)."""
+        return sum(d.units for d in self.dispatch.values())
+
+    @property
+    def batch_tasks(self) -> int:
+        """Dispatch chunks shipped to the pool (0 for serial runs)."""
+        return sum(d.tasks for d in self.dispatch.values())
 
     @property
     def speedup_estimate(self) -> float | None:
@@ -173,9 +200,9 @@ class UnitOutcome:
     :class:`BatchOutcome` and the coordinator unpacks them into these
     per-unit views (``health`` is ``None`` when the chunk shipped one
     merged delta; chunk-level sidecars ride the chunk, so unpacked
-    units carry ``elapsed=0``/``injected=0``/``metrics=None``).  The
-    compact pickle state is kept: it is the per-unit wire baseline the
-    payload benchmark measures chunking against.
+    units carry ``elapsed=0``/``injected=0``).  The compact pickle
+    state is kept: it is the per-unit wire baseline the payload
+    benchmark measures chunking against.
     """
 
     body: Any
@@ -186,23 +213,21 @@ class UnitOutcome:
     #: ``fail_fast`` verdict to re-raise at merge time (the serialized
     #: :class:`~repro.errors.PipelineError` message).
     error: str | None = None
-    #: OCR stage deltas (``None`` when the unit never entered OCR).
-    ocr: dict[str, Any] | None = None
+    #: The document's own OCR stats (``None`` when the unit never
+    #: entered OCR).
+    ocr: OcrStageStats | None = None
     #: Worker-side wall seconds spent computing the unit.
     elapsed: float = 0.0
     #: Chaos faults injected while computing the unit.
     injected: int = 0
-    #: Per-unit :meth:`~repro.obs.MetricsRegistry.dump` delta
-    #: (``None`` unless the run has ``metrics_enabled``).
-    metrics: dict[str, Any] | None = None
 
     def __getstate__(self) -> tuple:
         return (self.body, self.health, self.error, self.ocr,
-                self.elapsed, self.injected, self.metrics)
+                self.elapsed, self.injected)
 
     def __setstate__(self, state: tuple) -> None:
         (self.body, self.health, self.error, self.ocr,
-         self.elapsed, self.injected, self.metrics) = state
+         self.elapsed, self.injected) = state
 
 
 @dataclass(slots=True)
@@ -211,10 +236,10 @@ class BatchOutcome:
 
     ``bodies`` holds the results of the chunk's completed units in
     task (corpus) order.  Everything the per-unit encoding shipped
-    once per unit — health delta, metrics dump, chaos count, wall
-    time — rides once per chunk here, which is where the
-    payload and per-task-overhead win comes from (measured in
-    ``benchmarks/bench_parallel.py``).  The coordinator unpacks a
+    once per unit — health delta, chaos count, wall time — rides once
+    per chunk here, which is where the payload and per-task-overhead
+    win comes from (measured in ``benchmarks/bench_parallel.py``).
+    The coordinator unpacks a
     chunk back into :class:`UnitOutcome` views strictly in corpus
     order, so every merge-side state transition — and therefore every
     output byte — is identical at every batch size and worker count.
@@ -239,17 +264,19 @@ class BatchOutcome:
     unit_health: list[tuple] | None = None
     #: ``fail_fast`` verdict raised by the unit after the last body.
     error: str | None = None
-    #: Per-unit OCR deltas aligned with ``bodies`` (entries ``None``
+    #: Per-unit OCR stats aligned with ``bodies`` (entries ``None``
     #: for units that never entered OCR; the whole field ``None`` when
     #: no unit did).
-    ocr: list[dict[str, Any] | None] | None = None
+    ocr: list[OcrStageStats | None] | None = None
     #: Worker-side wall seconds spent computing the whole chunk.
     elapsed: float = 0.0
     #: Chaos faults injected across the chunk.
     injected: int = 0
-    #: One merged :meth:`~repro.obs.MetricsRegistry.dump` delta for
-    #: the chunk (``None`` unless the run has ``metrics_enabled``).
-    metrics: dict[str, Any] | None = None
+    #: Token-memo hits and misses of a pool process's private cache
+    #: while it tagged the chunk (0 for in-process chunks, whose cache
+    #: the coordinator samples as a whole).
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     @property
     def units(self) -> int:
@@ -258,11 +285,13 @@ class BatchOutcome:
 
     def __getstate__(self) -> tuple:
         return (self.bodies, self.health, self.unit_health, self.error,
-                self.ocr, self.elapsed, self.injected, self.metrics)
+                self.ocr, self.elapsed, self.injected, self.cache_hits,
+                self.cache_misses)
 
     def __setstate__(self, state: tuple) -> None:
         (self.bodies, self.health, self.unit_health, self.error,
-         self.ocr, self.elapsed, self.injected, self.metrics) = state
+         self.ocr, self.elapsed, self.injected, self.cache_hits,
+         self.cache_misses) = state
 
 
 #: This pool process's worker state, built by the pool initializer
@@ -296,7 +325,7 @@ class _WorkerState:
         self.config = config
         self.tagger = tagger
         #: Pool processes own a private token cache, so only they ship
-        #: token-cache deltas home; in-process chunks share the
+        #: token-cache counts home; in-process chunks share the
         #: coordinator's cache, which the runner samples as a whole.
         self.private_cache = private_cache
         # ``threshold`` enforcement needs run-global counters, which
@@ -314,7 +343,7 @@ class _WorkerState:
                                    config.fallback_threshold)
                           if config.ocr_enabled else None)
 
-    def guard(self, quarantine, metrics=None):
+    def guard(self, quarantine):
         """A fresh per-chunk guard (so health deltas are per chunk)."""
         from .chaos import ChaosInjector
         from .resilience import StageGuard
@@ -322,16 +351,7 @@ class _WorkerState:
         chaos = (ChaosInjector(self.config.chaos, self.config.seed)
                  if self.config.chaos is not None else None)
         return StageGuard(policy=self.policy, seed=self.config.seed,
-                          quarantine=quarantine, chaos=chaos,
-                          metrics=metrics)
-
-    def unit_metrics(self):
-        """A fresh per-chunk registry (``None`` when metrics are off)."""
-        if not self.config.metrics_enabled:
-            return None
-        from ..obs.metrics import MetricsRegistry
-
-        return MetricsRegistry()
+                          quarantine=quarantine, chaos=chaos)
 
 
 def _health_delta(guard) -> tuple:
@@ -385,16 +405,16 @@ def _stage2_batch(tasks: list[tuple[str, Any]],
                   state: _WorkerState | None = None) -> BatchOutcome:
     """Compute one chunk of Stage II documents with shared context.
 
-    One guard / quarantine / metrics registry serves the whole chunk
-    — their per-task setup and shipping cost is exactly what chunking
-    amortizes — while the per-unit isolation that shapes output is
-    preserved: OCR stats are reset per document (one document's
-    running mean IS its confidence, which the coordinator's merge
-    replay depends on), and health counters are snapshotted per unit
-    so a quarantine anywhere in the chunk ships unit-aligned deltas
-    for the coordinator's threshold re-check.  A ``fail_fast``
-    verdict stops the chunk at the failing unit, exactly where a
-    per-unit loop would have stopped.
+    One guard and quarantine serve the whole chunk — their per-task
+    setup and shipping cost is exactly what chunking amortizes —
+    while the per-unit isolation that shapes output is preserved: each
+    document gets its own OCR stats, which ship home as they are (one
+    document's running mean IS its confidence, which the
+    coordinator's merge replay depends on), and health counters are
+    snapshotted per unit so a quarantine anywhere in the chunk ships
+    unit-aligned deltas for the coordinator's threshold re-check.  A
+    ``fail_fast`` verdict stops the chunk at the failing unit, exactly
+    where a per-unit loop would have stopped.
     """
     from ..errors import PipelineError
     from . import runner
@@ -405,10 +425,7 @@ def _stage2_batch(tasks: list[tuple[str, Any]],
         state = _POOL_STATE
     started = time.perf_counter()
     quarantine = Quarantine()
-    metrics = state.unit_metrics()
-    guard = state.guard(quarantine, metrics=metrics)
-    queue = (state.ocr_stage.queue if state.ocr_stage is not None
-             else None)
+    guard = state.guard(quarantine)
     bodies: list = []
     ocr_deltas: list = []
     any_ocr = False
@@ -419,10 +436,6 @@ def _stage2_batch(tasks: list[tuple[str, Any]],
     events_at = [0]
     for kind, document in tasks:
         ocr = OcrStageStats()
-        pages_before = (queue.pages_transcribed
-                        if queue is not None else 0)
-        lines_before = (queue.lines_transcribed
-                        if queue is not None else 0)
         quarantined_before = len(quarantine)
         try:
             if kind == "disengagement":
@@ -445,16 +458,7 @@ def _stage2_batch(tasks: list[tuple[str, Any]],
             any_quarantine = True
         if ocr.documents:
             any_ocr = True
-            ocr_deltas.append({
-                "pages": ocr.pages,
-                "lines": ocr.lines,
-                # One document: the running mean IS its confidence.
-                "confidence": ocr.mean_confidence,
-                "fallback_pages":
-                    queue.pages_transcribed - pages_before,
-                "fallback_lines":
-                    queue.lines_transcribed - lines_before,
-            })
+            ocr_deltas.append(ocr)
         else:
             ocr_deltas.append(None)
     if any_quarantine:
@@ -466,8 +470,7 @@ def _stage2_batch(tasks: list[tuple[str, Any]],
         bodies=bodies, health=health, unit_health=unit_health,
         error=error, ocr=ocr_deltas if any_ocr else None,
         elapsed=time.perf_counter() - started,
-        injected=guard.chaos.injected if guard.chaos is not None else 0,
-        metrics=metrics.dump() if metrics is not None else None)
+        injected=guard.chaos.injected if guard.chaos is not None else 0)
 
 
 def _stage3_batch(tasks: list[tuple[str, str]],
@@ -483,23 +486,20 @@ def _stage3_batch(tasks: list[tuple[str, str]],
     fire exactly as they would per unit.  The tag stage always has a
     fallback, so outside ``fail_fast`` a failure degrades rather than
     quarantines — one merged health delta is always sufficient here.
+    A pool process owns a private token cache, so its hits and misses
+    over the chunk ride home as two ints.
     """
     from ..errors import PipelineError
+    from ..nlp.textcache import token_cache
     from . import runner
     from .resilience import Quarantine
 
     if state is None:
         state = _POOL_STATE
     started = time.perf_counter()
-    metrics = state.unit_metrics()
-    guard = state.guard(Quarantine(), metrics=metrics)
-    cache_before = None
-    if metrics is not None and state.private_cache:
-        # A pool process owns a private token cache; its delta must
-        # ride home with the chunk.
-        from ..nlp.textcache import token_cache
-
-        cache_before = token_cache().stats()
+    guard = state.guard(Quarantine())
+    cache_before = (token_cache().stats() if state.private_cache
+                    else None)
     results = state.tagger.tag_batch([text for _, text in tasks])
     bodies: list = []
     error = None
@@ -513,22 +513,15 @@ def _stage3_batch(tasks: list[tuple[str, str]],
         except PipelineError as exc:
             error = str(exc)
             break
-    if cache_before is not None:
-        from ..nlp.textcache import token_cache
-        from ..obs.metrics import TOKEN_CACHE_HITS, TOKEN_CACHE_MISSES
-
-        after = token_cache().stats()
-        metrics.counter(
-            TOKEN_CACHE_HITS, "Token-memo hits").inc(
-            after["hits"] - cache_before["hits"])
-        metrics.counter(
-            TOKEN_CACHE_MISSES, "Token-memo misses").inc(
-            after["misses"] - cache_before["misses"])
-    return BatchOutcome(
+    outcome = BatchOutcome(
         bodies=bodies, health=_health_delta(guard), error=error,
         elapsed=time.perf_counter() - started,
-        injected=guard.chaos.injected if guard.chaos is not None else 0,
-        metrics=metrics.dump() if metrics is not None else None)
+        injected=guard.chaos.injected if guard.chaos is not None else 0)
+    if cache_before is not None:
+        after = token_cache().stats()
+        outcome.cache_hits = after["hits"] - cache_before["hits"]
+        outcome.cache_misses = after["misses"] - cache_before["misses"]
+    return outcome
 
 
 def iter_units(batches: Iterator[BatchOutcome],
@@ -538,8 +531,8 @@ def iter_units(batches: Iterator[BatchOutcome],
 
     ``on_batch`` fires once per chunk, before its units are yielded —
     the coordinator folds the chunk-level sidecars (merged health,
-    metrics, chaos count, batch accounting, journal-buffer flush)
-    there, exactly once, at the position in corpus order where the
+    chaos count, token-cache counts, batch accounting, journal-buffer
+    flush) there, exactly once, at the position in corpus order where the
     chunk's first unit is merged.  Unpacked views carry
     ``health=None`` when the chunk shipped one merged delta, and zero
     ``elapsed``/``injected`` (those ride the chunk).
@@ -568,18 +561,18 @@ def iter_units(batches: Iterator[BatchOutcome],
 def worker_config(config: "PipelineConfig") -> "PipelineConfig":
     """The slice of the run config a worker needs.
 
-    Crash points, checkpointing, tracing, and nested parallelism are
-    coordinator concerns; stripping them keeps the worker payload
-    small and makes it impossible for a worker to journal, crash the
-    run, write a trace file, or spawn its own pool.
-    (``metrics_enabled`` survives: workers collect per-chunk metric
-    deltas the coordinator merges.)  ``batch_size`` is stripped too:
-    chunking is decided coordinator-side, so the worker payload is
-    identical at every batch size.
+    Crash points, checkpointing, tracing, metrics and nested
+    parallelism are coordinator concerns; stripping them keeps the
+    worker payload small and makes it impossible for a worker to
+    journal, crash the run, write a trace file, or spawn its own pool.
+    (The coordinator renders a run's metrics from its diagnostics, so
+    a chunk ships diagnostics deltas only.)  ``batch_size`` is
+    stripped too: chunking is decided coordinator-side, so the worker
+    payload is identical at every batch size.
     """
     return replace(config, crash=None, checkpoint_dir=None,
                    resume=False, workers=0, batch_size=None,
-                   trace_enabled=False, trace_dir=None)
+                   trace_dir=None, metrics_enabled=False)
 
 
 class ParallelExecutor:

@@ -346,8 +346,7 @@ class StageGuard:
                  seed: int = 0,
                  health: RunHealth | None = None,
                  quarantine: Quarantine | None = None,
-                 chaos: "Any | None" = None,
-                 metrics: "Any | None" = None) -> None:
+                 chaos: "Any | None" = None) -> None:
         self.policy = policy or FailurePolicy()
         self.seed = seed
         self.health = health if health is not None else RunHealth()
@@ -355,32 +354,6 @@ class StageGuard:
                            else Quarantine())
         #: Optional :class:`repro.pipeline.chaos.ChaosInjector`.
         self.chaos = chaos
-        #: Optional :class:`repro.obs.MetricsRegistry`.  ``None`` (the
-        #: default) keeps the failure paths metric-free; counters are
-        #: pre-registered here so the failure handlers only pay a
-        #: label lookup, and only when something actually fails.
-        self.metrics = metrics
-        self._retries_c = self._errors_c = None
-        self._degradations_c = self._quarantined_c = None
-        if metrics is not None:
-            from ..obs.metrics import (
-                DEGRADATIONS_TOTAL,
-                QUARANTINED_TOTAL,
-                RETRIES_TOTAL,
-                STAGE_ERRORS_TOTAL,
-            )
-
-            self._retries_c = metrics.counter(
-                RETRIES_TOTAL, "Transient faults retried", ("stage",))
-            self._errors_c = metrics.counter(
-                STAGE_ERRORS_TOTAL,
-                "Unexpected per-unit stage failures", ("stage",))
-            self._degradations_c = metrics.counter(
-                DEGRADATIONS_TOTAL,
-                "Degraded-mode fallbacks taken", ("stage",))
-            self._quarantined_c = metrics.counter(
-                QUARANTINED_TOTAL,
-                "Units dead-lettered to quarantine", ("stage",))
 
     def run(self, stage: str, unit_id: str, func: Callable[[], T], *,
             fallback: Callable[[], T] | None = None,
@@ -408,8 +381,7 @@ class StageGuard:
                 seed=self.seed,
                 stream=f"{stage}:{unit_id}",
                 base_delay=self.policy.retry_base_delay,
-                on_retry=lambda attempt, exc: self._count_retry(
-                    stats, stage))
+                on_retry=lambda attempt, exc: self._count_retry(stats))
         except expected:
             stats.attempts -= 1  # domain outcome, not a failure
             raise
@@ -417,22 +389,16 @@ class StageGuard:
             return self._handle_failure(stage, unit_id, exc, stats,
                                         fallback)
 
-    def _count_retry(self, stats: StageHealth,
-                     stage: str | None = None) -> None:
+    @staticmethod
+    def _count_retry(stats: StageHealth) -> None:
         stats.retries += 1
-        if self._retries_c is not None and stage is not None:
-            self._retries_c.labels(stage).inc()
 
     def _handle_failure(self, stage: str, unit_id: str,
                         exc: Exception, stats: StageHealth,
                         fallback: Callable[[], T] | None) -> T:
         stats.errors += 1
-        if self._errors_c is not None:
-            self._errors_c.labels(stage).inc()
         if fallback is not None and self.policy.mode != "fail_fast":
             stats.degradations += 1
-            if self._degradations_c is not None:
-                self._degradations_c.labels(stage).inc()
             self.health.degradation_events.append(
                 f"{stage}: {unit_id} degraded after "
                 f"{type(exc).__name__}: {exc}")
@@ -442,8 +408,6 @@ class StageGuard:
                 f"stage {stage!r} failed on {unit_id!r} under "
                 f"fail_fast policy: {exc}") from exc
         stats.quarantined += 1
-        if self._quarantined_c is not None:
-            self._quarantined_c.labels(stage).inc()
         self.quarantine.add(
             QuarantineEntry.from_exception(unit_id, stage, exc))
         if self.policy.mode == "threshold":

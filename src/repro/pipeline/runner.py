@@ -39,7 +39,7 @@ from ..nlp.dictionary import FailureDictionary
 from ..nlp.evaluation import evaluate_tagger
 from ..nlp.tagger import VotingTagger
 from ..nlp.textcache import token_cache
-from ..obs.metrics import TOKEN_CACHE_HITS, TOKEN_CACHE_MISSES
+from ..obs.metrics import default_registry
 from ..obs.runtime import Observability
 from ..parsing import filter_records, parse_accident_report
 from ..parsing.filters import FilterStats
@@ -64,12 +64,17 @@ from .parallel import (
     FANNED_STAGES,
     BatchOutcome,
     ParallelExecutor,
-    ParallelStats,
+    StageDispatch,
     UnitOutcome,
     iter_units,
 )
 from .resilience import QuarantineEntry, StageGuard
-from .stages import OcrStage, OcrStageStats, PipelineDiagnostics
+from .stages import (
+    OcrStage,
+    OcrStageStats,
+    PipelineDiagnostics,
+    render_metrics,
+)
 from .store import FailureDatabase
 
 
@@ -102,8 +107,7 @@ def process_corpus(corpus: SyntheticCorpus,
         seed=config.seed,
         quarantine=database.quarantine,
         chaos=(ChaosInjector(config.chaos, config.seed)
-               if config.chaos is not None else None),
-        metrics=obs.registry)
+               if config.chaos is not None else None))
     diagnostics.health = guard.health
     store = None
     if config.checkpointing_active:
@@ -111,8 +115,9 @@ def process_corpus(corpus: SyntheticCorpus,
             config.checkpoint_dir, config_fingerprint(config),
             health=guard.health.checkpoint)
         store.open(resume=config.resume)
-    cache_before = (token_cache().stats()
-                    if obs.registry is not None else None)
+    # The process-global token cache serves every in-process consumer;
+    # pool processes count their private caches per chunk instead.
+    cache_before = token_cache().stats()
     try:
         with obs.tracer.span("run", kind="run", seed=config.seed,
                              workers=config.workers):
@@ -122,39 +127,24 @@ def process_corpus(corpus: SyntheticCorpus,
                            CrashController(config.crash), executor,
                            obs)
                 result = _run_stages(run, corpus)
-        _snapshot_obs(obs, diagnostics, config, cache_before)
+        cache_after = token_cache().stats()
+        diagnostics.token_cache_hits += (
+            cache_after["hits"] - cache_before["hits"])
+        diagnostics.token_cache_misses += (
+            cache_after["misses"] - cache_before["misses"])
+        if config.metrics_enabled:
+            registry = render_metrics(diagnostics)
+            diagnostics.metrics = registry.to_dict()
+            # An in-process query server scrapes cumulative pipeline
+            # series from the process-global registry.
+            default_registry().merge(registry.dump())
+        if config.trace_path is not None:
+            diagnostics.trace_path = str(config.trace_path)
         return result
     finally:
         if store is not None:
             store.close()
         obs.close()
-
-
-def _snapshot_obs(obs: Observability,
-                  diagnostics: PipelineDiagnostics,
-                  config: PipelineConfig,
-                  cache_before: dict | None) -> None:
-    """Fold end-of-run samples in and snapshot onto diagnostics.
-
-    The token-cache counters are sampled as a start/end delta of the
-    process-global cache: in a serial run that covers every consumer;
-    process-pool workers ship their private caches' deltas home per
-    chunk instead (see ``parallel._stage3_batch``).
-    """
-    registry = obs.registry
-    if registry is not None:
-        if cache_before is not None:
-            after = token_cache().stats()
-            registry.counter(
-                TOKEN_CACHE_HITS, "Token-memo hits").inc(
-                after["hits"] - cache_before["hits"])
-            registry.counter(
-                TOKEN_CACHE_MISSES, "Token-memo misses").inc(
-                after["misses"] - cache_before["misses"])
-        diagnostics.metrics = registry.to_dict()
-        obs.publish()
-    if config.trace_path is not None:
-        diagnostics.trace_path = str(config.trace_path)
 
 
 @dataclass
@@ -346,7 +336,9 @@ def _merge_units(run: _Run, stage: str, unit_ids: list[str],
     come back in the same order.  Walking ``unit_ids`` in corpus
     order, each computed unit's health and ``fail_fast`` sidecars are
     folded, its result is adopted through ``on_outcome`` and then
-    journaled (``encode``), buffered per chunk.
+    journaled (``encode``), buffered per chunk.  Once every unit is
+    merged, the stage's unit count lands on the run's
+    :class:`~repro.pipeline.parallel.ParallelStats`.
     """
     guard, store, obs = run.guard, run.store, run.obs
     checkpoint = guard.health.checkpoint
@@ -356,14 +348,11 @@ def _merge_units(run: _Run, stage: str, unit_ids: list[str],
     outcomes = iter_units(
         dispatch([i for i, unit_id in enumerate(unit_ids)
                   if unit_id not in restored]),
-        _batch_folder(stage, guard, run.diagnostics.parallel, batcher))
-    units_c = obs.unit_counter(stage)
+        _batch_folder(run, stage, batcher))
     try:
         for index, unit_id in enumerate(unit_ids):
             if mid_crash is not None:
                 run.crash.reached_mid(mid_crash, index, len(unit_ids))
-            if units_c is not None:
-                units_c.inc()
             decoded = restored.get(unit_id)
             if decoded is not None:
                 on_restored(index, decoded)
@@ -386,6 +375,7 @@ def _merge_units(run: _Run, stage: str, unit_ids: list[str],
         # when a crash/abort unwinds the loop.
         if batcher is not None:
             batcher.flush()
+    run.diagnostics.parallel.stage_units[stage] = len(unit_ids)
 
 
 def _restorable(store: CheckpointStore | None, journal: str,
@@ -493,34 +483,24 @@ class _JournalBatcher:
             self._entries.clear()
 
 
-def _batch_folder(stage: str, guard: StageGuard, par: ParallelStats,
+def _batch_folder(run: _Run, stage: str,
                   batcher: _JournalBatcher | None):
     """The once-per-chunk merge hook for one stage.
 
     Fires when the coordinator pulls a chunk, right before its units
     unpack: the previous chunk's journal buffer flushes (one
     multi-line append per chunk), and the chunk-level sidecars — the
-    merged health delta, metrics dump and chaos count, plus a pooled
-    run's dispatch accounting — fold exactly once.
+    merged health delta, chaos count and token-cache counts, plus a
+    pooled run's dispatch record for the stage — fold exactly once.
+    Payload bytes are measured, by pickling the chunk again, only when
+    the run collects metrics.
     """
-    counters = None
-    if guard.metrics is not None and par.enabled:
-        from ..obs.metrics import (
-            BATCH_PAYLOAD_BYTES_TOTAL, BATCH_TASKS_TOTAL,
-            BATCH_UNITS_TOTAL)
-
-        registry = guard.metrics
-        counters = (
-            registry.counter(BATCH_TASKS_TOTAL,
-                             "Dispatch chunks shipped to the pool",
-                             ("stage",)).labels(stage),
-            registry.counter(BATCH_UNITS_TOTAL,
-                             "Units that rode dispatch chunks",
-                             ("stage",)).labels(stage),
-            registry.counter(BATCH_PAYLOAD_BYTES_TOTAL,
-                             "Pickled chunk-outcome payload bytes",
-                             ("stage",)).labels(stage),
-        )
+    guard, diagnostics = run.guard, run.diagnostics
+    par = diagnostics.parallel
+    tally = None
+    if par.enabled:
+        tally = par.dispatch[stage] = StageDispatch()
+    measure_payload = run.config.metrics_enabled
 
     def fold(batch: BatchOutcome) -> None:
         if batcher is not None:
@@ -529,17 +509,14 @@ def _batch_folder(stage: str, guard: StageGuard, par: ParallelStats,
             _fold_health_delta(batch.health, guard)
         if guard.chaos is not None:
             guard.chaos.injected += batch.injected
-        if batch.metrics is not None and guard.metrics is not None:
-            guard.metrics.merge(batch.metrics)
-        if par.enabled:
-            par.batch_tasks += 1
-            par.parallel_units += batch.units
+        diagnostics.token_cache_hits += batch.cache_hits
+        diagnostics.token_cache_misses += batch.cache_misses
+        if tally is not None:
+            tally.tasks += 1
+            tally.units += batch.units
             par.unit_compute_s += batch.elapsed
-        if counters is not None:
-            tasks_c, units_c, bytes_c = counters
-            tasks_c.inc()
-            units_c.inc(batch.units)
-            bytes_c.inc(len(pickle.dumps(batch)))
+            if measure_payload:
+                tally.payload_bytes += len(pickle.dumps(batch))
 
     return fold
 
@@ -581,22 +558,22 @@ def _check_merged_thresholds(outcome: UnitOutcome,
             guard.check_threshold(name)
 
 
-def _merge_ocr_stats(delta: dict, diagnostics: PipelineDiagnostics,
-                     ) -> None:
+def _merge_ocr_stats(delta: OcrStageStats,
+                     diagnostics: PipelineDiagnostics) -> None:
     """Fold one document's OCR stats into the run's.
 
     Replays the OCR stage's running-mean update in merge (corpus)
-    order, so the merged confidence is identical at every worker
-    count.
+    order — one document's mean is its confidence — so the merged
+    confidence is identical at every worker count.
     """
     stats = diagnostics.ocr
     stats.documents += 1
-    stats.pages += delta["pages"]
-    stats.lines += delta["lines"]
+    stats.pages += delta.pages
+    stats.lines += delta.lines
     stats.mean_confidence += (
-        delta["confidence"] - stats.mean_confidence) / stats.documents
-    stats.fallback_pages += delta["fallback_pages"]
-    stats.fallback_lines += delta["fallback_lines"]
+        delta.mean_confidence - stats.mean_confidence) / stats.documents
+    stats.fallback_pages += delta.fallback_pages
+    stats.fallback_lines += delta.fallback_lines
 
 
 # ----------------------------------------------------------------------

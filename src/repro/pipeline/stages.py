@@ -1,4 +1,10 @@
-"""Stage implementations and diagnostics for the pipeline runner."""
+"""Stage implementations and diagnostics for the pipeline runner.
+
+:class:`PipelineDiagnostics` is a run's one account of itself: the
+health summary, the ``parallel`` summary and — via
+:func:`render_metrics`, once, when the run ends — its metrics all read
+from it.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..nlp.evaluation import TaggingReport
+from ..obs.metrics import (
+    BATCH_PAYLOAD_BYTES_TOTAL,
+    BATCH_TASKS_TOTAL,
+    BATCH_UNITS_TOTAL,
+    DEGRADATIONS_TOTAL,
+    QUARANTINED_TOTAL,
+    RETRIES_TOTAL,
+    STAGE_DURATION,
+    STAGE_ERRORS_TOTAL,
+    TOKEN_CACHE_HITS,
+    TOKEN_CACHE_MISSES,
+    UNITS_TOTAL,
+    MetricsRegistry,
+)
 from ..ocr import (
     ManualTranscriptionQueue,
     OcrCorrector,
@@ -64,15 +84,78 @@ class PipelineDiagnostics:
     #: What the resilience layer observed (errors, retries,
     #: degradations, quarantine counts per stage).
     health: RunHealth = field(default_factory=RunHealth)
-    #: Per-stage wall times plus worker-pool accounting (worker
-    #: count, fanned-out units, estimated speedup vs serial).
+    #: Per-stage wall times and units plus worker-pool accounting
+    #: (worker count, per-stage dispatch, estimated speedup vs serial).
     parallel: ParallelStats = field(default_factory=ParallelStats)
-    #: JSON-able snapshot of the run's metrics registry (``None``
-    #: unless the run was started with ``metrics_enabled``).
+    #: Token-memo hits and misses over the run: the coordinator's
+    #: process-global cache plus the pool processes' private caches.
+    token_cache_hits: int = 0
+    token_cache_misses: int = 0
+    #: JSON-able snapshot of :func:`render_metrics` (``None`` unless
+    #: the run was started with ``metrics_enabled``).
     metrics: dict | None = None
     #: Where the run published its JSONL span trace (``None`` unless
     #: tracing was active).
     trace_path: str | None = None
+
+
+#: Resilience families: (name, help, :class:`StageHealth` counter).
+_RESILIENCE_FAMILIES = (
+    (RETRIES_TOTAL, "Transient faults retried", "retries"),
+    (STAGE_ERRORS_TOTAL, "Unexpected per-unit stage failures", "errors"),
+    (DEGRADATIONS_TOTAL, "Degraded-mode fallbacks taken",
+     "degradations"),
+    (QUARANTINED_TOTAL, "Units dead-lettered to quarantine",
+     "quarantined"),
+)
+
+#: Pooled-run families: (name, help, :class:`StageDispatch` field).
+_BATCH_FAMILIES = (
+    (BATCH_TASKS_TOTAL, "Dispatch chunks shipped to the pool", "tasks"),
+    (BATCH_UNITS_TOTAL, "Units that rode dispatch chunks", "units"),
+    (BATCH_PAYLOAD_BYTES_TOTAL, "Pickled chunk-outcome payload bytes",
+     "payload_bytes"),
+)
+
+
+def render_metrics(diagnostics: PipelineDiagnostics) -> MetricsRegistry:
+    """A finished run's metrics, rendered once from its diagnostics.
+
+    Nothing in the pipeline updates a metric while it runs; every
+    series here is read off the same counters the health and
+    ``parallel`` summaries print, so the two can never disagree (a
+    resumed run's restored quarantines count in both).  The four
+    resilience families are always registered and carry a series per
+    stage with a non-zero count; a pooled run adds the batch families
+    with a series per fanned stage, zero when it shipped no chunk.
+    """
+    registry = MetricsRegistry()
+    par = diagnostics.parallel
+    durations = registry.histogram(
+        STAGE_DURATION, "Coordinator wall time per pipeline stage",
+        ("stage",))
+    for stage, seconds in par.stage_wall_s.items():
+        durations.labels(stage).observe(seconds)
+    units = registry.counter(
+        UNITS_TOTAL, "Units of work processed per stage", ("stage",))
+    for stage, count in par.stage_units.items():
+        units.labels(stage).inc(count)
+    for name, help_text, counter in _RESILIENCE_FAMILIES:
+        family = registry.counter(name, help_text, ("stage",))
+        for stage, health in diagnostics.health.stages.items():
+            count = getattr(health, counter)
+            if count:
+                family.labels(stage).inc(count)
+    registry.counter(TOKEN_CACHE_HITS, "Token-memo hits").inc(
+        diagnostics.token_cache_hits)
+    registry.counter(TOKEN_CACHE_MISSES, "Token-memo misses").inc(
+        diagnostics.token_cache_misses)
+    if par.enabled:
+        for name, help_text, tally in _BATCH_FAMILIES:
+            family = registry.counter(name, help_text, ("stage",))
+            for stage, dispatch in par.dispatch.items():
+                family.labels(stage).inc(getattr(dispatch, tally))
+    return registry
 
 
 class OcrStage:
@@ -89,11 +172,18 @@ class OcrStage:
 
     def process(self, document: RawDocument, rng: np.random.Generator,
                 stats: OcrStageStats) -> list[str]:
-        """Run one raw document through the OCR channel."""
+        """Run one raw document through the OCR channel.
+
+        ``stats`` gains this document's pages, lines and the pages and
+        lines it sent to the manual queue.
+        """
+        queue = self.queue
+        pages_before = queue.pages_transcribed
+        lines_before = queue.lines_transcribed
         scanned = self.scanner.scan(
             document.document_id, document.lines, rng)
         result = self.engine.recognize(scanned, rng)
-        lines = apply_fallback(scanned, result, self.queue)
+        lines = apply_fallback(scanned, result, queue)
         if self.corrector is not None:
             lines = self.corrector.correct_lines(lines)
         stats.documents += 1
@@ -103,6 +193,6 @@ class OcrStage:
         n = stats.documents
         stats.mean_confidence += (
             result.mean_confidence - stats.mean_confidence) / n
-        stats.fallback_pages = self.queue.pages_transcribed
-        stats.fallback_lines = self.queue.lines_transcribed
+        stats.fallback_pages += queue.pages_transcribed - pages_before
+        stats.fallback_lines += queue.lines_transcribed - lines_before
         return lines

@@ -46,7 +46,7 @@ from .index import (
     accident_id,
     disengagement_id,
 )
-from .server import QueryServer, serve
+from .server import QueryServer
 from .snapshot import DirectoryWatcher, Snapshot, SnapshotManager
 
 __all__ = [
@@ -64,6 +64,5 @@ __all__ = [
     "SnapshotManager",
     "accident_id",
     "disengagement_id",
-    "serve",
     "to_jsonable",
 ]

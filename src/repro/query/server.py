@@ -307,23 +307,9 @@ class _QueryHTTPServer(ThreadingHTTPServer):
     inflight_gauge = None
 
     def __init__(self, server_address, handler_class, *,
-                 reuse_port: bool = False,
-                 listen_socket: socket.socket | None = None) -> None:
+                 reuse_port: bool = False) -> None:
         self._reuse_port = reuse_port
-        if listen_socket is not None:
-            # Adopt an already-bound, already-listening socket (the
-            # pre-fork fallback on platforms without SO_REUSEPORT:
-            # the master listens once, every forked worker accepts
-            # from the shared socket).
-            super().__init__(listen_socket.getsockname()[:2],
-                             handler_class, bind_and_activate=False)
-            self.socket = listen_socket
-            self.server_address = listen_socket.getsockname()[:2]
-            host, port = self.server_address
-            self.server_name = socket.getfqdn(host)
-            self.server_port = port
-        else:
-            super().__init__(server_address, handler_class)
+        super().__init__(server_address, handler_class)
         self._admission = threading.Condition()
         self._inflight = 0
         self._draining = False
@@ -338,7 +324,7 @@ class _QueryHTTPServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
     def server_bind(self) -> None:
-        if self._reuse_port and hasattr(socket, "SO_REUSEPORT"):
+        if self._reuse_port:
             # Pre-fork mode: every worker binds its own socket to the
             # same port and the kernel load-balances accepts.
             self.socket.setsockopt(
@@ -817,7 +803,6 @@ class QueryServer:
                  deadline_s: float = 10.0,
                  drain_timeout_s: float = 5.0,
                  reuse_port: bool = False,
-                 listen_socket: socket.socket | None = None,
                  chaos: ServingChaos | None = None) -> None:
         # The process-global registry by default, so a pipeline run in
         # this process shows up on the same /metrics scrape.
@@ -830,8 +815,7 @@ class QueryServer:
                 chaos=chaos)
         self.drain_timeout_s = drain_timeout_s
         httpd = _QueryHTTPServer((host, port), _Handler,
-                                 reuse_port=reuse_port,
-                                 listen_socket=listen_socket)
+                                 reuse_port=reuse_port)
         httpd.snapshots = self.snapshots
         httpd.verbose = verbose
         httpd.metrics = self.registry
@@ -947,22 +931,3 @@ class QueryServer:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-def serve(db: FailureDatabase, host: str = "127.0.0.1",
-          port: int = 8350, *, cache_size: int = 256,
-          verbose: bool = True, max_inflight: int = 64,
-          deadline_s: float = 10.0,
-          watch: str | Path | None = None,
-          watch_interval_s: float = 2.0) -> None:
-    """Blocking convenience entry point (the ``repro serve`` verb)."""
-    server = QueryServer(db, host, port, cache_size=cache_size,
-                         verbose=verbose, max_inflight=max_inflight,
-                         deadline_s=deadline_s)
-    if watch is not None:
-        server.watch(watch, watch_interval_s)
-    try:
-        server.serve_forever()
-    finally:
-        server._watch_stop.set()
-        server._httpd.server_close()

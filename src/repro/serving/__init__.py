@@ -6,8 +6,9 @@ threads it runs.  This package scales the same API surface across
 cores without giving up any single-process guarantee:
 
 * :mod:`~repro.serving.prefork` — :class:`PreforkServer`: the master.
-  Reserves the port (``SO_REUSEPORT`` where available, an inherited
-  listening socket otherwise), forks ``N`` workers, supervises them
+  Reserves the port with ``SO_REUSEPORT`` (each worker binds its own
+  socket to it; without the option, :meth:`PreforkServer.start`
+  raises ``ValueError``), forks ``N`` workers, supervises them
   (crash-respawn), and drains them gracefully on shutdown.
 * :mod:`~repro.serving.worker` — :func:`run_worker`: one worker
   process.  Holds its own immutable index/engine behind a

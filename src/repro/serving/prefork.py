@@ -4,20 +4,19 @@ Layout (one master, N workers, one shared port)::
 
     PreforkServer (master — owns nothing on the request path)
       ├─ port reservation        SO_REUSEPORT bound-but-not-listening
-      │                          (or a shared listening socket where
-      │                          SO_REUSEPORT is unavailable)
       ├─ generation file         the hot-swap pointer (publish())
       ├─ worker 0..N-1           forked; each a full QueryServer
       └─ supervisor thread       respawns crashed workers
 
-**Port handling.**  Where ``SO_REUSEPORT`` exists (Linux, BSDs), the
-master binds a reservation socket but never listens on it — TCP only
-routes SYNs to *listening* sockets, so the reservation is inert; it
-exists to resolve ``port=0`` to a concrete port once and to keep that
-port stable across worker respawns.  Each worker then binds its own
-``SO_REUSEPORT`` socket and the kernel load-balances accepts.
-Elsewhere, the master binds + listens once and forked workers accept
-from the inherited socket.
+**Port handling.**  The master binds a ``SO_REUSEPORT`` reservation
+socket but never listens on it — TCP only routes SYNs to *listening*
+sockets, so the reservation is inert; it exists to resolve ``port=0``
+to a concrete port once and to keep that port stable across worker
+respawns.  Each worker then binds its own ``SO_REUSEPORT`` socket and
+the kernel load-balances accepts.  Every platform with the ``fork``
+start method pre-fork needs (Linux, macOS, the BSDs) defines the
+option; where it is missing, :meth:`PreforkServer.start` raises
+``ValueError`` before it forks.
 
 **Supervision.**  A worker that dies for any reason while the server
 is running is respawned under the same worker id (same metrics dump
@@ -52,18 +51,10 @@ from pathlib import Path
 from .generation import GenerationFile
 from .worker import WorkerConfig, run_worker
 
-#: Listen backlog for the shared-socket fallback.
-_BACKLOG = 128
 
-
-def _worker_entry(config: WorkerConfig, listen_socket) -> None:
+def _worker_entry(config: WorkerConfig) -> None:
     """Child-process entry point (module-level: picklable by name)."""
-    sys.exit(run_worker(config, listen_socket=listen_socket))
-
-
-def reuse_port_supported() -> bool:
-    """Whether the kernel offers per-worker SO_REUSEPORT sockets."""
-    return hasattr(socket, "SO_REUSEPORT")
+    sys.exit(run_worker(config))
 
 
 class PreforkServer:
@@ -104,7 +95,6 @@ class PreforkServer:
         self._owns_run_dir = run_dir is None
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self._reservation: socket.socket | None = None
-        self._listen_socket: socket.socket | None = None
         self._workers: list[multiprocessing.process.BaseProcess | None]
         self._workers = [None] * processes
         self._supervisor: threading.Thread | None = None
@@ -155,9 +145,19 @@ class PreforkServer:
 
     def start(self) -> "PreforkServer":
         """Reserve the port, publish generation 1, fork the
-        workers, and begin supervising.  Idempotent."""
+        workers, and begin supervising.  Idempotent.
+
+        Raises ``ValueError`` where the socket layer lacks
+        ``SO_REUSEPORT``: each worker binds the shared port itself.
+        """
         if self._started:
             return self
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise ValueError(
+                "pre-fork serving needs SO_REUSEPORT, which this "
+                "platform's socket module does not define; use the "
+                "single-process QueryServer (repro serve --processes "
+                "0) instead")
         self._started = True
         if self.run_dir is None:
             self.run_dir = Path(tempfile.mkdtemp(
@@ -180,30 +180,15 @@ class PreforkServer:
         return self
 
     def _reserve_port(self) -> None:
-        if reuse_port_supported():
-            # Bound but never listening: resolves port=0 once and
-            # pins the number for every (re)spawned worker.  TCP only
-            # routes SYNs to listening sockets, so this socket never
-            # steals a connection.
-            reservation = socket.socket(socket.AF_INET,
-                                        socket.SOCK_STREAM)
-            reservation.setsockopt(socket.SOL_SOCKET,
-                                   socket.SO_REUSEPORT, 1)
-            reservation.bind((self.requested_host,
-                              self.requested_port))
-            self._reservation = reservation
-            self._host, self._port = reservation.getsockname()[:2]
-        else:
-            # Fallback: one shared listening socket, inherited by
-            # every forked worker.
-            listener = socket.socket(socket.AF_INET,
-                                     socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET,
-                                socket.SO_REUSEADDR, 1)
-            listener.bind((self.requested_host, self.requested_port))
-            listener.listen(_BACKLOG)
-            self._listen_socket = listener
-            self._host, self._port = listener.getsockname()[:2]
+        # Bound but never listening: resolves port=0 once and pins the
+        # number for every (re)spawned worker.  TCP only routes SYNs
+        # to listening sockets, so this socket never steals a
+        # connection.
+        reservation = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        reservation.bind((self.requested_host, self.requested_port))
+        self._reservation = reservation
+        self._host, self._port = reservation.getsockname()[:2]
 
     def _worker_config(self, worker_id: int) -> WorkerConfig:
         return WorkerConfig(
@@ -218,14 +203,12 @@ class PreforkServer:
             drain_timeout_s=self._drain_timeout_s,
             verbose=self._verbose,
             poll_interval_s=self._poll_interval_s,
-            flush_interval_s=self._flush_interval_s,
-            reuse_port=self._listen_socket is None)
+            flush_interval_s=self._flush_interval_s)
 
     def _spawn(self, worker_id: int):
         process = self._context.Process(
             target=_worker_entry,
-            args=(self._worker_config(worker_id),
-                  self._listen_socket),
+            args=(self._worker_config(worker_id),),
             name=f"repro-serving-worker-{worker_id}",
             daemon=False)
         process.start()
@@ -297,9 +280,6 @@ class PreforkServer:
         if self._reservation is not None:
             self._reservation.close()
             self._reservation = None
-        if self._listen_socket is not None:
-            self._listen_socket.close()
-            self._listen_socket = None
         if self._owns_run_dir and self.run_dir is not None:
             shutil.rmtree(self.run_dir, ignore_errors=True)
         self._started = False
@@ -335,11 +315,8 @@ def serve_prefork(db_path: str | Path, host: str = "127.0.0.1",
         deadline_s=deadline_s, verbose=verbose)
     server.start()
     if verbose:
-        mode = ("SO_REUSEPORT" if reuse_port_supported()
-                else "shared listening socket")
         print(json.dumps({
             "serving": server.url, "processes": processes,
-            "port_mode": mode,
         }), file=sys.stderr)
     watcher = DirectoryWatcher(watch) if watch is not None else None
     stop = threading.Event()

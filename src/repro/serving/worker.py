@@ -2,9 +2,9 @@
 
 Each worker process owns the full single-process serving stack — its
 own immutable index, query engine, result cache, snapshot manager,
-and admission control — so nothing is
-shared across workers except the listening port and the generation
-file.  Two cross-process concerns live here:
+and admission control — so nothing is shared across workers except
+the port (each worker binds its own ``SO_REUSEPORT`` socket) and the
+generation file.  Two cross-process concerns live here:
 
 **Metrics aggregation.**  Every worker flushes its registry's
 :meth:`~repro.obs.metrics.MetricsRegistry.dump` to
@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import socket
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,9 +65,6 @@ class WorkerConfig:
     poll_interval_s: float = 0.2
     #: Metrics-dump flush cadence.
     flush_interval_s: float = 0.5
-    #: Bind an own SO_REUSEPORT socket (the normal path); ``False``
-    #: means a listening socket is inherited from the master instead.
-    reuse_port: bool = True
 
 
 def _dump_path(metrics_dir: str | Path, worker_id: int) -> Path:
@@ -123,9 +119,7 @@ class _WorkerRuntime:
     stop: threading.Event = field(default_factory=threading.Event)
 
 
-def build_worker(config: WorkerConfig,
-                 listen_socket: socket.socket | None = None,
-                 ) -> _WorkerRuntime:
+def build_worker(config: WorkerConfig) -> _WorkerRuntime:
     """Assemble (but do not run) one worker's serving stack."""
     generation_file = GenerationFile(config.generation_path)
     generation = generation_file.wait()
@@ -144,8 +138,7 @@ def build_worker(config: WorkerConfig,
         max_inflight=config.max_inflight,
         deadline_s=config.deadline_s,
         drain_timeout_s=config.drain_timeout_s,
-        reuse_port=config.reuse_port and listen_socket is None,
-        listen_socket=listen_socket)
+        reuse_port=True)
 
     worker_label = str(config.worker_id)
     registry.gauge(
@@ -173,11 +166,10 @@ def build_worker(config: WorkerConfig,
                           registry=registry, watcher=watcher)
 
 
-def run_worker(config: WorkerConfig,
-               listen_socket: socket.socket | None = None) -> int:
+def run_worker(config: WorkerConfig) -> int:
     """The worker process main: serve until SIGTERM/SIGINT, drain,
     flush, exit 0.  (Runs as the main thread of a forked child.)"""
-    runtime = build_worker(config, listen_socket=listen_socket)
+    runtime = build_worker(config)
     stop = runtime.stop
 
     def handle_signal(signum, frame) -> None:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import CorruptDatabaseError, ReproError
 from repro.parsing.records import (
     AccidentRecord,
@@ -450,10 +451,15 @@ class TestCrashResume:
         assert resumed.database.to_json() == uninterrupted.to_json()
 
     def test_no_checkpoint_switch_disables_journaling(
-            self, tmp_path, corpus):
-        result = process_corpus(corpus, _config(
-            checkpoint_dir=tmp_path, checkpoint_enabled=False))
-        assert not result.diagnostics.health.checkpoint.enabled
+            self, tmp_path, capsys):
+        # --no-checkpoint wins over --checkpoint-dir and --resume.
+        code = main(["run", "--seed", str(SEED), "--manufacturers",
+                     *SUBSET, "--no-ocr", "--checkpoint-dir",
+                     str(tmp_path), "--resume", "--no-checkpoint",
+                     "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["health"]["checkpoint"]["enabled"]
         assert not (tmp_path / "manifest.json").exists()
 
 

@@ -368,6 +368,13 @@ class TestTraceVerb:
         names = {row["name"] for row in payload["rows"]}
         assert "run" in names
 
+    def test_trace_flag_alone_traces_into_working_directory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--seed", "5", "--manufacturers", "Ford",
+                     "--no-ocr", "--trace", "--quiet"]) == 0
+        assert (tmp_path / "trace.jsonl").exists()
+
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         code = main(["trace", str(tmp_path / "nope.jsonl")])
         assert code == 2

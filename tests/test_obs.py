@@ -28,14 +28,25 @@ from repro.obs import (
     timed,
 )
 from repro.obs.metrics import (
+    DEGRADATIONS_TOTAL,
     HTTP_LATENCY,
     HTTP_REQUESTS,
     INDEX_RECORDS,
+    QUARANTINED_TOTAL,
     QUERY_CACHE_HITS,
+    RETRIES_TOTAL,
+    STAGE_ERRORS_TOTAL,
     TOKEN_CACHE_HITS,
 )
-from repro.pipeline import PipelineConfig, process_corpus
+from repro.pipeline import (
+    ChaosConfig,
+    CrashPoint,
+    PipelineConfig,
+    SimulatedCrash,
+    process_corpus,
+)
 from repro.query import QueryServer
+from repro.synth import generate_corpus
 
 THREADS = 8
 STAGES = {"parse-documents", "accident-documents", "normalize",
@@ -292,7 +303,6 @@ class TestPipelineInstrumentation:
         obs = Observability.for_run(config)
         assert not obs.active
         assert obs.tracer is NULL_TRACER
-        assert obs.registry is None
         span = obs.tracer.span("run")
         with span:
             pass
@@ -300,6 +310,32 @@ class TestPipelineInstrumentation:
         result = process_corpus(small_corpus, config)
         assert result.diagnostics.metrics is None
         assert result.diagnostics.trace_path is None
+
+    def test_resumed_chaos_run_metrics_equal_health(self, tmp_path):
+        # The pre-crash run quarantines a parse unit; the resume
+        # restores that verdict, and its metrics must count it exactly
+        # as its health summary does.
+        corpus = generate_corpus(seed=5, manufacturers=["Nissan"])
+        config = dict(seed=5, ocr_enabled=False, dictionary_mode="seed",
+                      chaos=ChaosConfig(stage="parse", rate=0.3),
+                      checkpoint_dir=tmp_path)
+        with pytest.raises(SimulatedCrash):
+            process_corpus(corpus, PipelineConfig(
+                **config, crash=CrashPoint(at="mid-tag")))
+        resumed = process_corpus(corpus, PipelineConfig(
+            **config, resume=True, metrics_enabled=True))
+        diagnostics = resumed.diagnostics
+        assert diagnostics.health.stages["parse"].quarantined == 1
+        for name, counter in ((RETRIES_TOTAL, "retries"),
+                              (STAGE_ERRORS_TOTAL, "errors"),
+                              (DEGRADATIONS_TOTAL, "degradations"),
+                              (QUARANTINED_TOTAL, "quarantined")):
+            series = {s["labels"]["stage"]: s["value"]
+                      for s in diagnostics.metrics[name]["series"]}
+            assert series == {
+                stage: getattr(health, counter)
+                for stage, health in diagnostics.health.stages.items()
+                if getattr(health, counter)}, name
 
 
 class TestExposition:

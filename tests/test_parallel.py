@@ -23,6 +23,16 @@ from repro.errors import PipelineError
 from repro.nlp.dictionary import DictionaryEntry, FailureDictionary
 from repro.nlp.tagger import FirstMatchTagger, VotingTagger
 from repro.nlp.textcache import TokenCache, cached_tokens, token_cache
+from repro.obs.metrics import (
+    BATCH_PAYLOAD_BYTES_TOTAL,
+    BATCH_TASKS_TOTAL,
+    BATCH_UNITS_TOTAL,
+    DEGRADATIONS_TOTAL,
+    QUARANTINED_TOTAL,
+    RETRIES_TOTAL,
+    STAGE_ERRORS_TOTAL,
+    UNITS_TOTAL,
+)
 from repro.pipeline import (
     ChaosConfig,
     CrashPoint,
@@ -35,6 +45,7 @@ from repro.pipeline import (
 from repro.pipeline.parallel import (
     BATCH_AUTO_CHUNKS_PER_WORKER,
     BATCH_SIZE_CLAMP,
+    FANNED_STAGES,
     UnitOutcome,
     resolve_batch_size,
     worker_config,
@@ -83,6 +94,12 @@ def serial_json(corpus):
 def run_json(corpus, **overrides):
     params = {**SMALL, **overrides}
     return process_corpus(corpus, PipelineConfig(**params))
+
+
+def stage_family(metrics: dict, name: str) -> dict[str, float]:
+    """``stage -> value`` of one ``{stage}``-labelled counter family."""
+    return {series["labels"]["stage"]: series["value"]
+            for series in metrics[name]["series"]}
 
 
 # ----------------------------------------------------------------------
@@ -276,13 +293,23 @@ class TestBatchedDispatch:
 
     def test_transient_chaos_health_parity(self, corpus):
         chaos = ChaosConfig(stage="tag", rate=0.4, kind="transient")
-        serial = run_json(corpus, chaos=chaos)
+        serial = run_json(corpus, chaos=chaos, metrics_enabled=True)
         batched = run_json(corpus, chaos=chaos, workers=2,
-                           batch_size=3)
+                           batch_size=3, metrics_enabled=True)
         assert (batched.database.to_json()
                 == serial.database.to_json())
         assert (batched.diagnostics.health.summary()
                 == serial.diagnostics.health.summary())
+        # Metrics render from the same diagnostics, so they agree too.
+        # The pool-only batch families, the token-cache counts (pool
+        # processes keep private caches) and histogram sums differ by
+        # design.
+        for name in (UNITS_TOTAL, RETRIES_TOTAL, STAGE_ERRORS_TOTAL,
+                     DEGRADATIONS_TOTAL, QUARANTINED_TOTAL):
+            assert (stage_family(batched.diagnostics.metrics, name)
+                    == stage_family(serial.diagnostics.metrics, name))
+        retries = stage_family(serial.diagnostics.metrics, RETRIES_TOTAL)
+        assert retries["tag"] > 0
 
     def test_fail_fast_mid_chunk_same_exception(self, corpus):
         # The failing unit lands mid-chunk; units after it in the
@@ -405,6 +432,18 @@ class TestCrashResume:
                            workers=resume_workers)
         assert resumed.database.to_json() == serial_json
         assert resumed.diagnostics.health.checkpoint.restored_units > 0
+
+    def test_fully_restored_pooled_run_keeps_zero_batch_series(
+            self, corpus, tmp_path):
+        run_json(corpus, checkpoint_dir=tmp_path)
+        resumed = run_json(corpus, checkpoint_dir=tmp_path, resume=True,
+                           workers=2, metrics_enabled=True)
+        assert resumed.diagnostics.parallel.batch_tasks == 0
+        metrics = resumed.diagnostics.metrics
+        for name in (BATCH_TASKS_TOTAL, BATCH_UNITS_TOTAL,
+                     BATCH_PAYLOAD_BYTES_TOTAL):
+            assert (stage_family(metrics, name)
+                    == dict.fromkeys(FANNED_STAGES, 0.0))
 
 
 # ----------------------------------------------------------------------

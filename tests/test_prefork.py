@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import threading
 import time
 import urllib.error
@@ -21,6 +22,7 @@ import urllib.request
 import pytest
 
 from repro.api import load_database
+from repro.cli import main
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import SERVING_WORKER_UP
 from repro.pipeline.checkpoint import canonical_json
@@ -330,3 +332,38 @@ class TestSupervision:
         with QueryServer(load_database(db_file), host=server.host,
                          port=server.port) as reclaimed:
             assert _get(reclaimed.url, "/v1/healthz")[0] == 200
+
+
+class TestPortRequirements:
+    def test_missing_so_reuseport_refused_before_fork(
+            self, db_file, tmp_path, monkeypatch):
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        server = PreforkServer(db_file, port=0, processes=PROCESSES,
+                               run_dir=tmp_path / "run", **FAST)
+        try:
+            with pytest.raises(ValueError, match="SO_REUSEPORT"):
+                server.start()
+            assert server.worker_pids() == [None] * PROCESSES
+            assert not (tmp_path / "run").exists()
+        finally:
+            server.shutdown()  # reaps workers a regression would fork
+
+    def test_cli_exits_2_without_so_reuseport(self, db_file,
+                                              monkeypatch, capsys):
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+
+        def serving(signum, frame):
+            raise TimeoutError("serve started instead of exiting")
+
+        # A server that does start would serve until signalled; the
+        # alarm bounds the wait and its shutdown reaps the workers.
+        previous = signal.signal(signal.SIGALRM, serving)
+        signal.alarm(30)
+        try:
+            code = main(["serve", "--db", str(db_file), "--processes",
+                         "2", "--port", "0", "--quiet"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert "SO_REUSEPORT" in capsys.readouterr().err
