@@ -114,12 +114,10 @@ def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
     diagnostics = PipelineDiagnostics()
     database = FailureDatabase()
     guard = StageGuard(policy=config.resolved_policy(),
-                       seed=config.seed,
                        quarantine=database.quarantine)
     diagnostics.health = guard.health
-    ocr_stage = OcrStage(
-        config.scanner_profile, config.correction_enabled,
-        config.fallback_threshold) if config.ocr_enabled else None
+    ocr_stage = (OcrStage(config.correction_enabled)
+                 if config.ocr_enabled else None)
     registry = default_registry()
     raw_disengagements, raw_mileage = [], []
 
@@ -139,8 +137,7 @@ def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
                 expected=(ParseError,))
         except (ParseError, QuarantinedError):
             continue
-        if config.attach_truth:
-            runner._attach_truth(document, parsed.disengagements)
+        runner._attach_truth(document, parsed.disengagements)
         raw_disengagements.extend(parsed.disengagements)
         raw_mileage.extend(parsed.mileage)
     for document in corpus.accident_documents:
@@ -172,8 +169,7 @@ def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
             fallback=runner._unknown_tag)
         record.tag = result.tag
         record.category = result.category
-    if config.attach_truth:
-        evaluate_tagger(None, filtered)  # scores the stored tags
+    evaluate_tagger(None, filtered)  # scores the stored tags
     database.disengagements = filtered
     database.mileage = mileage
     return database

@@ -14,7 +14,7 @@ from repro.pipeline import (
     PipelineConfig,
     StageGuard,
     process_corpus,
-    retry_with_backoff,
+    retry_transient,
 )
 from repro.synth import generate_corpus
 
@@ -52,8 +52,7 @@ def test_retry_clean_path_micro(benchmark):
     def run_retry():
         total = 0
         for _ in range(10_000):
-            total += retry_with_backoff(func, retries=2, seed=SEED,
-                                        stream="bench")
+            total += retry_transient(func, retries=2)
         return total
 
     assert benchmark(run_retry) == 10_000

@@ -7,7 +7,7 @@ truth).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 
 from ..pipeline.store import FailureDatabase
 from ..taxonomy import (
@@ -162,15 +162,3 @@ def automatic_share(db: FailureDatabase,
     shares = [row[Modality.AUTOMATIC.value] / 100.0
               for row in modality_percentages(db).values()]
     return sum(shares) / len(shares) if shares else 0.0
-
-
-def tags_by_manufacturer(db: FailureDatabase,
-                         use_truth: bool = False,
-                         ) -> dict[str, Counter]:
-    """Raw tag counts per manufacturer (support for Fig. 6 tests)."""
-    out: dict[str, Counter] = defaultdict(Counter)
-    for record in db.disengagements:
-        tag = _tag_of(record, use_truth)
-        if tag is not None:
-            out[record.manufacturer][tag] += 1
-    return dict(out)

@@ -49,14 +49,6 @@ class DpmForecast:
         return abs(self.predicted_total
                    - self.actual_total) / self.actual_total
 
-    @property
-    def mean_monthly_error(self) -> float:
-        """Mean absolute monthly error in counts."""
-        if not self.actual:
-            return 0.0
-        return float(np.mean([abs(p - a) for p, a
-                              in zip(self.predicted, self.actual)]))
-
 
 def predict_dpm(fit: LinearFit, cumulative_miles: float) -> float:
     """DPM predicted by a log-log fit at a cumulative mileage."""

@@ -26,16 +26,6 @@ class BoxplotStats:
         """Interquartile range."""
         return self.q3 - self.q1
 
-    @property
-    def whisker_low(self) -> float:
-        """Lower whisker (paper's boxes whisker to min/max)."""
-        return self.minimum
-
-    @property
-    def whisker_high(self) -> float:
-        """Upper whisker."""
-        return self.maximum
-
     def as_row(self) -> dict[str, float]:
         """Dictionary form for table rendering."""
         return {

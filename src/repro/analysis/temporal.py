@@ -112,20 +112,6 @@ class YearlyEvolution:
             return float("inf")
         return self.medians[years[0]] / last
 
-    @property
-    def relative_spread_growing(self) -> bool:
-        """Whether variance relative to the median grows over years
-        (the paper: median improves, worst case does not)."""
-        years = sorted(self.medians)
-        if len(years) < 2:
-            return False
-        def rel(year: int) -> float:
-            median = self.medians[year]
-            if median <= 0:
-                return 0.0
-            return self.variances[year] / (median ** 2)
-        return rel(years[-1]) > rel(years[0])
-
 
 def yearly_evolution(db: FailureDatabase,
                      manufacturer: str) -> YearlyEvolution:

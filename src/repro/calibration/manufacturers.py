@@ -90,11 +90,6 @@ class Manufacturer:
         """Total accidents across both periods (missing = 0)."""
         return sum(s.accidents or 0 for s in self.periods.values())
 
-    @property
-    def max_cars(self) -> int:
-        """Largest reported fleet size across periods (missing = 0)."""
-        return max((s.cars or 0 for s in self.periods.values()), default=0)
-
 
 def _mk(name: str,
         p1: tuple[int | None, float | None, int | None, int | None],

@@ -81,8 +81,3 @@ REACTION_TIME_MODELS: dict[str, ReactionTimeModel] = {
 def reaction_time_model(manufacturer: str) -> ReactionTimeModel | None:
     """Return the reaction-time model, or ``None`` if not reported."""
     return REACTION_TIME_MODELS.get(manufacturer)
-
-
-def has_reaction_times(manufacturer: str) -> bool:
-    """Whether ``manufacturer`` reports reaction times at all."""
-    return manufacturer in REACTION_TIME_MODELS

@@ -149,10 +149,6 @@ class FailureDictionary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def phrases_for(self, tag: FaultTag) -> list[tuple[str, ...]]:
-        """All phrases registered for ``tag``."""
-        return [e.phrase for e in self.entries if e.tag == tag]
-
     def match(self, tokens: list[str]) -> list[DictionaryEntry]:
         """All entries whose phrase occurs in ``tokens``.
 

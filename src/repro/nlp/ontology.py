@@ -16,7 +16,6 @@ from ..taxonomy import (
     TAG_DEFINITIONS,
     FailureCategory,
     FaultTag,
-    MlSubcategory,
 )
 
 
@@ -38,10 +37,6 @@ class Ontology:
             return TAG_CATEGORY[tag]
         except KeyError:
             raise OntologyError(f"tag {tag!r} not in ontology") from None
-
-    def ml_subcategory(self, tag: FaultTag) -> MlSubcategory | None:
-        """Table IV ML/Design split of ``tag`` (None outside ML)."""
-        return ML_SUBCATEGORY.get(tag)
 
     def definition(self, tag: FaultTag) -> str:
         """Human-readable Table III definition of ``tag``."""

@@ -1,4 +1,4 @@
-"""Observability layer: structured tracing, metrics, profiling hooks.
+"""Observability layer: structured tracing and metrics.
 
 The pipeline (Stages I-IV), the resilience layer, and the query
 server all *measure the system*; this package lets the system measure
@@ -15,8 +15,6 @@ disabled:
   server's ``/metrics`` endpoint.
 * :mod:`~repro.obs.runtime` — :class:`Observability`: the per-run
   bundle the pipeline threads through its stage loops.
-* :mod:`~repro.obs.profile` — opt-in profiling hooks (:func:`timed`
-  blocks, :func:`profile_to` cProfile capture).
 
 Quickstart::
 
@@ -37,7 +35,6 @@ from .metrics import (
     MetricsRegistry,
     default_registry,
 )
-from .profile import profile_to, timed
 from .runtime import Observability
 from .trace import (
     NULL_TRACER,
@@ -60,7 +57,5 @@ __all__ = [
     "Tracer",
     "default_registry",
     "load_trace",
-    "profile_to",
     "self_times",
-    "timed",
 ]

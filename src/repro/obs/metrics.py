@@ -84,8 +84,6 @@ BATCH_PAYLOAD_BYTES_TOTAL = "repro_batch_payload_bytes_total"
 SERVING_WORKER_UP = "repro_serving_worker_up"
 #: Pre-fork serving: generation the worker is currently serving.
 SERVING_WORKER_GENERATION = "repro_serving_worker_generation"
-#: Pre-fork serving: crash respawns performed by the master.
-SERVING_WORKER_RESTARTS = "repro_serving_worker_restarts_total"
 
 #: Fixed latency bucket upper bounds in seconds (+Inf is implicit).
 DEFAULT_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
@@ -276,9 +274,10 @@ class MetricsRegistry:
     def dump(self) -> dict[str, Any]:
         """A mergeable snapshot (tuple-keyed; ships via pickle).
 
-        This is the delta format parallel workers return to the
-        coordinator — the metrics sibling of the resilience layer's
-        health deltas.
+        :meth:`merge` takes it: a finished pipeline run folds its
+        rendered metrics into :func:`default_registry` this way, and
+        each pre-fork serving worker pickles its dump for the
+        aggregated ``/metrics`` scrape.
         """
         with self._lock:
             metrics = list(self._metrics.values())

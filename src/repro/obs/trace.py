@@ -28,11 +28,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator
-
-#: Span kinds the pipeline emits (free-form for other callers).
-SPAN_KINDS = ("run", "stage", "unit", "span")
-
+from typing import Any
 
 class _NullSpan:
     """Reusable no-op context manager for the disabled tracer."""
@@ -312,10 +308,3 @@ def self_times(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
             row["errors"] += 1
     return sorted(rows.values(),
                   key=lambda r: (-r["self_s"], r["name"]))
-
-
-def iter_stage_names(spans: list[dict[str, Any]]) -> Iterator[str]:
-    """Names of the stage spans, in completion order."""
-    for span in spans:
-        if span.get("kind") == "stage":
-            yield span.get("name", "?")

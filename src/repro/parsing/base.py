@@ -13,7 +13,6 @@ import re
 from abc import ABC, abstractmethod
 
 from ..errors import ParseError, UnknownFormatError
-from ..units import month_key
 from .records import DisengagementRecord, MonthlyMileage, ParsedReport
 
 _HEADER_MARKERS = (
@@ -109,12 +108,6 @@ class ReportParser(ABC):
                 continue
             report.unparsed_lines.append(line)
         return report
-
-    @staticmethod
-    def _month_of(record: DisengagementRecord) -> str:
-        if record.event_date is not None:
-            return month_key(record.event_date)
-        return record.month
 
 
 class ParserRegistry:

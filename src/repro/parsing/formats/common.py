@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 
 from ...errors import ParseError
-from ...units import month_key
 from ..fields import coerce_number, repair_numeric_text
 from ..records import MonthlyMileage
 
@@ -60,8 +59,3 @@ def pop_tail_field(fields: list[str],
 
 
 DURATION_TAIL = r"^[\dOoIl|., ]+\s*(s|sec|secs|seconds?|ms|min|mins)\s*$"
-
-
-def month_of_date(value) -> str:
-    """Month key of a date (convenience re-export)."""
-    return month_key(value)

@@ -48,7 +48,7 @@ from .resilience import (
     QuarantineEntry,
     RunHealth,
     StageGuard,
-    retry_with_backoff,
+    retry_transient,
 )
 from .store import FailureDatabase
 from .stages import PipelineDiagnostics
@@ -85,7 +85,7 @@ __all__ = [
     "document_digest",
     "ingest_corpus",
     "resolve_batch_size",
-    "retry_with_backoff",
+    "retry_transient",
     "run_pipeline",
     "process_corpus",
 ]

@@ -8,7 +8,8 @@ losing completed work.  This module provides the durability layer:
   file is published: write to a temporary file in the same directory,
   flush + ``fsync``, then :func:`os.replace` over the destination and
   ``fsync`` the directory.  A reader can never observe a torn file;
-  a crash mid-write leaves the previous version intact.
+  a crash mid-write leaves the previous version intact.  Every publish
+  and every journal sync is fsynced.
 * :class:`CheckpointStore` — a checkpoint directory holding per-unit
   *journals* (append-only JSONL, one self-checksummed line per
   completed unit of work) and stage-level *artifacts* (whole-stage
@@ -25,7 +26,9 @@ Integrity rules:
 * A manifest whose config fingerprint or library version does not
   match the resuming run marks the whole directory **stale**: it is
   discarded and rebuilt, so checkpoints from a different config/seed
-  can never silently leak into a run.
+  can never silently leak into a run.  The fingerprint hashes every
+  config field except the execution and observability ones named in
+  :data:`NOT_FINGERPRINTED`.
 
 Checkpoint directory layout::
 
@@ -103,7 +106,6 @@ def _fsync_directory(directory: Path) -> None:
 
 def atomic_write_text(path: str | Path,
                       text: str | bytes | Iterable[bytes], *,
-                      durable: bool = True,
                       crash_hook: Any = None) -> None:
     """Atomically publish ``text`` at ``path``.
 
@@ -114,7 +116,8 @@ def atomic_write_text(path: str | Path,
     The temporary file lives in the destination directory (same
     filesystem, so :func:`os.replace` is atomic); a crash at any point
     leaves either the old content or the new content, never a torn
-    mix.  ``durable=False`` skips the fsyncs (tests, benchmarks).
+    mix.  The file is fsynced before the rename and the directory
+    after it.
 
     ``crash_hook`` (crash-recovery testing only) is called after the
     temporary file is written but before it is published — the window
@@ -137,8 +140,7 @@ def atomic_write_text(path: str | Path,
             tmp.unlink(missing_ok=True)
             raise
         handle.flush()
-        if durable:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
     if crash_hook is not None:
         crash_hook()
     try:
@@ -146,8 +148,7 @@ def atomic_write_text(path: str | Path,
     except OSError:
         tmp.unlink(missing_ok=True)
         raise
-    if durable:
-        _fsync_directory(path.parent)
+    _fsync_directory(path.parent)
 
 
 # ----------------------------------------------------------------------
@@ -220,9 +221,8 @@ class _JournalWriter:
     simply recomputed on resume.
     """
 
-    def __init__(self, path: Path, durable: bool) -> None:
+    def __init__(self, path: Path) -> None:
         self.path = path
-        self.durable = durable
         self._handle: IO[bytes] | None = None
         self._pending = 0
 
@@ -257,8 +257,7 @@ class _JournalWriter:
     def sync(self) -> None:
         if self._handle is not None and self._pending:
             self._handle.flush()
-            if self.durable:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             self._pending = 0
 
     def close(self) -> None:
@@ -284,11 +283,9 @@ class CheckpointStore:
     MANIFEST = "manifest.json"
 
     def __init__(self, directory: str | Path, fingerprint: str, *,
-                 durable: bool = True,
                  health: CheckpointHealth | None = None) -> None:
         self.directory = Path(directory)
         self.fingerprint = fingerprint
-        self.durable = durable
         self.health = health if health is not None else CheckpointHealth()
         self.health.enabled = True
         self._writers: dict[str, _JournalWriter] = {}
@@ -344,8 +341,7 @@ class CheckpointStore:
                 "format": CHECKPOINT_FORMAT,
                 "version": _library_version(),
                 "fingerprint": self.fingerprint,
-            }),
-            durable=self.durable)
+            }))
 
     def _manifest_problem(self) -> str | None:
         """Why this directory cannot be resumed (None = resumable)."""
@@ -391,7 +387,7 @@ class CheckpointStore:
         writer = self._writers.get(name)
         if writer is None:
             writer = self._writers[name] = _JournalWriter(
-                self._journal_path(name), self.durable)
+                self._journal_path(name))
         return writer
 
     # -- artifacts ------------------------------------------------------
@@ -408,8 +404,7 @@ class CheckpointStore:
         atomic_write_text(
             self._artifact_path(name),
             b'{"payload":' + payload_bytes
-            + b',"sha256":"' + digest.encode("ascii") + b'"}',
-            durable=self.durable)
+            + b',"sha256":"' + digest.encode("ascii") + b'"}')
 
     def load_artifact(self, name: str) -> Any | None:
         """A restored artifact payload, or None (absent or corrupt)."""
@@ -432,39 +427,31 @@ class CheckpointStore:
         return payload
 
 
-def config_fingerprint(config: Any) -> str:
-    """A stable digest of every config knob that shapes the output.
+#: :class:`~repro.pipeline.config.PipelineConfig` fields that choose
+#: how a run executes or what it records, never what a unit outputs:
+#: :func:`config_fingerprint` hashes every other field.  A crash
+#: aborts a run without changing any unit's output, a worker pool or
+#: chunk size is an execution strategy with byte-identical output, and
+#: tracing and metrics only observe — so a resume may drop
+#: ``--crash-at``, switch worker counts or batch sizes, or toggle
+#: tracing and still adopt the pre-crash checkpoints.
+NOT_FINGERPRINTED = frozenset({
+    "checkpoint_dir", "resume", "crash", "workers", "batch_size",
+    "trace_dir", "metrics_enabled",
+})
 
-    Two runs share checkpoints only if their fingerprints match.
-    Checkpointing knobs themselves, the kill-point
-    (:class:`~repro.pipeline.chaos.CrashPoint`), and the
-    ``workers``/``batch_size`` parallelism knobs, and
-    the observability knobs (``trace_enabled``/``trace_dir``/
-    ``metrics_enabled``) are deliberately excluded: a crash aborts a
-    run but never changes any unit's output, a worker pool is an
-    execution strategy with byte-identical output, and tracing/metrics
-    only observe — so a resume may drop ``--crash-at``, switch worker
-    counts, or toggle tracing and still adopt the pre-crash
-    checkpoints.
+
+def config_fingerprint(config: Any) -> str:
+    """A stable digest of every config field that shapes the output.
+
+    Two runs share checkpoints only if their fingerprints match.  The
+    payload is every :class:`~repro.pipeline.config.PipelineConfig`
+    field except :data:`NOT_FINGERPRINTED`, so a field added later is
+    fingerprinted unless it is named there.
     """
-    chaos = None
-    if config.chaos is not None:
-        chaos = dataclasses.asdict(config.chaos)
-    payload = {
-        "seed": config.seed,
-        "manufacturers": config.manufacturers,
-        "scanner_profile": dataclasses.asdict(config.scanner_profile),
-        "ocr_enabled": config.ocr_enabled,
-        "correction_enabled": config.correction_enabled,
-        "fallback_threshold": config.fallback_threshold,
-        "dictionary_mode": config.dictionary_mode,
-        "drop_planned": config.drop_planned,
-        "attach_truth": config.attach_truth,
-        "failure_policy": config.failure_policy,
-        "max_error_rate": config.max_error_rate,
-        "max_retries": config.max_retries,
-        "chaos": chaos,
-    }
+    payload = {name: value
+               for name, value in dataclasses.asdict(config).items()
+               if name not in NOT_FINGERPRINTED}
     return sha256_text(canonical_json(payload))
 
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..ocr.fallback import DEFAULT_CONFIDENCE_THRESHOLD
-from ..ocr.scanner import ScannerProfile
 from ..rng import DEFAULT_SEED
 from .chaos import ChaosConfig, CrashPoint
 from .resilience import POLICY_MODES, FailurePolicy
@@ -15,32 +13,30 @@ from .resilience import POLICY_MODES, FailurePolicy
 class PipelineConfig:
     """Knobs for one end-to-end pipeline run.
 
-    The defaults reproduce the paper's setup; the switches exist for
-    the ablation benches (OCR channel off, correction off, seed-only
-    dictionary, generic parser).
+    The defaults reproduce the paper's setup: one scanner profile, the
+    0.75 manual-transcription threshold, and ground-truth tags attached
+    so every run scores its tagger.  The switches exist for the
+    ablation benches (OCR channel off, correction off, seed-only
+    dictionary, planned tests dropped).  Every field is part of the
+    checkpoint config fingerprint unless it is named in
+    :data:`~repro.pipeline.checkpoint.NOT_FINGERPRINTED`.
     """
 
     #: Seed for corpus synthesis and the OCR channel.
     seed: int = DEFAULT_SEED
     #: Restrict to a subset of manufacturers (None = all of Table I).
     manufacturers: list[str] | None = None
-    #: Scan-quality regime.
-    scanner_profile: ScannerProfile = field(default_factory=ScannerProfile)
     #: Disable the OCR noise channel entirely (documents pass through
     #: clean) — ablation only.
     ocr_enabled: bool = True
     #: Disable the post-OCR correction pass — ablation only.
     correction_enabled: bool = True
-    #: Mean page confidence below which a page is manually transcribed.
-    fallback_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
     #: "expanded" builds the failure dictionary from the corpus (the
     #: paper's multi-pass construction); "seed" uses only the
     #: hand-curated seeds.
     dictionary_mode: str = "expanded"
     #: Drop planned-test disengagements instead of annotating them.
     drop_planned: bool = False
-    #: Attach ground-truth tags to parsed records for evaluation.
-    attach_truth: bool = True
     #: How the run reacts to unexpected per-unit failures
     #: (``fail_fast`` / ``quarantine`` / ``threshold``).
     failure_policy: str = "quarantine"
@@ -67,10 +63,7 @@ class PipelineConfig:
     #: Units per dispatched chunk in the parallel fan-out.  ``None``
     #: resolves per stage to ``ceil(n_units / (workers * 4))``,
     #: clamped (see :func:`~repro.pipeline.parallel.resolve_batch_size`);
-    #: output is byte-identical at any size.  Like ``workers``, it
-    #: picks an execution strategy, never an output, so it is excluded
-    #: from the checkpoint config fingerprint — a run journaled
-    #: unbatched resumes under batching and vice versa.
+    #: output is byte-identical at any size.
     batch_size: int | None = None
     #: Record hierarchical spans (run → stage → unit) into
     #: ``trace.jsonl`` inside this directory (None disables tracing,
@@ -98,10 +91,6 @@ class PipelineConfig:
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if not 0.0 <= self.fallback_threshold <= 1.0:
-            raise ValueError(
-                f"fallback_threshold {self.fallback_threshold} "
-                "outside [0, 1]")
         if self.resume and self.checkpoint_dir is None:
             raise ValueError(
                 "resume=True requires a checkpoint_dir to resume from")
@@ -119,13 +108,7 @@ class PipelineConfig:
 
     @property
     def tracing_active(self) -> bool:
-        """Whether this run records spans (a trace directory is set).
-
-        Like ``workers``, the observability knobs are excluded from
-        the checkpoint config fingerprint: they observe the run, they
-        never shape a unit's output, so a traced run may resume an
-        untraced checkpoint (and vice versa).
-        """
+        """Whether this run records spans (a trace directory is set)."""
         return self.trace_dir is not None
 
     @property
@@ -139,12 +122,7 @@ class PipelineConfig:
         """``(worker count, executor mode)`` for this run.
 
         ``workers=0`` resolves to ``(0, "serial")`` (chunks run
-        in-process), any other count to an N-process pool.  The worker
-        count is deliberately excluded from the checkpoint
-        :func:`~repro.pipeline.checkpoint.config_fingerprint`: it
-        chooses an execution strategy, never an output, so a run
-        crashed under 4 workers may resume serially (or vice versa)
-        and still reproduce the uninterrupted database byte for byte.
+        in-process), any other count to an N-process pool.
         """
         if self.workers <= 0:
             return 0, "serial"

@@ -108,7 +108,7 @@ def document_digest(document: RawDocument) -> str:
 
     Covers everything a journal body can depend on: the rendered
     lines (what OCR/parsing consume) **and** the ground-truth records
-    — ``attach_truth`` copies truth tags into parsed records, so a
+    — every run copies truth tags into its parsed records, so a
     truth-only change must invalidate the document's journal entry
     even though its lines are identical.
     """

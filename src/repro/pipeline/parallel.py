@@ -338,9 +338,7 @@ class _WorkerState:
             max_error_rate=config.max_error_rate,
             max_retries=config.max_retries)
         self.registry = default_registry()
-        self.ocr_stage = (OcrStage(config.scanner_profile,
-                                   config.correction_enabled,
-                                   config.fallback_threshold)
+        self.ocr_stage = (OcrStage(config.correction_enabled)
                           if config.ocr_enabled else None)
 
     def guard(self, quarantine):
@@ -350,17 +348,18 @@ class _WorkerState:
 
         chaos = (ChaosInjector(self.config.chaos, self.config.seed)
                  if self.config.chaos is not None else None)
-        return StageGuard(policy=self.policy, seed=self.config.seed,
-                          quarantine=quarantine, chaos=chaos)
+        return StageGuard(policy=self.policy, quarantine=quarantine,
+                          chaos=chaos)
 
 
 def _health_delta(guard) -> tuple:
     """A worker guard's counters as a mergeable, picklable delta.
 
     A bare ``(stages, events)`` pair rather than a keyed dict: the
-    delta rides home once per unit, and dropping the two string keys
-    (and their dict) from every pickle is measurable at Stage III
-    volumes (see ``benchmarks/bench_parallel.py``).
+    delta rides home once per chunk that quarantined nothing (one that
+    did ships :func:`_per_unit_deltas` instead), and dropping the two
+    string keys (and their dict) from every pickle is measurable at
+    Stage III volumes (see ``benchmarks/bench_parallel.py``).
     """
     return (
         {

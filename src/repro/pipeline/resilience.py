@@ -17,16 +17,16 @@ runs through a :class:`StageGuard`, which applies a
   ``min_samples`` attempts, so one early failure cannot trip it).
 
 Transient faults (:class:`~repro.errors.TransientError`) are retried
-with :func:`retry_with_backoff` before the policy is consulted; steps
-that declare a fallback degrade instead of being quarantined (e.g. a
-tagger crash degrades the record to the UNKNOWN tag).  On a clean run
-none of this draws randomness or perturbs any seeded stream, so the
-resilient pipeline is byte-identical to the unguarded one.
+at once, up to ``max_retries`` times, by :func:`retry_transient` before
+the policy is consulted; steps that declare a fallback degrade instead
+of being quarantined (e.g. a tagger crash degrades the record to the
+UNKNOWN tag).  None of this draws randomness or perturbs any seeded
+stream, so the resilient pipeline is byte-identical to the unguarded
+one.
 """
 
 from __future__ import annotations
 
-import time
 import traceback
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -37,7 +37,6 @@ from ..errors import (
     QuarantinedError,
     TransientError,
 )
-from ..rng import child_generator
 
 T = TypeVar("T")
 
@@ -62,9 +61,6 @@ class FailurePolicy:
     min_samples: int = 20
     #: Bounded retries for :class:`~repro.errors.TransientError`.
     max_retries: int = 2
-    #: Base backoff delay in seconds (0 keeps the pipeline fast; the
-    #: exponential schedule and jitter scale from it).
-    retry_base_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_MODES:
@@ -291,43 +287,22 @@ class RunHealth:
 # Bounded retry.
 # ----------------------------------------------------------------------
 
-def retry_with_backoff(func: Callable[[], T], *,
-                       retries: int,
-                       seed: int,
-                       stream: str,
-                       base_delay: float = 0.0,
-                       retry_on: tuple[type[BaseException], ...] = (
-                           TransientError,),
-                       sleep: Callable[[float], None] = time.sleep,
-                       on_retry: Callable[[int, BaseException],
-                                          None] | None = None) -> T:
-    """Call ``func`` with up to ``retries`` retries on transient faults.
+def retry_transient(func: Callable[[], T], *,
+                    retries: int,
+                    on_retry: Callable[[], None] | None = None) -> T:
+    """Call ``func``, retrying it up to ``retries`` times at once on
+    :class:`~repro.errors.TransientError`.
 
-    The backoff schedule is exponential with deterministic jitter: the
-    jitter generator is derived from ``(seed, stream)`` via
-    :mod:`repro.rng`, and is only instantiated after the first failure,
-    so a clean call consumes no randomness at all.  Non-``retry_on``
-    exceptions propagate immediately.
+    ``on_retry()`` runs before each retry.  The last attempt's error,
+    transient or not, and any non-transient error propagate.
     """
-    rng = None
-    attempt = 0
-    while True:
+    for _ in range(retries):
         try:
             return func()
-        except retry_on as exc:
-            if attempt >= retries:
-                raise
+        except TransientError:
             if on_retry is not None:
-                on_retry(attempt, exc)
-            if rng is None:
-                rng = child_generator(seed, f"retry:{stream}")
-            if base_delay > 0.0:
-                delay = base_delay * (2 ** attempt)
-                delay *= 1.0 + rng.random()  # full jitter in [1, 2)
-                sleep(delay)
-            else:
-                rng.random()  # keep the stream position deterministic
-            attempt += 1
+                on_retry()
+    return func()
 
 
 # ----------------------------------------------------------------------
@@ -343,12 +318,10 @@ class StageGuard:
     """
 
     def __init__(self, policy: FailurePolicy | None = None,
-                 seed: int = 0,
                  health: RunHealth | None = None,
                  quarantine: Quarantine | None = None,
                  chaos: "Any | None" = None) -> None:
         self.policy = policy or FailurePolicy()
-        self.seed = seed
         self.health = health if health is not None else RunHealth()
         self.quarantine = (quarantine if quarantine is not None
                            else Quarantine())
@@ -375,13 +348,10 @@ class StageGuard:
         if self.chaos is not None:
             func = self.chaos.wrap(stage, unit_id, func)
         try:
-            return retry_with_backoff(
+            return retry_transient(
                 func,
                 retries=self.policy.max_retries,
-                seed=self.seed,
-                stream=f"{stage}:{unit_id}",
-                base_delay=self.policy.retry_base_delay,
-                on_retry=lambda attempt, exc: self._count_retry(stats))
+                on_retry=lambda: self._count_retry(stats))
         except expected:
             stats.attempts -= 1  # domain outcome, not a failure
             raise
@@ -420,12 +390,12 @@ class StageGuard:
     def check_threshold(self, stage: str) -> None:
         """Enforce the ``threshold`` policy on ``stage``'s counters.
 
-        The serial path enforces the threshold inside
-        :meth:`run` as each failure lands; the parallel coordinator
-        calls this after merging a worker's health delta so the merged
-        (run-global) counters — not any worker's local view — decide
-        when the run aborts, at the same unit a serial run would.
-        A non-``threshold`` policy makes this a no-op.
+        Chunks run their guards in ``quarantine`` mode at every worker
+        count, serial included, so the coordinator calls this after
+        merging a quarantined unit's health delta: the merged (run-global)
+        counters — not any chunk's local view — decide when the run
+        aborts, at the same unit at every worker count.  A
+        non-``threshold`` policy makes this a no-op.
         """
         if self.policy.mode == "threshold":
             self._enforce_threshold(stage, self.health.stage(stage))

@@ -104,7 +104,6 @@ def process_corpus(corpus: SyntheticCorpus,
         config, stage_wall_s=diagnostics.parallel.stage_wall_s)
     guard = StageGuard(
         policy=config.resolved_policy(),
-        seed=config.seed,
         quarantine=database.quarantine,
         chaos=(ChaosInjector(config.chaos, config.seed)
                if config.chaos is not None else None))
@@ -223,10 +222,9 @@ def _run_stages(run: _Run, corpus: SyntheticCorpus) -> PipelineResult:
     if store is not None:
         store.sync()
 
-    if config.attach_truth:
-        with obs.stage("evaluate"):
-            # Score the tags Stage III stored: no second tagging pass.
-            diagnostics.tagging = evaluate_tagger(None, filtered)
+    with obs.stage("evaluate"):
+        # Score the tags Stage III stored: no second tagging pass.
+        diagnostics.tagging = evaluate_tagger(None, filtered)
 
     par = diagnostics.parallel
     if par.enabled:
@@ -605,8 +603,7 @@ def _process_disengagement(document: RawDocument,
         return "parse_error", _non_blank(lines)
     except QuarantinedError:
         return _quarantined(guard)
-    if config.attach_truth:
-        _attach_truth(document, parsed.disengagements)
+    _attach_truth(document, parsed.disengagements)
     return "ok", (parsed.disengagements, parsed.mileage,
                   _non_blank(parsed.unparsed_lines))
 

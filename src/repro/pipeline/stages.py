@@ -34,7 +34,6 @@ from ..ocr import (
     Scanner,
     apply_fallback,
 )
-from ..ocr.scanner import ScannerProfile
 from ..parsing.filters import FilterStats
 from ..parsing.normalize import NormalizationStats
 from ..synth.reports import RawDocument
@@ -77,7 +76,7 @@ class PipelineDiagnostics:
     normalization: NormalizationStats = field(
         default_factory=NormalizationStats)
     filters: FilterStats = field(default_factory=FilterStats)
-    #: NLP accuracy vs. ground truth (when truth is attached).
+    #: NLP accuracy vs. ground truth, over the records that carry it.
     tagging: TaggingReport | None = None
     #: Dictionary size used for tagging.
     dictionary_entries: int = 0
@@ -161,14 +160,11 @@ def render_metrics(diagnostics: PipelineDiagnostics) -> MetricsRegistry:
 class OcrStage:
     """Stage I/II boundary: scan, recognize, correct, fall back."""
 
-    def __init__(self, profile: ScannerProfile,
-                 correction_enabled: bool,
-                 fallback_threshold: float) -> None:
-        self.scanner = Scanner(profile)
+    def __init__(self, correction_enabled: bool) -> None:
+        self.scanner = Scanner()
         self.engine = OcrEngine()
         self.corrector = OcrCorrector() if correction_enabled else None
-        self.queue = ManualTranscriptionQueue(
-            threshold=fallback_threshold)
+        self.queue = ManualTranscriptionQueue()
 
     def process(self, document: RawDocument, rng: np.random.Generator,
                 stats: OcrStageStats) -> list[str]:

@@ -7,10 +7,11 @@ needs, plus a JSON round-trip for persistence.
 Persistence is crash-safe: :meth:`FailureDatabase.save` commits via
 write-to-temp + fsync + ``os.replace`` (a crash mid-write can never
 tear an existing database file) and publishes a sha256 sidecar that
-:meth:`FailureDatabase.load` verifies; any integrity failure raises
-:class:`~repro.errors.CorruptDatabaseError` with the offending path
-and reason.  The file is the database's canonical JSON, so the
-sidecar's digest is also its :meth:`~FailureDatabase.fingerprint`.
+:meth:`FailureDatabase.load` verifies whenever it is present; any
+integrity failure raises :class:`~repro.errors.CorruptDatabaseError`
+with the offending path and reason.  The file is the database's
+canonical JSON, so the sidecar's digest is also its
+:meth:`~FailureDatabase.fingerprint`.
 """
 
 from __future__ import annotations
@@ -331,8 +332,7 @@ class FailureDatabase:
                 required=False, path=path)),
         )
 
-    def save(self, path: str | Path, *, durable: bool = True,
-             checksum: bool = True, crash: Any = None) -> None:
+    def save(self, path: str | Path, *, crash: Any = None) -> None:
         """Write the database's canonical JSON to ``path`` — atomically.
 
         Guarantee: the JSON is streamed to a temporary file in the same
@@ -340,9 +340,9 @@ class FailureDatabase:
         a crash at any instant leaves either the previous database
         file or the complete new one on disk — never a torn mix.
         The bytes are hashed as they are written, and that digest is
-        the :meth:`fingerprint`.  ``checksum=True`` additionally
-        publishes a ``<name>.sha256`` sidecar (``sha256sum``-compatible)
-        that :meth:`load` verifies before trusting the file.
+        the :meth:`fingerprint`.  A ``<name>.sha256`` sidecar
+        (``sha256sum``-compatible) is then published the same way;
+        :meth:`load` verifies it before trusting the file.
 
         ``crash`` accepts a
         :class:`~repro.pipeline.chaos.CrashController` whose ``save``
@@ -358,32 +358,27 @@ class FailureDatabase:
                 yield chunk
 
         atomic_write_text(
-            path, hashed_chunks(), durable=durable,
+            path, hashed_chunks(),
             crash_hook=(None if crash is None
                         else lambda: crash.reached("save")))
         value = digest.hexdigest()
         self._fp_cache = (token, value)
-        if checksum:
-            atomic_write_text(
-                _sidecar_path(path), f"{value}  {path.name}\n",
-                durable=durable)
+        atomic_write_text(
+            _sidecar_path(path), f"{value}  {path.name}\n")
 
     @classmethod
-    def load(cls, path: str | Path, *,
-             verify_checksum: bool = True) -> "FailureDatabase":
+    def load(cls, path: str | Path) -> "FailureDatabase":
         """Read a database previously written with :meth:`save`.
 
         The file's bytes are read once.  When a ``.sha256`` sidecar
-        exists (and ``verify_checksum`` is on), they are verified
-        against it first; a mismatch raises
+        exists, they are verified against it first; a mismatch raises
         :class:`~repro.errors.CorruptDatabaseError` instead of
         returning silently wrong data.  Then :meth:`from_json` decodes
         the same bytes.
         """
         path = Path(path)
         data = path.read_bytes()
-        if verify_checksum:
-            verify_sidecar(path, data)
+        verify_sidecar(path, data)
         return cls.from_json(data, source=path)
 
 

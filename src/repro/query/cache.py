@@ -4,9 +4,7 @@ Keys are ``(database fingerprint, canonical query)`` pairs: the
 fingerprint is the content hash of the database snapshot an entry was
 computed from, so a content change makes every old key unreachable —
 stale results are *structurally* impossible to serve, no explicit
-invalidation pass needed.  (The engine still clears the cache on
-:meth:`~repro.query.engine.QueryEngine.refresh` to release the
-memory; correctness never depends on it.)
+invalidation pass needed.
 
 Hit/miss/eviction counters are kept under the same lock as the map
 and surfaced through :meth:`LruCache.stats` for ``/v1/stats``.
@@ -98,12 +96,6 @@ class LruCache:
             while len(self._data) > self._maxsize:
                 self._data.popitem(last=False)
                 self._evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept — they describe the
-        cache's lifetime, not the current population)."""
-        with self._lock:
-            self._data.clear()
 
     def stats(self) -> CacheStats:
         """Consistent snapshot of the counters."""

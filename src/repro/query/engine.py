@@ -18,13 +18,8 @@ keyed by ``(database fingerprint, canonical query)``.
 
 Thread safety: the engine is safe for concurrent :meth:`~QueryEngine.
 execute` calls — the index is immutable, the scope databases are
-per-call, and the cache locks internally.  :meth:`~QueryEngine.
-refresh` may run concurrently with readers: each request captures the
-index reference exactly once and keys the cache off that snapshot's
-fingerprint, so a swap mid-request can never blend snapshots or serve
-a stale cached result to a post-swap request.  Only refresh-vs-refresh
-needs external serialization (:class:`~repro.query.snapshot.
-SnapshotManager` provides it).
+per-call, and the cache locks internally.  A new database means a new
+engine; :class:`~repro.query.snapshot.SnapshotManager` swaps engines.
 """
 
 from __future__ import annotations
@@ -289,11 +284,9 @@ class QueryEngine:
 
     The database is treated as an immutable snapshot: the index is
     built once in the constructor and every result is cached under the
-    snapshot's content fingerprint.  If the underlying database *is*
-    mutated in place, call :meth:`refresh` — a changed fingerprint
-    rebuilds the index and retires every cached result (their keys
-    carry the old fingerprint, so they could never be served again
-    anyway; refresh also frees them).
+    snapshot's content fingerprint.  A new database means a new
+    engine; :class:`~repro.query.snapshot.SnapshotManager` swaps
+    engines.
     """
 
     def __init__(self, db: FailureDatabase, *,
@@ -309,42 +302,13 @@ class QueryEngine:
 
     @property
     def index(self) -> DatabaseIndex:
-        """The current index snapshot."""
+        """The index built over the database."""
         return self._index
 
     @property
     def fingerprint(self) -> str:
         """Content hash of the indexed snapshot."""
         return self._index.fingerprint
-
-    def refresh(self) -> bool:
-        """Re-fingerprint the database; rebuild on content change.
-
-        Returns whether anything changed.  Safe against concurrent
-        :meth:`execute` calls: the new index is built completely
-        before the reference is swapped (one atomic assignment), and
-        every request operates on the single index reference it
-        captured on entry — a reader admitted before the swap answers
-        wholly from the old snapshot, one admitted after answers
-        wholly from the new one, and cache keys carry the snapshot
-        fingerprint so neither can ever serve the other's results.
-        Concurrent *writers* (two refreshes racing) are the caller's
-        problem — use :class:`~repro.query.snapshot.SnapshotManager`
-        for the full swap lifecycle.
-        """
-        fingerprint = self._db.fingerprint()
-        if fingerprint == self._index.fingerprint:
-            return False
-        index = DatabaseIndex.build(self._db, fingerprint=fingerprint)
-        self._index = index  # the swap: one atomic reference store
-        # Memory release only: old-fingerprint keys are unreachable
-        # for any request admitted after the swap regardless (their
-        # cache key carries the old fingerprint).  A straggler request
-        # that captured the old index may still re-insert an
-        # old-fingerprint entry after this clear; it is equally
-        # unreachable and ages out of the LRU.
-        self._cache.clear()
-        return True
 
     def stats(self) -> dict[str, Any]:
         """JSON-able engine statistics (the ``/v1/stats`` body)."""
@@ -362,46 +326,41 @@ class QueryEngine:
     def execute(self, query: Query | Mapping[str, Any]) -> QueryResult:
         """Execute (or serve from cache) one query.
 
-        The index reference is captured **once** per request and used
-        for the cache key, the computation, and the result
-        provenance, so a concurrent :meth:`refresh`/snapshot swap can
-        never produce a blended answer: everything in one
-        :class:`QueryResult` comes from exactly one snapshot.
+        The result is cached under the snapshot's fingerprint and the
+        canonical query.  A new database means a new engine;
+        :class:`~repro.query.snapshot.SnapshotManager` swaps engines.
         """
         if not isinstance(query, Query):
             query = Query.from_dict(query)
         started = time.perf_counter()
-        index = self._index  # single snapshot reference per request
-        key = (index.fingerprint, query.canonical())
+        fingerprint = self._index.fingerprint
+        key = (fingerprint, query.canonical())
         value = self._cache.get(key, _MISS)
         cached = value is not _MISS
         if not cached:
-            value = self._compute(query, index)
+            value = self._compute(query)
             self._cache.put(key, value)
         return QueryResult(
             query=query,
-            fingerprint=index.fingerprint,
+            fingerprint=fingerprint,
             cached=cached,
             elapsed_ms=(time.perf_counter() - started) * 1e3,
             value=value,
         )
 
-    def _compute(self, query: Query,
-                 index: DatabaseIndex) -> Any:
+    def _compute(self, query: Query) -> Any:
         if query.metric == "count":
-            return self._count(query, index)
+            return self._count(query)
         if query.metric == "miles":
-            return self._miles(query, index)
+            return self._miles(query)
         kernel = KERNELS[(query.metric, query.group_by)]
-        return to_jsonable(kernel(self.scope(query, index)))
+        return to_jsonable(kernel(self.scope(query)))
 
     # ------------------------------------------------------------------
     # Filtering.
     # ------------------------------------------------------------------
 
-    def scope(self, query: Query,
-              index: DatabaseIndex | None = None,
-              ) -> FailureDatabase:
+    def scope(self, query: Query) -> FailureDatabase:
         """The database slice a query runs over.
 
         Unfiltered queries get the snapshot's database object;
@@ -409,12 +368,9 @@ class QueryEngine:
         (records ordered by manufacturer, original order within one
         manufacturer).  This is the *definition* of a filtered
         answer: the direct-analysis parity comparison runs the
-        analysis function over this same slice.  ``index`` pins the
-        snapshot (requests pass the reference they captured on
-        entry); when omitted, the current one is used.
+        analysis function over this same slice.
         """
-        if index is None:
-            index = self._index
+        index = self._index
         if not query.filtered:
             return index.database
         names = (query.manufacturers if query.manufacturers is not None
@@ -458,8 +414,8 @@ class QueryEngine:
     # Index-served metrics (no analysis kernel needed).
     # ------------------------------------------------------------------
 
-    def _count(self, query: Query,
-               index: DatabaseIndex) -> Any:
+    def _count(self, query: Query) -> Any:
+        index = self._index
         if not query.filtered:
             # O(1)/O(groups): straight off the prebuilt index.
             if query.group_by is None:
@@ -481,10 +437,10 @@ class QueryEngine:
             return {category.value:
                     len(index.disengagements_in_category(category))
                     for category in index.categories}
-        return _count_scoped(self.scope(query, index), query.group_by)
+        return _count_scoped(self.scope(query), query.group_by)
 
-    def _miles(self, query: Query,
-               index: DatabaseIndex) -> Any:
+    def _miles(self, query: Query) -> Any:
+        index = self._index
         if not query.filtered:
             if query.group_by is None:
                 return sum(index.miles_for(name)
@@ -497,7 +453,7 @@ class QueryEngine:
                 for month, miles in index.monthly_miles(name).items():
                     totals[month] = totals.get(month, 0.0) + miles
             return dict(sorted(totals.items()))
-        scope = self.scope(query, index)
+        scope = self.scope(query)
         if query.group_by is None:
             return scope.total_miles
         if query.group_by == "manufacturer":

@@ -68,11 +68,8 @@ class DatabaseIndex:
     fingerprint: str
     manufacturers: tuple[str, ...]
     months: tuple[str, ...]
-    #: The database snapshot itself.  Kept on the index so a request
-    #: that captured one index reference sees *matching* raw record
-    #: lists (unfiltered query scopes) — it can never blend an old
-    #: index with a newer database, whatever refresh/swap does
-    #: concurrently.
+    #: The database snapshot itself (unfiltered query scopes answer
+    #: from it).
     database: FailureDatabase = field(repr=False)
 
     _disengagements_by_manufacturer: Mapping[

@@ -1,9 +1,8 @@
 """Atomic snapshot lifecycle for the always-on query service.
 
-The engine (:mod:`repro.query.engine`) already makes a *single* swap
-safe — each request captures one index reference and keys the cache
-off that snapshot's fingerprint.  This module owns everything around
-the swap:
+An engine (:mod:`repro.query.engine`) answers from one immutable
+index and keys its cache off that snapshot's fingerprint, so a new
+database means a new engine.  This module owns swapping engines:
 
 * :class:`Snapshot` — one immutable generation of the serving state:
   the engine, its fingerprint, where it came from, when it went live.
@@ -293,10 +292,8 @@ class DirectoryWatcher:
     so it works anywhere the tests run.
     """
 
-    def __init__(self, directory: str | Path,
-                 pattern: str = "*.json") -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.pattern = pattern
         self._seen: dict[Path, tuple[int, int]] = {}
 
     def poll(self) -> list[Path]:
@@ -316,5 +313,4 @@ class DirectoryWatcher:
     def _candidates(self) -> Iterable[Path]:
         if not self.directory.is_dir():
             return ()
-        return (path for path in self.directory.glob(self.pattern)
-                if not path.name.endswith(".sha256"))
+        return self.directory.glob("*.json")

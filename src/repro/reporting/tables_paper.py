@@ -13,8 +13,6 @@ from ..calibration.baselines import (
 from ..calibration.fault_model import TABLE4_MANUFACTURERS
 from ..calibration.manufacturers import MANUFACTURERS, PERIODS, ReportPeriod
 from ..calibration.modality import TABLE5_MANUFACTURERS
-from ..nlp.dictionary import FailureDictionary
-from ..nlp.tagger import VotingTagger
 from ..pipeline.store import FailureDatabase
 from ..taxonomy import FaultTag, TAG_DEFINITIONS, category_of
 from ..units import months_between
@@ -203,9 +201,3 @@ def table8(db: FailureDatabase) -> Table:
         f"airline APM = {AIRLINE_ACCIDENTS_PER_MISSION:g}, surgical "
         f"robot APM = {SURGICAL_ROBOT_ACCIDENTS_PER_MISSION:g}")
     return table
-
-
-def rebuild_tagger(db: FailureDatabase) -> VotingTagger:
-    """Convenience: a tagger built from the database's narratives."""
-    return VotingTagger(FailureDictionary.build(
-        [r.description for r in db.disengagements]))

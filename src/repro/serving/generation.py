@@ -116,11 +116,6 @@ class GenerationWatcher:
         self._thread: threading.Thread | None = None
         self.last_error: str | None = None
 
-    @property
-    def seen_generation(self) -> int:
-        """Highest generation the callback has been offered."""
-        return self._seen
-
     def poll_once(self) -> bool:
         """One poll step; returns whether the callback fired."""
         generation = self._file.read()

@@ -17,7 +17,7 @@ import numpy as np
 from ..calibration.manufacturers import MANUFACTURERS, PERIODS, ReportPeriod
 from ..calibration.trends import dpm_trend
 from ..parsing.records import MonthlyMileage
-from ..units import month_key, months_between
+from ..units import months_between
 from .fleet import FleetRoster
 
 
@@ -32,10 +32,6 @@ class MonthlyPlan:
     def months(self) -> list[str]:
         """Sorted distinct months with any driving."""
         return sorted({cell.month for cell in self.cells})
-
-    def miles_in_month(self, month: str) -> float:
-        """Total manufacturer miles in ``month``."""
-        return sum(c.miles for c in self.cells if c.month == month)
 
     def miles_by_month(self) -> dict[str, float]:
         """Month -> total miles."""
@@ -114,8 +110,3 @@ def build_monthly_plan(manufacturer_name: str, roster: FleetRoster,
                     vehicle_id=vehicle.vehicle_id,
                 ))
     return plan
-
-
-def month_of_period_start(period: ReportPeriod) -> str:
-    """Canonical ``YYYY-MM`` key of a period's first month."""
-    return month_key(PERIODS[period][0])

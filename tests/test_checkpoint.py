@@ -7,6 +7,7 @@ contract of the store, kill-point injection, the acceptance scenario
 stale-checkpoint invalidation, and checksum-corruption recovery.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -31,6 +32,7 @@ from repro.pipeline import (
     process_corpus,
 )
 from repro.pipeline.checkpoint import (
+    NOT_FINGERPRINTED,
     CheckpointStore,
     atomic_write_text,
     config_fingerprint,
@@ -223,6 +225,32 @@ class TestConfigFingerprint:
                 == config_fingerprint(resumed))
         assert (config_fingerprint(_config())
                 == config_fingerprint(resumed))
+
+    def test_every_output_shaping_field_changes_it(self):
+        # One non-default value per fingerprinted field.  A new
+        # PipelineConfig field fails here until it gets a value below
+        # or is named in NOT_FINGERPRINTED.
+        changed = {
+            "seed": 8,
+            "manufacturers": ["Nissan"],
+            "ocr_enabled": False,
+            "correction_enabled": False,
+            "dictionary_mode": "seed",
+            "drop_planned": True,
+            "failure_policy": "fail_fast",
+            "max_error_rate": 0.5,
+            "max_retries": 5,
+            "chaos": ChaosConfig(stage="tag"),
+        }
+        base = PipelineConfig()
+        for name, value in changed.items():
+            assert value != getattr(base, name), name
+            assert (config_fingerprint(dataclasses.replace(
+                base, **{name: value}))
+                != config_fingerprint(base)), name
+        assert (set(changed)
+                == {f.name for f in dataclasses.fields(PipelineConfig)}
+                - NOT_FINGERPRINTED)
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +568,7 @@ class TestKnobValidation:
         {"max_error_rate": -0.1},
         {"max_error_rate": 1.5},
         {"max_retries": -1},
-        {"fallback_threshold": 1.5},
+        {"dictionary_mode": "bigrams"},
         {"resume": True},  # without a checkpoint_dir
     ])
     def test_pipeline_config_rejects_bad_knobs(self, kwargs):

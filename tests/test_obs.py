@@ -25,7 +25,6 @@ from repro.obs import (
     default_registry,
     load_trace,
     self_times,
-    timed,
 )
 from repro.obs.metrics import (
     DEGRADATIONS_TOTAL,
@@ -248,14 +247,6 @@ class TestMetricsRegistry:
         assert 'h_seconds_bucket{le="1.0"} 1' in text
         assert 'h_seconds_bucket{le="+Inf"} 1' in text
         assert "h_seconds_count 1" in text
-
-    def test_timed_block_helper(self):
-        registry = MetricsRegistry()
-        with timed("warmup", registry=registry):
-            pass
-        series = registry.to_dict()["repro_block_seconds"]["series"]
-        assert series[0]["labels"] == {"block": "warmup"}
-        assert series[0]["count"] == 1
 
 
 class TestPipelineInstrumentation:

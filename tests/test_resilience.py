@@ -26,7 +26,7 @@ from repro.pipeline import (
     PipelineConfig,
     StageGuard,
     process_corpus,
-    retry_with_backoff,
+    retry_transient,
     run_pipeline,
 )
 from repro.pipeline.chaos import ChaosError, ChaosInjector, _corrupt
@@ -65,10 +65,9 @@ class TestFailurePolicy:
             PipelineConfig(failure_policy="telepathy")
 
 
-class TestRetryWithBackoff:
+class TestRetryTransient:
     def test_clean_call_passes_through(self):
-        assert retry_with_backoff(lambda: 42, retries=3, seed=1,
-                                  stream="s") == 42
+        assert retry_transient(lambda: 42, retries=3) == 42
 
     def test_transient_fault_retried_to_success(self):
         attempts = []
@@ -79,8 +78,7 @@ class TestRetryWithBackoff:
                 raise TransientError("not yet")
             return "ok"
 
-        assert retry_with_backoff(flaky, retries=3, seed=1,
-                                  stream="s") == "ok"
+        assert retry_transient(flaky, retries=3) == "ok"
         assert len(attempts) == 3
 
     def test_retries_exhausted_reraises(self):
@@ -88,7 +86,7 @@ class TestRetryWithBackoff:
             raise TransientError("never")
 
         with pytest.raises(TransientError):
-            retry_with_backoff(always, retries=2, seed=1, stream="s")
+            retry_transient(always, retries=2)
 
     def test_permanent_fault_not_retried(self):
         attempts = []
@@ -98,29 +96,8 @@ class TestRetryWithBackoff:
             raise ValueError("permanent")
 
         with pytest.raises(ValueError):
-            retry_with_backoff(broken, retries=5, seed=1, stream="s")
+            retry_transient(broken, retries=5)
         assert len(attempts) == 1
-
-    def test_backoff_delays_are_deterministic_and_bounded(self):
-        def delays_for(seed):
-            delays = []
-
-            def always():
-                raise TransientError("x")
-
-            with pytest.raises(TransientError):
-                retry_with_backoff(always, retries=3, seed=seed,
-                                   stream="s", base_delay=0.01,
-                                   sleep=delays.append)
-            return delays
-
-        first = delays_for(7)
-        assert first == delays_for(7)  # seeded jitter
-        assert first != delays_for(8)
-        assert len(first) == 3
-        for attempt, delay in enumerate(first):
-            base = 0.01 * (2 ** attempt)
-            assert base <= delay < 2 * base  # full jitter in [1, 2)
 
 
 def _failing(message="boom"):
