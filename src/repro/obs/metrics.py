@@ -48,6 +48,10 @@ QUARANTINED_TOTAL = "repro_quarantined_total"
 #: NLP: token-memo hits/misses (see :mod:`repro.nlp.textcache`).
 TOKEN_CACHE_HITS = "repro_token_cache_hits_total"
 TOKEN_CACHE_MISSES = "repro_token_cache_misses_total"
+#: Data quality: OCR pages sent to manual transcription.
+OCR_FALLBACK_PAGES = "repro_ocr_fallback_pages_total"
+#: Data quality: report lines no parser rule matched.
+UNPARSED_LINES = "repro_unparsed_lines_total"
 #: Server: requests by route and status code.
 HTTP_REQUESTS = "repro_http_requests_total"
 #: Server: request latency by route.

@@ -44,10 +44,13 @@ construction.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
+
+import orjson
 
 from ..synth.dataset import SyntheticCorpus
 from ..synth.reports import RawDocument
@@ -58,7 +61,6 @@ from .checkpoint import (
     config_fingerprint,
     journal_line,
     read_journal,
-    sha256_text,
 )
 from .config import PipelineConfig
 from .runner import PipelineResult, process_corpus
@@ -70,37 +72,10 @@ INGEST_STATE = "ingest.json"
 INGEST_FORMAT = 1
 
 
-#: Types :func:`_plain` returns as they are.
-_PASS_THROUGH = frozenset({str, int, float, bool, type(None)})
-
-
-def _plain(value: Any) -> Any:
-    """Strip numpy scalar types out of a truth-record payload.
-
-    Ground-truth records carry values straight from the synthesizer's
-    numpy draws (``numpy.float64`` reaction times, ...), which the
-    canonical JSON encoder rejects; the digest must also be identical
-    whether a value arrived as a numpy scalar or a Python number.
-    """
-    # Exact built-ins (almost every value: the report lines) pass
-    # through unchanged; only containers and subclasses need the
-    # checks below.
-    if type(value) in _PASS_THROUGH:
-        return value
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, float):   # covers numpy.float64 (a subclass)
-        return float(value)
-    if isinstance(value, int):
-        return int(value)
-    item = getattr(value, "item", None)   # other numpy scalars
-    if callable(item) and getattr(value, "shape", None) == ():
-        return value.item()
-    return value
+#: ``canonical_bytes``' options plus numpy scalars: synthesized truth
+#: records carry ``numpy.float64`` reaction times, encoded as the
+#: Python number they equal.
+_DIGEST_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
 def document_digest(document: RawDocument) -> str:
@@ -110,19 +85,22 @@ def document_digest(document: RawDocument) -> str:
     lines (what OCR/parsing consume) **and** the ground-truth records
     — every run copies truth tags into its parsed records, so a
     truth-only change must invalidate the document's journal entry
-    even though its lines are identical.
+    even though its lines are identical.  The records are encoded
+    from their fields in one pass; orjson writes their dates, enums
+    and tuples as ``to_dict()`` spells them, so the digest is the
+    sha256 of the canonical JSON of the ``to_dict()`` payload.
     """
     payload = {
         "kind": document.kind,
         "manufacturer": document.manufacturer,
         "lines": document.lines,
         "truth_disengagements": [
-            r.to_dict() for r in document.truth_disengagements],
-        "truth_mileage": [m.to_dict() for m in document.truth_mileage],
-        "truth_accidents": [
-            r.to_dict() for r in document.truth_accidents],
+            vars(r) for r in document.truth_disengagements],
+        "truth_mileage": [vars(m) for m in document.truth_mileage],
+        "truth_accidents": [vars(r) for r in document.truth_accidents],
     }
-    return sha256_text(canonical_json(_plain(payload)))
+    return hashlib.sha256(
+        orjson.dumps(payload, option=_DIGEST_OPTIONS)).hexdigest()
 
 
 @dataclass

@@ -18,6 +18,7 @@ from ..obs.metrics import (
     BATCH_TASKS_TOTAL,
     BATCH_UNITS_TOTAL,
     DEGRADATIONS_TOTAL,
+    OCR_FALLBACK_PAGES,
     QUARANTINED_TOTAL,
     RETRIES_TOTAL,
     STAGE_DURATION,
@@ -25,6 +26,7 @@ from ..obs.metrics import (
     TOKEN_CACHE_HITS,
     TOKEN_CACHE_MISSES,
     UNITS_TOTAL,
+    UNPARSED_LINES,
     MetricsRegistry,
 )
 from ..ocr import (
@@ -126,7 +128,9 @@ def render_metrics(diagnostics: PipelineDiagnostics) -> MetricsRegistry:
     resumed run's restored quarantines count in both).  The four
     resilience families are always registered and carry a series per
     stage with a non-zero count; a pooled run adds the batch families
-    with a series per fanned stage, zero when it shipped no chunk.
+    with a series per fanned stage, zero when it shipped no chunk.  The
+    data-quality counters (OCR fallback pages, unparsed lines) are
+    always registered, zero on a clean run.
     """
     registry = MetricsRegistry()
     par = diagnostics.parallel
@@ -149,6 +153,12 @@ def render_metrics(diagnostics: PipelineDiagnostics) -> MetricsRegistry:
         diagnostics.token_cache_hits)
     registry.counter(TOKEN_CACHE_MISSES, "Token-memo misses").inc(
         diagnostics.token_cache_misses)
+    registry.counter(OCR_FALLBACK_PAGES,
+                     "OCR pages sent to manual transcription").inc(
+        diagnostics.ocr.fallback_pages)
+    registry.counter(UNPARSED_LINES,
+                     "Report lines no parser rule matched").inc(
+        diagnostics.parse.unparsed_lines)
     if par.enabled:
         for name, help_text, tally in _BATCH_FAMILIES:
             family = registry.counter(name, help_text, ("stage",))

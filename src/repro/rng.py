@@ -9,11 +9,13 @@ values drawn by existing ones.
 It also holds closed forms of the library draws synthesis makes once
 per event: an exponentiated-Weibull variate and a weighted index.  Each
 consumes the generator exactly as the library call does and returns
-the same bits; the tests compare them with those calls.
+the same bits, without the library call's per-call overhead (array
+conversion and validation); the tests compare them with those calls.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 
@@ -109,13 +111,13 @@ def exponweib_variate(a: float, c: float, scale: float,
     return float(y * scale + 0.0)
 
 
-def weighted_cdf(p) -> np.ndarray:
+def weighted_cdf(p) -> list[float]:
     """The table :func:`cdf_index` draws from, for weights ``p``.
 
     The cumulative sum ``Generator.choice(len(p), p=p)`` builds on
-    every call, built once.  ``p`` is checked as ``choice`` checks it:
-    1-D, finite, non-negative, summing to 1 within ``sqrt(eps)``;
-    anything else raises :class:`ValueError`.
+    every call, built once, as a list of floats.  ``p`` is checked as
+    ``choice`` checks it: 1-D, finite, non-negative, summing to 1
+    within ``sqrt(eps)``; anything else raises :class:`ValueError`.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
@@ -128,13 +130,15 @@ def weighted_cdf(p) -> np.ndarray:
         raise ValueError("probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
 
 
-def cdf_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+def cdf_index(cdf: list[float], rng: np.random.Generator) -> int:
     """Draw an index from a :func:`weighted_cdf` table.
 
     Returns what ``Generator.choice(len(p), p=p)`` returns and consumes
-    the same single double.
+    the same single double: ``choice`` looks that double up with
+    ``searchsorted(side="right")`` on the same non-decreasing table,
+    which is :func:`bisect.bisect_right` on its values.
     """
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect.bisect_right(cdf, rng.random())

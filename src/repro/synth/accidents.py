@@ -23,6 +23,7 @@ from ..calibration.accidents import (
 )
 from ..calibration.manufacturers import MANUFACTURERS, PERIODS, ReportPeriod
 from ..parsing.records import AccidentRecord
+from ..rng import cdf_index, weighted_cdf
 from ..units import month_key
 from .fleet import FleetRoster
 
@@ -95,6 +96,10 @@ def _sample_date(period: ReportPeriod, rng: np.random.Generator) -> date:
     return date(year, month, int(rng.integers(1, last + 1)))
 
 
+#: :func:`~repro.rng.cdf_index` table of the collision-type weights.
+_COLLISION_TYPE_CDF = weighted_cdf(COLLISION_TYPE_WEIGHTS)
+
+
 def synthesize_accidents(manufacturer_name: str, roster: FleetRoster,
                          rng: np.random.Generator) -> list[AccidentRecord]:
     """Synthesize all accident records for one manufacturer."""
@@ -104,8 +109,8 @@ def synthesize_accidents(manufacturer_name: str, roster: FleetRoster,
         count = manufacturer.stats(period).accidents or 0
         vehicles = roster.vehicles(period)
         for _ in range(count):
-            collision_type = COLLISION_TYPES[int(rng.choice(
-                len(COLLISION_TYPES), p=COLLISION_TYPE_WEIGHTS))]
+            collision_type = COLLISION_TYPES[
+                cdf_index(_COLLISION_TYPE_CDF, rng)]
             av_speed = _truncated_exponential(
                 SPEED_MODEL.av_scale, SPEED_MODEL.max_av_speed, rng)
             if collision_type == "object":
@@ -115,9 +120,9 @@ def synthesize_accidents(manufacturer_name: str, roster: FleetRoster,
                     SPEED_MODEL.relative_scale, SPEED_MODEL.max_mv_speed,
                     rng)
                 direction = 1.0 if rng.random() < 0.7 else -1.0
-                other_speed = float(np.clip(
-                    av_speed + direction * relative, 0.0,
-                    SPEED_MODEL.max_mv_speed))
+                # ``np.clip(sum, 0.0, max)``: the sum is never NaN or -0.0.
+                other_speed = min(max(av_speed + direction * relative,
+                                      0.0), SPEED_MODEL.max_mv_speed)
             narratives = _NARRATIVES_BY_TYPE[collision_type]
             redacted = bool(rng.random() < REDACTION_PROBABILITY)
             vehicle_id = None
@@ -139,7 +144,7 @@ def synthesize_accidents(manufacturer_name: str, roster: FleetRoster,
                 injuries=False,
                 redacted=redacted,
                 vehicle_id=vehicle_id,
-                description=str(rng.choice(list(narratives))),
+                description=narratives[int(rng.integers(len(narratives)))],
             ))
     records.sort(key=lambda r: r.event_date or date.min)
     return records

@@ -18,14 +18,17 @@ import numpy as np
 from ..calibration.fault_model import fault_mixture
 from ..calibration.manufacturers import MANUFACTURERS, ReportPeriod
 from ..calibration.modality import modality_mixture
-from ..calibration.reaction_times import reaction_time_model
+from ..calibration.reaction_times import (
+    ReactionTimeModel,
+    reaction_time_model,
+)
 from ..calibration.roads import (
     ROAD_TYPE_SHARES,
     WEATHER_CONDITIONS,
     WEATHER_WEIGHTS,
 )
 from ..calibration.trends import dpm_trend
-from ..parsing.records import DisengagementRecord
+from ..parsing.records import DisengagementRecord, MonthlyMileage
 from ..rng import cdf_index, exponweib_variate, weighted_cdf
 from ..taxonomy import FaultTag, Modality
 from .mileage import MonthlyPlan, _period_months
@@ -55,42 +58,50 @@ def _month_event_counts(total: int, months: list[str],
     return {m: int(c) for m, c in zip(active, counts) if c > 0}
 
 
-def _sample_day(month: str, rng: np.random.Generator) -> date:
-    """Random day within a ``YYYY-MM`` month."""
-    year, mon = int(month[:4]), int(month[5:7])
-    last = calendar.monthrange(year, mon)[1]
-    return date(year, mon, int(rng.integers(1, last + 1)))
-
-
 def _sample_time(rng: np.random.Generator) -> tuple[int, int, int]:
-    """Random daytime-biased wall-clock time (testing is mostly diurnal)."""
-    hour = int(np.clip(rng.normal(13.0, 3.5), 0, 23))
+    """Random daytime-biased wall-clock time (testing is mostly diurnal).
+
+    The hour is ``int(np.clip(rng.normal(13.0, 3.5), 0, 23))``; a
+    normal draw is never NaN, so ``min``/``max`` clamp it the same.
+    """
+    hour = int(min(max(rng.normal(13.0, 3.5), 0), 23))
     return hour, int(rng.integers(0, 60)), int(rng.integers(0, 60))
 
 
-def _sample_reaction_time(manufacturer: str, cumulative_miles: float,
-                          rng: np.random.Generator) -> float | None:
-    """Draw a reaction time (seconds) if the manufacturer reports them."""
-    model = reaction_time_model(manufacturer)
-    if model is None:
+def _reaction_drift(model: ReactionTimeModel | None,
+                    cumulative_miles: float) -> np.float64 | None:
+    """The reaction-time drift of a month, ``None`` if there is none.
+
+    Added to each of the month's variates; it is a ``numpy.float64``,
+    so the sum rounds as a numpy scalar.
+    """
+    if model is None or not model.drift_per_log_mile:
         return None
-    value = exponweib_variate(model.a, model.c, model.scale, rng)
-    if model.drift_per_log_mile:
-        log_miles = np.log10(max(cumulative_miles, 1.0))
-        value += model.drift_per_log_mile * (
-            log_miles - model.drift_reference_log_miles)
-    return max(round(value, 2), 0.01)
+    return model.drift_per_log_mile * (
+        np.log10(max(cumulative_miles, 1.0))
+        - model.drift_reference_log_miles)
 
 
 def synthesize_disengagements(manufacturer_name: str, plan: MonthlyPlan,
                               rng: np.random.Generator,
                               ) -> list[DisengagementRecord]:
-    """Synthesize all disengagement records for one manufacturer."""
+    """Synthesize all disengagement records for one manufacturer.
+
+    Each event makes its generator calls in a fixed order: fault tag,
+    modality, vehicle, day; the time of day where the manufacturer
+    reports dates; road type and weather where it reports conditions;
+    the reaction time where it reports them; then the narrative.
+    Everything that depends only on the manufacturer or the month is
+    computed before the month's events.
+    """
     manufacturer = MANUFACTURERS[manufacturer_name]
     trend = dpm_trend(manufacturer_name)
     faults = fault_mixture(manufacturer_name)
     modalities = modality_mixture(manufacturer_name)
-    narrator = NarrativeGenerator(rng)
+    reaction = reaction_time_model(manufacturer_name)
+    day_granularity = manufacturer.day_granularity
+    reports_conditions = manufacturer.reports_conditions
+    narrative = NarrativeGenerator(rng).narrative
 
     fault_tags = list(faults.weights)
     fault_cdf = weighted_cdf([faults.weights[t] for t in fault_tags])
@@ -98,12 +109,15 @@ def synthesize_disengagements(manufacturer_name: str, plan: MonthlyPlan,
     modality_cdf = weighted_cdf(
         [modalities.weights[m] for m in modality_values])
 
-    road_types = list(ROAD_TYPE_SHARES)
-    road_cdf = weighted_cdf([ROAD_TYPE_SHARES[r] for r in road_types])
+    road_types = [str(r) for r in ROAD_TYPE_SHARES]
+    road_cdf = weighted_cdf(list(ROAD_TYPE_SHARES.values()))
     weather_cdf = weighted_cdf(WEATHER_WEIGHTS)
 
     miles_by_month = plan.miles_by_month()
     cumulative = plan.cumulative_miles()
+    cells_by_month: dict[str, list[MonthlyMileage]] = {}
+    for cell in plan.cells:
+        cells_by_month.setdefault(cell.month, []).append(cell)
 
     records: list[DisengagementRecord] = []
     for period in ReportPeriod:
@@ -116,37 +130,47 @@ def synthesize_disengagements(manufacturer_name: str, plan: MonthlyPlan,
             total, months, miles_by_month, cumulative,
             trend.slope, trend.sigma, rng)
         for month, count in counts.items():
-            vehicles = [c for c in plan.cells if c.month == month]
+            vehicles = cells_by_month[month]
             vehicle_ids = [c.vehicle_id for c in vehicles]
             miles = np.array([c.miles for c in vehicles])
             vehicle_cdf = weighted_cdf(miles / miles.sum())
+            year, mon = int(month[:4]), int(month[5:7])
+            days = calendar.monthrange(year, mon)[1]
+            drift = _reaction_drift(reaction, cumulative[month])
             for _ in range(count):
                 tag = fault_tags[cdf_index(fault_cdf, rng)]
                 modality = modality_values[cdf_index(modality_cdf, rng)]
                 vehicle_id = vehicle_ids[cdf_index(vehicle_cdf, rng)]
-                event_date = _sample_day(month, rng)
-                record = DisengagementRecord(
+                # Drawn whether the date is reported or not, so the
+                # stream does not depend on the report format.
+                day = rng.integers(1, days + 1)
+                event_date = time_of_day = road_type = weather = None
+                if day_granularity:
+                    event_date = date(year, mon, int(day))
+                    time_of_day = _sample_time(rng)
+                if reports_conditions:
+                    road_type = road_types[cdf_index(road_cdf, rng)]
+                    weather = WEATHER_CONDITIONS[cdf_index(weather_cdf, rng)]
+                reaction_time = None
+                if reaction is not None:
+                    value = exponweib_variate(
+                        reaction.a, reaction.c, reaction.scale, rng)
+                    if drift is not None:
+                        value += drift
+                    reaction_time = max(round(value, 2), 0.01)
+                records.append(DisengagementRecord(
                     manufacturer=manufacturer_name,
                     month=month,
-                    event_date=(
-                        event_date if manufacturer.day_granularity else None),
-                    time_of_day=(
-                        _sample_time(rng)
-                        if manufacturer.day_granularity else None),
+                    event_date=event_date,
+                    time_of_day=time_of_day,
                     vehicle_id=vehicle_id,
                     modality=modality,
-                    road_type=(
-                        str(road_types[cdf_index(road_cdf, rng)])
-                        if manufacturer.reports_conditions else None),
-                    weather=(
-                        WEATHER_CONDITIONS[cdf_index(weather_cdf, rng)]
-                        if manufacturer.reports_conditions else None),
-                    reaction_time_s=_sample_reaction_time(
-                        manufacturer_name, cumulative[month], rng),
-                    description=narrator.narrative(tag, modality),
+                    road_type=road_type,
+                    weather=weather,
+                    reaction_time_s=reaction_time,
+                    description=narrative(tag, modality),
                     truth_tag=tag,
-                )
-                records.append(record)
+                ))
 
     _inject_reaction_outlier(manufacturer_name, records)
     records.sort(key=lambda r: (r.month, r.event_date or date(

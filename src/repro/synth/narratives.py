@@ -58,10 +58,16 @@ class Template:
     choices: tuple[str, ...] = ()
 
     def render(self, rng: np.random.Generator) -> str:
-        """Fill the slot (if any) with a random choice."""
-        if "{x}" in self.text and self.choices:
+        """Fill the slot (if any) with a random choice.
+
+        The pick is ``rng.choice(list(self.choices))`` without the
+        list-to-array conversion: ``choice`` draws the same
+        ``integers(len(choices))``.
+        """
+        choices = self.choices
+        if "{x}" in self.text and choices:
             return self.text.replace(
-                "{x}", str(rng.choice(list(self.choices))))
+                "{x}", choices[int(rng.integers(len(choices)))])
         return self.text
 
 

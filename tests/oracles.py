@@ -17,6 +17,7 @@ from repro.nlp.ngrams import all_ngrams
 from repro.nlp.textcache import cached_tokens
 from repro.pipeline.checkpoint import canonical_bytes
 from repro.pipeline.store import FailureDatabase
+from repro.synth.reports import RawDocument
 from repro.taxonomy import FaultTag
 
 
@@ -88,7 +89,8 @@ def build_per_narrative(texts: list[str], max_n: int = 3,
 
 
 def plain_reference(value: Any) -> Any:
-    """The digest payload scrub without its fast path for built-ins."""
+    """The digest payload scrub: numpy scalars to the numbers they
+    equal, tuples to lists, everything else as it is."""
     if isinstance(value, dict):
         return {key: plain_reference(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -103,6 +105,23 @@ def plain_reference(value: Any) -> Any:
     if callable(item) and getattr(value, "shape", None) == ():
         return value.item()
     return value
+
+
+def document_digest_reference(document: RawDocument) -> str:
+    """A document's content digest as ``to_dict()`` records, scrubbed
+    by :func:`plain_reference`, in canonical JSON."""
+    payload = {
+        "kind": document.kind,
+        "manufacturer": document.manufacturer,
+        "lines": document.lines,
+        "truth_disengagements": [
+            r.to_dict() for r in document.truth_disengagements],
+        "truth_mileage": [m.to_dict() for m in document.truth_mileage],
+        "truth_accidents": [
+            r.to_dict() for r in document.truth_accidents],
+    }
+    return hashlib.sha256(
+        canonical_bytes(plain_reference(payload))).hexdigest()
 
 
 def database_payload(db: FailureDatabase) -> dict[str, Any]:

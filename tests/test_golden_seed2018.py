@@ -18,6 +18,8 @@ from repro.analysis.alertness import overall_mean_reaction_time
 from repro.analysis.apm import disengagements_per_accident_overall
 from repro.analysis.categories import overall_category_shares
 from repro.analysis.maturity import pooled_dpm_correlation
+from repro.synth import generate_corpus
+from repro.synth.io import write_corpus
 
 from .oracles import record_loop_fingerprint
 
@@ -29,6 +31,29 @@ ANALYSIS = ["Mercedes-Benz", "Volkswagen", "Waymo", "Delphi", "Nissan",
 #: serial loop that predates the in-process executor.
 FINGERPRINT = (
     "773494ce1046f9100967e8a657f66fcab35ec4061cbedbdd6d0bfcf09f2b5e2f")
+
+
+#: sha256 over the files ``repro corpus --seed N`` writes (relative
+#: path, a NUL, the bytes; in path order), as CI's "Corpus pin" step
+#: hashes them.  It sees the truth sidecar too, which the database
+#: fingerprint cannot: parsing drops truth-only fields.
+CORPUS_PINS = {
+    2018: "b93a651c460e39c3557c668494d6c6a7"
+          "b719a892f03b8651d0cf24cf99992d50",
+    911: "cf1f9a9891ef84b1e9df0bf13b353854"
+         "33d8c2689adeece2e42a68a60beaf814",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_PINS))
+def test_written_corpus_pinned(seed, tmp_path):
+    root = write_corpus(generate_corpus(seed), tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(root).as_posix().encode()
+                          + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == CORPUS_PINS[seed]
 
 
 class TestGoldenPipeline:

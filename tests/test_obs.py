@@ -31,11 +31,13 @@ from repro.obs.metrics import (
     HTTP_LATENCY,
     HTTP_REQUESTS,
     INDEX_RECORDS,
+    OCR_FALLBACK_PAGES,
     QUARANTINED_TOTAL,
     QUERY_CACHE_HITS,
     RETRIES_TOTAL,
     STAGE_ERRORS_TOTAL,
     TOKEN_CACHE_HITS,
+    UNPARSED_LINES,
 )
 from repro.pipeline import (
     ChaosConfig,
@@ -44,6 +46,7 @@ from repro.pipeline import (
     SimulatedCrash,
     process_corpus,
 )
+from repro.pipeline.stages import render_metrics
 from repro.query import QueryServer
 from repro.synth import generate_corpus
 
@@ -327,6 +330,17 @@ class TestPipelineInstrumentation:
                 stage: getattr(health, counter)
                 for stage, health in diagnostics.health.stages.items()
                 if getattr(health, counter)}, name
+
+    def test_data_quality_counters(self, pipeline_result):
+        diagnostics = pipeline_result.diagnostics
+        metrics = render_metrics(diagnostics).to_dict()
+        values = {name: [s["value"] for s in metrics[name]["series"]]
+                  for name in (OCR_FALLBACK_PAGES, UNPARSED_LINES)}
+        # Seed 2018: seven pages sent to manual transcription and 21
+        # lines no parser rule matched.
+        assert values == {OCR_FALLBACK_PAGES: [7], UNPARSED_LINES: [21]}
+        assert diagnostics.ocr.fallback_pages == 7
+        assert diagnostics.parse.unparsed_lines == 21
 
 
 class TestExposition:

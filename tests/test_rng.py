@@ -11,11 +11,14 @@ from scipy import special
 from scipy import stats as sstats
 
 from repro import rng
+from repro.calibration.accidents import COLLISION_TYPE_WEIGHTS, COLLISION_TYPES
 from repro.calibration.fault_model import fault_mixture
 from repro.calibration.manufacturers import MANUFACTURERS
 from repro.calibration.modality import modality_mixture
 from repro.calibration.reaction_times import REACTION_TIME_MODELS
 from repro.calibration.roads import ROAD_TYPE_SHARES, WEATHER_WEIGHTS
+from repro.synth import accidents, events
+from repro.synth.narratives import TEMPLATES, Template
 
 
 def test_generator_default_seed_is_reproducible():
@@ -221,3 +224,56 @@ class TestCdfIndex:
         # Normalized as choice normalizes, so every draw below 1 maps
         # to a valid index.
         assert cdf[-1] == 1.0
+
+
+#: Every pool synthesis picks from uniformly: template slots and the
+#: accident narratives of each collision type.
+_PICK_POOLS = (
+    [t.choices for pool in TEMPLATES.values() for t in pool if t.choices]
+    + list(accidents._NARRATIVES_BY_TYPE.values()))
+
+
+class TestSynthesisPicks:
+    """The per-event picks and clamps synthesis writes without the
+    library call, against that call."""
+
+    def test_pick_pools_are_covered(self):
+        assert {len(pool) for pool in _PICK_POOLS} <= set(range(1, 11))
+
+    @given(n=st.integers(1, 10), seed=_seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_index_pick_matches_choice(self, n, seed):
+        pool = tuple(f"option {i}" for i in range(n))
+        template = Template("pick {x}", pool)
+        oracle = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        for _ in range(40):
+            expected = "pick " + str(oracle.choice(list(pool)))
+            assert template.render(twin) == expected
+            assert twin.bit_generator.state == oracle.bit_generator.state
+
+    @given(seed=_seeds)
+    @example(seed=755)  # the first normal draw is below 0
+    @example(seed=108)  # the first normal draw is above 23
+    @settings(max_examples=300, deadline=None)
+    def test_sample_time_matches_clip(self, seed):
+        oracle = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        for _ in range(40):
+            expected = (int(np.clip(oracle.normal(13.0, 3.5), 0, 23)),
+                        int(oracle.integers(0, 60)),
+                        int(oracle.integers(0, 60)))
+            assert events._sample_time(twin) == expected
+            assert twin.bit_generator.state == oracle.bit_generator.state
+
+    @given(seed=_seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_collision_type_matches_choice(self, seed):
+        oracle = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        for _ in range(40):
+            expected = int(oracle.choice(
+                len(COLLISION_TYPES), p=COLLISION_TYPE_WEIGHTS))
+            assert rng.cdf_index(
+                accidents._COLLISION_TYPE_CDF, twin) == expected
+            assert twin.bit_generator.state == oracle.bit_generator.state
