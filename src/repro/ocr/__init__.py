@@ -11,7 +11,7 @@ queue for pages below the confidence threshold.
 
 from .confusion import ConfusionModel, DEFAULT_CONFUSIONS
 from .document import OcrLine, OcrResult, ScannedDocument, ScannedPage
-from .scanner import Scanner, ScannerProfile
+from .scanner import Scanner
 from .engine import OcrEngine
 from .correction import OcrCorrector
 from .fallback import ManualTranscriptionQueue, apply_fallback
@@ -24,7 +24,6 @@ __all__ = [
     "ScannedDocument",
     "ScannedPage",
     "Scanner",
-    "ScannerProfile",
     "OcrEngine",
     "OcrCorrector",
     "ManualTranscriptionQueue",

@@ -69,20 +69,29 @@ class OcrResult:
         """Just the recognized text lines."""
         return [line.text for line in self.lines]
 
+    def lines_by_page(self) -> dict[int, list[OcrLine]]:
+        """The recognized lines of each page, in order, in one pass."""
+        pages: dict[int, list[OcrLine]] = {}
+        for line in self.lines:
+            pages.setdefault(line.page_number, []).append(line)
+        return pages
+
     def page_confidence(self, page_number: int) -> float:
         """Mean confidence of a page's lines (1.0 for empty pages)."""
-        values = [l.confidence for l in self.lines
-                  if l.page_number == page_number]
-        if not values:
-            return 1.0
-        return sum(values) / len(values)
+        return mean_confidence([l for l in self.lines
+                                if l.page_number == page_number])
 
     @property
     def mean_confidence(self) -> float:
         """Mean confidence across all lines (1.0 for empty output)."""
-        if not self.lines:
-            return 1.0
-        return sum(l.confidence for l in self.lines) / len(self.lines)
+        return mean_confidence(self.lines)
+
+
+def mean_confidence(lines: list[OcrLine]) -> float:
+    """Mean confidence of ``lines`` (1.0 when there are none)."""
+    if not lines:
+        return 1.0
+    return sum(l.confidence for l in lines) / len(lines)
 
 
 def paginate(document_id: str, lines: list[str],

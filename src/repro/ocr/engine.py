@@ -15,14 +15,15 @@ import numpy as np
 from .confusion import ConfusionModel
 from .document import OcrLine, OcrResult, ScannedDocument
 
+#: Standard deviation of the engine's confidence-estimation noise.
+CONFIDENCE_NOISE = 0.03
+
 
 class OcrEngine:
     """Simulated OCR engine with per-line confidence reporting."""
 
-    def __init__(self, confusion: ConfusionModel | None = None,
-                 confidence_noise: float = 0.03) -> None:
-        self.confusion = confusion or ConfusionModel()
-        self.confidence_noise = confidence_noise
+    def __init__(self) -> None:
+        self.confusion = ConfusionModel()
 
     def recognize(self, document: ScannedDocument,
                   rng: np.random.Generator) -> OcrResult:
@@ -48,5 +49,5 @@ class OcrEngine:
         # The engine's own confidence blends glyph certainty with page
         # quality, plus estimation noise.
         estimate = (0.7 * clean_fraction + 0.3 * quality
-                    + rng.normal(0.0, self.confidence_noise))
+                    + rng.normal(0.0, CONFIDENCE_NOISE))
         return float(min(max(estimate, 0.0), 1.0))

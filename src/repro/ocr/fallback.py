@@ -12,24 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .document import OcrResult, ScannedDocument
+from .document import OcrResult, ScannedDocument, mean_confidence
 
-#: Pages below this mean confidence are transcribed by hand.
-DEFAULT_CONFIDENCE_THRESHOLD = 0.75
+#: Pages below this mean confidence are transcribed by hand; a page
+#: exactly at it keeps its OCR text.
+CONFIDENCE_THRESHOLD = 0.75
 
 
 @dataclass
 class ManualTranscriptionQueue:
     """Pages routed to a human transcriber, with effort accounting."""
 
-    threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
     pages_transcribed: int = 0
     lines_transcribed: int = 0
     documents_touched: set[str] = field(default_factory=set)
 
-    def needs_fallback(self, result: OcrResult, page_number: int) -> bool:
-        """Whether ``page_number`` of ``result`` is below threshold."""
-        return result.page_confidence(page_number) < self.threshold
+    @staticmethod
+    def needs_fallback(confidence: float) -> bool:
+        """Whether a page of mean OCR ``confidence`` goes to a human."""
+        return confidence < CONFIDENCE_THRESHOLD
 
     def transcribe(self, document: ScannedDocument,
                    page_number: int) -> list[str]:
@@ -48,11 +49,12 @@ def apply_fallback(document: ScannedDocument, result: OcrResult,
     Returns the final machine-encoded line list for downstream parsing:
     OCR text for confident pages, human transcription for the rest.
     """
+    by_page = result.lines_by_page()
     lines: list[str] = []
     for page in document.pages:
-        if queue.needs_fallback(result, page.page_number):
+        page_lines = by_page.get(page.page_number, [])
+        if queue.needs_fallback(mean_confidence(page_lines)):
             lines.extend(queue.transcribe(document, page.page_number))
         else:
-            lines.extend(l.text for l in result.lines
-                         if l.page_number == page.page_number)
+            lines.extend(line.text for line in page_lines)
     return lines

@@ -3,52 +3,28 @@
 Most pages of the DMV corpus scanned cleanly; a minority were
 low-resolution or skewed enough that Tesseract failed and the authors
 transcribed them by hand.  The scanner draws per-page quality from a
-Beta distribution concentrated near 1, with a configurable fraction of
+Beta distribution concentrated near 1, except for a fixed fraction of
 "bad" pages drawn from a low-quality regime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import OcrError
 from .document import ScannedDocument, page_count, paginate
 
-
-@dataclass(frozen=True)
-class ScannerProfile:
-    """Quality regime of a scanning campaign."""
-
-    #: Beta parameters for normal pages (mean near 0.95).
-    good_alpha: float = 18.0
-    good_beta: float = 1.0
-    #: Fraction of pages scanned badly.
-    bad_page_rate: float = 0.04
-    #: Uniform quality range for bad pages.
-    bad_low: float = 0.05
-    bad_high: float = 0.45
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.bad_page_rate <= 1.0:
-            raise OcrError(
-                f"bad_page_rate {self.bad_page_rate} outside [0, 1]")
-        if not 0.0 < self.bad_low < self.bad_high <= 1.0:
-            raise OcrError("bad-page quality range must satisfy "
-                           "0 < low < high <= 1")
-
-
-#: A perfect scanner (used to disable the OCR channel in ablations).
-PERFECT_PROFILE = ScannerProfile(
-    good_alpha=1.0, good_beta=1e-9, bad_page_rate=0.0)
+#: Beta parameters of a normal page's quality (mean near 0.95).
+GOOD_ALPHA = 18.0
+GOOD_BETA = 1.0
+#: Fraction of pages scanned badly.
+BAD_PAGE_RATE = 0.04
+#: Uniform quality range of a bad page.
+BAD_LOW = 0.05
+BAD_HIGH = 0.45
 
 
 class Scanner:
     """Turns raw report text into a :class:`ScannedDocument`."""
-
-    def __init__(self, profile: ScannerProfile | None = None) -> None:
-        self.profile = profile or ScannerProfile()
 
     def scan(self, document_id: str, lines: list[str],
              rng: np.random.Generator) -> ScannedDocument:
@@ -56,11 +32,9 @@ class Scanner:
         pages = page_count(len(lines))
         qualities = []
         for _ in range(pages):
-            if rng.random() < self.profile.bad_page_rate:
-                quality = rng.uniform(self.profile.bad_low,
-                                      self.profile.bad_high)
+            if rng.random() < BAD_PAGE_RATE:
+                quality = rng.uniform(BAD_LOW, BAD_HIGH)
             else:
-                quality = rng.beta(self.profile.good_alpha,
-                                   self.profile.good_beta)
+                quality = rng.beta(GOOD_ALPHA, GOOD_BETA)
             qualities.append(float(min(max(quality, 1e-6), 1.0)))
         return paginate(document_id, lines, qualities)

@@ -19,6 +19,10 @@ _HEADER_MARKERS = (
     "REPORT OF AUTONOMOUS VEHICLE DISENGAGEMENTS",
     "SECTION 1", "SECTION 2", "END OF REPORT", "Reporting period:",
 )
+#: A line holding a marker's first 12 characters, in any case, is a
+#: header line.
+_HEADER_KEYS = tuple(marker.lower()[:12] for marker in _HEADER_MARKERS)
+_MANUFACTURER_RE = re.compile(r"(?i)manufacturer\s*:")
 
 
 def _levenshtein(a: str, b: str, cap: int = 4) -> int:
@@ -76,12 +80,11 @@ class ReportParser(ABC):
         stripped = line.strip()
         if not stripped:
             return True
-        for marker in _HEADER_MARKERS:
-            if marker.lower()[:12] in stripped.lower():
+        lowered = stripped.lower()
+        for key in _HEADER_KEYS:
+            if key in lowered:
                 return True
-        if re.match(r"(?i)manufacturer\s*:", stripped):
-            return True
-        return False
+        return _MANUFACTURER_RE.match(stripped) is not None
 
     def parse(self, lines: list[str], document_id: str) -> ParsedReport:
         """Parse a whole report document into canonical records."""

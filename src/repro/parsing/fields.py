@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from datetime import date
+from functools import lru_cache
 
 from ..errors import FieldCoercionError
 from ..taxonomy import Modality
@@ -143,6 +144,12 @@ def coerce_weather(text: str) -> str | None:
     return stripped
 
 
+#: Separators as OCR leaves them: an em-dash also reads as an en-dash
+#: or hyphen(s) between spaces, a pipe as a broken bar.
+_EM_DASH_SPLIT_RE = re.compile(r"\s+[—–-]{1,2}\s+")
+_PIPE_SPLIT_RE = re.compile(r"\s*[|¦]\s*")
+
+
 def split_fields(line: str, separator: str) -> list[str]:
     """Split a report row on its separator, trimming whitespace.
 
@@ -151,9 +158,9 @@ def split_fields(line: str, separator: str) -> list[str]:
     character.
     """
     if separator == "—":
-        parts = re.split(r"\s+[—–-]{1,2}\s+", line)
+        parts = _EM_DASH_SPLIT_RE.split(line)
     elif separator == "|":
-        parts = re.split(r"\s*[|¦]\s*", line)
+        parts = _PIPE_SPLIT_RE.split(line)
     else:
         parts = line.split(separator)
     return [p.strip() for p in parts]
@@ -161,16 +168,26 @@ def split_fields(line: str, separator: str) -> list[str]:
 
 def split_csv(line: str) -> list[str]:
     """Split a CSV row honoring double-quoted fields."""
+    return list(_split_csv(line))
+
+
+@lru_cache(maxsize=1)
+def _split_csv(line: str) -> tuple[str, ...]:
+    """The fields of the last row split, memoized as a tuple (so no
+    caller can change it): a parser tries each line as a mileage line
+    and then as an event row, and both split it."""
     fields: list[str] = []
-    current: list[str] = []
-    in_quotes = False
-    for char in line:
-        if char == '"':
-            in_quotes = not in_quotes
-        elif char == "," and not in_quotes:
-            fields.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    fields.append("".join(current).strip())
-    return fields
+    current = ""
+    # Every other piece between quote characters is quoted, and its
+    # commas are text; the quote characters themselves are dropped.
+    for index, piece in enumerate(line.split('"')):
+        if index % 2:
+            current += piece
+            continue
+        head, *rest = piece.split(",")
+        current += head
+        for part in rest:
+            fields.append(current.strip())
+            current = part
+    fields.append(current.strip())
+    return tuple(fields)

@@ -14,7 +14,9 @@ Mileage lines report kilometres (converted to miles here)::
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 
 from ...errors import ParseError
 from ...units import MILES_PER_KM
@@ -55,11 +57,14 @@ def _snap_key(key: str) -> str:
     return best_key
 
 
-def _parse_key_values(line: str) -> dict[str, str]:
-    """Split ``Key: value; Key: value`` rows into a dict.
+@lru_cache(maxsize=1)
+def _parse_key_values(line: str) -> Mapping[str, str]:
+    """Split ``Key: value; Key: value`` rows into a read-only mapping.
 
     Keys are fuzzy-matched against the known schema so OCR damage to a
-    field label does not lose the field.
+    field label does not lose the field.  The last line's mapping is
+    memoized: ``parse`` tries each line as a mileage line and then as
+    an event row.
     """
     pairs: dict[str, str] = {}
     for chunk in line.split(";"):
@@ -67,7 +72,7 @@ def _parse_key_values(line: str) -> dict[str, str]:
         if match:
             key = _snap_key(match.group(1).strip().lower())
             pairs[key] = match.group(2).strip()
-    return pairs
+    return MappingProxyType(pairs)
 
 
 class BenzParser(ReportParser):

@@ -19,6 +19,7 @@ from ..records import DisengagementRecord, MonthlyMileage
 from .common import parse_default_mileage
 
 _RT_RE = re.compile(r"(?i)^rt\s+(.+)$")
+_FIELD_SPLIT_RE = re.compile(r"\s-\s")
 
 
 class TeslaParser(ReportParser):
@@ -30,7 +31,7 @@ class TeslaParser(ReportParser):
         return parse_default_mileage(self.manufacturer, line)
 
     def parse_row(self, line: str) -> DisengagementRecord | None:
-        fields = [f.strip() for f in re.split(r"\s-\s", line)]
+        fields = [f.strip() for f in _FIELD_SPLIT_RE.split(line)]
         if len(fields) < 3:
             return None
         datetime_parts = fields[0].split()

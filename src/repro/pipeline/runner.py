@@ -194,8 +194,8 @@ def _run_stages(run: _Run, corpus: SyntheticCorpus) -> PipelineResult:
             diagnostics.filters = filter_stats
             if store is not None:
                 store.write_artifact("normalized", {
-                    "disengagements": [r.to_dict() for r in filtered],
-                    "mileage": [m.to_dict() for m in mileage],
+                    "disengagements": [vars(r) for r in filtered],
+                    "mileage": [vars(m) for m in mileage],
                     "normalization": asdict(norm_stats),
                     "filters": asdict(filter_stats),
                 })
@@ -211,7 +211,7 @@ def _run_stages(run: _Run, corpus: SyntheticCorpus) -> PipelineResult:
                 fallback=lambda: _degraded_dictionary())
             if store is not None:
                 store.write_artifact(
-                    "dictionary", json.loads(dictionary.to_json()))
+                    "dictionary", [vars(e) for e in dictionary.entries])
         diagnostics.dictionary_entries = len(dictionary)
     crash.reached("dictionary")
 
@@ -409,6 +409,14 @@ def _restorable(store: CheckpointStore | None, journal: str,
 # ``("parse_error", unparsed)`` or ``("quarantined", entry)``.  A tag
 # result is ``(tag, category)``.  Only the coordinator encodes them,
 # when it journals; a resume decodes them back.
+#
+# Records are journaled as their attribute dicts, which orjson writes
+# exactly as ``to_dict()`` spells them (enum values, ISO dates, tuples
+# as lists), as the database encoder does.  ``vars`` is the live
+# ``__dict__`` and a body waits in its batcher until the chunk
+# flushes, so no record may change between encoding and the flush:
+# none does, as normalization first touches Stage II records after
+# the stage's last flush.
 # ----------------------------------------------------------------------
 
 def _encode_document(result: tuple) -> dict:
@@ -419,11 +427,11 @@ def _encode_document(result: tuple) -> dict:
     if verdict == "parse_error":
         return {"outcome": verdict, "unparsed": value}
     if isinstance(value, AccidentRecord):
-        return {"outcome": verdict, "accident": value.to_dict()}
+        return {"outcome": verdict, "accident": vars(value)}
     records, cells, unparsed = value
     return {"outcome": verdict,
-            "disengagements": [r.to_dict() for r in records],
-            "mileage": [m.to_dict() for m in cells],
+            "disengagements": [vars(r) for r in records],
+            "mileage": [vars(m) for m in cells],
             "unparsed": unparsed}
 
 

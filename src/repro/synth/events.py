@@ -69,17 +69,28 @@ def _sample_time(rng: np.random.Generator) -> tuple[int, int, int]:
 
 
 def _reaction_drift(model: ReactionTimeModel | None,
-                    cumulative_miles: float) -> np.float64 | None:
+                    cumulative_miles: float) -> float | None:
     """The reaction-time drift of a month, ``None`` if there is none.
 
-    Added to each of the month's variates; it is a ``numpy.float64``,
-    so the sum rounds as a numpy scalar.
+    Added to each of the month's variates, which then round as
+    :func:`_round_drifted` rounds.
     """
     if model is None or not model.drift_per_log_mile:
         return None
-    return model.drift_per_log_mile * (
+    return float(model.drift_per_log_mile * (
         np.log10(max(cumulative_miles, 1.0))
-        - model.drift_reference_log_miles)
+        - model.drift_reference_log_miles))
+
+
+def _round_drifted(value: float) -> float:
+    """``round(numpy.float64(value), 2)`` as a float, in numpy's closed
+    form: scale by 100, round half to even, divide by 100.
+
+    Drifted reaction times must round this way to keep the pinned
+    corpus: Python's ``round(value, 2)`` rounds the decimal value
+    instead, and differs on some inputs (``0.015``: 0.01, not 0.02).
+    """
+    return round(value * 100.0) / 100.0
 
 
 def synthesize_disengagements(manufacturer_name: str, plan: MonthlyPlan,
@@ -155,9 +166,9 @@ def synthesize_disengagements(manufacturer_name: str, plan: MonthlyPlan,
                 if reaction is not None:
                     value = exponweib_variate(
                         reaction.a, reaction.c, reaction.scale, rng)
-                    if drift is not None:
-                        value += drift
-                    reaction_time = max(round(value, 2), 0.01)
+                    value = (round(value, 2) if drift is None
+                             else _round_drifted(value + drift))
+                    reaction_time = max(value, 0.01)
                 records.append(DisengagementRecord(
                     manufacturer=manufacturer_name,
                     month=month,

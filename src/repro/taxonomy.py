@@ -27,6 +27,9 @@ import enum
 class FailureCategory(enum.Enum):
     """Coarse STPA-derived failure category (Table III/IV)."""
 
+    # Hash by identity: Enum.__hash__ runs Python code on every lookup.
+    __hash__ = object.__hash__
+
     ML_DESIGN = "ML/Design"
     SYSTEM = "System"
     UNKNOWN = "Unknown-C"
@@ -38,6 +41,9 @@ class FailureCategory(enum.Enum):
 class MlSubcategory(enum.Enum):
     """The Table IV split of ML/Design faults."""
 
+    # Hash by identity: Enum.__hash__ runs Python code on every lookup.
+    __hash__ = object.__hash__
+
     PERCEPTION = "Perception/Recognition"
     PLANNER = "Planner/Controller"
 
@@ -47,6 +53,9 @@ class MlSubcategory(enum.Enum):
 
 class FaultTag(enum.Enum):
     """Fine-grained fault tag (Table III + Fig. 6)."""
+
+    # Hash by identity: Enum.__hash__ runs Python code on every lookup.
+    __hash__ = object.__hash__
 
     ENVIRONMENT = "Environment"
     COMPUTER_SYSTEM = "Computer System"
@@ -76,6 +85,9 @@ class FaultTag(enum.Enum):
 
 class Modality(enum.Enum):
     """How a disengagement was initiated (Table V)."""
+
+    # Hash by identity: Enum.__hash__ runs Python code on every lookup.
+    __hash__ = object.__hash__
 
     AUTOMATIC = "Automatic"
     MANUAL = "Manual"

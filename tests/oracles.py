@@ -15,6 +15,8 @@ from typing import Any
 from repro.nlp.dictionary import DictionaryEntry, FailureDictionary, _top_two
 from repro.nlp.ngrams import all_ngrams
 from repro.nlp.textcache import cached_tokens
+from repro.ocr import correction
+from repro.ocr.correction import OcrCorrector
 from repro.pipeline.checkpoint import canonical_bytes
 from repro.pipeline.store import FailureDatabase
 from repro.synth.reports import RawDocument
@@ -86,6 +88,36 @@ def build_per_narrative(texts: list[str], max_n: int = 3,
             weight=float(len(phrase)) * math.log(total / df) / 3.0,
             source="learned"))
     return dictionary
+
+
+def correct_line_reference(corrector: OcrCorrector, line: str) -> str:
+    """``OcrCorrector.correct_line`` as three regex passes over the
+    whole line, calling the unmemoized repairs."""
+    line = correction._NUMERIC_SPAN_RE.sub(
+        lambda m: m.group().translate(correction._DIGIT_FIX), line)
+    line = correction._DIGIT_IN_WORD_RE.sub(
+        lambda m: corrector.repair_digit_word(m.group()), line)
+    return correction._WORD_RE.sub(
+        lambda m: corrector.repair_word(m.group()), line)
+
+
+def split_csv_reference(line: str) -> list[str]:
+    """``repro.parsing.fields.split_csv`` one character at a time: a
+    quote toggles quoting and is dropped, and an unquoted comma ends a
+    field."""
+    fields: list[str] = []
+    current: list[str] = []
+    in_quotes = False
+    for char in line:
+        if char == '"':
+            in_quotes = not in_quotes
+        elif char == "," and not in_quotes:
+            fields.append("".join(current).strip())
+            current = []
+        else:
+            current.append(char)
+    fields.append("".join(current).strip())
+    return fields
 
 
 def plain_reference(value: Any) -> Any:

@@ -5,6 +5,7 @@ reach: renderer field requirements, OCR result accessors, quantile
 banding, record helpers, and chart/axis boundaries.
 """
 
+import math
 from datetime import date
 
 import pytest
@@ -165,13 +166,18 @@ class TestUnitsBoundaries:
 class TestFallbackQueueAccounting:
     def test_threshold_edge(self):
         from repro.ocr.document import OcrLine, OcrResult
-        from repro.ocr.fallback import ManualTranscriptionQueue
+        from repro.ocr.fallback import (
+            CONFIDENCE_THRESHOLD,
+            ManualTranscriptionQueue,
+        )
 
-        queue = ManualTranscriptionQueue(threshold=0.75)
         result = OcrResult(document_id="d", lines=[
-            OcrLine("x", 0.75, 0)])
+            OcrLine("x", CONFIDENCE_THRESHOLD, 0)])
         # Exactly at threshold: no fallback (strict less-than).
-        assert not queue.needs_fallback(result, 0)
+        assert not ManualTranscriptionQueue.needs_fallback(
+            result.page_confidence(0))
+        assert ManualTranscriptionQueue.needs_fallback(
+            math.nextafter(CONFIDENCE_THRESHOLD, 0.0))
 
 
 class TestStoreEdgeCases:

@@ -2,10 +2,11 @@
 
 Each memoized function must return what its undecorated body returns,
 on every call, and an input that raises must raise on every call.  An
-OCR corrector's memo must not make its output depend on the lines it
-corrected before.  A document's one-pass content digest must equal the
-``to_dict()``-and-scrub digest kept in :mod:`tests.oracles`, so
-checkpoint directories keep resuming.
+OCR corrector, which repairs one memoized token at a time, must return
+what three regex passes over the whole line return, and its output must
+not depend on the lines it corrected before.  A document's one-pass
+content digest must equal the ``to_dict()``-and-scrub digest kept in
+:mod:`tests.oracles`, so checkpoint directories keep resuming.
 """
 
 from __future__ import annotations
@@ -17,14 +18,22 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.nlp import normalize
-from repro.ocr import correction
+from repro.ocr import (
+    ManualTranscriptionQueue,
+    OcrEngine,
+    Scanner,
+    apply_fallback,
+    correction,
+)
 from repro.ocr.correction import OcrCorrector
 from repro.parsing.formats import benz
 from repro.pipeline.ingest import document_digest
+from repro.rng import child_generator
 from repro.synth import generate_corpus
 from repro.synth.reports import RawDocument
 
-from .oracles import document_digest_reference
+from .conftest import FULL_SEED
+from .oracles import correct_line_reference, document_digest_reference
 
 
 def _outcome(fn, text):
@@ -83,11 +92,26 @@ class TestParseMemos:
     def test_snap_key_equals_body(self, key):
         _assert_memo_matches_body(benz._snap_key, key)
 
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.lists(st.one_of(
+        st.builds("{}: {}".format, st.sampled_from(benz._KNOWN_KEYS),
+                  st.text(max_size=8)),
+        st.text(alphabet="DatemC: ;", max_size=12)),
+        max_size=5).map("; ".join))
+    def test_key_values_equal_body(self, line):
+        _assert_memo_matches_body(benz._parse_key_values, line)
 
-#: A corrector that grows warm across examples, and one whose memos
-#: stay empty because only the undecorated repairs are called on it.
+    def test_key_values_memo_is_read_only(self):
+        line = "Date: 03/14/2015; Cause: sensor fault"
+        with pytest.raises(TypeError):
+            benz._parse_key_values(line)["date"] = "tampered"
+        assert benz._parse_key_values(line)["date"] == "03/14/2015"
+
+
+#: A corrector that grows warm across examples, and one whose memo
+#: stays empty because only the unmemoized repairs are called on it.
 _CORRECTOR = OcrCorrector()
-_BODY = OcrCorrector()
+_REFERENCE = OcrCorrector()
 _LEXICON = sorted(_CORRECTOR.lexicon)
 
 
@@ -113,28 +137,56 @@ _lines = st.lists(
     st.one_of(_ocr_words(), st.text(alphabet="O0l1/:-.|SB ", max_size=8)),
     max_size=8).map(" ".join)
 
+#: What an OCR line is made of: damaged words, digit runs, runs of
+#: separators and digit look-alikes, and any text at all.
+_pieces = st.one_of(
+    _ocr_words(), st.text(alphabet="0123456789", min_size=1, max_size=6),
+    st.text(alphabet="O0olI1|SBZg5/:.-_'", max_size=10), st.text())
+#: Joints between pieces: spaces and runs of them, and the whitespace
+#: and punctuation that a token may hold inside.
+_joints = st.sampled_from(
+    (" ", "  ", "\t", "\xa0", "—", " | ", "\n", ""))
+
+
+@st.composite
+def _joined_lines(draw) -> str:
+    """Pieces joined by drawn joints, with leading and trailing spaces."""
+    line = draw(st.sampled_from(("", " ", "  ")))
+    for index, piece in enumerate(draw(st.lists(_pieces, max_size=10))):
+        if index:
+            line += draw(_joints)
+        line += piece
+    return line + draw(st.sampled_from(("", " ", "  ")))
+
+
+def _ocr_output(corpus, seed: int) -> list[str]:
+    """Every line the OCR channel hands the corrector for ``corpus``,
+    drawn as the pipeline draws it."""
+    scanner, engine = Scanner(), OcrEngine()
+    queue = ManualTranscriptionQueue()
+    lines: list[str] = []
+    for document in corpus.documents:
+        rng = child_generator(seed, f"ocr:{document.document_id}")
+        scanned = scanner.scan(document.document_id, document.lines, rng)
+        lines.extend(apply_fallback(
+            scanned, engine.recognize(scanned, rng), queue))
+    return lines
+
 
 class TestOcrMemos:
-    @settings(max_examples=300, deadline=None)
-    @given(word=st.one_of(_ocr_words(),
-                          st.from_regex(r"[A-Za-z]{3,12}", fullmatch=True)))
-    def test_repair_word_equals_body(self, word):
-        match = correction._WORD_RE.fullmatch(word)
-        if match is None:  # edits made it more than one word
-            return
-        expected = _BODY._repair_word_text(word)
-        for _ in range(2):
-            assert _CORRECTOR._repair_word(match) == expected
+    @settings(max_examples=500, deadline=None)
+    @given(line=_joined_lines())
+    def test_correct_line_equals_reference(self, line):
+        expected = correct_line_reference(_REFERENCE, line)
+        for _ in range(2):  # cold, then from the memo
+            assert _CORRECTOR.correct_line(line) == expected
 
-    @settings(max_examples=300, deadline=None)
-    @given(token=st.from_regex(r"[A-Za-z]+[0l1|5I][A-Za-z0l1|5I]*[A-Za-z]",
-                               fullmatch=True))
-    def test_repair_digit_word_equals_body(self, token):
-        match = correction._DIGIT_IN_WORD_RE.fullmatch(token)
-        assert match is not None
-        expected = _BODY._repair_digit_word_text(token)
-        for _ in range(2):
-            assert _CORRECTOR._repair_digit_word(match) == expected
+    def test_every_seed2018_ocr_line_equals_reference(self, corpus):
+        lines = _ocr_output(corpus, FULL_SEED)
+        assert len(lines) == 8081
+        corrected = OcrCorrector().correct_lines(lines)
+        for line, repaired in zip(lines, corrected):
+            assert repaired == correct_line_reference(_REFERENCE, line), line
 
     @settings(max_examples=100, deadline=None)
     @given(before=st.lists(_lines, max_size=4), line=_lines)
@@ -152,8 +204,7 @@ class TestOcrMemos:
             corrector.correct_lines(before)
             assert corrector.correct_line(line) == (
                 OcrCorrector().correct_line(line))
-            assert len(corrector._word_memo) <= 2
-            assert len(corrector._digit_word_memo) <= 2
+            assert len(corrector._memo) <= 2
 
 
 _scalars = st.one_of(
@@ -184,9 +235,11 @@ class TestDigestScrub:
         for document in corpus.documents:
             assert document_digest(document) == document_digest_reference(
                 document), document.document_id
-        # The synthesizer's numpy reaction times are among them.
-        assert any(type(r.reaction_time_s) is np.float64
-                   for r in corpus.truth_disengagements())
+        # Every reaction time the synthesizer reports is a float, also
+        # the drifted ones that numpy once rounded.
+        times = [r.reaction_time_s for r in corpus.truth_disengagements()
+                 if r.reaction_time_s is not None]
+        assert times and all(type(t) is float for t in times)
 
     def test_small_document_digests_pinned(self):
         # Taken when the digest still scrubbed ``to_dict()`` records

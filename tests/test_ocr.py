@@ -13,7 +13,6 @@ from repro.ocr import (
     OcrCorrector,
     OcrEngine,
     Scanner,
-    ScannerProfile,
     apply_fallback,
 )
 from repro.ocr.confusion import PROTECTED_CHARACTERS
@@ -23,7 +22,7 @@ from repro.ocr.document import (
     page_count,
     paginate,
 )
-from repro.ocr.scanner import PERFECT_PROFILE
+from repro.ocr.scanner import BAD_HIGH, BAD_PAGE_RATE
 
 
 @pytest.fixture
@@ -193,23 +192,11 @@ class TestScanner:
             assert 0.0 < page.quality <= 1.0
 
     def test_bad_pages_appear_at_configured_rate(self, rng):
-        profile = ScannerProfile(bad_page_rate=0.5)
-        scanner = Scanner(profile)
-        document = scanner.scan("doc", ["line"] * (LINES_PER_PAGE * 200),
-                                rng)
-        bad = sum(1 for p in document.pages if p.quality < 0.5)
-        assert 0.3 < bad / len(document.pages) < 0.7
-
-    def test_perfect_profile_never_degrades(self, rng):
-        scanner = Scanner(PERFECT_PROFILE)
-        document = scanner.scan("doc", ["line"] * 200, rng)
-        assert all(p.quality > 0.99 for p in document.pages)
-
-    def test_invalid_profile_rejected(self):
-        with pytest.raises(OcrError):
-            ScannerProfile(bad_page_rate=1.5)
-        with pytest.raises(OcrError):
-            ScannerProfile(bad_low=0.9, bad_high=0.2)
+        # 5,000 pages: the share's standard error is 0.0028.
+        document = Scanner().scan(
+            "doc", ["line"] * (LINES_PER_PAGE * 5000), rng)
+        bad = sum(1 for p in document.pages if p.quality <= BAD_HIGH)
+        assert abs(bad / len(document.pages) - BAD_PAGE_RATE) < 0.01
 
 
 class TestDocumentModel:
@@ -336,11 +323,9 @@ class TestCorrectorNeighbours:
 class TestFallback:
     def test_low_confidence_pages_get_transcribed(self, rng):
         lines = ["The perception system failed to detect a cyclist"] * 80
-        scanner = Scanner(ScannerProfile(bad_page_rate=1.0,
-                                         bad_low=0.05, bad_high=0.1))
-        document = scanner.scan("doc", lines, rng)
+        document = paginate("doc", lines, [0.05, 0.1])
         result = OcrEngine().recognize(document, rng)
-        queue = ManualTranscriptionQueue(threshold=0.75)
+        queue = ManualTranscriptionQueue()
         merged = apply_fallback(document, result, queue)
         assert merged == lines  # human transcription restores truth
         assert queue.pages_transcribed == len(document.pages)
@@ -349,7 +334,7 @@ class TestFallback:
         lines = ["clean text line"] * 40
         document = paginate("doc", lines, [1.0])
         result = OcrEngine().recognize(document, rng)
-        queue = ManualTranscriptionQueue(threshold=0.5)
+        queue = ManualTranscriptionQueue()
         merged = apply_fallback(document, result, queue)
         assert queue.pages_transcribed == 0
         assert len(merged) == 40
@@ -358,7 +343,7 @@ class TestFallback:
         lines = ["text"] * 80
         document = paginate("doc", lines, [0.1, 0.95])
         result = OcrEngine().recognize(document, rng)
-        queue = ManualTranscriptionQueue(threshold=0.75)
+        queue = ManualTranscriptionQueue()
         apply_fallback(document, result, queue)
         assert queue.pages_transcribed == 1
         assert queue.lines_transcribed == 40

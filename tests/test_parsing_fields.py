@@ -3,10 +3,14 @@
 from datetime import date
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FieldCoercionError
 from repro.parsing import fields
 from repro.taxonomy import Modality
+
+from .oracles import split_csv_reference
 
 
 class TestNumericRepair:
@@ -101,3 +105,17 @@ class TestSplitters:
 
     def test_csv_plain(self):
         assert fields.split_csv("a,b,c") == ["a", "b", "c"]
+
+    @given(line=st.one_of(st.text(alphabet='ab ,"\t', max_size=30),
+                          st.text()))
+    @example(line="")
+    @example(line='"')
+    @example(line='a,"b,"c,d",e')
+    @settings(max_examples=500, deadline=None)
+    def test_csv_equals_character_reference(self, line):
+        for _ in range(2):  # cold, then from the one-row memo
+            assert fields.split_csv(line) == split_csv_reference(line)
+
+    def test_csv_memo_hands_out_fresh_lists(self):
+        fields.split_csv("a,b").append("c")
+        assert fields.split_csv("a,b") == ["a", "b"]

@@ -226,3 +226,24 @@ class TestGeneric:
         assert parsed.vehicle_id is None
         assert parsed.modality is Modality.AUTOMATIC
         assert parsed.description == "something odd"
+
+
+class TestHeaderLines:
+    @pytest.mark.parametrize("line", [
+        "", "   ",
+        # OCR damage past a marker's first 12 characters.
+        "REPORT OF AUTONOMOUS VEH1CLE D1SENGAGEMENT5",
+        "  Section 1 — disengagement events",
+        "END OF REPOR7", "Reporting per1od: 2015-2016",
+        "MANUFACTURER: Nissan", "manufacturer  : Waymo",
+    ])
+    def test_header_lines(self, line):
+        assert NissanParser()._is_header(line)
+
+    @pytest.mark.parametrize("line", [
+        "1/4/16 — 1:25 PM — Leaf #1 (Alfa) — Manual — froze",
+        "Vehicle manufacturer: unknown",
+        "SECTI0N 1",
+    ])
+    def test_other_lines(self, line):
+        assert not NissanParser()._is_header(line)

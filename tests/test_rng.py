@@ -277,3 +277,16 @@ class TestSynthesisPicks:
             assert rng.cdf_index(
                 accidents._COLLISION_TYPE_CDF, twin) == expected
             assert twin.bit_generator.state == oracle.bit_generator.state
+
+    @given(value=st.one_of(
+        st.integers(-10 ** 7, 10 ** 7).map(lambda n: n / 1000),
+        st.floats(-1e300, 1e300, allow_nan=False)))
+    @example(value=0.015)  # numpy rounds to 0.02, Python's round to 0.01
+    @example(value=0.125)  # an exact tie: half to even
+    @example(value=0.004)  # rounds to 0, under the 0.01 floor
+    @settings(max_examples=500, deadline=None)
+    def test_drifted_round_matches_numpy(self, value):
+        rounded = events._round_drifted(value)
+        assert type(rounded) is float
+        assert rounded == round(np.float64(value), 2)
+        assert max(rounded, 0.01) == max(round(np.float64(value), 2), 0.01)

@@ -1,5 +1,7 @@
 """Tests for the fault taxonomy (Table III)."""
 
+import pickle
+
 import pytest
 
 from repro.taxonomy import (
@@ -9,6 +11,7 @@ from repro.taxonomy import (
     FailureCategory,
     FaultTag,
     MlSubcategory,
+    Modality,
     category_of,
     ml_subcategory_of,
     tags_in_category,
@@ -93,3 +96,12 @@ def test_tags_in_category_partitions_tag_set():
 def test_display_name_matches_value_for_plain_tags():
     assert FaultTag.SOFTWARE.display_name == "Software"
     assert FaultTag.UNKNOWN.display_name == "Unknown-T"
+
+
+def test_members_hash_by_identity_and_unpickle_to_themselves():
+    # A pool worker's member must be the coordinator's, or identity
+    # hashing would split one key in two.
+    for enum_cls in (FailureCategory, MlSubcategory, FaultTag, Modality):
+        for member in enum_cls:
+            assert hash(member) == object.__hash__(member)
+            assert pickle.loads(pickle.dumps(member)) is member
