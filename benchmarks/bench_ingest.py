@@ -36,6 +36,8 @@ from repro.query import QueryEngine, QueryServer, SnapshotManager
 from repro.synth import generate_corpus
 from repro.synth.dataset import SyntheticCorpus
 
+from runinfo import run_header
+
 SEED = 2018
 
 #: Delta ingest of ~10% new documents must beat a full rebuild by this.
@@ -256,7 +258,7 @@ def main(argv=None) -> int:
                         help="HTTP requests per latency measurement "
                              "(default: %(default)s)")
     args = parser.parse_args(argv)
-    report: dict = {"seed": SEED, "dictionary_mode": "seed"}
+    report: dict = {"seed": SEED, "dictionary_mode": "seed", **run_header()}
     failures: list[str] = []
 
     _measure_delta_speedup(report, failures, args.rounds)

@@ -34,10 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pickle
-import platform
-import subprocess
 import time
 from pathlib import Path
 
@@ -66,6 +63,8 @@ from repro.pipeline.parallel import (
 )
 from repro.pipeline.stages import OcrStage, PipelineDiagnostics
 from repro.synth import generate_corpus
+
+from runinfo import run_header
 
 SEED = 2018
 SUBSET = ["Nissan", "Volkswagen", "Delphi", "Tesla"]
@@ -175,17 +174,6 @@ def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
     return database
 
 
-def _git_sha() -> str:
-    """The checkout's commit, or ``unknown`` outside a git checkout."""
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
-            capture_output=True, text=True, timeout=10, check=True)
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return completed.stdout.strip()
-
-
 def _timed(func):
     start = time.perf_counter()
     result = func()
@@ -231,11 +219,8 @@ def main(argv=None) -> int:
                         help="pipeline timing rounds per variant "
                              "(best-of; default: %(default)s)")
     args = parser.parse_args(argv)
-    cores = os.cpu_count() or 1
-    report: dict = {"seed": SEED, "manufacturers": SUBSET,
-                    "cpu_count": cores,
-                    "python": platform.python_version(),
-                    "git_sha": _git_sha()}
+    report: dict = {"seed": SEED, "manufacturers": SUBSET, **run_header()}
+    cores = report["cpu_count"]
     failures: list[str] = []
 
     print(f"synthesizing seed-{SEED} corpus "

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -102,100 +103,110 @@ class DictionaryEntry:
     source: str  # "seed" or "learned"
 
 
-#: One inverted-index slot: the phrase as a list (so a candidate test
-#: is a plain list-slice comparison, no per-probe tuple allocation),
-#: its length, and the entry it belongs to.
-_Candidate = tuple[list[str], int, DictionaryEntry]
+#: One phrase-trie node: the entries whose phrase is the node's token
+#: path or a prefix of it (so every one of them matches wherever the
+#: path occurs), in insertion order, and the child node per next token.
+_Node = tuple[list[DictionaryEntry], dict[str, "_Node"]]
 
 
 @dataclass
 class FailureDictionary:
     """Phrase -> tag dictionary with match weights.
 
-    Matching runs through an inverted index built once per dictionary
-    (first phrase token -> candidate entries), so :meth:`match` costs
-    O(tokens) plus the handful of candidates that share a first token,
-    instead of an O(tokens x entries) scan of every entry.
+    Matching runs through a phrase trie built once per dictionary.
+    From each position :meth:`match` follows the narrative's tokens down
+    to the deepest node they reach and takes that node's entry list
+    whole: one dict lookup per token that starts no phrase, one per
+    token walked, and no candidate that fails to match.
     """
 
     entries: list[DictionaryEntry] = field(default_factory=list)
-    #: Inverted index: first phrase token -> candidates.
-    _index: dict[str, list[_Candidate]] = field(
+    #: The phrase trie's top level: first phrase token -> node.
+    _trie: dict[str, _Node] = field(
         default_factory=dict, repr=False, compare=False)
     #: O(1) ``add`` dedupe on (phrase, tag).
     _seen: set[tuple[tuple[str, ...], FaultTag]] = field(
         default_factory=set, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._reindex()
-
-    def _reindex(self) -> None:
-        self._index = {}
-        self._seen = {(e.phrase, e.tag) for e in self.entries}
+        self._trie = {}
+        self._seen = set()
         for entry in self.entries:
-            self._index.setdefault(entry.phrase[0], []).append(
-                (list(entry.phrase), len(entry.phrase), entry))
+            self._insert(entry)
+            self._seen.add((entry.phrase, entry.tag))
+
+    def _insert(self, entry: DictionaryEntry) -> None:
+        """File ``entry`` under its phrase's node and every node below."""
+        if not entry.phrase:
+            raise ValueError("a dictionary phrase needs at least one token")
+        found: list[DictionaryEntry] = []
+        children = self._trie
+        for token in entry.phrase:
+            node = children.get(token)
+            if node is None:
+                # A new node starts with its parent's entries: their
+                # phrases are prefixes of its path too.
+                node = children[token] = (list(found), {})
+            found, children = node
+        below = [node]
+        while below:
+            found, children = below.pop()
+            found.append(entry)
+            below.extend(children.values())
 
     def add(self, entry: DictionaryEntry) -> None:
         """Add one entry (idempotent on (phrase, tag))."""
         key = (entry.phrase, entry.tag)
         if key in self._seen:
             return
+        self._insert(entry)
         self._seen.add(key)
         self.entries.append(entry)
-        self._index.setdefault(entry.phrase[0], []).append(
-            (list(entry.phrase), len(entry.phrase), entry))
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def match(self, tokens: list[str]) -> list[DictionaryEntry]:
-        """All entries whose phrase occurs in ``tokens``.
+    def match(self, tokens: Sequence[str]) -> list[DictionaryEntry]:
+        """All entries whose phrase occurs in ``tokens`` (a list or tuple).
 
         One list element per occurrence, ordered by occurrence
         position then entry insertion order — identical to a full
         scan of every entry at every position (the voting weights
-        depend on it).
+        depend on it).  Each position's entries are the list of the
+        deepest trie node its tokens reach.
         """
         matches: list[DictionaryEntry] = []
-        index = self._index
+        trie = self._trie
+        end = len(tokens)
         for position, token in enumerate(tokens):
-            candidates = index.get(token)
-            if candidates is None:
+            node = trie.get(token)
+            if node is None:
                 continue
-            for phrase, n, entry in candidates:
-                if n == 1 or tokens[position:position + n] == phrase:
-                    matches.append(entry)
+            # Inlined :meth:`match_at` walk: a call per position would
+            # cost a sixth of the loop.
+            found, children = node
+            following = position + 1
+            while children and following < end:
+                node = children.get(tokens[following])
+                if node is None:
+                    break
+                found, children = node
+                following += 1
+            matches.extend(found)
         return matches
 
-    def match_batch(self, token_lists: list[list[str]],
-                    ) -> list[list[DictionaryEntry]]:
-        """``[self.match(tokens) for tokens in token_lists]`` in bulk.
-
-        Token lists that are the *same object* — which is what the
-        shared token cache hands every consumer of a duplicate
-        narrative — are matched once and share one result list, so
-        the returned lists must be treated as read-only.
-        """
-        out: list[list[DictionaryEntry]] = []
-        memo: dict[int, list[DictionaryEntry]] = {}
-        match = self.match
-        for tokens in token_lists:
-            key = id(tokens)
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = match(tokens)
-            out.append(found)
-        return out
-
-    def match_at(self, tokens: list[str],
+    def match_at(self, tokens: Sequence[str],
                  position: int) -> list[DictionaryEntry]:
-        """Entries whose phrase starts exactly at ``position``."""
-        candidates = self._index.get(tokens[position])
-        if candidates is None:
-            return []
-        return [entry for phrase, n, entry in candidates
-                if n == 1 or tokens[position:position + n] == phrase]
+        """Entries whose phrase starts exactly at ``position``, in
+        insertion order."""
+        found: list[DictionaryEntry] = []
+        children = self._trie
+        for token in tokens[position:]:
+            node = children.get(token)
+            if node is None:
+                break
+            found, children = node
+        return list(found)
 
     # ------------------------------------------------------------------
     # Persistence.
@@ -259,34 +270,39 @@ class FailureDictionary:
         fraction of all narratives (shared boilerplate like "took
         immediate manual control" carries no causal signal).
 
-        Both passes run once per *distinct* narrative, weighted by its
-        multiplicity, so every count equals a per-narrative loop's.
-        Narratives are visited in first-occurrence order and each
-        one's n-grams in first-occurrence order too, so the learned
-        entries come out in one canonical order in every process
-        (``set`` iteration order would depend on ``PYTHONHASHSEED``).
+        Both passes run once per distinct normalized token sequence,
+        weighted by the narratives that have it, so every count equals
+        a per-narrative loop's.  Sequences are visited in
+        first-occurrence order and each one's n-grams in
+        first-occurrence order too, so the learned entries come out in
+        one canonical order in every process (``set`` iteration order
+        would depend on ``PYTHONHASHSEED``).
         """
         dictionary = cls.from_seeds(seeds)
-        multiplicity = Counter(texts)  # in first-occurrence order
         total = max(len(texts), 1)
 
-        # Pass 1 tags each distinct narrative with the seed dictionary
-        # alone; pass 2 adds its multiplicity to the document frequency
-        # of each of its n-grams and to their counts for that tag.
-        # Tags are counted by value: hashing a FaultTag member runs
-        # Python code on every lookup.
-        phrase_tag_counts: dict[tuple[str, ...], dict[str, int]] = {}
-        phrase_df: dict[tuple[str, ...], int] = {}
+        # Narratives that differ only in case, punctuation, stopwords
+        # or suffixes share one sequence.  The token cache sees each
+        # distinct narrative once.
+        multiplicity = Counter(texts)  # in first-occurrence order
         distinct = list(multiplicity)
+        weights: dict[tuple[str, ...], int] = {}
         for text, tokens in zip(distinct, cached_tokens_batch(distinct)):
-            count = multiplicity[text]
+            key = tuple(tokens)
+            weights[key] = weights.get(key, 0) + multiplicity[text]
+
+        # Pass 1 tags each sequence with the seed dictionary alone;
+        # pass 2 adds its weight to the document frequency of each of
+        # its n-grams and to their counts for that tag.
+        phrase_tag_counts: dict[tuple[str, ...], dict[FaultTag, int]] = {}
+        phrase_df: dict[tuple[str, ...], int] = {}
+        for tokens, count in weights.items():
             tag = _seed_vote(dictionary.match(tokens))
-            value = None if tag is None else tag.value
             for phrase in distinct_ngrams(tokens, max_n):
                 phrase_df[phrase] = phrase_df.get(phrase, 0) + count
-                if value is not None:
+                if tag is not None:
                     tag_counts = phrase_tag_counts.setdefault(phrase, {})
-                    tag_counts[value] = tag_counts.get(value, 0) + count
+                    tag_counts[tag] = tag_counts.get(tag, 0) + count
 
         for phrase, tag_counts in phrase_tag_counts.items():
             df = phrase_df[phrase]
@@ -295,35 +311,36 @@ class FailureDictionary:
                 continue
             # ``max`` keeps the first of equal counts, as
             # ``Counter.most_common(1)`` does.
-            value, tag_count = max(tag_counts.items(), key=itemgetter(1))
+            tag, tag_count = max(tag_counts.items(), key=itemgetter(1))
             if tag_count / count < purity:
                 continue
             idf = math.log(total / df)
             dictionary.add(DictionaryEntry(
-                phrase=phrase, tag=FaultTag(value),
+                phrase=phrase, tag=tag,
                 weight=float(len(phrase)) * idf / 3.0,
                 source="learned"))
         return dictionary
 
 
+def vote(matches: list[DictionaryEntry],
+         ) -> tuple[dict[FaultTag, float], list[FaultTag]]:
+    """The keyword vote over one narrative's matches.
+
+    Returns the summed match weight per tag and the tags that share
+    the top weight, both in first-match order (both empty without
+    matches).
+    """
+    votes: dict[FaultTag, float] = {}
+    for entry in matches:
+        tag = entry.tag
+        votes[tag] = votes.get(tag, 0.0) + entry.weight
+    if not votes:
+        return votes, []
+    best = max(votes.values())
+    return votes, [tag for tag, weight in votes.items() if weight == best]
+
+
 def _seed_vote(matches: list[DictionaryEntry]) -> FaultTag | None:
     """Pass-1 tag of one narrative: the top-voted tag, None on a tie."""
-    if not matches:
-        return None
-    votes: Counter = Counter()
-    for entry in matches:
-        votes[entry.tag] += entry.weight
-    best, second = _top_two(votes)
-    return best if best != second else None
-
-
-def _top_two(votes: Counter) -> tuple[FaultTag, FaultTag | None]:
-    """Best and runner-up tags by weight (runner-up None if absent).
-
-    Returns ``(best, best)`` on an exact tie so callers can detect it.
-    """
-    ranked = votes.most_common()
-    best_tag, best_weight = ranked[0]
-    if len(ranked) > 1 and ranked[1][1] == best_weight:
-        return best_tag, best_tag  # signal: tie
-    return best_tag, ranked[1][0] if len(ranked) > 1 else None
+    top = vote(matches)[1]
+    return top[0] if len(top) == 1 else None

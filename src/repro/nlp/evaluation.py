@@ -84,17 +84,20 @@ def evaluate_tagger(tagger, records: list[DisengagementRecord],
         else:
             results = [tagger.tag(r.description) for r in scored]
         predicted = [result.tag for result in results]
-    for record, tag in zip(scored, predicted):
-        truth = record.truth_tag
-        report.total += 1
-        report.per_tag_truth[truth] += 1
-        report.per_tag_predicted[tag] += 1
-        report.confusion[(truth, tag)] += 1
+    # Count each (truth, predicted) pair, then read every other tally
+    # off the few distinct pairs.  Pairs keep first-occurrence order,
+    # so each Counter lists its tags in the order a loop over the
+    # records would first meet them.
+    report.confusion.update(zip([r.truth_tag for r in scored], predicted))
+    for (truth, tag), count in report.confusion.items():
+        report.total += count
+        report.per_tag_truth[truth] += count
+        report.per_tag_predicted[tag] += count
         if tag == truth:
-            report.correct_tag += 1
-            report.per_tag_hits[truth] += 1
+            report.correct_tag += count
+            report.per_tag_hits[truth] += count
         if category_of(tag) is category_of(truth):
-            report.correct_category += 1
+            report.correct_category += count
     return report
 
 

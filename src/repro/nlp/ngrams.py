@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 
-def ngrams(tokens: list[str], n: int) -> list[tuple[str, ...]]:
-    """All contiguous ``n``-grams of ``tokens``."""
+def ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
+    """All contiguous ``n``-grams of ``tokens``, in position order."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+    # ``zip`` over the n shifted slices builds each tuple in C.
+    return list(zip(*[tokens[i:] for i in range(n)]))
 
 
-def all_ngrams(tokens: list[str],
+def all_ngrams(tokens: Sequence[str],
                max_n: int = 3) -> list[tuple[str, ...]]:
     """All 1..max_n-grams of ``tokens``."""
     out: list[tuple[str, ...]] = []
@@ -22,7 +23,7 @@ def all_ngrams(tokens: list[str],
     return out
 
 
-def distinct_ngrams(tokens: list[str],
+def distinct_ngrams(tokens: Sequence[str],
                     max_n: int = 3) -> list[tuple[str, ...]]:
     """Each 1..max_n-gram of ``tokens`` once, in first-occurrence order.
 

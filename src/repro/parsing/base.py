@@ -23,6 +23,8 @@ _HEADER_MARKERS = (
 #: header line.
 _HEADER_KEYS = tuple(marker.lower()[:12] for marker in _HEADER_MARKERS)
 _MANUFACTURER_RE = re.compile(r"(?i)manufacturer\s*:")
+#: A "Manufacturer: <name>" header line, capturing the name.
+_MANUFACTURER_HEADER_RE = re.compile(r"(?i)\s*manufacturer\s*:\s*(.+)")
 
 
 def _levenshtein(a: str, b: str, cap: int = 4) -> int:
@@ -144,7 +146,7 @@ class ParserRegistry:
     def resolve(self, lines: list[str]) -> ReportParser:
         """Pick the parser for a document: header first, then sniff."""
         for line in lines[:6]:
-            match = re.match(r"(?i)\s*manufacturer\s*:\s*(.+)", line)
+            match = _MANUFACTURER_HEADER_RE.match(line)
             if match:
                 parser = self.by_name(match.group(1))
                 if parser is not None:

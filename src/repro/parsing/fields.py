@@ -39,6 +39,10 @@ _MODALITY_WORDS = {
     "planned fault injection": Modality.PLANNED,
 }
 
+_NUMBER_RE = re.compile(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
+_MONTH_YEAR_RE = re.compile(r"([A-Za-z0-9|]{2,9})[-/\s]+(\S+)")
+_DIGITS_RE = re.compile(r"\d+")
+
 _ROAD_TYPES = (
     "city street", "highway", "interstate", "freeway", "parking lot",
     "suburban", "rural", "street", "urban",
@@ -53,8 +57,7 @@ def repair_numeric_text(text: str) -> str:
 def coerce_number(text: str) -> float:
     """Parse a number out of possibly OCR-damaged text."""
     repaired = repair_numeric_text(text.strip())
-    match = re.search(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?",
-                      repaired.replace(",", ""))
+    match = _NUMBER_RE.search(repaired.replace(",", ""))
     if match is None:
         raise FieldCoercionError(f"no number in {text!r}", line=text)
     return float(match.group())
@@ -78,7 +81,7 @@ _MONTH_LETTER_REPAIRS = str.maketrans(
 def coerce_month_abbr(text: str) -> str:
     """Parse a ``May-16``-style month into canonical ``YYYY-MM``."""
     repaired = text.strip()
-    match = re.match(r"([A-Za-z0-9|]{2,9})[-/\s]+(\S+)", repaired)
+    match = _MONTH_YEAR_RE.match(repaired)
     if match is None:
         raise FieldCoercionError(f"unrecognized month {text!r}", line=text)
     name = match.group(1).lower().translate(_MONTH_LETTER_REPAIRS)[:3]
@@ -87,7 +90,7 @@ def coerce_month_abbr(text: str) -> str:
     if name not in _MONTH_NUMBERS:
         raise FieldCoercionError(f"unknown month name {text!r}", line=text)
     year_text = repair_numeric_text(match.group(2))
-    year_match = re.search(r"\d+", year_text)
+    year_match = _DIGITS_RE.search(year_text)
     if year_match is None:
         raise FieldCoercionError(f"no year in {text!r}", line=text)
     year = int(year_match.group())

@@ -17,6 +17,9 @@ from .errors import FieldCoercionError
 MILES_PER_KM = 0.621371
 
 _NUMBER_RE = re.compile(r"[-+]?\d*\.?\d+(?:[eE][-+]?\d+)?")
+#: A hyphen between digits is a range separator, not a sign.
+_RANGE_HYPHEN_RE = re.compile(r"(?<=\d)\s*-\s*(?=[\d.])")
+_TRAILING_WORD_RE = re.compile(r"([a-z]+)\s*$")
 
 _DURATION_UNITS = {
     "ms": 1e-3,
@@ -40,6 +43,10 @@ _DURATION_UNITS = {
     "hours": 3600.0,
 }
 
+#: Each duration unit as a whole word, in ``_DURATION_UNITS`` order.
+_DURATION_UNIT_RES = tuple((re.compile(rf"\b{unit}\b"), factor)
+                           for unit, factor in _DURATION_UNITS.items())
+
 _DATE_FORMATS = (
     "%m/%d/%y",
     "%m/%d/%Y",
@@ -57,6 +64,32 @@ _TIME_FORMATS = (
     "%I:%M:%S %p",
     "%I%p",
 )
+
+#: Per directive, a regex that accepts every string the one ``strptime``
+#: builds for it accepts: digit counts only, an optional space before
+#: a day, and anything at all for the locale's month and AM/PM names.
+_DIRECTIVE_SHAPES = {
+    "d": r" ?\d{1,2}", "m": r"\d{1,2}", "H": r"\d{1,2}", "I": r"\d{1,2}",
+    "M": r"\d{1,2}", "S": r"\d{1,2}", "y": r"\d\d", "Y": r"\d{4}",
+    "b": r".*", "B": r".*", "p": r".*",
+}
+
+
+def _shape(fmt: str) -> re.Pattern[str]:
+    """What a string must full-match for ``strptime(string, fmt)`` to
+    have a chance: ``strptime`` turns each run of whitespace in ``fmt``
+    into ``\\s+`` and each directive into a group, and succeeds only
+    where its pattern matches the whole string."""
+    return re.compile(re.sub(
+        r"%(.)|(\s+)|(.)",
+        lambda m: (_DIRECTIVE_SHAPES[m[1]] if m[1] else
+                   r"\s+" if m[2] else re.escape(m[3])),
+        fmt), re.DOTALL)
+
+
+#: (format, shape) pairs in the order formats are tried.
+_DATE_SHAPES = tuple((fmt, _shape(fmt)) for fmt in _DATE_FORMATS)
+_TIME_SHAPES = tuple((fmt, _shape(fmt)) for fmt in _TIME_FORMATS)
 
 
 def parse_number(text: str) -> float:
@@ -102,21 +135,20 @@ def parse_duration_seconds(text: str) -> float:
     if not lowered:
         raise FieldCoercionError("empty duration", line=text)
     cleaned = lowered.replace(",", "")
-    # A hyphen between digits is a range separator, not a sign.
-    cleaned = re.sub(r"(?<=\d)\s*-\s*(?=[\d.])", " ", cleaned)
+    cleaned = _RANGE_HYPHEN_RE.sub(" ", cleaned)
     numbers = [float(m.group()) for m in _NUMBER_RE.finditer(cleaned)]
     if not numbers:
         raise FieldCoercionError(f"no duration found in {text!r}", line=text)
     value = max(numbers)
-    unit_match = re.search(r"([a-z]+)\s*$", cleaned)
+    unit_match = _TRAILING_WORD_RE.search(cleaned)
     multiplier = 1.0
     if unit_match is not None:
         unit = unit_match.group(1)
         if unit in _DURATION_UNITS:
             multiplier = _DURATION_UNITS[unit]
     else:
-        for unit, factor in _DURATION_UNITS.items():
-            if re.search(rf"\b{unit}\b", cleaned):
+        for unit_re, factor in _DURATION_UNIT_RES:
+            if unit_re.search(cleaned):
                 multiplier = factor
                 break
     return value * multiplier
@@ -131,12 +163,15 @@ _PARSE_MEMO_SIZE = 8192
 def parse_date(text: str) -> date:
     """Parse a date in any of the formats seen across manufacturer reports.
 
-    Memoized: a corpus repeats each date string a few times, and every
-    miss can cost several failed ``strptime`` attempts.  Unparseable
+    Memoized: a corpus repeats each date string a few times.  A miss
+    runs ``strptime`` only for the formats whose shape the text has, so
+    a parseable date is usually read by the first call.  Unparseable
     text is not cached and raises on every call.
     """
     cleaned = text.strip()
-    for fmt in _DATE_FORMATS:
+    for fmt, shape in _DATE_SHAPES:
+        if shape.fullmatch(cleaned) is None:
+            continue
         try:
             return datetime.strptime(cleaned, fmt).date()
         except ValueError:
@@ -151,7 +186,9 @@ def parse_time_of_day(text: str) -> tuple[int, int, int]:
     Memoized like :func:`parse_date`.
     """
     cleaned = " ".join(text.strip().upper().split())
-    for fmt in _TIME_FORMATS:
+    for fmt, shape in _TIME_SHAPES:
+        if shape.fullmatch(cleaned) is None:
+            continue
         try:
             parsed = datetime.strptime(cleaned, fmt)
         except ValueError:

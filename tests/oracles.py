@@ -10,17 +10,32 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter, defaultdict
+from datetime import date, datetime
 from typing import Any
 
-from repro.nlp.dictionary import DictionaryEntry, FailureDictionary, _top_two
+from repro import units
+from repro.errors import FieldCoercionError
+from repro.nlp.dictionary import DictionaryEntry, FailureDictionary
+from repro.nlp.evaluation import TaggingReport
 from repro.nlp.ngrams import all_ngrams
+from repro.nlp.tagger import TagResult, _break_tie
 from repro.nlp.textcache import cached_tokens
 from repro.ocr import correction
 from repro.ocr.correction import OcrCorrector
+from repro.parsing.records import DisengagementRecord
 from repro.pipeline.checkpoint import canonical_bytes
 from repro.pipeline.store import FailureDatabase
 from repro.synth.reports import RawDocument
-from repro.taxonomy import FaultTag
+from repro.taxonomy import FaultTag, category_of
+
+
+def match_linear_at(dictionary: FailureDictionary, tokens: list[str],
+                    position: int) -> list[DictionaryEntry]:
+    """Full-scan :meth:`FailureDictionary.match_at`: every entry tried
+    at ``position``, in insertion order."""
+    return [entry for entry in dictionary.entries
+            if tuple(tokens[position:position + len(entry.phrase)])
+            == entry.phrase]
 
 
 def match_linear(dictionary: FailureDictionary,
@@ -30,13 +45,20 @@ def match_linear(dictionary: FailureDictionary,
     The pre-index form of :meth:`FailureDictionary.match`; its output
     must equal ``match``'s element for element.
     """
-    matches: list[DictionaryEntry] = []
-    for position in range(len(tokens)):
-        for entry in dictionary.entries:
-            n = len(entry.phrase)
-            if tuple(tokens[position:position + n]) == entry.phrase:
-                matches.append(entry)
-    return matches
+    return [entry for position in range(len(tokens))
+            for entry in match_linear_at(dictionary, tokens, position)]
+
+
+def _top_two(votes: Counter) -> tuple[FaultTag, FaultTag | None]:
+    """Best and runner-up tags by weight (runner-up None if absent).
+
+    Returns ``(best, best)`` on an exact tie so callers can detect it.
+    """
+    ranked = votes.most_common()
+    best_tag, best_weight = ranked[0]
+    if len(ranked) > 1 and ranked[1][1] == best_weight:
+        return best_tag, best_tag  # signal: tie
+    return best_tag, ranked[1][0] if len(ranked) > 1 else None
 
 
 def pass1_tag(seeds: FailureDictionary,
@@ -49,6 +71,49 @@ def pass1_tag(seeds: FailureDictionary,
         return None
     best, second = _top_two(votes)
     return best if best != second else None
+
+
+def vote_reference(matches: list[DictionaryEntry]) -> TagResult:
+    """``VotingTagger``'s vote as a ``Counter`` ranked by
+    ``most_common``, ties broken among the tags sharing the top
+    weight."""
+    if not matches:
+        return TagResult(tag=FaultTag.UNKNOWN,
+                         category=category_of(FaultTag.UNKNOWN),
+                         confident=False)
+    votes: Counter = Counter()
+    for entry in matches:
+        votes[entry.tag] += entry.weight
+    ranked = votes.most_common()
+    best_tag, best_weight = ranked[0]
+    confident = True
+    if len(ranked) > 1 and ranked[1][1] == best_weight:
+        tied = [tag for tag, weight in ranked if weight == best_weight]
+        best_tag = _break_tie(tied, matches)
+        confident = False
+    return TagResult(tag=best_tag, category=category_of(best_tag),
+                     scores=dict(votes), matches=matches,
+                     confident=confident)
+
+
+def evaluate_per_record(records: list[DisengagementRecord]) -> TaggingReport:
+    """``evaluate_tagger(None, records)`` as one loop over the records,
+    each one counted into every tally."""
+    report = TaggingReport()
+    for record in records:
+        truth, tag = record.truth_tag, record.tag
+        if truth is None:
+            continue
+        report.total += 1
+        report.per_tag_truth[truth] += 1
+        report.per_tag_predicted[tag] += 1
+        report.confusion[(truth, tag)] += 1
+        if tag == truth:
+            report.correct_tag += 1
+            report.per_tag_hits[truth] += 1
+        if category_of(tag) is category_of(truth):
+            report.correct_category += 1
+    return report
 
 
 def build_per_narrative(texts: list[str], max_n: int = 3,
@@ -99,6 +164,31 @@ def correct_line_reference(corrector: OcrCorrector, line: str) -> str:
         lambda m: corrector.repair_digit_word(m.group()), line)
     return correction._WORD_RE.sub(
         lambda m: corrector.repair_word(m.group()), line)
+
+
+def parse_date_reference(text: str) -> date:
+    """``units.parse_date`` without its memo or its shape filter: every
+    format tried with ``strptime`` in turn."""
+    cleaned = text.strip()
+    for fmt in units._DATE_FORMATS:
+        try:
+            return datetime.strptime(cleaned, fmt).date()
+        except ValueError:
+            continue
+    raise FieldCoercionError(f"unrecognized date {text!r}", line=text)
+
+
+def parse_time_of_day_reference(text: str) -> tuple[int, int, int]:
+    """``units.parse_time_of_day`` without its memo or its shape
+    filter."""
+    cleaned = " ".join(text.strip().upper().split())
+    for fmt in units._TIME_FORMATS:
+        try:
+            parsed = datetime.strptime(cleaned, fmt)
+        except ValueError:
+            continue
+        return parsed.hour, parsed.minute, parsed.second
+    raise FieldCoercionError(f"unrecognized time {text!r}", line=text)
 
 
 def split_csv_reference(line: str) -> list[str]:

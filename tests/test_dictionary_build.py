@@ -1,12 +1,12 @@
-"""The failure dictionary is built once per distinct narrative, in one
-canonical order.
+"""The failure dictionary is built once per distinct token sequence, in
+one canonical order.
 
 :meth:`FailureDictionary.build` must learn exactly the entries of the
 per-narrative loop kept in :mod:`tests.oracles` (same phrases, tags and
 weights), list them in an order that does not depend on
 ``PYTHONHASHSEED``, and not rely on the token cache holding every
-narrative.  The inverted-index matcher is checked against the full
-scan kept there too.
+narrative.  The phrase-trie matcher is checked against the full scan
+kept there too.
 """
 
 from __future__ import annotations
@@ -31,7 +31,12 @@ from repro.pipeline import PipelineConfig, process_corpus
 from repro.synth import generate_corpus
 from repro.taxonomy import FaultTag
 
-from .oracles import build_per_narrative, match_linear, pass1_tag
+from .oracles import (
+    build_per_narrative,
+    match_linear,
+    match_linear_at,
+    pass1_tag,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -142,19 +147,74 @@ class TestPhraseCandidates:
 
 
 _WORDS = ["lidar", "can", "bus", "sun", "glare", "x", "planner"]
-_PHRASES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3)
+_PHRASES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5)
 _TAGS = st.sampled_from(list(FaultTag))
+#: Few tags and words, so the same (phrase, tag) is often added twice.
+_ADDS = st.lists(st.tuples(
+    st.lists(st.sampled_from(_WORDS[:4]), min_size=1, max_size=5),
+    st.sampled_from([FaultTag.SENSOR, FaultTag.NETWORK])), max_size=16)
+_TOKENS = st.lists(st.sampled_from(_WORDS), max_size=20)
+
+
+def _added(adds) -> FailureDictionary:
+    """A dictionary built by ``add``, entry ``i`` weighing ``i``."""
+    dictionary = FailureDictionary()
+    for i, (phrase, tag) in enumerate(adds):
+        dictionary.add(DictionaryEntry(
+            phrase=tuple(phrase), tag=tag, weight=float(i), source="seed"))
+    return dictionary
+
+
+def _assert_matches_full_scan(dictionary, tokens):
+    for sequence in (list(tokens), tuple(tokens)):
+        assert dictionary.match(sequence) == match_linear(dictionary,
+                                                          sequence)
+        for position in range(len(sequence)):
+            assert dictionary.match_at(sequence, position) == (
+                match_linear_at(dictionary, sequence, position))
 
 
 class TestIndexedMatchOracle:
-    @settings(max_examples=200, deadline=None)
+    """The phrase trie finds what a scan of every entry finds, in the
+    same order (vote sums are floats, so their order matters)."""
+
+    @settings(max_examples=300, deadline=None)
     @given(entries=st.lists(st.tuples(_PHRASES, _TAGS), max_size=12),
-           tokens=st.lists(st.sampled_from(_WORDS), max_size=20))
+           tokens=_TOKENS)
     def test_match_equals_full_scan(self, entries, tokens):
-        dictionary = FailureDictionary()
-        for i, (phrase, tag) in enumerate(entries):
-            dictionary.add(DictionaryEntry(
-                phrase=tuple(phrase), tag=tag, weight=float(i),
-                source="seed"))
-        assert dictionary.match(tokens) == match_linear(dictionary,
-                                                        tokens)
+        _assert_matches_full_scan(_added(entries), tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(adds=_ADDS, tokens=_TOKENS)
+    def test_duplicate_adds_match_once(self, adds, tokens):
+        dictionary = _added(adds)
+        assert len(dictionary) == len(dict.fromkeys(
+            (tuple(phrase), tag) for phrase, tag in adds))
+        _assert_matches_full_scan(dictionary, tokens)
+
+    @pytest.mark.parametrize("phrases", [
+        [("can",), ("can", "bus"), ("can", "bus", "x")],
+        [("can", "bus", "x"), ("can", "bus"), ("can",)],
+        [("can", "bus"), ("sun",), ("can", "bus", "x", "sun", "glare"),
+         ("can",), ("bus", "x"), ("can", "bus", "x")],
+    ])
+    def test_every_length_order(self, phrases):
+        # A shorter phrase added after a longer one with the same first
+        # tokens joins the longer one's node, and the reverse.
+        dictionary = _added([(phrase, FaultTag.NETWORK)
+                             for phrase in phrases])
+        tokens = ["can", "bus", "x", "sun", "glare", "can", "bus"]
+        assert len(dictionary.match(tokens)) == len(
+            match_linear(dictionary, tokens)) >= len(phrases)
+        _assert_matches_full_scan(dictionary, tokens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(st.tuples(_PHRASES, _TAGS), max_size=12,
+                            unique_by=lambda e: (tuple(e[0]), e[1])),
+           tokens=_TOKENS)
+    def test_entries_argument_matches_like_adds(self, entries, tokens):
+        added = _added(entries)
+        given_whole = FailureDictionary(entries=list(added.entries))
+        assert given_whole.entries == added.entries
+        for sequence in (list(tokens), tuple(tokens)):
+            assert given_whole.match(sequence) == added.match(sequence)

@@ -18,9 +18,12 @@ from repro.analysis.alertness import overall_mean_reaction_time
 from repro.analysis.apm import disengagements_per_accident_overall
 from repro.analysis.categories import overall_category_shares
 from repro.analysis.maturity import pooled_dpm_correlation
+from repro.nlp import FailureDictionary, textcache
+from repro.pipeline import PipelineConfig, process_corpus
 from repro.synth import generate_corpus
 from repro.synth.io import write_corpus
 
+from .conftest import FULL_SEED
 from .oracles import record_loop_fingerprint
 
 ANALYSIS = ["Mercedes-Benz", "Volkswagen", "Waymo", "Delphi", "Nissan",
@@ -82,6 +85,30 @@ class TestGoldenPipeline:
     def test_tagging_accuracy(self, pipeline_result):
         accuracy = pipeline_result.diagnostics.tagging.tag_accuracy
         assert accuracy == pytest.approx(0.998, abs=0.004)
+
+
+#: sha256 of the seed-2018 learned dictionary's ``to_json()``.
+DICTIONARY_SHA256 = (
+    "32cf3efecf843d600f41cf2df1dbec2b64518286297858a8666b49a5f83a329c")
+
+
+class TestGoldenStage3:
+    def test_dictionary_pinned(self, db):
+        dictionary = FailureDictionary.build(
+            [r.description for r in db.disengagements])
+        assert len(dictionary) == 1554
+        assert hashlib.sha256(
+            dictionary.to_json().encode()).hexdigest() == DICTIONARY_SHA256
+
+    def test_token_cache_counts(self, corpus, monkeypatch):
+        # The dictionary build looks up each of the 3,345 distinct
+        # narratives once (all misses); tagging looks up all 5,324
+        # narratives (all hits).
+        monkeypatch.setattr(textcache, "_CACHE", textcache.TokenCache())
+        diagnostics = process_corpus(
+            corpus, PipelineConfig(seed=FULL_SEED)).diagnostics
+        assert (diagnostics.token_cache_misses,
+                diagnostics.token_cache_hits) == (3345, 5324)
 
 
 class TestGoldenHeadlines:

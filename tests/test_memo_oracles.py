@@ -6,10 +6,15 @@ OCR corrector, which repairs one memoized token at a time, must return
 what three regex passes over the whole line return, and its output must
 not depend on the lines it corrected before.  A document's one-pass
 content digest must equal the ``to_dict()``-and-scrub digest kept in
-:mod:`tests.oracles`, so checkpoint directories keep resuming.
+:mod:`tests.oracles`, so checkpoint directories keep resuming.  Date
+and time parsing, which skips the formats a text cannot have, must
+return (or raise) what trying every format with ``strptime`` does.
 """
 
 from __future__ import annotations
+
+import re
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -33,15 +38,20 @@ from repro.synth import generate_corpus
 from repro.synth.reports import RawDocument
 
 from .conftest import FULL_SEED
-from .oracles import correct_line_reference, document_digest_reference
+from .oracles import (
+    correct_line_reference,
+    document_digest_reference,
+    parse_date_reference,
+    parse_time_of_day_reference,
+)
 
 
 def _outcome(fn, text):
-    """``("ok", value)`` or ``("raises", exception type)``."""
+    """``("ok", value)`` or ``("raises", exception type, message)``."""
     try:
         return "ok", fn(text)
     except Exception as error:  # noqa: BLE001 - compared by type
-        return "raises", type(error)
+        return "raises", type(error), str(error)
 
 
 def _assert_memo_matches_body(memoized, text):
@@ -106,6 +116,69 @@ class TestParseMemos:
         with pytest.raises(TypeError):
             benz._parse_key_values(line)["date"] = "tampered"
         assert benz._parse_key_values(line)["date"] == "03/14/2015"
+
+
+#: OCR confusions, separators, other whitespace and non-ASCII digits.
+_DAMAGE = "0123456789OolISBZg|/:-., \t\u00a0\u0663APMapmJanDec"
+
+
+@st.composite
+def _damaged(draw, rendered) -> str:
+    """A rendered value with up to three characters swapped in, added
+    or dropped, and drawn letter case."""
+    text = draw(rendered)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("swap", "add", "drop")))
+        char = draw(st.sampled_from(_DAMAGE))
+        if edit == "add":
+            text = text[:at] + char + text[at:]
+        elif edit == "swap":
+            text = text[:at] + char + text[at + 1:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return draw(st.sampled_from((text, text.lower(), text.upper())))
+
+
+#: A numeric field's leading zero kept, dropped or made a space
+#: (``strptime`` reads " 5" as a day).
+_PADDING = st.sampled_from(("0", "", " "))
+
+
+def _rendered(value, fmt: str, padding: str) -> str:
+    return re.sub(r"(?<!\d)0(?=\d)", padding, value.strftime(fmt))
+
+
+_all_dates = st.builds(
+    _rendered, st.dates(),
+    st.sampled_from(units._DATE_FORMATS + _DATE_FORMATS), _PADDING)
+_all_times = st.builds(
+    _rendered, st.times(),
+    st.sampled_from(units._TIME_FORMATS + _TIME_FORMATS), _PADDING)
+
+
+class TestStrptimeShapes:
+    """``strptime`` runs only for the formats whose shape a text has."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=st.one_of(_all_dates, _damaged(_all_dates), _noise,
+                          st.text(max_size=16)))
+    def test_parse_date_equals_every_format_loop(self, text):
+        assert (_outcome(units.parse_date.__wrapped__, text)
+                == _outcome(parse_date_reference, text))
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=st.one_of(_all_times, _damaged(_all_times), _noise,
+                          st.text(max_size=16)))
+    def test_parse_time_equals_every_format_loop(self, text):
+        assert (_outcome(units.parse_time_of_day.__wrapped__, text)
+                == _outcome(parse_time_of_day_reference, text))
+
+    def test_every_rendering_passes_its_own_shape(self):
+        moment = datetime(2016, 9, 5, 7, 4, 3)
+        for fmt, shape in units._DATE_SHAPES + units._TIME_SHAPES:
+            assert shape.fullmatch(moment.strftime(fmt)), fmt
+            assert shape.fullmatch(moment.strftime(fmt).lower()), fmt
 
 
 #: A corrector that grows warm across examples, and one whose memo

@@ -247,6 +247,8 @@ from repro.nlp.textcache import (  # noqa: E402
     cached_tokens_batch,
 )
 
+from .oracles import evaluate_per_record, vote_reference  # noqa: E402
+
 #: Every word that appears in a seed phrase, plus filler — so random
 #: narratives exercise matches, multi-phrase votes, ties, and misses.
 _VOCAB = sorted({word
@@ -287,13 +289,34 @@ class TestBatchTagging:
         assert FirstMatchTagger(dictionary).tag_batch([]) == []
 
     def test_duplicates_share_results(self, dictionary):
-        # Duplicate narratives resolve to the same cached token list,
-        # so the batch memo hands back the very same TagResult.
+        # Duplicate narratives have one token sequence, so the batch
+        # hands back the very same TagResult.
         tagger = VotingTagger(dictionary)
         text = "sun glare blinded the forward camera"
         results = tagger.tag_batch([text, "debris on road", text])
         assert results[0] is results[2]
         assert results[0] == tagger.tag(text)
+
+    @pytest.mark.parametrize("tagger_class", [VotingTagger,
+                                              FirstMatchTagger])
+    def test_same_token_sequence_shares_one_result(self, dictionary,
+                                                   tagger_class):
+        # Case, punctuation and stopwords aside, these are one narrative.
+        tagger = tagger_class(dictionary)
+        texts = ["The LIDAR failed.", "lidar failed"]
+        assert cached_tokens(texts[0]) == cached_tokens(texts[1])
+        results = tagger.tag_batch(texts)
+        assert results[0] is results[1]
+        assert results[0] == tagger.tag(texts[0]) == tagger.tag(texts[1])
+        assert results[0].tag is FaultTag.SENSOR
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=narratives)
+    def test_vote_equals_counter_ranking(self, dictionary, texts):
+        tagger = VotingTagger(dictionary)
+        for text in texts:
+            assert tagger.tag(text) == vote_reference(
+                dictionary.match(cached_tokens(text)))
 
     def test_evaluation_uses_batch_path(self, dictionary):
         # evaluate_tagger prefers tag_batch when present; parity with
@@ -308,6 +331,30 @@ class TestBatchTagging:
         report = evaluate_tagger(tagger, records)
         assert report.total == 3
         assert report.correct_tag == 3
+
+
+#: Three tags of two categories, so pairs repeat and categories agree
+#: across different tags.
+_FEW_TAGS = st.sampled_from([FaultTag.SENSOR, FaultTag.NETWORK,
+                             FaultTag.PLANNER])
+_records = st.lists(st.builds(
+    lambda truth, tag: DisengagementRecord(
+        manufacturer="X", month="2018-01", truth_tag=truth, tag=tag),
+    st.one_of(st.none(), _FEW_TAGS), _FEW_TAGS), max_size=40)
+
+
+class TestEvaluationTallies:
+    @settings(max_examples=100, deadline=None)
+    @given(records=_records)
+    def test_equals_per_record_loop(self, records):
+        ours = evaluate_tagger(None, records)
+        theirs = evaluate_per_record(records)
+        assert ours == theirs
+        # Reports list tags in the order the records first name them.
+        for name in ("confusion", "per_tag_truth", "per_tag_hits",
+                     "per_tag_predicted"):
+            assert list(getattr(ours, name).items()) == list(
+                getattr(theirs, name).items())
 
 
 class TestTokensBatch:
