@@ -12,8 +12,9 @@ Clients are *separate processes* (not threads), so on a single-core
 box the load generator competes fairly with both server variants
 instead of sharing the threaded server's GIL.
 
-Budget (tiered, recorded with the core count as in
-BENCH_pipeline.json): the N-process server's total RPS must be at
+Budget (tiered by core count; the report starts with the
+``runinfo.run_header`` header every committed ``BENCH_*.json``
+carries): the N-process server's total RPS must be at
 least the threaded baseline's on one core, and >=1.5x it when two or
 more cores are present.  The run also asserts that the pre-fork
 ``/metrics`` exposition aggregates every worker and that pre-fork
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
-import os
 import tempfile
 import time
 import urllib.request
@@ -42,6 +42,8 @@ from repro.pipeline import PipelineConfig, process_corpus
 from repro.pipeline.checkpoint import canonical_json
 from repro.query import QueryServer
 from repro.serving import PreforkServer
+
+from runinfo import run_header
 
 SEED = 2018
 
@@ -220,17 +222,17 @@ def main(argv=None) -> int:
                              "default: %(default)s)")
     args = parser.parse_args(argv)
 
-    cores = os.cpu_count() or 1
-    budget = (RPS_BUDGET_MULTICORE if cores >= 2
-              else RPS_BUDGET_1CORE)
     report: dict = {
         "seed": SEED,
-        "cpu_count": cores,
+        **run_header(),
         "processes": args.processes,
         "clients": args.clients,
         "duration_s": args.duration,
-        "rps_budget": budget,
     }
+    cores = report["cpu_count"]
+    budget = (RPS_BUDGET_MULTICORE if cores >= 2
+              else RPS_BUDGET_1CORE)
+    report["rps_budget"] = budget
     failures: list[str] = []
 
     print(f"building seed-{SEED} database ({cores} core(s))...")

@@ -1,28 +1,18 @@
-"""Parallel fan-out and tagger hot-path benchmarks.
+"""Serial stage-loop overhead and tagger hot-path benchmarks.
 
-Five budgets guard this perf work:
+Three budgets guard this perf work:
 
-1. **End-to-end speedup** — ``--workers 4`` must beat serial by
-   >= 1.5x on a >= 4-core machine (scaled down to >= 1.1x on 2-3
-   cores, waived on a single core where parallel speedup is
-   physically impossible).  The parallel run is also asserted
-   byte-identical to serial, so the speedup can never be bought with
-   drift.
-2. **Serial overhead** — with ``--workers`` unset the runner must stay
-   within 5% of a pre-parallel replica of the same serial loop (the
-   fan-out plumbing may not tax people who don't use it).
-3. **Tagger index** — the inverted-index matcher must beat the
-   :func:`match_linear` reference scan by >= 5x per record (this is
-   the core-count-independent part, asserted everywhere).
-4. **Batched tagging** — ``tag_batch`` over the whole corpus must beat
+1. **Serial overhead** — the runner must stay within 5% of a bare
+   replica of the same serial loop (journal bodies, stage timers and
+   restore bookkeeping may not tax a run that uses none of them).
+   The replica's database is asserted byte-identical to the
+   runner's, so the comparison can never be bought with drift.
+2. **Tagger index** — the trie matcher must beat the
+   :func:`match_linear` reference scan by >= 5x per record.
+3. **Batched tagging** — ``tag_batch`` over the whole corpus must beat
    the per-unit ``tag`` loop by >= 1.3x (one normalization/tokenize
-   pass through the shared cache, candidate sets via the inverted
-   index, duplicate narratives deduped by identity), with results
-   asserted equal element-by-element.
-5. **Chunked payload** — at 2 workers, the chunked ``BatchOutcome``
-   wire encoding must cut pickled bytes per unit by >= 30% versus the
-   per-unit ``UnitOutcome`` stream it replaced (the chunk ships one
-   merged health delta / wall time instead of one per unit).
+   pass through the shared cache, one match and vote per distinct
+   token sequence), with results asserted equal element-by-element.
 
 Run as a script (``python benchmarks/bench_parallel.py``) for the
 self-contained report CI runs; ``--out`` additionally writes the
@@ -34,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import time
 from pathlib import Path
 
@@ -56,11 +45,6 @@ from repro.pipeline import (
     process_corpus,
 )
 from repro.pipeline import runner
-from repro.pipeline.parallel import (
-    BatchOutcome,
-    UnitOutcome,
-    resolve_batch_size,
-)
 from repro.pipeline.stages import OcrStage, PipelineDiagnostics
 from repro.synth import generate_corpus
 
@@ -69,19 +53,12 @@ from runinfo import run_header
 SEED = 2018
 SUBSET = ["Nissan", "Volkswagen", "Delphi", "Tesla"]
 
-#: Parallel must beat serial by this much at 4 workers (>= 4 cores).
-SPEEDUP_BUDGET = 1.5
-#: Relaxed budget when only 2-3 cores are available.
-SPEEDUP_BUDGET_2CORE = 1.1
 #: Serial runs must stay within this fraction of the replica loop.
 OVERHEAD_BUDGET = 0.05
 #: Indexed matching must beat the linear reference scan by this much.
 INDEX_SPEEDUP_BUDGET = 5.0
 #: ``tag_batch`` must beat the per-unit ``tag`` loop by this much.
 TAG_BATCH_SPEEDUP_BUDGET = 1.3
-#: Chunked dispatch must cut wire bytes per unit by this fraction
-#: versus the per-unit outcome stream (measured at 2 workers).
-BATCH_PAYLOAD_REDUCTION_BUDGET = 0.30
 
 
 def _config(**overrides) -> PipelineConfig:
@@ -102,13 +79,13 @@ def match_linear(dictionary: FailureDictionary,
 
 
 def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
-    """The pre-parallel serial pipeline loop, reproduced inline.
+    """A bare serial pipeline loop, reproduced inline.
 
-    What ``process_corpus`` did before the fan-out layer existed: each
-    unit computed straight into the run state — no executor, no
-    journal bodies, no stage timers.  Serves as the baseline for the
-    serial-overhead budget — and as a correctness witness, since its
-    database must be byte-identical to the real runner's.
+    Each unit computed straight into the run state — no restore
+    bookkeeping, no journal bodies, no stage timers.  Serves as the
+    baseline for the serial-overhead budget — and as a correctness
+    witness, since its database must be byte-identical to the real
+    runner's.
     """
     diagnostics = PipelineDiagnostics()
     database = FailureDatabase()
@@ -184,17 +161,6 @@ def _timed(func):
 # pytest-benchmark entry points (informational).
 # ----------------------------------------------------------------------
 
-def test_parallel_full_pipeline(benchmark):
-    corpus = generate_corpus(SEED, SUBSET)
-
-    def run():
-        return process_corpus(corpus, _config(workers=4))
-
-    result = benchmark(run)
-    assert result.diagnostics.parallel.enabled
-    assert len(result.database.disengagements) > 1000
-
-
 def test_indexed_match_micro(benchmark, db):
     texts = [r.description for r in db.disengagements]
     dictionary = FailureDictionary.build(texts)
@@ -230,7 +196,7 @@ def main(argv=None) -> int:
     serial_json = serial_result.database.to_json()
     records = len(serial_result.database.disengagements)
 
-    # -- serial overhead vs the pre-parallel replica loop -------------
+    # -- serial overhead vs the replica loop ---------------------------
     replica_db, _ = _timed(lambda: _replica_run(corpus, _config()))
     assert replica_db.to_json() == serial_json, (
         "replica loop diverged from the runner — overhead A/B void")
@@ -256,46 +222,7 @@ def main(argv=None) -> int:
             f"serial overhead {overhead:+.1%} exceeds "
             f"{OVERHEAD_BUDGET:.0%}")
 
-    # -- end-to-end speedup at 2 and 4 workers ------------------------
-    report["parallel"] = {}
-    for workers in (2, 4):
-        best = None
-        for _ in range(args.rounds):
-            result, wall = _timed(
-                lambda: process_corpus(corpus, _config(workers=workers)))
-            assert result.database.to_json() == serial_json, (
-                f"--workers {workers} output diverged from serial")
-            best = wall if best is None else min(best, wall)
-        speedup = serial_wall / best
-        batch_sizes = dict(sorted(
-            result.diagnostics.parallel.batch_size.items()))
-        report["parallel"][str(workers)] = {
-            "wall_s": round(best, 4), "speedup": round(speedup, 3),
-            "batch_size": batch_sizes}
-        sizes = ", ".join(f"{s}={n}" for s, n in batch_sizes.items())
-        print(f"{workers} workers:        {best:.3f}s "
-              f"({speedup:.2f}x vs serial, byte-identical; "
-              f"auto batch {sizes})")
-
-    speedup4 = report["parallel"]["4"]["speedup"]
-    if cores >= 4:
-        budget = SPEEDUP_BUDGET
-    elif cores >= 2:
-        budget = SPEEDUP_BUDGET_2CORE
-    else:
-        budget = None
-    report["speedup_budget"] = budget
-    if budget is None:
-        print(f"speedup budget:   waived (single-core machine)")
-    else:
-        print(f"speedup budget:   >={budget:.1f}x at 4 workers "
-              f"({cores} cores)")
-        if speedup4 < budget:
-            failures.append(
-                f"4-worker speedup {speedup4:.2f}x under the "
-                f"{budget:.1f}x budget on {cores} cores")
-
-    # -- tagger hot path: inverted index vs linear reference ----------
+    # -- tagger hot path: phrase trie vs linear reference -------------
     texts = [r.description for r in serial_result.database.disengagements]
     dictionary = FailureDictionary.build(texts)
     token_lists = [cached_tokens(t) for t in texts]
@@ -376,88 +303,6 @@ def main(argv=None) -> int:
         failures.append(
             f"tag_batch speedup {batch_speedup:.2f}x under the "
             f"{TAG_BATCH_SPEEDUP_BUDGET:.1f}x budget")
-
-    # -- worker payload size: slots/tuple pickle vs dict baseline -----
-    # One Stage III outcome crosses the pool pipe per tagged record.
-    # Compare the shipped encoding (__slots__ dataclass with a tuple
-    # __getstate__, (stages, events) health pair) against what the
-    # same outcomes cost as plain keyed dicts — the pre-compaction
-    # wire shape, whose ``metrics`` slot stays as the ``None`` it
-    # measured.
-    outcomes = [
-        UnitOutcome(
-            body={"tag": r.tag.value, "category": r.category.value},
-            health=({"tag": (1, 0, 0, 0, 0)}, []),
-            elapsed=0.001)
-        for r in serial_result.database.disengagements]
-    legacy = [
-        {"body": o.body,
-         "health": {"stages": {k: list(v)
-                               for k, v in o.health[0].items()},
-                    "events": list(o.health[1])},
-         "error": o.error, "ocr": o.ocr, "elapsed": o.elapsed,
-         "injected": o.injected, "metrics": None}
-        for o in outcomes]
-    compact_bytes = sum(len(pickle.dumps(o)) for o in outcomes)
-    legacy_bytes = sum(len(pickle.dumps(o)) for o in legacy)
-    payload_delta = 1.0 - compact_bytes / legacy_bytes
-    report["worker_payload"] = {
-        "units": len(outcomes),
-        "compact_bytes_per_unit": round(compact_bytes / len(outcomes), 1),
-        "dict_bytes_per_unit": round(legacy_bytes / len(outcomes), 1),
-        "size_reduction": round(payload_delta, 4),
-    }
-    print(f"\nworker payload ({len(outcomes):,} Stage III outcomes):")
-    print(f"  tuple-state:    {compact_bytes / len(outcomes):8.1f} "
-          "bytes/unit")
-    print(f"  dict baseline:  {legacy_bytes / len(outcomes):8.1f} "
-          "bytes/unit")
-    print(f"  reduction:      {payload_delta:8.1%}")
-    if compact_bytes >= legacy_bytes:
-        failures.append(
-            "compact worker payload is not smaller than the dict "
-            "baseline")
-
-    # -- chunked dispatch payload vs the per-unit stream --------------
-    # The same Stage III results shipped the way the chunked engine
-    # ships them: one ``BatchOutcome`` per auto-resolved chunk at 2
-    # workers, carrying per-unit journal bodies but only ONE merged
-    # health delta / wall time / chaos count for the whole chunk.  The
-    # per-unit baseline is the ``UnitOutcome`` stream built above.
-    chunk_size = resolve_batch_size(None, len(outcomes), workers=2)
-    chunks = [
-        BatchOutcome(
-            bodies=[o.body for o in outcomes[i:i + chunk_size]],
-            health=({"tag": (len(outcomes[i:i + chunk_size]),
-                             0, 0, 0, 0)}, []),
-            elapsed=sum(o.elapsed for o in outcomes[i:i + chunk_size]))
-        for i in range(0, len(outcomes), chunk_size)]
-    chunked_bytes = sum(len(pickle.dumps(c)) for c in chunks)
-    chunk_delta = 1.0 - chunked_bytes / compact_bytes
-    report["batched_payload"] = {
-        "units": len(outcomes),
-        "workers": 2,
-        "batch_size": chunk_size,
-        "chunk_tasks": len(chunks),
-        "per_unit_bytes_per_unit": round(
-            compact_bytes / len(outcomes), 1),
-        "chunked_bytes_per_unit": round(
-            chunked_bytes / len(outcomes), 1),
-        "size_reduction": round(chunk_delta, 4),
-        "reduction_budget": BATCH_PAYLOAD_REDUCTION_BUDGET,
-    }
-    print(f"\nchunked dispatch payload (2 workers, auto batch "
-          f"{chunk_size} -> {len(chunks)} chunk tasks):")
-    print(f"  per-unit:       {compact_bytes / len(outcomes):8.1f} "
-          "bytes/unit")
-    print(f"  chunked:        {chunked_bytes / len(outcomes):8.1f} "
-          "bytes/unit")
-    print(f"  reduction:      {chunk_delta:8.1%} "
-          f"(budget >={BATCH_PAYLOAD_REDUCTION_BUDGET:.0%})")
-    if chunk_delta < BATCH_PAYLOAD_REDUCTION_BUDGET:
-        failures.append(
-            f"chunked payload reduction {chunk_delta:.1%} under the "
-            f"{BATCH_PAYLOAD_REDUCTION_BUDGET:.0%} budget")
 
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

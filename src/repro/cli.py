@@ -146,15 +146,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-checkpoint", action="store_true",
                         help="disable checkpointing even when "
                              "--checkpoint-dir is set")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="fan Stage II-III out across a pool of "
-                             "this many worker processes (0 = serial; "
-                             "output is byte-identical either way)")
-    parser.add_argument("--batch-size", default="auto",
-                        help="units per dispatched worker chunk "
-                             "(default: auto = spread each stage over "
-                             "~4 chunks per worker; output is "
-                             "byte-identical at any size)")
     parser.add_argument("--trace", action="store_true",
                         help="record a run -> stage -> unit span trace "
                              "(trace.jsonl; see 'repro trace')")
@@ -165,22 +156,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics", action="store_true",
                         help="collect run metrics (stage durations, "
                              "unit/retry/quarantine/cache counters)")
-
-
-def _parse_batch_size(value: str | None) -> int | None:
-    """``--batch-size`` operand: ``auto`` (None) or an integer.
-
-    Raises ValueError (not SystemExit) so main() reports it through
-    the same exit-code-2 path as the config knob validation.
-    """
-    if value is None or value == "auto":
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(
-            f"--batch-size must be an integer or 'auto', got {value!r}"
-        ) from None
 
 
 def _config_from(args: argparse.Namespace) -> PipelineConfig:
@@ -215,8 +190,6 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
         checkpoint_dir=checkpoint_dir,
         resume=args.resume and not args.no_checkpoint,
         crash=crash,
-        workers=args.workers,
-        batch_size=_parse_batch_size(args.batch_size),
         trace_dir=trace_dir,
         metrics_enabled=args.metrics,
     )
@@ -237,8 +210,7 @@ def _print_run_summary(result) -> None:
     from .reporting.summary import render_run_health
 
     print(render_run_health(diagnostics.health,
-                            result.database.quarantine,
-                            parallel=diagnostics.parallel))
+                            result.database.quarantine))
     if diagnostics.trace_path is not None:
         print(f"trace:          {diagnostics.trace_path} "
               "(render with 'repro trace')")
@@ -263,7 +235,7 @@ def _run_payload(result, out: str | None) -> dict:
         "tag_accuracy": (diagnostics.tagging.tag_accuracy
                          if diagnostics.tagging is not None else None),
         "health": diagnostics.health.summary(),
-        "parallel": diagnostics.parallel.summary(),
+        "stage_wall_s": dict(diagnostics.stage_wall_s),
     }
     if diagnostics.trace_path is not None:
         payload["trace_path"] = diagnostics.trace_path

@@ -33,9 +33,9 @@ from typing import Any, Iterable, Mapping
 # Stable metric names (pinned by tests — treat as public API).
 # ----------------------------------------------------------------------
 
-#: Pipeline: per-stage coordinator wall time.
+#: Pipeline: per-stage wall time.
 STAGE_DURATION = "repro_stage_duration_seconds"
-#: Pipeline: units of work processed per stage (live, merged, restored).
+#: Pipeline: units of work processed per stage (computed or restored).
 UNITS_TOTAL = "repro_pipeline_units_total"
 #: Resilience: transient faults retried.
 RETRIES_TOTAL = "repro_retries_total"
@@ -75,13 +75,6 @@ REQUESTS_SHED = "repro_requests_shed_total"
 REQUEST_TIMEOUTS = "repro_request_timeouts_total"
 #: Serving: requests currently being handled (admission gauge).
 REQUESTS_INFLIGHT = "repro_requests_inflight"
-#: Parallel: dispatch chunks shipped to the worker pool, by stage.
-BATCH_TASKS_TOTAL = "repro_batch_tasks_total"
-#: Parallel: units that rode those chunks (units/task = units/tasks).
-BATCH_UNITS_TOTAL = "repro_batch_units_total"
-#: Parallel: pickled chunk-outcome payload bytes (payload/task =
-#: bytes/tasks); an estimate of pipe traffic, measured coordinator-side.
-BATCH_PAYLOAD_BYTES_TOTAL = "repro_batch_payload_bytes_total"
 #: Pre-fork serving: per-worker identity gauge (always 1, labelled by
 #: worker id) — the aggregated ``/metrics`` scrape proves which
 #: workers contributed by which series are present.

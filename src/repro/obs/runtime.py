@@ -5,7 +5,9 @@ stage clock.  A disabled context holds
 :data:`~repro.obs.trace.NULL_TRACER`, so the instrumented runner costs
 one branch per unit when tracing is off — ``benchmarks/bench_obs.py``
 holds that to ~0%.  Its :meth:`stage` timer is the run's one stage
-clock: the stage span and the run's per-stage wall times come from it.
+clock: the stage span and the run's per-stage wall times come from it,
+and each computed unit's span (:meth:`unit`) covers that unit's own
+work.
 Metrics are not recorded here: the runner renders them once, when the
 run ends, from its :class:`~repro.pipeline.stages.PipelineDiagnostics`
 (see :func:`~repro.pipeline.stages.render_metrics`).
@@ -46,8 +48,8 @@ class Observability:
         """The context a :class:`PipelineConfig` asks for.
 
         Stage wall times accumulate into ``stage_wall_s`` (the run's
-        :class:`~repro.pipeline.parallel.ParallelStats` dict) whether
-        or not tracing is on.
+        :class:`~repro.pipeline.stages.PipelineDiagnostics` dict)
+        whether or not tracing is on.
         """
         tracer = (Tracer(config.trace_path) if config.tracing_active
                   else NULL_TRACER)
@@ -80,10 +82,9 @@ class Observability:
                 self.stage_wall_s.get(name, 0.0) + elapsed)
             self.tracer.flush()
 
-    def unit(self, stage: str, unit_id: str, elapsed: float) -> None:
-        """Record a computed unit from its shipped wall time."""
-        if self.tracer.enabled:
-            self.tracer.record(unit_id, "unit", elapsed, stage=stage)
+    def unit(self, stage: str, unit_id: str) -> Any:
+        """A span around one computed unit's own work."""
+        return self.tracer.span(unit_id, kind="unit", stage=stage)
 
     def restored_unit(self, stage: str, unit_id: str) -> None:
         """Record a unit adopted from a checkpoint (zero duration)."""

@@ -4,9 +4,8 @@ A :class:`Tracer` records **spans**: named intervals with monotonic
 (``time.perf_counter``) timings, a parent link, free-form attributes,
 and an ``ok``/``error`` status.  The pipeline opens one ``run`` span,
 a ``stage`` span per stage, and (when tracing is on) a ``unit`` span
-per document/record — units computed by a worker pool are recorded
-from their shipped wall time, so a traced parallel run still covers
-every unit.
+per document/record around that unit's own work; a unit restored from
+a checkpoint is recorded with zero duration.
 
 Persistence is JSONL, one completed span per line, published with the
 checkpoint layer's atomic write primitive: the tracer buffers
@@ -144,7 +143,7 @@ class Tracer:
 
     def record(self, name: str, kind: str, duration_s: float,
                **attrs: Any) -> None:
-        """Record an already-measured span (e.g. a pool-computed unit).
+        """Record an already-measured span (e.g. a restored unit).
 
         The span is parented to the calling thread's current span and
         stamped at the current monotonic offset; ``duration_s`` is the

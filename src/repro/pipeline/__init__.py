@@ -35,12 +35,6 @@ from .ingest import (
     document_digest,
     ingest_corpus,
 )
-from .parallel import (
-    BatchOutcome,
-    ParallelExecutor,
-    ParallelStats,
-    resolve_batch_size,
-)
 from .resilience import (
     CheckpointHealth,
     FailurePolicy,
@@ -66,9 +60,6 @@ __all__ = [
     "FailurePolicy",
     "IngestReport",
     "IngestResult",
-    "BatchOutcome",
-    "ParallelExecutor",
-    "ParallelStats",
     "PipelineConfig",
     "FailureDatabase",
     "PipelineDiagnostics",
@@ -84,7 +75,6 @@ __all__ = [
     "config_fingerprint",
     "document_digest",
     "ingest_corpus",
-    "resolve_batch_size",
     "retry_transient",
     "run_pipeline",
     "process_corpus",

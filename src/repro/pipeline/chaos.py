@@ -10,12 +10,12 @@ work.
 Injection is deterministic: the decision for a given ``(stage,
 unit_id)`` pair is drawn from its own child stream of the pipeline
 seed, so whether a particular document gets a fault does not depend on
-processing order — or on which worker of a ``--workers N`` pool runs
-it — and two runs with the same seed inject the same faults.  Kill
-points are a coordinator concern: under a worker pool,
-:class:`CrashController` checks fire in the merge loop (workers never
-see a :class:`CrashPoint`), so a parallel run dies at the same unit
-boundary, with the same journal state, as a serial one.
+processing order, and two runs with the same seed inject the same
+faults.  Kill points fire in the runner's one stage loop, at unit and
+stage boundaries (:class:`CrashController`); a :class:`SimulatedCrash`
+unwinds through the checkpoint store's close, so every unit completed
+before the kill point is journaled and ``--resume`` recomputes only
+the rest.
 """
 
 from __future__ import annotations

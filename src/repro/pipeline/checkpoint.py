@@ -27,8 +27,8 @@ Integrity rules:
   match the resuming run marks the whole directory **stale**: it is
   discarded and rebuilt, so checkpoints from a different config/seed
   can never silently leak into a run.  The fingerprint hashes every
-  config field except the execution and observability ones named in
-  :data:`NOT_FINGERPRINTED`.
+  config field except the checkpoint, crash and observability ones
+  named in :data:`NOT_FINGERPRINTED`.
 
 Checkpoint directory layout::
 
@@ -428,16 +428,14 @@ class CheckpointStore:
 
 
 #: :class:`~repro.pipeline.config.PipelineConfig` fields that choose
-#: how a run executes or what it records, never what a unit outputs:
-#: :func:`config_fingerprint` hashes every other field.  A crash
-#: aborts a run without changing any unit's output, a worker pool or
-#: chunk size is an execution strategy with byte-identical output, and
+#: where a run keeps its checkpoints or what it records, never what a
+#: unit outputs: :func:`config_fingerprint` hashes every other field.
+#: A crash aborts a run without changing any unit's output, and
 #: tracing and metrics only observe — so a resume may drop
-#: ``--crash-at``, switch worker counts or batch sizes, or toggle
-#: tracing and still adopt the pre-crash checkpoints.
+#: ``--crash-at`` or toggle tracing and metrics and still adopt the
+#: pre-crash checkpoints.
 NOT_FINGERPRINTED = frozenset({
-    "checkpoint_dir", "resume", "crash", "workers", "batch_size",
-    "trace_dir", "metrics_enabled",
+    "checkpoint_dir", "resume", "crash", "trace_dir", "metrics_enabled",
 })
 
 

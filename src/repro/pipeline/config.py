@@ -56,15 +56,6 @@ class PipelineConfig:
     #: Optional kill-point injection: die hard at a named pipeline
     #: boundary (crash-recovery testing only).
     crash: CrashPoint | None = None
-    #: Fan Stage II-III out across a pool of this many worker
-    #: processes (0 = serial: the same chunks run in-process; any
-    #: count produces byte-identical output).
-    workers: int = 0
-    #: Units per dispatched chunk in the parallel fan-out.  ``None``
-    #: resolves per stage to ``ceil(n_units / (workers * 4))``,
-    #: clamped (see :func:`~repro.pipeline.parallel.resolve_batch_size`);
-    #: output is byte-identical at any size.
-    batch_size: int | None = None
     #: Record hierarchical spans (run → stage → unit) into
     #: ``trace.jsonl`` inside this directory (None disables tracing,
     #: mirroring ``checkpoint_dir``).  Tracing never alters pipeline
@@ -94,12 +85,6 @@ class PipelineConfig:
         if self.resume and self.checkpoint_dir is None:
             raise ValueError(
                 "resume=True requires a checkpoint_dir to resume from")
-        if self.workers < 0:
-            raise ValueError(
-                f"workers must be >= 0, got {self.workers}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}")
 
     @property
     def checkpointing_active(self) -> bool:
@@ -117,16 +102,6 @@ class PipelineConfig:
         if not self.tracing_active:
             return None
         return Path(self.trace_dir) / "trace.jsonl"
-
-    def resolved_parallelism(self) -> tuple[int, str]:
-        """``(worker count, executor mode)`` for this run.
-
-        ``workers=0`` resolves to ``(0, "serial")`` (chunks run
-        in-process), any other count to an N-process pool.
-        """
-        if self.workers <= 0:
-            return 0, "serial"
-        return self.workers, "process"
 
     def resolved_policy(self) -> FailurePolicy:
         """The :class:`FailurePolicy` these knobs describe."""

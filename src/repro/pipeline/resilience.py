@@ -387,19 +387,6 @@ class StageGuard:
             f"{type(exc).__name__}: {exc}",
             unit_id=unit_id, stage=stage) from exc
 
-    def check_threshold(self, stage: str) -> None:
-        """Enforce the ``threshold`` policy on ``stage``'s counters.
-
-        Chunks run their guards in ``quarantine`` mode at every worker
-        count, serial included, so the coordinator calls this after
-        merging a quarantined unit's health delta: the merged (run-global)
-        counters — not any chunk's local view — decide when the run
-        aborts, at the same unit at every worker count.  A
-        non-``threshold`` policy makes this a no-op.
-        """
-        if self.policy.mode == "threshold":
-            self._enforce_threshold(stage, self.health.stage(stage))
-
     def _enforce_threshold(self, stage: str,
                            stats: StageHealth) -> None:
         if stats.attempts < self.policy.min_samples:

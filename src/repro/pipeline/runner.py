@@ -24,24 +24,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
-from ..errors import (
-    DegradedModeWarning,
-    ParseError,
-    PipelineError,
-    QuarantinedError,
-)
+from ..errors import DegradedModeWarning, ParseError, QuarantinedError
 from ..nlp.dictionary import FailureDictionary
 from ..nlp.evaluation import evaluate_tagger
 from ..nlp.tagger import VotingTagger
 from ..nlp.textcache import token_cache
 from ..obs.metrics import default_registry
 from ..obs.runtime import Observability
-from ..parsing import filter_records, parse_accident_report
+from ..parsing import (
+    ParserRegistry,
+    filter_records,
+    parse_accident_report,
+)
+from ..parsing import default_registry as parser_registry
 from ..parsing.filters import FilterStats
 from ..parsing.normalize import (
     NormalizationStats,
@@ -60,14 +59,6 @@ from ..taxonomy import FailureCategory, FaultTag, category_of
 from .chaos import ChaosInjector, CrashController
 from .checkpoint import CheckpointStore, config_fingerprint
 from .config import PipelineConfig
-from .parallel import (
-    FANNED_STAGES,
-    BatchOutcome,
-    ParallelExecutor,
-    StageDispatch,
-    UnitOutcome,
-    iter_units,
-)
 from .resilience import QuarantineEntry, StageGuard
 from .stages import (
     OcrStage,
@@ -101,7 +92,7 @@ def process_corpus(corpus: SyntheticCorpus,
     diagnostics = PipelineDiagnostics()
     database = FailureDatabase()
     obs = Observability.for_run(
-        config, stage_wall_s=diagnostics.parallel.stage_wall_s)
+        config, stage_wall_s=diagnostics.stage_wall_s)
     guard = StageGuard(
         policy=config.resolved_policy(),
         quarantine=database.quarantine,
@@ -114,22 +105,19 @@ def process_corpus(corpus: SyntheticCorpus,
             config.checkpoint_dir, config_fingerprint(config),
             health=guard.health.checkpoint)
         store.open(resume=config.resume)
-    # The process-global token cache serves every in-process consumer;
-    # pool processes count their private caches per chunk instead.
     cache_before = token_cache().stats()
     try:
-        with obs.tracer.span("run", kind="run", seed=config.seed,
-                             workers=config.workers):
-            with ParallelExecutor(config,
-                                  diagnostics.parallel) as executor:
-                run = _Run(config, diagnostics, database, guard, store,
-                           CrashController(config.crash), executor,
-                           obs)
-                result = _run_stages(run, corpus)
+        with obs.tracer.span("run", kind="run", seed=config.seed):
+            run = _Run(config, diagnostics, database, guard, store,
+                       CrashController(config.crash), obs,
+                       (OcrStage(config.correction_enabled)
+                        if config.ocr_enabled else None),
+                       parser_registry())
+            result = _run_stages(run, corpus)
         cache_after = token_cache().stats()
-        diagnostics.token_cache_hits += (
+        diagnostics.token_cache_hits = (
             cache_after["hits"] - cache_before["hits"])
-        diagnostics.token_cache_misses += (
+        diagnostics.token_cache_misses = (
             cache_after["misses"] - cache_before["misses"])
         if config.metrics_enabled:
             registry = render_metrics(diagnostics)
@@ -141,6 +129,9 @@ def process_corpus(corpus: SyntheticCorpus,
             diagnostics.trace_path = str(config.trace_path)
         return result
     finally:
+        # Journaled units still in the writers' buffers are completed
+        # work: closing flushes them even when a crash or an abort
+        # unwinds the run.
         if store is not None:
             store.close()
         obs.close()
@@ -156,8 +147,10 @@ class _Run:
     guard: StageGuard
     store: CheckpointStore | None
     crash: CrashController
-    executor: ParallelExecutor
     obs: Observability
+    #: The OCR channel (``None`` when the config turns it off).
+    ocr_stage: OcrStage | None
+    parsers: ParserRegistry
 
 
 def _run_stages(run: _Run, corpus: SyntheticCorpus) -> PipelineResult:
@@ -226,10 +219,6 @@ def _run_stages(run: _Run, corpus: SyntheticCorpus) -> PipelineResult:
         # Score the tags Stage III stored: no second tagging pass.
         diagnostics.tagging = evaluate_tagger(None, filtered)
 
-    par = diagnostics.parallel
-    if par.enabled:
-        par.parallel_wall_s = sum(par.stage_wall_s.get(stage, 0.0)
-                                  for stage in FANNED_STAGES)
     run.database.disengagements = filtered
     run.database.mileage = mileage
     return PipelineResult(
@@ -238,8 +227,7 @@ def _run_stages(run: _Run, corpus: SyntheticCorpus) -> PipelineResult:
 
 # ----------------------------------------------------------------------
 # Stage loops.  Every unit is either restored from its journal entry or
-# adopted from the executor's outcome, strictly in corpus order — the
-# same loop at every worker count.
+# computed in place, strictly in corpus order, under the run's guard.
 # ----------------------------------------------------------------------
 
 #: Stage II document kind -> (stage, journal, mid-stage kill point).
@@ -252,16 +240,16 @@ _DOCUMENT_STAGES = {
 
 def _stage2(run: _Run, kind: str, documents: list[RawDocument],
             raw_disengagements: list, raw_mileage: list) -> None:
-    """Stage II over one document kind: restore or adopt each one."""
+    """Stage II over one document kind: restore or compute each one."""
     stage, journal, mid_crash = _DOCUMENT_STAGES[kind]
-    diagnostics, database = run.diagnostics, run.database
-    parse = diagnostics.parse
+    config, guard, database = run.config, run.guard, run.database
+    parse, ocr = run.diagnostics.parse, run.diagnostics.ocr
 
-    def adopt(result: tuple) -> None:
+    def adopt(index: int, result: tuple) -> None:
         verdict, value = result
         if verdict == "quarantined":
-            database.quarantine.add(value)
-        elif verdict == "parse_error":
+            return  # the guard dead-lettered it into the database
+        if verdict == "parse_error":
             parse.unparsed_lines += value
         elif kind == "accident":
             parse.accidents_parsed += 1
@@ -275,105 +263,109 @@ def _stage2(run: _Run, kind: str, documents: list[RawDocument],
             raw_disengagements.extend(records)
             raw_mileage.extend(cells)
 
-    def on_restored(index: int, result: tuple) -> None:
-        adopt(result)
+    def restore(index: int, result: tuple) -> None:
+        adopt(index, result)
         parse.documents_restored += 1
         if result[0] == "quarantined":
-            # Re-adopt the pre-crash verdict's health too.
-            stats = run.guard.health.stage(result[1].stage)
+            # Re-adopt the pre-crash verdict and its health.
+            entry = result[1]
+            database.quarantine.add(entry)
+            stats = guard.health.stage(entry.stage)
             stats.attempts += 1
             stats.errors += 1
             stats.quarantined += 1
 
-    def on_outcome(index: int, outcome: UnitOutcome) -> None:
-        if outcome.ocr is not None:
-            _merge_ocr_stats(outcome.ocr, diagnostics)
-        adopt(outcome.body)
-        if outcome.body[0] == "quarantined":
-            _check_merged_thresholds(outcome, run.guard)
+    def compute(index: int) -> tuple:
+        document = documents[index]
+        if kind == "disengagement":
+            return _process_disengagement(document, config, ocr, guard,
+                                          run.ocr_stage, run.parsers)
+        return _process_accident(document, config, ocr, guard,
+                                 run.ocr_stage)
 
     _merge_units(
         run, stage, [document.document_id for document in documents],
         journal, lambda entry: _decode_document(entry, kind),
-        _encode_document,
-        lambda pending: run.executor.map_documents(
-            [(kind, documents[i]) for i in pending], stage),
-        on_restored, on_outcome, mid_crash)
+        _encode_document, lambda pending: compute, adopt, restore,
+        mid_crash)
 
 
 def _stage3(run: _Run, filtered: list[DisengagementRecord],
             tagger: VotingTagger) -> None:
-    """Stage III: restore or adopt each record's tag."""
+    """Stage III: restore or compute each record's tag.
 
-    def on_restored(index: int, result: tuple) -> None:
+    The narratives of every record the stage computes go through the
+    batch-native :meth:`~repro.nlp.tagger.VotingTagger.tag_batch` in
+    one call, ahead of the loop; each precomputed result is then
+    adopted under the record's own guarded run, so retries, chaos
+    injection (decided per ``(stage, unit)``) and the ``Unknown-T``
+    fallback fire per record.
+    """
+    guard = run.guard
+    ids = [record_id(record) for record in filtered]
+
+    def adopt(index: int, result: tuple) -> None:
         filtered[index].tag, filtered[index].category = result
 
-    def on_outcome(index: int, outcome: UnitOutcome) -> None:
-        on_restored(index, outcome.body)
+    def prepare(pending: list[int]) -> Callable[[int], tuple]:
+        tagged = dict(zip(pending, tagger.tag_batch(
+            [filtered[index].description for index in pending])))
 
-    ids = [record_id(record) for record in filtered]
-    _merge_units(
-        run, "tag", ids, "tags", _decode_tag, _encode_tag,
-        lambda pending: run.executor.map_tags(
-            tagger, [(ids[i], filtered[i].description) for i in pending]),
-        on_restored, on_outcome, "mid-tag")
+        def compute(index: int) -> tuple:
+            precomputed = tagged[index]
+            result = guard.run("tag", ids[index], lambda: precomputed,
+                               fallback=_unknown_tag)
+            return result.tag, result.category
+
+        return compute
+
+    _merge_units(run, "tag", ids, "tags", _decode_tag, _encode_tag,
+                 prepare, adopt, adopt, "mid-tag")
 
 
 def _merge_units(run: _Run, stage: str, unit_ids: list[str],
                  journal: str, decode: Callable[[dict], tuple],
                  encode: Callable[[tuple], dict],
-                 dispatch: Callable[[list[int]], Iterator[BatchOutcome]],
-                 on_restored: Callable[[int, tuple], None],
-                 on_outcome: Callable[[int, UnitOutcome], None],
+                 prepare: Callable[[list[int]], Callable[[int], tuple]],
+                 adopt: Callable[[int, tuple], None],
+                 restore: Callable[[int, tuple], None],
                  mid_crash: str | None) -> None:
-    """The one stage loop: restore each unit or adopt its outcome.
+    """The one stage loop: restore each unit or compute it in place.
 
     Journal entries of ``journal`` that ``decode`` turns into unit
-    results are restored through ``on_restored``; every other unit's
-    index goes to ``dispatch`` (the executor), whose chunk outcomes
-    come back in the same order.  Walking ``unit_ids`` in corpus
-    order, each computed unit's health and ``fail_fast`` sidecars are
-    folded, its result is adopted through ``on_outcome`` and then
-    journaled (``encode``), buffered per chunk.  Once every unit is
-    merged, the stage's unit count lands on the run's
-    :class:`~repro.pipeline.parallel.ParallelStats`.
+    results are restored through ``restore``; ``prepare`` gets the
+    indices of every other unit and returns the function that
+    computes one of them.  Walking ``unit_ids`` in corpus order, each
+    computed result is adopted through ``adopt`` and journaled
+    (``encode``) through the store's buffered writer.  A ``fail_fast``
+    or ``threshold`` verdict raises out of the guard at the failing
+    unit itself.  Once every unit is in, the stage's unit count lands
+    on the run's diagnostics.
     """
-    guard, store, obs = run.guard, run.store, run.obs
-    checkpoint = guard.health.checkpoint
+    store, obs = run.store, run.obs
+    checkpoint = run.guard.health.checkpoint
     restored = _restorable(store, journal, unit_ids, decode, checkpoint)
-    batcher = (_JournalBatcher(store, journal)
-               if store is not None else None)
-    outcomes = iter_units(
-        dispatch([i for i, unit_id in enumerate(unit_ids)
-                  if unit_id not in restored]),
-        _batch_folder(run, stage, batcher))
-    try:
-        for index, unit_id in enumerate(unit_ids):
-            if mid_crash is not None:
-                run.crash.reached_mid(mid_crash, index, len(unit_ids))
-            decoded = restored.get(unit_id)
-            if decoded is not None:
-                on_restored(index, decoded)
-                checkpoint.restored_units += 1
-                obs.restored_unit(stage, unit_id)
-                continue
-            outcome = next(outcomes)
-            obs.unit(stage, unit_id, outcome.elapsed)
-            if outcome.health is not None:
-                # Per-unit delta: its chunk carried a quarantine.
-                _fold_health_delta(outcome.health, guard)
-            if outcome.error is not None:
-                raise PipelineError(outcome.error)
-            on_outcome(index, outcome)
-            if batcher is not None:
-                batcher.append(unit_id, encode(outcome.body))
-                checkpoint.recomputed_units += 1
-    finally:
-        # Buffered entries are completed units: journal them even
-        # when a crash/abort unwinds the loop.
-        if batcher is not None:
-            batcher.flush()
-    run.diagnostics.parallel.stage_units[stage] = len(unit_ids)
+    compute = prepare([i for i, unit_id in enumerate(unit_ids)
+                       if unit_id not in restored])
+    for index, unit_id in enumerate(unit_ids):
+        if mid_crash is not None:
+            run.crash.reached_mid(mid_crash, index, len(unit_ids))
+        decoded = restored.get(unit_id)
+        if decoded is not None:
+            restore(index, decoded)
+            checkpoint.restored_units += 1
+            obs.restored_unit(stage, unit_id)
+            continue
+        if obs.active:
+            with obs.unit(stage, unit_id):
+                result = compute(index)
+        else:
+            result = compute(index)
+        adopt(index, result)
+        if store is not None:
+            store.append(journal, unit_id, encode(result))
+            checkpoint.recomputed_units += 1
+    run.diagnostics.stage_units[stage] = len(unit_ids)
 
 
 def _restorable(store: CheckpointStore | None, journal: str,
@@ -407,16 +399,12 @@ def _restorable(store: CheckpointStore | None, journal: str,
 # ``(verdict, value)``: ``("ok", (records, mileage, unparsed))`` for a
 # disengagement report, ``("ok", accident)`` for an accident report,
 # ``("parse_error", unparsed)`` or ``("quarantined", entry)``.  A tag
-# result is ``(tag, category)``.  Only the coordinator encodes them,
-# when it journals; a resume decodes them back.
+# result is ``(tag, category)``.  The stage loop encodes each one as it
+# journals it; a resume decodes them back.
 #
 # Records are journaled as their attribute dicts, which orjson writes
 # exactly as ``to_dict()`` spells them (enum values, ISO dates, tuples
-# as lists), as the database encoder does.  ``vars`` is the live
-# ``__dict__`` and a body waits in its batcher until the chunk
-# flushes, so no record may change between encoding and the flush:
-# none does, as normalization first touches Stage II records after
-# the stage's last flush.
+# as lists), as the database encoder does.
 # ----------------------------------------------------------------------
 
 def _encode_document(result: tuple) -> dict:
@@ -464,128 +452,9 @@ def _decode_tag(body: dict) -> tuple[FaultTag, FailureCategory]:
     return FaultTag(body["tag"]), FailureCategory(body["category"])
 
 
-class _JournalBatcher:
-    """Buffers one stage's journal appends for per-chunk flushing.
-
-    Entries accumulate in merge (corpus) order and land with one
-    buffered multi-line :meth:`~repro.pipeline.checkpoint.
-    CheckpointStore.append_many` per dispatch chunk, so the journal
-    file is line-for-line identical at every batch size.  A crash can
-    additionally lose the current chunk's buffered entries (on top of
-    the writer's usual fsync window); resume simply recomputes them.
-    """
-
-    def __init__(self, store: CheckpointStore, name: str) -> None:
-        self._store = store
-        self._name = name
-        self._entries: list[tuple[str, dict]] = []
-
-    def append(self, unit_id: str, body: dict) -> None:
-        self._entries.append((unit_id, body))
-
-    def flush(self) -> None:
-        if self._entries:
-            self._store.append_many(self._name, self._entries)
-            self._entries.clear()
-
-
-def _batch_folder(run: _Run, stage: str,
-                  batcher: _JournalBatcher | None):
-    """The once-per-chunk merge hook for one stage.
-
-    Fires when the coordinator pulls a chunk, right before its units
-    unpack: the previous chunk's journal buffer flushes (one
-    multi-line append per chunk), and the chunk-level sidecars — the
-    merged health delta, chaos count and token-cache counts, plus a
-    pooled run's dispatch record for the stage — fold exactly once.
-    Payload bytes are measured, by pickling the chunk again, only when
-    the run collects metrics.
-    """
-    guard, diagnostics = run.guard, run.diagnostics
-    par = diagnostics.parallel
-    tally = None
-    if par.enabled:
-        tally = par.dispatch[stage] = StageDispatch()
-    measure_payload = run.config.metrics_enabled
-
-    def fold(batch: BatchOutcome) -> None:
-        if batcher is not None:
-            batcher.flush()
-        if batch.health is not None:
-            _fold_health_delta(batch.health, guard)
-        if guard.chaos is not None:
-            guard.chaos.injected += batch.injected
-        diagnostics.token_cache_hits += batch.cache_hits
-        diagnostics.token_cache_misses += batch.cache_misses
-        if tally is not None:
-            tally.tasks += 1
-            tally.units += batch.units
-            par.unit_compute_s += batch.elapsed
-            if measure_payload:
-                tally.payload_bytes += len(pickle.dumps(batch))
-
-    return fold
-
-
 # ----------------------------------------------------------------------
-# Merge helpers.  The coordinator folds each outcome's sidecars in
-# corpus order, so run health is identical at every worker count.
-# ----------------------------------------------------------------------
-
-def _fold_health_delta(delta: tuple, guard: StageGuard) -> None:
-    """Fold a ``(stages, events)`` health delta into the run health."""
-    par_stats, events = delta
-    for name, (attempts, errors, retries, degradations,
-               quarantined) in par_stats.items():
-        stats = guard.health.stage(name)
-        stats.attempts += attempts
-        stats.errors += errors
-        stats.retries += retries
-        stats.degradations += degradations
-        stats.quarantined += quarantined
-    guard.health.degradation_events.extend(events)
-
-
-def _check_merged_thresholds(outcome: UnitOutcome,
-                             guard: StageGuard) -> None:
-    """Enforce the threshold policy on the merged counters.
-
-    Chunks run under ``quarantine`` (only the coordinator has the
-    run-global counters), so the merge checks each stage whose delta
-    carries a quarantine — with the merged stats, the run aborts at
-    the unit whose failure crosses the threshold.  A quarantined unit
-    always arrives with a per-unit delta (its chunk switches to
-    ``unit_health``), so ``health`` is never ``None`` here.
-    """
-    if outcome.health is None:  # pragma: no cover - invariant guard
-        return
-    for name, counters in outcome.health[0].items():
-        if counters[4]:  # quarantined
-            guard.check_threshold(name)
-
-
-def _merge_ocr_stats(delta: OcrStageStats,
-                     diagnostics: PipelineDiagnostics) -> None:
-    """Fold one document's OCR stats into the run's.
-
-    Replays the OCR stage's running-mean update in merge (corpus)
-    order — one document's mean is its confidence — so the merged
-    confidence is identical at every worker count.
-    """
-    stats = diagnostics.ocr
-    stats.documents += 1
-    stats.pages += delta.pages
-    stats.lines += delta.lines
-    stats.mean_confidence += (
-        delta.mean_confidence - stats.mean_confidence) / stats.documents
-    stats.fallback_pages += delta.fallback_pages
-    stats.fallback_lines += delta.fallback_lines
-
-
-# ----------------------------------------------------------------------
-# Per-unit processing, called by the chunk functions in
-# :mod:`~repro.pipeline.parallel`.  Each returns the unit's Stage II
-# result (see above).
+# Per-unit processing.  Each returns the unit's Stage II result (see
+# above).
 # ----------------------------------------------------------------------
 
 def _process_disengagement(document: RawDocument,

@@ -1,7 +1,7 @@
 """Stage implementations and diagnostics for the pipeline runner.
 
 :class:`PipelineDiagnostics` is a run's one account of itself: the
-health summary, the ``parallel`` summary and — via
+health summary, the per-stage wall times and — via
 :func:`render_metrics`, once, when the run ends — its metrics all read
 from it.
 """
@@ -14,9 +14,6 @@ import numpy as np
 
 from ..nlp.evaluation import TaggingReport
 from ..obs.metrics import (
-    BATCH_PAYLOAD_BYTES_TOTAL,
-    BATCH_TASKS_TOTAL,
-    BATCH_UNITS_TOTAL,
     DEGRADATIONS_TOTAL,
     OCR_FALLBACK_PAGES,
     QUARANTINED_TOTAL,
@@ -39,7 +36,6 @@ from ..ocr import (
 from ..parsing.filters import FilterStats
 from ..parsing.normalize import NormalizationStats
 from ..synth.reports import RawDocument
-from .parallel import ParallelStats
 from .resilience import RunHealth
 
 
@@ -85,11 +81,13 @@ class PipelineDiagnostics:
     #: What the resilience layer observed (errors, retries,
     #: degradations, quarantine counts per stage).
     health: RunHealth = field(default_factory=RunHealth)
-    #: Per-stage wall times and units plus worker-pool accounting
-    #: (worker count, per-stage dispatch, estimated speedup vs serial).
-    parallel: ParallelStats = field(default_factory=ParallelStats)
-    #: Token-memo hits and misses over the run: the coordinator's
-    #: process-global cache plus the pool processes' private caches.
+    #: Stage name -> wall seconds, from the run's one stage clock
+    #: (:meth:`repro.obs.Observability.stage`).
+    stage_wall_s: dict[str, float] = field(default_factory=dict)
+    #: Per-unit stage -> units it restored or computed.
+    stage_units: dict[str, int] = field(default_factory=dict)
+    #: Token-memo hits and misses of the process-global cache over the
+    #: run.
     token_cache_hits: int = 0
     token_cache_misses: int = 0
     #: JSON-able snapshot of :func:`render_metrics` (``None`` unless
@@ -110,38 +108,26 @@ _RESILIENCE_FAMILIES = (
      "quarantined"),
 )
 
-#: Pooled-run families: (name, help, :class:`StageDispatch` field).
-_BATCH_FAMILIES = (
-    (BATCH_TASKS_TOTAL, "Dispatch chunks shipped to the pool", "tasks"),
-    (BATCH_UNITS_TOTAL, "Units that rode dispatch chunks", "units"),
-    (BATCH_PAYLOAD_BYTES_TOTAL, "Pickled chunk-outcome payload bytes",
-     "payload_bytes"),
-)
-
 
 def render_metrics(diagnostics: PipelineDiagnostics) -> MetricsRegistry:
     """A finished run's metrics, rendered once from its diagnostics.
 
     Nothing in the pipeline updates a metric while it runs; every
-    series here is read off the same counters the health and
-    ``parallel`` summaries print, so the two can never disagree (a
-    resumed run's restored quarantines count in both).  The four
-    resilience families are always registered and carry a series per
-    stage with a non-zero count; a pooled run adds the batch families
-    with a series per fanned stage, zero when it shipped no chunk.  The
-    data-quality counters (OCR fallback pages, unparsed lines) are
-    always registered, zero on a clean run.
+    series here is read off the same counters the health summary
+    prints, so the two can never disagree (a resumed run's restored
+    quarantines count in both).  The four resilience families are
+    always registered and carry a series per stage with a non-zero
+    count.  The data-quality counters (OCR fallback pages, unparsed
+    lines) are always registered, zero on a clean run.
     """
     registry = MetricsRegistry()
-    par = diagnostics.parallel
     durations = registry.histogram(
-        STAGE_DURATION, "Coordinator wall time per pipeline stage",
-        ("stage",))
-    for stage, seconds in par.stage_wall_s.items():
+        STAGE_DURATION, "Wall time per pipeline stage", ("stage",))
+    for stage, seconds in diagnostics.stage_wall_s.items():
         durations.labels(stage).observe(seconds)
     units = registry.counter(
         UNITS_TOTAL, "Units of work processed per stage", ("stage",))
-    for stage, count in par.stage_units.items():
+    for stage, count in diagnostics.stage_units.items():
         units.labels(stage).inc(count)
     for name, help_text, counter in _RESILIENCE_FAMILIES:
         family = registry.counter(name, help_text, ("stage",))
@@ -159,11 +145,6 @@ def render_metrics(diagnostics: PipelineDiagnostics) -> MetricsRegistry:
     registry.counter(UNPARSED_LINES,
                      "Report lines no parser rule matched").inc(
         diagnostics.parse.unparsed_lines)
-    if par.enabled:
-        for name, help_text, tally in _BATCH_FAMILIES:
-            family = registry.counter(name, help_text, ("stage",))
-            for stage, dispatch in par.dispatch.items():
-                family.labels(stage).inc(getattr(dispatch, tally))
     return registry
 
 

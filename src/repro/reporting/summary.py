@@ -173,15 +173,11 @@ def render_study_report(db: FailureDatabase,
 
 
 def render_run_health(health: RunHealth,
-                      quarantine: Quarantine | None = None,
-                      parallel=None) -> str:
+                      quarantine: Quarantine | None = None) -> str:
     """Render the resilience layer's view of one run as text.
 
     Used by the CLI's ``health`` section after ``run``/``process``; a
-    clean run renders a single reassuring line.  ``parallel`` (a
-    :class:`~repro.pipeline.parallel.ParallelStats`) adds worker-pool
-    lines only when the run actually fanned out, so serial output is
-    unchanged.
+    clean run renders a single reassuring line.
     """
     out: list[str] = []
     w = out.append
@@ -193,7 +189,6 @@ def render_run_health(health: RunHealth,
         else:
             w("health:         clean (no errors, no degradations)")
         _render_checkpoint_health(health.checkpoint, w)
-        _render_parallel_stats(parallel, w)
         return "\n".join(out)
     w(f"health:         {health.total_errors} error(s), "
       f"{health.total_retries} retried, "
@@ -214,7 +209,6 @@ def render_run_health(health: RunHealth,
     for event in health.degradation_events[:5]:
         w(f"  degraded:    {event}")
     _render_checkpoint_health(health.checkpoint, w)
-    _render_parallel_stats(parallel, w)
     return "\n".join(out)
 
 
@@ -309,25 +303,3 @@ def render_metrics_summary(metrics: dict) -> str:
     if not out:
         return "metrics:        (no series recorded)"
     return "metrics:\n" + "\n".join(out)
-
-
-def _render_parallel_stats(parallel, w) -> None:
-    """Append the worker-pool view (silent for serial runs)."""
-    if parallel is None or not parallel.enabled:
-        return
-    line = (f"workers:        {parallel.workers} ({parallel.mode} "
-            f"pool), {parallel.parallel_units} unit(s) fanned out")
-    speedup = parallel.speedup_estimate
-    if speedup is not None:
-        line += (f", ~{speedup:.1f}x estimated speedup over serial "
-                 f"({parallel.unit_compute_s:.2f}s compute / "
-                 f"{parallel.parallel_wall_s:.2f}s wall)")
-    w(line)
-    if parallel.batch_tasks:
-        sizes = ", ".join(
-            f"{stage}={size}" for stage, size
-            in sorted(parallel.batch_size.items()))
-        w(f"  dispatch:      {parallel.batch_tasks} chunk task(s), "
-          f"batch size {sizes}")
-    for stage, seconds in parallel.stage_wall_s.items():
-        w(f"  {stage:14s} {seconds:.3f}s")

@@ -32,19 +32,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_batch_size_defaults_to_auto(self):
-        args = build_parser().parse_args(["run"])
-        assert args.batch_size == "auto"
-
-    def test_invalid_batch_size_exits_2(self, capsys):
-        code = main(["run", "--batch-size", "lots"])
-        assert code == 2
-        assert "--batch-size" in capsys.readouterr().err
-
-    def test_zero_batch_size_exits_2(self, capsys):
-        code = main(["run", "--batch-size", "0"])
-        assert code == 2
-        assert "batch_size" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--workers", "--batch-size"])
+    def test_pool_flags_are_gone(self, flag, capsys):
+        # Stages II-III have no worker pool, so neither flag exists.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", flag, "2"])
+        assert excinfo.value.code == 2
+        assert (f"unrecognized arguments: {flag} 2"
+                in capsys.readouterr().err)
 
 
 class TestRun:

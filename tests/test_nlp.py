@@ -384,3 +384,150 @@ class TestTokensBatch:
 
     def test_empty_batch(self):
         assert TokenCache(capacity=4).tokens_batch([]) == []
+
+
+# ----------------------------------------------------------------------
+# Dictionary phrase index and the token memo.
+# ----------------------------------------------------------------------
+
+from repro.nlp.textcache import token_cache  # noqa: E402
+from repro.pipeline import PipelineConfig, process_corpus  # noqa: E402
+from repro.synth import generate_corpus  # noqa: E402
+
+from .oracles import match_linear  # noqa: E402
+
+#: Seed of the corpus the phrase-index parity test matches against.
+SEED = 5
+
+
+class TestDictionaryIndex:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_corpus(seed=SEED, manufacturers=["Nissan"])
+
+    def test_match_equals_linear_reference(self, corpus):
+        result = process_corpus(
+            corpus, PipelineConfig(seed=SEED, ocr_enabled=False))
+        texts = [r.description
+                 for r in result.database.disengagements]
+        dictionary = FailureDictionary.build(texts)
+        for text in texts[:300]:
+            tokens = cached_tokens(text)
+            assert dictionary.match(tokens) == match_linear(dictionary,
+                                                            tokens)
+
+    def test_match_per_occurrence(self):
+        dictionary = FailureDictionary()
+        entry = DictionaryEntry(phrase=("lidar",),
+                                tag=FaultTag.SENSOR,
+                                weight=1.0, source="seed")
+        dictionary.add(entry)
+        assert dictionary.match(["lidar", "x", "lidar"]) == [entry,
+                                                             entry]
+
+    def test_add_is_idempotent(self):
+        dictionary = FailureDictionary()
+        entry = DictionaryEntry(phrase=("can", "bus"),
+                                tag=FaultTag.NETWORK,
+                                weight=1.0, source="seed")
+        dictionary.add(entry)
+        dictionary.add(DictionaryEntry(phrase=("can", "bus"),
+                                       tag=FaultTag.NETWORK,
+                                       weight=9.0, source="learned"))
+        assert len(dictionary) == 1
+        assert dictionary.entries[0].weight == 1.0
+
+    def test_multiword_prefix_no_false_match(self):
+        dictionary = FailureDictionary()
+        dictionary.add(DictionaryEntry(phrase=("can", "bus"),
+                                       tag=FaultTag.NETWORK,
+                                       weight=1.0, source="seed"))
+        assert dictionary.match(["can"]) == []
+        assert dictionary.match(["can", "opener"]) == []
+        assert len(dictionary.match(["can", "bus"])) == 1
+
+    def test_match_at_start_positions_only(self):
+        dictionary = FailureDictionary()
+        entry = DictionaryEntry(phrase=("sun", "glare"),
+                                tag=FaultTag.ENVIRONMENT,
+                                weight=1.0, source="seed")
+        dictionary.add(entry)
+        tokens = ["bright", "sun", "glare"]
+        assert dictionary.match_at(tokens, 1) == [entry]
+        assert dictionary.match_at(tokens, 0) == []
+
+    def test_from_json_roundtrip_preserves_order(self):
+        dictionary = FailureDictionary.from_seeds()
+        clone = FailureDictionary.from_json(dictionary.to_json())
+        assert clone.entries == dictionary.entries
+        tokens = cached_tokens("lidar returns degraded by sun glare")
+        assert clone.match(tokens) == dictionary.match(tokens)
+
+    def test_first_match_tagger_uses_earliest(self):
+        dictionary = FailureDictionary()
+        dictionary.add(DictionaryEntry(phrase=("lidar",),
+                                       tag=FaultTag.SENSOR,
+                                       weight=1.0, source="seed"))
+        dictionary.add(DictionaryEntry(phrase=("planner",),
+                                       tag=FaultTag.PLANNER,
+                                       weight=5.0, source="seed"))
+        tagger = FirstMatchTagger(dictionary)
+        assert tagger.tag("planner ignored lidar").tag \
+            == FaultTag.PLANNER
+        assert tagger.tag("lidar confused planner").tag \
+            == FaultTag.SENSOR
+        assert tagger.tag("nothing matches here").tag \
+            == FaultTag.UNKNOWN
+
+
+class TestTokenCache:
+    def test_hit_returns_same_list(self):
+        cache = TokenCache(capacity=4)
+        first = cache.tokens("the lidar sensor failed")
+        second = cache.tokens("the lidar sensor failed")
+        assert first is second
+        assert cache.hits == 1 and cache.misses == 1
+
+    def test_capacity_is_bounded(self):
+        cache = TokenCache(capacity=3)
+        for i in range(10):
+            cache.tokens(f"narrative number {i}")
+        assert len(cache) == 3
+
+    def test_lru_eviction_order(self):
+        cache = TokenCache(capacity=2)
+        a = cache.tokens("alpha narrative")
+        cache.tokens("beta narrative")
+        # Touch "alpha" so "beta" is the LRU victim.
+        assert cache.tokens("alpha narrative") is a
+        cache.tokens("gamma narrative")
+        assert cache.tokens("alpha narrative") is a  # still resident
+        assert cache.hits == 2
+
+    def test_matches_uncached_normalization(self):
+        from repro.nlp.normalize import normalize_tokens
+        from repro.nlp.tokenize import tokenize
+
+        text = "The LIDAR unit failed to detect the pedestrians."
+        assert cached_tokens(text) == normalize_tokens(tokenize(text))
+
+    def test_invalid_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            TokenCache(capacity=0)
+
+    def test_shared_cache_counts(self):
+        shared = token_cache()
+        before = shared.hits
+        cached_tokens("a perfectly unique narrative about sun glare")
+        cached_tokens("a perfectly unique narrative about sun glare")
+        assert shared.hits >= before + 1
+
+    def test_voting_tagger_uses_memo(self):
+        dictionary = FailureDictionary.from_seeds()
+        tagger = VotingTagger(dictionary)
+        shared = token_cache()
+        text = "sun glare blinded the forward camera on the ramp"
+        tagger.tag(text)
+        hits = shared.hits
+        tagger.tag(text)
+        assert shared.hits == hits + 1

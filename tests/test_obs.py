@@ -269,6 +269,23 @@ class TestPipelineInstrumentation:
                   if s["attrs"]["stage"] == "tag"]
         assert len(tagged) == len(result.database.disengagements)
 
+    def test_unit_spans_time_their_own_work(self, tmp_path):
+        # Each computed unit's span covers that unit's own work, so a
+        # trace can say which document was slow.
+        corpus = generate_corpus(seed=5, manufacturers=["Nissan"])
+        process_corpus(corpus, PipelineConfig(
+            seed=5, manufacturers=["Nissan"], ocr_enabled=False,
+            dictionary_mode="seed", trace_dir=tmp_path))
+        spans = load_trace(tmp_path / "trace.jsonl")
+        (stage,) = [s for s in spans if s["kind"] == "stage"
+                    and s["name"] == "parse-documents"]
+        units = [s for s in spans if s["kind"] == "unit"
+                 and s["attrs"]["stage"] == "parse-documents"]
+        assert len(units) == len(corpus.disengagement_documents)
+        assert all(s["duration_s"] > 0 for s in units)
+        assert all(s["parent_id"] == stage["span_id"] for s in units)
+        assert sum(s["duration_s"] for s in units) <= stage["duration_s"]
+
     def test_metrics_snapshot_on_diagnostics(self, traced_run):
         result, _ = traced_run
         metrics = result.diagnostics.metrics

@@ -7,6 +7,7 @@ acceptance scenario: a chaos run injecting a 10% exception rate into
 the parse stage.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -32,6 +33,7 @@ from repro.pipeline import (
 from repro.pipeline.chaos import ChaosError, ChaosInjector, _corrupt
 from repro.pipeline.resilience import Quarantine, QuarantineEntry
 from repro.rng import child_generator
+from repro.synth import generate_corpus
 from repro.taxonomy import FaultTag
 
 
@@ -427,6 +429,105 @@ class TestResilientPipeline:
         assert summary["degradations"] == \
             result.diagnostics.health.total_degradations
         assert "tag" in summary["stages"]
+
+
+def _fingerprint_sans_tracebacks(database) -> str:
+    """The database's digest with quarantine tracebacks left out: they
+    name the source files by absolute path."""
+    data = json.loads(database.to_json())
+    for entry in data["quarantine"]:
+        del entry["traceback"]
+    return hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+class TestPolicyPins:
+    """What each failure policy does to a run, pinned.
+
+    The seed-5 Nissan run without OCR (``_nissan_config``) has three
+    parse units and 135 tagged records; the threshold abort needs the
+    full seed-5 corpus, whose 58 parse units pass ``min_samples``.
+    Messages, counters and digests are literals, so they fix what a
+    run does rather than compare two ways of running it.
+    """
+
+    SMALL_FINGERPRINT = (
+        "980c15b0bc3145aeefa9300a632d2d01b0bc3b1d0566984cc7f1dbecc4eb7f17")
+    CHAOS_FINGERPRINT = (
+        "f16ed54dd5012c18dcfc2ae5d38d60d82c5262214d754a4071b98250842ad2d9")
+
+    def test_small_run_fingerprint_pinned(self):
+        result = run_pipeline(_nissan_config())
+        assert result.database.fingerprint() == self.SMALL_FINGERPRINT
+
+    def test_parse_chaos_quarantine_pinned(self):
+        chaos = ChaosConfig(stage="parse", rate=0.3, kind="exception")
+        result = run_pipeline(_nissan_config(chaos=chaos))
+        assert len(result.database.quarantine) > 0
+        assert (_fingerprint_sans_tracebacks(result.database)
+                == self.CHAOS_FINGERPRINT)
+
+    def test_fail_fast_message_pinned(self):
+        chaos = ChaosConfig(stage="parse", rate=0.3, kind="exception")
+        with pytest.raises(PipelineError) as excinfo:
+            run_pipeline(_nissan_config(chaos=chaos,
+                                        failure_policy="fail_fast"))
+        assert str(excinfo.value) == (
+            "stage 'parse' failed on 'Nissan-2015-2016-disengagements' "
+            "under fail_fast policy: injected fault at "
+            "parse:Nissan-2015-2016-disengagements")
+
+    def test_threshold_abort_message_pinned(self):
+        # The error rate is checked at each quarantine once 20 parse
+        # attempts have accumulated; the first quarantine after that
+        # is the 24th attempt, the run's ninth parse failure.
+        corpus = generate_corpus(seed=5)
+        config = PipelineConfig(
+            seed=5, ocr_enabled=False, dictionary_mode="seed",
+            chaos=ChaosConfig(stage="parse", rate=0.3,
+                              kind="exception"),
+            failure_policy="threshold", max_error_rate=0.05)
+        with pytest.raises(PipelineError) as excinfo:
+            process_corpus(corpus, config)
+        assert str(excinfo.value) == (
+            "stage 'parse' error rate 37.5% exceeds the 5.0% threshold "
+            "after 24 attempts (9 errors)")
+
+    def test_tag_transient_health_pinned(self):
+        chaos = ChaosConfig(stage="tag", rate=0.4, kind="transient")
+        result = run_pipeline(_nissan_config(chaos=chaos))
+        clean = {"attempts": 1, "degradations": 0, "error_rate": 0.0,
+                 "errors": 0, "quarantined": 0, "retries": 0}
+        degraded = [
+            f"tag: {unit} degraded after TransientError: injected "
+            f"transient fault at tag:{unit}"
+            for unit in ("Nissan-2015-2016-disengagements:116",
+                         "Nissan-2015-2016-disengagements:149",
+                         "Nissan-2015-2016-disengagements:159",
+                         "Nissan-2016-2017-disengagements:57")]
+        assert result.diagnostics.health.summary() == {
+            "clean": False,
+            "errors": 4,
+            "retries": 78,
+            "degradations": 4,
+            "quarantined": 0,
+            "stages": {
+                "dictionary": clean,
+                "normalize": clean,
+                "ocr": {**clean, "attempts": 3},
+                "parse": {**clean, "attempts": 3},
+                "tag": {"attempts": 135, "degradations": 4,
+                        "error_rate": 4 / 135, "errors": 4,
+                        "quarantined": 0, "retries": 78},
+            },
+            "degradation_events": degraded,
+            "checkpoint": {
+                "enabled": False, "resumed": False,
+                "restored_units": 0, "recomputed_units": 0,
+                "artifacts_restored": 0, "corrupt_entries": 0,
+                "stale": False, "stale_reason": None, "notes": [],
+            },
+        }
 
 
 class TestHealthRendering:

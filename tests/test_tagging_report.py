@@ -22,7 +22,8 @@ from repro.taxonomy import FaultTag, category_of
 SEED = 5
 NISSAN_BOSCH = ["Nissan", "Bosch"]
 
-#: The tagging parity suite's ``SMALL`` run (see ``test_parallel``).
+#: The seed-5 Nissan run without OCR (``test_resilience`` pins its
+#: fingerprint).
 SMALL = dict(seed=SEED, manufacturers=["Nissan"], ocr_enabled=False,
              dictionary_mode="seed")
 

@@ -99,8 +99,8 @@ def test_display_name_matches_value_for_plain_tags():
 
 
 def test_members_hash_by_identity_and_unpickle_to_themselves():
-    # A pool worker's member must be the coordinator's, or identity
-    # hashing would split one key in two.
+    # A member that crosses a pickle must come back as itself, or
+    # identity hashing would split one key in two.
     for enum_cls in (FailureCategory, MlSubcategory, FaultTag, Modality):
         for member in enum_cls:
             assert hash(member) == object.__hash__(member)
