@@ -8,20 +8,19 @@ Optional fields are ``None`` when the manufacturer does not report them
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable
 
-from ..taxonomy import FailureCategory, FaultTag, Modality
-
-#: ``(field, value -> member map, enum)`` for each enum-valued field of
-#: :class:`DisengagementRecord`; the maps are built once so decoding a
-#: database looks members up instead of calling ``Enum(value)``.
-_ENUM_FIELDS = tuple(
-    (key, {member.value: member for member in enum_cls}, enum_cls)
-    for key, enum_cls in (("modality", Modality), ("tag", FaultTag),
-                          ("category", FailureCategory),
-                          ("truth_tag", FaultTag)))
+from ..taxonomy import (
+    CATEGORY_BY_VALUE,
+    MODALITY_BY_VALUE,
+    TAG_BY_VALUE,
+    FailureCategory,
+    FaultTag,
+    Modality,
+)
 
 
 @dataclass
@@ -97,19 +96,26 @@ class DisengagementRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "DisengagementRecord":
-        """Inverse of :meth:`to_dict`."""
-        kwargs = dict(data)
-        if kwargs.get("event_date"):
-            kwargs["event_date"] = date.fromisoformat(kwargs["event_date"])
-        if kwargs.get("time_of_day"):
-            kwargs["time_of_day"] = tuple(kwargs["time_of_day"])
-        for key, members, enum_cls in _ENUM_FIELDS:
-            value = kwargs.get(key)
-            if value:
-                # An unknown value falls through to ``Enum(value)`` for
-                # the usual ValueError.
-                kwargs[key] = members.get(value) or enum_cls(value)
-        return cls(**kwargs)
+        """Inverse of :meth:`to_dict` (see *Decoding* below)."""
+        if type(data) is dict and len(data) == _DISENGAGEMENT_SIZE:
+            try:
+                (manufacturer, month, event_date, time_of_day, vehicle_id,
+                 modality, road_type, weather, reaction_time_s,
+                 description, tag, category, truth_tag, source_document,
+                 source_line) = _disengagement_values(data)
+                return cls(
+                    manufacturer, month,
+                    event_date and date.fromisoformat(event_date),
+                    time_of_day and tuple(time_of_day), vehicle_id,
+                    modality and MODALITY_BY_VALUE[modality], road_type,
+                    weather, reaction_time_s, description,
+                    tag and TAG_BY_VALUE[tag],
+                    category and CATEGORY_BY_VALUE[category],
+                    truth_tag and TAG_BY_VALUE[truth_tag],
+                    source_document, source_line)
+            except (KeyError, TypeError, ValueError):
+                pass
+        return _decode(cls, data, _DISENGAGEMENT_CONVERSIONS)
 
 
 @dataclass
@@ -179,11 +185,16 @@ class AccidentRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AccidentRecord":
-        """Inverse of :meth:`to_dict`."""
-        kwargs = dict(data)
-        if kwargs.get("event_date"):
-            kwargs["event_date"] = date.fromisoformat(kwargs["event_date"])
-        return cls(**kwargs)
+        """Inverse of :meth:`to_dict` (see *Decoding* below)."""
+        if type(data) is dict and len(data) == _ACCIDENT_SIZE:
+            try:
+                manufacturer, event_date, *rest = _accident_values(data)
+                return cls(manufacturer,
+                           event_date and date.fromisoformat(event_date),
+                           *rest)
+            except (KeyError, TypeError, ValueError):
+                pass
+        return _decode(cls, data, _ACCIDENT_CONVERSIONS)
 
 
 @dataclass
@@ -211,8 +222,67 @@ class MonthlyMileage:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "MonthlyMileage":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict` (see *Decoding* below)."""
+        if type(data) is dict and len(data) == _MILEAGE_SIZE:
+            try:
+                return cls(*_mileage_values(data))
+            except KeyError:
+                pass
         return cls(**data)
+
+
+# ----------------------------------------------------------------------
+# Decoding.  Every encoder (``to_dict``, and ``vars()`` in the database
+# and the checkpoint journals) writes every field, so ``from_dict``
+# first reads the values by position: a dict of the fields' size from
+# which an ``itemgetter`` over the field names succeeds has exactly the
+# fields as keys.  Dates, time tuples and enum values convert inline,
+# and a falsy value stays as it is, as in :func:`_decode`.  Any other
+# dict (a missing optional field, an extra key) and any value the
+# inline conversion rejects (an unknown enum value) goes to
+# :func:`_decode`, which builds the record from keyword arguments and
+# raises what a bad field deserves.
+# ----------------------------------------------------------------------
+
+def _member(by_value: dict, enum_cls: type) -> Callable[[Any], Any]:
+    """``enum_cls(value)`` through its value -> member map (an
+    unhashable value raises ``TypeError``, as the lookup does)."""
+    return lambda value: by_value.get(value) or enum_cls(value)
+
+
+def _decode(cls: type, data: Any,
+            conversions: tuple[tuple[str, Callable], ...]) -> Any:
+    """``cls(**data)`` with each truthy field of ``conversions``
+    converted first."""
+    kwargs = dict(data)
+    for key, convert in conversions:
+        value = kwargs.get(key)
+        if value:
+            kwargs[key] = convert(value)
+    return cls(**kwargs)
+
+
+def _field_getter(cls: type) -> tuple[int, Callable[[dict], tuple]]:
+    """The number of ``cls``'s fields and an ``itemgetter`` over their
+    names, in declaration (positional) order."""
+    names = [item.name for item in fields(cls)]
+    return len(names), itemgetter(*names)
+
+
+_DISENGAGEMENT_SIZE, _disengagement_values = _field_getter(
+    DisengagementRecord)
+_ACCIDENT_SIZE, _accident_values = _field_getter(AccidentRecord)
+_MILEAGE_SIZE, _mileage_values = _field_getter(MonthlyMileage)
+
+_DISENGAGEMENT_CONVERSIONS = (
+    ("event_date", date.fromisoformat),
+    ("time_of_day", tuple),
+    ("modality", _member(MODALITY_BY_VALUE, Modality)),
+    ("tag", _member(TAG_BY_VALUE, FaultTag)),
+    ("category", _member(CATEGORY_BY_VALUE, FailureCategory)),
+    ("truth_tag", _member(TAG_BY_VALUE, FaultTag)),
+)
+_ACCIDENT_CONVERSIONS = (("event_date", date.fromisoformat),)
 
 
 @dataclass

@@ -55,7 +55,13 @@ from ..parsing.records import (
 from ..rng import child_generator
 from ..synth.dataset import SyntheticCorpus, generate_corpus
 from ..synth.reports import RawDocument
-from ..taxonomy import FailureCategory, FaultTag, category_of
+from ..taxonomy import (
+    CATEGORY_BY_VALUE,
+    TAG_BY_VALUE,
+    FailureCategory,
+    FaultTag,
+    category_of,
+)
 from .chaos import ChaosInjector, CrashController
 from .checkpoint import CheckpointStore, config_fingerprint
 from .config import PipelineConfig
@@ -449,7 +455,7 @@ def _encode_tag(result: tuple[FaultTag, FailureCategory]) -> dict:
 
 def _decode_tag(body: dict) -> tuple[FaultTag, FailureCategory]:
     """The tag result a journal body encodes; raises if malformed."""
-    return FaultTag(body["tag"]), FailureCategory(body["category"])
+    return TAG_BY_VALUE[body["tag"]], CATEGORY_BY_VALUE[body["category"]]
 
 
 # ----------------------------------------------------------------------

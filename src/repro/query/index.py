@@ -102,12 +102,11 @@ class DatabaseIndex:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, db: FailureDatabase,
-              fingerprint: str | None = None) -> "DatabaseIndex":
+    def build(cls, db: FailureDatabase) -> "DatabaseIndex":
         """One pass over each record list; O(1) lookups ever after.
 
-        ``fingerprint`` lets a caller that already hashed the database
-        (the engine does, for cache keying) avoid hashing it twice.
+        The index carries ``db.fingerprint()`` (memoized on the
+        database), the key the engine caches results under.
         """
         by_manufacturer: dict[str, list] = {}
         by_month: dict[str, list] = {}
@@ -157,8 +156,7 @@ class DatabaseIndex:
             by_manufacturer.keys() | accidents_by_manufacturer.keys()
             | mileage_by_manufacturer.keys()))
         return cls(
-            fingerprint=(fingerprint if fingerprint is not None
-                         else db.fingerprint()),
+            fingerprint=db.fingerprint(),
             manufacturers=manufacturers,
             months=tuple(sorted(months)),
             database=db,

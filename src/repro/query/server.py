@@ -82,6 +82,7 @@ from __future__ import annotations
 import base64
 import json
 import socket
+import socketserver
 import sys
 import threading
 import time
@@ -329,7 +330,11 @@ class _QueryHTTPServer(ThreadingHTTPServer):
             # same port and the kernel load-balances accepts.
             self.socket.setsockopt(
                 socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        super().server_bind()
+        # Not HTTPServer.server_bind: its ``socket.getfqdn`` is a
+        # reverse-DNS lookup of the bind address, for a name nothing
+        # here reads.
+        socketserver.TCPServer.server_bind(self)
+        self.server_name, self.server_port = self.server_address[:2]
 
     # -- admission -----------------------------------------------------
 

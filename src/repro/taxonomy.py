@@ -22,13 +22,21 @@ two situations as distinct tags (``AV Controller (unresponsive)`` and
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
+
+#: ``value`` read in C: ``enum.property`` runs a Python frame on every
+#: read, and orjson reads it to encode a member.  Each enum below pairs
+#: it with ``__hash__ = object.__hash__``, since ``Enum.__hash__`` runs
+#: Python code on every dict or set lookup.
+_VALUE = property(attrgetter("_value_"))
 
 
 class FailureCategory(enum.Enum):
     """Coarse STPA-derived failure category (Table III/IV)."""
 
-    # Hash by identity: Enum.__hash__ runs Python code on every lookup.
+    # Identity hash and a C-level ``value``: see ``_VALUE``.
     __hash__ = object.__hash__
+    value = _VALUE
 
     ML_DESIGN = "ML/Design"
     SYSTEM = "System"
@@ -41,8 +49,9 @@ class FailureCategory(enum.Enum):
 class MlSubcategory(enum.Enum):
     """The Table IV split of ML/Design faults."""
 
-    # Hash by identity: Enum.__hash__ runs Python code on every lookup.
+    # Identity hash and a C-level ``value``: see ``_VALUE``.
     __hash__ = object.__hash__
+    value = _VALUE
 
     PERCEPTION = "Perception/Recognition"
     PLANNER = "Planner/Controller"
@@ -54,8 +63,9 @@ class MlSubcategory(enum.Enum):
 class FaultTag(enum.Enum):
     """Fine-grained fault tag (Table III + Fig. 6)."""
 
-    # Hash by identity: Enum.__hash__ runs Python code on every lookup.
+    # Identity hash and a C-level ``value``: see ``_VALUE``.
     __hash__ = object.__hash__
+    value = _VALUE
 
     ENVIRONMENT = "Environment"
     COMPUTER_SYSTEM = "Computer System"
@@ -86,8 +96,9 @@ class FaultTag(enum.Enum):
 class Modality(enum.Enum):
     """How a disengagement was initiated (Table V)."""
 
-    # Hash by identity: Enum.__hash__ runs Python code on every lookup.
+    # Identity hash and a C-level ``value``: see ``_VALUE``.
     __hash__ = object.__hash__
+    value = _VALUE
 
     AUTOMATIC = "Automatic"
     MANUAL = "Manual"
@@ -96,6 +107,14 @@ class Modality(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
+
+#: Value -> member, for decoders: a dict lookup where ``Enum(value)``
+#: would run Python code per call.
+TAG_BY_VALUE: dict[str, FaultTag] = {tag.value: tag for tag in FaultTag}
+CATEGORY_BY_VALUE: dict[str, FailureCategory] = {
+    category.value: category for category in FailureCategory}
+MODALITY_BY_VALUE: dict[str, Modality] = {
+    modality.value: modality for modality in Modality}
 
 #: Tag -> coarse category (Table III).
 TAG_CATEGORY: dict[FaultTag, FailureCategory] = {

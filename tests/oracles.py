@@ -22,11 +22,15 @@ from repro.nlp.tagger import TagResult, _break_tie
 from repro.nlp.textcache import cached_tokens
 from repro.ocr import correction
 from repro.ocr.correction import OcrCorrector
-from repro.parsing.records import DisengagementRecord
+from repro.parsing.records import (
+    AccidentRecord,
+    DisengagementRecord,
+    MonthlyMileage,
+)
 from repro.pipeline.checkpoint import canonical_bytes
 from repro.pipeline.store import FailureDatabase
 from repro.synth.reports import RawDocument
-from repro.taxonomy import FaultTag, category_of
+from repro.taxonomy import FailureCategory, FaultTag, Modality, category_of
 
 
 def match_linear_at(dictionary: FailureDictionary, tokens: list[str],
@@ -283,3 +287,44 @@ def record_loop_fingerprint(db: FailureDatabase) -> str:
             separator = b","
     digest.update(b"]}")
     return digest.hexdigest()
+
+
+#: ``(field, value -> member map, enum)`` for each enum-valued field of
+#: a disengagement record.
+_ENUM_FIELDS = tuple(
+    (key, {member.value: member for member in enum_cls}, enum_cls)
+    for key, enum_cls in (("modality", Modality), ("tag", FaultTag),
+                          ("category", FailureCategory),
+                          ("truth_tag", FaultTag)))
+
+
+def disengagement_from_dict_reference(
+        data: dict[str, Any]) -> DisengagementRecord:
+    """``DisengagementRecord.from_dict`` from keyword arguments: each
+    truthy date, time and enum field converted, then ``cls(**kwargs)``.
+    """
+    kwargs = dict(data)
+    if kwargs.get("event_date"):
+        kwargs["event_date"] = date.fromisoformat(kwargs["event_date"])
+    if kwargs.get("time_of_day"):
+        kwargs["time_of_day"] = tuple(kwargs["time_of_day"])
+    for key, members, enum_cls in _ENUM_FIELDS:
+        value = kwargs.get(key)
+        if value:
+            # An unknown value falls through to ``Enum(value)`` for
+            # the usual ValueError.
+            kwargs[key] = members.get(value) or enum_cls(value)
+    return DisengagementRecord(**kwargs)
+
+
+def accident_from_dict_reference(data: dict[str, Any]) -> AccidentRecord:
+    """``AccidentRecord.from_dict`` from keyword arguments."""
+    kwargs = dict(data)
+    if kwargs.get("event_date"):
+        kwargs["event_date"] = date.fromisoformat(kwargs["event_date"])
+    return AccidentRecord(**kwargs)
+
+
+def mileage_from_dict_reference(data: dict[str, Any]) -> MonthlyMileage:
+    """``MonthlyMileage.from_dict`` from keyword arguments."""
+    return MonthlyMileage(**data)

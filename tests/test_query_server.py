@@ -7,6 +7,7 @@ consistent throughout.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -116,6 +117,32 @@ class TestEndpoints:
         _get(server, "/v1/query?metric=modalities")
         _, body = _get(server, "/v1/query?metric=modalities")
         assert body["cached"] is True
+
+
+class TestBind:
+    """The server binds without a reverse-DNS lookup of its address."""
+
+    @pytest.fixture(autouse=True)
+    def no_reverse_dns(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("socket.getfqdn called")
+
+        monkeypatch.setattr(socket, "getfqdn", refuse)
+
+    def test_starts_and_answers_healthz(self, small_db):
+        with QueryServer(small_db, port=0) as running:
+            status, body = _get(running, "/v1/healthz")
+            assert status == 200
+            assert body["fingerprint"] == small_db.fingerprint()
+            assert running._httpd.server_port == running.port
+
+    @pytest.mark.skipif(not hasattr(socket, "SO_REUSEPORT"),
+                        reason="platform has no SO_REUSEPORT")
+    def test_reuse_port_still_set(self, small_db):
+        with QueryServer(small_db, port=0, reuse_port=True) as running:
+            assert running._httpd.socket.getsockopt(
+                socket.SOL_SOCKET, socket.SO_REUSEPORT) == 1
+            assert _get(running, "/v1/healthz")[0] == 200
 
 
 class TestErrors:

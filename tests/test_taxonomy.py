@@ -1,7 +1,9 @@
 """Tests for the fault taxonomy (Table III)."""
 
 import pickle
+import sys
 
+import orjson
 import pytest
 
 from repro.taxonomy import (
@@ -100,8 +102,28 @@ def test_display_name_matches_value_for_plain_tags():
 
 def test_members_hash_by_identity_and_unpickle_to_themselves():
     # A member that crosses a pickle must come back as itself, or
-    # identity hashing would split one key in two.
+    # identity hashing would split one key in two.  ``value`` is read
+    # in C, and orjson encodes a member as its value.
     for enum_cls in (FailureCategory, MlSubcategory, FaultTag, Modality):
         for member in enum_cls:
             assert hash(member) == object.__hash__(member)
             assert pickle.loads(pickle.dumps(member)) is member
+            assert member.value is member._value_
+            assert orjson.dumps(member) == orjson.dumps(member.value)
+        assert _python_calls(orjson.dumps, list(enum_cls)) == []
+
+
+def _python_calls(fn, *args) -> list[str]:
+    """Names of the Python functions entered while ``fn(*args)`` ran."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
