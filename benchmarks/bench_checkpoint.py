@@ -85,9 +85,10 @@ def main() -> int:
         return time.perf_counter() - start
 
     # Interleave the two variants so background load hits both
-    # equally, and compare best-of-N to shed scheduling noise (the
-    # true overhead is ~20ms on a ~600ms run, far below the noise
-    # floor of a single measurement on a shared machine).
+    # equally, and compare best-of-N to shed scheduling noise (on a
+    # 2-vCPU box the plain run takes 0.10-0.13s and checkpointing
+    # adds 16-32ms, about the spread of a single measurement on a
+    # shared machine).
     plain_times, checkpointed_times = [], []
     with tempfile.TemporaryDirectory() as scratch:
         for round_index in range(9):

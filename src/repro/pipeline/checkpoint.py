@@ -18,17 +18,26 @@ losing completed work.  This module provides the durability layer:
 
 Integrity rules:
 
-* Every journal line and artifact carries a sha256 over its canonical
-  JSON body.  A torn tail line (crash mid-append) or a corrupted entry
-  fails its checksum, is dropped, counted in
+* Every journal line and artifact carries a sha256 over its JSON
+  body.  A journal line in the writer's layout is checked against the
+  body bytes it carries; any other layout against the canonical
+  re-encode of its parsed body.  A torn tail line (crash mid-append),
+  bytes that are not UTF-8 JSON, or a checksum mismatch: the line or
+  artifact is dropped, counted in
   :class:`~repro.pipeline.resilience.CheckpointHealth`, and the unit
   is *recomputed* — corrupted state is never trusted.
-* A manifest whose config fingerprint or library version does not
-  match the resuming run marks the whole directory **stale**: it is
-  discarded and rebuilt, so checkpoints from a different config/seed
-  can never silently leak into a run.  The fingerprint hashes every
-  config field except the checkpoint, crash and observability ones
-  named in :data:`NOT_FINGERPRINTED`.
+* A manifest that is missing or unreadable, or whose config
+  fingerprint or library version does not match the resuming run,
+  marks the whole directory **stale**: it is discarded and rebuilt,
+  so checkpoints from a different config/seed can never silently leak
+  into a run.  The fingerprint hashes every config field except the
+  checkpoint, crash and observability ones named in
+  :data:`NOT_FINGERPRINTED`.
+
+Resuming validates only the manifest.  Each stage loop then streams
+its own journal (:meth:`CheckpointStore.restored`), one line at a
+time, so no whole journal is ever held in memory, and each body is
+parsed once.
 
 Checkpoint directory layout::
 
@@ -37,17 +46,20 @@ Checkpoint directory layout::
       documents.jsonl   # journal: per-document Stage II outcomes
       accidents.jsonl   # journal: per accident-document outcomes
       tags.jsonl        # journal: per-record Stage III tag results
-      normalized.json   # artifact: normalized+filtered record set
       dictionary.json   # artifact: the built failure dictionary
+
+Earlier releases also wrote a ``normalized.json`` artifact (the
+normalized+filtered record set).  Recomputing it from the restored
+Stage II records is cheaper than reading it, so nothing reads it any
+more: a resume leaves it in place, and a reset deletes it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import IO, Any
 
@@ -63,7 +75,11 @@ CHECKPOINT_FORMAT = 1
 JOURNAL_NAMES = ("documents", "accidents", "tags")
 
 #: Names of the stage-level artifacts a store manages.
-ARTIFACT_NAMES = ("normalized", "dictionary")
+ARTIFACT_NAMES = ("dictionary",)
+
+#: Artifacts earlier releases wrote and nothing reads any more; a
+#: reset deletes them with the rest of the old state.
+RETIRED_ARTIFACTS = ("normalized",)
 
 #: How many journal appends may ride in process/OS buffers before the
 #: writer forces an ``fsync`` (stage boundaries always force one).
@@ -161,10 +177,12 @@ def canonical_bytes(obj: Any) -> bytes:
     return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS)
 
 
-def _journal_line_bytes(unit_id: str, body: dict[str, Any]) -> bytes:
-    # The body is serialized exactly once; embedding the canonical
-    # bytes directly keeps the checksum consistent with what
-    # ``read_journal`` recomputes after parsing.
+def journal_line(unit_id: str, body: dict[str, Any]) -> bytes:
+    """Encode one journal entry as a self-checksummed line (without
+    its newline)."""
+    # The body is serialized exactly once, and the checksum covers
+    # the very bytes the line carries, so the reader checks an intact
+    # line without re-encoding its body.
     body_bytes = canonical_bytes(body)
     digest = hashlib.sha256(body_bytes).hexdigest()
     return (b'{"body":' + body_bytes
@@ -172,44 +190,110 @@ def _journal_line_bytes(unit_id: str, body: dict[str, Any]) -> bytes:
             + b'","unit":' + canonical_bytes(unit_id) + b"}")
 
 
-def journal_line(unit_id: str, body: dict[str, Any]) -> str:
-    """Encode one journal entry as a self-checksummed line."""
-    return _journal_line_bytes(unit_id, body).decode("utf-8")
+def journal_lines(path: str | Path) -> Iterator[bytes]:
+    """A journal's raw lines, each with its own terminator (none for a
+    missing file).
 
-
-def read_journal(path: str | Path) -> tuple[dict[str, dict[str, Any]], int]:
-    """Read a journal, dropping torn or checksum-failed lines.
-
-    Returns ``(entries, corrupt)``: a unit-id -> body mapping (a
-    re-journaled unit's latest line wins) and the number of lines
-    dropped for failing integrity.  A missing file is an empty
-    journal.
+    Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, as a text-mode reader
+    splits them; the writer only ever ends a line with ``\\n``, so a
+    raw ``\\r`` comes from damage alone.
     """
-    path = Path(path)
-    entries: dict[str, dict[str, Any]] = {}
-    corrupt = 0
-    if not path.exists():
-        return entries, corrupt
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with handle:
+        for chunk in handle:
+            if b"\r" in chunk:
+                yield from chunk.splitlines(keepends=True)
+            else:
+                yield chunk
+
+
+def journal_entries(path: str | Path
+                    ) -> Iterator[tuple[str, dict[str, Any]] | None]:
+    """Stream a journal, one line at a time.
+
+    Yields ``(unit, body)`` for every intact line, in file order (a
+    re-journaled unit's later line supersedes its earlier one), and
+    ``None`` for every line that fails integrity: a torn tail, bytes
+    that are not UTF-8 JSON, a missing or mistyped field, or a
+    checksum mismatch.  Blank lines (ASCII whitespace only) are
+    skipped.  A missing file is an empty journal.
+
+    Lines split as :func:`journal_lines` splits them.  The
+    stdlib-``json`` reader this replaced
+    (``tests/oracles.py::read_journal_reference``) differs in three
+    cases, none of which a writer line or a damaged one reaches:
+
+    * a line whose sha256 covers the exact bytes between ``{"body":``
+      and ``,"sha256":"`` but not the canonical re-encode of its body
+      (a body in another spelling) is accepted here, since those bytes
+      are what the checksum vouches for, and was rejected there;
+    * a line padded with whitespace JSON does not allow (form feed,
+      vertical tab, U+00A0, ...) counts as corrupt here, where
+      ``str.strip`` removed it;
+    * a body holding ``NaN`` or ``Infinity`` counts as corrupt here
+      (orjson rejects the tokens); there it passed when its checksum
+      covered the canonical re-encode, which writes them as ``null``.
+    """
+    for line in journal_lines(path):
+        if not line.isspace():
+            yield _journal_entry(line)
+
+
+def _journal_entry(line: bytes) -> tuple[str, dict[str, Any]] | None:
+    """One journal line's ``(unit, body)``, or None if it fails
+    integrity."""
+    try:
+        record = orjson.loads(line)
+        unit, body, digest = record["unit"], record["body"], record["sha256"]
+        if not (isinstance(unit, str) and isinstance(body, dict)
+                and isinstance(digest, str)):
+            return None
+        if (_carried_digest(line) == digest
+                or hashlib.sha256(canonical_bytes(body)).hexdigest()
+                == digest):
+            return unit, body
+    except (ValueError, KeyError, TypeError):
+        pass
+    return None
+
+
+def _carried_digest(line: bytes) -> str | None:
+    """sha256 of the bytes between ``{"body":`` and the last
+    ``,"sha256":"`` of a line, which in the writer's layout are the
+    body's: an intact line is checked without re-encoding its body.
+    None when the line does not start that way."""
+    end = line.rfind(b',"sha256":"')
+    if end == -1 or not line.startswith(b'{"body":'):
+        return None
+    return hashlib.sha256(memoryview(line)[8:end]).hexdigest()
+
+
+def journal_line_unit(line: bytes) -> str | None:
+    """The unit id one raw journal line names, or None if it names
+    none.
+
+    A writer line ends with its unit id, so the id is read from the
+    line's tail without parsing the body; any other layout is parsed
+    whole.  Integrity is not checked: that is the resume's job.
+    """
+    start = line.rfind(b',"unit":')
+    if start != -1:
+        tail = line[start + 8:].rstrip()
+        if tail.endswith(b"}"):
             try:
-                record = json.loads(line)
-                unit = record["unit"]
-                body = record["body"]
-                ok = (isinstance(unit, str) and isinstance(body, dict)
-                      and record["sha256"]
-                      == hashlib.sha256(
-                          canonical_bytes(body)).hexdigest())
-            except (json.JSONDecodeError, KeyError, TypeError):
-                ok = False
-            if not ok:
-                corrupt += 1
-                continue
-            entries[unit] = body
-    return entries, corrupt
+                unit = orjson.loads(tail[:-1])
+            except ValueError:
+                unit = None
+            if isinstance(unit, str):
+                return unit
+    try:
+        unit = orjson.loads(line)["unit"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return unit if isinstance(unit, str) else None
 
 
 class _JournalWriter:
@@ -229,7 +313,7 @@ class _JournalWriter:
     def append(self, unit_id: str, body: dict[str, Any]) -> None:
         if self._handle is None:
             self._handle = open(self.path, "ab")
-        self._handle.write(_journal_line_bytes(unit_id, body) + b"\n")
+        self._handle.write(journal_line(unit_id, body) + b"\n")
         self._pending += 1
         if self._pending >= FSYNC_INTERVAL:
             self.sync()
@@ -248,7 +332,7 @@ class _JournalWriter:
         if self._handle is None:
             self._handle = open(self.path, "ab")
         self._handle.write(b"".join(
-            _journal_line_bytes(unit_id, body) + b"\n"
+            journal_line(unit_id, body) + b"\n"
             for unit_id, body in entries))
         self._pending += len(entries)
         if self._pending >= FSYNC_INTERVAL:
@@ -275,9 +359,10 @@ class CheckpointStore:
     """One checkpoint directory, bound to one pipeline configuration.
 
     ``open(resume=...)`` validates the manifest (creating or resetting
-    the directory as needed); afterwards the runner reads restored
-    journal entries / artifacts and appends newly completed units.
-    All observations land in :attr:`health` for diagnostics.
+    the directory as needed); afterwards each stage loop streams its
+    journal's restored entries, reads artifacts and appends newly
+    completed units.  All observations land in :attr:`health` for
+    diagnostics.
     """
 
     MANIFEST = "manifest.json"
@@ -289,7 +374,6 @@ class CheckpointStore:
         self.health = health if health is not None else CheckpointHealth()
         self.health.enabled = True
         self._writers: dict[str, _JournalWriter] = {}
-        self._restored: dict[str, dict[str, dict[str, Any]]] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -305,15 +389,6 @@ class CheckpointStore:
             self.health.stale = True
             self.health.stale_reason = reason
             self._reset()
-            return
-        for name in JOURNAL_NAMES:
-            entries, corrupt = read_journal(self._journal_path(name))
-            self._restored[name] = entries
-            if corrupt:
-                self.health.corrupt_entries += corrupt
-                self.health.notes.append(
-                    f"journal {name!r}: {corrupt} corrupt "
-                    "entr(y/ies) dropped and recomputed")
 
     def close(self) -> None:
         """Flush and close every journal writer."""
@@ -328,10 +403,9 @@ class CheckpointStore:
 
     def _reset(self) -> None:
         """Discard all checkpoint state and write a fresh manifest."""
-        self._restored = {}
         for name in JOURNAL_NAMES:
             self._journal_path(name).unlink(missing_ok=True)
-        for name in ARTIFACT_NAMES:
+        for name in (*ARTIFACT_NAMES, *RETIRED_ARTIFACTS):
             self._artifact_path(name).unlink(missing_ok=True)
         for leftover in self.directory.glob(".*.tmp.*"):
             leftover.unlink(missing_ok=True)
@@ -349,8 +423,8 @@ class CheckpointStore:
         if not path.exists():
             return "missing manifest"
         try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            manifest = orjson.loads(path.read_bytes())
+        except (OSError, ValueError):
             return "corrupt manifest"
         if not isinstance(manifest, dict):
             return "corrupt manifest"
@@ -369,9 +443,26 @@ class CheckpointStore:
     def _journal_path(self, name: str) -> Path:
         return self.directory / f"{name}.jsonl"
 
-    def restored(self, name: str) -> dict[str, dict[str, Any]]:
-        """Journal entries available for restore (empty if fresh)."""
-        return self._restored.get(name, {})
+    def restored(self, name: str
+                 ) -> Iterator[tuple[str, dict[str, Any]]]:
+        """Stream the intact ``(unit, body)`` entries of journal
+        ``name``, one line at a time and in file order (nothing after
+        a fresh open, which deletes the journals).
+
+        Once the journal is read to its end, the lines that failed
+        integrity are counted and noted in :attr:`health`.
+        """
+        corrupt = 0
+        for entry in journal_entries(self._journal_path(name)):
+            if entry is None:
+                corrupt += 1
+            else:
+                yield entry
+        if corrupt:
+            self.health.corrupt_entries += corrupt
+            self.health.notes.append(
+                f"journal {name!r}: {corrupt} corrupt "
+                "entr(y/ies) dropped and recomputed")
 
     def append(self, name: str, unit_id: str,
                body: dict[str, Any]) -> None:
@@ -412,11 +503,11 @@ class CheckpointStore:
         if not path.exists():
             return None
         try:
-            wrapper = json.loads(path.read_text(encoding="utf-8"))
+            wrapper = orjson.loads(path.read_bytes())
             payload = wrapper["payload"]
             ok = (wrapper["sha256"] == hashlib.sha256(
                 canonical_bytes(payload)).hexdigest())
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             ok = False
             payload = None
         if not ok:

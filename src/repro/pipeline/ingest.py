@@ -16,12 +16,16 @@ How: checkpoint-journal surgery plus an ordinary resume run.
    *stale*; everything else is *reusable*.
 2. Surgery.  Stale (and removed) documents' entries are dropped from
    the ``documents``/``accidents`` journals; the corpus-dependent
-   stage artifacts (``normalized``, ``dictionary``) are always
-   deleted — they are functions of the whole corpus, never of one
-   document.  The ``tags`` journal is reusable only under
-   ``dictionary_mode="seed"`` (the seed dictionary is corpus
-   independent); under ``"expanded"`` it is deleted wholesale, since
-   a grown corpus can shift the dictionary and with it any tag.
+   ``dictionary`` artifact is always deleted — it is a function of
+   the whole corpus, never of one document.  The ``tags`` journal is
+   reusable only under ``dictionary_mode="seed"`` (the seed
+   dictionary is corpus independent); under ``"expanded"`` it is
+   deleted wholesale, since a grown corpus can shift the dictionary
+   and with it any tag.  Surgery reads only each line's unit id, and
+   rewrites a journal only when a line goes, from the kept lines'
+   original bytes: so a pure add writes nothing, every surviving
+   line stays byte-identical, and each journal body is parsed once
+   per ingest, by the resume.
 3. Resume.  :func:`~repro.pipeline.runner.process_corpus` runs over
    the **combined** corpus with ``resume=True``: reusable units are
    restored from their journal entries, stale/new units are computed
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -55,12 +60,14 @@ import orjson
 from ..synth.dataset import SyntheticCorpus
 from ..synth.reports import RawDocument
 from .checkpoint import (
+    ARTIFACT_NAMES,
+    RETIRED_ARTIFACTS,
     CheckpointStore,
     atomic_write_text,
     canonical_json,
     config_fingerprint,
-    journal_line,
-    read_journal,
+    journal_line_unit,
+    journal_lines,
 )
 from .config import PipelineConfig
 from .runner import PipelineResult, process_corpus
@@ -237,23 +244,38 @@ def _surgery(directory: Path, config: PipelineConfig,
             report.reused_documents += 1
 
     current_ids = set(digests)
+
+    def live_document(unit: str) -> bool:
+        return unit in current_ids and unit not in stale
+
     for name in ("documents", "accidents"):
-        removed = _rewrite_journal(
-            directory / f"{name}.jsonl", stale, current_ids)
-        report.removed_documents += removed
+        # Entries for stale documents are recomputed by the resume run;
+        # entries for documents no longer in the corpus would only be
+        # ignored, but carrying them forever would grow the journal
+        # without bound.
+        dropped = _rewrite_journal(directory / f"{name}.jsonl",
+                                   live_document)
+        report.removed_documents += len(dropped - current_ids)
 
     # Corpus-wide artifacts are functions of the *whole* corpus —
     # never reusable across an ingest that changed it.
-    (directory / "normalized.json").unlink(missing_ok=True)
-    (directory / "dictionary.json").unlink(missing_ok=True)
+    for name in (*ARTIFACT_NAMES, *RETIRED_ARTIFACTS):
+        (directory / f"{name}.json").unlink(missing_ok=True)
 
     tags_path = directory / "tags.jsonl"
     if config.dictionary_mode == "seed":
         # The seed dictionary is corpus-independent, so a tag result
         # depends only on the record's description — reusable, except
-        # for records of stale documents (unit ids are
-        # ``<document_id>:<line>`` for provenance-carrying records).
-        _rewrite_tags(tags_path, stale, current_ids)
+        # for records of stale documents.  A tag unit id is
+        # ``<document_id>:<line>`` when the record carries provenance,
+        # or ``record:<content-hash>`` otherwise; the latter is
+        # content-derived, so it stays valid whichever document
+        # produced it.
+        def live_tag(unit: str) -> bool:
+            return (unit.startswith("record:")
+                    or live_document(unit.rsplit(":", 1)[0]))
+
+        _rewrite_journal(tags_path, live_tag)
         report.tags_reused = True
     else:
         tags_path.unlink(missing_ok=True)
@@ -263,53 +285,25 @@ def _surgery(directory: Path, config: PipelineConfig,
             "corpus)")
 
 
-def _rewrite_journal(path: Path, stale: set[str],
-                     current_ids: set[str]) -> int:
-    """Keep only live entries of ``path``; returns removed-doc count.
+def _rewrite_journal(path: Path, live: Callable[[str], bool]) -> set[str]:
+    """Drop every line of ``path`` whose unit is not ``live``; returns
+    the dropped unit ids.
 
-    Entries for stale documents are dropped (recomputed by the resume
-    run); entries for documents no longer in the corpus are dropped
-    too (the runner would ignore them, but carrying them forever
-    would grow the journal without bound).
+    Only each line's unit id is read.  The journal is rewritten only
+    when a line goes, from the kept lines' original bytes.  A line
+    without a readable unit id is kept: the resume counts it as
+    corrupt and recomputes its unit.
     """
-    if not path.exists():
-        return 0
-    entries, _corrupt = read_journal(path)
-    removed = sum(1 for unit in entries if unit not in current_ids)
-    if removed == 0 and not (stale & set(entries)):
-        return 0
-    kept = [journal_line(unit, body)
-            for unit, body in entries.items()
-            if unit in current_ids and unit not in stale]
-    atomic_write_text(path, "".join(line + "\n" for line in kept))
-    return removed
-
-
-def _rewrite_tags(path: Path, stale: set[str],
-                  current_ids: set[str]) -> None:
-    """Drop tag entries belonging to stale or removed documents.
-
-    A tag unit id is ``<document_id>:<line>`` when the record carries
-    provenance, or ``record:<content-hash>`` otherwise.  The latter
-    is content-derived, so it stays valid regardless of which
-    document produced it (same description ⇒ same deterministic tag
-    under the seed dictionary).
-    """
-    if not path.exists():
-        return
-    entries, _corrupt = read_journal(path)
-
-    def live(unit: str) -> bool:
-        if unit.startswith("record:"):
-            return True
-        doc_id = unit.rsplit(":", 1)[0]
-        return doc_id in current_ids and doc_id not in stale
-
-    kept = [journal_line(unit, body)
-            for unit, body in entries.items() if live(unit)]
-    if len(kept) == len(entries):
-        return
-    atomic_write_text(path, "".join(line + "\n" for line in kept))
+    dropped = set()
+    for line in journal_lines(path):
+        unit = journal_line_unit(line)
+        if unit is not None and not live(unit):
+            dropped.add(unit)
+    if dropped:
+        atomic_write_text(path, (
+            line for line in journal_lines(path)
+            if journal_line_unit(line) not in dropped))
+    return dropped
 
 
 # ----------------------------------------------------------------------

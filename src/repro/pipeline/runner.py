@@ -15,9 +15,13 @@ boundaries, and a resume run restores them instead of recomputing —
 keyed by the same stable unit ids the resilience layer uses, so a run
 killed at any point (see
 :data:`~repro.pipeline.chaos.CRASH_POINTS`) and resumed produces a
-database byte-identical to an uninterrupted run.  Artifacts that fail
-their checksum, or checkpoints written under a different config/seed,
-are discarded and recomputed, never trusted.
+database byte-identical to an uninterrupted run.  Each stage loop
+streams its own journal, so restoring a unit parses its journal line
+once and holds no whole journal.  The normalize and filter steps
+always recompute from the Stage II records, restored or not: that
+costs less than reading a stored copy.  Journal lines and artifacts
+that fail their checksum, or checkpoints written under a different
+config/seed, are discarded and recomputed, never trusted.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import DegradedModeWarning, ParseError, QuarantinedError
@@ -41,12 +45,7 @@ from ..parsing import (
     parse_accident_report,
 )
 from ..parsing import default_registry as parser_registry
-from ..parsing.filters import FilterStats
-from ..parsing.normalize import (
-    NormalizationStats,
-    normalize_accident,
-    normalize_records,
-)
+from ..parsing.normalize import normalize_accident, normalize_records
 from ..parsing.records import (
     AccidentRecord,
     DisengagementRecord,
@@ -180,24 +179,10 @@ def _run_stages(run: _Run, corpus: SyntheticCorpus) -> PipelineResult:
 
     # ---- Stage II/III boundary: normalize + filter -------------------
     with obs.stage("normalize"):
-        restored_norm = _restore_normalized(store, config, diagnostics,
-                                            checkpoint)
-        if restored_norm is not None:
-            filtered, mileage = restored_norm
-        else:
-            normalized, mileage, norm_stats = normalize_records(
-                raw_disengagements, raw_mileage)
-            diagnostics.normalization = norm_stats
-            filtered, filter_stats = filter_records(
-                normalized, drop_planned=config.drop_planned)
-            diagnostics.filters = filter_stats
-            if store is not None:
-                store.write_artifact("normalized", {
-                    "disengagements": [vars(r) for r in filtered],
-                    "mileage": [vars(m) for m in mileage],
-                    "normalization": asdict(norm_stats),
-                    "filters": asdict(filter_stats),
-                })
+        normalized, mileage, diagnostics.normalization = (
+            normalize_records(raw_disengagements, raw_mileage))
+        filtered, diagnostics.filters = filter_records(
+            normalized, drop_planned=config.drop_planned)
     crash.reached("normalize")
 
     # ---- Stage III: dictionary + tagging -----------------------------
@@ -379,20 +364,29 @@ def _restorable(store: CheckpointStore | None, journal: str,
                 checkpoint) -> dict[str, tuple]:
     """Decoded journal entries for ``unit_ids``, keyed by unit id.
 
-    An entry that does not decode is noted and left out, so its unit
-    is computed like any other (corrupt shapes are never trusted).
+    The journal streams past one line at a time: each entry of a
+    wanted unit is decoded as it is read and its parsed body dropped.
+    A unit's last intact line decides it, as when a unit is
+    re-journaled.  A unit whose last entry does not decode is noted
+    and left out, so it is computed like any other (corrupt shapes are
+    never trusted).
     """
-    entries = store.restored(journal) if store is not None else {}
-    if not entries:
+    if store is None:
         return {}
-    restored = {}
-    for unit_id in unit_ids:
-        entry = entries.get(unit_id)
-        if entry is None:
+    wanted = set(unit_ids)
+    restored: dict[str, tuple] = {}
+    unusable: set[str] = set()
+    for unit_id, body in store.restored(journal):
+        if unit_id not in wanted:
             continue
         try:
-            restored[unit_id] = decode(entry)
+            restored[unit_id] = decode(body)
+            unusable.discard(unit_id)
         except Exception:
+            restored.pop(unit_id, None)
+            unusable.add(unit_id)
+    for unit_id in unit_ids:
+        if unit_id in unusable:
             checkpoint.corrupt_entries += 1
             checkpoint.notes.append(
                 f"journal {journal!r} entry for {unit_id!r} unusable; "
@@ -525,37 +519,9 @@ def _quarantined(guard: StageGuard) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Stage-artifact restore paths (corrupt payloads are recomputed, never
+# Stage-artifact restore path (a corrupt payload is recomputed, never
 # trusted).
 # ----------------------------------------------------------------------
-
-def _restore_normalized(store: CheckpointStore | None,
-                        config: PipelineConfig,
-                        diagnostics: PipelineDiagnostics,
-                        checkpoint) -> tuple[list, list] | None:
-    """Adopt the normalized+filtered stage artifact, if usable."""
-    if store is None or not config.resume:
-        return None
-    payload = store.load_artifact("normalized")
-    if payload is None:
-        return None
-    try:
-        filtered = [DisengagementRecord.from_dict(d)
-                    for d in payload["disengagements"]]
-        mileage = [MonthlyMileage.from_dict(m)
-                   for m in payload["mileage"]]
-        norm_stats = NormalizationStats(**payload["normalization"])
-        filter_stats = FilterStats(**payload["filters"])
-    except Exception:
-        checkpoint.corrupt_entries += 1
-        checkpoint.notes.append(
-            "artifact 'normalized' could not be decoded; recomputed")
-        return None
-    diagnostics.normalization = norm_stats
-    diagnostics.filters = filter_stats
-    checkpoint.artifacts_restored += 1
-    return filtered, mileage
-
 
 def _restore_dictionary(store: CheckpointStore | None,
                         config: PipelineConfig,

@@ -8,9 +8,11 @@ inputs.  None of them is used outside ``tests/``.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from collections import Counter, defaultdict
 from datetime import date, datetime
+from pathlib import Path
 from typing import Any
 
 from repro import units
@@ -248,6 +250,48 @@ def document_digest_reference(document: RawDocument) -> str:
     }
     return hashlib.sha256(
         canonical_bytes(plain_reference(payload))).hexdigest()
+
+
+def read_journal_reference(
+        path: str | Path) -> tuple[dict[str, dict[str, Any]], int]:
+    """A journal's entries and corrupt-line count, read whole.
+
+    Returns ``(entries, corrupt)``: a unit-id -> body mapping (a
+    re-journaled unit's latest line wins) and the number of lines
+    dropped for failing integrity.  Lines split as a text-mode file
+    splits them; each is parsed with the stdlib ``json`` and its
+    sha256 checked against the canonical re-encode of its body.  One
+    change from the reader ``src/`` used before it streamed: a line
+    that is not UTF-8 counts as corrupt, where the text-mode read
+    raised ``UnicodeDecodeError`` for the whole file.
+    """
+    path = Path(path)
+    entries: dict[str, dict[str, Any]] = {}
+    corrupt = 0
+    if not path.exists():
+        return entries, corrupt
+    for raw in path.read_bytes().splitlines():
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            corrupt += 1
+            continue
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            unit = record["unit"]
+            body = record["body"]
+            ok = (isinstance(unit, str) and isinstance(body, dict)
+                  and record["sha256"]
+                  == hashlib.sha256(canonical_bytes(body)).hexdigest())
+        except (json.JSONDecodeError, KeyError, TypeError):
+            ok = False
+        if not ok:
+            corrupt += 1
+            continue
+        entries[unit] = body
+    return entries, corrupt
 
 
 def database_payload(db: FailureDatabase) -> dict[str, Any]:

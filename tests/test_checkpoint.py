@@ -1,7 +1,8 @@
 """Tests for crash-safe checkpointing, atomic persistence, and resume.
 
 Covers the durability primitives (atomic replace, checksummed
-journals), the typed :class:`~repro.errors.CorruptDatabaseError`
+journals and the streaming journal reader against its stdlib
+reference), the typed :class:`~repro.errors.CorruptDatabaseError`
 contract of the store, kill-point injection, the acceptance scenario
 (crash at every declared point -> resume -> byte-identical database),
 stale-checkpoint invalidation, and checksum-corruption recovery.
@@ -12,7 +13,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import orjson
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import CorruptDatabaseError, ReproError
@@ -36,16 +40,17 @@ from repro.pipeline.checkpoint import (
     CheckpointStore,
     atomic_write_text,
     config_fingerprint,
+    journal_entries,
     journal_line,
-    read_journal,
     sha256_text,
 )
+from repro.pipeline.ingest import _rewrite_journal
 from repro.pipeline.resilience import Quarantine, QuarantineEntry
 from repro.pipeline.runner import record_id
 from repro.reporting.summary import render_run_health
 from repro.synth import generate_corpus
 
-from .oracles import database_payload
+from .oracles import database_payload, read_journal_reference
 
 SEED = 7
 SUBSET = ["Nissan"]
@@ -66,6 +71,19 @@ def _config(**kwargs) -> PipelineConfig:
 def clean_json(corpus):
     """The uninterrupted no-checkpoint run every scenario must match."""
     return process_corpus(corpus, _config()).database.to_json()
+
+
+def _read_journal(path):
+    """:func:`journal_entries` folded as a resume sees it: ``(entries,
+    corrupt)``, the last intact line per unit and the count of lines
+    that failed integrity."""
+    entries, corrupt = {}, 0
+    for entry in journal_entries(path):
+        if entry is None:
+            corrupt += 1
+        else:
+            entries[entry[0]] = entry[1]
+    return entries, corrupt
 
 
 # ----------------------------------------------------------------------
@@ -115,22 +133,22 @@ class TestAtomicWrite:
 class TestJournal:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with open(path, "w") as handle:
-            handle.write(journal_line("a", {"v": 1}) + "\n")
-            handle.write(journal_line("b", {"v": 2}) + "\n")
-        entries, corrupt = read_journal(path)
+        with open(path, "wb") as handle:
+            handle.write(journal_line("a", {"v": 1}) + b"\n")
+            handle.write(journal_line("b", {"v": 2}) + b"\n")
+        entries, corrupt = _read_journal(path)
         assert entries == {"a": {"v": 1}, "b": {"v": 2}}
         assert corrupt == 0
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert read_journal(tmp_path / "none.jsonl") == ({}, 0)
+        assert _read_journal(tmp_path / "none.jsonl") == ({}, 0)
 
     def test_torn_tail_line_dropped(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with open(path, "w") as handle:
-            handle.write(journal_line("a", {"v": 1}) + "\n")
+        with open(path, "wb") as handle:
+            handle.write(journal_line("a", {"v": 1}) + b"\n")
             handle.write(journal_line("b", {"v": 2})[:20])  # torn
-        entries, corrupt = read_journal(path)
+        entries, corrupt = _read_journal(path)
         assert entries == {"a": {"v": 1}}
         assert corrupt == 1
 
@@ -139,17 +157,143 @@ class TestJournal:
         line = json.loads(journal_line("a", {"v": 1}))
         line["body"]["v"] = 999  # tamper after checksumming
         path.write_text(json.dumps(line) + "\n")
-        entries, corrupt = read_journal(path)
+        entries, corrupt = _read_journal(path)
         assert entries == {}
         assert corrupt == 1
 
     def test_rejournaled_unit_latest_wins(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with open(path, "w") as handle:
-            handle.write(journal_line("a", {"v": 1}) + "\n")
-            handle.write(journal_line("a", {"v": 2}) + "\n")
-        entries, _ = read_journal(path)
+        with open(path, "wb") as handle:
+            handle.write(journal_line("a", {"v": 1}) + b"\n")
+            handle.write(journal_line("a", {"v": 2}) + b"\n")
+        entries, _ = _read_journal(path)
         assert entries == {"a": {"v": 2}}
+
+    def test_torn_tail_inside_a_character_dropped(self, tmp_path):
+        # OCR output carries non-ASCII letters ("ı" is two bytes), so a
+        # crash mid-append can cut a line inside one.
+        path = tmp_path / "j.jsonl"
+        torn = journal_line("b", {"text": "Nıssan"})
+        cut = torn.index("ı".encode()) + 1
+        path.write_bytes(journal_line("a", {"v": 1}) + b"\n"
+                         + torn[:cut])
+        assert _read_journal(path) == ({"a": {"v": 1}}, 1)
+        assert read_journal_reference(path) == ({"a": {"v": 1}}, 1)
+
+
+def _canonical_digest(body) -> str:
+    return hashlib.sha256(
+        orjson.dumps(body, option=orjson.OPT_SORT_KEYS)).hexdigest()
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**63, 2**64 - 1),
+    st.floats(allow_nan=False, allow_infinity=False), _TEXT)
+_BODIES = st.dictionaries(
+    _TEXT, st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+    max_size=4)
+#: Few ids, so that files re-journal units; two carry non-ASCII bytes.
+_UNITS = st.sampled_from(["doc-1", "doc-2:7", "record:ı", "Nıssan"])
+_BLANKS = st.sampled_from([b"", b" ", b"\t", b"\r", b" \t", b"\x0b", b"\x0c"])
+
+#: Line layouts whose checksum covers the canonical body: the writer's,
+#: and three others the reader must check by re-encoding.
+_LAYOUTS = {
+    "writer": journal_line,
+    "stdlib": lambda unit, body: json.dumps({
+        "body": body, "sha256": _canonical_digest(body),
+        "unit": unit}).encode(),
+    "unit-first": lambda unit, body: orjson.dumps({
+        "unit": unit, "sha256": _canonical_digest(body), "body": body}),
+    "spaced-body": lambda unit, body: (
+        b'{"body":' + json.dumps(body).encode() + b',"sha256":"'
+        + _canonical_digest(body).encode() + b'","unit":'
+        + orjson.dumps(unit) + b"}"),
+}
+
+
+def _flip(line: bytes, region: str, offset: int, mask: int) -> bytes:
+    """``line`` with one byte of its body, sha256 or unit changed."""
+    sha = line.index(b',"sha256":"')
+    unit = line.rindex(b',"unit":')
+    low, high = {"body": (8, sha), "sha": (sha + 11, sha + 75),
+                 "unit": (unit + 8, len(line) - 1)}[region]
+    at = low + offset % (high - low)
+    return line[:at] + bytes([line[at] ^ mask]) + line[at + 1:]
+
+
+@st.composite
+def _journal_files(draw) -> bytes:
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from([*_LAYOUTS, "blank", "flipped"]))
+        if kind == "blank":
+            lines.append(draw(_BLANKS))
+            continue
+        unit, body = draw(_UNITS), draw(_BODIES)
+        if kind == "flipped":
+            lines.append(_flip(
+                journal_line(unit, body),
+                draw(st.sampled_from(["body", "sha", "unit"])),
+                draw(st.integers(0, 10**6)), draw(st.integers(1, 255))))
+        else:
+            lines.append(_LAYOUTS[kind](unit, body))
+    data = b"".join(line + b"\n" for line in lines)
+    if draw(st.booleans()):  # a torn tail, possibly inside a character
+        torn = journal_line(draw(_UNITS), draw(_BODIES))
+        data += torn[:draw(st.integers(0, len(torn) - 1))]
+    return data
+
+
+class TestJournalReaderOracle:
+    """The streaming reader restores what the stdlib reader restored."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_journal_files())
+    def test_reads_as_reference(self, tmp_path, data):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(data)
+        assert _read_journal(path) == read_journal_reference(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_journal_files(), live=st.sets(_UNITS))
+    def test_surgery_drops_exactly_the_units_it_names(self, tmp_path,
+                                                      data, live):
+        # Ingest surgery reads only unit ids; the resume must then see
+        # every live unit's entry and no other.
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(data)
+        entries, corrupt = _read_journal(path)
+        dropped = _rewrite_journal(path, live.__contains__)
+        assert not dropped & live
+        assert set(entries) - live <= dropped
+        if not dropped:
+            assert path.read_bytes() == data
+        kept, kept_corrupt = _read_journal(path)
+        assert kept == {unit: body for unit, body in entries.items()
+                        if unit in live}
+        assert kept_corrupt <= corrupt
+
+    @pytest.mark.parametrize("line, accepted", [
+        # A non-canonical body whose sha256 covers its exact bytes.
+        (b'{"body":{"v": 1},"sha256":"'
+         + hashlib.sha256(b'{"v": 1}').hexdigest().encode()
+         + b'","unit":"a"}', True),
+        # A form feed after the line, which JSON does not allow.
+        (journal_line("a", {"v": 1}) + b"\x0c", False),
+        # NaN, whose canonical re-encode is null.
+        (b'{"body":{"v":NaN},"sha256":"'
+         + hashlib.sha256(b'{"v":null}').hexdigest().encode()
+         + b'","unit":"a"}', False),
+    ], ids=["own-bytes-checksum", "form-feed-padding", "nan-token"])
+    def test_documented_differences(self, tmp_path, line, accepted):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(line + b"\n")
+        assert _read_journal(path)[1] == (0 if accepted else 1)
+        assert read_journal_reference(path)[1] == (1 if accepted else 0)
 
 
 class TestCheckpointStore:
@@ -169,6 +313,15 @@ class TestCheckpointStore:
         assert store.load_artifact("dictionary") is None
         assert store.health.corrupt_entries == 1
 
+    def test_invalid_utf8_artifact_reported_not_trusted(self, tmp_path):
+        store = CheckpointStore(tmp_path, "fp")
+        store.open(resume=False)
+        store.write_artifact("dictionary", {"k": "x"})
+        path = tmp_path / "dictionary.json"
+        path.write_bytes(path.read_bytes().replace(b'"x"', b'"\xff"'))
+        assert store.load_artifact("dictionary") is None
+        assert store.health.corrupt_entries == 1
+
     def test_fresh_open_discards_previous_state(self, tmp_path):
         store = CheckpointStore(tmp_path, "fp")
         store.open(resume=False)
@@ -176,7 +329,7 @@ class TestCheckpointStore:
         store.close()
         again = CheckpointStore(tmp_path, "fp")
         again.open(resume=False)  # not a resume: start over
-        assert again.restored("tags") == {}
+        assert dict(again.restored("tags")) == {}
         assert not (tmp_path / "tags.jsonl").exists()
 
     @pytest.mark.parametrize("breakage", [
@@ -184,6 +337,8 @@ class TestCheckpointStore:
         lambda d: (d / "manifest.json").write_text("{torn"),
         lambda d: (d / "manifest.json").write_text(json.dumps(
             {"format": 999, "version": "x", "fingerprint": "fp"})),
+        lambda d: (d / "manifest.json").write_bytes(
+            b'{"format": 1, "version": "\xff", "fingerprint": "fp"}'),
     ])
     def test_unusable_manifest_marks_stale(self, tmp_path, breakage):
         store = CheckpointStore(tmp_path, "fp")
@@ -194,7 +349,7 @@ class TestCheckpointStore:
         resumed = CheckpointStore(tmp_path, "fp")
         resumed.open(resume=True)
         assert resumed.health.stale
-        assert resumed.restored("tags") == {}
+        assert dict(resumed.restored("tags")) == {}
 
     def test_fingerprint_mismatch_marks_stale(self, tmp_path):
         store = CheckpointStore(tmp_path, "fp-a")
@@ -461,8 +616,40 @@ class TestCrashResume:
         checkpoint = result.diagnostics.health.checkpoint
         assert checkpoint.recomputed_units == 0
         assert checkpoint.restored_units > 0
-        assert checkpoint.artifacts_restored == 2
+        assert checkpoint.artifacts_restored == 1  # the dictionary
         assert result.diagnostics.parse.documents_restored > 0
+
+    def test_directory_with_retired_normalized_artifact_resumes(
+            self, tmp_path, corpus, clean_json):
+        # Earlier releases also wrote the normalized+filtered records
+        # as a ``normalized`` artifact; its bytes are rebuilt here.
+        # Nothing reads it any more: a resume leaves it in place, and
+        # a fresh run deletes it with the rest of the old state.
+        written = process_corpus(corpus, _config(checkpoint_dir=tmp_path))
+        diagnostics = written.diagnostics
+        store = CheckpointStore(tmp_path, "unused")
+        store.write_artifact("normalized", {
+            "disengagements": [
+                vars(dataclasses.replace(r, tag=None, category=None))
+                for r in written.database.disengagements],
+            "mileage": [vars(m) for m in written.database.mileage],
+            "normalization": dataclasses.asdict(diagnostics.normalization),
+            "filters": dataclasses.asdict(diagnostics.filters),
+        })
+        artifact = tmp_path / "normalized.json"
+        before = {path.name: path.read_bytes()
+                  for path in tmp_path.iterdir()}
+        result = process_corpus(corpus, _config(
+            checkpoint_dir=tmp_path, resume=True))
+        assert result.database.to_json() == clean_json
+        checkpoint = result.diagnostics.health.checkpoint
+        assert not checkpoint.stale
+        assert checkpoint.recomputed_units == 0
+        assert checkpoint.artifacts_restored == 1  # the dictionary
+        assert {path.name: path.read_bytes()
+                for path in tmp_path.iterdir()} == before
+        process_corpus(corpus, _config(checkpoint_dir=tmp_path))
+        assert not artifact.exists()
 
     def test_resume_with_chaos_quarantine_byte_identical(
             self, tmp_path, corpus):
@@ -535,7 +722,25 @@ class TestStaleAndCorruptCheckpoints:
         assert result.database.to_json() == clean_json
         checkpoint = result.diagnostics.health.checkpoint
         assert checkpoint.corrupt_entries >= 1
-        assert checkpoint.artifacts_restored == 1  # normalized only
+        assert checkpoint.artifacts_restored == 0  # the dictionary failed
+
+    def test_torn_multibyte_journal_tail_recomputed(self, tmp_path,
+                                                    corpus, clean_json):
+        with pytest.raises(SimulatedCrash):
+            process_corpus(corpus, _config(
+                checkpoint_dir=tmp_path, crash=CrashPoint(at="tag")))
+        journal = tmp_path / "documents.jsonl"
+        *kept, last = journal.read_bytes().splitlines(keepends=True)
+        unit = json.loads(last)["unit"]
+        torn = journal_line(unit, {"outcome": "ok", "text": "ı"})
+        journal.write_bytes(b"".join(kept)
+                            + torn[:torn.index("ı".encode()) + 1])
+        result = process_corpus(corpus, _config(
+            checkpoint_dir=tmp_path, resume=True))
+        assert result.database.to_json() == clean_json
+        checkpoint = result.diagnostics.health.checkpoint
+        assert checkpoint.corrupt_entries == 1
+        assert checkpoint.recomputed_units >= 1
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,17 @@ The headline contract: an incrementally built database is
 **byte-identical** to a full from-scratch rebuild of the same combined
 corpus — across document additions, changes, removals, OCR on or off,
 both dictionary modes, lost state files, and chaos kill points at
-every declared swap stage.
+every declared swap stage.  Journal surgery leaves every surviving
+line byte-identical, and an ingest parses each journal line once.
 """
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from dataclasses import replace
 
+import orjson
 import pytest
 
 from repro.pipeline import (
@@ -20,6 +24,7 @@ from repro.pipeline import (
     process_corpus,
 )
 from repro.pipeline.chaos import ServingChaos, SimulatedCrash
+from repro.pipeline.checkpoint import journal_line_unit
 from repro.pipeline.ingest import INGEST_STATE, document_digest
 from repro.query import Query, SnapshotManager
 from repro.synth.dataset import SyntheticCorpus
@@ -172,6 +177,72 @@ class TestIngestParity:
         assert report.reused_documents == len(small_corpus.documents)
         assert (again.database.fingerprint()
                 == first.database.fingerprint())
+
+
+JOURNALS = ("documents", "accidents", "tags")
+
+
+def _journal_lines(directory):
+    """Every journal's raw lines, by journal name."""
+    return {name: (directory / f"{name}.jsonl").read_bytes()
+            .splitlines(keepends=True) for name in JOURNALS}
+
+
+class TestJournalSurgery:
+    def test_pure_add_leaves_journals_in_place(self, small_corpus,
+                                               tmp_path):
+        config = _config(tmp_path)
+        ingest_corpus(_subset(small_corpus, 3), config)  # one accident
+        paths = [tmp_path / "ckpt" / f"{name}.jsonl" for name in JOURNALS]
+        before = [(path.stat().st_ino, path.read_bytes())
+                  for path in paths]
+        ingest_corpus(small_corpus, config)
+        for path, (inode, data) in zip(paths, before):
+            # Never rewritten: the resume only appended the new units.
+            assert path.stat().st_ino == inode, path.name
+            assert path.read_bytes().startswith(data), path.name
+
+    def test_removal_keeps_surviving_lines_byte_identical(
+            self, small_corpus, tmp_path):
+        config = _config(tmp_path)
+        ingest_corpus(small_corpus, config)
+        before = _journal_lines(tmp_path / "ckpt")
+        # Drop one disengagement report and the accident report.
+        base = SyntheticCorpus(seed=SEED, documents=[
+            small_corpus.documents[1], small_corpus.documents[3]])
+        kept = {document.document_id for document in base.documents}
+        outcome = ingest_corpus(base, config)
+        assert outcome.report.removed_documents > 0
+        after = _journal_lines(tmp_path / "ckpt")
+        for name in JOURNALS:
+            survivors = [
+                line for line in before[name]
+                if journal_line_unit(line).rsplit(":", 1)[0] in kept
+                or journal_line_unit(line) in kept]
+            assert after[name] == survivors, name
+            assert len(survivors) < len(before[name]), name
+
+    def test_each_journal_line_parsed_once(self, small_corpus, tmp_path,
+                                           monkeypatch):
+        config = _config(tmp_path)
+        ingest_corpus(_subset(small_corpus, 3), config)
+        lines = [line.strip() for group in
+                 _journal_lines(tmp_path / "ckpt").values()
+                 for line in group]
+        parsed = Counter()
+        for module in (orjson, json):
+            def spy(data, *args, _loads=module.loads, **kwargs):
+                text = data.encode() if isinstance(data, str) else data
+                parsed[bytes(text).strip()] += 1
+                return _loads(data, *args, **kwargs)
+
+            monkeypatch.setattr(module, "loads", spy)
+        outcome = ingest_corpus(small_corpus, config)
+        monkeypatch.undo()
+        assert outcome.report.reused_documents == 3
+        assert outcome.report.tags_reused
+        assert lines
+        assert [parsed[line] for line in lines] == [1] * len(lines)
 
 
 class TestIngestResilience:

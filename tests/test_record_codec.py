@@ -26,7 +26,7 @@ from repro.parsing.records import (
     MonthlyMileage,
 )
 from repro.pipeline import PipelineConfig, process_corpus
-from repro.pipeline.checkpoint import read_journal
+from repro.pipeline.checkpoint import journal_entries
 from repro.pipeline.runner import _decode_tag
 from repro.synth import generate_corpus
 from repro.taxonomy import FailureCategory, FaultTag, Modality
@@ -247,14 +247,17 @@ def checkpoint_dir(tmp_path_factory):
     return directory
 
 
+def _bodies(path):
+    """Every journal body of ``path`` (each line is intact here)."""
+    entries = list(journal_entries(path))
+    assert None not in entries
+    return [body for _unit, body in entries]
+
+
 def test_every_journaled_record_decodes_as_reference(checkpoint_dir):
-    documents, _ = read_journal(checkpoint_dir / "documents.jsonl")
-    accidents, _ = read_journal(checkpoint_dir / "accidents.jsonl")
-    normalized = orjson.loads(
-        (checkpoint_dir / "normalized.json").read_bytes())["payload"]
     entries = [(AccidentRecord, body["accident"])
-               for body in accidents.values()]
-    for body in [*documents.values(), normalized]:
+               for body in _bodies(checkpoint_dir / "accidents.jsonl")]
+    for body in _bodies(checkpoint_dir / "documents.jsonl"):
         entries += [(DisengagementRecord, entry)
                     for entry in body["disengagements"]]
         entries += [(MonthlyMileage, entry) for entry in body["mileage"]]
@@ -264,8 +267,8 @@ def test_every_journaled_record_decodes_as_reference(checkpoint_dir):
 
 
 def test_tag_journal_decodes_as_enum_call(checkpoint_dir):
-    tags, _ = read_journal(checkpoint_dir / "tags.jsonl")
+    tags = _bodies(checkpoint_dir / "tags.jsonl")
     assert tags
-    for body in tags.values():
+    for body in tags:
         assert _decode_tag(body) == (FaultTag(body["tag"]),
                                      FailureCategory(body["category"]))
