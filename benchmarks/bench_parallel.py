@@ -137,11 +137,13 @@ def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
         "dictionary", "corpus",
         lambda: runner._build_dictionary(filtered, config),
         fallback=lambda: runner._degraded_dictionary())
-    tagger = VotingTagger(dictionary)
-    for record in filtered:
+    # One tag_batch call, then one guarded run per record over its
+    # precomputed result, as the runner's Stage III does.
+    tagged = VotingTagger(dictionary).tag_batch(
+        [record.description for record in filtered])
+    for record, precomputed in zip(filtered, tagged):
         result = guard.run(
-            "tag", runner.record_id(record),
-            lambda: tagger.tag(record.description),
+            "tag", runner.record_id(record), lambda: precomputed,
             fallback=runner._unknown_tag)
         record.tag = result.tag
         record.category = result.category

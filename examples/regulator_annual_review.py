@@ -1,9 +1,8 @@
 """A regulator's annual review: what a DMV analyst would run when the
 year's disengagement and accident reports arrive.
 
-Combines the reporting census (who reports what), the statistical
-reliability ranking, the trend tests, the forecast backtest, and the
-full Markdown study report.
+Combines the reporting census (who reports what), the DPM trend
+tests, and the full Markdown study report.
 
 Usage::
 
@@ -13,10 +12,7 @@ Usage::
 import sys
 
 from repro import PipelineConfig, run_pipeline
-from repro.analysis.cross import reliability_ranking
-from repro.analysis.forecast import backtest_all
 from repro.analysis.temporal import dpm_trend_test
-from repro.analysis.validity import underreporting_sweep
 from repro.errors import InsufficientDataError
 from repro.reporting import run_experiment
 from repro.reporting.summary import render_study_report
@@ -40,28 +36,13 @@ def main() -> None:
     print("\nWho reports what (share of records with each field):")
     print(run_experiment("ext-census", db).render())
 
-    print("\nReliability ranking (median DPM; 'beats' = Mann-Whitney "
-          "significant at 5%):")
-    for name, median, wins in reliability_ranking(db, ANALYSIS):
-        trend = "?"
+    print("\nDPM trend tests (Mann-Kendall over monthly DPM):")
+    for name in ANALYSIS:
         try:
             trend = dpm_trend_test(db, name).direction
         except InsufficientDataError:
-            pass
-        print(f"  {name:15s} {median:.3e}/mile  beats {wins}  "
-              f"trend: {trend}")
-
-    print("\nTrend-model backtests (train 60% of months):")
-    for name, forecast in sorted(backtest_all(db, ANALYSIS).items()):
-        print(f"  {name:15s} predicted {forecast.predicted_total:5.0f} "
-              f"vs actual {forecast.actual_total:5d} holdout "
-              f"disengagements (err {forecast.total_error:.0%})")
-
-    print("\nRobustness to underreporting:")
-    for point in underreporting_sweep(db, factors=(1.0, 2.0, 5.0)):
-        print(f"  if reports cover 1/{point.factor:.0f} of reality: "
-              f"AV-worse-than-human conclusion holds = "
-              f"{point.still_worse_than_human}")
+            trend = "?"
+        print(f"  {name:15s} {trend}")
 
     if len(sys.argv) > 1:
         path = sys.argv[1]

@@ -18,9 +18,7 @@ Commands::
 Flag conventions (shared across subcommands): ``--db``/``--seed``
 select the database source everywhere a command reads one;
 ``--quiet`` suppresses informational output; ``--json`` switches to
-machine-readable JSON where the command produces output.  Deprecated
-spellings (``repro query --pretty``) keep working as hidden aliases
-that print a one-line warning.
+machine-readable JSON where the command produces output.
 
 Exit codes (documented in docs/USAGE.md): 0 success, 1 lint findings
 at error severity, 2 invalid input (argparse errors, bad knob values,
@@ -48,28 +46,6 @@ from .pipeline import (
 from .pipeline.chaos import CHAOS_KINDS, CRASH_POINTS
 from .pipeline.resilience import POLICY_MODES
 from .rng import DEFAULT_SEED
-
-
-class _DeprecatedAlias(argparse.Action):
-    """A hidden compatibility spelling for a renamed flag.
-
-    Behaves like ``store_true`` on the *new* destination, stays out of
-    ``--help`` (``help=argparse.SUPPRESS``), and prints a one-line
-    deprecation warning to stderr when actually used.
-    """
-
-    def __init__(self, option_strings, dest, replacement="",
-                 **kwargs) -> None:
-        kwargs.setdefault("help", argparse.SUPPRESS)
-        kwargs.setdefault("nargs", 0)
-        super().__init__(option_strings, dest, **kwargs)
-        self.replacement = replacement
-
-    def __call__(self, parser, namespace, values,
-                 option_string=None) -> None:
-        print(f"warning: {option_string} is deprecated; "
-              f"use {self.replacement}", file=sys.stderr)
-        setattr(namespace, self.dest, True)
 
 
 def _db_options() -> argparse.ArgumentParser:
@@ -553,7 +529,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     engine = QueryEngine(_load_db(args))
     result = engine.execute(_query_from_args(args))
     # Query output is always JSON; --json upgrades it to the indented
-    # human-friendly form (the role --pretty used to play).
+    # human-friendly form.
     indent = 2 if args.json else None
     print(json.dumps(result.to_dict(), indent=indent))
     return 0
@@ -780,8 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--category", default=None,
                        help="restrict disengagements to one failure "
                             "category")
-    query.add_argument("--pretty", action=_DeprecatedAlias,
-                       dest="json", replacement="--json")
     query.set_defaults(handler=_cmd_query)
 
     serve = commands.add_parser(

@@ -12,7 +12,7 @@ from .tokenize import tokenize, sentences
 from .normalize import normalize_tokens, STOPWORDS
 from .ngrams import ngrams, phrase_candidates
 from .dictionary import FailureDictionary, SEED_PHRASES
-from .tagger import TagResult, VotingTagger, FirstMatchTagger
+from .tagger import TagResult, VotingTagger
 from .textcache import TokenCache, cached_tokens, token_cache
 from .ontology import Ontology
 from .evaluation import TaggingReport, evaluate_tagger
@@ -28,7 +28,6 @@ __all__ = [
     "SEED_PHRASES",
     "TagResult",
     "VotingTagger",
-    "FirstMatchTagger",
     "TokenCache",
     "cached_tokens",
     "token_cache",

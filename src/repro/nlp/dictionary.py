@@ -182,8 +182,8 @@ class FailureDictionary:
             node = trie.get(token)
             if node is None:
                 continue
-            # Inlined :meth:`match_at` walk: a call per position would
-            # cost a sixth of the loop.
+            # The trie walk is inlined: a call per position would cost
+            # a sixth of the loop.
             found, children = node
             following = position + 1
             while children and following < end:
@@ -194,19 +194,6 @@ class FailureDictionary:
                 following += 1
             matches.extend(found)
         return matches
-
-    def match_at(self, tokens: Sequence[str],
-                 position: int) -> list[DictionaryEntry]:
-        """Entries whose phrase starts exactly at ``position``, in
-        insertion order."""
-        found: list[DictionaryEntry] = []
-        children = self._trie
-        for token in tokens[position:]:
-            node = children.get(token)
-            if node is None:
-                break
-            found, children = node
-        return list(found)
 
     # ------------------------------------------------------------------
     # Persistence.

@@ -10,7 +10,6 @@ is unsuccessful ... the disengagement cause is marked with the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..taxonomy import FailureCategory, FaultTag, category_of
 from .dictionary import DictionaryEntry, FailureDictionary, vote
@@ -37,22 +36,6 @@ def _unknown() -> TagResult:
                      confident=False)
 
 
-def _tag_each_sequence(texts: list[str],
-                       tag_tokens: Callable[[list[str]], TagResult],
-                       ) -> list[TagResult]:
-    """``tag_tokens`` once per distinct normalized token sequence of
-    ``texts``, one (shared, read-only) result per text."""
-    results: dict[tuple[str, ...], TagResult] = {}
-    out: list[TagResult] = []
-    for tokens in cached_tokens_batch(texts):
-        key = tuple(tokens)
-        result = results.get(key)
-        if result is None:
-            result = results[key] = tag_tokens(tokens)
-        out.append(result)
-    return out
-
-
 class VotingTagger:
     """Weighted keyword-voting tagger over a failure dictionary."""
 
@@ -74,7 +57,15 @@ class VotingTagger:
         treated as read-only; equality with the per-unit loop is
         enforced by the property tests in ``tests/test_nlp.py``.
         """
-        return _tag_each_sequence(texts, self._tag_tokens)
+        results: dict[tuple[str, ...], TagResult] = {}
+        out: list[TagResult] = []
+        for tokens in cached_tokens_batch(texts):
+            key = tuple(tokens)
+            result = results.get(key)
+            if result is None:
+                result = results[key] = self._tag_tokens(tokens)
+            out.append(result)
+        return out
 
     def _tag_tokens(self, tokens: list[str]) -> TagResult:
         """The voting scheme over one narrative's tokens.
@@ -97,39 +88,6 @@ class VotingTagger:
             matches=matches,
             confident=confident,
         )
-
-
-class FirstMatchTagger:
-    """Ablation baseline: the first phrase hit in reading order wins.
-
-    No voting, no weights — used by the ablation bench to quantify
-    what the voting scheme buys.
-    """
-
-    def __init__(self, dictionary: FailureDictionary) -> None:
-        self.dictionary = dictionary
-
-    def tag(self, text: str) -> TagResult:
-        """Assign the tag of the earliest phrase occurrence."""
-        return self._tag_tokens(cached_tokens(text))
-
-    def tag_batch(self, texts: list[str]) -> list[TagResult]:
-        """Tag a whole batch; equals ``[self.tag(t) for t in texts]``.
-
-        Tags once per distinct token sequence like
-        :meth:`VotingTagger.tag_batch` (results are read-only).
-        """
-        return _tag_each_sequence(texts, self._tag_tokens)
-
-    def _tag_tokens(self, tokens: list[str]) -> TagResult:
-        for position in range(len(tokens)):
-            here = self.dictionary.match_at(tokens, position)
-            if here:
-                entry = here[0]
-                return TagResult(
-                    tag=entry.tag, category=category_of(entry.tag),
-                    scores={entry.tag: entry.weight}, matches=[entry])
-        return _unknown()
 
 
 def _break_tie(tied: list[FaultTag],

@@ -18,14 +18,15 @@ losing completed work.  This module provides the durability layer:
 
 Integrity rules:
 
-* Every journal line and artifact carries a sha256 over its JSON
-  body.  A journal line in the writer's layout is checked against the
-  body bytes it carries; any other layout against the canonical
-  re-encode of its parsed body.  A torn tail line (crash mid-append),
-  bytes that are not UTF-8 JSON, or a checksum mismatch: the line or
-  artifact is dropped, counted in
+* Every journal line carries a sha256 over the bytes of its unit id
+  and body, and every artifact one over its JSON payload.  A torn
+  tail line (crash mid-append), bytes that are not UTF-8 JSON, or a
+  checksum mismatch: the line or artifact is dropped, counted in
   :class:`~repro.pipeline.resilience.CheckpointHealth`, and the unit
-  is *recomputed* — corrupted state is never trusted.
+  is *recomputed* — corrupted state is never trusted.  Before a
+  resumed run appends to a journal whose last line has no newline,
+  that line is ended if it is intact and cut off if it is torn, so
+  the new lines start on lines of their own.
 * A manifest that is missing or unreadable, or whose config
   fingerprint or library version does not match the resuming run,
   marks the whole directory **stale**: it is discarded and rebuilt,
@@ -51,7 +52,9 @@ Checkpoint directory layout::
 Earlier releases also wrote a ``normalized.json`` artifact (the
 normalized+filtered record set).  Recomputing it from the restored
 Stage II records is cheaper than reading it, so nothing reads it any
-more: a resume leaves it in place, and a reset deletes it.
+more: a resume leaves it in place, and a reset deletes it.  Those
+releases wrote checkpoint format 1, so resuming one of their
+directories resets it.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+from collections import deque
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import IO, Any
@@ -68,8 +72,9 @@ import orjson
 from .resilience import CheckpointHealth
 
 #: Bumped whenever the checkpoint layout changes incompatibly; a
-#: mismatch marks the directory stale.
-CHECKPOINT_FORMAT = 1
+#: mismatch marks the directory stale.  Format 2: a journal line's
+#: sha256 covers its unit id as well as its body.
+CHECKPOINT_FORMAT = 2
 
 #: Names of the per-unit journals a store manages.
 JOURNAL_NAMES = ("documents", "accidents", "tags")
@@ -179,15 +184,16 @@ def canonical_bytes(obj: Any) -> bytes:
 
 def journal_line(unit_id: str, body: dict[str, Any]) -> bytes:
     """Encode one journal entry as a self-checksummed line (without
-    its newline)."""
+    its newline): ``{"unit":...,"body":...,"sha256":"..."}``, the
+    sha256 taken over every byte before ``,"sha256":"``."""
     # The body is serialized exactly once, and the checksum covers
     # the very bytes the line carries, so the reader checks an intact
-    # line without re-encoding its body.
-    body_bytes = canonical_bytes(body)
-    digest = hashlib.sha256(body_bytes).hexdigest()
-    return (b'{"body":' + body_bytes
-            + b',"sha256":"' + digest.encode("ascii")
-            + b'","unit":' + canonical_bytes(unit_id) + b"}")
+    # line without re-encoding it.  The unit id leads, so ingest
+    # surgery reads it without touching the body.
+    head = (b'{"unit":' + canonical_bytes(unit_id)
+            + b',"body":' + canonical_bytes(body))
+    return (head + b',"sha256":"'
+            + hashlib.sha256(head).hexdigest().encode("ascii") + b'"}')
 
 
 def journal_lines(path: str | Path) -> Iterator[bytes]:
@@ -222,20 +228,24 @@ def journal_entries(path: str | Path
     skipped.  A missing file is an empty journal.
 
     Lines split as :func:`journal_lines` splits them.  The
-    stdlib-``json`` reader this replaced
-    (``tests/oracles.py::read_journal_reference``) differs in three
-    cases, none of which a writer line or a damaged one reaches:
+    stdlib-``json`` reference reader
+    (``tests/oracles.py::read_journal_reference``), which checks the
+    sha256 against the canonical re-encode of the unit id and body in
+    the writer's layout, differs in three cases, none of which a
+    writer line or a damaged one reaches:
 
-    * a line whose sha256 covers the exact bytes between ``{"body":``
-      and ``,"sha256":"`` but not the canonical re-encode of its body
-      (a body in another spelling) is accepted here, since those bytes
-      are what the checksum vouches for, and was rejected there;
+    * a line whose bytes differ from that canonical encoding (a body
+      in another spelling, or another key order) is accepted here
+      only when it starts ``{"unit":`` and its sha256 covers its own
+      bytes before ``,"sha256":"``, since those are what the checksum
+      vouches for; there, only when its sha256 covers the canonical
+      encoding;
     * a line padded with whitespace JSON does not allow (form feed,
       vertical tab, U+00A0, ...) counts as corrupt here, where
-      ``str.strip`` removed it;
+      ``str.strip`` removes it;
     * a body holding ``NaN`` or ``Infinity`` counts as corrupt here
-      (orjson rejects the tokens); there it passed when its checksum
-      covered the canonical re-encode, which writes them as ``null``.
+      (orjson rejects the tokens); there it passes when its checksum
+      covers the canonical re-encode, which writes them as ``null``.
     """
     for line in journal_lines(path):
         if not line.isspace():
@@ -245,53 +255,33 @@ def journal_entries(path: str | Path
 def _journal_entry(line: bytes) -> tuple[str, dict[str, Any]] | None:
     """One journal line's ``(unit, body)``, or None if it fails
     integrity."""
+    end = line.rfind(b',"sha256":"')
+    if end == -1 or not line.startswith(b'{"unit":'):
+        return None
     try:
         record = orjson.loads(line)
         unit, body, digest = record["unit"], record["body"], record["sha256"]
-        if not (isinstance(unit, str) and isinstance(body, dict)
-                and isinstance(digest, str)):
-            return None
-        if (_carried_digest(line) == digest
-                or hashlib.sha256(canonical_bytes(body)).hexdigest()
-                == digest):
-            return unit, body
     except (ValueError, KeyError, TypeError):
-        pass
-    return None
-
-
-def _carried_digest(line: bytes) -> str | None:
-    """sha256 of the bytes between ``{"body":`` and the last
-    ``,"sha256":"`` of a line, which in the writer's layout are the
-    body's: an intact line is checked without re-encoding its body.
-    None when the line does not start that way."""
-    end = line.rfind(b',"sha256":"')
-    if end == -1 or not line.startswith(b'{"body":'):
         return None
-    return hashlib.sha256(memoryview(line)[8:end]).hexdigest()
+    if (isinstance(unit, str) and isinstance(body, dict)
+            and digest == hashlib.sha256(memoryview(line)[:end]).hexdigest()):
+        return unit, body
+    return None
 
 
 def journal_line_unit(line: bytes) -> str | None:
     """The unit id one raw journal line names, or None if it names
     none.
 
-    A writer line ends with its unit id, so the id is read from the
-    line's tail without parsing the body; any other layout is parsed
-    whole.  Integrity is not checked: that is the resume's job.
+    The id leads the line, so it is read without parsing the body.
+    Integrity is not checked: that is the resume's job.
     """
-    start = line.rfind(b',"unit":')
-    if start != -1:
-        tail = line[start + 8:].rstrip()
-        if tail.endswith(b"}"):
-            try:
-                unit = orjson.loads(tail[:-1])
-            except ValueError:
-                unit = None
-            if isinstance(unit, str):
-                return unit
+    end = line.find(b',"body":', 8)
+    if end == -1 or not line.startswith(b'{"unit":'):
+        return None
     try:
-        unit = orjson.loads(line)["unit"]
-    except (ValueError, KeyError, TypeError):
+        unit = orjson.loads(memoryview(line)[8:end])
+    except ValueError:
         return None
     return unit if isinstance(unit, str) else None
 
@@ -310,9 +300,32 @@ class _JournalWriter:
         self._handle: IO[bytes] | None = None
         self._pending = 0
 
+    def _open(self) -> IO[bytes]:
+        """Open the journal for appending, its last line ended first.
+
+        A crash mid-append leaves a last line without its newline.
+        Glued to it, the first appended line would fail its checksum
+        at every later resume.  So an intact last line gets its
+        newline, and a torn one, which the resume already counted as
+        corrupt and recomputed, is cut off.
+        """
+        handle = open(self.path, "a+b")
+        size = handle.seek(0, os.SEEK_END)
+        if size:
+            handle.seek(size - 1)
+            if handle.read(1) not in (b"\n", b"\r"):
+                last = deque(journal_lines(self.path), maxlen=1)[0]
+                if _journal_entry(last) is None:
+                    handle.truncate(size - len(last))
+                else:
+                    handle.write(b"\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+        return handle
+
     def append(self, unit_id: str, body: dict[str, Any]) -> None:
         if self._handle is None:
-            self._handle = open(self.path, "ab")
+            self._handle = self._open()
         self._handle.write(journal_line(unit_id, body) + b"\n")
         self._pending += 1
         if self._pending >= FSYNC_INTERVAL:
@@ -330,7 +343,7 @@ class _JournalWriter:
         if not entries:
             return
         if self._handle is None:
-            self._handle = open(self.path, "ab")
+            self._handle = self._open()
         self._handle.write(b"".join(
             journal_line(unit_id, body) + b"\n"
             for unit_id, body in entries))

@@ -916,8 +916,8 @@ _ABLATIONS = """
 The ablation benches (`benchmarks/bench_ablation_*.py`) check design
 choices, not paper numbers, so they have no rows here. They assert that:
 
-- voting tagger + corpus-built dictionary > voting + seeds >
-  first-match (tag accuracy);
+- voting tagger + corpus-built dictionary >= voting + seeds (tag
+  accuracy);
 - post-OCR correction recovers both parse yield and tag accuracy;
 - per-manufacturer parsers are lossless on clean text, while a single
   generic format loses most of the corpus.

@@ -35,24 +35,18 @@ from repro.synth.reports import RawDocument
 from repro.taxonomy import FailureCategory, FaultTag, Modality, category_of
 
 
-def match_linear_at(dictionary: FailureDictionary, tokens: list[str],
-                    position: int) -> list[DictionaryEntry]:
-    """Full-scan :meth:`FailureDictionary.match_at`: every entry tried
-    at ``position``, in insertion order."""
-    return [entry for entry in dictionary.entries
-            if tuple(tokens[position:position + len(entry.phrase)])
-            == entry.phrase]
-
-
 def match_linear(dictionary: FailureDictionary,
                  tokens: list[str]) -> list[DictionaryEntry]:
-    """Full-scan matcher: every entry tried at every position.
+    """Full-scan matcher: every entry tried at every position, in
+    insertion order.
 
     The pre-index form of :meth:`FailureDictionary.match`; its output
     must equal ``match``'s element for element.
     """
     return [entry for position in range(len(tokens))
-            for entry in match_linear_at(dictionary, tokens, position)]
+            for entry in dictionary.entries
+            if tuple(tokens[position:position + len(entry.phrase)])
+            == entry.phrase]
 
 
 def _top_two(votes: Counter) -> tuple[FaultTag, FaultTag | None]:
@@ -260,10 +254,9 @@ def read_journal_reference(
     re-journaled unit's latest line wins) and the number of lines
     dropped for failing integrity.  Lines split as a text-mode file
     splits them; each is parsed with the stdlib ``json`` and its
-    sha256 checked against the canonical re-encode of its body.  One
-    change from the reader ``src/`` used before it streamed: a line
-    that is not UTF-8 counts as corrupt, where the text-mode read
-    raised ``UnicodeDecodeError`` for the whole file.
+    sha256 checked against the canonical re-encode of its unit id and
+    body, laid out as the writer lays them out.  A line that is not
+    UTF-8 counts as corrupt.
     """
     path = Path(path)
     entries: dict[str, dict[str, Any]] = {}
@@ -283,8 +276,9 @@ def read_journal_reference(
             unit = record["unit"]
             body = record["body"]
             ok = (isinstance(unit, str) and isinstance(body, dict)
-                  and record["sha256"]
-                  == hashlib.sha256(canonical_bytes(body)).hexdigest())
+                  and record["sha256"] == hashlib.sha256(
+                      b'{"unit":' + canonical_bytes(unit)
+                      + b',"body":' + canonical_bytes(body)).hexdigest())
         except (json.JSONDecodeError, KeyError, TypeError):
             ok = False
         if not ok:

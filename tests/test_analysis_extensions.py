@@ -1,7 +1,4 @@
-"""Tests for the extension analyses: conditions, validity tooling,
-and the mission reliability model."""
-
-import math
+"""Tests for the extension analyses of reporting conditions."""
 
 import pytest
 
@@ -10,17 +7,6 @@ from repro.analysis.conditions import (
     road_type_breakdown,
     road_type_enrichment,
     weather_breakdown,
-)
-from repro.analysis.reliability import (
-    MissionModel,
-    build_mission_model,
-    crossover_trip_length,
-    mission_survival_curve,
-)
-from repro.analysis.validity import (
-    bootstrap_ci,
-    median_dpm_ci,
-    underreporting_sweep,
 )
 from repro.errors import InsufficientDataError
 
@@ -67,95 +53,3 @@ class TestConditions:
             for field, share in fields.items():
                 assert 0.0 <= share <= 1.0, (name, field)
 
-
-class TestValidity:
-    def test_bootstrap_ci_brackets_statistic(self):
-        values = list(range(100))
-        result = bootstrap_ci(values, resamples=500)
-        assert result.low <= result.statistic <= result.high
-        assert result.contains(result.statistic)
-
-    def test_bootstrap_narrows_with_confidence(self):
-        values = [float(v) for v in range(200)]
-        wide = bootstrap_ci(values, confidence=0.99, resamples=500)
-        narrow = bootstrap_ci(values, confidence=0.5, resamples=500)
-        assert (narrow.high - narrow.low) <= (wide.high - wide.low)
-
-    def test_bootstrap_requires_data(self):
-        with pytest.raises(InsufficientDataError):
-            bootstrap_ci([1.0])
-
-    def test_median_dpm_ci(self, db):
-        result = median_dpm_ci(db, "Waymo")
-        assert result.low <= result.statistic <= result.high
-        assert result.statistic == pytest.approx(4e-4, abs=4e-4)
-
-    def test_underreporting_sweep(self, db):
-        points = underreporting_sweep(db, factors=(1.0, 2.0, 10.0))
-        assert [p.factor for p in points] == [1.0, 2.0, 10.0]
-        # The AV-vs-human conclusion survives any disengagement
-        # underreporting (APM is accident-based).
-        assert all(p.still_worse_than_human for p in points)
-
-    def test_underreporting_rejects_bad_factor(self, db):
-        with pytest.raises(InsufficientDataError):
-            underreporting_sweep(db, factors=(0.0,))
-
-
-class TestReliability:
-    def test_build_model_from_db(self, db):
-        model = build_mission_model(db, "Waymo")
-        assert model.dpm == pytest.approx(4.4e-4, rel=0.2)
-        assert model.apm == pytest.approx(25 / 1060200, rel=0.1)
-
-    def test_survival_probability_monotone(self, db):
-        model = build_mission_model(db, "Waymo")
-        p10 = model.p_disengagement_free(10)
-        p100 = model.p_disengagement_free(100)
-        assert 0 < p100 < p10 < 1
-
-    def test_expected_disengagements_linear(self):
-        model = MissionModel("X", dpm=0.01, apm=1e-4)
-        assert model.expected_disengagements(100) == pytest.approx(1.0)
-
-    def test_miles_between_events(self):
-        model = MissionModel("X", dpm=0.01, apm=1e-4)
-        assert model.miles_between_disengagements() == pytest.approx(
-            100.0)
-        assert model.miles_between_accidents() == pytest.approx(1e4)
-
-    def test_no_accident_data(self, db):
-        model = build_mission_model(db, "Tesla")
-        assert model.apm is None
-        assert model.p_accident_free(10) is None
-        assert model.miles_between_accidents() is None
-        assert model.trips_to_first_accident() is None
-
-    def test_trips_to_first_accident(self):
-        model = MissionModel("X", dpm=0.01, apm=1e-3)
-        trips = model.trips_to_first_accident(trip_miles=10.0)
-        # P(accident on a 10-mile trip) = 1 - exp(-0.01) ~ 0.00995.
-        assert trips == pytest.approx(1 / (1 - math.exp(-0.01)),
-                                      rel=1e-6)
-
-    def test_crossover_length(self):
-        model = MissionModel("X", dpm=0.01, apm=1e-4)
-        crossover = crossover_trip_length(model)
-        # Below the crossover, the AV trip beats an airline departure.
-        p_accident = 1 - model.p_accident_free(crossover)
-        assert p_accident == pytest.approx(9.8e-5, rel=1e-6)
-
-    def test_survival_curve_shape(self, db):
-        model = build_mission_model(db, "Waymo")
-        curve = mission_survival_curve(model, [1, 10, 100])
-        frees = [point[1] for point in curve]
-        assert frees == sorted(frees, reverse=True)
-
-    def test_invalid_trip_length(self):
-        model = MissionModel("X", dpm=0.01, apm=None)
-        with pytest.raises(InsufficientDataError):
-            model.p_disengagement_free(0)
-
-    def test_unknown_manufacturer(self, db):
-        with pytest.raises(InsufficientDataError):
-            build_mission_model(db, "Nonexistent Motors")

@@ -13,7 +13,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -153,13 +152,15 @@ class TestJournal:
         assert corrupt == 1
 
     def test_checksum_mismatch_dropped(self, tmp_path):
+        # Tampered after checksumming: the sha256 covers the body and
+        # the unit id.
         path = tmp_path / "j.jsonl"
-        line = json.loads(journal_line("a", {"v": 1}))
-        line["body"]["v"] = 999  # tamper after checksumming
-        path.write_text(json.dumps(line) + "\n")
+        line = journal_line("a", {"v": 1})
+        path.write_bytes(line.replace(b'"v":1', b'"v":9') + b"\n"
+                         + line.replace(b'"a"', b'"b"') + b"\n")
         entries, corrupt = _read_journal(path)
         assert entries == {}
-        assert corrupt == 1
+        assert corrupt == 2
 
     def test_rejournaled_unit_latest_wins(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -181,11 +182,6 @@ class TestJournal:
         assert read_journal_reference(path) == ({"a": {"v": 1}}, 1)
 
 
-def _canonical_digest(body) -> str:
-    return hashlib.sha256(
-        orjson.dumps(body, option=orjson.OPT_SORT_KEYS)).hexdigest()
-
-
 _TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2**63, 2**64 - 1),
@@ -197,48 +193,37 @@ _BODIES = st.dictionaries(
 _UNITS = st.sampled_from(["doc-1", "doc-2:7", "record:ı", "Nıssan"])
 _BLANKS = st.sampled_from([b"", b" ", b"\t", b"\r", b" \t", b"\x0b", b"\x0c"])
 
-#: Line layouts whose checksum covers the canonical body: the writer's,
-#: and three others the reader must check by re-encoding.
-_LAYOUTS = {
-    "writer": journal_line,
-    "stdlib": lambda unit, body: json.dumps({
-        "body": body, "sha256": _canonical_digest(body),
-        "unit": unit}).encode(),
-    "unit-first": lambda unit, body: orjson.dumps({
-        "unit": unit, "sha256": _canonical_digest(body), "body": body}),
-    "spaced-body": lambda unit, body: (
-        b'{"body":' + json.dumps(body).encode() + b',"sha256":"'
-        + _canonical_digest(body).encode() + b'","unit":'
-        + orjson.dumps(unit) + b"}"),
-}
-
-
 def _flip(line: bytes, region: str, offset: int, mask: int) -> bytes:
-    """``line`` with one byte of its body, sha256 or unit changed."""
-    sha = line.index(b',"sha256":"')
-    unit = line.rindex(b',"unit":')
-    low, high = {"body": (8, sha), "sha": (sha + 11, sha + 75),
-                 "unit": (unit + 8, len(line) - 1)}[region]
+    """``line`` with one byte of its unit id, body or sha256 changed."""
+    body = line.index(b',"body":')
+    sha = line.rindex(b',"sha256":"')
+    low, high = {"unit": (8, body), "body": (body + 8, sha),
+                 "sha": (sha + 11, sha + 75)}[region]
     at = low + offset % (high - low)
     return line[:at] + bytes([line[at] ^ mask]) + line[at + 1:]
+
+
+def _signed(head: bytes, covered: bytes | None = None) -> bytes:
+    """``head`` closed into a journal line whose sha256 covers
+    ``covered`` (default: ``head`` itself)."""
+    digest = hashlib.sha256(head if covered is None else covered)
+    return head + b',"sha256":"' + digest.hexdigest().encode() + b'"}'
 
 
 @st.composite
 def _journal_files(draw) -> bytes:
     lines = []
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from([*_LAYOUTS, "blank", "flipped"]))
+        kind = draw(st.sampled_from(["writer", "blank", "flipped"]))
         if kind == "blank":
             lines.append(draw(_BLANKS))
             continue
-        unit, body = draw(_UNITS), draw(_BODIES)
+        line = journal_line(draw(_UNITS), draw(_BODIES))
         if kind == "flipped":
-            lines.append(_flip(
-                journal_line(unit, body),
-                draw(st.sampled_from(["body", "sha", "unit"])),
-                draw(st.integers(0, 10**6)), draw(st.integers(1, 255))))
-        else:
-            lines.append(_LAYOUTS[kind](unit, body))
+            line = _flip(
+                line, draw(st.sampled_from(["unit", "body", "sha"])),
+                draw(st.integers(0, 10**6)), draw(st.integers(1, 255)))
+        lines.append(line)
     data = b"".join(line + b"\n" for line in lines)
     if draw(st.booleans()):  # a torn tail, possibly inside a character
         torn = journal_line(draw(_UNITS), draw(_BODIES))
@@ -279,16 +264,18 @@ class TestJournalReaderOracle:
 
     @pytest.mark.parametrize("line, accepted", [
         # A non-canonical body whose sha256 covers its exact bytes.
-        (b'{"body":{"v": 1},"sha256":"'
-         + hashlib.sha256(b'{"v": 1}').hexdigest().encode()
-         + b'","unit":"a"}', True),
+        (_signed(b'{"unit":"a","body":{"v": 1}'), True),
+        # Another key order, whose sha256 covers the canonical bytes.
+        (json.dumps({"sha256": hashlib.sha256(
+            b'{"unit":"a","body":{"v":1}').hexdigest(),
+            "unit": "a", "body": {"v": 1}}).encode(), False),
         # A form feed after the line, which JSON does not allow.
         (journal_line("a", {"v": 1}) + b"\x0c", False),
         # NaN, whose canonical re-encode is null.
-        (b'{"body":{"v":NaN},"sha256":"'
-         + hashlib.sha256(b'{"v":null}').hexdigest().encode()
-         + b'","unit":"a"}', False),
-    ], ids=["own-bytes-checksum", "form-feed-padding", "nan-token"])
+        (_signed(b'{"unit":"a","body":{"v":NaN}',
+                 b'{"unit":"a","body":{"v":null}'), False),
+    ], ids=["own-bytes-checksum", "other-key-order", "form-feed-padding",
+            "nan-token"])
     def test_documented_differences(self, tmp_path, line, accepted):
         path = tmp_path / "j.jsonl"
         path.write_bytes(line + b"\n")
@@ -741,6 +728,59 @@ class TestStaleAndCorruptCheckpoints:
         checkpoint = result.diagnostics.health.checkpoint
         assert checkpoint.corrupt_entries == 1
         assert checkpoint.recomputed_units >= 1
+
+    def test_torn_tail_counted_once(self, tmp_path, corpus, clean_json):
+        process_corpus(corpus, _config(checkpoint_dir=tmp_path))
+        journal = tmp_path / "documents.jsonl"
+        data = journal.read_bytes()
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        journal.write_bytes(data[:last + 50])  # torn 50 bytes in
+        # The first resume recomputes the torn unit and appends it on
+        # a line of its own, so the second finds nothing to redo.
+        for expected in ((1, 1), (0, 0)):
+            result = process_corpus(corpus, _config(
+                checkpoint_dir=tmp_path, resume=True))
+            assert result.database.to_json() == clean_json
+            checkpoint = result.diagnostics.health.checkpoint
+            assert (checkpoint.corrupt_entries,
+                    checkpoint.recomputed_units) == expected
+
+    def test_unterminated_intact_tail_restored(self, tmp_path, corpus,
+                                               clean_json):
+        with pytest.raises(SimulatedCrash):
+            process_corpus(corpus, _config(
+                checkpoint_dir=tmp_path, crash=CrashPoint(at="mid-tag")))
+        journal = tmp_path / "tags.jsonl"
+        data = journal.read_bytes()
+        journal.write_bytes(data[:-1])  # only the last newline lost
+        first = process_corpus(corpus, _config(
+            checkpoint_dir=tmp_path, resume=True))
+        checkpoint = first.diagnostics.health.checkpoint
+        assert checkpoint.corrupt_entries == 0
+        assert checkpoint.recomputed_units > 0  # appended after it
+        second = process_corpus(corpus, _config(
+            checkpoint_dir=tmp_path, resume=True))
+        checkpoint = second.diagnostics.health.checkpoint
+        assert (checkpoint.corrupt_entries,
+                checkpoint.recomputed_units) == (0, 0)
+        assert first.database.to_json() == clean_json
+        assert second.database.to_json() == clean_json
+
+    def test_unit_id_flip_counts_as_corrupt(self, tmp_path, corpus,
+                                            clean_json):
+        # One byte moves this tag to record 67 unless the line's
+        # sha256 covers its unit id.
+        process_corpus(corpus, _config(checkpoint_dir=tmp_path))
+        journal = tmp_path / "tags.jsonl"
+        data = journal.read_bytes()
+        flipped = data.replace(b'disengagements:69"',
+                               b'disengagements:67"', 1)
+        assert len(flipped) == len(data) and flipped != data
+        journal.write_bytes(flipped)
+        result = process_corpus(corpus, _config(
+            checkpoint_dir=tmp_path, resume=True))
+        assert result.diagnostics.health.checkpoint.corrupt_entries == 1
+        assert result.database.to_json() == clean_json
 
 
 # ----------------------------------------------------------------------

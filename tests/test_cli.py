@@ -303,20 +303,13 @@ class TestSharedFlagConventions:
             assert code == 0
             assert key in json.loads(capsys.readouterr().out)
 
-    def test_pretty_alias_still_works_with_warning(
-            self, nissan_db_path, capsys):
-        code = main(["query", "dpm", "--db", str(nissan_db_path),
-                     "--pretty"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--json" in captured.err
-        assert captured.out.startswith("{\n")  # indented output
-
-    def test_pretty_stays_out_of_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["query", "--help"])
-        assert "--pretty" not in capsys.readouterr().out
+    def test_pretty_is_an_unknown_argument(self, nissan_db_path,
+                                           capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "dpm", "--db", str(nissan_db_path),
+                  "--pretty"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --pretty" in capsys.readouterr().err
 
     def test_missing_db_exits_2_with_structured_error(self, tmp_path,
                                                       capsys):

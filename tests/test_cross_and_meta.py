@@ -1,57 +1,9 @@
-"""Tests for cross-manufacturer comparisons, the Fig. 2/3 exhibits,
-and docstring-coverage meta checks."""
+"""Tests for the Fig. 2/3 exhibits and docstring-coverage meta
+checks."""
 
 import importlib
 import inspect
 import pkgutil
-
-import pytest
-
-from repro.analysis.cross import (
-    cliffs_delta,
-    compare_pair,
-    dominance_matrix,
-    reliability_ranking,
-)
-from repro.errors import InsufficientDataError
-
-ANALYSIS = ["Mercedes-Benz", "Volkswagen", "Waymo", "Delphi", "Nissan",
-            "Bosch", "GMCruise", "Tesla"]
-
-
-class TestCliffsDelta:
-    def test_complete_dominance(self):
-        assert cliffs_delta([1, 2, 3], [10, 20, 30]) == -1.0
-        assert cliffs_delta([10, 20], [1, 2]) == 1.0
-
-    def test_identical_samples(self):
-        assert cliffs_delta([5, 5], [5, 5]) == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(InsufficientDataError):
-            cliffs_delta([], [1.0])
-
-
-class TestPairwise:
-    def test_waymo_vs_benz_significant(self, db):
-        comparison = compare_pair(db, "Waymo", "Mercedes-Benz")
-        assert comparison.significant(0.01)
-        assert comparison.cliffs_delta < -0.9   # Waymo dominates
-        assert comparison.median_ratio < 0.01   # ~100x+ better
-        assert comparison.effect == "large"
-
-    def test_dominance_matrix_covers_pairs(self, db):
-        matrix = dominance_matrix(db, ["Waymo", "Mercedes-Benz",
-                                       "Bosch"])
-        assert len(matrix) == 3
-
-    def test_reliability_ranking_puts_waymo_first(self, db):
-        ranking = reliability_ranking(db, ANALYSIS)
-        assert ranking[0][0] == "Waymo"
-        # Waymo significantly beats most of the field.
-        assert ranking[0][2] >= 5
-        medians = [median for _, median, _ in ranking]
-        assert medians == sorted(medians)
 
 
 class TestFigure2And3:

@@ -34,7 +34,6 @@ from repro.taxonomy import FaultTag
 from .oracles import (
     build_per_narrative,
     match_linear,
-    match_linear_at,
     pass1_tag,
 )
 
@@ -169,9 +168,6 @@ def _assert_matches_full_scan(dictionary, tokens):
     for sequence in (list(tokens), tuple(tokens)):
         assert dictionary.match(sequence) == match_linear(dictionary,
                                                           sequence)
-        for position in range(len(sequence)):
-            assert dictionary.match_at(sequence, position) == (
-                match_linear_at(dictionary, sequence, position))
 
 
 class TestIndexedMatchOracle:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.nlp import (
     FailureDictionary,
-    FirstMatchTagger,
     Ontology,
     STOPWORDS,
     VotingTagger,
@@ -152,18 +151,6 @@ class TestVotingTagger:
         assert len(results) == 1
 
 
-class TestFirstMatchTagger:
-    def test_takes_first_phrase(self):
-        tagger = FirstMatchTagger(FailureDictionary.from_seeds())
-        # "watchdog" appears first; software phrase later.
-        result = tagger.tag("watchdog error then software crash")
-        assert result.tag is FaultTag.HANG_CRASH
-
-    def test_unknown_on_no_match(self):
-        tagger = FirstMatchTagger(FailureDictionary.from_seeds())
-        assert tagger.tag("nothing here").tag is FaultTag.UNKNOWN
-
-
 class TestEvaluation:
     def _records(self):
         return [
@@ -276,17 +263,8 @@ class TestBatchTagging:
         assert tagger.tag_batch(texts) == [tagger.tag(t)
                                            for t in texts]
 
-    @settings(max_examples=60, deadline=None)
-    @given(texts=narratives)
-    def test_first_match_tag_batch_equals_per_unit_loop(
-            self, dictionary, texts):
-        tagger = FirstMatchTagger(dictionary)
-        assert tagger.tag_batch(texts) == [tagger.tag(t)
-                                           for t in texts]
-
     def test_empty_batch(self, dictionary):
         assert VotingTagger(dictionary).tag_batch([]) == []
-        assert FirstMatchTagger(dictionary).tag_batch([]) == []
 
     def test_duplicates_share_results(self, dictionary):
         # Duplicate narratives have one token sequence, so the batch
@@ -297,12 +275,9 @@ class TestBatchTagging:
         assert results[0] is results[2]
         assert results[0] == tagger.tag(text)
 
-    @pytest.mark.parametrize("tagger_class", [VotingTagger,
-                                              FirstMatchTagger])
-    def test_same_token_sequence_shares_one_result(self, dictionary,
-                                                   tagger_class):
+    def test_same_token_sequence_shares_one_result(self, dictionary):
         # Case, punctuation and stopwords aside, these are one narrative.
-        tagger = tagger_class(dictionary)
+        tagger = VotingTagger(dictionary)
         texts = ["The LIDAR failed.", "lidar failed"]
         assert cached_tokens(texts[0]) == cached_tokens(texts[1])
         results = tagger.tag_batch(texts)
@@ -446,38 +421,12 @@ class TestDictionaryIndex:
         assert dictionary.match(["can", "opener"]) == []
         assert len(dictionary.match(["can", "bus"])) == 1
 
-    def test_match_at_start_positions_only(self):
-        dictionary = FailureDictionary()
-        entry = DictionaryEntry(phrase=("sun", "glare"),
-                                tag=FaultTag.ENVIRONMENT,
-                                weight=1.0, source="seed")
-        dictionary.add(entry)
-        tokens = ["bright", "sun", "glare"]
-        assert dictionary.match_at(tokens, 1) == [entry]
-        assert dictionary.match_at(tokens, 0) == []
-
     def test_from_json_roundtrip_preserves_order(self):
         dictionary = FailureDictionary.from_seeds()
         clone = FailureDictionary.from_json(dictionary.to_json())
         assert clone.entries == dictionary.entries
         tokens = cached_tokens("lidar returns degraded by sun glare")
         assert clone.match(tokens) == dictionary.match(tokens)
-
-    def test_first_match_tagger_uses_earliest(self):
-        dictionary = FailureDictionary()
-        dictionary.add(DictionaryEntry(phrase=("lidar",),
-                                       tag=FaultTag.SENSOR,
-                                       weight=1.0, source="seed"))
-        dictionary.add(DictionaryEntry(phrase=("planner",),
-                                       tag=FaultTag.PLANNER,
-                                       weight=5.0, source="seed"))
-        tagger = FirstMatchTagger(dictionary)
-        assert tagger.tag("planner ignored lidar").tag \
-            == FaultTag.PLANNER
-        assert tagger.tag("lidar confused planner").tag \
-            == FaultTag.SENSOR
-        assert tagger.tag("nothing matches here").tag \
-            == FaultTag.UNKNOWN
 
 
 class TestTokenCache:

@@ -1,11 +1,9 @@
-"""Tests for ASCII charts, the study report, and NLP refinement."""
+"""Tests for ASCII charts and the study report."""
 
 import pytest
 
 from repro.analysis.stats import boxplot_stats
 from repro.errors import AnalysisError
-from repro.nlp import FailureDictionary, VotingTagger, evaluate_tagger
-from repro.nlp.refinement import refine_dictionary, truth_oracle
 from repro.reporting.ascii_charts import (
     bar_chart,
     box_panel,
@@ -114,36 +112,3 @@ class TestStudyReport:
         report = render_study_report(small_db)
         assert "Nissan" in report
 
-
-class TestRefinement:
-    def test_refinement_improves_seed_dictionary(self, db):
-        records = [r for r in db.disengagements
-                   if r.truth_tag is not None][:1500]
-        dictionary = FailureDictionary.from_seeds()
-        before = evaluate_tagger(
-            VotingTagger(dictionary), records).tag_accuracy
-        result = refine_dictionary(
-            dictionary, records, oracle=truth_oracle,
-            rounds=3, budget_per_round=60)
-        after = evaluate_tagger(
-            VotingTagger(result.dictionary), records).tag_accuracy
-        assert after >= before
-        assert result.total_labeled > 0
-        assert any(r.phrases_added > 0 for r in result.rounds)
-
-    def test_refinement_stops_when_nothing_to_add(self, db):
-        records = [r for r in db.disengagements
-                   if r.truth_tag is not None][:200]
-        dictionary = FailureDictionary.build(
-            [r.description for r in records])
-        result = refine_dictionary(dictionary, records, rounds=5,
-                                   budget_per_round=10)
-        # Converges (stops early or adds nothing in later rounds).
-        assert len(result.rounds) <= 5
-
-    def test_oracle_declining_labels(self, db):
-        records = [r for r in db.disengagements][:100]
-        result = refine_dictionary(
-            FailureDictionary.from_seeds(), records,
-            oracle=lambda record: None, rounds=2)
-        assert result.total_labeled == 0

@@ -1,65 +1,9 @@
-"""Tests for the TF-IDF baseline classifier and STPA rendering."""
+"""Tests for STPA rendering."""
 
 import pytest
 
-from repro.errors import NlpError
-from repro.nlp.tfidf import TfidfTagger
-from repro.nlp import FailureDictionary, VotingTagger, evaluate_tagger
 from repro.stpa import build_control_structure
 from repro.stpa.render import to_dot, to_outline
-from repro.taxonomy import FaultTag
-
-
-class TestTfidfTagger:
-    @pytest.fixture(scope="class")
-    def training(self, db):
-        records = [r for r in db.disengagements
-                   if r.truth_tag is not None]
-        texts = [r.description for r in records]
-        labels = [r.truth_tag for r in records]
-        return records, texts, labels
-
-    def test_untrained_raises(self):
-        with pytest.raises(NlpError):
-            TfidfTagger().tag("anything")
-
-    def test_fit_validates_lengths(self):
-        with pytest.raises(NlpError):
-            TfidfTagger().fit(["a"], [])
-        with pytest.raises(NlpError):
-            TfidfTagger().fit([], [])
-
-    def test_trained_classifier_is_accurate(self, training):
-        records, texts, labels = training
-        split = len(texts) // 2
-        tagger = TfidfTagger().fit(texts[:split], labels[:split])
-        report = evaluate_tagger(tagger, records[split:])
-        assert report.tag_accuracy > 0.85
-
-    def test_small_label_budget_underperforms_dictionary(self,
-                                                         training):
-        records, texts, labels = training
-        budget = 40
-        tfidf = TfidfTagger().fit(texts[:budget], labels[:budget])
-        dictionary = VotingTagger(FailureDictionary.build(texts))
-        holdout = records[budget:2000]
-        tfidf_accuracy = evaluate_tagger(tfidf, holdout).tag_accuracy
-        dict_accuracy = evaluate_tagger(dictionary,
-                                        holdout).tag_accuracy
-        assert dict_accuracy > tfidf_accuracy
-
-    def test_low_similarity_is_unknown(self, training):
-        _, texts, labels = training
-        tagger = TfidfTagger().fit(texts[:500], labels[:500])
-        result = tagger.tag("xyzzy qwerty plugh")
-        assert result.tag is FaultTag.UNKNOWN
-        assert not result.confident
-
-    def test_deterministic(self, training):
-        _, texts, labels = training
-        tagger = TfidfTagger().fit(texts[:300], labels[:300])
-        sample = "Software module froze"
-        assert tagger.tag(sample).tag == tagger.tag(sample).tag
 
 
 class TestRender:
