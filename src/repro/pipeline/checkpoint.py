@@ -23,10 +23,12 @@ Integrity rules:
   tail line (crash mid-append), bytes that are not UTF-8 JSON, or a
   checksum mismatch: the line or artifact is dropped, counted in
   :class:`~repro.pipeline.resilience.CheckpointHealth`, and the unit
-  is *recomputed* — corrupted state is never trusted.  Before a
-  resumed run appends to a journal whose last line has no newline,
-  that line is ended if it is intact and cut off if it is torn, so
-  the new lines start on lines of their own.
+  is *recomputed* — corrupted state is never trusted.  A resume that
+  finds such lines in a journal, a torn tail included, rewrites it
+  without them, so the next resume does not count them again.  Before
+  a resumed run appends to a journal whose last line has no newline,
+  that (intact) line is ended, so the new lines start on lines of
+  their own.
 * A manifest that is missing or unreadable, or whose config
   fingerprint or library version does not match the resuming run,
   marks the whole directory **stale**: it is discarded and rebuilt,
@@ -62,7 +64,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-from collections import deque
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import IO, Any
@@ -303,22 +304,18 @@ class _JournalWriter:
     def _open(self) -> IO[bytes]:
         """Open the journal for appending, its last line ended first.
 
-        A crash mid-append leaves a last line without its newline.
+        A crash mid-append can leave a last line without its newline.
         Glued to it, the first appended line would fail its checksum
-        at every later resume.  So an intact last line gets its
-        newline, and a torn one, which the resume already counted as
-        corrupt and recomputed, is cut off.
+        at every later resume, so the line gets its newline.  A torn
+        last line is already gone by then: the resume that read the
+        journal rewrote it without its corrupt lines.
         """
         handle = open(self.path, "a+b")
         size = handle.seek(0, os.SEEK_END)
         if size:
             handle.seek(size - 1)
             if handle.read(1) not in (b"\n", b"\r"):
-                last = deque(journal_lines(self.path), maxlen=1)[0]
-                if _journal_entry(last) is None:
-                    handle.truncate(size - len(last))
-                else:
-                    handle.write(b"\n")
+                handle.write(b"\n")
                 handle.flush()
                 os.fsync(handle.fileno())
         return handle
@@ -463,19 +460,30 @@ class CheckpointStore:
         a fresh open, which deletes the journals).
 
         Once the journal is read to its end, the lines that failed
-        integrity are counted and noted in :attr:`health`.
+        integrity are counted and noted in :attr:`health`, and the
+        journal is rewritten atomically from the original bytes of its
+        intact lines, none of them parsed again.  The stage recomputes
+        the dropped lines' units and journals them anew, so the next
+        resume finds nothing to report.  The rewrite replaces the
+        file, so a stage reads its journal before appending to it.
         """
-        corrupt = 0
-        for entry in journal_entries(self._journal_path(name)):
+        path = self._journal_path(name)
+        corrupt = set()
+        for number, entry in enumerate(journal_entries(path)):
             if entry is None:
-                corrupt += 1
+                corrupt.add(number)
             else:
                 yield entry
         if corrupt:
-            self.health.corrupt_entries += corrupt
+            self.health.corrupt_entries += len(corrupt)
             self.health.notes.append(
-                f"journal {name!r}: {corrupt} corrupt "
+                f"journal {name!r}: {len(corrupt)} corrupt "
                 "entr(y/ies) dropped and recomputed")
+            kept = (line for line in journal_lines(path)
+                    if not line.isspace())
+            atomic_write_text(path, (
+                line for number, line in enumerate(kept)
+                if number not in corrupt))
 
     def append(self, name: str, unit_id: str,
                body: dict[str, Any]) -> None:

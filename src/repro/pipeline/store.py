@@ -16,9 +16,11 @@ canonical JSON, so the sidecar's digest is also its
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from collections import defaultdict
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -38,6 +40,36 @@ from .resilience import Quarantine, QuarantineEntry
 #: call overhead vanishes, small enough that one chunk's transient list
 #: of instance dicts and its bytes stay far below the whole file.
 ENCODE_CHUNK = 1000
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run a block with the cyclic garbage collector paused.
+
+    For code that builds thousands of containers with no reference
+    cycles (decoding a database, indexing it): the collections their
+    allocation triggers would traverse them and free nothing.  On
+    entry the collector is disabled if it was enabled.  On exit,
+    whether the block returned or raised, every tracked object is
+    moved to the oldest generation without being traversed
+    (:func:`gc.freeze`, then :func:`gc.unfreeze`; the freeze also
+    zeroes the young count, so no collection fires as the pause ends),
+    and the collector is enabled again if it was on entry.  Nothing
+    stays frozen, so cyclic garbage made anywhere else is reclaimed by
+    the next full collection.  :func:`gc.unfreeze` would also release
+    objects that an embedding program froze, so the move is skipped
+    while anything is frozen; repro itself freezes nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        if was_enabled:
+            gc.enable()
 
 
 def manufacturer_names(*collections) -> set[str]:
@@ -292,6 +324,7 @@ class FailureDatabase:
         return value
 
     @classmethod
+    @collector_paused()
     def from_json(cls, text: str | bytes, *,
                   source: str | Path | None = None) -> "FailureDatabase":
         """Decode a database from JSON text or bytes.
@@ -303,7 +336,8 @@ class FailureDatabase:
         non-JSON tokens ``NaN``/``Infinity`` — raise
         :class:`~repro.errors.CorruptDatabaseError` naming the source
         path (when given) and the offending section — never a raw
-        ``KeyError``/``JSONDecodeError``.
+        ``KeyError``/``JSONDecodeError``.  The parse and the record
+        construction run under :func:`collector_paused`.
         """
         path = str(source) if source is not None else None
         try:
@@ -367,7 +401,8 @@ class FailureDatabase:
             _sidecar_path(path), f"{value}  {path.name}\n")
 
     @classmethod
-    def load(cls, path: str | Path) -> "FailureDatabase":
+    def load(cls, path: str | Path, *,
+             chaos: Any = None) -> "FailureDatabase":
         """Read a database previously written with :meth:`save`.
 
         The file's bytes are read once.  When a ``.sha256`` sidecar
@@ -375,9 +410,16 @@ class FailureDatabase:
         :class:`~repro.errors.CorruptDatabaseError` instead of
         returning silently wrong data.  Then :meth:`from_json` decodes
         the same bytes.
+
+        ``chaos`` accepts a
+        :class:`~repro.pipeline.chaos.ServingChaos` whose
+        ``corrupt_text`` garbles the bytes before they are verified,
+        where a torn write would (snapshot-swap testing).
         """
         path = Path(path)
         data = path.read_bytes()
+        if chaos is not None:
+            data = chaos.corrupt_text(data)
         verify_sidecar(path, data)
         return cls.from_json(data, source=path)
 

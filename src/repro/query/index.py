@@ -28,7 +28,7 @@ from ..parsing.records import (
     MonthlyMileage,
 )
 from ..pipeline.runner import record_id
-from ..pipeline.store import FailureDatabase
+from ..pipeline.store import FailureDatabase, collector_paused
 from ..taxonomy import FailureCategory, FaultTag, category_of
 
 
@@ -102,11 +102,14 @@ class DatabaseIndex:
     # ------------------------------------------------------------------
 
     @classmethod
+    @collector_paused()
     def build(cls, db: FailureDatabase) -> "DatabaseIndex":
         """One pass over each record list; O(1) lookups ever after.
 
         The index carries ``db.fingerprint()`` (memoized on the
-        database), the key the engine caches results under.
+        database), the key the engine caches results under.  The build
+        runs under :func:`~repro.pipeline.store.collector_paused`: its
+        groupings are thousands of containers and no reference cycle.
         """
         by_manufacturer: dict[str, list] = {}
         by_month: dict[str, list] = {}

@@ -43,7 +43,7 @@ from ..obs.metrics import (
     SNAPSHOT_SWAPS,
 )
 from ..pipeline.chaos import ServingChaos
-from ..pipeline.store import FailureDatabase, verify_sidecar
+from ..pipeline.store import FailureDatabase
 from .engine import QueryEngine
 
 
@@ -224,7 +224,7 @@ class SnapshotManager:
             if self._chaos is not None:
                 self._chaos.reached("swap-load")
             try:
-                db = self._read_candidate(path)
+                db = FailureDatabase.load(path, chaos=self._chaos)
             except CorruptDatabaseError as exc:
                 self._quarantine(str(exc))
                 return False
@@ -248,15 +248,6 @@ class SnapshotManager:
     def _build_engine(self, db: FailureDatabase) -> QueryEngine:
         """Build a replacement engine with this manager's cache size."""
         return QueryEngine(db, cache_size=self._cache_size)
-
-    def _read_candidate(self, path: Path) -> FailureDatabase:
-        """Read + verify one candidate file (chaos garbles pre-decode,
-        exactly where a torn write would)."""
-        data = path.read_bytes()
-        if self._chaos is not None:
-            data = self._chaos.corrupt_text(data)
-        verify_sidecar(path, data)
-        return FailureDatabase.from_json(data, source=path)
 
     def _publish(self, engine: QueryEngine, fingerprint: str,
                  source: str | None) -> None:

@@ -745,6 +745,30 @@ class TestStaleAndCorruptCheckpoints:
             assert (checkpoint.corrupt_entries,
                     checkpoint.recomputed_units) == expected
 
+    def test_mid_file_corrupt_line_counted_once(self, tmp_path, corpus,
+                                                clean_json):
+        process_corpus(corpus, _config(checkpoint_dir=tmp_path))
+        journal = tmp_path / "tags.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        middle = len(lines) // 2
+        damaged = lines[middle].replace(b'"body":{', b'"body":{ ', 1)
+        journal.write_bytes(b"".join(
+            [*lines[:middle], damaged, *lines[middle + 1:]]))
+        # The first resume rewrites the journal without the damaged
+        # line and journals its unit anew, so later resumes find
+        # nothing to report.
+        for expected in ((1, 1), (0, 0), (0, 0)):
+            result = process_corpus(corpus, _config(
+                checkpoint_dir=tmp_path, resume=True))
+            assert result.database.to_json() == clean_json
+            checkpoint = result.diagnostics.health.checkpoint
+            assert (checkpoint.corrupt_entries,
+                    checkpoint.recomputed_units) == expected
+        # Every other line kept its bytes, and the recomputed unit's
+        # line is the one the damage replaced.
+        assert journal.read_bytes() == b"".join(
+            [*lines[:middle], *lines[middle + 1:], lines[middle]])
+
     def test_unterminated_intact_tail_restored(self, tmp_path, corpus,
                                                clean_json):
         with pytest.raises(SimulatedCrash):

@@ -1,6 +1,7 @@
 """Tests for pipeline configuration, the failure database store, and
 the end-to-end runner."""
 
+import gc
 import hashlib
 import tempfile
 from datetime import date
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CorruptDatabaseError
 from repro.parsing.records import (
     AccidentRecord,
     DisengagementRecord,
@@ -24,6 +26,7 @@ from repro.pipeline import (
     run_pipeline,
 )
 from repro.pipeline.checkpoint import canonical_json, sha256_text
+from repro.query import DatabaseIndex, QueryEngine
 from repro.synth import generate_corpus
 from repro.taxonomy import FaultTag, Modality
 
@@ -319,3 +322,68 @@ class TestStreamedFingerprint:
         assert db.fingerprint() == (
             "3b90c99133942bb375531384e8aa740b"
             "c2d23364edf6b66ae42edf2e0791b860")
+
+
+class TestCollectorPause:
+    """Decoding and indexing run with the cyclic collector paused."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_serve_setup_runs_no_collection(self, db, tmp_path):
+        path = tmp_path / "db.json"
+        db.save(path)
+        started = []
+
+        def probe(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(probe)
+        try:
+            engine = QueryEngine(FailureDatabase.load(path))
+        finally:
+            gc.callbacks.remove(probe)
+        assert started == []
+        assert engine.fingerprint == db.fingerprint()
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_collector_state_restored(self, small_db, enabled):
+        (gc.enable if enabled else gc.disable)()
+        loaded = FailureDatabase.from_json(small_db.to_json())
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+        DatabaseIndex.build(loaded)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+
+    def test_objects_frozen_by_the_caller_stay_frozen(self, small_db):
+        text = small_db.to_json()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            DatabaseIndex.build(FailureDatabase.from_json(text))
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_collector_state_restored_after_an_error(self, small_db,
+                                                     enabled):
+        (gc.enable if enabled else gc.disable)()
+        # The first Volkswagen record, decoded after the Nissan ones,
+        # lacks a required field.
+        text = small_db.to_json().replace(
+            '"manufacturer":"Volkswagen",', "", 1)
+        with pytest.raises(CorruptDatabaseError):
+            FailureDatabase.from_json(text)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+        broken = FailureDatabase(disengagements=[
+            *small_db.disengagements[:3], None])
+        with pytest.raises(AttributeError):
+            DatabaseIndex.build(broken)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
