@@ -143,9 +143,10 @@ def load_database(path: str | Path) -> FailureDatabase:
     """Load a persisted failure database, with typed failures.
 
     Unlike calling :meth:`FailureDatabase.load` directly, a missing
-    file surfaces as :class:`CorruptDatabaseError` too — callers
-    (including every CLI verb) handle exactly one exception type for
-    "this database is unusable", whatever the root cause.
+    or unreadable file (a directory, a file without read permission)
+    surfaces as :class:`CorruptDatabaseError` too — callers (including
+    every CLI verb) handle exactly one exception type for "this
+    database is unusable", whatever the root cause.
     """
     try:
         return FailureDatabase.load(path)
@@ -154,3 +155,9 @@ def load_database(path: str | Path) -> FailureDatabase:
             f"database file {str(path)!r} does not exist "
             "(run `repro run --out <path>` to create one)",
             path=str(path), reason="missing") from exc
+    except OSError as exc:
+        raise CorruptDatabaseError(
+            f"database file {str(path)!r} could not be read: "
+            f"{exc.strerror or exc}",
+            path=str(path),
+            reason=f"unreadable: {type(exc).__name__}") from exc

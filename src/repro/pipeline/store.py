@@ -11,7 +11,11 @@ tear an existing database file) and publishes a sha256 sidecar that
 integrity failure raises :class:`~repro.errors.CorruptDatabaseError`
 with the offending path and reason.  The file is the database's
 canonical JSON, so the sidecar's digest is also its
-:meth:`~FailureDatabase.fingerprint`.
+:meth:`~FailureDatabase.fingerprint`.  Both directions work in
+bounded pieces: the encoder writes :data:`ENCODE_CHUNK` records per
+orjson call, and :meth:`FailureDatabase.from_json` parses a file in
+that layout about :data:`DECODE_PIECE_BYTES` at a time, so neither
+the payload dict nor the whole file's parse tree is ever built.
 """
 
 from __future__ import annotations
@@ -40,6 +44,18 @@ from .resilience import Quarantine, QuarantineEntry
 #: call overhead vanishes, small enough that one chunk's transient list
 #: of instance dicts and its bytes stay far below the whole file.
 ENCODE_CHUNK = 1000
+
+#: Bytes of a database file per orjson call when decoding it: each
+#: section is cut at the first record boundary at or after this many
+#: bytes, so the parse tree alive at any moment is one piece's, a small
+#: fraction of the records it becomes.
+DECODE_PIECE_BYTES = 64 * 1024
+
+#: The bytes that open each section of a database file, in the order
+#: the encoder writes them: accidents, disengagements, mileage, then
+#: the quarantine, which is written only when it is non-empty.
+_SECTION_OPENERS = (b'{"accidents":[', b'],"disengagements":[',
+                    b'],"mileage":[', b'],"quarantine":[')
 
 
 @contextmanager
@@ -254,12 +270,10 @@ class FailureDatabase:
         :data:`ENCODE_CHUNK` records: orjson writes enum values, ISO
         dates and tuples exactly as ``to_dict()`` spells them.
         """
-        sections = [(b'{"accidents":[', self.accidents),
-                    (b'],"disengagements":[', self.disengagements),
-                    (b'],"mileage":[', self.mileage)]
+        sections = [self.accidents, self.disengagements, self.mileage]
         if self.quarantine:
-            sections.append((b'],"quarantine":[', self.quarantine.entries))
-        for opener, records in sections:
+            sections.append(self.quarantine.entries)
+        for opener, records in zip(_SECTION_OPENERS, sections):
             yield opener
             for start in range(0, len(records), ENCODE_CHUNK):
                 if start:
@@ -336,9 +350,22 @@ class FailureDatabase:
         non-JSON tokens ``NaN``/``Infinity`` — raise
         :class:`~repro.errors.CorruptDatabaseError` naming the source
         path (when given) and the offending section — never a raw
-        ``KeyError``/``JSONDecodeError``.  The parse and the record
-        construction run under :func:`collector_paused`.
+        ``KeyError``/``JSONDecodeError``.
+
+        Text in :meth:`save`'s layout is decoded one piece of about
+        :data:`DECODE_PIECE_BYTES` at a time (:func:`_decode_pieces`),
+        so no call holds the whole file's parse tree.  Any other text,
+        and any text a piece of which fails to parse or to decode, is
+        parsed whole with one ``orjson.loads``; either way the input
+        gives the same database or the same error.  The parse and the
+        record construction run under :func:`collector_paused`.
         """
+        sections = _decode_pieces(text)
+        if sections is not None:
+            accidents, disengagements, mileage, quarantine = sections
+            return cls(disengagements=disengagements, accidents=accidents,
+                       mileage=mileage,
+                       quarantine=Quarantine(entries=quarantine))
         path = str(source) if source is not None else None
         try:
             data = loads(text)
@@ -409,7 +436,10 @@ class FailureDatabase:
         exists, they are verified against it first; a mismatch raises
         :class:`~repro.errors.CorruptDatabaseError` instead of
         returning silently wrong data.  Then :meth:`from_json` decodes
-        the same bytes.
+        the same bytes, one bounded piece at a time when they are in
+        :meth:`save`'s layout.  Errors reading the file, such as a
+        missing path or a directory, propagate as the ``OSError`` they
+        are.
 
         ``chaos`` accepts a
         :class:`~repro.pipeline.chaos.ServingChaos` whose
@@ -444,6 +474,81 @@ def verify_sidecar(path: Path, data: bytes) -> None:
 def _sidecar_path(path: Path) -> Path:
     """Where :meth:`FailureDatabase.save` puts the checksum sidecar."""
     return path.with_name(path.name + ".sha256")
+
+
+#: Record decoders of the sections, in :data:`_SECTION_OPENERS` order.
+_SECTION_DECODERS = (AccidentRecord.from_dict, DisengagementRecord.from_dict,
+                     MonthlyMileage.from_dict, QuarantineEntry.from_dict)
+
+
+def _decode_pieces(text: str | bytes) -> list[list] | None:
+    """Decode text in :meth:`FailureDatabase.save`'s layout piecewise.
+
+    The text must be the openers of the accidents, disengagements and
+    mileage sections (and optionally the quarantine's), in that order,
+    each followed by its records, and then ``]}``.  Each section is
+    cut after the ``}`` of the first ``},{"`` at or after every
+    :data:`DECODE_PIECE_BYTES` bytes, the comma between the two is
+    dropped, and each piece is parsed as ``[`` + piece + ``]`` and
+    turned into records at once.  Returns the four record lists in
+    file order (the quarantine's empty when the section is absent), or
+    ``None`` when the layout differs, ``str`` input does not encode
+    (a lone surrogate), or any piece fails to parse or to decode.
+
+    Why a cut is safe: a ``"`` inside a JSON string is always escaped,
+    so a ``},{"`` whose ``},{`` lies inside a string can only end at
+    that string's closing quote; the left piece then ends inside an
+    open string and does not parse.  A cut between sibling objects
+    nested inside a record leaves the left piece unbalanced, which
+    does not parse either.  So the decode succeeds only when every cut
+    falls between two records of a section.  When it does, every piece
+    is non-empty and valid, so joining a section's pieces with the
+    dropped commas gives a valid array of the same items, and the text
+    is a valid JSON object with exactly the openers' keys, each once;
+    JSON parses one way only, so the whole-text decode sees the same
+    items and builds equal records.  Cuts and openers fall on ASCII
+    bytes, so no cut splits a UTF-8 character.
+    """
+    if isinstance(text, str):
+        try:
+            text = text.encode()
+        except UnicodeEncodeError:
+            return None
+    if not (text.startswith(_SECTION_OPENERS[0]) and text.endswith(b"]}")):
+        return None
+    stop = len(text) - 2
+    bounds = []
+    start = len(_SECTION_OPENERS[0])
+    for opener in _SECTION_OPENERS[1:]:
+        at = text.find(opener, start, stop)
+        if at < 0:
+            break
+        bounds.append((start, at))
+        start = at + len(opener)
+    bounds.append((start, stop))
+    if len(bounds) < 3:
+        return None
+    view = memoryview(text)
+    sections: list[list] = []
+    try:
+        for (start, end), from_dict in zip(bounds, _SECTION_DECODERS):
+            records: list = []
+            while True:
+                cut = text.find(b'},{"', start + DECODE_PIECE_BYTES - 1, end)
+                piece_end = end if cut < 0 else cut + 1
+                records += map(from_dict, loads(
+                    b"".join((b"[", view[start:piece_end], b"]"))))
+                if cut < 0:
+                    break
+                start = cut + 2
+            sections.append(records)
+    except Exception:
+        # Whatever a piece raised, the whole-text decode raises again
+        # as the typed error (or decodes text a cut split wrongly).
+        return None
+    if len(sections) == 3:
+        sections.append([])
+    return sections
 
 
 def _decode_section(data: dict, key: str, from_dict, *,

@@ -159,6 +159,20 @@ class TestApiFacade:
         assert excinfo.value.reason == "missing"
         assert str(tmp_path / "absent.json") in str(excinfo.value)
 
+    def test_load_database_unreadable_path_is_corrupt_error(self,
+                                                            tmp_path):
+        from repro import api
+
+        with pytest.raises(CorruptDatabaseError) as excinfo:
+            api.load_database(tmp_path)
+        assert excinfo.value.path == str(tmp_path)
+        assert excinfo.value.reason == "unreadable: IsADirectoryError"
+        assert isinstance(excinfo.value.__cause__, IsADirectoryError)
+        # The store itself still lets errors other than corruption
+        # propagate, as snapshot swaps rely on.
+        with pytest.raises(IsADirectoryError):
+            repro.FailureDatabase.load(tmp_path)
+
     @pytest.mark.parametrize("payload", [
         # UTF-16 text with its byte-order mark.
         b"\xff\xfe" + '{"disengagements": []}'.encode("utf-16-le"),

@@ -321,6 +321,14 @@ class TestSharedFlagConventions:
             assert "does not exist" in err
             assert "Traceback" not in err
 
+    def test_unreadable_db_exits_2(self, tmp_path, capsys):
+        code = main(["query", "dpm", "--db", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err
+        assert "could not be read" in err
+        assert "Traceback" not in err
+
     def test_corrupt_db_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{definitely not a database",
