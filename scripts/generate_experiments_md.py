@@ -1,4 +1,5 @@
-"""Regenerate EXPERIMENTS.md from the paper-fidelity rows.
+"""Regenerate EXPERIMENTS.md from the paper-fidelity rows, measured at
+the given seed and at every seed of the panel.
 
 Usage::
 
@@ -11,14 +12,18 @@ import sys
 from pathlib import Path
 
 from repro import PipelineConfig, run_pipeline
-from repro.reporting.fidelity import render_markdown
+from repro.reporting.fidelity import PANEL_SEEDS, evaluate, render_markdown
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 2018
     result = run_pipeline(PipelineConfig(seed=seed))
-    Path("EXPERIMENTS.md").write_text(render_markdown(result, seed),
-                                      encoding="utf-8")
+    panel = {other: evaluate(
+        result.database if other == seed
+        else run_pipeline(PipelineConfig(seed=other)).database)
+        for other in PANEL_SEEDS}
+    Path("EXPERIMENTS.md").write_text(
+        render_markdown(result, seed, panel), encoding="utf-8")
     print("wrote EXPERIMENTS.md")
 
 

@@ -15,7 +15,7 @@ One module per family of analyses in Section V:
 * :mod:`~repro.analysis.significance` — Kalra-Paddock reliability-demonstration model.
 """
 
-from .stats import BoxplotStats, boxplot_stats, describe
+from .stats import BoxplotStats, boxplot_stats
 from .regression import LinearFit, fit_linear, fit_loglog
 from .correlation import CorrelationResult, pearson
 from .fitting import (
@@ -43,7 +43,7 @@ from .maturity import MaturityAssessment, assess_maturity, pooled_dpm_correlatio
 from .significance import miles_to_demonstrate, failure_rate_confidence
 
 __all__ = [
-    "BoxplotStats", "boxplot_stats", "describe",
+    "BoxplotStats", "boxplot_stats",
     "LinearFit", "fit_linear", "fit_loglog",
     "CorrelationResult", "pearson",
     "ExponentialFit", "ExponWeibullFit",

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..calibration.baselines import HUMAN_ACCIDENTS_PER_MILE
 from ..errors import InsufficientDataError
 from ..pipeline.store import FailureDatabase
 from .correlation import CorrelationResult, pearson
 from .dpm import manufacturer_dpm_summary
 from .fitting import ExponentialFit, fit_exponential
+from .stats import mean
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def miles_per_disengagement(db: FailureDatabase) -> float:
             values.append(miles / len(records))
     if not values:
         raise InsufficientDataError("no manufacturers with mileage data")
-    return float(np.mean(values))
+    return mean(values)
 
 
 def disengagements_per_accident_overall(db: FailureDatabase) -> float:

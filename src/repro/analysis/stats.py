@@ -1,10 +1,25 @@
-"""Descriptive statistics used across Stage IV."""
+"""Descriptive statistics used across Stage IV.
+
+Box plots, medians and means are computed in plain Python, operation
+for operation as numpy computes them, so every result is bit-identical
+to ``np.percentile``/``np.median``/``np.mean`` on the same values (the
+numpy forms live on in ``tests/oracles.py`` as parity references).
+They run on every ``/v1`` ``dpm``, ``apm`` and ``trend`` answer, over a
+few dozen values each; calling numpy there would import ``numpy.ma``
+and fault in numpy's compiled kernels in every serving process.
+
+Floats are only ever added left to right with ``operator.add``:
+Python 3.12's ``sum()`` compensates its rounding, so it would give
+other bits than numpy, and other bits on 3.12 than on 3.10.
+"""
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from ..errors import InsufficientDataError
 
@@ -35,48 +50,93 @@ class BoxplotStats:
         }
 
 
-def boxplot_stats(values: list[float] | np.ndarray) -> BoxplotStats:
-    """Five-number summary of ``values``."""
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        raise InsufficientDataError("no values to summarize")
-    minimum = float(array.min())
-    maximum = float(array.max())
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's pairwise summation of a float64 array.
+
+    Below 8 values they are added in order; up to 128, eight running
+    accumulators take every eighth value and are combined as a tree,
+    then the tail is added; above that, the values are split at half
+    their count rounded down to a multiple of 8.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        body = n - n % 8
+        r = [reduce(add, values[lane:body:8]) for lane in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5])
+                                                   + (r[6] + r[7]))
+        return reduce(add, values[body:], total)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean(values: list[float]) -> float:
+    # np.add.reduce adds the pairwise sum to its identity 0.0, so an
+    # all -0.0 input sums to 0.0.
+    return (0.0 + _pairwise_sum(values)) / len(values)
+
+
+def _floats(values: Iterable[float], what: str) -> list[float]:
+    data = [float(value) for value in values]
+    if not data:
+        raise InsufficientDataError(f"no values {what}")
+    return data
+
+
+def mean(values: Iterable[float]) -> float:
+    """Arithmetic mean, as ``np.mean``."""
+    return _mean(_floats(values, "to average"))
+
+
+def median(values: Iterable[float]) -> float:
+    """Median, as ``np.median``: the middle value, or the mean of the
+    middle two."""
+    data = _floats(values, "for a median")
+    if any(value != value for value in data):
+        return math.nan
+    ordered = sorted(data)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return _mean(ordered[middle:middle + 1])
+    return _mean(ordered[middle - 1:middle + 1])
+
+
+def _percentile(ordered: list[float], fraction: float) -> float:
+    """numpy's ``linear`` percentile of sorted values."""
+    position = (len(ordered) - 1) * fraction
+    if len(ordered) == 1:
+        # numpy pins both neighbours to the last value, with weight 1.
+        lower = upper = ordered[0]
+        weight = 1.0
+    else:
+        below = int(position)
+        lower, upper = ordered[below], ordered[below + 1]
+        weight = position - below
+    step = upper - lower
+    if weight >= 0.5:
+        return upper - step * (1 - weight)
+    return lower + step * weight
+
+
+def boxplot_stats(values: Iterable[float]) -> BoxplotStats:
+    """Five-number summary of ``values`` (a list or a 1-D array)."""
+    data = _floats(values, "to summarize")
+    if any(value != value for value in data):
+        # numpy sorts NaN last, and every statistic comes out NaN.
+        return BoxplotStats(len(data), *[math.nan] * 6)
+    ordered = sorted(data)
+    minimum, maximum = ordered[0], ordered[-1]
     # Percentile interpolation can drift a few ULP outside [min, max]
     # at large magnitudes; clamp so the five-number ordering is exact.
-    q1, median, q3 = (
-        float(min(max(q, minimum), maximum))
-        for q in np.percentile(array, [25, 50, 75]))
+    q1, middle, q3 = (min(max(_percentile(ordered, q), minimum), maximum)
+                      for q in (0.25, 0.5, 0.75))
     return BoxplotStats(
-        n=int(array.size),
+        n=len(data),
         minimum=minimum,
         q1=q1,
-        median=median,
+        median=middle,
         q3=q3,
         maximum=maximum,
-        mean=float(min(max(array.mean(), minimum), maximum)),
+        mean=min(max(_mean(data), minimum), maximum),
     )
-
-
-def describe(values: list[float] | np.ndarray) -> dict[str, float]:
-    """Extended summary: five numbers plus spread and tail metrics."""
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        raise InsufficientDataError("no values to describe")
-    box = boxplot_stats(array)
-    out = box.as_row()
-    out["std"] = float(array.std(ddof=1)) if array.size > 1 else 0.0
-    out["p95"] = float(np.percentile(array, 95))
-    out["p99"] = float(np.percentile(array, 99))
-    return out
-
-
-def geometric_mean(values: list[float] | np.ndarray) -> float:
-    """Geometric mean of strictly positive values."""
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        raise InsufficientDataError("no values for geometric mean")
-    if np.any(array <= 0):
-        raise InsufficientDataError(
-            "geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(array))))

@@ -2,14 +2,15 @@
 
 Implements the trend statistics behind the paper's temporal claims: a
 Mann-Kendall monotone-trend test over monthly DPM series (robust to
-the non-normal rates), the per-year median/variance evolution (the
-paper observes medians improving while variance grows), and a
-Theil-Sen slope estimate.
+the non-normal rates) and the per-year median/variance evolution (the
+paper observes medians improving while variance grows).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from ..errors import InsufficientDataError
 from ..pipeline.store import FailureDatabase
 from .dpm import monthly_series, yearly_dpm_distributions
+from .stats import median
 
 
 @dataclass(frozen=True)
@@ -42,19 +44,25 @@ class TrendTest:
         return self.p_value < alpha
 
 
-def mann_kendall(values: list[float] | np.ndarray) -> TrendTest:
+def mann_kendall(values: Iterable[float]) -> TrendTest:
     """Mann-Kendall monotone trend test (normal approximation with
-    tie correction)."""
-    array = np.asarray(values, dtype=float)
-    n = array.size
+    tie correction), in integer arithmetic up to the variance."""
+    data = [float(value) for value in values]
+    n = len(data)
     if n < 4:
         raise InsufficientDataError(
             f"need at least 4 observations, got {n}")
+    ties = Counter(data)
+    if (any(value != value for value in data)
+            or ties[math.inf] > 1 or ties[-math.inf] > 1):
+        raise ValueError(
+            "a NaN or a repeated infinity has no trend sign")
     s = 0
-    for i in range(n - 1):
-        s += int(np.sum(np.sign(array[i + 1:] - array[i])))
-    unique, counts = np.unique(array, return_counts=True)
-    tie_term = float(np.sum(counts * (counts - 1) * (2 * counts + 5)))
+    for i, earlier in enumerate(data):
+        for later in data[i + 1:]:
+            s += (later > earlier) - (later < earlier)
+    tie_term = float(sum(count * (count - 1) * (2 * count + 5)
+                         for count in ties.values()))
     variance = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
     if variance <= 0:
         return TrendTest(s_statistic=s, z_score=0.0, p_value=1.0, n=n)
@@ -68,17 +76,6 @@ def mann_kendall(values: list[float] | np.ndarray) -> TrendTest:
     # 1 - cdf(|z|) would cancel to 0.
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return TrendTest(s_statistic=s, z_score=z, p_value=p, n=n)
-
-
-def theil_sen_slope(values: list[float] | np.ndarray) -> float:
-    """Median of pairwise slopes (robust trend magnitude)."""
-    array = np.asarray(values, dtype=float)
-    n = array.size
-    if n < 2:
-        raise InsufficientDataError("need at least 2 observations")
-    slopes = [(array[j] - array[i]) / (j - i)
-              for i in range(n - 1) for j in range(i + 1, n)]
-    return float(np.median(slopes))
 
 
 def dpm_trend_test(db: FailureDatabase,
@@ -124,9 +121,8 @@ def yearly_evolution(db: FailureDatabase,
     medians = {}
     variances = {}
     for year, values in yearly.items():
-        array = np.asarray(values, dtype=float)
-        medians[year] = float(np.median(array))
-        variances[year] = (float(array.var(ddof=1))
-                           if array.size > 1 else 0.0)
+        medians[year] = median(values)
+        variances[year] = (float(np.var(values, ddof=1))
+                           if len(values) > 1 else 0.0)
     return YearlyEvolution(manufacturer=manufacturer,
                            medians=medians, variances=variances)

@@ -232,8 +232,10 @@ def journal_entries(path: str | Path
     stdlib-``json`` reference reader
     (``tests/oracles.py::read_journal_reference``), which checks the
     sha256 against the canonical re-encode of the unit id and body in
-    the writer's layout, differs in three cases, none of which a
-    writer line or a damaged one reaches:
+    the writer's layout, differs in three cases.  A writer line
+    reaches none of them; a damaged one reaches the first when the
+    damage respells a value (a float's last digit flipped from
+    ``...675e-279`` to ``...674e-279`` parses to the same float):
 
     * a line whose bytes differ from that canonical encoding (a body
       in another spelling, or another key order) is accepted here

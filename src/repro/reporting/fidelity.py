@@ -4,7 +4,8 @@ Every comparison between a reproduction and a value or claim the paper
 prints is one :class:`Row`: the paper value, a function that measures
 the same quantity from the failure database, a tolerance and a one-line
 reason.  ``tests/test_fidelity.py`` checks every row against the
-seed-2018 session database, and ``scripts/generate_experiments_md.py``
+seed-2018 session database and counts, per row, the seeds of
+:data:`PANEL_SEEDS` at which it holds; ``scripts/generate_experiments_md.py``
 renders ``EXPERIMENTS.md`` from the same rows.
 
 Values ``repro.calibration`` holds verbatim (Table I, Table VI, the
@@ -25,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from ..analysis.alertness import (
     alertness_summary,
@@ -53,6 +52,7 @@ from ..analysis.categories import (
 from ..analysis.dpm import manufacturer_dpm_summary, yearly_dpm_distributions
 from ..analysis.maturity import all_assessments, pooled_dpm_correlation
 from ..analysis.missions import mission_comparison
+from ..analysis.stats import median
 from ..calibration.accidents import ACCIDENT_PROFILES
 from ..calibration.baselines import (
     PAPER_APM_RELATIVE_TO_HUMAN,
@@ -747,7 +747,7 @@ def _last_over_first(medians: dict[int, float]) -> float:
 def _waymo_advantage(analyses: Analyses) -> float:
     dpm = _dpm(analyses)
     others = [s.median_dpm for name, s in dpm.items() if name != "Waymo"]
-    return float(np.median(others)) / dpm["Waymo"].median_dpm
+    return median(others) / dpm["Waymo"].median_dpm
 
 
 def _human_ratio_span(analyses: Analyses) -> tuple[float, float]:
@@ -758,7 +758,7 @@ def _human_ratio_span(analyses: Analyses) -> tuple[float, float]:
 
 def _yearly_medians(analyses: Analyses, name: str) -> dict[int, float]:
     years = analyses(yearly_dpm_distributions, ("Waymo", "Bosch"))[name]
-    return {year: float(np.median(values))
+    return {year: median(values)
             for year, values in years.items()}
 
 
@@ -811,6 +811,22 @@ def evaluate(db: FailureDatabase) -> list[Outcome]:
     return [Outcome(row, row.measure(analyses)) for row in ROWS]
 
 
+#: The seeds every row is also measured at: those earlier checks used,
+#: plus the ``[2018, 7, 42]`` of docs/USAGE.md.  Fixed before any fix,
+#: so it is never re-chosen to hide a failure.
+PANEL_SEEDS = (2018, 911, 433, 437, 5, 7, 42)
+
+
+def panel_holds(panel: dict[int, list[Outcome]]) -> dict[str, int]:
+    """Per row id: at how many of ``panel``'s seeds the row does not
+    FAIL."""
+    holds = {row.id: 0 for row in ROWS}
+    for outcomes in panel.values():
+        for outcome in outcomes:
+            holds[outcome.row.id] += outcome.verdict != "FAIL"
+    return holds
+
+
 # -- EXPERIMENTS.md --------------------------------------------------------
 
 def _fig4(analyses: Analyses) -> list[str]:
@@ -835,8 +851,8 @@ def _fig5(analyses: Analyses) -> list[str]:
 
 def _fig7(analyses: Analyses) -> list[str]:
     lines = ["| year | Waymo median DPM |", "|---|---|"]
-    for year, median in _yearly_medians(analyses, "Waymo").items():
-        lines.append(f"| {year} | {_g(median)} |")
+    for year, value in _yearly_medians(analyses, "Waymo").items():
+        lines.append(f"| {year} | {_g(value)} |")
     return lines
 
 
@@ -934,8 +950,38 @@ def _row_line(outcome: Outcome) -> str:
                              for cell in cells) + " |"
 
 
-def render_markdown(result, seed: int) -> str:
-    """EXPERIMENTS.md for one pipeline run."""
+def _panel_lines(panel: dict[int, list[Outcome]]) -> list[str]:
+    seeds = len(panel)
+    lines = ["## Seed panel", "",
+             f"Every row measured at each panel seed "
+             f"({', '.join(map(str, panel))}; full corpus, default "
+             "config). `tests/test_fidelity.py` fails when a row holds "
+             "(is not FAIL) at fewer panel seeds than "
+             "`tests/fidelity_panel.json` records.", "",
+             "| seed | ok | gap | FAIL |", "|---|---|---|---|"]
+    for seed, outcomes in panel.items():
+        verdicts = [o.verdict for o in outcomes]
+        lines.append(f"| {seed} | {verdicts.count('ok')} | "
+                     f"{verdicts.count('gap')} | {verdicts.count('FAIL')} |")
+    holds = panel_holds(panel)
+    short = sorted((count, row) for row, count in holds.items()
+                   if count < seeds)
+    lines += ["", f"{len(holds) - len(short)} of {len(holds)} rows hold "
+              "at every panel seed; these hold at fewer:", "",
+              "| row | holds at | FAIL at seeds |", "|---|---|---|"]
+    for count, row in short:
+        failing = [str(seed) for seed, outcomes in panel.items()
+                   for o in outcomes
+                   if o.row.id == row and o.verdict == "FAIL"]
+        lines.append(f"| `{row}` | {count}/{seeds} | "
+                     f"{', '.join(failing)} |")
+    return lines + [""]
+
+
+def render_markdown(result, seed: int,
+                    panel: dict[int, list[Outcome]]) -> str:
+    """EXPERIMENTS.md for one pipeline run and the rows measured at
+    each panel seed."""
     analyses, diag = Analyses(result.database), result.diagnostics
     outcomes = [Outcome(row, row.measure(analyses)) for row in ROWS]
     verdicts = [o.verdict for o in outcomes]
@@ -955,4 +1001,5 @@ def render_markdown(result, seed: int) -> str:
         if callable(extra):
             out += ["", *extra(analyses)]
         out.append("")
+    out += _panel_lines(panel)
     return "\n".join(out) + _ABLATIONS

@@ -12,7 +12,7 @@ from fnmatch import fnmatchcase
 import pytest
 
 from repro.pipeline import PipelineConfig, process_corpus
-from repro.reporting.fidelity import evaluate
+from repro.reporting.fidelity import PANEL_SEEDS, evaluate
 from repro.synth import generate_corpus
 
 FULL_SEED = 2018
@@ -58,6 +58,17 @@ class PaperRows:
 def paper_rows(db):
     """Every paper-fidelity row measured against the session database."""
     return PaperRows(db)
+
+
+@pytest.fixture(scope="session")
+def panel(paper_rows):
+    """Every paper-fidelity row measured at each seed of the panel
+    (seed 2018's from the session database)."""
+    return {seed: (list(paper_rows.outcomes.values()) if seed == FULL_SEED
+                   else evaluate(process_corpus(
+                       generate_corpus(seed=seed),
+                       PipelineConfig(seed=seed)).database))
+            for seed in PANEL_SEEDS}
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,12 @@ from datetime import date, datetime
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro import units
-from repro.errors import FieldCoercionError
+from repro.analysis.stats import BoxplotStats
+from repro.analysis.temporal import TrendTest
+from repro.errors import FieldCoercionError, InsufficientDataError
 from repro.nlp.dictionary import DictionaryEntry, FailureDictionary
 from repro.nlp.evaluation import TaggingReport
 from repro.nlp.ngrams import all_ngrams
@@ -366,3 +370,61 @@ def accident_from_dict_reference(data: dict[str, Any]) -> AccidentRecord:
 def mileage_from_dict_reference(data: dict[str, Any]) -> MonthlyMileage:
     """``MonthlyMileage.from_dict`` from keyword arguments."""
     return MonthlyMileage(**data)
+
+
+def boxplot_reference(values: Any) -> BoxplotStats:
+    """``boxplot_stats`` through numpy: ``np.percentile``'s linear
+    quartiles and ``ndarray.mean``, each clamped to [min, max]."""
+    array = np.asarray(values, dtype=float)
+    if array.size == 0:
+        raise InsufficientDataError("no values to summarize")
+    minimum = float(array.min())
+    maximum = float(array.max())
+    q1, median, q3 = (
+        float(min(max(q, minimum), maximum))
+        for q in np.percentile(array, [25, 50, 75]))
+    return BoxplotStats(
+        n=int(array.size),
+        minimum=minimum,
+        q1=q1,
+        median=median,
+        q3=q3,
+        maximum=maximum,
+        mean=float(min(max(array.mean(), minimum), maximum)),
+    )
+
+
+def median_reference(values: Any) -> float:
+    """``stats.median`` as ``np.median``."""
+    return float(np.median(np.asarray(values, dtype=float)))
+
+
+def mean_reference(values: Any) -> float:
+    """``stats.mean`` as ``np.mean``."""
+    return float(np.mean(np.asarray(values, dtype=float)))
+
+
+def mann_kendall_reference(values: Any) -> TrendTest:
+    """``temporal.mann_kendall`` through numpy: one ``np.sign`` sum
+    per observation and ``np.unique`` counts for the tie term."""
+    array = np.asarray(values, dtype=float)
+    n = array.size
+    if n < 4:
+        raise InsufficientDataError(
+            f"need at least 4 observations, got {n}")
+    s = 0
+    for i in range(n - 1):
+        s += int(np.sum(np.sign(array[i + 1:] - array[i])))
+    _, counts = np.unique(array, return_counts=True)
+    tie_term = float(np.sum(counts * (counts - 1) * (2 * counts + 5)))
+    variance = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
+    if variance <= 0:
+        return TrendTest(s_statistic=s, z_score=0.0, p_value=1.0, n=n)
+    if s > 0:
+        z = (s - 1) / math.sqrt(variance)
+    elif s < 0:
+        z = (s + 1) / math.sqrt(variance)
+    else:
+        z = 0.0
+    p = math.erfc(abs(z) / math.sqrt(2.0))
+    return TrendTest(s_statistic=s, z_score=z, p_value=p, n=n)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     boxplot_stats,
-    describe,
     fit_exponential,
     fit_exponweibull,
     fit_linear,
@@ -15,7 +14,6 @@ from repro.analysis import (
 )
 from repro.analysis.correlation import log_pearson
 from repro.analysis.fitting import histogram_density
-from repro.analysis.stats import geometric_mean
 from repro.errors import InsufficientDataError
 
 
@@ -42,18 +40,6 @@ class TestBoxplotStats:
     def test_empty_raises(self):
         with pytest.raises(InsufficientDataError):
             boxplot_stats([])
-
-    def test_describe_extends_box(self):
-        summary = describe([1.0, 2.0, 3.0, 100.0])
-        assert summary["p99"] >= summary["p95"] >= summary["median"]
-        assert summary["std"] > 0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 10, 100]) == pytest.approx(10.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(InsufficientDataError):
-            geometric_mean([1.0, 0.0])
 
 
 class TestLinearFit:

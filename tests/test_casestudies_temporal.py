@@ -9,7 +9,6 @@ from scipy import stats as sstats
 from repro.analysis.temporal import (
     dpm_trend_test,
     mann_kendall,
-    theil_sen_slope,
     yearly_evolution,
 )
 from repro.casestudies import (
@@ -110,15 +109,6 @@ class TestMannKendall:
         result = mann_kendall(list(range(n, 0, -1)))
         assert result.p_value == pytest.approx(
             2.0 * sstats.norm.sf(abs(result.z_score)), rel=1e-9, abs=0.0)
-
-    def test_theil_sen(self):
-        assert theil_sen_slope([0, 2, 4, 6]) == pytest.approx(2.0)
-        noisy = [0, 2.1, 3.9, 6.2, 100.0]  # one outlier
-        assert theil_sen_slope(noisy) == pytest.approx(2.0, abs=0.5)
-
-    def test_theil_sen_too_short(self):
-        with pytest.raises(InsufficientDataError):
-            theil_sen_slope([1.0])
 
 
 class TestDbTrends:

@@ -38,6 +38,7 @@ from repro.pipeline.checkpoint import (
     NOT_FINGERPRINTED,
     CheckpointStore,
     atomic_write_text,
+    canonical_bytes,
     config_fingerprint,
     journal_entries,
     journal_line,
@@ -210,6 +211,16 @@ def _signed(head: bytes, covered: bytes | None = None) -> bytes:
     return head + b',"sha256":"' + digest.hexdigest().encode() + b'"}'
 
 
+def _same_entry(flipped: bytes, line: bytes) -> bool:
+    """Whether ``flipped`` still decodes to ``line``'s unit id, body and
+    sha256."""
+    try:
+        return (canonical_bytes(json.loads(flipped))
+                == canonical_bytes(json.loads(line)))
+    except (ValueError, TypeError):
+        return False
+
+
 @st.composite
 def _journal_files(draw) -> bytes:
     lines = []
@@ -220,9 +231,14 @@ def _journal_files(draw) -> bytes:
             continue
         line = journal_line(draw(_UNITS), draw(_BODIES))
         if kind == "flipped":
-            line = _flip(
+            flipped = _flip(
                 line, draw(st.sampled_from(["unit", "body", "sha"])),
                 draw(st.integers(0, 10**6)), draw(st.integers(1, 255)))
+            # A flip that only respells a value (``...675e-279`` as
+            # ``...674e-279``) is a documented difference of
+            # ``journal_entries``, pinned below; keep the line intact.
+            if not _same_entry(flipped, line):
+                line = flipped
         lines.append(line)
     data = b"".join(line + b"\n" for line in lines)
     if draw(st.booleans()):  # a torn tail, possibly inside a character
@@ -274,8 +290,13 @@ class TestJournalReaderOracle:
         # NaN, whose canonical re-encode is null.
         (_signed(b'{"unit":"a","body":{"v":NaN}',
                  b'{"unit":"a","body":{"v":null}'), False),
+        # A flipped digit that spells the same float: its canonical
+        # re-encode is the bytes the sha256 covered, those it carries
+        # are not.
+        (journal_line("a", {"v": 6.2902665041697675e-279}).replace(
+            b"675e-279", b"674e-279"), False),
     ], ids=["own-bytes-checksum", "other-key-order", "form-feed-padding",
-            "nan-token"])
+            "nan-token", "float-respelling"])
     def test_documented_differences(self, tmp_path, line, accepted):
         path = tmp_path / "j.jsonl"
         path.write_bytes(line + b"\n")

@@ -1,11 +1,13 @@
 """The paper-fidelity gate.
 
 Every row of ``repro.reporting.fidelity`` is checked against the
-seed-2018 session database, the checker itself is checked against rows
-that must fail, and the committed EXPERIMENTS.md must equal a fresh
-render of the same rows.
+seed-2018 session database, no row may hold at fewer seeds of the
+panel than ``tests/fidelity_panel.json`` records, the checker itself
+is checked against rows that must fail, and the committed
+EXPERIMENTS.md must equal a fresh render of the same rows.
 """
 
+import json
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -13,20 +15,37 @@ from pathlib import Path
 import pytest
 
 from repro.reporting.fidelity import (
+    PANEL_SEEDS,
     ROWS,
     Abs,
     Outcome,
     Poisson,
+    panel_holds,
     render_markdown,
 )
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+#: Per row, the panel seeds it held at when the panel landed; a fix
+#: raises a count here, nothing may lower one.
+PANEL_BASELINE = Path(__file__).with_name("fidelity_panel.json")
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
 def test_row(paper_rows, row):
     outcome = paper_rows.outcomes[row.id]
     assert not outcome.problems(), outcome.problems()
+
+
+def test_panel_holds_no_row_at_fewer_seeds(panel):
+    baseline = json.loads(PANEL_BASELINE.read_text(encoding="utf-8"))
+    assert baseline["seeds"] == list(PANEL_SEEDS)
+    holds = panel_holds(panel)
+    assert set(holds) == set(baseline["holds"]), (
+        "every row needs a panel baseline")
+    fallen = {row: f"{holds[row]} < {floor}"
+              for row, floor in baseline["holds"].items()
+              if holds[row] < floor}
+    assert not fallen, fallen
 
 
 def test_row_ids_are_unique():
@@ -81,9 +100,9 @@ def _mask_fits(markdown: str) -> str:
     return "\n".join(lines)
 
 
-def test_experiments_md_is_current(pipeline_result):
+def test_experiments_md_is_current(pipeline_result, panel):
     committed = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    rendered = render_markdown(pipeline_result, 2018)
+    rendered = render_markdown(pipeline_result, 2018, panel)
     assert _mask_fits(rendered) == _mask_fits(committed), (
         "EXPERIMENTS.md is stale: run "
         "`python scripts/generate_experiments_md.py 2018`")

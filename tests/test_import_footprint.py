@@ -1,10 +1,13 @@
-"""scipy stays off the default path.
+"""scipy stays off the default path, and numpy off the request path.
 
 Synthesis, the pipeline and ``/v1`` serving never call scipy, so no
 ``repro`` module imports it at load time; the Stage IV fits and tests
-that do call it import it where they are called.  Each check runs in
-a fresh interpreter, because this test process has long since loaded
-scipy.
+that do call it import it where they are called.  A ``/v1`` answer
+calls no numpy at all: the box plots, medians and trend tests it
+serves are plain Python, so a serving process never imports
+``numpy.ma`` or faults in numpy's compiled kernels to answer.  Each
+check runs in a fresh interpreter, because this test process has long
+since loaded scipy and ``numpy.ma``.
 """
 
 import os
@@ -63,14 +66,76 @@ print(f"ok: {len(routes)} routes, {len(KERNELS)} kernels")
 """
 
 
-def test_default_path_never_imports_scipy():
+_REQUEST_PATH = r"""
+import json
+import sys
+
+from repro.api import load_database
+from repro.errors import QueryError
+from repro.query.engine import GROUP_BYS, METRICS, Query, QueryEngine
+
+engine = QueryEngine(load_database(sys.argv[1]))
+queries = {}
+for metric in METRICS:
+    for group_by in (None, *GROUP_BYS):
+        try:
+            query = Query(metric, group_by)
+        except QueryError:
+            continue
+        queries[query.canonical()] = query
+pairs = len(queries)
+filtered = Query("dpm", manufacturers=("Waymo", "Nissan"),
+                 month_from="2015-01")
+queries[filtered.canonical()] = filtered
+
+numpy_calls = []
+
+
+def hook(frame, event, arg):
+    if event == "call":
+        module, name = frame.f_globals.get("__name__"), frame.f_code.co_name
+    elif event == "c_call":
+        module = (getattr(arg, "__module__", None)
+                  or type(getattr(arg, "__self__", None)).__module__)
+        name = arg.__name__
+    else:
+        return
+    if module and (module == "numpy" or module.startswith("numpy.")):
+        numpy_calls.append(f"{module}.{name}")
+
+
+before = set(sys.modules)
+sys.setprofile(hook)
+try:
+    sizes = [len(json.dumps(engine.execute(query).to_dict()))
+             for query in queries.values()]
+finally:
+    sys.setprofile(None)
+imported = sorted(set(sys.modules) - before)
+assert not imported, f"answering imported {imported[:8]}"
+assert not numpy_calls, f"answering called numpy: {numpy_calls[:8]}"
+print(f"ok: {pairs} pairs + 1 filtered, {sum(sizes)} bytes")
+"""
+
+
+def _run(script: str, *args: str) -> str:
     env = dict(os.environ)
     source_root = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [source_root, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], env=env, capture_output=True,
-        text=True, timeout=300)
+        [sys.executable, "-c", script, *args], env=env,
+        capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("ok: 8 routes, 10 kernels"), (
-        result.stdout)
+    return result.stdout
+
+
+def test_default_path_never_imports_scipy():
+    assert _run(_SCRIPT).startswith("ok: 8 routes, 10 kernels")
+
+
+def test_v1_answers_never_call_numpy(db, tmp_path):
+    path = tmp_path / "db.json"
+    db.save(path)
+    assert _run(_REQUEST_PATH, str(path)).startswith(
+        "ok: 18 pairs + 1 filtered")
