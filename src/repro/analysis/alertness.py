@@ -19,7 +19,7 @@ from ..pipeline.store import FailureDatabase
 from .correlation import CorrelationResult, pearson
 from .dpm import monthly_series
 from .fitting import ExponWeibullFit, fit_exponweibull
-from .stats import BoxplotStats, boxplot_stats
+from .stats import BoxplotStats, boxplot_stats, left_sum
 
 #: Reaction times above this are excluded from fits and means (the
 #: paper suspects Volkswagen's ~4 h record is a measurement error).
@@ -60,7 +60,7 @@ def alertness_summary(db: FailureDatabase,
         out[name] = AlertnessSummary(
             manufacturer=name,
             box=boxplot_stats(times),
-            trimmed_mean=(sum(trimmed) / len(trimmed)
+            trimmed_mean=(left_sum(trimmed) / len(trimmed)
                           if trimmed else float("nan")),
             outliers=len(times) - len(trimmed),
         )
@@ -76,7 +76,7 @@ def overall_mean_reaction_time(db: FailureDatabase) -> float:
              if t <= OUTLIER_THRESHOLD_S]
     if not times:
         raise InsufficientDataError("no reaction times in the database")
-    return sum(times) / len(times)
+    return left_sum(times) / len(times)
 
 
 def fit_reaction_times(db: FailureDatabase, manufacturer: str,

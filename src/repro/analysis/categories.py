@@ -18,6 +18,7 @@ from ..taxonomy import (
     category_of,
     ml_subcategory_of,
 )
+from .stats import left_sum
 
 
 def _tag_of(record, use_truth: bool) -> FaultTag | None:
@@ -161,4 +162,4 @@ def automatic_share(db: FailureDatabase,
         return automatic / total if total else 0.0
     shares = [row[Modality.AUTOMATIC.value] / 100.0
               for row in modality_percentages(db).values()]
-    return sum(shares) / len(shares) if shares else 0.0
+    return left_sum(shares) / len(shares) if shares else 0.0

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from ..errors import InsufficientDataError
 from ..pipeline.store import FailureDatabase
+from .stats import left_sum
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ def _manufacturer_metrics(db: FailureDatabase,
         else None,
         "apm": (len(accidents) / miles) if miles > 0 and accidents
         else None,
-        "mean_reaction_s": (sum(reaction_times) / len(reaction_times))
+        "mean_reaction_s": (left_sum(reaction_times)
+                            / len(reaction_times))
         if reaction_times else None,
     }
 

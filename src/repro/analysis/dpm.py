@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import InsufficientDataError
 from ..pipeline.store import FailureDatabase
-from .stats import BoxplotStats, boxplot_stats
+from .stats import BoxplotStats, boxplot_stats, left_sum
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def manufacturer_dpm_summary(db: FailureDatabase,
         unit, dpm = per_unit_dpm(db, name)
         if not dpm:
             continue
-        total_miles = sum(db.monthly_miles(name).values())
+        total_miles = left_sum(db.monthly_miles(name).values())
         total_events = sum(db.monthly_disengagements(name).values())
         out[name] = DpmSummary(
             manufacturer=name,

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 from ..calibration.baselines import (
     AIRLINE_ACCIDENTS_PER_MISSION,
-    AIRLINE_TRIPS_PER_YEAR,
     MEDIAN_TRIP_MILES,
-    PROJECTED_AV_TRIPS_PER_YEAR,
     SURGICAL_ROBOT_ACCIDENTS_PER_MISSION,
 )
 from ..errors import InsufficientDataError
@@ -68,16 +66,3 @@ def mission_comparison(db: FailureDatabase,
             vs_surgical_robot=apmi / SURGICAL_ROBOT_ACCIDENTS_PER_MISSION,
         )
     return out
-
-
-def projected_yearly_accidents(apmi: float) -> float:
-    """Projected yearly AV accidents if all cars become AVs
-    (the paper's ~96-billion-trips argument)."""
-    if apmi < 0:
-        raise InsufficientDataError("APMi must be non-negative")
-    return apmi * PROJECTED_AV_TRIPS_PER_YEAR
-
-
-def trips_ratio_vs_airlines() -> float:
-    """How many more trips AVs would make than airlines (~10,000x)."""
-    return PROJECTED_AV_TRIPS_PER_YEAR / AIRLINE_TRIPS_PER_YEAR

@@ -45,21 +45,6 @@ def rate_upper_bound(miles: float, failures: int,
                  / (2.0 * miles))
 
 
-def rate_lower_bound(miles: float, failures: int,
-                     confidence: float = 0.95) -> float:
-    """One-sided lower confidence bound on the per-mile failure rate."""
-    from scipy import stats as sstats
-
-    if failures == 0:
-        return 0.0
-    if miles <= 0:
-        raise AnalysisError("miles must be positive")
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence {confidence} outside (0, 1)")
-    return float(sstats.chi2.ppf(1.0 - confidence, 2 * failures)
-                 / (2.0 * miles))
-
-
 def failure_rate_confidence(miles: float, failures: int,
                             rate_per_mile: float) -> float:
     """Confidence that the true rate *exceeds* ``rate_per_mile``.
@@ -81,9 +66,3 @@ def failure_rate_confidence(miles: float, failures: int,
         return 0.0
     expected = rate_per_mile * miles
     return float(sstats.poisson.cdf(failures - 1, expected))
-
-
-def significant_at(miles: float, failures: int, rate_per_mile: float,
-                   level: float = 0.90) -> bool:
-    """Whether the observed count is significantly above the rate."""
-    return failure_rate_confidence(miles, failures, rate_per_mile) > level

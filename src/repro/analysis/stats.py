@@ -10,7 +10,10 @@ and fault in numpy's compiled kernels in every serving process.
 
 Floats are only ever added left to right with ``operator.add``:
 Python 3.12's ``sum()`` compensates its rounding, so it would give
-other bits than numpy, and other bits on 3.12 than on 3.10.
+other bits than numpy, and other bits on 3.12 than on 3.10.  Every
+other float total of Stage IV, the query layer and the store goes
+through :func:`left_sum` for the same reason
+(``tests/test_float_sums.py`` fails on a builtin ``sum()`` there).
 """
 
 from __future__ import annotations
@@ -48,6 +51,16 @@ class BoxplotStats:
             "median": self.median, "q3": self.q3, "max": self.maximum,
             "mean": self.mean,
         }
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, starting from the int ``0``.
+
+    The builtin ``sum()`` of Python 3.10 and 3.11, bit for bit, on
+    every Python (3.12's compensates its rounding); an empty input
+    gives the int ``0``, as ``sum()`` does.
+    """
+    return reduce(add, values, 0)
 
 
 def _pairwise_sum(values: list[float]) -> float:

@@ -1,9 +1,9 @@
 """Temporal trend analysis (Fig. 7 machinery).
 
-Implements the trend statistics behind the paper's temporal claims: a
+Implements the trend statistic behind the paper's temporal claims: a
 Mann-Kendall monotone-trend test over monthly DPM series (robust to
-the non-normal rates) and the per-year median/variance evolution (the
-paper observes medians improving while variance grows).
+the non-normal rates).  The per-year medians of Fig. 7 come from
+:func:`~repro.analysis.dpm.yearly_dpm_distributions`.
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import InsufficientDataError
 from ..pipeline.store import FailureDatabase
-from .dpm import monthly_series, yearly_dpm_distributions
-from .stats import median
+from .dpm import monthly_series
 
 
 @dataclass(frozen=True)
@@ -84,45 +81,3 @@ def dpm_trend_test(db: FailureDatabase,
     series = [p.dpm for p in monthly_series(db, manufacturer)
               if p.miles > 0]
     return mann_kendall(series)
-
-
-@dataclass(frozen=True)
-class YearlyEvolution:
-    """Median and spread of DPM per year for one manufacturer."""
-
-    manufacturer: str
-    medians: dict[int, float]
-    variances: dict[int, float]
-
-    @property
-    def median_improving(self) -> bool:
-        """Whether the yearly median DPM falls over the window."""
-        years = sorted(self.medians)
-        return self.medians[years[-1]] < self.medians[years[0]]
-
-    @property
-    def improvement_factor(self) -> float:
-        """First-year median over last-year median."""
-        years = sorted(self.medians)
-        last = self.medians[years[-1]]
-        if last <= 0:
-            return float("inf")
-        return self.medians[years[0]] / last
-
-
-def yearly_evolution(db: FailureDatabase,
-                     manufacturer: str) -> YearlyEvolution:
-    """Per-year DPM medians and variances for one manufacturer."""
-    yearly = yearly_dpm_distributions(db, [manufacturer]).get(
-        manufacturer)
-    if not yearly:
-        raise InsufficientDataError(
-            f"{manufacturer}: no yearly DPM distributions")
-    medians = {}
-    variances = {}
-    for year, values in yearly.items():
-        medians[year] = median(values)
-        variances[year] = (float(np.var(values, ddof=1))
-                           if len(values) > 1 else 0.0)
-    return YearlyEvolution(manufacturer=manufacturer,
-                           medians=medians, variances=variances)

@@ -22,12 +22,6 @@ SURGICAL_ROBOT_ACCIDENTS_PER_MISSION = 1.04e-2
 #: Median length of a U.S. vehicle trip in miles (FHWA NHTS).
 MEDIAN_TRIP_MILES = 10.0
 
-#: Projected yearly AV trips if all cars become AVs (paper Sec. V-C1).
-PROJECTED_AV_TRIPS_PER_YEAR = 96e9
-
-#: Yearly airline departures used in the same comparison.
-AIRLINE_TRIPS_PER_YEAR = 9.6e6
-
 #: Median DPM per manufacturer as published in Table VII (per mile).
 PAPER_MEDIAN_DPM: dict[str, float] = {
     "Mercedes-Benz": 0.565,

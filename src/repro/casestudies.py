@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import StpaError
-from .stpa.structure import ControlStructure, build_control_structure
+from .stpa.structure import ControlStructure
 from .taxonomy import FaultTag
 
 
@@ -138,26 +138,3 @@ CASE_STUDY_2 = CaseStudy(
 )
 
 CASE_STUDIES: tuple[CaseStudy, ...] = (CASE_STUDY_1, CASE_STUDY_2)
-
-
-def validate_case_studies() -> None:
-    """Check both case studies against the Fig. 3 structure."""
-    structure = build_control_structure()
-    for case in CASE_STUDIES:
-        case.validate_against(structure)
-
-
-def shared_lessons() -> list[str]:
-    """The Section II-C takeaways, as data for reports."""
-    return [
-        "Intersections force multi-flow decisions in a constrained "
-        "environment; the perception system inferred the evolving "
-        "dynamics too late, so the control system decided "
-        "inadequately.",
-        "Drivers took (or were forced to take) control in dynamic "
-        "scenarios that left very little time to react and undo the "
-        "AV's actions; the perception-plus-reaction window is what "
-        "decides accident avoidance.",
-        "Drivers of other vehicles cannot anticipate AV decisions, "
-        "which itself leads to accidents.",
-    ]

@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import CorruptDatabaseError, SynthesisError
+from .errors import CalibrationError, CorruptDatabaseError, SynthesisError
 from .pipeline import (
     ChaosConfig,
     CrashController,
@@ -813,8 +813,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point.
 
     Invalid knob combinations (chaos rates outside [0, 1], negative
-    retries, ``--resume`` without ``--checkpoint-dir``, ...) exit with
-    status 2 and the validation message, argparse-style.  A
+    retries, ``--resume`` without ``--checkpoint-dir``, an unknown
+    ``--manufacturers`` name, ...) exit with status 2 and the
+    validation message, argparse-style.  A
     :class:`~repro.pipeline.chaos.SimulatedCrash` is *not* caught: a
     simulated hard crash must die exactly like a real one.
     """
@@ -822,7 +823,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, CorruptDatabaseError, SynthesisError) as exc:
+    except (ValueError, CalibrationError, CorruptDatabaseError,
+            SynthesisError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,17 +4,16 @@ Reproduces the paper's pipeline step 3: a *failure dictionary* of
 phrases built by passes over the corpus (seeded from the Table III
 definitions, expanded by co-occurrence), and a keyword-*voting* scheme
 that assigns each narrative a fault tag — ``Unknown-T`` when no tag
-wins — plus the STPA-derived ontology mapping tags to coarse failure
-categories.
+wins.  The STPA-derived ontology that maps tags to coarse failure
+categories is :mod:`repro.taxonomy`.
 """
 
 from .tokenize import tokenize, sentences
 from .normalize import normalize_tokens, STOPWORDS
-from .ngrams import ngrams, phrase_candidates
+from .ngrams import ngrams
 from .dictionary import FailureDictionary, SEED_PHRASES
 from .tagger import TagResult, VotingTagger
 from .textcache import TokenCache, cached_tokens, token_cache
-from .ontology import Ontology
 from .evaluation import TaggingReport, evaluate_tagger
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "normalize_tokens",
     "STOPWORDS",
     "ngrams",
-    "phrase_candidates",
     "FailureDictionary",
     "SEED_PHRASES",
     "TagResult",
@@ -31,7 +29,6 @@ __all__ = [
     "TokenCache",
     "cached_tokens",
     "token_cache",
-    "Ontology",
     "TaggingReport",
     "evaluate_tagger",
 ]

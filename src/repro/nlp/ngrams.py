@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 
 def ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
@@ -31,17 +30,3 @@ def distinct_ngrams(tokens: Sequence[str],
     on ``PYTHONHASHSEED``, and callers build ordered artifacts from it.
     """
     return list(dict.fromkeys(all_ngrams(tokens, max_n)))
-
-
-def phrase_candidates(documents: Iterable[list[str]], max_n: int = 3,
-                      min_count: int = 3) -> Counter:
-    """Frequent phrases across tokenized ``documents``.
-
-    Returns a Counter of phrase tuples appearing at least
-    ``min_count`` times — the raw material of the failure dictionary.
-    """
-    counts: Counter = Counter()
-    for tokens in documents:
-        counts.update(distinct_ngrams(tokens, max_n))
-    return Counter({phrase: count for phrase, count in counts.items()
-                    if count >= min_count})

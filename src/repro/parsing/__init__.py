@@ -11,7 +11,7 @@ from .records import (
     MonthlyMileage,
     ParsedReport,
 )
-from .base import ParserRegistry, ReportParser, default_registry, parse_report
+from .base import ParserRegistry, ReportParser, default_registry
 from .normalize import normalize_records
 from .filters import FilterStats, filter_records
 from .accidents import parse_accident_report
@@ -24,7 +24,6 @@ __all__ = [
     "ParserRegistry",
     "ReportParser",
     "default_registry",
-    "parse_report",
     "normalize_records",
     "FilterStats",
     "filter_records",

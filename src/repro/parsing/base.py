@@ -168,11 +168,3 @@ def default_registry() -> ParserRegistry:
     for parser in all_parsers():
         registry.register(parser)
     return registry
-
-
-def parse_report(lines: list[str], document_id: str,
-                 registry: ParserRegistry | None = None) -> ParsedReport:
-    """Parse one disengagement report with the appropriate parser."""
-    registry = registry or default_registry()
-    parser = registry.resolve(lines)
-    return parser.parse(lines, document_id)

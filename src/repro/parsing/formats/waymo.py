@@ -97,7 +97,10 @@ class WaymoParser(ReportParser):
         rest = fields[4:]  # fields[3] is the fixed "Safe Operation" label
         reaction = None
         vehicle = None
-        while rest:
+        # The first of ``rest`` is always the description, even when it
+        # reads like an optional field ("reaction aa"); only fields
+        # after it are peeled off as reaction or car.
+        while len(rest) > 1:
             tail = rest[-1].strip()
             reaction_match = _REACTION_RE.match(tail)
             car_match = _CAR_RE.match(tail)

@@ -192,7 +192,10 @@ class FailureDatabase:
     @property
     def total_miles(self) -> float:
         """Total autonomous miles in the database."""
-        return sum(cell.miles for cell in self.mileage)
+        # Imported here: repro.analysis imports this module.
+        from ..analysis.stats import left_sum
+
+        return left_sum(cell.miles for cell in self.mileage)
 
     # ------------------------------------------------------------------
     # Per-manufacturer scans.
@@ -486,14 +489,28 @@ def _decode_pieces(text: str | bytes) -> list[list] | None:
 
     The text must be the openers of the accidents, disengagements and
     mileage sections (and optionally the quarantine's), in that order,
-    each followed by its records, and then ``]}``.  Each section is
-    cut after the ``}`` of the first ``},{"`` at or after every
-    :data:`DECODE_PIECE_BYTES` bytes, the comma between the two is
-    dropped, and each piece is parsed as ``[`` + piece + ``]`` and
+    each followed by its records, and then ``]}``.  The sections are
+    found without walking the records: the disengagements opener is
+    the first after the accidents opener, the mileage opener the last
+    one in the text (:meth:`bytes.rfind` crosses only the mileage and
+    quarantine sections, not the disengagements, which are most of the
+    file), and the quarantine opener the first after that.  Each
+    section is cut after the ``}`` of the first ``},{"`` at or after
+    every :data:`DECODE_PIECE_BYTES` bytes, the comma between the two
+    is dropped, and each piece is parsed as ``[`` + piece + ``]`` and
     turned into records at once.  Returns the four record lists in
     file order (the quarantine's empty when the section is absent), or
     ``None`` when the layout differs, ``str`` input does not encode
     (a lone surrogate), or any piece fails to parse or to decode.
+
+    Why the openers found are the sections': an opener's quotes cannot
+    stand unescaped inside a JSON string, so its bytes inside a record
+    would have to be structure, a list-valued key followed by a
+    ``"mileage"`` (or ``"disengagements"``, ``"quarantine"``) key, and
+    no record's encoding has such a key.  Should a file hold one
+    anyway and a boundary be found there, the section before it ends
+    inside that record's braces, so its last piece does not parse and
+    the whole text is decoded instead.
 
     Why a cut is safe: a ``"`` inside a JSON string is always escaped,
     so a ``},{"`` whose ``},{`` lies inside a string can only end at
@@ -519,8 +536,9 @@ def _decode_pieces(text: str | bytes) -> list[list] | None:
     stop = len(text) - 2
     bounds = []
     start = len(_SECTION_OPENERS[0])
-    for opener in _SECTION_OPENERS[1:]:
-        at = text.find(opener, start, stop)
+    for opener, search in zip(_SECTION_OPENERS[1:],
+                              (text.find, text.rfind, text.find)):
+        at = search(opener, start, stop)
         if at < 0:
             break
         bounds.append((start, at))

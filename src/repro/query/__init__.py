@@ -5,9 +5,9 @@ The pipeline (Stages I-IV) *produces* a
 it.  Four cooperating pieces:
 
 * :mod:`~repro.query.index` — immutable, read-optimized indexes built
-  once per database snapshot (by manufacturer, month, fault tag,
-  failure category, and record id) with O(1) lookups instead of the
-  list scans the raw database offers.
+  once per database snapshot (by manufacturer, month, fault tag and
+  failure category, plus mileage totals) with O(1) lookups instead of
+  the list scans the raw database offers.
 * :mod:`~repro.query.engine` — :class:`QueryEngine`: typed query
   objects (filter + group-by + metric) executed against the index,
   reusing the Stage IV :mod:`repro.analysis` functions as kernels so a
@@ -41,11 +41,7 @@ from .engine import (
     QueryResult,
     to_jsonable,
 )
-from .index import (
-    DatabaseIndex,
-    accident_id,
-    disengagement_id,
-)
+from .index import DatabaseIndex
 from .server import QueryServer
 from .snapshot import DirectoryWatcher, Snapshot, SnapshotManager
 
@@ -62,7 +58,5 @@ __all__ = [
     "QueryServer",
     "Snapshot",
     "SnapshotManager",
-    "accident_id",
-    "disengagement_id",
     "to_jsonable",
 ]

@@ -35,6 +35,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..analysis.kernels import KERNELS
+from ..analysis.stats import left_sum
 from ..errors import QueryError
 from ..pipeline.checkpoint import canonical_json
 from ..pipeline.store import FailureDatabase
@@ -443,8 +444,8 @@ class QueryEngine:
         index = self._index
         if not query.filtered:
             if query.group_by is None:
-                return sum(index.miles_for(name)
-                           for name in index.manufacturers)
+                return left_sum(index.miles_for(name)
+                                for name in index.manufacturers)
             if query.group_by == "manufacturer":
                 return {name: index.miles_for(name)
                         for name in index.manufacturers}

@@ -1,13 +1,15 @@
 """Immutable, read-optimized indexes over a failure database.
 
 A :class:`DatabaseIndex` is built **once** per database snapshot and
-then only read: every lookup the serving layer needs — records by
-manufacturer, by month, by fault tag, by failure category, by record
-id, plus the precomputed mileage aggregates — is a dict access
-(O(1)), never a scan over the record lists.  The mappings are wrapped
-in :class:`types.MappingProxyType` and the record lists in tuples, so
-concurrent readers can share one index without locks: there is nothing
-to tear.
+then only read: every lookup a ``/v1`` answer needs — records by
+manufacturer, by month, by fault tag and by failure category, plus the
+precomputed mileage totals — is a dict access (O(1)), never a scan
+over the record lists.  It holds nothing that no answer reads, since
+every served snapshot (each ``repro serve`` start, pre-fork worker
+and hot swap) pays for building it.  The mappings are plain dicts
+wrapped in :class:`types.MappingProxyType` and the record lists are
+tuples, so concurrent readers can share one index without locks:
+there is nothing to tear.
 
 The index carries the :meth:`~repro.pipeline.store.
 FailureDatabase.fingerprint` of the snapshot it was built from; the
@@ -17,8 +19,9 @@ of every key.
 
 from __future__ import annotations
 
-import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import Mapping
 
@@ -27,37 +30,18 @@ from ..parsing.records import (
     DisengagementRecord,
     MonthlyMileage,
 )
-from ..pipeline.runner import record_id
 from ..pipeline.store import FailureDatabase, collector_paused
-from ..taxonomy import FailureCategory, FaultTag, category_of
+from ..taxonomy import TAG_CATEGORY, FailureCategory, FaultTag
 
 
-def disengagement_id(record: DisengagementRecord) -> str:
-    """Stable id for a disengagement record (provenance-derived when
-    the record has one, content-derived otherwise) — the same id the
-    checkpoint journals use, so a served record can be traced back to
-    its journal entry."""
-    return record_id(record)
+def _frozen(groups: dict[object, list]) -> Mapping:
+    """Read-only view of a grouping, each list made a tuple.
 
-
-def accident_id(record: AccidentRecord) -> str:
-    """Stable content-derived id for an accident record.
-
-    Accident reports carry no line-level provenance (one OL-316 form
-    per document), so the id is always content-derived.
+    The view is over a plain dict: a ``defaultdict`` would insert a
+    key when a missing one is read with ``[]``.
     """
-    digest = hashlib.sha256("|".join((
-        record.manufacturer, record.month or "",
-        record.description,
-    )).encode("utf-8")).hexdigest()[:16]
-    return f"accident:{digest}"
-
-
-def _frozen(mapping: dict) -> Mapping:
-    """Read-only view with tuple values where values are lists."""
-    return MappingProxyType({
-        key: (tuple(value) if isinstance(value, list) else value)
-        for key, value in mapping.items()})
+    return MappingProxyType({key: tuple(records)
+                             for key, records in groups.items()})
 
 
 @dataclass(frozen=True)
@@ -85,16 +69,10 @@ class DatabaseIndex:
     _disengagements_by_category: Mapping[
         FailureCategory, tuple[DisengagementRecord, ...]] = field(
         repr=False)
-    _disengagement_by_id: Mapping[str, DisengagementRecord] = field(
-        repr=False)
-    _accident_by_id: Mapping[str, AccidentRecord] = field(repr=False)
     #: Manufacturer -> total autonomous miles (precomputed).
     _miles_by_manufacturer: Mapping[str, float] = field(repr=False)
     #: Manufacturer -> month -> miles (precomputed, months sorted).
     _monthly_miles: Mapping[str, Mapping[str, float]] = field(repr=False)
-    #: Manufacturer -> month -> disengagement count.
-    _monthly_disengagements: Mapping[str, Mapping[str, int]] = field(
-        repr=False)
     counts: Mapping[str, int] = field(repr=False)
 
     # ------------------------------------------------------------------
@@ -111,46 +89,35 @@ class DatabaseIndex:
         runs under :func:`~repro.pipeline.store.collector_paused`: its
         groupings are thousands of containers and no reference cycle.
         """
-        by_manufacturer: dict[str, list] = {}
-        by_month: dict[str, list] = {}
-        by_tag: dict[FaultTag, list] = {}
-        by_category: dict[FailureCategory, list] = {}
-        by_id: dict[str, DisengagementRecord] = {}
-        monthly_events: dict[str, dict[str, int]] = {}
+        by_manufacturer: dict[str, list] = defaultdict(list)
+        by_month: dict[str, list] = defaultdict(list)
+        by_tag: dict[FaultTag, list] = defaultdict(list)
+        by_category: dict[FailureCategory, list] = defaultdict(list)
         for record in db.disengagements:
-            manufacturer, month, tag = (
-                record.manufacturer, record.month, record.tag)
-            by_manufacturer.setdefault(manufacturer,
-                                       []).append(record)
-            by_month.setdefault(month, []).append(record)
+            by_manufacturer[record.manufacturer].append(record)
+            by_month[record.month].append(record)
+            tag = record.tag
             if tag is not None:
-                by_tag.setdefault(tag, []).append(record)
-                by_category.setdefault(category_of(tag),
-                                       []).append(record)
-            by_id[disengagement_id(record)] = record
-            per_month = monthly_events.setdefault(manufacturer, {})
-            per_month[month] = per_month.get(month, 0) + 1
+                by_tag[tag].append(record)
+                by_category[TAG_CATEGORY[tag]].append(record)
 
-        accidents_by_manufacturer: dict[str, list] = {}
-        accident_ids: dict[str, AccidentRecord] = {}
+        accidents_by_manufacturer: dict[str, list] = defaultdict(list)
         for record in db.accidents:
-            accidents_by_manufacturer.setdefault(
-                record.manufacturer, []).append(record)
-            accident_ids[accident_id(record)] = record
+            accidents_by_manufacturer[record.manufacturer].append(record)
 
-        mileage_by_manufacturer: dict[str, list] = {}
-        miles_totals: dict[str, float] = {}
-        monthly_miles: dict[str, dict[str, float]] = {}
+        # The totals add each manufacturer's (and month's) miles left
+        # to right in file order, starting from 0.0.
+        mileage_by_manufacturer: dict[str, list] = defaultdict(list)
+        miles_totals: dict[str, float] = defaultdict(float)
+        monthly_miles: dict[str, dict[str, float]] = defaultdict(
+            partial(defaultdict, float))
         months: set[str] = set(by_month)
         for cell in db.mileage:
             manufacturer, month, miles = (
                 cell.manufacturer, cell.month, cell.miles)
-            mileage_by_manufacturer.setdefault(
-                manufacturer, []).append(cell)
-            miles_totals[manufacturer] = (
-                miles_totals.get(manufacturer, 0.0) + miles)
-            per_month = monthly_miles.setdefault(manufacturer, {})
-            per_month[month] = per_month.get(month, 0.0) + miles
+            mileage_by_manufacturer[manufacturer].append(cell)
+            miles_totals[manufacturer] += miles
+            monthly_miles[manufacturer][month] += miles
             months.add(month)
 
         # Every manufacturer keys at least one of the three groupings,
@@ -170,15 +137,10 @@ class DatabaseIndex:
             _disengagements_by_month=_frozen(by_month),
             _disengagements_by_tag=_frozen(by_tag),
             _disengagements_by_category=_frozen(by_category),
-            _disengagement_by_id=MappingProxyType(by_id),
-            _accident_by_id=MappingProxyType(accident_ids),
-            _miles_by_manufacturer=MappingProxyType(miles_totals),
+            _miles_by_manufacturer=MappingProxyType(dict(miles_totals)),
             _monthly_miles=MappingProxyType({
                 name: MappingProxyType(dict(sorted(cells.items())))
                 for name, cells in monthly_miles.items()}),
-            _monthly_disengagements=MappingProxyType({
-                name: MappingProxyType(dict(sorted(cells.items())))
-                for name, cells in monthly_events.items()}),
             counts=MappingProxyType({
                 "disengagements": len(db.disengagements),
                 "accidents": len(db.accidents),
@@ -223,14 +185,6 @@ class DatabaseIndex:
         """Disengagement records in one root failure category."""
         return self._disengagements_by_category.get(category, ())
 
-    def disengagement(self, unit_id: str) -> DisengagementRecord | None:
-        """One disengagement record by its stable id."""
-        return self._disengagement_by_id.get(unit_id)
-
-    def accident(self, unit_id: str) -> AccidentRecord | None:
-        """One accident record by its stable id."""
-        return self._accident_by_id.get(unit_id)
-
     def miles_for(self, manufacturer: str) -> float:
         """Total autonomous miles of one manufacturer."""
         return self._miles_by_manufacturer.get(manufacturer, 0.0)
@@ -238,12 +192,6 @@ class DatabaseIndex:
     def monthly_miles(self, manufacturer: str) -> Mapping[str, float]:
         """Month -> miles of one manufacturer (months sorted)."""
         return self._monthly_miles.get(
-            manufacturer, MappingProxyType({}))
-
-    def monthly_disengagements(self, manufacturer: str,
-                               ) -> Mapping[str, int]:
-        """Month -> disengagement count of one manufacturer."""
-        return self._monthly_disengagements.get(
             manufacturer, MappingProxyType({}))
 
     @property

@@ -20,6 +20,7 @@ from ..analysis.categories import automatic_share, overall_category_shares
 from ..analysis.dpm import manufacturer_dpm_summary
 from ..analysis.maturity import all_assessments, pooled_dpm_correlation
 from ..analysis.missions import mission_comparison
+from ..analysis.stats import left_sum
 from ..pipeline.resilience import Quarantine, RunHealth
 from ..pipeline.store import FailureDatabase
 from . import figures_paper, tables_paper
@@ -268,7 +269,7 @@ def render_trace_summary(rows: list[dict]) -> str:
         w(f"{row['name']:<24s} {row['kind']:<6s} "
           f"{row['count']:>6d} {row['total_s']:>9.3f} "
           f"{row['self_s']:>9.3f} {row['errors']:>6d}")
-    total_self = sum(row["self_s"] for row in rows)
+    total_self = left_sum(row["self_s"] for row in rows)
     w(f"{'total':<24s} {'':<6s} {'':>6s} {'':>9s} "
       f"{total_self:>9.3f} {'':>6s}")
     return "\n".join(out)

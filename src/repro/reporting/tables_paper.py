@@ -5,6 +5,7 @@ from __future__ import annotations
 from ..analysis.apm import accident_summary, apm_summary
 from ..analysis.categories import category_percentages, modality_percentages
 from ..analysis.missions import mission_comparison
+from ..analysis.stats import left_sum
 from ..calibration.baselines import (
     AIRLINE_ACCIDENTS_PER_MISSION,
     HUMAN_ACCIDENTS_PER_MILE,
@@ -51,9 +52,9 @@ def table1(db: FailureDatabase) -> Table:
             cars = {cell.vehicle_id for cell in db.mileage
                     if cell.manufacturer == name
                     and cell.month in months and cell.vehicle_id}
-            miles = sum(cell.miles for cell in db.mileage
-                        if cell.manufacturer == name
-                        and cell.month in months)
+            miles = left_sum(cell.miles for cell in db.mileage
+                             if cell.manufacturer == name
+                             and cell.month in months)
             events = sum(1 for r in db.disengagements
                          if r.manufacturer == name and r.month in months)
             accidents = sum(

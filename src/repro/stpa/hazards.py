@@ -104,8 +104,3 @@ def causal_factor_for_tag(tag: FaultTag) -> CausalFactor | None:
     if factor is None:
         raise StpaError(f"tag {tag} has no causal-factor mapping")
     return factor
-
-
-def all_causal_factors() -> list[CausalFactor]:
-    """Every registered causal factor."""
-    return list(_CAUSAL_FACTORS.values())

@@ -21,7 +21,11 @@ from ..calibration.accidents import (
     INTERSECTION_STREETS,
     SPEED_MODEL,
 )
-from ..calibration.manufacturers import MANUFACTURERS, PERIODS, ReportPeriod
+from ..calibration.manufacturers import (
+    PERIODS,
+    ReportPeriod,
+    get_manufacturer,
+)
 from ..parsing.records import AccidentRecord
 from ..rng import cdf_index, weighted_cdf
 from ..units import month_key
@@ -103,7 +107,7 @@ _COLLISION_TYPE_CDF = weighted_cdf(COLLISION_TYPE_WEIGHTS)
 def synthesize_accidents(manufacturer_name: str, roster: FleetRoster,
                          rng: np.random.Generator) -> list[AccidentRecord]:
     """Synthesize all accident records for one manufacturer."""
-    manufacturer = MANUFACTURERS[manufacturer_name]
+    manufacturer = get_manufacturer(manufacturer_name)
     records: list[AccidentRecord] = []
     for period in ReportPeriod:
         count = manufacturer.stats(period).accidents or 0

@@ -16,7 +16,7 @@ from datetime import date
 import numpy as np
 
 from ..calibration.fault_model import fault_mixture
-from ..calibration.manufacturers import MANUFACTURERS, ReportPeriod
+from ..calibration.manufacturers import ReportPeriod, get_manufacturer
 from ..calibration.modality import modality_mixture
 from ..calibration.reaction_times import (
     ReactionTimeModel,
@@ -105,7 +105,7 @@ def synthesize_disengagements(manufacturer_name: str, plan: MonthlyPlan,
     Everything that depends only on the manufacturer or the month is
     computed before the month's events.
     """
-    manufacturer = MANUFACTURERS[manufacturer_name]
+    manufacturer = get_manufacturer(manufacturer_name)
     trend = dpm_trend(manufacturer_name)
     faults = fault_mixture(manufacturer_name)
     modalities = modality_mixture(manufacturer_name)

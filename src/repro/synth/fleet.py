@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..calibration.manufacturers import (
-    MANUFACTURERS,
     Manufacturer,
     ReportPeriod,
+    get_manufacturer,
 )
 from ..errors import SynthesisError
 
@@ -116,7 +116,7 @@ def build_roster(manufacturer_name: str,
     fleet growth adds new vehicles, and shrinkage retires the
     highest-indexed ones (real fleets rotate prototypes similarly).
     """
-    manufacturer = MANUFACTURERS[manufacturer_name]
+    manufacturer = get_manufacturer(manufacturer_name)
     by_period: dict[ReportPeriod, list[Vehicle]] = {}
     pool: list[Vehicle] = []
     for period in ReportPeriod:

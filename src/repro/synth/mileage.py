@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..calibration.manufacturers import MANUFACTURERS, PERIODS, ReportPeriod
+from ..calibration.manufacturers import (
+    PERIODS,
+    ReportPeriod,
+    get_manufacturer,
+)
 from ..calibration.trends import dpm_trend
 from ..parsing.records import MonthlyMileage
 from ..units import months_between
@@ -80,7 +84,7 @@ def _monthly_weights(n_months: int, growth: float,
 def build_monthly_plan(manufacturer_name: str, roster: FleetRoster,
                        rng: np.random.Generator) -> MonthlyPlan:
     """Allocate Table I mileage across months and vehicles."""
-    manufacturer = MANUFACTURERS[manufacturer_name]
+    manufacturer = get_manufacturer(manufacturer_name)
     trend = dpm_trend(manufacturer_name)
     plan = MonthlyPlan(manufacturer=manufacturer_name)
     for period in ReportPeriod:

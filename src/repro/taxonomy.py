@@ -183,8 +183,3 @@ def category_of(tag: FaultTag) -> FailureCategory:
 def ml_subcategory_of(tag: FaultTag) -> MlSubcategory | None:
     """Return the Table IV ML/Design split for ``tag`` (None outside ML)."""
     return ML_SUBCATEGORY.get(tag)
-
-
-def tags_in_category(category: FailureCategory) -> list[FaultTag]:
-    """Return all tags whose coarse category is ``category``."""
-    return [tag for tag, cat in TAG_CATEGORY.items() if cat is category]

@@ -6,26 +6,19 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from repro.analysis.temporal import (
-    dpm_trend_test,
-    mann_kendall,
-    yearly_evolution,
-)
-from repro.casestudies import (
-    CASE_STUDIES,
-    CASE_STUDY_1,
-    CASE_STUDY_2,
-    shared_lessons,
-    validate_case_studies,
-)
+from repro.analysis.temporal import dpm_trend_test, mann_kendall
+from repro.casestudies import CASE_STUDIES, CASE_STUDY_1, CASE_STUDY_2
 from repro.errors import InsufficientDataError
+from repro.stpa import build_control_structure
 from repro.stpa.control_loops import CONTROL_LOOPS
 from repro.taxonomy import FaultTag
 
 
 class TestCaseStudies:
     def test_both_validate_against_structure(self):
-        validate_case_studies()
+        structure = build_control_structure()
+        for case in CASE_STUDIES:
+            case.validate_against(structure)
 
     def test_case1_is_prediction_failure(self):
         assert FaultTag.INCORRECT_BEHAVIOR_PREDICTION in \
@@ -62,9 +55,6 @@ class TestCaseStudies:
         # The driver never took over in Case II.
         assert "driver" not in CASE_STUDY_2.actors()
         assert CASE_STUDY_2.action_window_seconds == 0.0
-
-    def test_three_shared_lessons(self):
-        assert len(shared_lessons()) == 3
 
 
 class TestMannKendall:
@@ -121,11 +111,10 @@ class TestDbTrends:
         result = dpm_trend_test(db, "Bosch")
         assert result.direction == "increasing"
 
-    def test_waymo_yearly_evolution(self, db):
-        evolution = yearly_evolution(db, "Waymo")
-        assert evolution.median_improving
-        assert 3 <= evolution.improvement_factor <= 30  # paper: ~8x
+    def test_waymo_yearly_evolution(self, paper_rows):
+        # Median DPM 2014 over 2016 between 3x and 30x (paper: ~8x).
+        paper_rows.check("fig7-waymo-improvement")
 
     def test_unknown_manufacturer_raises(self, db):
         with pytest.raises(InsufficientDataError):
-            yearly_evolution(db, "Nonexistent Motors")
+            dpm_trend_test(db, "Nonexistent Motors")

@@ -55,6 +55,13 @@ class TestRun:
         out = capsys.readouterr().out
         assert "disengagements: 3" in out
 
+    def test_run_unknown_manufacturer_exits_2(self, capsys):
+        code = main(["run", "--manufacturers", "Cruithne Motors",
+                     "--no-ocr"])
+        assert code == 2
+        assert ("unknown manufacturer 'Cruithne Motors'"
+                in capsys.readouterr().err)
+
 
 class TestCorpusAndProcess:
     def test_corpus_then_process(self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.nlp import FailureDictionary, VotingTagger, textcache
 from repro.nlp.dictionary import DictionaryEntry
-from repro.nlp.ngrams import all_ngrams, phrase_candidates
+from repro.nlp.ngrams import all_ngrams, distinct_ngrams
 from repro.nlp.textcache import TokenCache, cached_tokens
 from repro.pipeline import PipelineConfig, process_corpus
 from repro.synth import generate_corpus
@@ -138,11 +138,11 @@ class TestTinyTokenCache:
 
 class TestPhraseCandidates:
     def test_counts_each_phrase_once_per_document(self):
-        documents = [["a", "b", "a", "b"], ["a", "b"]]
-        counts = phrase_candidates(documents, max_n=2, min_count=1)
-        assert counts == Counter({("a",): 2, ("b",): 2, ("a", "b"): 2,
-                                  ("b", "a"): 1})
-        assert list(counts)[:3] == [("a",), ("b",), ("a", "b")]
+        # The dictionary's document frequencies count the phrases
+        # ``distinct_ngrams`` gives: each once, in first-occurrence
+        # order.
+        assert distinct_ngrams(["a", "b", "a", "b"], 2) == [
+            ("a",), ("b",), ("a", "b"), ("b", "a")]
 
 
 _WORDS = ["lidar", "can", "bus", "sun", "glare", "x", "planner"]

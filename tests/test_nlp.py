@@ -4,19 +4,24 @@ import pytest
 
 from repro.nlp import (
     FailureDictionary,
-    Ontology,
     STOPWORDS,
     VotingTagger,
     evaluate_tagger,
     ngrams,
     normalize_tokens,
-    phrase_candidates,
     sentences,
     tokenize,
 )
 from repro.nlp.dictionary import SEED_PHRASES, DictionaryEntry
 from repro.parsing.records import DisengagementRecord
-from repro.taxonomy import FailureCategory, FaultTag
+from repro.taxonomy import (
+    ML_SUBCATEGORY,
+    TAG_CATEGORY,
+    TAG_DEFINITIONS,
+    FailureCategory,
+    FaultTag,
+    category_of,
+)
 
 
 class TestTokenize:
@@ -59,12 +64,6 @@ class TestNgrams:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             ngrams(["a"], 0)
-
-    def test_phrase_candidates_thresholds(self):
-        documents = [["watchdog", "error"]] * 3 + [["other"]]
-        counts = phrase_candidates(documents, min_count=3)
-        assert counts[("watchdog", "error")] == 3
-        assert ("other",) not in counts
 
 
 class TestDictionary:
@@ -201,22 +200,24 @@ class TestEvaluation:
 
 
 class TestOntology:
+    """The Table III ontology the tagger's tags map into
+    (:mod:`repro.taxonomy`)."""
+
     def test_validate_passes(self):
-        Ontology().validate()
+        assert set(TAG_CATEGORY) == set(TAG_DEFINITIONS) == set(FaultTag)
+        for tag in ML_SUBCATEGORY:
+            assert TAG_CATEGORY[tag] is FailureCategory.ML_DESIGN
 
     def test_category_lookup(self):
-        ontology = Ontology()
-        assert ontology.category(
-            FaultTag.SOFTWARE) is FailureCategory.SYSTEM
+        assert category_of(FaultTag.SOFTWARE) is FailureCategory.SYSTEM
 
     def test_definitions_nonempty(self):
-        ontology = Ontology()
-        for tag in ontology.tags():
-            assert ontology.definition(tag)
+        for tag in FaultTag:
+            assert TAG_DEFINITIONS[tag]
 
     def test_tags_in_category(self):
-        ontology = Ontology()
-        system_tags = ontology.tags_in(FailureCategory.SYSTEM)
+        system_tags = [tag for tag in FaultTag
+                       if category_of(tag) is FailureCategory.SYSTEM]
         assert FaultTag.SOFTWARE in system_tags
         assert FaultTag.PLANNER not in system_tags
 

@@ -10,7 +10,6 @@ from repro.parsing import (
     default_registry,
     filter_records,
     parse_accident_report,
-    parse_report,
 )
 from repro.parsing.base import ParserRegistry, _levenshtein
 from repro.parsing.formats import BenzParser, NissanParser, WaymoParser
@@ -194,7 +193,7 @@ class TestRegistry:
             "module froze — city street — Sunny/Dry — 0.9 s",
             "END OF REPORT",
         ]
-        report = parse_report(lines, "doc-1")
+        report = default_registry().resolve(lines).parse(lines, "doc-1")
         assert len(report.disengagements) == 1
         assert len(report.mileage) == 1
         assert report.total_miles == pytest.approx(120.5)

@@ -206,6 +206,80 @@ class TestDecodesLikeTheWholeText:
             assert FailureDatabase.from_json(text) == db
 
 
+def _fake_opener_text(with_quarantine: bool, section: str,
+                      key: str) -> tuple[FailureDatabase, bytes]:
+    """The tricky database, and its text with ``],"<key>":[`` as
+    structure inside the first record of ``section``: a list-valued
+    key, then a ``key`` key."""
+    db = _tricky_database()
+    if not with_quarantine:
+        db.quarantine = Quarantine()
+    data = db.to_json().encode()
+    opener = f'"{section}":[{{'.encode()
+    assert data.count(opener) == 1
+    return db, data.replace(opener, opener + b'"fake":[],"'
+                            + key.encode() + b'":[1],')
+
+
+def _lenient(from_dict):
+    """``from_dict`` that drops the keys :func:`_fake_opener_text`
+    adds, so the records around a fake opener decode."""
+    return lambda data: from_dict({
+        name: value for name, value in data.items()
+        if name not in ("fake", "mileage", "quarantine")})
+
+
+#: Where a fake opener goes: whether the file has a quarantine
+#: section, the section whose first record holds the fake, its key.
+_FAKES = [(with_quarantine, section, key)
+          for with_quarantine in (False, True)
+          for section in ["accidents", "disengagements", "mileage",
+                          "quarantine"][:3 + with_quarantine]
+          for key in ("mileage", "quarantine")]
+
+#: Whether the sections are still found with the fake in place.  The
+#: mileage opener is the last in the text, so a fake before the real
+#: one is passed over and one after it is found; the quarantine
+#: opener is the first after the mileage opener.
+_FOUND = {
+    ("mileage", "accidents"): True,
+    ("mileage", "disengagements"): True,
+    ("mileage", "mileage"): False,
+    ("mileage", "quarantine"): False,
+    ("quarantine", "accidents"): True,
+    ("quarantine", "disengagements"): True,
+    ("quarantine", "mileage"): False,
+    ("quarantine", "quarantine"): True,
+}
+
+
+class TestFakeOpeners:
+    """A section opener's bytes inside a record, where no encoder puts
+    them: the search for the section boundaries must not be misled
+    into a decode that differs from the whole text's."""
+
+    @pytest.mark.parametrize("with_quarantine,section,key", _FAKES)
+    def test_decodes_like_the_whole_text(self, with_quarantine, section,
+                                         key):
+        _, text = _fake_opener_text(with_quarantine, section, key)
+        _assert_same_outcome(text)
+
+    @pytest.mark.parametrize("with_quarantine,section,key", _FAKES)
+    def test_boundaries_found(self, with_quarantine, section, key):
+        db, text = _fake_opener_text(with_quarantine, section, key)
+        decoders = tuple(map(_lenient, store._SECTION_DECODERS))
+        for size in PIECE_SIZES:
+            with mock.patch.object(store, "DECODE_PIECE_BYTES", size), \
+                    mock.patch.object(store, "_SECTION_DECODERS",
+                                      decoders):
+                sections = store._decode_pieces(text)
+            if not _FOUND[key, section]:
+                assert sections is None, size
+                continue
+            assert sections == [db.accidents, db.disengagements,
+                                db.mileage, db.quarantine.entries], size
+
+
 class TestOtherLayouts:
     @pytest.mark.parametrize("dumps", [
         lambda payload: json.dumps(payload),

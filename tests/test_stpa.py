@@ -13,7 +13,6 @@ from repro.stpa import (
     causal_factor_for_tag,
     overlay_failures,
 )
-from repro.stpa.hazards import all_causal_factors
 from repro.taxonomy import FaultTag
 
 
@@ -99,8 +98,9 @@ class TestCausalFactors:
         assert factor.uca is UnsafeControlAction.NOT_PROVIDED
 
     def test_all_factors_have_rationales(self):
-        for factor in all_causal_factors():
-            assert factor.rationale
+        for tag in FaultTag:
+            if tag is not FaultTag.UNKNOWN:
+                assert causal_factor_for_tag(tag).rationale
 
 
 class TestOverlay:

@@ -16,7 +16,6 @@ from repro.taxonomy import (
     Modality,
     category_of,
     ml_subcategory_of,
-    tags_in_category,
 )
 
 
@@ -62,8 +61,9 @@ def test_ml_subcategories_only_cover_ml_tags():
 
 
 def test_every_ml_tag_has_a_subcategory():
-    for tag in tags_in_category(FailureCategory.ML_DESIGN):
-        assert ml_subcategory_of(tag) is not None
+    for tag, category in TAG_CATEGORY.items():
+        if category is FailureCategory.ML_DESIGN:
+            assert ml_subcategory_of(tag) is not None
 
 
 def test_non_ml_tags_have_no_subcategory():
@@ -87,12 +87,10 @@ def test_table3_category_assignments(tag, category):
 
 
 def test_tags_in_category_partitions_tag_set():
-    union = set()
-    for category in FailureCategory:
-        tags = set(tags_in_category(category))
-        assert not union & tags
-        union |= tags
-    assert union == set(FaultTag)
+    # One category per tag, and every tag has one.
+    assert set(TAG_CATEGORY) == set(FaultTag)
+    assert all(isinstance(category, FailureCategory)
+               for category in TAG_CATEGORY.values())
 
 
 def test_display_name_matches_value_for_plain_tags():
