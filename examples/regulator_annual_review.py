@@ -1,8 +1,7 @@
 """A regulator's annual review: what a DMV analyst would run when the
 year's disengagement and accident reports arrive.
 
-Combines the reporting census (who reports what), the DPM trend
-tests, and the full Markdown study report.
+Combines the DPM trend tests and the full Markdown study report.
 
 Usage::
 
@@ -14,7 +13,6 @@ import sys
 from repro import PipelineConfig, run_pipeline
 from repro.analysis.temporal import dpm_trend_test
 from repro.errors import InsufficientDataError
-from repro.reporting import run_experiment
 from repro.reporting.summary import render_study_report
 
 ANALYSIS = ["Mercedes-Benz", "Volkswagen", "Waymo", "Delphi", "Nissan",
@@ -32,9 +30,6 @@ def main() -> None:
           f"{diagnostics.parse.unparsed_lines} unparsed lines; "
           f"{diagnostics.ocr.fallback_pages} pages needed manual "
           "transcription.")
-
-    print("\nWho reports what (share of records with each field):")
-    print(run_experiment("ext-census", db).render())
 
     print("\nDPM trend tests (Mann-Kendall over monthly DPM):")
     for name in ANALYSIS:

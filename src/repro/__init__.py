@@ -30,9 +30,7 @@ from .errors import (
     DegradedModeWarning,
     FieldCoercionError,
     InsufficientDataError,
-    NlpError,
     OcrError,
-    OntologyError,
     ParseError,
     PipelineError,
     QuarantinedError,
@@ -90,8 +88,6 @@ __all__ = [
     "ParseError",
     "FieldCoercionError",
     "UnknownFormatError",
-    "NlpError",
-    "OntologyError",
     "StpaError",
     "PipelineError",
     "TransientError",

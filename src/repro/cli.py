@@ -9,7 +9,6 @@ Commands::
     report     render paper tables/figures from a database JSON
     tag        tag free-text log lines with the failure dictionary
     stpa       overlay the tagged failures on the control structure
-    inject     run a stochastic fault-injection campaign
     validate   score the NLP tagger against ground truth
     query      run one typed query against a database
     serve      expose a database over the embedded HTTP JSON API
@@ -408,35 +407,6 @@ def _cmd_stpa(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_inject(args: argparse.Namespace) -> int:
-    from .stpa.fault_injection import FaultInjector
-
-    injector = FaultInjector()
-    campaign = injector.run_campaign(
-        injections_per_component=args.injections, seed=args.seed)
-    if args.json:
-        print(json.dumps({
-            "injections": len(campaign.outcomes),
-            "per_component": campaign.injections_per_component,
-            "origins": {
-                origin: {
-                    "hazard_rate": rate,
-                    "detection_rate": campaign.detection_rate(origin),
-                }
-                for origin, rate in campaign.hazard_ranking()
-            },
-        }, indent=2))
-        return 0
-    print(f"{len(campaign.outcomes)} injections "
-          f"({campaign.injections_per_component} per component)")
-    print("hazard rate by fault origin:")
-    for origin, rate in campaign.hazard_ranking():
-        detection = campaign.detection_rate(origin)
-        print(f"  {origin:20s} hazard {rate:.2%}  "
-              f"detected {detection:.2%}")
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .pipeline.lint import errors, lint_database
 
@@ -706,14 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stpa", help="overlay failures on the control structure",
         parents=[db, out])
     stpa.set_defaults(handler=_cmd_stpa)
-
-    inject = commands.add_parser(
-        "inject", help="stochastic fault-injection campaign",
-        parents=[out])
-    inject.add_argument("--injections", type=int, default=1000,
-                        help="injections per component")
-    inject.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    inject.set_defaults(handler=_cmd_inject)
 
     lint = commands.add_parser(
         "lint", help="check a database for consistency problems",

@@ -51,14 +51,6 @@ class UnknownFormatError(ParseError):
     """No registered parser recognizes the report format."""
 
 
-class NlpError(ReproError):
-    """The NLP tagging engine failed."""
-
-
-class OntologyError(NlpError):
-    """A fault tag or failure category is not part of the ontology."""
-
-
 class StpaError(ReproError):
     """The STPA control-structure model was queried inconsistently."""
 

@@ -1,11 +1,9 @@
 """Stage-level fault injection for the pipeline itself.
 
-Where :mod:`repro.stpa.fault_injection` injects faults into the *AV
-control structure*, this module injects faults into the *reproduction
-pipeline*: any per-unit step can be wrapped with seeded exception,
-corruption, or latency injection, to prove that the quarantine, retry,
-and threshold-abort paths of :mod:`repro.pipeline.resilience` actually
-work.
+Any per-unit step of the reproduction pipeline can be wrapped with
+seeded exception, corruption, or latency injection, to prove that the
+quarantine, retry, and threshold-abort paths of
+:mod:`repro.pipeline.resilience` actually work.
 
 Injection is deterministic: the decision for a given ``(stage,
 unit_id)`` pair is drawn from its own child stream of the pipeline

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..pipeline.store import FailureDatabase
-from . import extras, figures_paper, tables_paper
+from . import figures_paper, tables_paper
 
 
 @dataclass(frozen=True)
@@ -82,22 +82,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment("figure12", "figure",
                    "Collision-speed distributions with fits",
                    figures_paper.figure12),
-        # Extension exhibits (beyond the paper).
-        Experiment("ext-census", "table",
-                   "Reporting census per manufacturer",
-                   extras.census_table),
-        Experiment("ext-conditions", "table",
-                   "Disengagements by road/weather/hour",
-                   extras.conditions_table),
-        Experiment("ext-injection", "table",
-                   "Fault injection vs observed overlay",
-                   extras.fault_injection_table),
-        Experiment("ext-simulator", "table",
-                   "Trip-simulator validation",
-                   extras.simulator_table),
-        Experiment("ext-yoy", "table",
-                   "Year-over-year change per manufacturer",
-                   extras.year_over_year_table),
     ]
 }
 

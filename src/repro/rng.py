@@ -25,19 +25,6 @@ import numpy as np
 DEFAULT_SEED = 2018
 
 
-def generator(seed: int | np.random.Generator | None = None) -> np.random.Generator:
-    """Return a :class:`numpy.random.Generator` for ``seed``.
-
-    ``None`` maps to :data:`DEFAULT_SEED` so that every entry point is
-    reproducible by default; pass an existing generator through untouched.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if seed is None:
-        seed = DEFAULT_SEED
-    return np.random.default_rng(seed)
-
-
 def child_seed(seed: int, name: str) -> int:
     """Derive a stable 63-bit child seed from ``seed`` and a stream name.
 
@@ -52,11 +39,6 @@ def child_seed(seed: int, name: str) -> int:
 def child_generator(seed: int, name: str) -> np.random.Generator:
     """Return an independent generator for the named child stream."""
     return np.random.default_rng(child_seed(seed, name))
-
-
-def split(seed: int, names: list[str]) -> dict[str, np.random.Generator]:
-    """Split ``seed`` into one independent generator per name."""
-    return {name: child_generator(seed, name) for name in names}
 
 
 #: Coefficients of cephes' ``log1p``: ``log(1 + x) = x - x**2/2 +

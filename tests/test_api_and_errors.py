@@ -12,9 +12,7 @@ from repro.errors import (
     DegradedModeWarning,
     FieldCoercionError,
     InsufficientDataError,
-    NlpError,
     OcrError,
-    OntologyError,
     ParseError,
     PipelineError,
     QuarantinedError,
@@ -54,7 +52,7 @@ class TestPublicApi:
 class TestErrorHierarchy:
     @pytest.mark.parametrize("exc", [
         CalibrationError, SynthesisError, OcrError, ParseError,
-        NlpError, StpaError, PipelineError, AnalysisError,
+        StpaError, PipelineError, AnalysisError,
         TransientError, QuarantinedError, CorruptDatabaseError,
     ])
     def test_all_derive_from_repro_error(self, exc):
@@ -70,9 +68,6 @@ class TestErrorHierarchy:
 
     def test_insufficient_data_is_analysis_error(self):
         assert issubclass(InsufficientDataError, AnalysisError)
-
-    def test_ontology_is_nlp_error(self):
-        assert issubclass(OntologyError, NlpError)
 
     def test_parse_error_formats_context(self):
         error = ParseError("bad row", line="x — y",

@@ -28,9 +28,10 @@ class TestParser:
         assert args.seed == 2018
         assert not args.no_ocr
 
-    def test_unknown_command(self):
+    @pytest.mark.parametrize("command", ["frobnicate", "inject"])
+    def test_unknown_command(self, command):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+            build_parser().parse_args([command])
 
     @pytest.mark.parametrize("flag", ["--workers", "--batch-size"])
     def test_pool_flags_are_gone(self, flag, capsys):
@@ -94,8 +95,10 @@ class TestReport:
         assert (out_dir / "table3.txt").exists()
         assert (out_dir / "table6.txt").exists()
 
-    def test_report_unknown_experiment(self, nissan_db_path, capsys):
-        code = main(["report", "table99", "--db", str(nissan_db_path)])
+    @pytest.mark.parametrize("experiment", ["table99", "ext-census"])
+    def test_report_unknown_experiment(self, experiment, nissan_db_path,
+                                       capsys):
+        code = main(["report", experiment, "--db", str(nissan_db_path)])
         assert code == 2
         assert "unknown experiments" in capsys.readouterr().err
 
@@ -124,13 +127,6 @@ class TestStpaAndInject:
         out = capsys.readouterr().out
         assert "failures overlaid" in out
         assert "CL-1" in out
-
-    def test_inject(self, capsys):
-        code = main(["inject", "--injections", "50", "--seed", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "hazard rate by fault origin" in out
-        assert "recognition" in out
 
 
 class TestValidate:

@@ -1,9 +1,15 @@
-"""Tests for the Fig. 2/3 exhibits and docstring-coverage meta
-checks."""
+"""Tests for the Fig. 2/3 exhibits, docstring-coverage meta checks,
+and that every example imports."""
 
 import importlib
 import inspect
 import pkgutil
+import runpy
+from pathlib import Path
+
+import pytest
+
+EXAMPLES = sorted((Path(__file__).parents[1] / "examples").glob("*.py"))
 
 
 class TestFigure2And3:
@@ -68,3 +74,11 @@ class TestDocstringCoverage:
                         missing.append(
                             f"{info.name}.{class_name}.{name}")
         assert not missing, f"undocumented: {missing[:10]}"
+
+
+class TestExamples:
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
+    def test_example_imports(self, path):
+        # Every example guards main() with ``if __name__ ==
+        # "__main__"``, so this runs only its imports and definitions.
+        runpy.run_path(str(path), run_name="example")

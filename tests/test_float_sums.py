@@ -36,12 +36,8 @@ CHECKED = sorted([*(_SRC / "analysis").rglob("*.py"),
 INTEGER_SUMS = {
     ("analysis/apm.py", "accident_summary"): 1,
     ("analysis/apm.py", "SpeedDistributions.fraction_relative_below"): 1,
-    ("analysis/conditions.py", "road_type_breakdown"): 1,
-    ("analysis/conditions.py", "weather_breakdown"): 1,
-    ("analysis/conditions.py", "reporting_census"): 1,
     ("analysis/dpm.py", "manufacturer_dpm_summary"): 1,
     ("analysis/temporal.py", "mann_kendall"): 1,
-    ("reporting/extras.py", "conditions_table"): 2,
     ("reporting/fidelity.py", "_figure_rows"): 1,
     ("reporting/tables_paper.py", "table1"): 2,
 }
@@ -99,7 +95,11 @@ def _forbidden_and_integer_sums(path: Path) -> tuple[list, Counter]:
 
 
 def test_no_compensated_or_builtin_float_sums():
-    assert len(CHECKED) > 30
+    # The pins below hold totals taken in these files, so a misrooted
+    # ``_SRC`` or an empty glob fails here.
+    assert {"analysis/dpm.py", "analysis/alertness.py", "query/engine.py",
+            "reporting/tables_paper.py", "pipeline/store.py"} <= {
+        path.relative_to(_SRC).as_posix() for path in CHECKED}
     forbidden = {}
     sums = {}
     for path in CHECKED:

@@ -1,15 +1,7 @@
-"""Tests for the database linter and database diffing."""
+"""Tests for the database linter."""
 
 from datetime import date
 
-import pytest
-
-from repro.analysis.compare import (
-    MetricDelta,
-    diff_databases,
-    split_by_period,
-)
-from repro.errors import InsufficientDataError
 from repro.pipeline import FailureDatabase
 from repro.pipeline.lint import Severity, errors, lint_database
 from repro.parsing.records import (
@@ -76,53 +68,3 @@ class TestLint:
         assert any(f.check == "untagged-records"
                    and f.severity is Severity.WARNING
                    for f in findings)
-
-
-class TestMetricDelta:
-    def test_directions(self):
-        assert MetricDelta("m", 1.0, 2.0).direction == "up"
-        assert MetricDelta("m", 2.0, 1.0).direction == "down"
-        assert MetricDelta("m", 1.0, 1.0).direction == "flat"
-        assert MetricDelta("m", None, 1.0).direction == "n/a"
-
-    def test_relative(self):
-        assert MetricDelta("m", 2.0, 3.0).relative == pytest.approx(
-            0.5)
-        assert MetricDelta("m", 0.0, 3.0).relative is None
-
-
-class TestDiff:
-    def test_period_split_partitions(self, db):
-        first, second = split_by_period(db)
-        assert (len(first.disengagements) + len(second.disengagements)
-                == len(db.disengagements))
-        assert (len(first.accidents) + len(second.accidents)
-                == len(db.accidents))
-        assert first.total_miles + second.total_miles == \
-            pytest.approx(db.total_miles)
-
-    def test_year_over_year_waymo_improves(self, db):
-        first, second = split_by_period(db)
-        diffs = diff_databases(first, second)
-        waymo = diffs["Waymo"]
-        assert waymo.improving is True
-        assert waymo.delta("miles").direction == "up"
-
-    def test_bosch_worsens(self, db):
-        first, second = split_by_period(db)
-        assert diff_databases(first, second)["Bosch"].improving \
-            is False
-
-    def test_unknown_metric_raises(self, db):
-        first, second = split_by_period(db)
-        with pytest.raises(InsufficientDataError):
-            diff_databases(first, second)["Waymo"].delta("nonexistent")
-
-    def test_manufacturer_union(self):
-        a = FailureDatabase(mileage=[MonthlyMileage("A", "2015-01",
-                                                    5.0)])
-        b = FailureDatabase(mileage=[MonthlyMileage("B", "2015-01",
-                                                    5.0)])
-        diffs = diff_databases(a, b)
-        assert set(diffs) == {"A", "B"}
-        assert diffs["A"].delta("miles").direction == "n/a"

@@ -181,15 +181,10 @@ class TestPaperFigures:
 
 class TestRegistry:
     def test_experiment_census(self):
-        # 19 paper exhibits (8 tables + figures 2-12) + 4 extensions.
-        paper = [e for e in EXPERIMENTS.values()
-                 if not e.experiment_id.startswith("ext-")]
-        extensions = [e for e in EXPERIMENTS.values()
-                      if e.experiment_id.startswith("ext-")]
-        assert len(paper) == 19
-        assert len(extensions) == 5
-        figures = [e for e in paper if e.kind == "figure"]
-        assert len(figures) == 11
+        # Exactly the 19 paper exhibits: Tables I-VIII and Figs. 2-12.
+        assert {e.experiment_id: e.kind for e in EXPERIMENTS.values()} == {
+            **{f"table{i}": "table" for i in range(1, 9)},
+            **{f"figure{i}": "figure" for i in range(2, 13)}}
 
     def test_run_experiment(self, db):
         exhibit = run_experiment("table6", db)

@@ -21,29 +21,6 @@ from repro.synth import accidents, events
 from repro.synth.narratives import TEMPLATES, Template
 
 
-def test_generator_default_seed_is_reproducible():
-    a = rng.generator().random(5)
-    b = rng.generator().random(5)
-    assert np.allclose(a, b)
-
-
-def test_generator_accepts_explicit_seed():
-    a = rng.generator(42).random(5)
-    b = rng.generator(42).random(5)
-    assert np.allclose(a, b)
-
-
-def test_generator_passes_through_existing_generator():
-    existing = np.random.default_rng(1)
-    assert rng.generator(existing) is existing
-
-
-def test_different_seeds_give_different_streams():
-    a = rng.generator(1).random(10)
-    b = rng.generator(2).random(10)
-    assert not np.allclose(a, b)
-
-
 def test_child_seed_is_deterministic():
     assert rng.child_seed(5, "x") == rng.child_seed(5, "x")
 
@@ -65,12 +42,6 @@ def test_child_generator_streams_are_independent():
     a = rng.child_generator(9, "alpha").random(8)
     b = rng.child_generator(9, "beta").random(8)
     assert not np.allclose(a, b)
-
-
-def test_split_returns_named_generators():
-    streams = rng.split(3, ["a", "b"])
-    assert set(streams) == {"a", "b"}
-    assert not np.allclose(streams["a"].random(4), streams["b"].random(4))
 
 
 @pytest.mark.parametrize("name", ["ocr:doc-1", "manufacturer:Waymo"])
