@@ -4,8 +4,9 @@ Measures parse yield (records recovered) with and without the
 correction pass, holding the scan noise fixed.
 """
 
-from repro.pipeline import PipelineConfig, process_corpus
-from repro.synth import generate_corpus
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.synth.dataset import generate_corpus
 
 from conftest import write_exhibit
 

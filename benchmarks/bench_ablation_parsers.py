@@ -7,7 +7,7 @@ bench measures what a single generic format assumption would lose.
 from repro.parsing.base import ParserRegistry
 from repro.parsing.formats import all_parsers
 from repro.parsing.formats.generic import GenericParser
-from repro.synth import generate_corpus
+from repro.synth.dataset import generate_corpus
 
 from conftest import write_exhibit
 

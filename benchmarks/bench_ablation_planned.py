@@ -10,7 +10,8 @@ standing.
 
 from repro.analysis.categories import overall_category_shares
 from repro.analysis.maturity import pooled_dpm_correlation
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import run_pipeline
 
 from conftest import write_exhibit
 

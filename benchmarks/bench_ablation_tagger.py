@@ -5,7 +5,9 @@ over the Table III seed phrases alone, both under its voting scheme
 ("based on the maximum number of shared keywords").
 """
 
-from repro.nlp import FailureDictionary, VotingTagger, evaluate_tagger
+from repro.nlp.dictionary import FailureDictionary
+from repro.nlp.evaluation import evaluate_tagger
+from repro.nlp.tagger import VotingTagger
 
 from conftest import write_exhibit
 

@@ -15,12 +15,13 @@ wall time and asserts the <5% budget — this is what CI runs.
 import tempfile
 from pathlib import Path
 
-from repro.pipeline import PipelineConfig, process_corpus
 from repro.pipeline.checkpoint import (
     CheckpointStore,
     atomic_write_text,
 )
-from repro.synth import generate_corpus
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.synth.dataset import generate_corpus
 
 SEED = 2018
 SUBSET = ["Nissan", "Volkswagen", "Delphi", "Tesla"]

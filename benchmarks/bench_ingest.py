@@ -33,10 +33,13 @@ import time
 import urllib.request
 from pathlib import Path
 
-from repro.pipeline import PipelineConfig, ingest_corpus, process_corpus
-from repro.query import QueryEngine, QueryServer, SnapshotManager
-from repro.synth import generate_corpus
-from repro.synth.dataset import SyntheticCorpus
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.ingest import ingest_corpus
+from repro.pipeline.runner import process_corpus
+from repro.query.engine import QueryEngine
+from repro.query.server import QueryServer
+from repro.query.snapshot import SnapshotManager
+from repro.synth.dataset import SyntheticCorpus, generate_corpus
 
 from runinfo import run_header
 

@@ -37,11 +37,12 @@ import time
 import urllib.request
 from pathlib import Path
 
-from repro.obs import MetricsRegistry
-from repro.pipeline import PipelineConfig, process_corpus
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.checkpoint import canonical_json
-from repro.query import QueryServer
-from repro.serving import PreforkServer
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.query.server import QueryServer
+from repro.serving.prefork import PreforkServer
 
 from runinfo import run_header
 
@@ -69,7 +70,7 @@ VOLATILE_FIELDS = ("elapsed_ms", "cached")
 
 
 def _build_db():
-    from repro.synth import generate_corpus
+    from repro.synth.dataset import generate_corpus
 
     config = PipelineConfig(seed=SEED, dictionary_mode="seed")
     corpus = generate_corpus(SEED)

@@ -17,9 +17,11 @@ benches isolate the span and counter primitives.
 import tempfile
 from pathlib import Path
 
-from repro.obs import MetricsRegistry, Tracer
-from repro.pipeline import PipelineConfig, process_corpus
-from repro.synth import generate_corpus
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.synth.dataset import generate_corpus
 
 SEED = 2018
 SUBSET = ["Nissan", "Volkswagen", "Delphi", "Tesla"]

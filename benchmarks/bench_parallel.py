@@ -32,21 +32,17 @@ from repro.nlp.dictionary import DictionaryEntry, FailureDictionary
 from repro.nlp.evaluation import evaluate_tagger
 from repro.nlp.tagger import VotingTagger
 from repro.nlp.textcache import cached_tokens
-from repro.parsing import (
-    default_registry,
-    filter_records,
-    parse_accident_report,
-)
+from repro.parsing.accidents import parse_accident_report
+from repro.parsing.base import default_registry
+from repro.parsing.filters import filter_records
 from repro.parsing.normalize import normalize_accident, normalize_records
-from repro.pipeline import (
-    FailureDatabase,
-    PipelineConfig,
-    StageGuard,
-    process_corpus,
-)
 from repro.pipeline import runner
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.resilience import StageGuard
+from repro.pipeline.runner import process_corpus
 from repro.pipeline.stages import OcrStage, PipelineDiagnostics
-from repro.synth import generate_corpus
+from repro.pipeline.store import FailureDatabase
+from repro.synth.dataset import generate_corpus
 
 from runinfo import run_header
 

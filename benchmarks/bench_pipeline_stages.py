@@ -5,12 +5,17 @@ parsing, NLP tagging) plus the whole pipeline, over a mid-size
 manufacturer subset.
 """
 
-from repro.nlp import FailureDictionary, VotingTagger
-from repro.ocr import ManualTranscriptionQueue, OcrCorrector, OcrEngine, Scanner, apply_fallback
-from repro.parsing import default_registry
-from repro.pipeline import PipelineConfig, process_corpus
+from repro.nlp.dictionary import FailureDictionary
+from repro.nlp.tagger import VotingTagger
+from repro.ocr.correction import OcrCorrector
+from repro.ocr.engine import OcrEngine
+from repro.ocr.fallback import ManualTranscriptionQueue, apply_fallback
+from repro.ocr.scanner import Scanner
+from repro.parsing.base import default_registry
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
 from repro.rng import child_generator
-from repro.synth import generate_corpus
+from repro.synth.dataset import generate_corpus
 
 SEED = 2018
 SUBSET = ["Nissan", "Volkswagen", "Delphi", "Tesla"]

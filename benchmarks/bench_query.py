@@ -22,8 +22,10 @@ import time
 import urllib.request
 
 from repro.analysis.dpm import manufacturer_dpm_summary
-from repro.pipeline import PipelineConfig, run_pipeline
-from repro.query import Query, QueryEngine, QueryServer
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import run_pipeline
+from repro.query.engine import Query, QueryEngine
+from repro.query.server import QueryServer
 from repro.rng import DEFAULT_SEED
 
 SPEEDUP_BUDGET = 10.0
@@ -88,7 +90,7 @@ def test_full_scan_equivalent(benchmark, db):
 
 
 def test_index_build(benchmark, db):
-    from repro.query import DatabaseIndex
+    from repro.query.index import DatabaseIndex
 
     index = benchmark(lambda: DatabaseIndex.build(db))
     assert index.counts["disengagements"] == len(db.disengagements)

@@ -8,15 +8,15 @@ micro-benches isolate the guard and retry wrappers themselves, and the
 chaos bench shows what a fault-heavy run costs.
 """
 
-from repro.pipeline import (
-    ChaosConfig,
+from repro.pipeline.chaos import ChaosConfig
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.resilience import (
     FailurePolicy,
-    PipelineConfig,
     StageGuard,
-    process_corpus,
     retry_transient,
 )
-from repro.synth import generate_corpus
+from repro.pipeline.runner import process_corpus
+from repro.synth.dataset import generate_corpus
 
 SEED = 2018
 SUBSET = ["Nissan", "Volkswagen", "Delphi", "Tesla"]

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import run_pipeline
 from repro.rng import DEFAULT_SEED
 
 OUTPUT_DIR = Path(__file__).parent / "output"

@@ -8,13 +8,10 @@ Usage::
     python examples/failure_tagging_nlp.py
 """
 
-from repro import PipelineConfig, run_pipeline
-from repro.nlp import (
-    FailureDictionary,
-    VotingTagger,
-    evaluate_tagger,
-)
-from repro.nlp.evaluation import per_manufacturer_accuracy
+from repro.api import PipelineConfig, run_pipeline
+from repro.nlp.dictionary import FailureDictionary
+from repro.nlp.evaluation import evaluate_tagger, per_manufacturer_accuracy
+from repro.nlp.tagger import VotingTagger
 
 CUSTOM_LOGS = [
     "Software module froze. As a result driver safely disengaged "

@@ -12,14 +12,15 @@ Usage::
 
 import sys
 
-from repro import PipelineConfig, run_pipeline
-from repro.analysis import manufacturer_dpm_summary, mission_comparison
 from repro.analysis.apm import apm_summary, first_principles_apm
+from repro.analysis.dpm import manufacturer_dpm_summary
 from repro.analysis.maturity import all_assessments
+from repro.analysis.missions import mission_comparison
 from repro.analysis.significance import (
     miles_to_demonstrate,
     rate_upper_bound,
 )
+from repro.api import PipelineConfig, run_pipeline
 from repro.calibration.baselines import HUMAN_ACCIDENTS_PER_MILE
 
 ANALYSIS = ["Mercedes-Benz", "Volkswagen", "Waymo", "Delphi", "Nissan",

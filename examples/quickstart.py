@@ -7,12 +7,12 @@ Usage::
 
 import sys
 
-from repro import PipelineConfig, run_pipeline
-from repro.analysis import pooled_dpm_correlation
 from repro.analysis.alertness import overall_mean_reaction_time
 from repro.analysis.apm import disengagements_per_accident_overall
 from repro.analysis.categories import overall_category_shares
-from repro.reporting import run_experiment
+from repro.analysis.maturity import pooled_dpm_correlation
+from repro.api import PipelineConfig, run_pipeline
+from repro.reporting.experiments import run_experiment
 
 
 def main() -> None:

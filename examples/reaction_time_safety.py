@@ -10,7 +10,6 @@ Usage::
     python examples/reaction_time_safety.py
 """
 
-from repro import PipelineConfig, run_pipeline
 from repro.analysis.alertness import (
     action_window,
     alertness_summary,
@@ -19,6 +18,7 @@ from repro.analysis.alertness import (
     overall_mean_reaction_time,
     reaction_time_mileage_correlation,
 )
+from repro.api import PipelineConfig, run_pipeline
 
 #: Illustrative fault-detection latencies (seconds) for the action
 #: window discussion in Sec. V-A4.

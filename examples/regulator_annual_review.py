@@ -10,8 +10,8 @@ Usage::
 
 import sys
 
-from repro import PipelineConfig, run_pipeline
 from repro.analysis.temporal import dpm_trend_test
+from repro.api import PipelineConfig, run_pipeline
 from repro.errors import InsufficientDataError
 from repro.reporting.summary import render_study_report
 

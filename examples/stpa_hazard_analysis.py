@@ -11,13 +11,11 @@ Usage::
     python examples/stpa_hazard_analysis.py
 """
 
-from repro import PipelineConfig, run_pipeline
-from repro.stpa import (
-    CONTROL_LOOPS,
-    build_control_structure,
-    causal_factor_for_tag,
-    overlay_failures,
-)
+from repro.api import PipelineConfig, run_pipeline
+from repro.stpa.control_loops import CONTROL_LOOPS
+from repro.stpa.hazards import causal_factor_for_tag
+from repro.stpa.mapping import overlay_failures
+from repro.stpa.structure import build_control_structure
 from repro.taxonomy import FaultTag
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro import PipelineConfig, run_pipeline
+from repro.api import PipelineConfig, run_pipeline
 from repro.reporting.fidelity import PANEL_SEEDS, evaluate, render_markdown
 
 

@@ -44,14 +44,6 @@ class BoxplotStats:
         """Interquartile range."""
         return self.q3 - self.q1
 
-    def as_row(self) -> dict[str, float]:
-        """Dictionary form for table rendering."""
-        return {
-            "n": self.n, "min": self.minimum, "q1": self.q1,
-            "median": self.median, "q3": self.q3, "max": self.maximum,
-            "mean": self.mean,
-        }
-
 
 def left_sum(values: Iterable[float]) -> float:
     """``values`` added left to right, starting from the int ``0``.

@@ -1,11 +1,14 @@
-"""The stable public facade — import :mod:`repro.api`, not internals.
+"""The stable public facade, and the only module that re-exports.
 
-Everything a downstream consumer (notebook, service, test, script)
-needs lives here under one import, with the internal module layout
-free to keep moving underneath:
+Every other name is imported from the module that defines it: a
+package ``__init__`` re-exports nothing, which
+``tests/test_reachability.py::test_package_inits_reexport_nothing``
+enforces.  This facade gathers what a downstream consumer (notebook,
+service, script) needs under one import, with the internal module
+layout free to keep moving underneath:
 
 * **Pipeline**: :func:`run_pipeline`, :func:`process_corpus`,
-  :func:`build_corpus`, :class:`PipelineConfig`,
+  :func:`generate_corpus`, :class:`PipelineConfig`,
   :class:`PipelineResult`.
 * **Persistence**: :func:`load_database`, :class:`FailureDatabase`.
 * **Query & serving**: :class:`Query`, :class:`QueryEngine`,
@@ -27,8 +30,7 @@ Quickstart::
 Anything importable from here is covered by the compatibility
 promise: a name is never repurposed, and it is removed only together
 with a verdict in the "Alternatives" table of ``docs/ARCHITECTURE.md``
-and an entry in ``CHANGES.md`` naming it.  The CLI, docs, and tests
-consume the library exclusively through this surface.
+and an entry in ``CHANGES.md`` naming it.
 """
 
 from __future__ import annotations
@@ -46,38 +48,20 @@ from .errors import (
     ReproError,
     TransientError,
 )
-from .obs import (
-    MetricsRegistry,
-    Observability,
-    Tracer,
-    default_registry,
-    load_trace,
-    self_times,
-)
-from .pipeline import (
-    ChaosConfig,
-    CrashPoint,
-    FailureDatabase,
-    FailurePolicy,
-    IngestReport,
-    IngestResult,
-    PipelineConfig,
-    PipelineResult,
-    ServingChaos,
-    ingest_corpus,
-    process_corpus,
-    run_pipeline,
-)
-from .query import (
-    Query,
-    QueryEngine,
-    QueryResult,
-    QueryServer,
-    Snapshot,
-    SnapshotManager,
-)
-from .serving import PreforkServer, serve_prefork
-from .synth import SyntheticCorpus, generate_corpus
+from .obs.metrics import MetricsRegistry, default_registry
+from .obs.runtime import Observability
+from .obs.trace import Tracer, load_trace, self_times
+from .pipeline.chaos import ChaosConfig, CrashPoint, ServingChaos
+from .pipeline.config import PipelineConfig
+from .pipeline.ingest import IngestReport, IngestResult, ingest_corpus
+from .pipeline.resilience import FailurePolicy
+from .pipeline.runner import PipelineResult, process_corpus, run_pipeline
+from .pipeline.store import FailureDatabase
+from .query.engine import Query, QueryEngine, QueryResult
+from .query.server import QueryServer
+from .query.snapshot import Snapshot, SnapshotManager
+from .serving.prefork import PreforkServer, serve_prefork
+from .synth.dataset import SyntheticCorpus, generate_corpus
 
 __all__ = [
     # Pipeline.
@@ -89,7 +73,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "ServingChaos",
-    "build_corpus",
+    "generate_corpus",
     "ingest_corpus",
     "process_corpus",
     "run_pipeline",
@@ -124,19 +108,6 @@ __all__ = [
     "ReproError",
     "TransientError",
 ]
-
-
-def build_corpus(seed: int = 2018,
-                 manufacturers: list[str] | None = None,
-                 ) -> SyntheticCorpus:
-    """Synthesize the raw Stage I corpus without processing it.
-
-    A stable alias for :func:`repro.synth.generate_corpus`, named for
-    what callers use it for: building the input to
-    :func:`process_corpus` (e.g. to run several configs over one
-    corpus).
-    """
-    return generate_corpus(seed, manufacturers)
 
 
 def load_database(path: str | Path) -> FailureDatabase:

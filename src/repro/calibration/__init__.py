@@ -8,78 +8,3 @@ mixtures (Table V), accident counts and DPA (Table VI), median DPM/APM
 collision-speed distribution parameters (Figs. 10-12), road-type shares,
 and per-manufacturer DPM trends (Figs. 5, 8, 9).
 """
-
-from .manufacturers import (
-    ANALYSIS_MANUFACTURERS,
-    EXCLUDED_MANUFACTURERS,
-    MANUFACTURERS,
-    PERIODS,
-    Manufacturer,
-    PeriodStats,
-    ReportPeriod,
-    get_manufacturer,
-    total_accidents,
-    total_disengagements,
-    total_miles,
-)
-from .fault_model import FAULT_MIXTURES, FaultMixture, fault_mixture
-from .modality import MODALITY_MIXTURES, ModalityMixture, modality_mixture
-from .reaction_times import (
-    REACTION_TIME_MODELS,
-    ReactionTimeModel,
-    reaction_time_model,
-)
-from .accidents import (
-    ACCIDENT_PROFILES,
-    SPEED_MODEL,
-    AccidentProfile,
-    CollisionSpeedModel,
-)
-from .baselines import (
-    AIRLINE_ACCIDENTS_PER_MISSION,
-    HUMAN_ACCIDENTS_PER_MILE,
-    MEDIAN_TRIP_MILES,
-    SURGICAL_ROBOT_ACCIDENTS_PER_MISSION,
-    PAPER_MEDIAN_APM,
-    PAPER_MEDIAN_DPM,
-)
-from .roads import ROAD_TYPE_SHARES, RoadType
-from .trends import DPM_TRENDS, DpmTrend, dpm_trend
-
-__all__ = [
-    "ANALYSIS_MANUFACTURERS",
-    "EXCLUDED_MANUFACTURERS",
-    "MANUFACTURERS",
-    "PERIODS",
-    "Manufacturer",
-    "PeriodStats",
-    "ReportPeriod",
-    "get_manufacturer",
-    "total_accidents",
-    "total_disengagements",
-    "total_miles",
-    "FAULT_MIXTURES",
-    "FaultMixture",
-    "fault_mixture",
-    "MODALITY_MIXTURES",
-    "ModalityMixture",
-    "modality_mixture",
-    "REACTION_TIME_MODELS",
-    "ReactionTimeModel",
-    "reaction_time_model",
-    "ACCIDENT_PROFILES",
-    "SPEED_MODEL",
-    "AccidentProfile",
-    "CollisionSpeedModel",
-    "AIRLINE_ACCIDENTS_PER_MISSION",
-    "HUMAN_ACCIDENTS_PER_MILE",
-    "MEDIAN_TRIP_MILES",
-    "SURGICAL_ROBOT_ACCIDENTS_PER_MISSION",
-    "PAPER_MEDIAN_APM",
-    "PAPER_MEDIAN_DPM",
-    "ROAD_TYPE_SHARES",
-    "RoadType",
-    "DPM_TRENDS",
-    "DpmTrend",
-    "dpm_trend",
-]

@@ -9,6 +9,8 @@ Commands::
     report     render paper tables/figures from a database JSON
     tag        tag free-text log lines with the failure dictionary
     stpa       overlay the tagged failures on the control structure
+    lint       check a database for consistency problems
+    summary    render the full study report (Markdown)
     validate   score the NLP tagger against ground truth
     query      run one typed query against a database
     serve      expose a database over the embedded HTTP JSON API
@@ -33,17 +35,17 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CalibrationError, CorruptDatabaseError, SynthesisError
-from .pipeline import (
+from .pipeline.chaos import (
+    CHAOS_KINDS,
+    CRASH_POINTS,
     ChaosConfig,
     CrashController,
     CrashPoint,
-    FailureDatabase,
-    PipelineConfig,
-    process_corpus,
-    run_pipeline,
 )
-from .pipeline.chaos import CHAOS_KINDS, CRASH_POINTS
+from .pipeline.config import PipelineConfig
 from .pipeline.resilience import POLICY_MODES
+from .pipeline.runner import process_corpus, run_pipeline
+from .pipeline.store import FailureDatabase
 from .rng import DEFAULT_SEED
 
 
@@ -249,7 +251,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    from .synth import generate_corpus
+    from .synth.dataset import generate_corpus
     from .synth.io import write_corpus
 
     corpus = generate_corpus(args.seed, args.manufacturers)
@@ -321,7 +323,7 @@ def _load_db(args: argparse.Namespace) -> FailureDatabase:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .reporting import EXPERIMENTS, run_experiment
+    from .reporting.experiments import EXPERIMENTS, run_experiment
 
     db = _load_db(args)
     wanted = (list(EXPERIMENTS) if "all" in args.experiments
@@ -352,7 +354,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_tag(args: argparse.Namespace) -> int:
-    from .nlp import FailureDictionary, VotingTagger
+    from .nlp.dictionary import FailureDictionary
+    from .nlp.tagger import VotingTagger
 
     if args.db:
         from .api import load_database
@@ -383,7 +386,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_stpa(args: argparse.Namespace) -> int:
-    from .stpa import overlay_failures
+    from .stpa.mapping import overlay_failures
 
     db = _load_db(args)
     overlay = overlay_failures(db.disengagements)
@@ -441,8 +444,9 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .nlp import FailureDictionary, VotingTagger, evaluate_tagger
-    from .nlp.evaluation import per_manufacturer_accuracy
+    from .nlp.dictionary import FailureDictionary
+    from .nlp.evaluation import evaluate_tagger, per_manufacturer_accuracy
+    from .nlp.tagger import VotingTagger
 
     db = _load_db(args)
     records = [r for r in db.disengagements if r.truth_tag is not None]
@@ -479,7 +483,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _query_from_args(args: argparse.Namespace):
-    from .query import Query
+    from .query.engine import Query
 
     data = {"metric": args.metric}
     if args.group_by:
@@ -494,7 +498,7 @@ def _query_from_args(args: argparse.Namespace):
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from .query import QueryEngine
+    from .query.engine import QueryEngine
 
     engine = QueryEngine(_load_db(args))
     result = engine.execute(_query_from_args(args))
@@ -506,38 +510,38 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_prefork(args: argparse.Namespace) -> int:
-    from .serving import serve_prefork
+    import contextlib
+    import tempfile
 
-    if args.db:
+    from .serving.prefork import serve_prefork
+
+    with contextlib.ExitStack() as cleanup:
         db_path = args.db
-    else:
-        # Workers load the database from a file, so a pipeline-built
-        # database must hit disk first.
-        import tempfile
-
-        if not args.quiet:
-            print("no --db given; running the pipeline first...",
-                  file=sys.stderr)
-        db = run_pipeline(PipelineConfig(seed=args.seed)).database
-        handle = tempfile.NamedTemporaryFile(
-            mode="w", suffix=".json", prefix="repro-db-",
-            delete=False)
-        handle.close()
-        db.save(handle.name)
-        db_path = handle.name
-    serve_prefork(db_path, host=args.host, port=args.port,
-                  processes=args.processes,
-                  cache_size=args.cache_size,
-                  max_inflight=args.max_inflight,
-                  deadline_s=args.deadline,
-                  verbose=not args.quiet,
-                  watch=args.watch,
-                  watch_interval_s=args.watch_interval)
+        if not db_path:
+            # Workers load the database from a file, so a pipeline-built
+            # database must hit disk first, in a directory that goes
+            # (sidecar included) when serving ends.
+            if not args.quiet:
+                print("no --db given; running the pipeline first...",
+                      file=sys.stderr)
+            db = run_pipeline(PipelineConfig(seed=args.seed)).database
+            scratch = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-db-"))
+            db_path = str(Path(scratch) / "db.json")
+            db.save(db_path)
+        serve_prefork(db_path, host=args.host, port=args.port,
+                      processes=args.processes,
+                      cache_size=args.cache_size,
+                      max_inflight=args.max_inflight,
+                      deadline_s=args.deadline,
+                      verbose=not args.quiet,
+                      watch=args.watch,
+                      watch_interval_s=args.watch_interval)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .query import QueryServer
+    from .query.server import QueryServer
     from .reporting.summary import render_query_stats
 
     if args.processes:
@@ -573,15 +577,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .api import load_trace, self_times
+    from .obs.trace import load_trace, self_times
     from .reporting.summary import render_trace_summary
 
     path = Path(args.path)
-    if not path.exists():
+    try:
+        spans = load_trace(path)
+    except FileNotFoundError as exc:
         raise ValueError(
             f"trace file {str(path)!r} does not exist "
-            "(record one with 'repro run --trace')")
-    spans = load_trace(path)
+            "(record one with 'repro run --trace')") from exc
+    except OSError as exc:
+        raise ValueError(
+            f"trace file {str(path)!r} could not be read: "
+            f"{exc.strerror or exc}") from exc
     if not spans:
         raise ValueError(
             f"trace file {str(path)!r} contains no spans")

@@ -8,27 +8,5 @@ wins.  The STPA-derived ontology that maps tags to coarse failure
 categories is :mod:`repro.taxonomy`.
 """
 
-from .tokenize import tokenize, sentences
-from .normalize import normalize_tokens, STOPWORDS
-from .ngrams import ngrams
-from .dictionary import FailureDictionary, SEED_PHRASES
-from .tagger import TagResult, VotingTagger
-from .textcache import TokenCache, cached_tokens, token_cache
-from .evaluation import TaggingReport, evaluate_tagger
-
-__all__ = [
-    "tokenize",
-    "sentences",
-    "normalize_tokens",
-    "STOPWORDS",
-    "ngrams",
-    "FailureDictionary",
-    "SEED_PHRASES",
-    "TagResult",
-    "VotingTagger",
-    "TokenCache",
-    "cached_tokens",
-    "token_cache",
-    "TaggingReport",
-    "evaluate_tagger",
-]
+# ``benchmarks/e2e`` imports this name through the package.
+from .textcache import token_cache  # noqa: F401

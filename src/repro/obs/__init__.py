@@ -26,36 +26,5 @@ Quickstart::
     # `repro trace ./traces/trace.jsonl` renders the self-time table.
 """
 
-from .metrics import (
-    DEFAULT_BUCKETS,
-    HTTP_LATENCY,
-    HTTP_REQUESTS,
-    STAGE_DURATION,
-    UNITS_TOTAL,
-    MetricsRegistry,
-    default_registry,
-)
-from .runtime import Observability
-from .trace import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    load_trace,
-    self_times,
-)
-
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "HTTP_LATENCY",
-    "HTTP_REQUESTS",
-    "STAGE_DURATION",
-    "UNITS_TOTAL",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "Observability",
-    "Tracer",
-    "default_registry",
-    "load_trace",
-    "self_times",
-]
+# ``benchmarks/e2e`` imports these names through the package.
+from .trace import Tracer, self_times  # noqa: F401

@@ -249,24 +249,40 @@ class Tracer:
 # Saved-trace analysis (the ``repro trace`` CLI verb).
 # ----------------------------------------------------------------------
 
+#: The JSON types :meth:`Tracer._line` writes, per span field.
+_SPAN_FIELDS: dict[str, tuple[type, ...]] = {
+    "span_id": (int,), "parent_id": (int, type(None)),
+    "duration_s": (int, float), "name": (str,), "kind": (str,),
+    "status": (str,), "attrs": (dict,),
+}
+
+
+def _is_span(record: Any) -> bool:
+    """Whether ``record`` has a ``span_id`` and every span field it
+    carries has the type the tracer writes (a bool is no number)."""
+    return (isinstance(record, dict) and "span_id" in record
+            and all(type(value) is not bool
+                    and isinstance(value, _SPAN_FIELDS[key])
+                    for key, value in record.items()
+                    if key in _SPAN_FIELDS))
+
+
 def load_trace(path: str | Path) -> list[dict[str, Any]]:
-    """Read a JSONL trace file, skipping undecodable lines.
+    """Read a JSONL trace file, skipping every line that is not a span.
 
     A trace flushed through :meth:`Tracer.flush` is always fully
     valid; tolerance here covers hand-truncated files and foreign
-    producers.
+    producers: a line that is not UTF-8, not JSON, or not a span
+    whose fields have the tracer's types is skipped.
     """
     spans: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError or JSONDecodeError
                 continue
-            if isinstance(record, dict) and "span_id" in record:
+            if _is_span(record):
                 spans.append(record)
     return spans
 

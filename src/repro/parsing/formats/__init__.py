@@ -34,16 +34,3 @@ def all_parsers():
         GenericParser("Uber ATC"),
     ]
 
-
-__all__ = [
-    "BenzParser",
-    "BoschParser",
-    "DelphiParser",
-    "GenericParser",
-    "GmCruiseParser",
-    "NissanParser",
-    "TeslaParser",
-    "VolkswagenParser",
-    "WaymoParser",
-    "all_parsers",
-]

@@ -27,7 +27,6 @@ from ..fields import (
     split_fields,
 )
 from ..records import DisengagementRecord, MonthlyMileage
-from .common import coerce_month_iso  # noqa: F401  (re-export for tests)
 
 #: Waymo mileage lines are recognized structurally, not by keyword:
 #: Waymo's section has thousands of lines, so keyword anchoring loses

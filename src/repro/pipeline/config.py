@@ -64,7 +64,7 @@ class PipelineConfig:
     #: Render the finished run's metrics (stage durations,
     #: unit/retry/quarantine counters, cache hit rates) from its
     #: diagnostics and fold them into the process-global
-    #: :func:`repro.obs.default_registry`.  Off by default.
+    #: :func:`repro.obs.metrics.default_registry`.  Off by default.
     metrics_enabled: bool = False
 
     def __post_init__(self) -> None:

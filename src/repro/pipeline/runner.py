@@ -39,12 +39,9 @@ from ..nlp.tagger import VotingTagger
 from ..nlp.textcache import token_cache
 from ..obs.metrics import default_registry
 from ..obs.runtime import Observability
-from ..parsing import (
-    ParserRegistry,
-    filter_records,
-    parse_accident_report,
-)
-from ..parsing import default_registry as parser_registry
+from ..parsing.accidents import parse_accident_report
+from ..parsing.base import ParserRegistry, default_registry as parser_registry
+from ..parsing.filters import filter_records
 from ..parsing.normalize import normalize_accident, normalize_records
 from ..parsing.records import (
     AccidentRecord,

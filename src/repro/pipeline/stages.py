@@ -26,13 +26,10 @@ from ..obs.metrics import (
     UNPARSED_LINES,
     MetricsRegistry,
 )
-from ..ocr import (
-    ManualTranscriptionQueue,
-    OcrCorrector,
-    OcrEngine,
-    Scanner,
-    apply_fallback,
-)
+from ..ocr.correction import OcrCorrector
+from ..ocr.engine import OcrEngine
+from ..ocr.fallback import ManualTranscriptionQueue, apply_fallback
+from ..ocr.scanner import Scanner
 from ..parsing.filters import FilterStats
 from ..parsing.normalize import NormalizationStats
 from ..synth.reports import RawDocument
@@ -82,7 +79,7 @@ class PipelineDiagnostics:
     #: degradations, quarantine counts per stage).
     health: RunHealth = field(default_factory=RunHealth)
     #: Stage name -> wall seconds, from the run's one stage clock
-    #: (:meth:`repro.obs.Observability.stage`).
+    #: (:meth:`repro.obs.runtime.Observability.stage`).
     stage_wall_s: dict[str, float] = field(default_factory=dict)
     #: Per-unit stage -> units it restored or computed.
     stage_units: dict[str, int] = field(default_factory=dict)

@@ -22,8 +22,7 @@ it.  Four cooperating pieces:
 
 Quickstart::
 
-    from repro import run_pipeline, PipelineConfig
-    from repro.query import Query, QueryEngine
+    from repro.api import PipelineConfig, Query, QueryEngine, run_pipeline
 
     db = run_pipeline(PipelineConfig(seed=2018)).database
     engine = QueryEngine(db)
@@ -32,31 +31,5 @@ Quickstart::
     print(result.value["Waymo"]["aggregate_dpm"])
 """
 
-from .cache import CacheStats, LruCache
-from .engine import (
-    GROUP_BYS,
-    METRICS,
-    Query,
-    QueryEngine,
-    QueryResult,
-    to_jsonable,
-)
-from .index import DatabaseIndex
-from .server import QueryServer
-from .snapshot import DirectoryWatcher, Snapshot, SnapshotManager
-
-__all__ = [
-    "CacheStats",
-    "DatabaseIndex",
-    "DirectoryWatcher",
-    "GROUP_BYS",
-    "LruCache",
-    "METRICS",
-    "Query",
-    "QueryEngine",
-    "QueryResult",
-    "QueryServer",
-    "Snapshot",
-    "SnapshotManager",
-    "to_jsonable",
-]
+# ``benchmarks/e2e`` imports these names through the package.
+from .engine import Query, QueryEngine  # noqa: F401

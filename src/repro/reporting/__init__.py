@@ -4,20 +4,3 @@
 (Tables I-VIII, Figs. 4-12); ``experiments`` is the registry the
 benchmark harness iterates over.
 """
-
-from .tables import Table
-from .figures import BoxSeries, FigureData, Series
-from . import tables_paper, figures_paper
-from .experiments import EXPERIMENTS, Experiment, run_experiment
-
-__all__ = [
-    "Table",
-    "BoxSeries",
-    "FigureData",
-    "Series",
-    "tables_paper",
-    "figures_paper",
-    "EXPERIMENTS",
-    "Experiment",
-    "run_experiment",
-]

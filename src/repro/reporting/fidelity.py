@@ -52,9 +52,11 @@ from ..analysis.categories import (
 from ..analysis.dpm import manufacturer_dpm_summary, yearly_dpm_distributions
 from ..analysis.maturity import all_assessments, pooled_dpm_correlation
 from ..analysis.missions import mission_comparison
+from ..analysis.significance import failure_rate_confidence
 from ..analysis.stats import median
 from ..calibration.accidents import ACCIDENT_PROFILES
 from ..calibration.baselines import (
+    HUMAN_ACCIDENTS_PER_MILE,
     PAPER_APM_RELATIVE_TO_HUMAN,
     PAPER_APMI,
     PAPER_APMI_VS_AIRLINE,
@@ -547,6 +549,15 @@ def _rate_rows() -> list[Row]:
             "four points, one per manufacturer with accidents",
             fmt=".2f"),
     ]
+    rows += [
+        Row(f"table7-{_slug(name)}-apm-significance",
+            f"{name} APM above human drivers', confidence", 0.9,
+            lambda a, name=name: a(_apm_significance, name), Above(0.9),
+            "the paper's \"> 90% significance\": a Poisson test of the "
+            "manufacturer's accidents over its miles at the human rate "
+            "(Kalra-Paddock)", fmt=".3f")
+        for name in ("Waymo", "GMCruise")
+    ]
     return rows
 
 
@@ -748,6 +759,13 @@ def _waymo_advantage(analyses: Analyses) -> float:
     dpm = _dpm(analyses)
     others = [s.median_dpm for name, s in dpm.items() if name != "Waymo"]
     return median(others) / dpm["Waymo"].median_dpm
+
+
+def _apm_significance(db: FailureDatabase, name: str) -> float:
+    return failure_rate_confidence(
+        db.miles_by_manufacturer()[name],
+        len(db.accidents_by_manufacturer()[name]),
+        HUMAN_ACCIDENTS_PER_MILE)
 
 
 def _human_ratio_span(analyses: Analyses) -> tuple[float, float]:

@@ -69,8 +69,9 @@ def figure3(db: FailureDatabase | None = None) -> FigureData:
     Rendered as a text outline plus the DOT form; ``db``, when given,
     highlights components by observed failure counts.
     """
-    from ..stpa import build_control_structure, overlay_failures
+    from ..stpa.mapping import overlay_failures
     from ..stpa.render import to_dot, to_outline
+    from ..stpa.structure import build_control_structure
 
     structure = build_control_structure()
     figure = FigureData(

@@ -258,7 +258,7 @@ def _render_checkpoint_health(checkpoint, w) -> None:
 def render_trace_summary(rows: list[dict]) -> str:
     """Render a self-time table from aggregated trace rows.
 
-    ``rows`` is :func:`repro.obs.self_times` output (already sorted
+    ``rows`` is :func:`repro.obs.trace.self_times` output (already sorted
     hottest-first); this is the body of the ``repro trace`` verb.
     """
     out: list[str] = []
@@ -278,7 +278,7 @@ def render_trace_summary(rows: list[dict]) -> str:
 def render_metrics_summary(metrics: dict) -> str:
     """Render a metrics snapshot as a compact text digest.
 
-    ``metrics`` is :meth:`repro.obs.MetricsRegistry.to_dict` output
+    ``metrics`` is :meth:`repro.obs.metrics.MetricsRegistry.to_dict` output
     (as stored on ``PipelineDiagnostics.metrics``); counters and
     gauges print their per-label values, histograms their count and
     mean.

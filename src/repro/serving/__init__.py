@@ -32,25 +32,10 @@ fingerprint-scoped page cursors that refuse to span generations.
 
 Quickstart::
 
-    from repro.serving import PreforkServer
+    from repro.api import PreforkServer
 
     with PreforkServer("db.json", port=0, processes=4) as server:
         server.wait_ready()
         ...  # http://127.0.0.1:<port>/v1/query
         server.publish("db-next.json")  # hot-swap every worker
 """
-
-from .generation import Generation, GenerationFile, GenerationWatcher
-from .prefork import PreforkServer, serve_prefork
-from .worker import WorkerConfig, aggregate_metrics, run_worker
-
-__all__ = [
-    "Generation",
-    "GenerationFile",
-    "GenerationWatcher",
-    "PreforkServer",
-    "WorkerConfig",
-    "aggregate_metrics",
-    "run_worker",
-    "serve_prefork",
-]

@@ -5,29 +5,3 @@ as a typed graph, the highlighted control loops CL-1/CL-2/CL-3, the
 unsafe-control-action taxonomy, and the overlay that localizes each
 tagged failure record onto the structure.
 """
-
-from .components import Component, ComponentKind, STANDARD_COMPONENTS
-from .structure import ControlStructure, EdgeKind, build_control_structure
-from .control_loops import CONTROL_LOOPS, ControlLoop
-from .hazards import (
-    CausalFactor,
-    UnsafeControlAction,
-    causal_factor_for_tag,
-)
-from .mapping import FailureOverlay, overlay_failures
-
-__all__ = [
-    "Component",
-    "ComponentKind",
-    "STANDARD_COMPONENTS",
-    "ControlStructure",
-    "EdgeKind",
-    "build_control_structure",
-    "CONTROL_LOOPS",
-    "ControlLoop",
-    "CausalFactor",
-    "UnsafeControlAction",
-    "causal_factor_for_tag",
-    "FailureOverlay",
-    "overlay_failures",
-]

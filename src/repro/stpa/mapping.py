@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..parsing.records import DisengagementRecord
 from .control_loops import CONTROL_LOOPS
-from .hazards import UnsafeControlAction, causal_factor_for_tag
+from .hazards import causal_factor_for_tag
 
 
 @dataclass
@@ -74,4 +74,4 @@ def overlay_failures(records: list[DisengagementRecord],
     return overlay
 
 
-__all__ = ["FailureOverlay", "overlay_failures", "UnsafeControlAction"]
+__all__ = ["FailureOverlay", "overlay_failures"]

@@ -8,26 +8,3 @@ disengagement events with natural-language cause narratives, and
 accident reports — rendered into the same kind of heterogeneous raw
 report documents the real pipeline had to parse.
 """
-
-from .fleet import FleetRoster, Vehicle, build_roster
-from .mileage import MonthlyPlan, build_monthly_plan
-from .events import synthesize_disengagements
-from .accidents import synthesize_accidents
-from .narratives import NarrativeGenerator
-from .reports import render_accident_document, render_disengagement_document
-from .dataset import SyntheticCorpus, generate_corpus
-
-__all__ = [
-    "FleetRoster",
-    "Vehicle",
-    "build_roster",
-    "MonthlyPlan",
-    "build_monthly_plan",
-    "synthesize_disengagements",
-    "synthesize_accidents",
-    "NarrativeGenerator",
-    "render_accident_document",
-    "render_disengagement_document",
-    "SyntheticCorpus",
-    "generate_corpus",
-]

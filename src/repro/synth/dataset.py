@@ -17,7 +17,7 @@ from ..parsing.records import (
     MonthlyMileage,
 )
 from ..rng import DEFAULT_SEED, child_generator
-from ..units import month_key, months_between
+from ..units import months_between
 from .accidents import synthesize_accidents
 from .events import synthesize_disengagements
 from .fleet import build_roster
@@ -95,4 +95,4 @@ def generate_corpus(seed: int = DEFAULT_SEED,
     return corpus
 
 
-__all__ = ["SyntheticCorpus", "generate_corpus", "month_key"]
+__all__ = ["SyntheticCorpus", "generate_corpus"]

@@ -30,7 +30,6 @@ from ..calibration.roads import (
 from ..calibration.trends import dpm_trend
 from ..parsing.records import DisengagementRecord, MonthlyMileage
 from ..rng import cdf_index, exponweib_variate, weighted_cdf
-from ..taxonomy import FaultTag, Modality
 from .mileage import MonthlyPlan, _period_months
 from .narratives import NarrativeGenerator
 
@@ -199,14 +198,4 @@ def _inject_reaction_outlier(manufacturer_name: str,
     carrier.reaction_time_s = model.outlier_seconds
 
 
-def planned_only(manufacturer_name: str) -> bool:
-    """Whether all of a manufacturer's disengagements are planned tests."""
-    return modality_mixture(manufacturer_name).all_planned
-
-
-__all__ = [
-    "synthesize_disengagements",
-    "planned_only",
-    "FaultTag",
-    "Modality",
-]
+__all__ = ["synthesize_disengagements"]

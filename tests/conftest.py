@@ -11,9 +11,10 @@ from fnmatch import fnmatchcase
 
 import pytest
 
-from repro.pipeline import PipelineConfig, process_corpus
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
 from repro.reporting.fidelity import PANEL_SEEDS, evaluate
-from repro.synth import generate_corpus
+from repro.synth.dataset import generate_corpus
 
 FULL_SEED = 2018
 SMALL_SEED = 7

@@ -3,28 +3,28 @@ missions, maturity, significance) over the session database."""
 
 import pytest
 
-from repro.analysis import (
-    alertness_summary,
-    apm_summary,
-    manufacturer_dpm_summary,
-    miles_to_demonstrate,
-    mission_comparison,
-    monthly_series,
-    yearly_dpm_distributions,
-)
 from repro.analysis.alertness import (
     action_window,
+    alertness_summary,
     human_baseline,
 )
+from repro.analysis.apm import apm_summary
 from repro.analysis.categories import (
     category_percentages,
     tag_fractions,
 )
-from repro.analysis.dpm import has_vehicle_attribution, per_unit_dpm
+from repro.analysis.dpm import (
+    has_vehicle_attribution,
+    manufacturer_dpm_summary,
+    monthly_series,
+    per_unit_dpm,
+    yearly_dpm_distributions,
+)
 from repro.analysis.maturity import assess_maturity
-from repro.analysis.missions import accidents_per_mission
+from repro.analysis.missions import accidents_per_mission, mission_comparison
 from repro.analysis.significance import (
     failure_rate_confidence,
+    miles_to_demonstrate,
     rate_upper_bound,
 )
 from repro.errors import AnalysisError, InsufficientDataError

@@ -4,16 +4,14 @@ correlation, and distribution fits."""
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    boxplot_stats,
+from repro.analysis.correlation import log_pearson, pearson
+from repro.analysis.fitting import (
     fit_exponential,
     fit_exponweibull,
-    fit_linear,
-    fit_loglog,
-    pearson,
+    histogram_density,
 )
-from repro.analysis.correlation import log_pearson
-from repro.analysis.fitting import histogram_density
+from repro.analysis.regression import fit_linear, fit_loglog
+from repro.analysis.stats import boxplot_stats
 from repro.errors import InsufficientDataError
 
 

@@ -28,26 +28,6 @@ class TestPublicApi:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
-
-    def test_quickstart_surface(self):
-        # The README quickstart names exactly these.
-        assert callable(repro.run_pipeline)
-        assert callable(repro.generate_corpus)
-        assert callable(repro.process_corpus)
-        repro.PipelineConfig()
-        repro.FailureDatabase()
-
-    def test_default_seed_constant(self):
-        assert repro.DEFAULT_SEED == 2018
-
-    def test_enums_exported(self):
-        assert repro.FaultTag.SOFTWARE
-        assert repro.FailureCategory.ML_DESIGN
-        assert repro.Modality.PLANNED
-
 
 class TestErrorHierarchy:
     @pytest.mark.parametrize("exc", [
@@ -90,9 +70,6 @@ class TestErrorHierarchy:
         assert "checksum mismatch" in text
         assert str(CorruptDatabaseError("plain")) == "plain"
 
-    def test_corrupt_database_exported_from_package(self):
-        assert repro.CorruptDatabaseError is CorruptDatabaseError
-
     def test_quarantined_is_pipeline_error(self):
         assert issubclass(QuarantinedError, PipelineError)
         error = QuarantinedError("lost", unit_id="doc-1",
@@ -113,12 +90,6 @@ class TestErrorHierarchy:
 
 
 class TestApiFacade:
-    def test_lazy_attribute_resolves_to_module(self):
-        import repro.api as api_module
-
-        assert repro.api is api_module
-        assert "api" in repro.__all__
-
     def test_all_facade_exports_resolve(self):
         from repro import api
 
@@ -128,22 +99,13 @@ class TestApiFacade:
     def test_blessed_surface_present(self):
         from repro import api
 
-        for name in ("run_pipeline", "process_corpus", "build_corpus",
+        for name in ("run_pipeline", "process_corpus",
                      "load_database", "PipelineConfig", "Query",
                      "QueryEngine", "QueryServer", "FailureDatabase",
                      "MetricsRegistry", "Tracer", "load_trace",
                      "self_times", "ReproError",
                      "CorruptDatabaseError"):
             assert name in api.__all__, name
-
-    def test_build_corpus_aliases_generate_corpus(self):
-        from repro import api
-        from repro.synth import generate_corpus
-
-        via_facade = api.build_corpus(seed=7,
-                                      manufacturers=["Nissan"])
-        direct = generate_corpus(7, ["Nissan"])
-        assert len(via_facade.documents) == len(direct.documents)
 
     def test_load_database_missing_file_is_corrupt_error(self,
                                                          tmp_path):
@@ -166,7 +128,7 @@ class TestApiFacade:
         # The store itself still lets errors other than corruption
         # propagate, as snapshot swaps rely on.
         with pytest.raises(IsADirectoryError):
-            repro.FailureDatabase.load(tmp_path)
+            api.FailureDatabase.load(tmp_path)
 
     @pytest.mark.parametrize("payload", [
         # UTF-16 text with its byte-order mark.

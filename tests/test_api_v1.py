@@ -13,14 +13,16 @@ import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.query import QueryEngine, QueryServer, SnapshotManager
+from repro.obs.metrics import MetricsRegistry
+from repro.query.engine import QueryEngine
 from repro.query.server import (
     _V1_ROUTES,
+    QueryServer,
     decode_cursor,
     encode_cursor,
     error_envelope,
 )
+from repro.query.snapshot import SnapshotManager
 
 
 @pytest.fixture(scope="module")

@@ -2,30 +2,28 @@
 
 import pytest
 
-from repro.calibration import (
-    ACCIDENT_PROFILES,
+from repro.calibration.accidents import ACCIDENT_PROFILES, SPEED_MODEL
+from repro.calibration.baselines import PAPER_MEDIAN_DPM
+from repro.calibration.fault_model import (
     FAULT_MIXTURES,
-    MANUFACTURERS,
-    MODALITY_MIXTURES,
-    PAPER_MEDIAN_DPM,
-    ReportPeriod,
-    SPEED_MODEL,
+    TABLE4_MANUFACTURERS,
     fault_mixture,
+)
+from repro.calibration.manufacturers import (
+    ANALYSIS_MANUFACTURERS,
+    EXCLUDED_MANUFACTURERS,
+    MANUFACTURERS,
+    ReportPeriod,
     get_manufacturer,
-    modality_mixture,
     total_accidents,
     total_disengagements,
     total_miles,
 )
-from repro.calibration.fault_model import TABLE4_MANUFACTURERS
-from repro.reporting.fidelity import TABLE4
-from repro.calibration.manufacturers import (
-    ANALYSIS_MANUFACTURERS,
-    EXCLUDED_MANUFACTURERS,
-)
+from repro.calibration.modality import MODALITY_MIXTURES, modality_mixture
 from repro.calibration.roads import ROAD_TYPE_SHARES
 from repro.calibration.trends import DPM_TRENDS, dpm_trend
 from repro.errors import CalibrationError
+from repro.reporting.fidelity import TABLE4
 from repro.taxonomy import FailureCategory, MlSubcategory
 
 

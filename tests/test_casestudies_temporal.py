@@ -9,8 +9,8 @@ from scipy import stats as sstats
 from repro.analysis.temporal import dpm_trend_test, mann_kendall
 from repro.casestudies import CASE_STUDIES, CASE_STUDY_1, CASE_STUDY_2
 from repro.errors import InsufficientDataError
-from repro.stpa import build_control_structure
 from repro.stpa.control_loops import CONTROL_LOOPS
+from repro.stpa.structure import build_control_structure
 from repro.taxonomy import FaultTag
 
 

@@ -24,15 +24,12 @@ from repro.parsing.records import (
     DisengagementRecord,
     MonthlyMileage,
 )
-from repro.pipeline import (
+from repro.pipeline.chaos import (
     CRASH_POINTS,
     ChaosConfig,
     CrashController,
     CrashPoint,
-    FailureDatabase,
-    PipelineConfig,
     SimulatedCrash,
-    process_corpus,
 )
 from repro.pipeline.checkpoint import (
     NOT_FINGERPRINTED,
@@ -44,11 +41,13 @@ from repro.pipeline.checkpoint import (
     journal_line,
     sha256_text,
 )
+from repro.pipeline.config import PipelineConfig
 from repro.pipeline.ingest import _rewrite_journal
 from repro.pipeline.resilience import Quarantine, QuarantineEntry
-from repro.pipeline.runner import record_id
+from repro.pipeline.runner import process_corpus, record_id
+from repro.pipeline.store import FailureDatabase
 from repro.reporting.summary import render_run_health
-from repro.synth import generate_corpus
+from repro.synth.dataset import generate_corpus
 
 from .oracles import database_payload, read_journal_reference
 

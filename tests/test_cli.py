@@ -33,6 +33,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command])
 
+    def test_docstring_lists_every_command(self):
+        from repro import cli
+
+        block = cli.__doc__.split("Commands::")[1].split("\n\n")[1]
+        listed = [line.split()[0] for line in block.splitlines()]
+        (commands,) = [action.choices for action
+                       in build_parser()._subparsers._group_actions]
+        assert listed == list(commands)
+
     @pytest.mark.parametrize("flag", ["--workers", "--batch-size"])
     def test_pool_flags_are_gone(self, flag, capsys):
         # Stages II-III have no worker pool, so neither flag exists.
@@ -145,8 +154,8 @@ class TestLint:
         assert "0 error(s)" in capsys.readouterr().out
 
     def test_lint_broken_database(self, tmp_path, capsys):
-        from repro.pipeline import FailureDatabase
         from repro.parsing.records import DisengagementRecord
+        from repro.pipeline.store import FailureDatabase
 
         db = FailureDatabase(disengagements=[DisengagementRecord(
             manufacturer="X", month="2030-01", description="d")])
@@ -268,7 +277,7 @@ class TestServeVerb:
         import urllib.request
 
         from repro.pipeline.store import FailureDatabase
-        from repro.query import QueryServer
+        from repro.query.server import QueryServer
 
         db = FailureDatabase.load(nissan_db_path)
         with QueryServer(db, port=0) as server:
@@ -277,6 +286,34 @@ class TestServeVerb:
                 body = json_mod.loads(res.read())
         assert body["status"] == "ok"
         assert body["fingerprint"] == db.fingerprint()
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises"])
+    def test_prefork_without_db_leaves_no_temp_files(
+            self, small_db, tmp_path, monkeypatch, outcome):
+        import tempfile
+        import types
+        from pathlib import Path
+
+        from repro import cli
+        from repro.serving import prefork
+
+        served = []
+
+        def serve_prefork(db_path, **kwargs):
+            served.append([Path(db_path).exists(),
+                           Path(f"{db_path}.sha256").exists()])
+            if outcome == "raises":
+                raise ValueError("pre-fork serving needs SO_REUSEPORT")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(cli, "run_pipeline", lambda config: (
+            types.SimpleNamespace(database=small_db)))
+        monkeypatch.setattr(prefork, "serve_prefork", serve_prefork)
+        code = main(["serve", "--processes", "1", "--quiet"])
+        assert code == (2 if outcome == "raises" else 0)
+        # The database and its sidecar existed while serving ran.
+        assert served == [[True, True]]
+        assert not list(tmp_path.glob("repro-db-*"))
 
 
 class TestSharedFlagConventions:
@@ -378,6 +415,9 @@ class TestTraceVerb:
         code = main(["trace", str(tmp_path / "nope.jsonl")])
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+        # An unreadable path (a directory) gets the same one-line error.
+        assert main(["trace", str(tmp_path)]) == 2
+        assert "could not be read" in capsys.readouterr().err
 
     def test_run_summary_mentions_trace_and_metrics(self, tmp_path,
                                                     capsys):

@@ -14,7 +14,7 @@ EXAMPLES = sorted((Path(__file__).parents[1] / "examples").glob("*.py"))
 
 class TestFigure2And3:
     def test_figure2_lists_both_cases(self, db):
-        from repro.reporting import run_experiment
+        from repro.reporting.experiments import run_experiment
 
         figure = run_experiment("figure2", db)
         text = figure.render()
@@ -23,7 +23,7 @@ class TestFigure2And3:
         assert "recklessly" not in text  # events, not report quotes
 
     def test_figure3_outline_and_dot(self, db):
-        from repro.reporting import run_experiment
+        from repro.reporting.experiments import run_experiment
 
         figure = run_experiment("figure3", db)
         text = figure.render(max_points=3)

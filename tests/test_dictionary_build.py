@@ -23,12 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nlp import FailureDictionary, VotingTagger, textcache
-from repro.nlp.dictionary import DictionaryEntry
+from repro.nlp import textcache
+from repro.nlp.dictionary import DictionaryEntry, FailureDictionary
 from repro.nlp.ngrams import all_ngrams, distinct_ngrams
+from repro.nlp.tagger import VotingTagger
 from repro.nlp.textcache import TokenCache, cached_tokens
-from repro.pipeline import PipelineConfig, process_corpus
-from repro.synth import generate_corpus
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.synth.dataset import generate_corpus
 from repro.taxonomy import FaultTag
 
 from .oracles import (
@@ -61,7 +63,7 @@ def _entry_key(entry: DictionaryEntry) -> tuple:
 class TestHashSeedIndependence:
     _BUILD = (
         "import hashlib, json, sys\n"
-        "from repro.nlp import FailureDictionary\n"
+        "from repro.nlp.dictionary import FailureDictionary\n"
         "texts = json.load(open(sys.argv[1]))\n"
         "text = FailureDictionary.build(texts).to_json()\n"
         "print(hashlib.sha256(text.encode()).hexdigest())\n")

@@ -182,7 +182,7 @@ class TestFallbackQueueAccounting:
 
 class TestStoreEdgeCases:
     def test_empty_database(self):
-        from repro.pipeline import FailureDatabase
+        from repro.pipeline.store import FailureDatabase
 
         db = FailureDatabase()
         assert db.manufacturers() == []
@@ -191,7 +191,7 @@ class TestStoreEdgeCases:
         assert db.monthly_miles("X") == {}
 
     def test_vehicleless_records_excluded_from_vehicle_views(self):
-        from repro.pipeline import FailureDatabase
+        from repro.pipeline.store import FailureDatabase
 
         db = FailureDatabase(disengagements=[DisengagementRecord(
             manufacturer="X", month="2015-01", description="d")])

@@ -20,7 +20,7 @@ from pathlib import Path
 import repro
 from repro.analysis.alertness import overall_mean_reaction_time
 from repro.analysis.stats import left_sum
-from repro.query import Query, QueryEngine
+from repro.query.engine import Query, QueryEngine
 
 _SRC = Path(repro.__file__).parent
 

@@ -13,14 +13,16 @@ import hashlib
 
 import pytest
 
-from repro.analysis import manufacturer_dpm_summary
 from repro.analysis.alertness import overall_mean_reaction_time
 from repro.analysis.apm import disengagements_per_accident_overall
 from repro.analysis.categories import overall_category_shares
+from repro.analysis.dpm import manufacturer_dpm_summary
 from repro.analysis.maturity import pooled_dpm_correlation
-from repro.nlp import FailureDictionary, textcache
-from repro.pipeline import PipelineConfig, process_corpus
-from repro.synth import generate_corpus
+from repro.nlp import textcache
+from repro.nlp.dictionary import FailureDictionary
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.synth.dataset import generate_corpus
 from repro.synth.io import write_corpus
 
 from .conftest import FULL_SEED

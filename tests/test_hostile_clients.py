@@ -18,10 +18,9 @@ import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.obs.metrics import HTTP_REQUESTS
-from repro.query import QueryServer
+from repro.obs.metrics import HTTP_REQUESTS, MetricsRegistry
 from repro.query import server as server_module
+from repro.query.server import QueryServer
 
 #: Handler timeout for these tests, shrunk from the shipped value.
 TIMEOUT_S = 0.2

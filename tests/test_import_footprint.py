@@ -1,8 +1,10 @@
 """scipy stays off the default path, and numpy off the request path.
 
-Synthesis, the pipeline and ``/v1`` serving never call scipy, so no
-``repro`` module imports it at load time; the Stage IV fits and tests
-that do call it import it where they are called.  A ``/v1`` answer
+``import repro`` loads no other module of the package and no numpy:
+package ``__init__``s re-export nothing.  Synthesis, the pipeline and
+``/v1`` serving never call scipy, so no ``repro`` module imports it at
+load time; the Stage IV fits and tests that do call it import it where
+they are called.  A ``/v1`` answer
 calls no numpy at all: the box plots, medians and trend tests it
 serves are plain Python, so a serving process never imports
 ``numpy.ma`` or faults in numpy's compiled kernels to answer.  Each
@@ -29,17 +31,27 @@ def scipy_modules():
                   if name == "scipy" or name.startswith("scipy."))
 
 
+def repro_and_numpy():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] in ("repro", "numpy"))
+
+
 import repro
 
+assert repro_and_numpy() == ["repro"], (
+    f"import repro loaded {repro_and_numpy()[:8]}")
+import repro.errors
+
+assert repro_and_numpy() == ["repro", "repro.errors"], repro_and_numpy()[:8]
 for info in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(info.name)
 assert not scipy_modules(), f"importing repro loaded {scipy_modules()[:5]}"
 
 from repro.analysis.kernels import KERNELS
-from repro.pipeline import PipelineConfig, process_corpus
-from repro.query import QueryServer
-from repro.query.server import _V1_ROUTES
-from repro.synth import generate_corpus
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.query.server import _V1_ROUTES, QueryServer
+from repro.synth.dataset import generate_corpus
 
 db = process_corpus(
     generate_corpus(seed=5, manufacturers=["Nissan"]),

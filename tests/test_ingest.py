@@ -17,16 +17,13 @@ from dataclasses import replace
 import orjson
 import pytest
 
-from repro.pipeline import (
-    PipelineConfig,
-    SWAP_POINTS,
-    ingest_corpus,
-    process_corpus,
-)
-from repro.pipeline.chaos import ServingChaos, SimulatedCrash
+from repro.pipeline.chaos import SWAP_POINTS, ServingChaos, SimulatedCrash
 from repro.pipeline.checkpoint import journal_line_unit
-from repro.pipeline.ingest import INGEST_STATE, document_digest
-from repro.query import Query, SnapshotManager
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.ingest import INGEST_STATE, document_digest, ingest_corpus
+from repro.pipeline.runner import process_corpus
+from repro.query.engine import Query
+from repro.query.snapshot import SnapshotManager
 from repro.synth.dataset import SyntheticCorpus
 
 SEED = 7

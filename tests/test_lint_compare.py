@@ -2,13 +2,13 @@
 
 from datetime import date
 
-from repro.pipeline import FailureDatabase
-from repro.pipeline.lint import Severity, errors, lint_database
 from repro.parsing.records import (
     AccidentRecord,
     DisengagementRecord,
     MonthlyMileage,
 )
+from repro.pipeline.lint import Severity, errors, lint_database
+from repro.pipeline.store import FailureDatabase
 from repro.taxonomy import FailureCategory, FaultTag
 
 

@@ -23,18 +23,15 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.nlp import normalize
-from repro.ocr import (
-    ManualTranscriptionQueue,
-    OcrEngine,
-    Scanner,
-    apply_fallback,
-    correction,
-)
+from repro.ocr import correction
 from repro.ocr.correction import OcrCorrector
+from repro.ocr.engine import OcrEngine
+from repro.ocr.fallback import ManualTranscriptionQueue, apply_fallback
+from repro.ocr.scanner import Scanner
 from repro.parsing.formats import benz
 from repro.pipeline.ingest import document_digest
 from repro.rng import child_generator
-from repro.synth import generate_corpus
+from repro.synth.dataset import generate_corpus
 from repro.synth.reports import RawDocument
 
 from .conftest import FULL_SEED

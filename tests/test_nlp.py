@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.nlp import (
+from repro.nlp.dictionary import (
+    SEED_PHRASES,
+    DictionaryEntry,
     FailureDictionary,
-    STOPWORDS,
-    VotingTagger,
-    evaluate_tagger,
-    ngrams,
-    normalize_tokens,
-    sentences,
-    tokenize,
 )
-from repro.nlp.dictionary import SEED_PHRASES, DictionaryEntry
+from repro.nlp.evaluation import evaluate_tagger
+from repro.nlp.ngrams import ngrams
+from repro.nlp.normalize import STOPWORDS, normalize_tokens
+from repro.nlp.tagger import VotingTagger
+from repro.nlp.tokenize import sentences, tokenize
 from repro.parsing.records import DisengagementRecord
 from repro.taxonomy import (
     ML_SUBCATEGORY,
@@ -367,8 +366,9 @@ class TestTokensBatch:
 # ----------------------------------------------------------------------
 
 from repro.nlp.textcache import token_cache  # noqa: E402
-from repro.pipeline import PipelineConfig, process_corpus  # noqa: E402
-from repro.synth import generate_corpus  # noqa: E402
+from repro.pipeline.config import PipelineConfig  # noqa: E402
+from repro.pipeline.runner import process_corpus  # noqa: E402
+from repro.synth.dataset import generate_corpus  # noqa: E402
 
 from .oracles import match_linear  # noqa: E402
 

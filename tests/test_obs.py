@@ -14,19 +14,8 @@ import urllib.request
 
 import pytest
 
-from repro.obs import (
-    DEFAULT_BUCKETS,
-    STAGE_DURATION,
-    UNITS_TOTAL,
-    MetricsRegistry,
-    NULL_TRACER,
-    Observability,
-    Tracer,
-    default_registry,
-    load_trace,
-    self_times,
-)
 from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
     DEGRADATIONS_TOTAL,
     HTTP_LATENCY,
     HTTP_REQUESTS,
@@ -35,20 +24,22 @@ from repro.obs.metrics import (
     QUARANTINED_TOTAL,
     QUERY_CACHE_HITS,
     RETRIES_TOTAL,
+    STAGE_DURATION,
     STAGE_ERRORS_TOTAL,
     TOKEN_CACHE_HITS,
+    UNITS_TOTAL,
     UNPARSED_LINES,
+    MetricsRegistry,
+    default_registry,
 )
-from repro.pipeline import (
-    ChaosConfig,
-    CrashPoint,
-    PipelineConfig,
-    SimulatedCrash,
-    process_corpus,
-)
+from repro.obs.runtime import Observability
+from repro.obs.trace import NULL_TRACER, Tracer, load_trace, self_times
+from repro.pipeline.chaos import ChaosConfig, CrashPoint, SimulatedCrash
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
 from repro.pipeline.stages import render_metrics
-from repro.query import QueryServer
-from repro.synth import generate_corpus
+from repro.query.server import QueryServer
+from repro.synth.dataset import generate_corpus
 
 THREADS = 8
 STAGES = {"parse-documents", "accident-documents", "normalize",
@@ -122,9 +113,17 @@ class TestTracer:
         with tracer.span("run", kind="run"):
             pass
         tracer.close()
-        path.write_text(path.read_text() + "{not json\n",
-                        encoding="utf-8")
-        assert [s["name"] for s in load_trace(path)] == ["run"]
+        valid = path.read_bytes()
+        for garbage in (b"{not json\n",
+                        # Span fields of a type the tracer never writes.
+                        b'{"span_id": 1, "duration_s": "x"}\n',
+                        b'{"span_id": 1, "parent_id": [1]}\n',
+                        b'{"span_id": true}\n',
+                        b"\xff\xfe not UTF-8\n"):
+            path.write_bytes(valid + garbage)
+            spans = load_trace(path)
+            assert [s["name"] for s in spans] == ["run"], garbage
+            assert [row["name"] for row in self_times(spans)] == ["run"]
 
     def test_self_times_subtracts_children(self, tmp_path):
         spans = [

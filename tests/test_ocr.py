@@ -7,22 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OcrError
-from repro.ocr import (
-    ConfusionModel,
-    ManualTranscriptionQueue,
-    OcrCorrector,
-    OcrEngine,
-    Scanner,
-    apply_fallback,
-)
-from repro.ocr.confusion import PROTECTED_CHARACTERS
+from repro.ocr.confusion import PROTECTED_CHARACTERS, ConfusionModel
+from repro.ocr.correction import OcrCorrector
 from repro.ocr.document import (
     LINES_PER_PAGE,
     ScannedPage,
     page_count,
     paginate,
 )
-from repro.ocr.scanner import BAD_HIGH, BAD_PAGE_RATE
+from repro.ocr.engine import OcrEngine
+from repro.ocr.fallback import ManualTranscriptionQueue, apply_fallback
+from repro.ocr.scanner import BAD_HIGH, BAD_PAGE_RATE, Scanner
 
 
 @pytest.fixture

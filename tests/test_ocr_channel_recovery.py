@@ -10,14 +10,13 @@ from datetime import date
 import numpy as np
 import pytest
 
-from repro.ocr import ConfusionModel, OcrCorrector
-from repro.parsing.formats import (
-    BenzParser,
-    DelphiParser,
-    NissanParser,
-    VolkswagenParser,
-    WaymoParser,
-)
+from repro.ocr.confusion import ConfusionModel
+from repro.ocr.correction import OcrCorrector
+from repro.parsing.formats.benz import BenzParser
+from repro.parsing.formats.delphi import DelphiParser
+from repro.parsing.formats.nissan import NissanParser
+from repro.parsing.formats.volkswagen import VolkswagenParser
+from repro.parsing.formats.waymo import WaymoParser
 from repro.parsing.records import DisengagementRecord
 from repro.synth.reports import _ROW_RENDERERS
 from repro.taxonomy import Modality
@@ -108,7 +107,8 @@ def test_terrible_quality_is_why_fallback_exists():
     # digits are robust), but the narrative text does not: tagging the
     # recovered descriptions collapses, which is why low-confidence
     # pages go to manual transcription instead of the parser.
-    from repro.nlp import FailureDictionary, VotingTagger
+    from repro.nlp.dictionary import FailureDictionary
+    from repro.nlp.tagger import VotingTagger
 
     rng = np.random.default_rng(1)
     channel = ConfusionModel()

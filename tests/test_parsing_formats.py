@@ -9,17 +9,15 @@ from datetime import date
 
 import pytest
 
-from repro.parsing.formats import (
-    BenzParser,
-    BoschParser,
-    DelphiParser,
-    GenericParser,
-    GmCruiseParser,
-    NissanParser,
-    TeslaParser,
-    VolkswagenParser,
-    WaymoParser,
-)
+from repro.parsing.formats.benz import BenzParser
+from repro.parsing.formats.bosch import BoschParser
+from repro.parsing.formats.delphi import DelphiParser
+from repro.parsing.formats.generic import GenericParser
+from repro.parsing.formats.gmcruise import GmCruiseParser
+from repro.parsing.formats.nissan import NissanParser
+from repro.parsing.formats.tesla import TeslaParser
+from repro.parsing.formats.volkswagen import VolkswagenParser
+from repro.parsing.formats.waymo import WaymoParser
 from repro.parsing.records import DisengagementRecord, MonthlyMileage
 from repro.synth.reports import _ROW_RENDERERS, _render_mileage_line
 from repro.taxonomy import Modality

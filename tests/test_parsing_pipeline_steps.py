@@ -6,13 +6,12 @@ from datetime import date
 import pytest
 
 from repro.errors import ParseError
-from repro.parsing import (
-    default_registry,
-    filter_records,
-    parse_accident_report,
-)
-from repro.parsing.base import ParserRegistry, _levenshtein
-from repro.parsing.formats import BenzParser, NissanParser, WaymoParser
+from repro.parsing.accidents import parse_accident_report
+from repro.parsing.base import ParserRegistry, _levenshtein, default_registry
+from repro.parsing.filters import filter_records
+from repro.parsing.formats.benz import BenzParser
+from repro.parsing.formats.nissan import NissanParser
+from repro.parsing.formats.waymo import WaymoParser
 from repro.parsing.normalize import (
     NormalizationStats,
     normalize_accident,

@@ -17,17 +17,14 @@ from repro.parsing.records import (
     DisengagementRecord,
     MonthlyMileage,
 )
-from repro.pipeline import (
-    FailureDatabase,
-    PipelineConfig,
-    Quarantine,
-    QuarantineEntry,
-    process_corpus,
-    run_pipeline,
-)
 from repro.pipeline.checkpoint import canonical_json, sha256_text
-from repro.query import DatabaseIndex, QueryEngine
-from repro.synth import generate_corpus
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.resilience import Quarantine, QuarantineEntry
+from repro.pipeline.runner import process_corpus, run_pipeline
+from repro.pipeline.store import FailureDatabase
+from repro.query.engine import QueryEngine
+from repro.query.index import DatabaseIndex
+from repro.synth.dataset import generate_corpus
 from repro.taxonomy import FaultTag, Modality
 
 from .oracles import database_payload, record_loop_fingerprint

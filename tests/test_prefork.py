@@ -1,7 +1,7 @@
 """Tests for the pre-fork multi-process front end.
 
 Covers the generation-file swap channel, worker metrics aggregation,
-and the :class:`~repro.serving.PreforkServer` acceptance contracts:
+and the :class:`~repro.serving.prefork.PreforkServer` acceptance contracts:
 byte-identical responses to the single-process server,
 swap-under-load with every response from exactly one generation,
 ``/metrics`` aggregating all workers, crash-respawn, and graceful
@@ -23,17 +23,13 @@ import pytest
 
 from repro.api import load_database
 from repro.cli import main
-from repro.obs import MetricsRegistry
-from repro.obs.metrics import SERVING_WORKER_UP
+from repro.obs.metrics import SERVING_WORKER_UP, MetricsRegistry
 from repro.pipeline.checkpoint import canonical_json
-from repro.query import Query, QueryEngine, QueryServer
-from repro.serving import (
-    GenerationFile,
-    GenerationWatcher,
-    PreforkServer,
-    aggregate_metrics,
-)
-from repro.serving.worker import flush_metrics
+from repro.query.engine import Query, QueryEngine
+from repro.query.server import QueryServer
+from repro.serving.generation import GenerationFile, GenerationWatcher
+from repro.serving.prefork import PreforkServer
+from repro.serving.worker import aggregate_metrics, flush_metrics
 
 PROCESSES = 2
 FAST = dict(poll_interval_s=0.05, flush_interval_s=0.1,

@@ -12,16 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.parsing.formats import (
-    BenzParser,
-    BoschParser,
-    DelphiParser,
-    GmCruiseParser,
-    NissanParser,
-    TeslaParser,
-    VolkswagenParser,
-    WaymoParser,
-)
+from repro.parsing.formats.benz import BenzParser
+from repro.parsing.formats.bosch import BoschParser
+from repro.parsing.formats.delphi import DelphiParser
+from repro.parsing.formats.gmcruise import GmCruiseParser
+from repro.parsing.formats.nissan import NissanParser
+from repro.parsing.formats.tesla import TeslaParser
+from repro.parsing.formats.volkswagen import VolkswagenParser
+from repro.parsing.formats.waymo import WaymoParser
 from repro.parsing.records import DisengagementRecord
 from repro.synth.reports import _ROW_RENDERERS
 from repro.taxonomy import Modality

@@ -21,13 +21,9 @@ from repro.pipeline.store import (
     group_by_manufacturer,
     manufacturer_names,
 )
-from repro.query import (
-    DatabaseIndex,
-    LruCache,
-    Query,
-    QueryEngine,
-    to_jsonable,
-)
+from repro.query.cache import LruCache
+from repro.query.engine import Query, QueryEngine, to_jsonable
+from repro.query.index import DatabaseIndex
 from repro.taxonomy import FailureCategory, FaultTag, category_of
 
 

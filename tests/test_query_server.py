@@ -16,7 +16,8 @@ import pytest
 
 from repro import __version__
 from repro.pipeline.checkpoint import canonical_json
-from repro.query import Query, QueryEngine, QueryServer
+from repro.query.engine import Query, QueryEngine
+from repro.query.server import QueryServer
 
 THREADS = 8
 ROUNDS = 5

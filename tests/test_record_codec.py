@@ -25,10 +25,10 @@ from repro.parsing.records import (
     DisengagementRecord,
     MonthlyMileage,
 )
-from repro.pipeline import PipelineConfig, process_corpus
 from repro.pipeline.checkpoint import journal_entries
-from repro.pipeline.runner import _decode_tag
-from repro.synth import generate_corpus
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import _decode_tag, process_corpus
+from repro.synth.dataset import generate_corpus
 from repro.taxonomy import FailureCategory, FaultTag, Modality
 
 from .oracles import (

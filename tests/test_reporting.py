@@ -3,15 +3,10 @@
 import pytest
 
 from repro.analysis.stats import boxplot_stats
-from repro.reporting import (
-    EXPERIMENTS,
-    BoxSeries,
-    FigureData,
-    Series,
-    Table,
-    run_experiment,
-)
 from repro.reporting import figures_paper, tables_paper
+from repro.reporting.experiments import EXPERIMENTS, run_experiment
+from repro.reporting.figures import BoxSeries, FigureData, Series
+from repro.reporting.tables import Table
 from repro.taxonomy import FaultTag
 
 

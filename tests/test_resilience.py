@@ -20,20 +20,24 @@ from repro.errors import (
     ReproError,
     TransientError,
 )
-from repro.pipeline import (
+from repro.pipeline.chaos import (
     ChaosConfig,
-    FailureDatabase,
-    FailurePolicy,
-    PipelineConfig,
-    StageGuard,
-    process_corpus,
-    retry_transient,
-    run_pipeline,
+    ChaosError,
+    ChaosInjector,
+    _corrupt,
 )
-from repro.pipeline.chaos import ChaosError, ChaosInjector, _corrupt
-from repro.pipeline.resilience import Quarantine, QuarantineEntry
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.resilience import (
+    FailurePolicy,
+    Quarantine,
+    QuarantineEntry,
+    StageGuard,
+    retry_transient,
+)
+from repro.pipeline.runner import process_corpus, run_pipeline
+from repro.pipeline.store import FailureDatabase
 from repro.rng import child_generator
-from repro.synth import generate_corpus
+from repro.synth.dataset import generate_corpus
 from repro.taxonomy import FaultTag
 
 

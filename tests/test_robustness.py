@@ -3,9 +3,10 @@ persistence, and the upper-quartile perception claim."""
 
 import pytest
 
-from repro.nlp import FailureDictionary
-from repro.pipeline import PipelineConfig, process_corpus
-from repro.synth import generate_corpus
+from repro.nlp.dictionary import FailureDictionary
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.synth.dataset import generate_corpus
 from repro.synth.reports import RawDocument
 from repro.taxonomy import FailureCategory, FaultTag, category_of
 
@@ -63,7 +64,7 @@ class TestDictionaryPersistence:
         texts = [r.description for r in db.disengagements][:500]
         built = FailureDictionary.build(texts)
         clone = FailureDictionary.from_json(built.to_json())
-        from repro.nlp import VotingTagger
+        from repro.nlp.tagger import VotingTagger
 
         a = VotingTagger(built)
         b = VotingTagger(clone)

@@ -20,12 +20,14 @@ import urllib.request
 import pytest
 
 from repro import __version__
-from repro.obs import MetricsRegistry
-from repro.pipeline import PipelineConfig, process_corpus
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.chaos import ServingChaos
 from repro.pipeline.checkpoint import canonical_json
-from repro.query import Query, QueryEngine, QueryServer, SnapshotManager
-from repro.query.server import MAX_BODY_BYTES
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.query.engine import Query, QueryEngine
+from repro.query.server import MAX_BODY_BYTES, QueryServer
+from repro.query.snapshot import SnapshotManager
 from repro.synth.dataset import SyntheticCorpus
 
 THREADS = 8

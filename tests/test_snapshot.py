@@ -13,16 +13,13 @@ import threading
 import pytest
 
 from repro.errors import CorruptDatabaseError
-from repro.obs import MetricsRegistry
-from repro.pipeline import PipelineConfig, process_corpus
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.chaos import SWAP_POINTS, ServingChaos, SimulatedCrash
 from repro.pipeline.checkpoint import canonical_json
-from repro.query import (
-    DirectoryWatcher,
-    Query,
-    QueryEngine,
-    SnapshotManager,
-)
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.query.engine import Query, QueryEngine
+from repro.query.snapshot import DirectoryWatcher, SnapshotManager
 from repro.synth.dataset import SyntheticCorpus
 
 THREADS = 8

@@ -4,15 +4,11 @@ import pytest
 
 from repro.errors import StpaError
 from repro.parsing.records import DisengagementRecord
-from repro.stpa import (
-    CONTROL_LOOPS,
-    STANDARD_COMPONENTS,
-    EdgeKind,
-    UnsafeControlAction,
-    build_control_structure,
-    causal_factor_for_tag,
-    overlay_failures,
-)
+from repro.stpa.components import STANDARD_COMPONENTS
+from repro.stpa.control_loops import CONTROL_LOOPS
+from repro.stpa.hazards import UnsafeControlAction, causal_factor_for_tag
+from repro.stpa.mapping import overlay_failures
+from repro.stpa.structure import EdgeKind, build_control_structure
 from repro.taxonomy import FaultTag
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.synth import generate_corpus
+from repro.synth.dataset import generate_corpus
 
 
 class TestCorpus:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SynthesisError
-from repro.synth import generate_corpus
+from repro.synth.dataset import generate_corpus
 from repro.synth.io import read_corpus, write_corpus
 
 
@@ -49,7 +49,8 @@ def test_read_without_truth(small_disk_corpus):
 
 
 def test_processing_a_disk_corpus(small_disk_corpus):
-    from repro.pipeline import PipelineConfig, process_corpus
+    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.runner import process_corpus
 
     corpus, root = small_disk_corpus
     loaded = read_corpus(root)

@@ -113,7 +113,7 @@ class TestAccidentSpeeds:
 class TestSeedIndependence:
     def test_manufacturer_streams_are_independent(self):
         # Adding a manufacturer must not change another's draws.
-        from repro.synth import generate_corpus
+        from repro.synth.dataset import generate_corpus
 
         solo = generate_corpus(seed=77, manufacturers=["Nissan"])
         pair = generate_corpus(seed=77,

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.nlp import FailureDictionary, VotingTagger, evaluate_tagger
-from repro.nlp.evaluation import TaggingReport
+from repro.nlp.dictionary import FailureDictionary
+from repro.nlp.evaluation import TaggingReport, evaluate_tagger
+from repro.nlp.tagger import VotingTagger
 from repro.parsing.records import DisengagementRecord
-from repro.pipeline import ChaosConfig, PipelineConfig, process_corpus
-from repro.synth import generate_corpus
+from repro.pipeline.chaos import ChaosConfig
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import process_corpus
+from repro.synth.dataset import generate_corpus
 from repro.taxonomy import FaultTag, category_of
 
 SEED = 5

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.stpa import build_control_structure
 from repro.stpa.render import to_dot, to_outline
+from repro.stpa.structure import build_control_structure
 
 
 class TestRender:
