@@ -112,7 +112,7 @@ def test_snapshot_swap(benchmark, tmp_path):
 
     def swap():
         state["flip"] = not state["flip"]
-        manager.swap_database(db_b if state["flip"] else db_a)
+        manager.swap_engine(QueryEngine(db_b if state["flip"] else db_a))
 
     benchmark(swap)
     assert manager.generation > 1

@@ -93,7 +93,7 @@ def test_index_build(benchmark, db):
     from repro.query.index import DatabaseIndex
 
     index = benchmark(lambda: DatabaseIndex.build(db))
-    assert index.counts["disengagements"] == len(db.disengagements)
+    assert index.summary()["disengagements"] == len(db.disengagements)
 
 
 def test_warm_speedup_budget(db):

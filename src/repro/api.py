@@ -51,7 +51,7 @@ from .errors import (
 from .obs.metrics import MetricsRegistry, default_registry
 from .obs.runtime import Observability
 from .obs.trace import Tracer, load_trace, self_times
-from .pipeline.chaos import ChaosConfig, CrashPoint, ServingChaos
+from .pipeline.chaos import ChaosConfig, CrashPoint
 from .pipeline.config import PipelineConfig
 from .pipeline.ingest import IngestReport, IngestResult, ingest_corpus
 from .pipeline.resilience import FailurePolicy
@@ -72,7 +72,6 @@ __all__ = [
     "IngestResult",
     "PipelineConfig",
     "PipelineResult",
-    "ServingChaos",
     "generate_corpus",
     "ingest_corpus",
     "process_corpus",

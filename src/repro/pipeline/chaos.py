@@ -18,7 +18,6 @@ the rest.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -48,20 +47,6 @@ CRASH_POINTS = (
     "tag",
     "save",
 )
-
-#: Kill points inside a serving-layer snapshot swap (see
-#: :class:`~repro.query.snapshot.SnapshotManager`).  ``swap-load``
-#: fires before the candidate file is read, ``swap-build`` after the
-#: candidate decoded but before its index is built, ``swap-publish``
-#: after the index is built but before the generation pointer moves —
-#: the last instant a crash could possibly tear the swap.  A crash at
-#: any of them must leave the previous snapshot serving untouched.
-SWAP_POINTS = (
-    "swap-load",
-    "swap-build",
-    "swap-publish",
-)
-
 
 class ChaosError(RuntimeError):
     """The fault the chaos harness injects.
@@ -188,80 +173,6 @@ class ChaosInjector:
             return _corrupt(func(), rng)
 
         return chaotic
-
-
-@dataclass
-class ServingChaos:
-    """Fault injection for the always-on serving layer.
-
-    Where :class:`ChaosInjector` attacks the *pipeline*, this attacks
-    the *serving* lifecycle: candidate databases can be garbled before
-    they are decoded (``corrupt_candidate``), a snapshot swap can die
-    at any :data:`SWAP_POINTS` boundary (``crash_at``), and query
-    handling can be slowed to exercise deadlines and admission
-    control (``slow_query_s``/``slow_query_rate``).
-
-    Slow-query decisions are drawn from a seeded child stream so a
-    chaos run is reproducible; corruption is deterministic (the same
-    candidate file always garbles the same way).
-    """
-
-    #: Die at this swap boundary (one of :data:`SWAP_POINTS`).
-    crash_at: str | None = None
-    #: Garble every candidate database file before it is decoded.
-    corrupt_candidate: bool = False
-    #: Injected per-query delay in seconds (when the rate draws a hit).
-    slow_query_s: float = 0.0
-    #: Probability a query gets the injected delay.
-    slow_query_rate: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.crash_at is not None and self.crash_at not in SWAP_POINTS:
-            raise ValueError(
-                f"crash_at must be one of {SWAP_POINTS}, "
-                f"got {self.crash_at!r}")
-        if not 0.0 <= self.slow_query_rate <= 1.0:
-            raise ValueError(
-                f"slow_query_rate {self.slow_query_rate} outside [0, 1]")
-        if self.slow_query_s < 0:
-            raise ValueError("slow_query_s must be >= 0")
-        self._rng = child_generator(self.seed, "serving-chaos")
-        self._lock = threading.Lock()
-        self.injected_corruptions = 0
-        self.injected_delays = 0
-
-    def reached(self, point: str) -> None:
-        """Die hard if ``point`` is the configured swap kill point."""
-        if self.crash_at == point:
-            raise SimulatedCrash(f"simulated hard crash at {point!r}")
-
-    def corrupt_text(self, data: bytes) -> bytes:
-        """Garble a candidate database file's bytes (torn-file
-        simulation).
-
-        Truncates the tail and prepends a NUL — both JSON decoding and
-        any checksum verification must fail, exactly like a torn or
-        bit-rotted file; the serving layer must quarantine it.
-        """
-        if not self.corrupt_candidate:
-            return data
-        self.injected_corruptions += 1
-        return b"\x00" + data[: max(1, len(data) // 2)]
-
-    def maybe_slow_query(self) -> float:
-        """Sleep the injected latency (if drawn); returns the delay."""
-        if self.slow_query_s <= 0 or self.slow_query_rate <= 0:
-            return 0.0
-        # The rng and counters are shared across handler threads.
-        with self._lock:
-            hit = self._rng.random() < self.slow_query_rate
-            if hit:
-                self.injected_delays += 1
-        if not hit:
-            return 0.0
-        time.sleep(self.slow_query_s)
-        return self.slow_query_s
 
 
 def _corrupt(value: T, rng) -> T:

@@ -431,8 +431,7 @@ class FailureDatabase:
             _sidecar_path(path), f"{value}  {path.name}\n")
 
     @classmethod
-    def load(cls, path: str | Path, *,
-             chaos: Any = None) -> "FailureDatabase":
+    def load(cls, path: str | Path) -> "FailureDatabase":
         """Read a database previously written with :meth:`save`.
 
         The file's bytes are read once.  When a ``.sha256`` sidecar
@@ -443,16 +442,9 @@ class FailureDatabase:
         :meth:`save`'s layout.  Errors reading the file, such as a
         missing path or a directory, propagate as the ``OSError`` they
         are.
-
-        ``chaos`` accepts a
-        :class:`~repro.pipeline.chaos.ServingChaos` whose
-        ``corrupt_text`` garbles the bytes before they are verified,
-        where a torn write would (snapshot-swap testing).
         """
         path = Path(path)
         data = path.read_bytes()
-        if chaos is not None:
-            data = chaos.corrupt_text(data)
         verify_sidecar(path, data)
         return cls.from_json(data, source=path)
 

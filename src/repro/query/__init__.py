@@ -5,13 +5,14 @@ The pipeline (Stages I-IV) *produces* a
 it.  Four cooperating pieces:
 
 * :mod:`~repro.query.index` — immutable, read-optimized indexes built
-  once per database snapshot (by manufacturer, month, fault tag and
-  failure category, plus mileage totals) with O(1) lookups instead of
-  the list scans the raw database offers.
+  once per database snapshot (by manufacturer, fault tag and failure
+  category) with O(1) lookups instead of the list scans the raw
+  database offers.
 * :mod:`~repro.query.engine` — :class:`QueryEngine`: typed query
-  objects (filter + group-by + metric) executed against the index,
-  reusing the Stage IV :mod:`repro.analysis` functions as kernels so a
-  served answer is byte-identical to the direct computation.
+  objects (filter + group-by + metric), each answered by one kernel
+  over the slice the index assembles, reusing the Stage IV
+  :mod:`repro.analysis` functions as kernels so a served answer is
+  byte-identical to the direct computation.
 * :mod:`~repro.query.cache` — a bounded, thread-safe LRU result cache
   keyed by (database fingerprint, canonical query); a content change
   changes the fingerprint, so stale entries can never be served.

@@ -9,10 +9,11 @@ A :class:`Query` is **filter + group-by + metric**:
 * filters — ``manufacturers``, a ``month_from``/``month_to`` range,
   a single fault ``tag`` or failure ``category``.
 
-Execution reuses the Stage IV :mod:`repro.analysis` functions as
-kernels (via :data:`repro.analysis.kernels.KERNELS`) — the engine
-never re-implements the statistics, it only routes an (optionally
-filtered) database snapshot into them and converts the result to
+Every answer is one computation: the kernel of its ``(metric,
+group_by)`` pair (:data:`repro.analysis.kernels.KERNELS`, which reuses
+the Stage IV :mod:`repro.analysis` functions — the engine never
+re-implements the statistics) run over the slice
+:meth:`~QueryEngine.scope` assembles from the index, converted to
 plain JSON-able data.  Results are memoized in a bounded LRU cache
 keyed by ``(database fingerprint, canonical query)``.
 
@@ -32,14 +33,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-import numpy as np
-
 from ..analysis.kernels import KERNELS
-from ..analysis.stats import left_sum
 from ..errors import QueryError
 from ..pipeline.checkpoint import canonical_json
 from ..pipeline.store import FailureDatabase
-from ..taxonomy import FailureCategory, FaultTag, category_of
+from ..taxonomy import FailureCategory, FaultTag
 from .cache import LruCache
 from .index import DatabaseIndex
 
@@ -211,8 +209,8 @@ def _is_value(enum_cls, value: str) -> bool:
 
 
 def to_jsonable(value: Any) -> Any:
-    """Convert analysis output (dataclasses, Enums, numpy scalars,
-    non-string dict keys) into plain JSON-able data.
+    """Convert analysis output (dataclasses, Enums, non-string dict
+    keys) into plain JSON-able data.
 
     Non-finite floats become ``None`` — strict JSON has no
     ``Infinity``/``NaN``, and every consumer of a rate understands a
@@ -228,12 +226,7 @@ def to_jsonable(value: Any) -> Any:
                 for key, item in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         return [to_jsonable(item) for item in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
+    if isinstance(value, float):
         return value if math.isfinite(value) else None
     return value
 
@@ -350,10 +343,6 @@ class QueryEngine:
         )
 
     def _compute(self, query: Query) -> Any:
-        if query.metric == "count":
-            return self._count(query)
-        if query.metric == "miles":
-            return self._miles(query)
         kernel = KERNELS[(query.metric, query.group_by)]
         return to_jsonable(kernel(self.scope(query)))
 
@@ -364,16 +353,14 @@ class QueryEngine:
     def scope(self, query: Query) -> FailureDatabase:
         """The database slice a query runs over.
 
-        Unfiltered queries get the snapshot's database object;
-        filtered ones get a sub-database assembled from the index
-        (records ordered by manufacturer, original order within one
-        manufacturer).  This is the *definition* of a filtered
-        answer: the direct-analysis parity comparison runs the
-        analysis function over this same slice.
+        Every query, filtered or not, gets a sub-database assembled
+        from the index: records ordered by manufacturer, original
+        order within one manufacturer.  So an unfiltered answer is, by
+        construction, the answer filtered to every manufacturer.  This
+        is the *definition* of an answer: the direct-analysis parity
+        comparison runs the analysis function over this same slice.
         """
         index = self._index
-        if not query.filtered:
-            return index.database
         names = (query.manufacturers if query.manufacturers is not None
                  else index.manufacturers)
 
@@ -410,84 +397,3 @@ class QueryEngine:
 
         return FailureDatabase(disengagements=disengagements,
                                accidents=accidents, mileage=mileage)
-
-    # ------------------------------------------------------------------
-    # Index-served metrics (no analysis kernel needed).
-    # ------------------------------------------------------------------
-
-    def _count(self, query: Query) -> Any:
-        index = self._index
-        if not query.filtered:
-            # O(1)/O(groups): straight off the prebuilt index.
-            if query.group_by is None:
-                return dict(index.counts)
-            if query.group_by == "manufacturer":
-                # Manufacturers with no disengagements are omitted,
-                # matching the grouped-dict semantics everywhere else.
-                return {name: len(index.disengagements_for(name))
-                        for name in index.manufacturers
-                        if index.disengagements_for(name)}
-            if query.group_by == "month":
-                return {month: len(index.disengagements_in_month(month))
-                        for month in index.months
-                        if index.disengagements_in_month(month)}
-            if query.group_by == "tag":
-                return {tag.value:
-                        len(index.disengagements_with_tag(tag))
-                        for tag in index.tags}
-            return {category.value:
-                    len(index.disengagements_in_category(category))
-                    for category in index.categories}
-        return _count_scoped(self.scope(query), query.group_by)
-
-    def _miles(self, query: Query) -> Any:
-        index = self._index
-        if not query.filtered:
-            if query.group_by is None:
-                return left_sum(index.miles_for(name)
-                                for name in index.manufacturers)
-            if query.group_by == "manufacturer":
-                return {name: index.miles_for(name)
-                        for name in index.manufacturers}
-            totals: dict[str, float] = {}
-            for name in index.manufacturers:
-                for month, miles in index.monthly_miles(name).items():
-                    totals[month] = totals.get(month, 0.0) + miles
-            return dict(sorted(totals.items()))
-        scope = self.scope(query)
-        if query.group_by is None:
-            return scope.total_miles
-        if query.group_by == "manufacturer":
-            return dict(sorted(scope.miles_by_manufacturer().items()))
-        totals = {}
-        for cell in scope.mileage:
-            totals[cell.month] = totals.get(cell.month, 0.0) + cell.miles
-        return dict(sorted(totals.items()))
-
-
-def _count_scoped(scope: FailureDatabase,
-                  group_by: str | None) -> Any:
-    """Disengagement counts over an already-filtered slice."""
-    if group_by is None:
-        return {
-            "disengagements": len(scope.disengagements),
-            "accidents": len(scope.accidents),
-            "mileage_cells": len(scope.mileage),
-            "manufacturers": len(scope.manufacturers()),
-        }
-    counts: dict[str, int] = {}
-    for record in scope.disengagements:
-        if group_by == "manufacturer":
-            key = record.manufacturer
-        elif group_by == "month":
-            key = record.month
-        elif group_by == "tag":
-            if record.tag is None:
-                continue
-            key = record.tag.value
-        else:  # category
-            if record.tag is None:
-                continue
-            key = category_of(record.tag).value
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))

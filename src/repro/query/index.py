@@ -1,15 +1,15 @@
 """Immutable, read-optimized indexes over a failure database.
 
 A :class:`DatabaseIndex` is built **once** per database snapshot and
-then only read: every lookup a ``/v1`` answer needs — records by
-manufacturer, by month, by fault tag and by failure category, plus the
-precomputed mileage totals — is a dict access (O(1)), never a scan
-over the record lists.  It holds nothing that no answer reads, since
-every served snapshot (each ``repro serve`` start, pre-fork worker
-and hot swap) pays for building it.  The mappings are plain dicts
-wrapped in :class:`types.MappingProxyType` and the record lists are
-tuples, so concurrent readers can share one index without locks:
-there is nothing to tear.
+then only read: every lookup :meth:`~repro.query.engine.QueryEngine.
+scope` needs to assemble a slice — records by manufacturer, and
+disengagements by fault tag and by failure category — is a dict access
+(O(1)), never a scan over the record lists.  It holds nothing that no
+answer reads, since every served snapshot (each ``repro serve`` start,
+pre-fork worker and hot swap) pays for building it.  The mappings are
+plain dicts wrapped in :class:`types.MappingProxyType` and the record
+lists are tuples, so concurrent readers can share one index without
+locks: there is nothing to tear.
 
 The index carries the :meth:`~repro.pipeline.store.
 FailureDatabase.fingerprint` of the snapshot it was built from; the
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -51,10 +51,6 @@ class DatabaseIndex:
     #: Content hash of the snapshot this index was built from.
     fingerprint: str
     manufacturers: tuple[str, ...]
-    months: tuple[str, ...]
-    #: The database snapshot itself (unfiltered query scopes answer
-    #: from it).
-    database: FailureDatabase = field(repr=False)
 
     _disengagements_by_manufacturer: Mapping[
         str, tuple[DisengagementRecord, ...]] = field(repr=False)
@@ -62,18 +58,11 @@ class DatabaseIndex:
         str, tuple[AccidentRecord, ...]] = field(repr=False)
     _mileage_by_manufacturer: Mapping[
         str, tuple[MonthlyMileage, ...]] = field(repr=False)
-    _disengagements_by_month: Mapping[
-        str, tuple[DisengagementRecord, ...]] = field(repr=False)
     _disengagements_by_tag: Mapping[
         FaultTag, tuple[DisengagementRecord, ...]] = field(repr=False)
     _disengagements_by_category: Mapping[
         FailureCategory, tuple[DisengagementRecord, ...]] = field(
         repr=False)
-    #: Manufacturer -> total autonomous miles (precomputed).
-    _miles_by_manufacturer: Mapping[str, float] = field(repr=False)
-    #: Manufacturer -> month -> miles (precomputed, months sorted).
-    _monthly_miles: Mapping[str, Mapping[str, float]] = field(repr=False)
-    counts: Mapping[str, int] = field(repr=False)
 
     # ------------------------------------------------------------------
     # Construction.
@@ -90,12 +79,10 @@ class DatabaseIndex:
         groupings are thousands of containers and no reference cycle.
         """
         by_manufacturer: dict[str, list] = defaultdict(list)
-        by_month: dict[str, list] = defaultdict(list)
         by_tag: dict[FaultTag, list] = defaultdict(list)
         by_category: dict[FailureCategory, list] = defaultdict(list)
         for record in db.disengagements:
             by_manufacturer[record.manufacturer].append(record)
-            by_month[record.month].append(record)
             tag = record.tag
             if tag is not None:
                 by_tag[tag].append(record)
@@ -105,20 +92,9 @@ class DatabaseIndex:
         for record in db.accidents:
             accidents_by_manufacturer[record.manufacturer].append(record)
 
-        # The totals add each manufacturer's (and month's) miles left
-        # to right in file order, starting from 0.0.
         mileage_by_manufacturer: dict[str, list] = defaultdict(list)
-        miles_totals: dict[str, float] = defaultdict(float)
-        monthly_miles: dict[str, dict[str, float]] = defaultdict(
-            partial(defaultdict, float))
-        months: set[str] = set(by_month)
         for cell in db.mileage:
-            manufacturer, month, miles = (
-                cell.manufacturer, cell.month, cell.miles)
-            mileage_by_manufacturer[manufacturer].append(cell)
-            miles_totals[manufacturer] += miles
-            monthly_miles[manufacturer][month] += miles
-            months.add(month)
+            mileage_by_manufacturer[cell.manufacturer].append(cell)
 
         # Every manufacturer keys at least one of the three groupings,
         # so their union is ``db.manufacturers()`` without another pass.
@@ -128,25 +104,12 @@ class DatabaseIndex:
         return cls(
             fingerprint=db.fingerprint(),
             manufacturers=manufacturers,
-            months=tuple(sorted(months)),
-            database=db,
             _disengagements_by_manufacturer=_frozen(by_manufacturer),
             _accidents_by_manufacturer=_frozen(
                 accidents_by_manufacturer),
             _mileage_by_manufacturer=_frozen(mileage_by_manufacturer),
-            _disengagements_by_month=_frozen(by_month),
             _disengagements_by_tag=_frozen(by_tag),
             _disengagements_by_category=_frozen(by_category),
-            _miles_by_manufacturer=MappingProxyType(dict(miles_totals)),
-            _monthly_miles=MappingProxyType({
-                name: MappingProxyType(dict(sorted(cells.items())))
-                for name, cells in monthly_miles.items()}),
-            counts=MappingProxyType({
-                "disengagements": len(db.disengagements),
-                "accidents": len(db.accidents),
-                "mileage_cells": len(db.mileage),
-                "manufacturers": len(manufacturers),
-            }),
         )
 
     # ------------------------------------------------------------------
@@ -169,11 +132,6 @@ class DatabaseIndex:
         """Mileage cells of one manufacturer."""
         return self._mileage_by_manufacturer.get(manufacturer, ())
 
-    def disengagements_in_month(self, month: str,
-                                ) -> tuple[DisengagementRecord, ...]:
-        """Disengagement records of one ``YYYY-MM`` month."""
-        return self._disengagements_by_month.get(month, ())
-
     def disengagements_with_tag(self, tag: FaultTag,
                                 ) -> tuple[DisengagementRecord, ...]:
         """Disengagement records carrying one NLP fault tag."""
@@ -185,26 +143,21 @@ class DatabaseIndex:
         """Disengagement records in one root failure category."""
         return self._disengagements_by_category.get(category, ())
 
-    def miles_for(self, manufacturer: str) -> float:
-        """Total autonomous miles of one manufacturer."""
-        return self._miles_by_manufacturer.get(manufacturer, 0.0)
+    @cached_property
+    def months(self) -> tuple[str, ...]:
+        """Every ``YYYY-MM`` month with a disengagement or a mileage
+        cell, sorted.
 
-    def monthly_miles(self, manufacturer: str) -> Mapping[str, float]:
-        """Month -> miles of one manufacturer (months sorted)."""
-        return self._monthly_miles.get(
-            manufacturer, MappingProxyType({}))
-
-    @property
-    def tags(self) -> tuple[FaultTag, ...]:
-        """Fault tags present, in ontology order."""
-        return tuple(tag for tag in FaultTag
-                     if tag in self._disengagements_by_tag)
-
-    @property
-    def categories(self) -> tuple[FailureCategory, ...]:
-        """Failure categories present, in ontology order."""
-        return tuple(cat for cat in FailureCategory
-                     if cat in self._disengagements_by_category)
+        Computed on first read (``/v1/stats`` reads it), not in
+        :meth:`build`: no ``/v1`` answer needs it.
+        """
+        months = {record.month
+                  for records in self._disengagements_by_manufacturer.values()
+                  for record in records}
+        months.update(cell.month
+                      for cells in self._mileage_by_manufacturer.values()
+                      for cell in cells)
+        return tuple(sorted(months))
 
     def summary(self) -> dict:
         """JSON-able description of the index (for ``/v1/stats``)."""
@@ -214,5 +167,13 @@ class DatabaseIndex:
             "months": len(self.months),
             "tags": len(self._disengagements_by_tag),
             "categories": len(self._disengagements_by_category),
-            **dict(self.counts),
+            "disengagements": _records(
+                self._disengagements_by_manufacturer),
+            "accidents": _records(self._accidents_by_manufacturer),
+            "mileage_cells": _records(self._mileage_by_manufacturer),
         }
+
+
+def _records(grouping: Mapping[str, tuple]) -> int:
+    """How many records a by-manufacturer grouping holds."""
+    return sum(len(records) for records in grouping.values())

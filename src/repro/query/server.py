@@ -107,7 +107,6 @@ from ..obs.metrics import (
     MetricsRegistry,
     default_registry,
 )
-from ..pipeline.chaos import ServingChaos
 from ..pipeline.store import FailureDatabase
 from .engine import Query, QueryEngine
 from .snapshot import DirectoryWatcher, Snapshot, SnapshotManager
@@ -296,7 +295,6 @@ class _QueryHTTPServer(ThreadingHTTPServer):
     verbose: bool = False
     max_inflight: int = 0
     deadline_s: float = 0.0
-    chaos: ServingChaos | None = None
     #: Override for the ``/metrics`` body (the pre-fork worker plugs
     #: in cross-worker aggregation here); ``None`` renders the local
     #: registry.
@@ -519,9 +517,6 @@ class _Handler(BaseHTTPRequestHandler):
         return elapsed if elapsed > deadline else None
 
     def _dispatch(self, handler, *args) -> None:
-        chaos = self.server.chaos
-        if chaos is not None and self._admitted:
-            chaos.maybe_slow_query()
         try:
             status, payload = handler(*args)
         except QueryError as exc:
@@ -807,8 +802,7 @@ class QueryServer:
                  max_inflight: int = 64,
                  deadline_s: float = 10.0,
                  drain_timeout_s: float = 5.0,
-                 reuse_port: bool = False,
-                 chaos: ServingChaos | None = None) -> None:
+                 reuse_port: bool = False) -> None:
         # The process-global registry by default, so a pipeline run in
         # this process shows up on the same /metrics scrape.
         self.registry = registry or default_registry()
@@ -816,8 +810,7 @@ class QueryServer:
             self.snapshots = db
         else:
             self.snapshots = SnapshotManager(
-                db, cache_size=cache_size, registry=self.registry,
-                chaos=chaos)
+                db, cache_size=cache_size, registry=self.registry)
         self.drain_timeout_s = drain_timeout_s
         httpd = _QueryHTTPServer((host, port), _Handler,
                                  reuse_port=reuse_port)
@@ -826,7 +819,6 @@ class QueryServer:
         httpd.metrics = self.registry
         httpd.max_inflight = max_inflight
         httpd.deadline_s = deadline_s
-        httpd.chaos = chaos
         httpd.http_requests = self.registry.counter(
             HTTP_REQUESTS, "HTTP requests by route and status",
             ("route", "status"))

@@ -8,16 +8,15 @@ database means a new engine.  This module owns swapping engines:
   the engine, its fingerprint, where it came from, when it went live.
 * :class:`SnapshotManager` — holds the live snapshot behind a
   generation-counted atomic pointer.  Candidates arrive either as
-  in-memory databases (:meth:`~SnapshotManager.swap_database`, the
+  prebuilt engines (:meth:`~SnapshotManager.swap_engine`, the
   ingestion path) or as files (:meth:`~SnapshotManager.load`, the
   watch-mode path); a corrupt or torn candidate
   (:class:`~repro.errors.CorruptDatabaseError`) is **quarantined** —
   counted, remembered, and the last-good snapshot keeps serving.  A
-  hard crash mid-swap (the chaos harness's
-  :class:`~repro.pipeline.chaos.SimulatedCrash` at any
-  :data:`~repro.pipeline.chaos.SWAP_POINTS` boundary) leaves the
-  pointer untouched: the expensive work (read, decode, index build)
-  happens entirely *before* the one-reference publish.
+  hard crash mid-swap (while the candidate is read, while its index
+  is built, or just before the publish) leaves the pointer
+  untouched: the expensive work (read, decode, index build) happens
+  entirely *before* the one-reference publish.
 * :class:`DirectoryWatcher` — stat-based polling for new database
   drops, feeding ``repro serve --watch``.
 
@@ -33,7 +32,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from ..errors import CorruptDatabaseError
 from ..obs.metrics import (
@@ -42,7 +41,6 @@ from ..obs.metrics import (
     SNAPSHOT_QUARANTINED,
     SNAPSHOT_SWAPS,
 )
-from ..pipeline.chaos import ServingChaos
 from ..pipeline.store import FailureDatabase
 from .engine import QueryEngine
 
@@ -85,12 +83,10 @@ class SnapshotManager:
 
     def __init__(self, db: FailureDatabase | QueryEngine, *,
                  source: str | None = None, cache_size: int = 256,
-                 registry: MetricsRegistry | None = None,
-                 chaos: ServingChaos | None = None) -> None:
+                 registry: MetricsRegistry | None = None) -> None:
         engine = (db if isinstance(db, QueryEngine)
                   else QueryEngine(db, cache_size=cache_size))
         self._cache_size = cache_size
-        self._chaos = chaos
         self._lock = threading.Lock()
         self._quarantined = 0
         self._last_error: str | None = None
@@ -162,51 +158,23 @@ class SnapshotManager:
     # Swapper side.
     # ------------------------------------------------------------------
 
-    def swap_database(self, db: FailureDatabase, *,
-                      source: str | None = None) -> bool:
-        """Swap in an in-memory candidate database.
-
-        Returns whether a new generation went live.  An unchanged
-        fingerprint is a no-op (but clears the degraded flag — the
-        offered content *is* what we serve).  The index build happens
-        before the publish, so readers never see a partial swap.
-        """
-        with self._lock:
-            fingerprint = db.fingerprint()
-            if fingerprint == self._snapshot.fingerprint:
-                self._last_error = None
-                self._count_swap("noop")
-                return False
-            if self._chaos is not None:
-                self._chaos.reached("swap-build")
-            engine = self._build_engine(db)
-            if self._chaos is not None:
-                self._chaos.reached("swap-publish")
-            self._publish(engine, fingerprint, source)
-            return True
-
     def swap_engine(self, engine: QueryEngine, *,
                     source: str | None = None) -> bool:
         """Publish a prebuilt engine — the O(1) swap.
 
-        The caller already paid for the index build (and the engine
-        carries its own fingerprint), so the only work under the lock
-        is the fingerprint comparison and the pointer publish.  This
-        is the path for callers that prepare the replacement entirely
-        off the serving path: on a busy single-core box, even a
-        swapper *thread* building an index steals the GIL from
-        request handlers, so build first, publish last.
+        Returns whether a new generation went live.  An unchanged
+        fingerprint is a no-op (but clears the degraded flag — the
+        offered content *is* what we serve).  The caller already paid
+        for the index build (and the engine carries its own
+        fingerprint), so the only work under the lock is the
+        fingerprint comparison and the pointer publish.  This is the
+        path for callers that prepare the replacement entirely off the
+        serving path: on a busy single-core box, even a swapper
+        *thread* building an index steals the GIL from request
+        handlers, so build first, publish last.
         """
         with self._lock:
-            fingerprint = engine.fingerprint
-            if fingerprint == self._snapshot.fingerprint:
-                self._last_error = None
-                self._count_swap("noop")
-                return False
-            if self._chaos is not None:
-                self._chaos.reached("swap-publish")
-            self._publish(engine, fingerprint, source)
-            return True
+            return self._swap(engine.fingerprint, lambda: engine, source)
 
     def load(self, path: str | Path) -> bool:
         """Read, verify, and swap in a candidate database file.
@@ -215,39 +183,39 @@ class SnapshotManager:
         torn candidate (bad checksum sidecar, malformed JSON, wrong
         structure) is quarantined: counted, remembered as
         :attr:`last_error`, and ``False`` is returned while the
-        last-good snapshot keeps serving.  Errors other than
-        corruption (e.g. the file vanished between poll and read)
-        propagate — the caller decides whether that is fatal.
+        last-good snapshot keeps serving.  A candidate with the live
+        fingerprint is a no-op, found before any index is built.
+        Errors other than corruption (e.g. the file vanished between
+        poll and read) propagate — the caller decides whether that is
+        fatal.
         """
         path = Path(path)
         with self._lock:
-            if self._chaos is not None:
-                self._chaos.reached("swap-load")
             try:
-                db = FailureDatabase.load(path, chaos=self._chaos)
+                db = FailureDatabase.load(path)
             except CorruptDatabaseError as exc:
                 self._quarantine(str(exc))
                 return False
-            fingerprint = db.fingerprint()
-            if fingerprint == self._snapshot.fingerprint:
-                self._last_error = None
-                self._count_swap("noop")
-                return False
-            if self._chaos is not None:
-                self._chaos.reached("swap-build")
-            engine = self._build_engine(db)
-            if self._chaos is not None:
-                self._chaos.reached("swap-publish")
-            self._publish(engine, fingerprint, str(path))
-            return True
+            return self._swap(
+                db.fingerprint(),
+                lambda: QueryEngine(db, cache_size=self._cache_size),
+                str(path))
 
     # ------------------------------------------------------------------
     # Internals (all called under the swap lock).
     # ------------------------------------------------------------------
 
-    def _build_engine(self, db: FailureDatabase) -> QueryEngine:
-        """Build a replacement engine with this manager's cache size."""
-        return QueryEngine(db, cache_size=self._cache_size)
+    def _swap(self, fingerprint: str,
+              make_engine: Callable[[], QueryEngine],
+              source: str | None) -> bool:
+        """The one swap step: a no-op for the live fingerprint, else
+        make the candidate's engine and publish it."""
+        if fingerprint == self._snapshot.fingerprint:
+            self._last_error = None
+            self._count_swap("noop")
+            return False
+        self._publish(make_engine(), fingerprint, source)
+        return True
 
     def _publish(self, engine: QueryEngine, fingerprint: str,
                  source: str | None) -> None:

@@ -75,9 +75,7 @@ class PreforkServer:
                  max_inflight: int = 64,
                  deadline_s: float = 10.0,
                  drain_timeout_s: float = 5.0,
-                 verbose: bool = False,
-                 poll_interval_s: float = 0.2,
-                 flush_interval_s: float = 0.5) -> None:
+                 verbose: bool = False) -> None:
         if processes < 1:
             raise ValueError(
                 f"processes must be >= 1, got {processes}")
@@ -90,8 +88,6 @@ class PreforkServer:
         self._deadline_s = deadline_s
         self._drain_timeout_s = drain_timeout_s
         self._verbose = verbose
-        self._poll_interval_s = poll_interval_s
-        self._flush_interval_s = flush_interval_s
         self._owns_run_dir = run_dir is None
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self._reservation: socket.socket | None = None
@@ -201,9 +197,7 @@ class PreforkServer:
             max_inflight=self._max_inflight,
             deadline_s=self._deadline_s,
             drain_timeout_s=self._drain_timeout_s,
-            verbose=self._verbose,
-            poll_interval_s=self._poll_interval_s,
-            flush_interval_s=self._flush_interval_s)
+            verbose=self._verbose)
 
     def _spawn(self, worker_id: int):
         process = self._context.Process(

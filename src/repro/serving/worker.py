@@ -46,6 +46,12 @@ from ..query.server import QueryServer
 from ..query.snapshot import SnapshotManager
 from .generation import GenerationFile, GenerationWatcher
 
+#: Seconds between a worker's reads of the generation file.
+POLL_INTERVAL_S = 0.2
+
+#: Seconds between a worker's metrics dumps.
+FLUSH_INTERVAL_S = 0.5
+
 
 @dataclass(frozen=True)
 class WorkerConfig:
@@ -61,10 +67,6 @@ class WorkerConfig:
     deadline_s: float = 10.0
     drain_timeout_s: float = 5.0
     verbose: bool = False
-    #: Generation-file poll cadence.
-    poll_interval_s: float = 0.2
-    #: Metrics-dump flush cadence.
-    flush_interval_s: float = 0.5
 
 
 def _dump_path(metrics_dir: str | Path, worker_id: int) -> Path:
@@ -160,7 +162,7 @@ def build_worker(config: WorkerConfig) -> _WorkerRuntime:
 
     watcher = GenerationWatcher(
         generation_file, on_change,
-        interval_s=config.poll_interval_s,
+        interval_s=POLL_INTERVAL_S,
         start_generation=generation.generation)
     return _WorkerRuntime(config=config, server=server,
                           registry=registry, watcher=watcher)
@@ -185,7 +187,7 @@ def run_worker(config: WorkerConfig) -> int:
                               config.worker_id)
             except OSError:
                 pass  # metrics dir vanished; keep serving
-            stop.wait(config.flush_interval_s)
+            stop.wait(FLUSH_INTERVAL_S)
 
     flusher = threading.Thread(target=flush_loop,
                                name="repro-metrics-flush",

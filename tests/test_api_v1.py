@@ -226,7 +226,7 @@ class TestPagination:
             _, _, page = _get(server, "/v1/manufacturers?limit=1")
             cursor = page["page"]["next_cursor"]
             assert cursor
-            assert manager.swap_database(db)
+            assert manager.swap_engine(QueryEngine(db))
             code, _, body = _error(
                 server, f"/v1/manufacturers?cursor={cursor}")
             assert code == 400

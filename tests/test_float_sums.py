@@ -38,6 +38,7 @@ INTEGER_SUMS = {
     ("analysis/apm.py", "SpeedDistributions.fraction_relative_below"): 1,
     ("analysis/dpm.py", "manufacturer_dpm_summary"): 1,
     ("analysis/temporal.py", "mann_kendall"): 1,
+    ("query/index.py", "_records"): 1,
     ("reporting/fidelity.py", "_figure_rows"): 1,
     ("reporting/tables_paper.py", "table1"): 2,
 }

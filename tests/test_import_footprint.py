@@ -7,9 +7,12 @@ load time; the Stage IV fits and tests that do call it import it where
 they are called.  A ``/v1`` answer
 calls no numpy at all: the box plots, medians and trend tests it
 serves are plain Python, so a serving process never imports
-``numpy.ma`` or faults in numpy's compiled kernels to answer.  Each
-check runs in a fresh interpreter, because this test process has long
-since loaded scipy and ``numpy.ma``.
+``numpy.ma`` or faults in numpy's compiled kernels to answer.  The
+server's import graph holds no fault injection: tests inject their
+faults themselves, so ``import repro.query.server`` loads neither
+``repro.pipeline.chaos`` nor the seeded streams of ``repro.rng``.
+Each check runs in a fresh interpreter, because this test process has
+long since loaded scipy and ``numpy.ma``.
 """
 
 import os
@@ -130,6 +133,18 @@ print(f"ok: {pairs} pairs + 1 filtered, {sum(sizes)} bytes")
 """
 
 
+_SERVING_GRAPH = r"""
+import sys
+
+import repro.query.server
+
+loaded = [name for name in ("repro.pipeline.chaos", "repro.rng")
+          if name in sys.modules]
+assert not loaded, f"import repro.query.server loaded {loaded}"
+print("ok")
+"""
+
+
 def _run(script: str, *args: str) -> str:
     env = dict(os.environ)
     source_root = str(Path(repro.__file__).resolve().parents[1])
@@ -143,7 +158,7 @@ def _run(script: str, *args: str) -> str:
 
 
 def test_default_path_never_imports_scipy():
-    assert _run(_SCRIPT).startswith("ok: 8 routes, 10 kernels")
+    assert _run(_SCRIPT).startswith("ok: 8 routes, 18 kernels")
 
 
 def test_v1_answers_never_call_numpy(db, tmp_path):
@@ -151,3 +166,7 @@ def test_v1_answers_never_call_numpy(db, tmp_path):
     db.save(path)
     assert _run(_REQUEST_PATH, str(path)).startswith(
         "ok: 18 pairs + 1 filtered")
+
+
+def test_serving_graph_holds_no_fault_injection():
+    assert _run(_SERVING_GRAPH).startswith("ok")

@@ -17,7 +17,7 @@ from dataclasses import replace
 import orjson
 import pytest
 
-from repro.pipeline.chaos import SWAP_POINTS, ServingChaos, SimulatedCrash
+from repro.pipeline.chaos import SimulatedCrash
 from repro.pipeline.checkpoint import journal_line_unit
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.ingest import INGEST_STATE, document_digest, ingest_corpus
@@ -25,6 +25,8 @@ from repro.pipeline.runner import process_corpus
 from repro.query.engine import Query
 from repro.query.snapshot import SnapshotManager
 from repro.synth.dataset import SyntheticCorpus
+
+from .faults import SWAP_STEPS, swap_crash
 
 SEED = 7
 
@@ -284,7 +286,7 @@ class TestIngestUnderSwapChaos:
     ingested database, never its construction, so a retry serves
     exactly the parity-guaranteed result."""
 
-    @pytest.mark.parametrize("point", SWAP_POINTS)
+    @pytest.mark.parametrize("point", SWAP_STEPS)
     def test_crash_then_retry_serves_parity_result(
             self, small_corpus, tmp_path, point):
         config = _config(tmp_path)
@@ -294,14 +296,12 @@ class TestIngestUnderSwapChaos:
         outcome.database.save(candidate)
 
         # Serve the base generation; the grown corpus is the candidate.
-        chaos = ServingChaos(crash_at=point)
-        manager = SnapshotManager(base.database, chaos=chaos)
-        with pytest.raises(SimulatedCrash):
+        manager = SnapshotManager(base.database)
+        with swap_crash(point), pytest.raises(SimulatedCrash):
             manager.load(candidate)
         assert manager.generation == 1  # old snapshot untouched
         manager.engine.execute(Query(metric="count"))
 
-        chaos.crash_at = None
         assert manager.load(candidate) is True
         scratch = _scratch_fingerprint(small_corpus, config)
         assert outcome.database.fingerprint() == scratch

@@ -27,13 +27,24 @@ from repro.obs.metrics import SERVING_WORKER_UP, MetricsRegistry
 from repro.pipeline.checkpoint import canonical_json
 from repro.query.engine import Query, QueryEngine
 from repro.query.server import QueryServer
+from repro.serving import worker
 from repro.serving.generation import GenerationFile, GenerationWatcher
 from repro.serving.prefork import PreforkServer
 from repro.serving.worker import aggregate_metrics, flush_metrics
 
 PROCESSES = 2
-FAST = dict(poll_interval_s=0.05, flush_interval_s=0.1,
-            drain_timeout_s=3.0)
+FAST = dict(drain_timeout_s=3.0)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fast_workers():
+    """Workers poll the generation file and flush their metrics often,
+    so swaps and scrapes converge quickly.  The ``fork`` start method
+    carries the patched globals into every worker and every respawn."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worker, "POLL_INTERVAL_S", 0.05)
+        patch.setattr(worker, "FLUSH_INTERVAL_S", 0.1)
+        yield
 
 
 @pytest.fixture(scope="module")

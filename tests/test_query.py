@@ -8,13 +8,14 @@ database.
 
 from __future__ import annotations
 
+import json
 import threading
 from types import MappingProxyType
 
 import pytest
 
 from repro.analysis.kernels import KERNELS
-from repro.errors import QueryError
+from repro.errors import InsufficientDataError, QueryError
 from repro.pipeline.checkpoint import canonical_json
 from repro.pipeline.store import (
     FailureDatabase,
@@ -22,7 +23,13 @@ from repro.pipeline.store import (
     manufacturer_names,
 )
 from repro.query.cache import LruCache
-from repro.query.engine import Query, QueryEngine, to_jsonable
+from repro.query.engine import (
+    GROUP_BYS,
+    METRICS,
+    Query,
+    QueryEngine,
+    to_jsonable,
+)
 from repro.query.index import DatabaseIndex
 from repro.taxonomy import FailureCategory, FaultTag, category_of
 
@@ -88,41 +95,47 @@ class TestDatabaseIndex:
             assert (list(index.disengagements_for(name))
                     == small_db.disengagements_by_manufacturer()
                     .get(name, []))
-            # Both sides add the same floats in the same order.
-            assert index.miles_for(name) == (
-                small_db.miles_by_manufacturer().get(name, 0.0))
-            assert dict(index.monthly_miles(name)) == (
-                small_db.monthly_miles(name))
+            assert (list(index.accidents_for(name))
+                    == small_db.accidents_by_manufacturer()
+                    .get(name, []))
+            assert list(index.mileage_for(name)) == [
+                cell for cell in small_db.mileage
+                if cell.manufacturer == name]
 
-    def test_by_month_partitions(self, index, small_db):
-        seen = sum(len(index.disengagements_in_month(month))
-                   for month in index.months)
-        assert seen == len(small_db.disengagements)
+    def test_months_are_disengagement_and_mileage_months(
+            self, index, small_db):
+        assert index.months == tuple(sorted(
+            {r.month for r in small_db.disengagements}
+            | {c.month for c in small_db.mileage}))
 
     def test_by_tag_and_category_consistent(self, index, small_db):
         tagged = [r for r in small_db.disengagements
                   if r.tag is not None]
         assert sum(len(index.disengagements_with_tag(tag))
-                   for tag in index.tags) == len(tagged)
-        for category in index.categories:
+                   for tag in FaultTag) == len(tagged)
+        assert sum(len(index.disengagements_in_category(category))
+                   for category in FailureCategory) == len(tagged)
+        for category in FailureCategory:
             records = index.disengagements_in_category(category)
             assert all(category_of(r.tag) is category
                        for r in records)
 
     def test_immutable(self, index):
         with pytest.raises(TypeError):
-            index._miles_by_manufacturer["X"] = 1.0  # type: ignore
+            index._disengagements_by_tag["X"] = ()  # type: ignore
         assert isinstance(
             index.disengagements_for(index.manufacturers[0]), tuple)
 
     def test_published_mappings_are_plain_dicts(self, index):
         # A defaultdict under a proxy would insert a key on a ``[]``
         # read of a missing one.
-        mappings = [value for value in vars(index).values()
-                    if isinstance(value, MappingProxyType)]
-        mappings += index._monthly_miles.values()
-        assert len(mappings) >= 9
-        for mapping in mappings:
+        mappings = {name: value for name, value in vars(index).items()
+                    if isinstance(value, MappingProxyType)}
+        assert set(mappings) == {
+            "_disengagements_by_manufacturer",
+            "_accidents_by_manufacturer", "_mileage_by_manufacturer",
+            "_disengagements_by_tag", "_disengagements_by_category"}
+        for mapping in mappings.values():
             before = dict(mapping)
             with pytest.raises(KeyError):
                 mapping["no such key"]
@@ -262,17 +275,13 @@ class TestQueryValidation:
 
 
 class TestToJsonable:
-    def test_enum_and_numpy(self):
-        import numpy as np
-
+    def test_enum_int_keys_and_inf(self):
         value = to_jsonable({
-            FaultTag.SOFTWARE: np.float64(1.5),
-            2016: np.int32(3),
-            "flag": np.bool_(True),
+            FaultTag.SOFTWARE: 1.5,
+            2016: 3,
             "inf": float("inf"),
         })
-        assert value == {"Software": 1.5, "2016": 3,
-                         "flag": True, "inf": None}
+        assert value == {"Software": 1.5, "2016": 3, "inf": None}
 
     def test_dataclass(self):
         from repro.analysis.stats import boxplot_stats
@@ -404,7 +413,8 @@ class TestGoldenParity:
         # And again from the cache: still byte-identical.
         assert canonical_json(engine.execute(query).value) == direct
 
-    @pytest.mark.parametrize("metric", ["dpm", "tags", "categories"])
+    @pytest.mark.parametrize(
+        "metric", ["dpm", "tags", "categories", "count", "miles"])
     def test_filtered_parity(self, engine, db, metric):
         names = tuple(db.manufacturers()[:3])
         query = Query(metric=metric, manufacturers=names)
@@ -429,6 +439,43 @@ class TestGoldenParity:
         kernel = KERNELS[(query.metric, query.group_by)]
         assert (canonical_json(engine.execute(query).value)
                 == canonical_json(to_jsonable(kernel(manual))))
+
+
+def _accepted_pairs() -> list[tuple[str, str | None]]:
+    """Every ``(metric, group_by)`` pair the engine accepts."""
+    pairs = {}
+    for metric in METRICS:
+        for group_by in (None, *GROUP_BYS):
+            try:
+                query = Query(metric=metric, group_by=group_by)
+            except QueryError:
+                continue
+            pairs[(query.metric, query.group_by)] = None
+    return list(pairs)
+
+
+def _answer(engine: QueryEngine, query: Query) -> str:
+    """The served value's ``json.dumps``, or the refusal's message."""
+    try:
+        return json.dumps(engine.execute(query).value)
+    except InsufficientDataError as exc:
+        return f"InsufficientDataError: {exc}"
+
+
+class TestOneAnswerPerSlice:
+    """An unfiltered answer is, byte for byte, the answer filtered to
+    every manufacturer: one slice, one computation, one answer."""
+
+    @pytest.mark.parametrize("database", ["db", "small_db"])
+    @pytest.mark.parametrize(("metric", "group_by"), _accepted_pairs(),
+                             ids=str)
+    def test_unfiltered_is_filtered_to_every_manufacturer(
+            self, request, database, metric, group_by):
+        engine = QueryEngine(request.getfixturevalue(database))
+        everyone = Query(metric=metric, group_by=group_by,
+                         manufacturers=engine.index.manufacturers)
+        assert (_answer(engine, Query(metric=metric, group_by=group_by))
+                == _answer(engine, everyone))
 
 
 class TestRenderQueryStats:

@@ -5,7 +5,8 @@ admission-control shedding with structured ``503 + Retry-After``,
 per-request deadlines, sanitized 500s, graceful drain, watch-mode
 hot-swaps (including corrupt drops), and the headline acceptance
 check — under corrupt-candidate injection the server never returns a
-500 or a mixed-generation result.
+500 or a mixed-generation result.  Slow queries and corrupt candidates
+are injected here, by patching the engine and tearing files.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import pytest
 
 from repro import __version__
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.chaos import ServingChaos
 from repro.pipeline.checkpoint import canonical_json
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.runner import process_corpus
@@ -29,6 +29,8 @@ from repro.query.engine import Query, QueryEngine
 from repro.query.server import MAX_BODY_BYTES, QueryServer
 from repro.query.snapshot import SnapshotManager
 from repro.synth.dataset import SyntheticCorpus
+
+from .faults import tear
 
 THREADS = 8
 
@@ -53,6 +55,21 @@ def _get_error(server, path):
     except urllib.error.HTTPError as exc:
         return exc.code, dict(exc.headers), json.loads(exc.read())
     raise AssertionError(f"{path} unexpectedly succeeded")
+
+
+def _slow_queries(monkeypatch, seconds: float) -> list[None]:
+    """Make every query sleep ``seconds`` first; returns the list each
+    call appends to, so a test can count the calls."""
+    calls: list[None] = []
+    execute = QueryEngine.execute
+
+    def slow(self, query):
+        calls.append(None)
+        time.sleep(seconds)
+        return execute(self, query)
+
+    monkeypatch.setattr(QueryEngine, "execute", slow)
+    return calls
 
 
 class TestReadiness:
@@ -157,9 +174,10 @@ class TestAdmissionControl:
         releaser.join()
         server._httpd.server_close()
 
-    def test_slow_request_finishes_during_drain(self, small_db):
-        chaos = ServingChaos(slow_query_s=0.3, slow_query_rate=1.0)
-        server = QueryServer(small_db, port=0, chaos=chaos,
+    def test_slow_request_finishes_during_drain(self, small_db,
+                                                monkeypatch):
+        _slow_queries(monkeypatch, 0.3)
+        server = QueryServer(small_db, port=0,
                              deadline_s=10.0, drain_timeout_s=5.0)
         server.start()
         outcome = {}
@@ -184,19 +202,20 @@ class TestAdmissionControl:
 
 
 class TestDeadlines:
-    def test_blown_deadline_is_structured_503(self, small_db):
-        chaos = ServingChaos(slow_query_s=0.2, slow_query_rate=1.0)
+    def test_blown_deadline_is_structured_503(self, small_db,
+                                              monkeypatch):
+        calls = _slow_queries(monkeypatch, 0.2)
         registry = MetricsRegistry()
         with QueryServer(small_db, port=0, deadline_s=0.05,
-                         chaos=chaos, registry=registry) as server:
+                         registry=registry) as server:
             code, headers, body = _get_error(
                 server, "/v1/query?metric=dpm")
             assert code == 503
             assert body["error"]["code"] == "deadline_exceeded"
             assert "deadline exceeded" in body["error"]["message"]
             assert headers["Retry-After"] == "1"
-            assert chaos.injected_delays == 1
-            # Exempt probes never run the chaos delay or the budget.
+            assert len(calls) == 1
+            # Exempt probes never run the slow query or the budget.
             started = time.perf_counter()
             assert _get(server, "/v1/healthz")[0] == 200
             assert time.perf_counter() - started < 0.2
@@ -204,6 +223,7 @@ class TestDeadlines:
                     server.url + "/metrics", timeout=10) as res:
                 text = res.read().decode("utf-8")
             assert "repro_request_timeouts_total 1" in text
+            assert len(calls) == 1
 
 
 class TestSanitized500:
@@ -334,12 +354,11 @@ class TestNever500UnderChaos:
 
     def test_corrupt_injection_never_breaks_serving(
             self, small_db, other_db, tmp_path):
-        chaos = ServingChaos(corrupt_candidate=True)
         registry = MetricsRegistry()
-        manager = SnapshotManager(small_db, registry=registry,
-                                  chaos=chaos)
+        manager = SnapshotManager(small_db, registry=registry)
         candidate = tmp_path / "next.json"
         other_db.save(candidate)
+        tear(candidate)
         expected = canonical_json(
             QueryEngine(small_db).execute(Query(metric="dpm")).value)
         with QueryServer(manager, port=0,
@@ -350,7 +369,6 @@ class TestNever500UnderChaos:
                 assert status == 200
                 assert body["fingerprint"] == small_db.fingerprint()
                 assert canonical_json(body["result"]) == expected
-            assert chaos.injected_corruptions == 3
             _, _, ready = _get(server, "/v1/readyz")
             assert ready["status"] == "degraded"
             assert ready["quarantined"] == 3
@@ -416,8 +434,8 @@ class TestSwapUnderLoadHTTP:
         def swapper() -> None:
             barrier.wait()
             for i in range(20):
-                manager.swap_database(
-                    other_db if i % 2 == 0 else small_db)
+                manager.swap_engine(QueryEngine(
+                    other_db if i % 2 == 0 else small_db))
                 time.sleep(0.005)
             stop.set()
 

@@ -2,8 +2,8 @@
 
 The contract under test: readers always see exactly one complete
 generation — across hot swaps, corrupt candidates, and simulated hard
-crashes at every declared swap kill point — and the last-good snapshot
-keeps serving whenever a candidate fails.
+crashes at every step of a swap — and the last-good snapshot keeps
+serving whenever a candidate fails.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ import pytest
 
 from repro.errors import CorruptDatabaseError
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.chaos import SWAP_POINTS, ServingChaos, SimulatedCrash
+from repro.pipeline.chaos import SimulatedCrash
 from repro.pipeline.checkpoint import canonical_json
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.runner import process_corpus
 from repro.query.engine import Query, QueryEngine
 from repro.query.snapshot import DirectoryWatcher, SnapshotManager
 from repro.synth.dataset import SyntheticCorpus
+
+from .faults import SWAP_STEPS, swap_crash, tear
 
 THREADS = 8
 
@@ -51,8 +53,10 @@ class TestSnapshotManager:
         assert manager.engine is engine
 
     def test_swap_database_bumps_generation(self, small_db, other_db):
+        # An in-memory database swaps in as an engine built for it.
         manager = SnapshotManager(small_db)
-        assert manager.swap_database(other_db, source="delta") is True
+        assert manager.swap_engine(QueryEngine(other_db),
+                                   source="delta") is True
         snapshot = manager.current()
         assert snapshot.generation == 2
         assert snapshot.fingerprint == other_db.fingerprint()
@@ -62,11 +66,18 @@ class TestSnapshotManager:
                 == QueryEngine(other_db).execute(
                     Query(metric="count")).value)
 
-    def test_same_fingerprint_is_noop(self, small_db):
+    def test_same_fingerprint_is_noop(self, small_db, tmp_path):
         manager = SnapshotManager(small_db)
         engine_before = manager.engine
-        assert manager.swap_database(small_db) is False
+        assert manager.swap_engine(QueryEngine(small_db)) is False
         assert manager.generation == 1
+        assert manager.engine is engine_before
+        # A file with the live content is found out before any index
+        # is built for it.
+        path = tmp_path / "same.json"
+        small_db.save(path)
+        with swap_crash("swap-build"):
+            assert manager.load(path) is False
         assert manager.engine is engine_before
 
     def test_noop_swap_clears_degraded(self, small_db, tmp_path):
@@ -76,7 +87,7 @@ class TestSnapshotManager:
         assert manager.load(bad) is False
         assert manager.degraded is True
         # The offered content equals what we serve: healthy again.
-        assert manager.swap_database(small_db) is False
+        assert manager.swap_engine(QueryEngine(small_db)) is False
         assert manager.degraded is False
 
     def test_load_good_file(self, small_db, other_db, tmp_path):
@@ -140,32 +151,30 @@ class TestSnapshotManager:
             self, small_db, other_db, tmp_path):
         path = tmp_path / "next.json"
         other_db.save(path)
-        chaos = ServingChaos(corrupt_candidate=True)
-        manager = SnapshotManager(small_db, chaos=chaos)
+        tear(path)
+        manager = SnapshotManager(small_db)
         assert manager.load(path) is False
-        assert chaos.injected_corruptions == 1
+        assert manager.stats()["quarantined"] == 1
         assert manager.generation == 1
         assert manager.degraded is True
 
-    @pytest.mark.parametrize("point", SWAP_POINTS)
+    @pytest.mark.parametrize("point", SWAP_STEPS)
     def test_crash_at_every_swap_point_preserves_old(
             self, small_db, other_db, tmp_path, point):
         path = tmp_path / "next.json"
         other_db.save(path)
-        chaos = ServingChaos(crash_at=point)
-        manager = SnapshotManager(small_db, chaos=chaos)
+        manager = SnapshotManager(small_db)
         before = manager.current()
         baseline = canonical_json(
             manager.engine.execute(Query(metric="dpm")).value)
-        with pytest.raises(SimulatedCrash):
+        with swap_crash(point), pytest.raises(SimulatedCrash):
             manager.load(path)
         # The pointer never moved: same object, same answers.
         assert manager.current() is before
         assert canonical_json(
             manager.engine.execute(Query(metric="dpm")).value
         ) == baseline
-        # Recovery: clear the kill point and retry the same swap.
-        chaos.crash_at = None
+        # Recovery: the crash is gone; retry the same swap.
         assert manager.load(path) is True
         assert manager.fingerprint == other_db.fingerprint()
 
@@ -175,26 +184,27 @@ class TestSnapshotManager:
         assert manager.swap_engine(prebuilt, source="prebuilt") is True
         assert manager.generation == 2
         assert manager.engine is prebuilt
+        assert manager.fingerprint == other_db.fingerprint()
         assert manager.current().source == "prebuilt"
         # Same fingerprint again: a noop that clears degraded state.
         assert manager.swap_engine(QueryEngine(other_db)) is False
         assert manager.generation == 2
 
     def test_swap_engine_crash_at_publish(self, small_db, other_db):
-        chaos = ServingChaos(crash_at="swap-publish")
-        manager = SnapshotManager(small_db, chaos=chaos)
-        with pytest.raises(SimulatedCrash):
-            manager.swap_engine(QueryEngine(other_db))
+        manager = SnapshotManager(small_db)
+        prebuilt = QueryEngine(other_db)
+        with swap_crash("swap-publish"), pytest.raises(SimulatedCrash):
+            manager.swap_engine(prebuilt)
         assert manager.generation == 1
         assert manager.fingerprint == small_db.fingerprint()
 
     @pytest.mark.parametrize("point", ("swap-build", "swap-publish"))
     def test_crash_during_database_swap(self, small_db, other_db,
                                         point):
-        chaos = ServingChaos(crash_at=point)
-        manager = SnapshotManager(small_db, chaos=chaos)
-        with pytest.raises(SimulatedCrash):
-            manager.swap_database(other_db)
+        # An in-memory database swaps in as an engine built for it.
+        manager = SnapshotManager(small_db)
+        with swap_crash(point), pytest.raises(SimulatedCrash):
+            manager.swap_engine(QueryEngine(other_db))
         assert manager.generation == 1
         assert manager.fingerprint == small_db.fingerprint()
 
@@ -202,8 +212,8 @@ class TestSnapshotManager:
                                           tmp_path):
         registry = MetricsRegistry()
         manager = SnapshotManager(small_db, registry=registry)
-        manager.swap_database(small_db)            # noop
-        manager.swap_database(other_db)            # ok
+        manager.swap_engine(QueryEngine(small_db))  # noop
+        manager.swap_engine(QueryEngine(other_db))  # ok
         bad = tmp_path / "bad.json"
         bad.write_text("nope", encoding="utf-8")
         manager.load(bad)                          # quarantined
@@ -296,8 +306,8 @@ class TestSwapUnderLoad:
         def swapper() -> None:
             barrier.wait()
             for i in range(30):
-                manager.swap_database(
-                    other_db if i % 2 == 0 else small_db)
+                manager.swap_engine(QueryEngine(
+                    other_db if i % 2 == 0 else small_db))
             stop.set()
 
         threads = [threading.Thread(target=reader, args=(n,))
