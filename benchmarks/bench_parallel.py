@@ -133,14 +133,11 @@ def _replica_run(corpus, config: PipelineConfig) -> FailureDatabase:
         "dictionary", "corpus",
         lambda: runner._build_dictionary(filtered, config),
         fallback=lambda: runner._degraded_dictionary())
-    # One tag_batch call, then one guarded run per record over its
-    # precomputed result, as the runner's Stage III does.
+    # One tag_batch call, then each record adopts its result, as the
+    # runner's Stage III does.
     tagged = VotingTagger(dictionary).tag_batch(
         [record.description for record in filtered])
-    for record, precomputed in zip(filtered, tagged):
-        result = guard.run(
-            "tag", runner.record_id(record), lambda: precomputed,
-            fallback=runner._unknown_tag)
+    for record, result in zip(filtered, tagged):
         record.tag = result.tag
         record.category = result.category
     evaluate_tagger(None, filtered)  # scores the stored tags

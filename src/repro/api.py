@@ -46,12 +46,11 @@ from .errors import (
     QuarantinedError,
     QueryError,
     ReproError,
-    TransientError,
 )
 from .obs.metrics import MetricsRegistry, default_registry
 from .obs.runtime import Observability
 from .obs.trace import Tracer, load_trace, self_times
-from .pipeline.chaos import ChaosConfig, CrashPoint
+from .pipeline.chaos import CrashPoint
 from .pipeline.config import PipelineConfig
 from .pipeline.ingest import IngestReport, IngestResult, ingest_corpus
 from .pipeline.resilience import FailurePolicy
@@ -65,7 +64,6 @@ from .synth.dataset import SyntheticCorpus, generate_corpus
 
 __all__ = [
     # Pipeline.
-    "ChaosConfig",
     "CrashPoint",
     "FailurePolicy",
     "IngestReport",
@@ -105,7 +103,6 @@ __all__ = [
     "QuarantinedError",
     "QueryError",
     "ReproError",
-    "TransientError",
 ]
 
 

@@ -35,13 +35,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CalibrationError, CorruptDatabaseError, SynthesisError
-from .pipeline.chaos import (
-    CHAOS_KINDS,
-    CRASH_POINTS,
-    ChaosConfig,
-    CrashController,
-    CrashPoint,
-)
+from .pipeline.chaos import CRASH_POINTS, CrashController, CrashPoint
 from .pipeline.config import PipelineConfig
 from .pipeline.resilience import POLICY_MODES
 from .pipeline.runner import process_corpus, run_pipeline
@@ -96,20 +90,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
                         help="threshold mode: abort past this "
                              "per-stage error rate "
                              "(default: %(default)s)")
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="bounded retries for transient faults "
-                             "(default: %(default)s)")
-    parser.add_argument("--chaos-stage", default=None,
-                        choices=("ocr", "parse", "normalize",
-                                 "dictionary", "tag"),
-                        help="inject faults into this stage")
-    parser.add_argument("--chaos-rate", type=float, default=0.1,
-                        help="per-unit fault injection probability "
-                             "(default: %(default)s)")
-    parser.add_argument("--chaos-kind", choices=CHAOS_KINDS,
-                        default="exception",
-                        help="kind of fault to inject "
-                             "(default: %(default)s)")
     parser.add_argument("--crash-at", choices=CRASH_POINTS,
                         default=None,
                         help="simulate a hard crash at this pipeline "
@@ -120,9 +100,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="restore completed units from "
                              "--checkpoint-dir instead of recomputing")
-    parser.add_argument("--no-checkpoint", action="store_true",
-                        help="disable checkpointing even when "
-                             "--checkpoint-dir is set")
     parser.add_argument("--trace", action="store_true",
                         help="record a run -> stage -> unit span trace "
                              "(trace.jsonl; see 'repro trace')")
@@ -132,24 +109,17 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
                              "directory)")
     parser.add_argument("--metrics", action="store_true",
                         help="collect run metrics (stage durations, "
-                             "unit/retry/quarantine/cache counters)")
+                             "unit/error/quarantine/cache counters)")
 
 
 def _config_from(args: argparse.Namespace) -> PipelineConfig:
-    # ChaosConfig / PipelineConfig validate their knobs (rates in
-    # [0, 1], non-negative retries, resume needing a directory, ...)
-    # and raise ValueError with a precise message; main() turns that
-    # into a clean exit-code-2 diagnostic instead of a traceback.
-    chaos = None
-    if args.chaos_stage is not None:
-        chaos = ChaosConfig(stage=args.chaos_stage,
-                            rate=args.chaos_rate,
-                            kind=args.chaos_kind)
+    # PipelineConfig validates its knobs (an error rate in [0, 1],
+    # resume needing a directory, ...) and raises ValueError with a
+    # precise message; main() turns that into a clean exit-code-2
+    # diagnostic instead of a traceback.
     crash = (CrashPoint(at=args.crash_at)
              if args.crash_at is not None else None)
-    # --no-checkpoint wins over --checkpoint-dir and --resume; --trace
-    # alone traces into the working directory.
-    checkpoint_dir = None if args.no_checkpoint else args.checkpoint_dir
+    # --trace alone traces into the working directory.
     trace_dir = args.trace_dir
     if trace_dir is None and args.trace:
         trace_dir = "."
@@ -162,10 +132,8 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
         drop_planned=args.drop_planned,
         failure_policy=args.failure_policy,
         max_error_rate=args.max_error_rate,
-        max_retries=args.max_retries,
-        chaos=chaos,
-        checkpoint_dir=checkpoint_dir,
-        resume=args.resume and not args.no_checkpoint,
+        checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume,
         crash=crash,
         trace_dir=trace_dir,
         metrics_enabled=args.metrics,
@@ -783,8 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point.
 
-    Invalid knob combinations (chaos rates outside [0, 1], negative
-    retries, ``--resume`` without ``--checkpoint-dir``, an unknown
+    Invalid knob combinations (an error rate outside [0, 1],
+    ``--resume`` without ``--checkpoint-dir``, an unknown
     ``--manufacturers`` name, ...) exit with status 2 and the
     validation message, argparse-style.  A
     :class:`~repro.pipeline.chaos.SimulatedCrash` is *not* caught: a

@@ -59,15 +59,6 @@ class PipelineError(ReproError):
     """A pipeline stage failed or stages were run out of order."""
 
 
-class TransientError(ReproError):
-    """A stage failed in a way that may succeed on retry.
-
-    Raise (or translate into) this class to opt a failure into the
-    resilience layer's bounded-retry path; anything else is treated as
-    permanent and goes straight to the failure policy.
-    """
-
-
 class QuarantinedError(PipelineError):
     """A unit of work was moved to the quarantine dead-letter store.
 

@@ -37,8 +37,6 @@ from typing import Any, Iterable, Mapping
 STAGE_DURATION = "repro_stage_duration_seconds"
 #: Pipeline: units of work processed per stage (computed or restored).
 UNITS_TOTAL = "repro_pipeline_units_total"
-#: Resilience: transient faults retried.
-RETRIES_TOTAL = "repro_retries_total"
 #: Resilience: per-stage unexpected failures.
 STAGE_ERRORS_TOTAL = "repro_stage_errors_total"
 #: Resilience: degraded-mode fallbacks taken.

@@ -4,10 +4,9 @@
 raw corpus, push it through the OCR channel, parse and normalize it,
 tag every narrative with the NLP engine, and assemble the consolidated
 failure database that the statistical analyses consume.  The
-:mod:`~repro.pipeline.resilience` layer isolates per-unit failures
-(quarantine, bounded retry, degraded modes), the
-:mod:`~repro.pipeline.checkpoint` layer journals completed work so a
-killed run resumes instead of restarting, and the
-:mod:`~repro.pipeline.chaos` harness injects faults — including
-simulated hard crashes — to prove both.
+:mod:`~repro.pipeline.resilience` layer isolates per-document failures
+(quarantine, degraded modes), the :mod:`~repro.pipeline.checkpoint`
+layer journals completed work so a killed run resumes instead of
+restarting, and :mod:`~repro.pipeline.chaos` kill points simulate hard
+crashes to prove it.
 """

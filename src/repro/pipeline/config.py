@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..rng import DEFAULT_SEED
-from .chaos import ChaosConfig, CrashPoint
+from .chaos import CrashPoint
 from .resilience import POLICY_MODES, FailurePolicy
 
 @dataclass
@@ -43,10 +43,6 @@ class PipelineConfig:
     #: ``threshold`` mode: abort once a stage's error rate exceeds
     #: this fraction.
     max_error_rate: float = 0.1
-    #: Bounded retries for transient stage faults.
-    max_retries: int = 2
-    #: Optional pipeline-level fault injection (testing/chaos runs).
-    chaos: ChaosConfig | None = None
     #: Checkpoint directory for crash-safe incremental progress
     #: (None disables checkpointing entirely).
     checkpoint_dir: str | Path | None = None
@@ -62,7 +58,7 @@ class PipelineConfig:
     #: output bytes.
     trace_dir: str | Path | None = None
     #: Render the finished run's metrics (stage durations,
-    #: unit/retry/quarantine counters, cache hit rates) from its
+    #: unit/error/quarantine counters, cache hit rates) from its
     #: diagnostics and fold them into the process-global
     #: :func:`repro.obs.metrics.default_registry`.  Off by default.
     metrics_enabled: bool = False
@@ -79,9 +75,6 @@ class PipelineConfig:
         if not 0.0 <= self.max_error_rate <= 1.0:
             raise ValueError(
                 f"max_error_rate {self.max_error_rate} outside [0, 1]")
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}")
         if self.resume and self.checkpoint_dir is None:
             raise ValueError(
                 "resume=True requires a checkpoint_dir to resume from")
@@ -107,5 +100,4 @@ class PipelineConfig:
         """The :class:`FailurePolicy` these knobs describe."""
         return FailurePolicy(
             mode=self.failure_policy,
-            max_error_rate=self.max_error_rate,
-            max_retries=self.max_retries)
+            max_error_rate=self.max_error_rate)

@@ -35,9 +35,9 @@ How: checkpoint-journal surgery plus an ordinary resume run.
 Why that is byte-identical to a full rebuild: every per-document
 Stage II outcome is a deterministic function of (document content,
 config, seed) — the OCR channel draws from
-``child_generator(seed, f"ocr:{document_id}")``, chaos injection is
-keyed by ``(stage, unit_id)`` — so a restored journal entry is
-exactly what recomputing the unchanged document would have produced.
+``child_generator(seed, f"ocr:{document_id}")`` — so a restored
+journal entry is exactly what recomputing the unchanged document
+would have produced.
 Anything that is *not* such a function is never reused.  The config
 fingerprint in the checkpoint manifest enforces the "same config,
 same seed" half: a mismatch makes

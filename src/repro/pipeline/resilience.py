@@ -1,26 +1,23 @@
-"""Fault-tolerant execution for the Stage II-IV pipeline.
+"""Fault-tolerant execution for the Stage II pipeline.
 
-The paper's conclusion calls for assessing AV stacks "under fault
-conditions via stochastic modeling and fault injection"; this module
-gives the reproduction pipeline the same failure-isolation discipline
-the paper studies in vehicles.  Every per-document and per-record step
-runs through a :class:`StageGuard`, which applies a
+The paper's Stage II keeps going past a report it cannot read by
+falling back to manual transcription; this module gives the
+reproduction pipeline the same discipline for its own outside input.
+Every per-document step (OCR, parse, accident normalize) and the
+dictionary build run through a :class:`StageGuard`, which applies a
 :class:`FailurePolicy`:
 
 * ``fail_fast``   — any unexpected stage exception aborts the run as a
-  :class:`~repro.errors.PipelineError` (the pre-resilience behaviour,
-  made explicit).
+  :class:`~repro.errors.PipelineError`.
 * ``quarantine``  — the failing unit of work is captured in a
   :class:`Quarantine` dead-letter store and the run continues.
 * ``threshold``   — like ``quarantine``, but the run aborts once a
   stage's observed error rate exceeds ``max_error_rate`` (after
-  ``min_samples`` attempts, so one early failure cannot trip it).
+  :data:`MIN_SAMPLES` attempts, so one early failure cannot trip it).
 
-Transient faults (:class:`~repro.errors.TransientError`) are retried
-at once, up to ``max_retries`` times, by :func:`retry_transient` before
-the policy is consulted; steps that declare a fallback degrade instead
-of being quarantined (e.g. a tagger crash degrades the record to the
-UNKNOWN tag).  None of this draws randomness or perturbs any seeded
+A step that declares a fallback degrades instead of being quarantined:
+a failed dictionary build falls back to the hand-curated seed
+dictionary.  None of this draws randomness or perturbs any seeded
 stream, so the resilient pipeline is byte-identical to the unguarded
 one.
 """
@@ -32,11 +29,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any, TypeVar
 
-from ..errors import (
-    PipelineError,
-    QuarantinedError,
-    TransientError,
-)
+from ..errors import PipelineError, QuarantinedError
 
 T = TypeVar("T")
 
@@ -45,6 +38,10 @@ POLICY_MODES = ("fail_fast", "quarantine", "threshold")
 
 #: Quarantine entries keep at most this many characters of traceback.
 TRACEBACK_LIMIT = 2000
+
+#: ``threshold`` mode: attempts a stage must accumulate before its
+#: error rate is enforced.
+MIN_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -56,11 +53,6 @@ class FailurePolicy:
     #: ``threshold`` mode: abort when a stage's error rate (errors /
     #: attempts) exceeds this fraction.
     max_error_rate: float = 0.1
-    #: ``threshold`` mode: attempts a stage must accumulate before the
-    #: rate is enforced.
-    min_samples: int = 20
-    #: Bounded retries for :class:`~repro.errors.TransientError`.
-    max_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_MODES:
@@ -70,10 +62,6 @@ class FailurePolicy:
         if not 0.0 <= self.max_error_rate <= 1.0:
             raise ValueError(
                 f"max_error_rate {self.max_error_rate} outside [0, 1]")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
 
 
 # ----------------------------------------------------------------------
@@ -142,18 +130,6 @@ class Quarantine:
     def __iter__(self) -> Iterable[QuarantineEntry]:
         return iter(self.entries)
 
-    def by_stage(self) -> dict[str, int]:
-        """Stage -> number of quarantined units."""
-        counts: dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.stage] = counts.get(entry.stage, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def unit_ids(self, stage: str | None = None) -> list[str]:
-        """Ids of quarantined units, optionally for one stage."""
-        return [e.unit_id for e in self.entries
-                if stage is None or e.stage == stage]
-
 
 # ----------------------------------------------------------------------
 # Run health.
@@ -165,7 +141,6 @@ class StageHealth:
 
     attempts: int = 0
     errors: int = 0
-    retries: int = 0
     degradations: int = 0
     quarantined: int = 0
 
@@ -243,10 +218,6 @@ class RunHealth:
         return sum(s.errors for s in self.stages.values())
 
     @property
-    def total_retries(self) -> int:
-        return sum(s.retries for s in self.stages.values())
-
-    @property
     def total_degradations(self) -> int:
         return sum(s.degradations for s in self.stages.values())
 
@@ -264,14 +235,12 @@ class RunHealth:
         return {
             "clean": self.clean,
             "errors": self.total_errors,
-            "retries": self.total_retries,
             "degradations": self.total_degradations,
             "quarantined": self.total_quarantined,
             "stages": {
                 name: {
                     "attempts": s.attempts,
                     "errors": s.errors,
-                    "retries": s.retries,
                     "degradations": s.degradations,
                     "quarantined": s.quarantined,
                     "error_rate": s.error_rate,
@@ -281,28 +250,6 @@ class RunHealth:
             "degradation_events": list(self.degradation_events),
             "checkpoint": self.checkpoint.summary(),
         }
-
-
-# ----------------------------------------------------------------------
-# Bounded retry.
-# ----------------------------------------------------------------------
-
-def retry_transient(func: Callable[[], T], *,
-                    retries: int,
-                    on_retry: Callable[[], None] | None = None) -> T:
-    """Call ``func``, retrying it up to ``retries`` times at once on
-    :class:`~repro.errors.TransientError`.
-
-    ``on_retry()`` runs before each retry.  The last attempt's error,
-    transient or not, and any non-transient error propagate.
-    """
-    for _ in range(retries):
-        try:
-            return func()
-        except TransientError:
-            if on_retry is not None:
-                on_retry()
-    return func()
 
 
 # ----------------------------------------------------------------------
@@ -319,14 +266,11 @@ class StageGuard:
 
     def __init__(self, policy: FailurePolicy | None = None,
                  health: RunHealth | None = None,
-                 quarantine: Quarantine | None = None,
-                 chaos: "Any | None" = None) -> None:
+                 quarantine: Quarantine | None = None) -> None:
         self.policy = policy or FailurePolicy()
         self.health = health if health is not None else RunHealth()
         self.quarantine = (quarantine if quarantine is not None
                            else Quarantine())
-        #: Optional :class:`repro.pipeline.chaos.ChaosInjector`.
-        self.chaos = chaos
 
     def run(self, stage: str, unit_id: str, func: Callable[[], T], *,
             fallback: Callable[[], T] | None = None,
@@ -336,32 +280,23 @@ class StageGuard:
         ``expected`` exceptions are domain outcomes (e.g.
         :class:`~repro.errors.ParseError` for an unparseable report):
         they propagate unchanged and are not counted as resilience
-        failures.  Everything else is retried if transient, then
-        degraded via ``fallback`` if one is given, then handled per the
-        policy mode — ``quarantine``/``threshold`` raise
+        failures.  Everything else is degraded via ``fallback`` if one
+        is given, then handled per the policy mode —
+        ``quarantine``/``threshold`` raise
         :class:`~repro.errors.QuarantinedError` for the caller to skip
         the unit, ``fail_fast`` raises
         :class:`~repro.errors.PipelineError`.
         """
         stats = self.health.stage(stage)
         stats.attempts += 1
-        if self.chaos is not None:
-            func = self.chaos.wrap(stage, unit_id, func)
         try:
-            return retry_transient(
-                func,
-                retries=self.policy.max_retries,
-                on_retry=lambda: self._count_retry(stats))
+            return func()
         except expected:
             stats.attempts -= 1  # domain outcome, not a failure
             raise
         except Exception as exc:  # noqa: BLE001 - the whole point
             return self._handle_failure(stage, unit_id, exc, stats,
                                         fallback)
-
-    @staticmethod
-    def _count_retry(stats: StageHealth) -> None:
-        stats.retries += 1
 
     def _handle_failure(self, stage: str, unit_id: str,
                         exc: Exception, stats: StageHealth,
@@ -389,7 +324,7 @@ class StageGuard:
 
     def _enforce_threshold(self, stage: str,
                            stats: StageHealth) -> None:
-        if stats.attempts < self.policy.min_samples:
+        if stats.attempts < MIN_SAMPLES:
             return
         if stats.error_rate > self.policy.max_error_rate:
             raise PipelineError(

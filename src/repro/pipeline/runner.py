@@ -1,18 +1,20 @@
 """End-to-end pipeline orchestration (Fig. 1).
 
-Every per-document and per-record step runs through a
-:class:`~repro.pipeline.resilience.StageGuard`, so one bad unit of
-work is retried, degraded, or quarantined according to the configured
-:class:`~repro.pipeline.resilience.FailurePolicy` instead of aborting
-the whole run.  A clean run draws no randomness from the guard, so
-resilient output is byte-identical to the historical unguarded
-pipeline.
+Every per-document step (OCR, parse, accident normalize) and the
+dictionary build run through a
+:class:`~repro.pipeline.resilience.StageGuard`, so one report the
+pipeline cannot handle is degraded or quarantined according to the
+configured :class:`~repro.pipeline.resilience.FailurePolicy` instead
+of aborting the whole run.  Tagging runs unguarded: it adopts what one
+batched tagger call already computed.  A clean run draws no
+randomness from the guard, so resilient output is byte-identical to
+the historical unguarded pipeline.
 
 When the config names a checkpoint directory, completed units of work
 are journaled through a
 :class:`~repro.pipeline.checkpoint.CheckpointStore` at stage
 boundaries, and a resume run restores them instead of recomputing —
-keyed by the same stable unit ids the resilience layer uses, so a run
+keyed by stable unit ids (document ids, :func:`record_id`), so a run
 killed at any point (see
 :data:`~repro.pipeline.chaos.CRASH_POINTS`) and resumed produces a
 database byte-identical to an uninterrupted run.  Each stage loop
@@ -56,9 +58,8 @@ from ..taxonomy import (
     TAG_BY_VALUE,
     FailureCategory,
     FaultTag,
-    category_of,
 )
-from .chaos import ChaosInjector, CrashController
+from .chaos import CrashController
 from .checkpoint import CheckpointStore, config_fingerprint
 from .config import PipelineConfig
 from .resilience import QuarantineEntry, StageGuard
@@ -97,9 +98,7 @@ def process_corpus(corpus: SyntheticCorpus,
         config, stage_wall_s=diagnostics.stage_wall_s)
     guard = StageGuard(
         policy=config.resolved_policy(),
-        quarantine=database.quarantine,
-        chaos=(ChaosInjector(config.chaos, config.seed)
-               if config.chaos is not None else None))
+        quarantine=database.quarantine)
     diagnostics.health = guard.health
     store = None
     if config.checkpointing_active:
@@ -284,14 +283,9 @@ def _stage3(run: _Run, filtered: list[DisengagementRecord],
 
     The narratives of every record the stage computes go through the
     batch-native :meth:`~repro.nlp.tagger.VotingTagger.tag_batch` in
-    one call, ahead of the loop; each precomputed result is then
-    adopted under the record's own guarded run, so retries, chaos
-    injection (decided per ``(stage, unit)``) and the ``Unknown-T``
-    fallback fire per record.
+    one call, ahead of the loop, which then adopts and journals each
+    precomputed result in corpus order.
     """
-    guard = run.guard
-    ids = [record_id(record) for record in filtered]
-
     def adopt(index: int, result: tuple) -> None:
         filtered[index].tag, filtered[index].category = result
 
@@ -300,13 +294,12 @@ def _stage3(run: _Run, filtered: list[DisengagementRecord],
             [filtered[index].description for index in pending])))
 
         def compute(index: int) -> tuple:
-            precomputed = tagged[index]
-            result = guard.run("tag", ids[index], lambda: precomputed,
-                               fallback=_unknown_tag)
+            result = tagged[index]
             return result.tag, result.category
 
         return compute
 
+    ids = [record_id(record) for record in filtered]
     _merge_units(run, "tag", ids, "tags", _decode_tag, _encode_tag,
                  prepare, adopt, adopt, "mid-tag")
 
@@ -326,9 +319,9 @@ def _merge_units(run: _Run, stage: str, unit_ids: list[str],
     computes one of them.  Walking ``unit_ids`` in corpus order, each
     computed result is adopted through ``adopt`` and journaled
     (``encode``) through the store's buffered writer.  A ``fail_fast``
-    or ``threshold`` verdict raises out of the guard at the failing
-    unit itself.  Once every unit is in, the stage's unit count lands
-    on the run's diagnostics.
+    or ``threshold`` verdict raises out of a Stage II guard at the
+    failing unit itself.  Once every unit is in, the stage's unit
+    count lands on the run's diagnostics.
     """
     store, obs = run.store, run.obs
     checkpoint = run.guard.health.checkpoint
@@ -563,16 +556,6 @@ def record_id(record) -> str:
         record.manufacturer, record.month, record.description,
     )).encode("utf-8")).hexdigest()[:16]
     return f"record:{digest}"
-
-
-def _unknown_tag():
-    """Degraded tagging outcome: the explicit UNKNOWN tag/category."""
-    from ..nlp.tagger import TagResult
-
-    return TagResult(
-        tag=FaultTag.UNKNOWN,
-        category=category_of(FaultTag.UNKNOWN),
-        confident=False)
 
 
 def _degraded_dictionary() -> FailureDictionary:

@@ -17,7 +17,6 @@ from ..obs.metrics import (
     DEGRADATIONS_TOTAL,
     OCR_FALLBACK_PAGES,
     QUARANTINED_TOTAL,
-    RETRIES_TOTAL,
     STAGE_DURATION,
     STAGE_ERRORS_TOTAL,
     TOKEN_CACHE_HITS,
@@ -75,8 +74,8 @@ class PipelineDiagnostics:
     tagging: TaggingReport | None = None
     #: Dictionary size used for tagging.
     dictionary_entries: int = 0
-    #: What the resilience layer observed (errors, retries,
-    #: degradations, quarantine counts per stage).
+    #: What the resilience layer observed (errors, degradations,
+    #: quarantine counts per stage).
     health: RunHealth = field(default_factory=RunHealth)
     #: Stage name -> wall seconds, from the run's one stage clock
     #: (:meth:`repro.obs.runtime.Observability.stage`).
@@ -97,7 +96,6 @@ class PipelineDiagnostics:
 
 #: Resilience families: (name, help, :class:`StageHealth` counter).
 _RESILIENCE_FAMILIES = (
-    (RETRIES_TOTAL, "Transient faults retried", "retries"),
     (STAGE_ERRORS_TOTAL, "Unexpected per-unit stage failures", "errors"),
     (DEGRADATIONS_TOTAL, "Degraded-mode fallbacks taken",
      "degradations"),
@@ -112,7 +110,7 @@ def render_metrics(diagnostics: PipelineDiagnostics) -> MetricsRegistry:
     Nothing in the pipeline updates a metric while it runs; every
     series here is read off the same counters the health summary
     prints, so the two can never disagree (a resumed run's restored
-    quarantines count in both).  The four resilience families are
+    quarantines count in both).  The three resilience families are
     always registered and carry a series per stage with a non-zero
     count.  The data-quality counters (OCR fallback pages, unparsed
     lines) are always registered, zero on a clean run.

@@ -284,14 +284,14 @@ class _QueryHTTPServer(ThreadingHTTPServer):
 
     Owns admission accounting (in-flight count, drain flag) — the
     handler calls :meth:`try_admit`/:meth:`release` around every
-    non-exempt request.
+    non-exempt request — and the request metric families it records
+    into ``registry``.
     """
 
     daemon_threads = True
 
     # Set by QueryServer right after construction.
     snapshots: SnapshotManager
-    metrics: MetricsRegistry
     verbose: bool = False
     max_inflight: int = 0
     deadline_s: float = 0.0
@@ -299,19 +299,29 @@ class _QueryHTTPServer(ThreadingHTTPServer):
     #: in cross-worker aggregation here); ``None`` renders the local
     #: registry.
     metrics_renderer: Callable[[MetricsRegistry], str] | None = None
-    http_requests = None
-    http_latency = None
-    shed_total = None
-    timeout_total = None
-    inflight_gauge = None
 
     def __init__(self, server_address, handler_class, *,
+                 registry: MetricsRegistry,
                  reuse_port: bool = False) -> None:
         self._reuse_port = reuse_port
         super().__init__(server_address, handler_class)
         self._admission = threading.Condition()
         self._inflight = 0
         self._draining = False
+        self.metrics = registry
+        self.http_requests = registry.counter(
+            HTTP_REQUESTS, "HTTP requests by route and status",
+            ("route", "status"))
+        self.http_latency = registry.histogram(
+            HTTP_LATENCY, "HTTP request latency by route", ("route",))
+        self.shed_total = registry.counter(
+            REQUESTS_SHED,
+            "Requests shed by admission control (503 + Retry-After)")
+        self.timeout_total = registry.counter(
+            REQUEST_TIMEOUTS,
+            "Requests that blew their per-request deadline")
+        self.inflight_gauge = registry.gauge(
+            REQUESTS_INFLIGHT, "Requests currently being handled")
 
     def handle_error(self, request, client_address) -> None:
         """Skip the stderr traceback for a client that hung up."""
@@ -341,11 +351,6 @@ class _QueryHTTPServer(ThreadingHTTPServer):
         """Whether graceful shutdown has begun."""
         return self._draining
 
-    @property
-    def inflight(self) -> int:
-        """Requests currently admitted."""
-        return self._inflight
-
     def try_admit(self) -> str | None:
         """Admit one request; returns the rejection reason instead
         when draining or saturated (never blocks)."""
@@ -357,8 +362,7 @@ class _QueryHTTPServer(ThreadingHTTPServer):
                 return "overloaded"
             self._inflight += 1
             inflight = self._inflight
-        if self.inflight_gauge is not None:
-            self.inflight_gauge.set(inflight)
+        self.inflight_gauge.set(inflight)
         return None
 
     def release(self) -> None:
@@ -368,8 +372,7 @@ class _QueryHTTPServer(ThreadingHTTPServer):
             inflight = self._inflight
             if inflight == 0:
                 self._admission.notify_all()
-        if self.inflight_gauge is not None:
-            self.inflight_gauge.set(inflight)
+        self.inflight_gauge.set(inflight)
 
     def begin_drain(self) -> None:
         """Stop admitting new work (existing requests finish)."""
@@ -457,11 +460,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _observe(self, status: int) -> None:
         """Record the request into the server's metrics registry."""
         server = self.server
-        requests = getattr(server, "http_requests", None)
-        if requests is None:
-            return
         route = getattr(self, "_route", "<unknown>")
-        requests.labels(route, str(status)).inc()
+        server.http_requests.labels(route, str(status)).inc()
         started = getattr(self, "_started", None)
         if started is not None:
             server.http_latency.labels(route).observe(
@@ -492,8 +492,7 @@ class _Handler(BaseHTTPRequestHandler):
         if reason is None:
             self._admitted = True
             return True
-        if (reason == "overloaded"
-                and self.server.shed_total is not None):
+        if reason == "overloaded":
             self.server.shed_total.inc()
         self._send_json(
             503,
@@ -535,8 +534,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "internal", "internal server error")
         elapsed = self._deadline_exceeded()
         if elapsed is not None:
-            if self.server.timeout_total is not None:
-                self.server.timeout_total.inc()
+            self.server.timeout_total.inc()
             self._send_json(
                 503,
                 error_envelope(
@@ -813,25 +811,12 @@ class QueryServer:
                 db, cache_size=cache_size, registry=self.registry)
         self.drain_timeout_s = drain_timeout_s
         httpd = _QueryHTTPServer((host, port), _Handler,
+                                 registry=self.registry,
                                  reuse_port=reuse_port)
         httpd.snapshots = self.snapshots
         httpd.verbose = verbose
-        httpd.metrics = self.registry
         httpd.max_inflight = max_inflight
         httpd.deadline_s = deadline_s
-        httpd.http_requests = self.registry.counter(
-            HTTP_REQUESTS, "HTTP requests by route and status",
-            ("route", "status"))
-        httpd.http_latency = self.registry.histogram(
-            HTTP_LATENCY, "HTTP request latency by route", ("route",))
-        httpd.shed_total = self.registry.counter(
-            REQUESTS_SHED,
-            "Requests shed by admission control (503 + Retry-After)")
-        httpd.timeout_total = self.registry.counter(
-            REQUEST_TIMEOUTS,
-            "Requests that blew their per-request deadline")
-        httpd.inflight_gauge = self.registry.gauge(
-            REQUESTS_INFLIGHT, "Requests currently being handled")
         self._httpd = httpd
         self._thread: threading.Thread | None = None
         self._watch_thread: threading.Thread | None = None

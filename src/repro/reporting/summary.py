@@ -183,23 +183,17 @@ def render_run_health(health: RunHealth,
     out: list[str] = []
     w = out.append
     if health.clean and not (quarantine and len(quarantine)):
-        if health.total_retries:
-            w(f"health:         clean "
-              f"({health.total_retries} transient fault(s) retried "
-              "successfully)")
-        else:
-            w("health:         clean (no errors, no degradations)")
+        w("health:         clean (no errors, no degradations)")
         _render_checkpoint_health(health.checkpoint, w)
         return "\n".join(out)
     w(f"health:         {health.total_errors} error(s), "
-      f"{health.total_retries} retried, "
       f"{health.total_degradations} degraded, "
       f"{health.total_quarantined} quarantined")
     for name, stage in sorted(health.stages.items()):
-        if stage.errors == 0 and stage.retries == 0:
+        if stage.errors == 0:
             continue
         w(f"  {name:12s} {stage.errors}/{stage.attempts} failed "
-          f"({stage.error_rate:.1%}), {stage.retries} retried, "
+          f"({stage.error_rate:.1%}), "
           f"{stage.degradations} degraded, "
           f"{stage.quarantined} quarantined")
     if quarantine and len(quarantine):

@@ -19,7 +19,6 @@ from repro.errors import (
     ReproError,
     StpaError,
     SynthesisError,
-    TransientError,
     UnknownFormatError,
 )
 
@@ -33,7 +32,7 @@ class TestErrorHierarchy:
     @pytest.mark.parametrize("exc", [
         CalibrationError, SynthesisError, OcrError, ParseError,
         StpaError, PipelineError, AnalysisError,
-        TransientError, QuarantinedError, CorruptDatabaseError,
+        QuarantinedError, CorruptDatabaseError,
     ])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)

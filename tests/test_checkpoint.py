@@ -26,7 +26,6 @@ from repro.parsing.records import (
 )
 from repro.pipeline.chaos import (
     CRASH_POINTS,
-    ChaosConfig,
     CrashController,
     CrashPoint,
     SimulatedCrash,
@@ -49,6 +48,7 @@ from repro.pipeline.store import FailureDatabase
 from repro.reporting.summary import render_run_health
 from repro.synth.dataset import generate_corpus
 
+from .faults import inject
 from .oracles import database_payload, read_journal_reference
 
 SEED = 7
@@ -401,8 +401,6 @@ class TestConfigFingerprint:
             "drop_planned": True,
             "failure_policy": "fail_fast",
             "max_error_rate": 0.5,
-            "max_retries": 5,
-            "chaos": ChaosConfig(stage="tag"),
         }
         base = PipelineConfig()
         for name, value in changed.items():
@@ -660,29 +658,16 @@ class TestCrashResume:
 
     def test_resume_with_chaos_quarantine_byte_identical(
             self, tmp_path, corpus):
-        chaos = ChaosConfig(stage="parse", rate=0.5)
-        uninterrupted = process_corpus(
-            corpus, _config(chaos=chaos)).database
-        assert len(uninterrupted.quarantine)  # scenario is exercised
-        with pytest.raises(SimulatedCrash):
-            process_corpus(corpus, _config(
-                chaos=chaos, checkpoint_dir=tmp_path,
-                crash=CrashPoint(at="dictionary")))
-        resumed = process_corpus(corpus, _config(
-            chaos=chaos, checkpoint_dir=tmp_path, resume=True))
+        with inject("parse", 0.5, SEED):
+            uninterrupted = process_corpus(corpus, _config()).database
+            assert len(uninterrupted.quarantine)  # scenario exercised
+            with pytest.raises(SimulatedCrash):
+                process_corpus(corpus, _config(
+                    checkpoint_dir=tmp_path,
+                    crash=CrashPoint(at="dictionary")))
+            resumed = process_corpus(corpus, _config(
+                checkpoint_dir=tmp_path, resume=True))
         assert resumed.database.to_json() == uninterrupted.to_json()
-
-    def test_no_checkpoint_switch_disables_journaling(
-            self, tmp_path, capsys):
-        # --no-checkpoint wins over --checkpoint-dir and --resume.
-        code = main(["run", "--seed", str(SEED), "--manufacturers",
-                     *SUBSET, "--no-ocr", "--checkpoint-dir",
-                     str(tmp_path), "--resume", "--no-checkpoint",
-                     "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert not payload["health"]["checkpoint"]["enabled"]
-        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestStaleAndCorruptCheckpoints:
@@ -856,7 +841,7 @@ class TestKnobValidation:
     @pytest.mark.parametrize("kwargs", [
         {"max_error_rate": -0.1},
         {"max_error_rate": 1.5},
-        {"max_retries": -1},
+        {"failure_policy": "telepathy"},
         {"dictionary_mode": "bigrams"},
         {"resume": True},  # without a checkpoint_dir
     ])
@@ -864,20 +849,10 @@ class TestKnobValidation:
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"rate": -0.2},
-        {"rate": 1.2},
-        {"latency_s": -1.0},
-        {"kind": "gremlins"},
-    ])
-    def test_chaos_config_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
-            ChaosConfig(stage="parse", **kwargs)
-
     @pytest.mark.parametrize("argv", [
-        ["run", "--max-retries", "-1"],
+        ["run", "--max-error-rate", "-0.1"],
         ["run", "--max-error-rate", "1.5"],
-        ["run", "--chaos-stage", "parse", "--chaos-rate", "-0.5"],
+        ["run", "--manufacturers", "Foo"],
         ["run", "--resume"],
     ])
     def test_cli_rejects_bad_flags_with_message(self, argv, capsys):

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from .faults import inject
+
 
 @pytest.fixture(scope="module")
 def nissan_db_path(tmp_path_factory):
@@ -49,6 +51,22 @@ class TestParser:
             main(["run", flag, "2"])
         assert excinfo.value.code == 2
         assert (f"unrecognized arguments: {flag} 2"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--chaos-stage", "parse"],
+        ["--chaos-rate", "0.3"],
+        ["--chaos-kind", "transient"],
+        ["--max-retries", "1"],
+        ["--no-checkpoint"],
+    ])
+    def test_fault_flags_are_gone(self, argv, capsys):
+        # Faults are injected by tests (tests/faults.py), nothing
+        # retries, and omitting --checkpoint-dir disables checkpoints.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *argv])
+        assert excinfo.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(argv)}"
                 in capsys.readouterr().err)
 
 
@@ -186,8 +204,8 @@ class TestResilienceFlags:
     def test_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.failure_policy == "quarantine"
-        assert args.max_retries == 2
-        assert args.chaos_stage is None
+        assert args.max_error_rate == 0.1
+        assert args.crash_at is None
 
     def test_clean_run_prints_clean_health(self, capsys):
         code = main(["run", "--seed", "5", "--manufacturers",
@@ -199,11 +217,11 @@ class TestResilienceFlags:
 
     def test_chaos_run_reports_quarantine(self, capsys, tmp_path):
         path = tmp_path / "db.json"
-        code = main(["run", "--seed", "5", "--manufacturers",
-                     "Nissan", "--no-ocr", "--dictionary", "seed",
-                     "--chaos-stage", "parse", "--chaos-rate", "0.3",
-                     "--failure-policy", "quarantine",
-                     "--out", str(path)])
+        with inject("parse", 0.3, 5):
+            code = main(["run", "--seed", "5", "--manufacturers",
+                         "Nissan", "--no-ocr", "--dictionary", "seed",
+                         "--failure-policy", "quarantine",
+                         "--out", str(path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "quarantined" in out

@@ -23,7 +23,6 @@ from repro.obs.metrics import (
     OCR_FALLBACK_PAGES,
     QUARANTINED_TOTAL,
     QUERY_CACHE_HITS,
-    RETRIES_TOTAL,
     STAGE_DURATION,
     STAGE_ERRORS_TOTAL,
     TOKEN_CACHE_HITS,
@@ -34,12 +33,14 @@ from repro.obs.metrics import (
 )
 from repro.obs.runtime import Observability
 from repro.obs.trace import NULL_TRACER, Tracer, load_trace, self_times
-from repro.pipeline.chaos import ChaosConfig, CrashPoint, SimulatedCrash
+from repro.pipeline.chaos import CrashPoint, SimulatedCrash
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.runner import process_corpus
 from repro.pipeline.stages import render_metrics
 from repro.query.server import QueryServer
 from repro.synth.dataset import generate_corpus
+
+from .faults import inject
 
 THREADS = 8
 STAGES = {"parse-documents", "accident-documents", "normalize",
@@ -327,17 +328,16 @@ class TestPipelineInstrumentation:
         # as its health summary does.
         corpus = generate_corpus(seed=5, manufacturers=["Nissan"])
         config = dict(seed=5, ocr_enabled=False, dictionary_mode="seed",
-                      chaos=ChaosConfig(stage="parse", rate=0.3),
                       checkpoint_dir=tmp_path)
-        with pytest.raises(SimulatedCrash):
-            process_corpus(corpus, PipelineConfig(
-                **config, crash=CrashPoint(at="mid-tag")))
-        resumed = process_corpus(corpus, PipelineConfig(
-            **config, resume=True, metrics_enabled=True))
+        with inject("parse", 0.3, 5):
+            with pytest.raises(SimulatedCrash):
+                process_corpus(corpus, PipelineConfig(
+                    **config, crash=CrashPoint(at="mid-tag")))
+            resumed = process_corpus(corpus, PipelineConfig(
+                **config, resume=True, metrics_enabled=True))
         diagnostics = resumed.diagnostics
         assert diagnostics.health.stages["parse"].quarantined == 1
-        for name, counter in ((RETRIES_TOTAL, "retries"),
-                              (STAGE_ERRORS_TOTAL, "errors"),
+        for name, counter in ((STAGE_ERRORS_TOTAL, "errors"),
                               (DEGRADATIONS_TOTAL, "degradations"),
                               (QUARANTINED_TOTAL, "quarantined")):
             series = {s["labels"]["stage"]: s["value"]

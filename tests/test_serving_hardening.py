@@ -176,7 +176,7 @@ class TestAdmissionControl:
 
     def test_slow_request_finishes_during_drain(self, small_db,
                                                 monkeypatch):
-        _slow_queries(monkeypatch, 0.3)
+        calls = _slow_queries(monkeypatch, 0.3)
         server = QueryServer(small_db, port=0,
                              deadline_s=10.0, drain_timeout_s=5.0)
         server.start()
@@ -191,10 +191,10 @@ class TestAdmissionControl:
 
         thread = threading.Thread(target=slow_client)
         thread.start()
-        # Let the request get admitted before the drain begins.
+        # Let the request get admitted (it is executing once its
+        # query is called) before the drain begins.
         deadline = time.monotonic() + 2.0
-        while (server._httpd.inflight == 0
-               and time.monotonic() < deadline):
+        while not calls and time.monotonic() < deadline:
             time.sleep(0.01)
         server.shutdown()
         thread.join(timeout=5.0)

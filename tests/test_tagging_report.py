@@ -1,26 +1,29 @@
 """The run's tagging report scores the tags its database holds.
 
 Stage III stores one tag per record; ``diagnostics.tagging`` scores
-those stored tags instead of tagging the corpus a second time.  Under
-tag-stage faults the two differ (a unit that fell back stores
-``Unknown-T``), and the report must describe the database.  On a
-clean run the stored tags are the tagger's, so the report equals a
-fresh re-tag, which serves as the oracle.
+those stored tags instead of tagging the corpus a second time.  When
+the expanded dictionary build fails the two differ (the run falls
+back to the seed dictionary, so some records store ``Unknown-T``),
+and the report must describe the database.  On a clean run the
+stored tags are the tagger's, so the report equals a fresh re-tag,
+which serves as the oracle.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.errors import DegradedModeWarning
 from repro.nlp.dictionary import FailureDictionary
 from repro.nlp.evaluation import TaggingReport, evaluate_tagger
 from repro.nlp.tagger import VotingTagger
 from repro.parsing.records import DisengagementRecord
-from repro.pipeline.chaos import ChaosConfig
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.runner import process_corpus
 from repro.synth.dataset import generate_corpus
 from repro.taxonomy import FaultTag, category_of
+
+from .faults import inject
 
 SEED = 5
 NISSAN_BOSCH = ["Nissan", "Bosch"]
@@ -67,18 +70,22 @@ def nissan_bosch():
 
 class TestChaosReport:
     def test_report_scores_the_fallback_tags(self, nissan_bosch):
+        # A failed expanded-dictionary build falls back to the seed
+        # dictionary, which tags 18 of these narratives Unknown-T.
         config = PipelineConfig(
             seed=SEED, manufacturers=NISSAN_BOSCH, ocr_enabled=False,
-            chaos=ChaosConfig(stage="tag", rate=0.3),
             failure_policy="quarantine")
-        result = process_corpus(nissan_bosch, config)
+        with pytest.warns(DegradedModeWarning), \
+                inject("dictionary", 1.0, SEED):
+            result = process_corpus(nissan_bosch, config)
         records = result.database.disengagements
         unknown = sum(r.tag is FaultTag.UNKNOWN for r in records)
-        assert unknown == 622
+        assert unknown == 18
         report = result.diagnostics.tagging
         assert report == _stored_report(records)
-        assert (report.total, report.correct_tag) == (2201, 1579)
-        # The re-tag ignores the fallbacks and would claim every hit.
+        assert (report.total, report.correct_tag) == (2201, 2183)
+        # The re-tag uses the expanded dictionary the run fell back
+        # from, and would claim every hit.
         assert _retag_report(result).correct_tag == 2201
 
 
