@@ -37,22 +37,11 @@ class AlertnessSummary:
     #: Count of excluded outliers.
     outliers: int
 
-    @property
-    def comparable_to_non_av(self) -> bool:
-        """Whether the trimmed mean is within 0.5 s of the published
-        non-AV braking reaction time (0.82 s)."""
-        return abs(
-            self.trimmed_mean - NON_AV_BRAKING_REACTION_TIME_S) < 0.5
 
-
-def alertness_summary(db: FailureDatabase,
-                      manufacturers: list[str] | None = None,
-                      ) -> dict[str, AlertnessSummary]:
+def alertness_summary(db: FailureDatabase) -> dict[str, AlertnessSummary]:
     """Fig. 10: per-manufacturer reaction-time summaries."""
-    names = manufacturers if manufacturers is not None \
-        else db.manufacturers()
     out: dict[str, AlertnessSummary] = {}
-    for name in names:
+    for name in db.manufacturers():
         times = db.reaction_times(name)
         if not times:
             continue

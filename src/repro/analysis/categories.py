@@ -1,8 +1,6 @@
 """Fault categorization: Question 2, Tables IV-V, Fig. 6.
 
-Operates on the NLP-assigned tags of the consolidated database (pass
-``use_truth=True`` to validate against the synthesizer's ground
-truth).
+Operates on the NLP-assigned tags of the consolidated database.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from collections import Counter
 from ..pipeline.store import FailureDatabase
 from ..taxonomy import (
     FailureCategory,
-    FaultTag,
     Modality,
     MlSubcategory,
     category_of,
@@ -20,14 +17,13 @@ from ..taxonomy import (
 )
 from .stats import left_sum
 
-
-def _tag_of(record, use_truth: bool) -> FaultTag | None:
-    return record.truth_tag if use_truth else record.tag
+#: Left out of the headline shares: "we ignore the numbers for Tesla,
+#: as most of their categorical labels are marked Unknown-C".
+SHARES_EXCLUDED = ("Tesla",)
 
 
 def tag_fractions(db: FailureDatabase,
                   manufacturers: list[str] | None = None,
-                  use_truth: bool = False,
                   ) -> dict[str, dict[str, float]]:
     """Fig. 6: fraction of disengagements per fault tag (display name).
 
@@ -40,7 +36,7 @@ def tag_fractions(db: FailureDatabase,
     for name in names:
         counts: Counter = Counter()
         total = 0
-        for tag in db.tag_values(name, use_truth):
+        for tag in db.tag_values(name):
             counts[tag.display_name] += 1
             total += 1
         if total:
@@ -51,7 +47,6 @@ def tag_fractions(db: FailureDatabase,
 
 def category_percentages(db: FailureDatabase,
                          manufacturers: list[str] | None = None,
-                         use_truth: bool = False,
                          ) -> dict[str, dict[str, float]]:
     """Table IV: percentage per root failure category.
 
@@ -66,7 +61,7 @@ def category_percentages(db: FailureDatabase,
                   "ML-Perception/Recognition": 0,
                   "System": 0, "Unknown-C": 0}
         total = 0
-        for tag in db.tag_values(name, use_truth):
+        for tag in db.tag_values(name):
             total += 1
             category = category_of(tag)
             if category is FailureCategory.ML_DESIGN:
@@ -85,22 +80,19 @@ def category_percentages(db: FailureDatabase,
     return out
 
 
-def overall_category_shares(db: FailureDatabase,
-                            exclude: tuple[str, ...] = ("Tesla",),
-                            use_truth: bool = False) -> dict[str, float]:
+def overall_category_shares(db: FailureDatabase) -> dict[str, float]:
     """Headline shares across manufacturers (paper Sec. V-A2).
 
-    Tesla is excluded by default, as in the paper ("we ignore the
-    numbers for Tesla, as most of their categorical labels are marked
-    Unknown-C").  Returns fractions for perception, planner, system,
-    unknown, and the combined ML/Design share (the 64% claim).
+    :data:`SHARES_EXCLUDED` is left out, as in the paper.  Returns
+    fractions for perception, planner, system, unknown, and the
+    combined ML/Design share (the 64% claim).
     """
     counts = Counter()
     total = 0
     for record in db.disengagements:
-        if record.manufacturer in exclude:
+        if record.manufacturer in SHARES_EXCLUDED:
             continue
-        tag = _tag_of(record, use_truth)
+        tag = record.tag
         if tag is None:
             continue
         total += 1
@@ -141,25 +133,14 @@ def modality_percentages(db: FailureDatabase,
     return out
 
 
-def automatic_share(db: FailureDatabase,
-                    weighted: bool = False) -> float:
+def automatic_share(db: FailureDatabase) -> float:
     """Average share of disengagements initiated automatically.
 
     The paper's ~48% is the unweighted average of the Table V
     automatic percentages across manufacturers ("note that this
     measurement is biased by manufacturers like Mercedes-Benz and
-    Waymo that report a larger number of disengagements").  Pass
-    ``weighted=True`` for the event-weighted share instead.
+    Waymo that report a larger number of disengagements").
     """
-    if weighted:
-        automatic = 0
-        total = 0
-        for record in db.disengagements:
-            if record.modality in (Modality.AUTOMATIC, Modality.MANUAL):
-                total += 1
-                if record.modality is Modality.AUTOMATIC:
-                    automatic += 1
-        return automatic / total if total else 0.0
     shares = [row[Modality.AUTOMATIC.value] / 100.0
               for row in modality_percentages(db).values()]
     return left_sum(shares) / len(shares) if shares else 0.0

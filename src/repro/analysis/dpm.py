@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ..errors import InsufficientDataError
 from ..pipeline.store import FailureDatabase
 from .stats import BoxplotStats, boxplot_stats, left_sum
 
@@ -151,26 +150,3 @@ def yearly_dpm_distributions(db: FailureDatabase,
             out[name] = dict(sorted(per_year.items()))
     return out
 
-
-def dpm_quantile_tags(db: FailureDatabase, manufacturer: str,
-                      ) -> dict[str, list]:
-    """Split a manufacturer's months into DPM quartile bands with the
-    fault tags observed in each — supports the paper's observation
-    that perception faults drive the upper three quartiles."""
-    series = monthly_series(db, manufacturer)
-    active = [p for p in series if p.miles > 0]
-    if len(active) < 4:
-        raise InsufficientDataError(
-            f"{manufacturer}: too few active months for quartile bands")
-    values = sorted(p.dpm for p in active)
-    q1 = values[len(values) // 4]
-    bands: dict[str, list] = {"lower": [], "upper": []}
-    month_band = {p.month: ("lower" if p.dpm <= q1 else "upper")
-                  for p in active}
-    for record in db.disengagements:
-        if record.manufacturer != manufacturer:
-            continue
-        band = month_band.get(record.month)
-        if band and record.tag is not None:
-            bands[band].append(record.tag)
-    return bands

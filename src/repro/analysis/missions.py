@@ -30,24 +30,12 @@ class MissionComparison:
     vs_airline: float
     vs_surgical_robot: float
 
-    @property
-    def safer_than_airline(self) -> bool:
-        """Whether the AV beats airlines per mission."""
-        return self.vs_airline < 1.0
 
-    @property
-    def safer_than_surgical_robot(self) -> bool:
-        """Whether the AV beats surgical robots per mission."""
-        return self.vs_surgical_robot < 1.0
-
-
-def accidents_per_mission(apm: float,
-                          trip_miles: float = MEDIAN_TRIP_MILES) -> float:
+def accidents_per_mission(apm: float) -> float:
     """APMi = APM x median trip length."""
-    if apm < 0 or trip_miles <= 0:
-        raise InsufficientDataError(
-            "APM must be non-negative and trip length positive")
-    return apm * trip_miles
+    if apm < 0:
+        raise InsufficientDataError("APM must be non-negative")
+    return apm * MEDIAN_TRIP_MILES
 
 
 def mission_comparison(db: FailureDatabase,

@@ -24,10 +24,6 @@ class LinearFit:
     slope_stderr: float
     n: int
 
-    def predict(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Fitted value(s) at ``x``."""
-        return self.slope * np.asarray(x, dtype=float) + self.intercept
-
 
 def fit_linear(x: list[float] | np.ndarray,
                y: list[float] | np.ndarray) -> LinearFit:

@@ -7,6 +7,8 @@ rates.  Kalra & Paddock model failures as a Poisson process in miles:
   confidence ``C``?  ``miles = -ln(1 - C) / r``.
 * Given ``m`` miles with ``k`` failures, the one-sided upper
   confidence bound on the rate is ``chi2.ppf(C, 2k + 2) / (2 m)``.
+
+``C`` is :data:`CONFIDENCE`, as in [36].
 """
 
 from __future__ import annotations
@@ -15,23 +17,22 @@ import math
 
 from ..errors import AnalysisError
 
+#: The confidence level of both bounds.
+CONFIDENCE = 0.95
 
-def miles_to_demonstrate(rate_per_mile: float,
-                         confidence: float = 0.95) -> float:
+
+def miles_to_demonstrate(rate_per_mile: float) -> float:
     """Failure-free miles needed to show the rate is below the bound.
 
     For the paper's human benchmark (2e-6 accidents/mile, 95%
     confidence) this is the famous ~1.5 million failure-free miles.
     """
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence {confidence} outside (0, 1)")
     if rate_per_mile <= 0:
         raise AnalysisError("rate must be positive")
-    return -math.log(1.0 - confidence) / rate_per_mile
+    return -math.log(1.0 - CONFIDENCE) / rate_per_mile
 
 
-def rate_upper_bound(miles: float, failures: int,
-                     confidence: float = 0.95) -> float:
+def rate_upper_bound(miles: float, failures: int) -> float:
     """One-sided upper confidence bound on the per-mile failure rate."""
     from scipy import stats as sstats
 
@@ -39,9 +40,7 @@ def rate_upper_bound(miles: float, failures: int,
         raise AnalysisError("miles must be positive")
     if failures < 0:
         raise AnalysisError("failures must be non-negative")
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence {confidence} outside (0, 1)")
-    return float(sstats.chi2.ppf(confidence, 2 * failures + 2)
+    return float(sstats.chi2.ppf(CONFIDENCE, 2 * failures + 2)
                  / (2.0 * miles))
 
 

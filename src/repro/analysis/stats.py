@@ -39,11 +39,6 @@ class BoxplotStats:
     maximum: float
     mean: float
 
-    @property
-    def iqr(self) -> float:
-        """Interquartile range."""
-        return self.q3 - self.q1
-
 
 def left_sum(values: Iterable[float]) -> float:
     """``values`` added left to right, starting from the int ``0``.

@@ -57,12 +57,6 @@ class CollisionSpeedModel:
     max_av_speed: float = 30.0
     max_mv_speed: float = 40.0
 
-    @property
-    def fraction_relative_below_10mph(self) -> float:
-        """P(relative speed < 10 mph) under the exponential model."""
-        import math
-        return 1.0 - math.exp(-10.0 / self.relative_scale)
-
 
 #: The single speed model used for all synthesized accidents.  With a
 #: 5 mph mean relative speed, P(<10 mph) = 86%, matching the paper's

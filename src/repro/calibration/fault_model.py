@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import CalibrationError
-from ..taxonomy import FailureCategory, FaultTag, MlSubcategory, category_of, ml_subcategory_of
+from ..taxonomy import FaultTag
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,6 @@ class FaultMixture:
             raise CalibrationError(
                 f"fault mixture for {self.manufacturer} sums to {total}, "
                 "expected 1.0")
-
-    def category_share(self, category: FailureCategory) -> float:
-        """Probability mass of the coarse ``category``."""
-        return sum(w for tag, w in self.weights.items()
-                   if category_of(tag) is category)
-
-    def subcategory_share(self, subcategory: MlSubcategory) -> float:
-        """Probability mass of a Table IV ML/Design subcategory."""
-        return sum(w for tag, w in self.weights.items()
-                   if ml_subcategory_of(tag) is subcategory)
 
     def tags(self) -> list[FaultTag]:
         """Tags with non-zero probability, heaviest first."""

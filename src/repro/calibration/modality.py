@@ -31,11 +31,6 @@ class ModalityMixture:
         """Probability of ``modality`` for this manufacturer."""
         return self.weights.get(modality, 0.0)
 
-    @property
-    def all_planned(self) -> bool:
-        """Whether the manufacturer reports only planned tests."""
-        return self.share(Modality.PLANNED) >= 1.0 - 1e-9
-
 
 def _mixture(manufacturer: str, automatic: float, manual: float,
              planned: float) -> ModalityMixture:

@@ -4,17 +4,14 @@ Both accidents happened in Mountain View, CA, to Waymo prototypes in
 autonomous mode, and both were legally the other driver's fault while
 the analysis assigns the AV a significant share of responsibility.
 Each case study is encoded as an ordered chain of events over the
-Fig. 3 control structure, so tests (and the example scripts) can walk
-the causal chain the paper narrates and check it against the STPA
-model.
+Fig. 3 control structure: the causal chain the paper narrates, which
+Fig. 2 prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import StpaError
-from .stpa.structure import ControlStructure
 from .taxonomy import FaultTag
 
 
@@ -44,36 +41,6 @@ class CaseStudy:
     events: tuple[CaseEvent, ...] = field(default_factory=tuple)
     collision_type: str = "rear-end"
     at_fault_legally: str = "non-AV driver"
-
-    def actors(self) -> list[str]:
-        """Distinct components appearing in the event chain."""
-        seen: list[str] = []
-        for event in self.events:
-            if event.actor not in seen:
-                seen.append(event.actor)
-        return seen
-
-    def validate_against(self, structure: ControlStructure) -> None:
-        """Check every actor exists in the control structure and the
-        chain is time-ordered."""
-        for event in self.events:
-            structure.component(event.actor)  # raises on unknown
-        times = [event.at_seconds for event in self.events]
-        if times != sorted(times):
-            raise StpaError(
-                f"case study {self.name!r} events are out of order")
-
-    @property
-    def action_window_seconds(self) -> float:
-        """Time from the first driver action to the collision."""
-        driver_times = [e.at_seconds for e in self.events
-                        if e.actor == "driver"]
-        collision_times = [e.at_seconds for e in self.events
-                           if "collide" in e.action
-                           or "collision" in e.action]
-        if not driver_times or not collision_times:
-            return 0.0
-        return max(0.0, min(collision_times) - min(driver_times))
 
 
 CASE_STUDY_1 = CaseStudy(

@@ -508,10 +508,27 @@ def _cmd_serve_prefork(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_serve_flags(args: argparse.Namespace) -> None:
+    """Reject flag values that would break serving, before anything is
+    loaded, built or bound."""
+    if not 0 <= args.port <= 65535:
+        raise ValueError(f"--port must be in [0, 65535], got {args.port}")
+    if args.watch_interval <= 0:
+        raise ValueError(
+            f"--watch-interval must be > 0, got {args.watch_interval}")
+    if args.max_inflight < 0:
+        raise ValueError(f"--max-inflight must be >= 0 (0 = unbounded), "
+                         f"got {args.max_inflight}")
+    if args.processes < 0:
+        raise ValueError(f"--processes must be >= 0 (0 = one process), "
+                         f"got {args.processes}")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .query.server import QueryServer
     from .reporting.summary import render_query_stats
 
+    _check_serve_flags(args)
     if args.processes:
         return _cmd_serve_prefork(args)
     engine_db = _load_db(args)

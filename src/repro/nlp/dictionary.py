@@ -109,6 +109,18 @@ class DictionaryEntry:
 _Node = tuple[list[DictionaryEntry], dict[str, "_Node"]]
 
 
+#: Learned phrases are n-grams of at most this many tokens.
+MAX_N = 3
+#: A phrase is learned once this many seed-tagged narratives carry it.
+MIN_COUNT = 5
+#: ... and at least this fraction of them carry its top tag.
+PURITY = 0.8
+#: Phrases in more than this fraction of all narratives are shared
+#: boilerplate (like "took immediate manual control"): no causal
+#: signal.
+BOILERPLATE_DF = 0.2
+
+
 @dataclass
 class FailureDictionary:
     """Phrase -> tag dictionary with match weights.
@@ -231,12 +243,10 @@ class FailureDictionary:
         return tuple(normalize_tokens(tokenize(phrase)))
 
     @classmethod
-    def from_seeds(cls, seeds: dict[FaultTag, tuple[str, ...]] | None = None,
-                   ) -> "FailureDictionary":
+    def from_seeds(cls) -> "FailureDictionary":
         """Dictionary containing only the hand-curated seed phrases."""
-        seeds = seeds if seeds is not None else SEED_PHRASES
         dictionary = cls()
-        for tag, phrases in seeds.items():
+        for tag, phrases in SEED_PHRASES.items():
             for phrase in phrases:
                 normalized = cls._normalize_phrase(phrase)
                 if not normalized:
@@ -247,15 +257,10 @@ class FailureDictionary:
         return dictionary
 
     @classmethod
-    def build(cls, texts: list[str],
-              seeds: dict[FaultTag, tuple[str, ...]] | None = None,
-              max_n: int = 3, min_count: int = 5, purity: float = 0.8,
-              boilerplate_df: float = 0.2) -> "FailureDictionary":
-        """Two-pass construction: seed tagging, then phrase expansion.
-
-        ``boilerplate_df`` drops phrases occurring in more than that
-        fraction of all narratives (shared boilerplate like "took
-        immediate manual control" carries no causal signal).
+    def build(cls, texts: list[str]) -> "FailureDictionary":
+        """Two-pass construction: seed tagging, then phrase expansion
+        (:data:`MAX_N`, :data:`MIN_COUNT`, :data:`PURITY` and
+        :data:`BOILERPLATE_DF` set which phrases are learned).
 
         Both passes run once per distinct normalized token sequence,
         weighted by the narratives that have it, so every count equals
@@ -265,7 +270,7 @@ class FailureDictionary:
         one canonical order in every process (``set`` iteration order
         would depend on ``PYTHONHASHSEED``).
         """
-        dictionary = cls.from_seeds(seeds)
+        dictionary = cls.from_seeds()
         total = max(len(texts), 1)
 
         # Narratives that differ only in case, punctuation, stopwords
@@ -285,7 +290,7 @@ class FailureDictionary:
         phrase_df: dict[tuple[str, ...], int] = {}
         for tokens, count in weights.items():
             tag = _seed_vote(dictionary.match(tokens))
-            for phrase in distinct_ngrams(tokens, max_n):
+            for phrase in distinct_ngrams(tokens, MAX_N):
                 phrase_df[phrase] = phrase_df.get(phrase, 0) + count
                 if tag is not None:
                     tag_counts = phrase_tag_counts.setdefault(phrase, {})
@@ -294,12 +299,12 @@ class FailureDictionary:
         for phrase, tag_counts in phrase_tag_counts.items():
             df = phrase_df[phrase]
             count = sum(tag_counts.values())
-            if count < min_count or df / total > boilerplate_df:
+            if count < MIN_COUNT or df / total > BOILERPLATE_DF:
                 continue
             # ``max`` keeps the first of equal counts, as
             # ``Counter.most_common(1)`` does.
             tag, tag_count = max(tag_counts.items(), key=itemgetter(1))
-            if tag_count / count < purity:
+            if tag_count / count < PURITY:
                 continue
             idf = math.log(total / df)
             dictionary.add(DictionaryEntry(

@@ -11,7 +11,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from ..parsing.records import DisengagementRecord
-from ..taxonomy import FaultTag, category_of
+from ..taxonomy import category_of
 
 
 @dataclass
@@ -36,21 +36,6 @@ class TaggingReport:
     def category_accuracy(self) -> float:
         """Fraction of records whose coarse category was recovered."""
         return self.correct_category / self.total if self.total else 0.0
-
-    def recall(self, tag: FaultTag) -> float:
-        """Per-tag recall."""
-        truth = self.per_tag_truth[tag]
-        return self.per_tag_hits[tag] / truth if truth else 0.0
-
-    def precision(self, tag: FaultTag) -> float:
-        """Per-tag precision."""
-        predicted = self.per_tag_predicted[tag]
-        return self.per_tag_hits[tag] / predicted if predicted else 0.0
-
-    def f1(self, tag: FaultTag) -> float:
-        """Per-tag F1 score."""
-        p, r = self.precision(tag), self.recall(tag)
-        return 2 * p * r / (p + r) if p + r else 0.0
 
     def top_confusions(self, k: int = 5) -> list[tuple[tuple, int]]:
         """The ``k`` most frequent (truth, predicted) mistakes."""

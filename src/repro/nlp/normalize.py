@@ -39,9 +39,8 @@ def stem(token: str) -> str:
     return token
 
 
-def normalize_tokens(tokens: list[str],
-                     drop_stopwords: bool = True) -> list[str]:
-    """Stem tokens and optionally drop stopwords.
+def normalize_tokens(tokens: list[str]) -> list[str]:
+    """Drop stopwords and stem the rest.
 
     Stopword filtering removes the boilerplate that appears in nearly
     every report row ("driver safely disengaged and resumed manual
@@ -49,7 +48,7 @@ def normalize_tokens(tokens: list[str],
     """
     out = []
     for token in tokens:
-        if drop_stopwords and token in STOPWORDS:
+        if token in STOPWORDS:
             continue
         out.append(stem(token))
     return out

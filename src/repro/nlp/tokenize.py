@@ -5,15 +5,8 @@ from __future__ import annotations
 import re
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
-_SENTENCE_RE = re.compile(r"[.!?]+\s+|[.!?]+$")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase word tokens of ``text`` (apostrophes kept in-word)."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def sentences(text: str) -> list[str]:
-    """Split ``text`` into sentences on terminal punctuation."""
-    parts = _SENTENCE_RE.split(text)
-    return [p.strip() for p in parts if p and p.strip()]

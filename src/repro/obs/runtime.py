@@ -37,11 +37,6 @@ class Observability:
         self.stage_wall_s = {} if stage_wall_s is None else stage_wall_s
 
     @classmethod
-    def off(cls) -> "Observability":
-        """A fully disabled context."""
-        return cls()
-
-    @classmethod
     def for_run(cls, config: "PipelineConfig",
                 stage_wall_s: dict[str, float] | None = None,
                 ) -> "Observability":

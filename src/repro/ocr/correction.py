@@ -116,11 +116,6 @@ class OcrCorrector:
         #: of the token and the lexicon.
         self._memo: dict[str, str] = {}
 
-    @property
-    def lexicon(self) -> frozenset[str]:
-        """The correction lexicon in use."""
-        return self._lexicon
-
     def neighbours(self, word: str) -> set[str]:
         """Lexicon words one edit from ``word``: a deletion, or an
         insertion or substitution of a letter ``a``-``z``."""

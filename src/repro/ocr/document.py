@@ -39,11 +39,6 @@ class ScannedDocument:
     document_id: str
     pages: list[ScannedPage] = field(default_factory=list)
 
-    @property
-    def line_count(self) -> int:
-        """Total clean lines across pages."""
-        return sum(len(p.true_lines) for p in self.pages)
-
     def true_lines(self) -> list[str]:
         """The clean text of the whole document (testing/fallback)."""
         return [line for page in self.pages for line in page.true_lines]
@@ -65,21 +60,12 @@ class OcrResult:
     document_id: str
     lines: list[OcrLine] = field(default_factory=list)
 
-    def texts(self) -> list[str]:
-        """Just the recognized text lines."""
-        return [line.text for line in self.lines]
-
     def lines_by_page(self) -> dict[int, list[OcrLine]]:
         """The recognized lines of each page, in order, in one pass."""
         pages: dict[int, list[OcrLine]] = {}
         for line in self.lines:
             pages.setdefault(line.page_number, []).append(line)
         return pages
-
-    def page_confidence(self, page_number: int) -> float:
-        """Mean confidence of a page's lines (1.0 for empty pages)."""
-        return mean_confidence([l for l in self.lines
-                                if l.page_number == page_number])
 
     @property
     def mean_confidence(self) -> float:

@@ -23,12 +23,6 @@ class FilterStats:
     planned_annotated: int = 0
     planned_dropped: int = 0
 
-    @property
-    def records_out(self) -> int:
-        """Records surviving the filter."""
-        return (self.records_in - self.duplicates_dropped
-                - self.planned_dropped)
-
 
 def _dedup_key(record: DisengagementRecord) -> tuple:
     return (

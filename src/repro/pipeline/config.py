@@ -7,7 +7,7 @@ from pathlib import Path
 
 from ..rng import DEFAULT_SEED
 from .chaos import CrashPoint
-from .resilience import POLICY_MODES, FailurePolicy
+from .resilience import FailurePolicy
 
 @dataclass
 class PipelineConfig:
@@ -68,13 +68,9 @@ class PipelineConfig:
             raise ValueError(
                 f"dictionary_mode must be 'seed' or 'expanded', got "
                 f"{self.dictionary_mode!r}")
-        if self.failure_policy not in POLICY_MODES:
-            raise ValueError(
-                f"failure_policy must be one of {POLICY_MODES}, got "
-                f"{self.failure_policy!r}")
-        if not 0.0 <= self.max_error_rate <= 1.0:
-            raise ValueError(
-                f"max_error_rate {self.max_error_rate} outside [0, 1]")
+        # Not a field: the checkpoint fingerprint reads fields only.
+        self._policy = FailurePolicy(mode=self.failure_policy,
+                                     max_error_rate=self.max_error_rate)
         if self.resume and self.checkpoint_dir is None:
             raise ValueError(
                 "resume=True requires a checkpoint_dir to resume from")
@@ -97,7 +93,6 @@ class PipelineConfig:
         return Path(self.trace_dir) / "trace.jsonl"
 
     def resolved_policy(self) -> FailurePolicy:
-        """The :class:`FailurePolicy` these knobs describe."""
-        return FailurePolicy(
-            mode=self.failure_policy,
-            max_error_rate=self.max_error_rate)
+        """The :class:`FailurePolicy` these knobs describe, built (and
+        so validated) when the config was."""
+        return self._policy

@@ -120,7 +120,7 @@ class FailureDatabase:
     #: databases stay byte-identical across library versions).
     quarantine: Quarantine = field(default_factory=Quarantine)
     #: Memoized ``(content token, fingerprint)`` pair — see
-    #: :meth:`fingerprint` / :meth:`touch`.
+    #: :meth:`fingerprint` / :meth:`_content_token`.
     _fp_cache: tuple | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -239,13 +239,8 @@ class FailureDatabase:
                 counts[(record.vehicle_id, record.year)] += 1
         return dict(counts)
 
-    def tag_values(self, manufacturer: str,
-                   use_truth: bool = False) -> list:
+    def tag_values(self, manufacturer: str) -> list:
         """Non-``None`` fault tags of one manufacturer, in row order."""
-        if use_truth:
-            return [r.truth_tag for r in self.disengagements
-                    if r.manufacturer == manufacturer
-                    and r.truth_tag is not None]
         return [r.tag for r in self.disengagements
                 if r.manufacturer == manufacturer
                 and r.tag is not None]
@@ -297,18 +292,11 @@ class FailureDatabase:
         Record additions and removals (the mutations the pipeline,
         ingestion, and the serving layer actually perform) all change
         a collection length; in-place *field* edits on an existing
-        record do not, and callers doing that must :meth:`touch`.
+        record do not: after one, build a new :class:`FailureDatabase`
+        (e.g. ``dataclasses.replace(db)``), which starts without a memo.
         """
         return (len(self.disengagements), len(self.accidents),
                 len(self.mileage), len(self.quarantine))
-
-    def touch(self) -> None:
-        """Invalidate the fingerprint memo after in-place mutation.
-
-        Only needed when editing fields of existing records —
-        length-changing mutations are detected automatically.
-        """
-        self._fp_cache = None
 
     def fingerprint(self) -> str:
         """Stable content hash of the database.
@@ -326,8 +314,7 @@ class FailureDatabase:
         Memoized: snapshot swaps and cache lookups hit this on every
         request, so re-hashing the whole corpus each time is pure
         waste.  The memo is invalidated by any length-changing
-        mutation (see :meth:`_content_token`) or an explicit
-        :meth:`touch`.
+        mutation (see :meth:`_content_token`).
         """
         token = self._content_token()
         cached = self._fp_cache

@@ -109,7 +109,7 @@ from ..obs.metrics import (
 )
 from ..pipeline.store import FailureDatabase
 from .engine import Query, QueryEngine
-from .snapshot import DirectoryWatcher, Snapshot, SnapshotManager
+from .snapshot import DirectoryWatcher, SnapshotManager
 
 #: Metric families reachable as ``/v1/metrics/<name>`` shortcuts.
 METRIC_SHORTCUTS = ("dpm", "apm", "dpa")
@@ -408,13 +408,10 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------
 
     @property
-    def snapshot(self) -> Snapshot:
-        """The snapshot captured when this request started — the only
-        generation anything in the response may come from."""
-        return self._snapshot
-
-    @property
     def engine(self) -> QueryEngine:
+        """The engine of the snapshot captured when this request
+        started — the only generation anything in the response may
+        come from."""
         return self._snapshot.engine
 
     def log_message(self, format: str, *args: Any) -> None:
@@ -801,6 +798,10 @@ class QueryServer:
                  deadline_s: float = 10.0,
                  drain_timeout_s: float = 5.0,
                  reuse_port: bool = False) -> None:
+        if max_inflight < 0:
+            raise ValueError(
+                f"max_inflight must be >= 0 (0 = unbounded), got "
+                f"{max_inflight}")
         # The process-global registry by default, so a pipeline run in
         # this process shows up on the same /metrics scrape.
         self.registry = registry or default_registry()

@@ -140,14 +140,3 @@ def scatter(x: list[float], y: list[float], width: int = 60,
                  f"n={len(points)}")
     return "\n".join(lines)
 
-
-def sparkline(values: list[float]) -> str:
-    """One-line trend sparkline."""
-    if not values:
-        raise AnalysisError("no values for sparkline")
-    blocks = "▁▂▃▄▅▆▇█"
-    low, high = min(values), max(values)
-    span = (high - low) or 1.0
-    return "".join(
-        blocks[int((v - low) / span * (len(blocks) - 1))]
-        for v in values)

@@ -49,7 +49,11 @@ from ..analysis.categories import (
     overall_category_shares,
     tag_fractions,
 )
-from ..analysis.dpm import manufacturer_dpm_summary, yearly_dpm_distributions
+from ..analysis.dpm import (
+    manufacturer_dpm_summary,
+    monthly_series,
+    yearly_dpm_distributions,
+)
 from ..analysis.maturity import all_assessments, pooled_dpm_correlation
 from ..analysis.missions import mission_comparison
 from ..analysis.significance import failure_rate_confidence
@@ -75,6 +79,7 @@ from ..calibration.reaction_times import (
     OVERALL_MEAN_REACTION_TIME_S,
 )
 from ..pipeline.store import FailureDatabase
+from ..taxonomy import MlSubcategory, ml_subcategory_of
 from .tables_paper import ANALYSIS_ORDER, table1
 
 ANALYSIS = ANALYSIS_ORDER
@@ -109,6 +114,10 @@ TABLE6_SHARE = {"Waymo": 59.52, "Delphi": 2.38, "Nissan": 2.38,
 
 #: The reaction-time panels of Fig. 11.
 _RT_PANELS = ("Waymo", "Mercedes-Benz")
+
+#: The manufacturers whose mean reaction time the paper compares with
+#: non-AV drivers'.
+_RT_COMPARED = ("Nissan", "Waymo", "Delphi")
 
 #: Seconds above which a reaction time is a data-entry outlier (Fig. 11
 #: plots Mercedes-Benz below ten minutes).
@@ -575,6 +584,13 @@ def _figure_rows() -> list[Row]:
                           for name, s in _dpm(a).items() if name != "Waymo"),
             Between(5, None),
             "the paper's [0.01, 1] band, widened for per-month units"),
+        Row("fig4-waymo-upper-quartiles-perception",
+            "Waymo perception share, months above its DPM Q1",
+            "dominant", lambda a: a(_upper_quartiles_perception, "Waymo"),
+            Above(0.4),
+            "the paper's \"perception faults drive the upper three "
+            "quartiles\": tags of the months above the first quartile "
+            "of monthly DPM; tagger noise", fmt=".3f"),
         Row("fig5-min-cumulative-r2",
             "least r² of the log-log cumulative fits", "strong fits",
             lambda a: min(s.cumulative_fit.r_squared
@@ -651,6 +667,17 @@ def _figure_rows() -> list[Row]:
             lambda a: min(s.box.maximum / s.box.median
                           for s in a(alertness_summary).values()),
             Above(2.0), "exponentiated-Weibull draws", fmt=".2f"),
+        Row("fig10-comparable-to-non-av",
+            "largest |mean - non-AV braking time|, Nissan / Waymo / "
+            "Delphi (s)", "comparable",
+            lambda a: max(
+                abs(a(alertness_summary)[name].trimmed_mean
+                    - NON_AV_BRAKING_REACTION_TIME_S)
+                for name in _RT_COMPARED),
+            Below(0.5),
+            f"means with the >600 s outliers trimmed, against the "
+            f"{NON_AV_BRAKING_REACTION_TIME_S} s baseline; sampling",
+            fmt=".3f"),
         Row("fig11-benz-wider",
             "Mercedes-Benz / Waymo fitted mean", "> 1 (wider)",
             lambda a: (a(fit_reaction_times, "Mercedes-Benz").mean
@@ -766,6 +793,20 @@ def _apm_significance(db: FailureDatabase, name: str) -> float:
         db.miles_by_manufacturer()[name],
         len(db.accidents_by_manufacturer()[name]),
         HUMAN_ACCIDENTS_PER_MILE)
+
+
+def _upper_quartiles_perception(db: FailureDatabase, name: str) -> float:
+    """Share of perception tags among ``name``'s tagged disengagements
+    in the months whose DPM is above the first quartile."""
+    active = [point for point in monthly_series(db, name) if point.miles > 0]
+    q1 = sorted(point.dpm for point in active)[len(active) // 4]
+    upper = {point.month for point in active if point.dpm > q1}
+    tags = [record.tag for record in db.disengagements
+            if record.manufacturer == name and record.month in upper
+            and record.tag is not None]
+    perception = [tag for tag in tags if ml_subcategory_of(tag)
+                  is MlSubcategory.PERCEPTION]
+    return len(perception) / len(tags)
 
 
 def _human_ratio_span(analyses: Analyses) -> tuple[float, float]:

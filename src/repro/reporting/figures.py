@@ -50,20 +50,6 @@ class FigureData:
     annotations: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def series_by_name(self, name: str) -> Series:
-        """Look up a series by name."""
-        for series in self.series:
-            if series.name == name:
-                return series
-        raise KeyError(f"figure {self.figure_id} has no series {name!r}")
-
-    def box_by_label(self, label: str) -> BoxSeries:
-        """Look up a box by label."""
-        for box in self.boxes:
-            if box.label == label:
-                return box
-        raise KeyError(f"figure {self.figure_id} has no box {label!r}")
-
     def render(self, max_points: int = 6) -> str:
         """Aligned plain-text rendering of the figure data."""
         lines = [f"{self.figure_id}: {self.title}",

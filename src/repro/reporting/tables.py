@@ -37,11 +37,6 @@ class Table:
                 f"{len(self.columns)} columns")
         self.rows.append(list(values))
 
-    def column(self, name: str) -> list[Any]:
-        """All values of one column."""
-        index = self.columns.index(name)
-        return [row[index] for row in self.rows]
-
     def row_for(self, key: Any) -> list[Any] | None:
         """The first row whose first cell equals ``key``."""
         for row in self.rows:

@@ -95,7 +95,6 @@ class PreforkServer:
         self._workers = [None] * processes
         self._supervisor: threading.Thread | None = None
         self._stopping = threading.Event()
-        self._restarts = 0
         self._started = False
         self._host = host
         self._port = port
@@ -119,21 +118,11 @@ class PreforkServer:
         return f"http://{self._host}:{self._port}"
 
     @property
-    def restarts(self) -> int:
-        """Workers respawned after unexpected deaths."""
-        return self._restarts
-
-    @property
     def generation(self) -> int:
         """The currently published generation."""
         current = (self.generation_file.read()
                    if self.generation_file else None)
         return current.generation if current else 0
-
-    def worker_pids(self) -> list[int | None]:
-        """Live worker pids by slot (``None`` = currently down)."""
-        return [proc.pid if proc is not None and proc.is_alive()
-                else None for proc in self._workers]
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -216,7 +205,6 @@ class PreforkServer:
                 process.join()
                 if self._stopping.is_set():
                     break
-                self._restarts += 1
                 self._workers[worker_id] = self._spawn(worker_id)
             self._stopping.wait(0.1)
 

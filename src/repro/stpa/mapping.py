@@ -27,13 +27,6 @@ class FailureOverlay:
     #: (component, uca) -> count.
     by_component_uca: Counter = field(default_factory=Counter)
 
-    def component_share(self, component: str) -> float:
-        """Fraction of localized failures at ``component``."""
-        localized = self.total - self.unlocalized
-        if localized == 0:
-            return 0.0
-        return self.by_component[component] / localized
-
     def loop_counts(self) -> dict[str, int]:
         """Failures whose component participates in each control loop."""
         out = {}
@@ -50,16 +43,12 @@ class FailureOverlay:
         return self.by_component.most_common(1)[0][0]
 
 
-def overlay_failures(records: list[DisengagementRecord],
-                     use_truth: bool = False) -> FailureOverlay:
-    """Overlay tagged records onto the control structure.
-
-    Uses the NLP-assigned ``tag`` by default; ``use_truth=True``
-    overlays the generator's ground truth instead (for validation).
-    """
+def overlay_failures(records: list[DisengagementRecord]) -> FailureOverlay:
+    """Overlay the records' NLP-assigned tags onto the control
+    structure."""
     overlay = FailureOverlay()
     for record in records:
-        tag = record.truth_tag if use_truth else record.tag
+        tag = record.tag
         overlay.total += 1
         if tag is None:
             overlay.unlocalized += 1

@@ -69,12 +69,8 @@ def to_outline(structure: ControlStructure) -> str:
     lines = []
     for component in structure.components():
         lines.append(f"{component.name} [{component.kind}]")
-        for _, target, data in structure.graph.out_edges(
-                component.name, data=True):
-            lines.append(f"  -> {target}  ({data['kind']}: "
-                         f"{data['label']})")
-        for source, _, data in structure.graph.in_edges(
-                component.name, data=True):
-            lines.append(f"  <- {source}  ({data['kind']}: "
-                         f"{data['label']})")
+        for _, target, kind, label in structure.out_edges(component.name):
+            lines.append(f"  -> {target}  ({kind}: {label})")
+        for source, _, kind, label in structure.in_edges(component.name):
+            lines.append(f"  <- {source}  ({kind}: {label})")
     return "\n".join(lines)

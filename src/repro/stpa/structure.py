@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import enum
 
-import networkx as nx
-
 from ..errors import StpaError
 from .components import STANDARD_COMPONENTS, Component
 
@@ -22,8 +20,11 @@ class EdgeKind(enum.Enum):
         return self.value
 
 
-#: Edges of Fig. 3: (source, target, kind, label).
-_EDGES: tuple[tuple[str, str, EdgeKind, str], ...] = (
+#: One typed edge: (source, target, kind, label).
+Edge = tuple[str, str, EdgeKind, str]
+
+#: Edges of Fig. 3.
+EDGES: tuple[Edge, ...] = (
     # The autonomy pipeline (CL-1 forward path).
     ("sensors", "recognition", EdgeKind.FEEDBACK,
      "environment measurements"),
@@ -57,66 +58,45 @@ _EDGES: tuple[tuple[str, str, EdgeKind, str], ...] = (
 
 
 class ControlStructure:
-    """Typed wrapper over the Fig. 3 graph."""
-
-    def __init__(self, graph: nx.DiGraph) -> None:
-        self._graph = graph
-
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (nodes carry ``component``)."""
-        return self._graph
-
-    def component(self, name: str) -> Component:
-        """Look up a component by node name."""
-        try:
-            return self._graph.nodes[name]["component"]
-        except KeyError:
-            raise StpaError(f"unknown component {name!r}") from None
+    """The Fig. 3 graph: :data:`STANDARD_COMPONENTS` joined by
+    :data:`EDGES`."""
 
     def components(self) -> list[Component]:
         """All components."""
-        return [data["component"]
-                for _, data in self._graph.nodes(data=True)]
+        return list(STANDARD_COMPONENTS.values())
 
     def edges_of_kind(self, kind: EdgeKind) -> list[tuple[str, str, str]]:
-        """All (source, target, label) edges of the given kind."""
-        return [(u, v, data["label"])
-                for u, v, data in self._graph.edges(data=True)
-                if data["kind"] is kind]
+        """All (source, target, label) edges of the given kind, grouped
+        by source in component order."""
+        order = list(STANDARD_COMPONENTS)
+        return [(source, target, label) for source, target, edge_kind, label
+                in sorted(EDGES, key=lambda edge: order.index(edge[0]))
+                if edge_kind is kind]
 
-    def controllers_of(self, name: str) -> list[str]:
-        """Components issuing control actions to ``name``."""
-        return [u for u, v, data in self._graph.in_edges(name, data=True)
-                if data["kind"] is EdgeKind.CONTROL]
+    def out_edges(self, name: str) -> list[Edge]:
+        """The edges leaving ``name``."""
+        return [edge for edge in EDGES if edge[0] == name]
 
-    def feedback_sources(self, name: str) -> list[str]:
-        """Components providing feedback to ``name``."""
-        return [u for u, v, data in self._graph.in_edges(name, data=True)
-                if data["kind"] is EdgeKind.FEEDBACK]
-
-    def loop_exists(self, nodes: list[str]) -> bool:
-        """Whether the node sequence closes a cycle in the structure."""
-        cycle = list(nodes) + [nodes[0]]
-        return all(self._graph.has_edge(u, v)
-                   for u, v in zip(cycle, cycle[1:]))
+    def in_edges(self, name: str) -> list[Edge]:
+        """The edges entering ``name``."""
+        return [edge for edge in EDGES if edge[1] == name]
 
     def validate(self) -> None:
-        """Structural sanity checks (every node typed, no orphans)."""
-        for node, data in self._graph.nodes(data=True):
-            if "component" not in data:
-                raise StpaError(f"node {node} lacks component metadata")
-            if self._graph.degree(node) == 0:
-                raise StpaError(f"component {node} is disconnected")
+        """Structural sanity checks (every endpoint a component, no
+        orphans)."""
+        for source, target, _, _ in EDGES:
+            for name in (source, target):
+                if name not in STANDARD_COMPONENTS:
+                    raise StpaError(f"edge endpoint {name} is not a "
+                                    "component")
+        connected = {name for edge in EDGES for name in edge[:2]}
+        for name in STANDARD_COMPONENTS:
+            if name not in connected:
+                raise StpaError(f"component {name} is disconnected")
 
 
 def build_control_structure() -> ControlStructure:
     """Construct the Fig. 3 control structure."""
-    graph = nx.DiGraph()
-    for name, component in STANDARD_COMPONENTS.items():
-        graph.add_node(name, component=component)
-    for source, target, kind, label in _EDGES:
-        graph.add_edge(source, target, kind=kind, label=label)
-    structure = ControlStructure(graph)
+    structure = ControlStructure()
     structure.validate()
     return structure

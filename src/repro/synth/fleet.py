@@ -66,13 +66,6 @@ class FleetRoster:
         """Vehicles active in ``period``."""
         return self.by_period.get(period, [])
 
-    def all_vehicles(self) -> list[Vehicle]:
-        """Every distinct vehicle across both periods."""
-        seen: dict[str, Vehicle] = {}
-        for vehicles in self.by_period.values():
-            for vehicle in vehicles:
-                seen.setdefault(vehicle.vehicle_id, vehicle)
-        return list(seen.values())
 
 
 def _synthesize_vin(rng: np.random.Generator) -> str:

@@ -44,14 +44,6 @@ class MonthlyPlan:
             totals[cell.month] = totals.get(cell.month, 0.0) + cell.miles
         return dict(sorted(totals.items()))
 
-    def miles_by_vehicle(self) -> dict[str, float]:
-        """Vehicle id -> total miles."""
-        totals: dict[str, float] = {}
-        for cell in self.cells:
-            key = cell.vehicle_id or "?"
-            totals[key] = totals.get(key, 0.0) + cell.miles
-        return totals
-
     def cumulative_miles(self) -> dict[str, float]:
         """Month -> cumulative manufacturer miles through that month."""
         running = 0.0

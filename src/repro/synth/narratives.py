@@ -223,11 +223,3 @@ class NarrativeGenerator:
             joiner = ". " if not text.endswith((".", "—", "-")) else " "
             text = f"{text}{joiner}{tail}"
         return text
-
-    def vocabulary(self) -> dict[FaultTag, list[str]]:
-        """All core template texts per tag (slots unexpanded).
-
-        Used by tests and by the seeded failure-dictionary builder.
-        """
-        return {tag: [t.text for t in templates]
-                for tag, templates in TEMPLATES.items()}

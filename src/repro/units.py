@@ -92,37 +92,6 @@ _DATE_SHAPES = tuple((fmt, _shape(fmt)) for fmt in _DATE_FORMATS)
 _TIME_SHAPES = tuple((fmt, _shape(fmt)) for fmt in _TIME_FORMATS)
 
 
-def parse_number(text: str) -> float:
-    """Extract the first numeric value from ``text``.
-
-    Commas used as thousands separators are removed first, so
-    ``"1,116,605 miles"`` parses to ``1116605.0``.
-    """
-    cleaned = text.replace(",", "")
-    match = _NUMBER_RE.search(cleaned)
-    if match is None:
-        raise FieldCoercionError(f"no number found in {text!r}", line=text)
-    return float(match.group())
-
-
-def parse_miles(text: str) -> float:
-    """Parse a distance expressed in miles or kilometres into miles."""
-    value = parse_number(text)
-    lowered = text.lower()
-    if "km" in lowered or "kilometer" in lowered or "kilometre" in lowered:
-        return value * MILES_PER_KM
-    return value
-
-
-def parse_mph(text: str) -> float:
-    """Parse a speed in mph (or km/h, converted) into mph."""
-    value = parse_number(text)
-    lowered = text.lower()
-    if "km/h" in lowered or "kph" in lowered or "kmh" in lowered:
-        return value * MILES_PER_KM
-    return value
-
-
 def parse_duration_seconds(text: str) -> float:
     """Parse a duration like ``"0.8 sec"`` or ``"2 min"`` into seconds.
 

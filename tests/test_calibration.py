@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.calibration.accidents import ACCIDENT_PROFILES, SPEED_MODEL
+from repro.calibration.accidents import ACCIDENT_PROFILES
 from repro.calibration.baselines import PAPER_MEDIAN_DPM
 from repro.calibration.fault_model import (
     FAULT_MIXTURES,
@@ -24,7 +24,19 @@ from repro.calibration.roads import ROAD_TYPE_SHARES
 from repro.calibration.trends import DPM_TRENDS, dpm_trend
 from repro.errors import CalibrationError
 from repro.reporting.fidelity import TABLE4
-from repro.taxonomy import FailureCategory, MlSubcategory
+from repro.taxonomy import (
+    FailureCategory,
+    MlSubcategory,
+    category_of,
+    ml_subcategory_of,
+)
+
+
+def _percent(weights, classify, group) -> float:
+    """Percent of a mixture's probability mass whose tags ``classify``
+    puts in ``group``."""
+    return 100 * sum(weight for tag, weight in weights.items()
+                     if classify(tag) is group)
 
 
 class TestTable1Totals:
@@ -81,22 +93,25 @@ class TestFaultMixtures:
         for name in ("Delphi", "Nissan", "Tesla", "Waymo")])
     def test_table4_category_sums(self, name, planner, perception,
                                   system, unknown):
-        mixture = fault_mixture(name)
-        assert 100 * mixture.subcategory_share(
-            MlSubcategory.PLANNER) == pytest.approx(planner, abs=0.01)
-        assert 100 * mixture.subcategory_share(
-            MlSubcategory.PERCEPTION) == pytest.approx(
-                perception, abs=0.01)
-        assert 100 * mixture.category_share(
-            FailureCategory.SYSTEM) == pytest.approx(system, abs=0.01)
-        assert 100 * mixture.category_share(
-            FailureCategory.UNKNOWN) == pytest.approx(unknown, abs=0.01)
+        weights = fault_mixture(name).weights
+        assert _percent(weights, ml_subcategory_of,
+                        MlSubcategory.PLANNER) == pytest.approx(
+                            planner, abs=0.01)
+        assert _percent(weights, ml_subcategory_of,
+                        MlSubcategory.PERCEPTION) == pytest.approx(
+                            perception, abs=0.01)
+        assert _percent(weights, category_of,
+                        FailureCategory.SYSTEM) == pytest.approx(
+                            system, abs=0.01)
+        assert _percent(weights, category_of,
+                        FailureCategory.UNKNOWN) == pytest.approx(
+                            unknown, abs=0.01)
 
     def test_volkswagen_is_system_dominated(self):
-        mixture = fault_mixture("Volkswagen")
-        assert 100 * mixture.category_share(
-            FailureCategory.SYSTEM) == pytest.approx(
-                TABLE4["Volkswagen"][2], abs=0.01)
+        weights = fault_mixture("Volkswagen").weights
+        assert _percent(weights, category_of,
+                        FailureCategory.SYSTEM) == pytest.approx(
+                            TABLE4["Volkswagen"][2], abs=0.01)
 
     def test_table4_manufacturer_set(self):
         assert set(TABLE4_MANUFACTURERS) == {
@@ -116,7 +131,9 @@ class TestFaultMixtures:
 class TestModalityMixtures:
     @pytest.mark.parametrize("name", ["Bosch", "GMCruise"])
     def test_planned_only_manufacturers(self, name):
-        assert modality_mixture(name).all_planned
+        from repro.taxonomy import Modality
+        assert modality_mixture(name).share(
+            Modality.PLANNED) == pytest.approx(1.0)
 
     def test_volkswagen_all_automatic(self):
         from repro.taxonomy import Modality
@@ -139,9 +156,9 @@ class TestAccidentsAndSpeeds:
     def test_uber_has_no_dpa(self):
         assert ACCIDENT_PROFILES["Uber ATC"].dpa is None
 
-    def test_speed_model_matches_below_10mph_claim(self):
+    def test_speed_model_matches_below_10mph_claim(self, paper_rows):
         # ">80% of accidents below 10 mph relative speed"
-        assert SPEED_MODEL.fraction_relative_below_10mph > 0.80
+        paper_rows.check("fig12-below-10mph")
 
 
 class TestTrendsAndRoads:

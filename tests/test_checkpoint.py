@@ -466,7 +466,7 @@ class TestDatabasePersistence:
         # ``json.dumps`` text: spaces, ``\uXXXX`` escapes, field order.
         db = _sample_database(True)
         db.disengagements[0].description = "Fußgänger — 行人"
-        db.touch()
+        db = dataclasses.replace(db)
         text = json.dumps(database_payload(db))
         path = tmp_path / "db.json"
         path.write_text(text, encoding="utf-8")

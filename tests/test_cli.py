@@ -334,6 +334,35 @@ class TestServeVerb:
         assert not list(tmp_path.glob("repro-db-*"))
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--max-inflight", "-1"],
+        ["--watch-interval", "0"],
+        ["--watch-interval", "-0.5"],
+        ["--port", "99999"],
+        ["--processes", "-1"],
+    ], ids=["max-inflight", "watch-interval-zero", "watch-interval-negative",
+            "port", "processes"])
+    def test_breaking_flag_values_exit_2_before_loading(
+            self, argv, monkeypatch, capsys):
+        from repro import cli
+
+        def load(*args):
+            raise AssertionError("loaded a database before the check")
+
+        monkeypatch.setattr(cli, "run_pipeline", load)
+        monkeypatch.setattr(cli, "_load_db", load)
+        assert main(["serve", *argv, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: " + argv[0])
+        assert err.count("\n") == 1
+
+    def test_server_rejects_negative_max_inflight(self, small_db):
+        from repro.query.server import QueryServer
+
+        with pytest.raises(ValueError, match="max_inflight"):
+            QueryServer(small_db, port=0, max_inflight=-1)
+
+
 class TestSharedFlagConventions:
     def test_quiet_run_prints_nothing(self, tmp_path, capsys):
         path = tmp_path / "db.json"

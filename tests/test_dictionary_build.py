@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nlp import dictionary as dictionary_module
 from repro.nlp import textcache
 from repro.nlp.dictionary import DictionaryEntry, FailureDictionary
 from repro.nlp.ngrams import all_ngrams, distinct_ngrams
@@ -93,11 +94,13 @@ class TestPerNarrativeOracle:
                 == Counter(map(_entry_key, oracle.entries)))
         assert any(e.source == "learned" for e in built.entries)
 
-    def test_same_entries_when_tied_tags_pass(self, texts):
+    def test_same_entries_when_tied_tags_pass(self, texts, monkeypatch):
         # At purity <= 0.5 a phrase whose top tags tie can be learned,
         # so the tag that wins the tie (the first counted) shows.
         loose = dict(min_count=1, purity=0.5, boilerplate_df=1.0)
-        ours = FailureDictionary.build(texts, **loose)
+        for name, value in loose.items():
+            monkeypatch.setattr(dictionary_module, name.upper(), value)
+        ours = FailureDictionary.build(texts)
         oracle = build_per_narrative(texts, **loose)
         assert (Counter(map(_entry_key, ours.entries))
                 == Counter(map(_entry_key, oracle.entries)))

@@ -74,35 +74,18 @@ class TestRendererRequirements:
 
 class TestOcrResultAccessors:
     def test_page_confidence_of_empty_page(self):
-        from repro.ocr.document import OcrResult
+        from repro.ocr.document import OcrResult, mean_confidence
 
         result = OcrResult(document_id="d")
-        assert result.page_confidence(0) == 1.0
+        assert mean_confidence([]) == 1.0
         assert result.mean_confidence == 1.0
 
     def test_texts_order_preserved(self):
         from repro.ocr.document import OcrLine, OcrResult
 
-        result = OcrResult(document_id="d", lines=[
-            OcrLine("a", 0.9, 0), OcrLine("b", 0.8, 0)])
-        assert result.texts() == ["a", "b"]
-
-
-class TestQuantileBands:
-    def test_quantile_tags_split(self, db):
-        from repro.analysis.dpm import dpm_quantile_tags
-
-        bands = dpm_quantile_tags(db, "Mercedes-Benz")
-        assert set(bands) == {"lower", "upper"}
-        assert len(bands["upper"]) > 0
-
-    def test_quantile_tags_needs_months(self, small_db):
-        from repro.analysis.dpm import dpm_quantile_tags
-
-        # Volkswagen in the small corpus has months, Nissan too; a
-        # fabricated manufacturer has none.
-        with pytest.raises(InsufficientDataError):
-            dpm_quantile_tags(small_db, "Nonexistent Motors")
+        lines = [OcrLine("a", 0.9, 0), OcrLine("b", 0.8, 0)]
+        result = OcrResult(document_id="d", lines=lines)
+        assert result.lines_by_page() == {0: lines}
 
 
 class TestChartBoundaries:
@@ -165,7 +148,7 @@ class TestUnitsBoundaries:
 
 class TestFallbackQueueAccounting:
     def test_threshold_edge(self):
-        from repro.ocr.document import OcrLine, OcrResult
+        from repro.ocr.document import OcrLine, OcrResult, mean_confidence
         from repro.ocr.fallback import (
             CONFIDENCE_THRESHOLD,
             ManualTranscriptionQueue,
@@ -175,7 +158,7 @@ class TestFallbackQueueAccounting:
             OcrLine("x", CONFIDENCE_THRESHOLD, 0)])
         # Exactly at threshold: no fallback (strict less-than).
         assert not ManualTranscriptionQueue.needs_fallback(
-            result.page_confidence(0))
+            mean_confidence(result.lines))
         assert ManualTranscriptionQueue.needs_fallback(
             math.nextafter(CONFIDENCE_THRESHOLD, 0.0))
 

@@ -11,7 +11,8 @@ serves are plain Python, so a serving process never imports
 server's import graph holds no fault injection: tests inject their
 faults themselves, so ``import repro.query.server`` loads neither
 ``repro.pipeline.chaos`` nor the seeded streams of ``repro.rng``.
-Each check runs in a fresh interpreter, because this test process has
+The Fig. 3 control structure is a table of edges, so building and
+rendering it loads no graph library.  Each check runs in a fresh interpreter, because this test process has
 long since loaded scipy and ``numpy.ma``.
 """
 
@@ -145,6 +146,20 @@ print("ok")
 """
 
 
+_FIGURE3 = r"""
+import sys
+
+from repro.reporting.figures_paper import figure3
+
+figure = figure3()
+assert "digraph control_structure" in figure.notes[-1]
+loaded = sorted(name for name in sys.modules
+                if name.split(".")[0] == "networkx")
+assert not loaded, f"figure 3 loaded {loaded[:5]}"
+print("ok")
+"""
+
+
 def _run(script: str, *args: str) -> str:
     env = dict(os.environ)
     source_root = str(Path(repro.__file__).resolve().parents[1])
@@ -170,3 +185,7 @@ def test_v1_answers_never_call_numpy(db, tmp_path):
 
 def test_serving_graph_holds_no_fault_injection():
     assert _run(_SERVING_GRAPH).startswith("ok")
+
+
+def test_figure3_loads_no_graph_library():
+    assert _run(_FIGURE3).startswith("ok")

@@ -182,7 +182,7 @@ class TestStrptimeShapes:
 #: stays empty because only the unmemoized repairs are called on it.
 _CORRECTOR = OcrCorrector()
 _REFERENCE = OcrCorrector()
-_LEXICON = sorted(_CORRECTOR.lexicon)
+_LEXICON = sorted(_CORRECTOR._lexicon)
 
 
 @st.composite

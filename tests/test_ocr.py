@@ -205,7 +205,7 @@ class TestDocumentModel:
         lines = [f"line {i}" for i in range(95)]
         qualities = [0.9] * page_count(len(lines))
         document = paginate("doc", lines, qualities)
-        assert document.line_count == 95
+        assert sum(len(page.true_lines) for page in document.pages) == 95
         assert document.true_lines() == lines
 
     def test_paginate_rejects_missing_qualities(self):
@@ -304,7 +304,7 @@ def _mutated_words(draw, lexicon: list[str]) -> str:
 class TestCorrectorNeighbours:
     CORRECTOR = OcrCorrector(extra_lexicon=_EXTRA_LEXICON)
 
-    @given(word=_mutated_words(sorted(CORRECTOR.lexicon)))
+    @given(word=_mutated_words(sorted(CORRECTOR._lexicon)))
     @example(word="")
     @example(word="didnt")
     @example(word="cor")
@@ -312,7 +312,7 @@ class TestCorrectorNeighbours:
     def test_matches_single_edit_oracle(self, word):
         corrector = self.CORRECTOR
         assert corrector.neighbours(word) == {
-            c for c in _single_edits(word) if c in corrector.lexicon}
+            c for c in _single_edits(word) if c in corrector._lexicon}
 
 
 class TestFallback:

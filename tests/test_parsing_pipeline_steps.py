@@ -135,7 +135,6 @@ class TestFilters:
         kept, stats = filter_records(records, drop_planned=True)
         assert len(kept) == 1
         assert stats.planned_dropped == 1
-        assert stats.records_out == 1
 
 
 class TestRegistry:

@@ -1,6 +1,7 @@
 """Tests for pipeline configuration, the failure database store, and
 the end-to-end runner."""
 
+import dataclasses
 import gc
 import hashlib
 import tempfile
@@ -218,7 +219,7 @@ class TestFingerprintMemo:
         db = _fresh_database()
         before = db.fingerprint()
         db.disengagements[0].weather = "fog"
-        db.touch()
+        db = dataclasses.replace(db)
         after = db.fingerprint()
         assert after != before
         assert after == _payload_fingerprint(db)
@@ -289,7 +290,7 @@ class TestStreamedFingerprint:
         db.disengagements[0].description = "Fußgänger — 行人 \u2028 \"q\" 🚗"
         db.accidents.append(AccidentRecord(
             "Waymo", location="Straße & Ave", description="ünïcode\n"))
-        db.touch()
+        db = dataclasses.replace(db)
         assert db.fingerprint() == _payload_fingerprint(db)
 
     @given(db=_databases)

@@ -16,6 +16,8 @@ imports that name through the package.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import repro
@@ -106,3 +108,96 @@ def test_package_inits_reexport_nothing():
                     if bound not in used and (name, bound) not in e2e:
                         reexports.append(f"{name}.{bound}")
     assert not reexports, f"package __init__s re-export {reexports}"
+
+
+# -- every function has a caller ---------------------------------------
+
+ROOT = Path(repro.__file__).resolve().parents[2]
+CALLER_DIRS = ("src", "benchmarks", "scripts", "examples")
+CI_FILE = ROOT / ".github" / "workflows" / "ci.yml"
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+HTTP_DISPATCH = re.compile(r"do_[A-Z]+")
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the string constants that are docstrings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                found.add(id(first.value))
+    return found
+
+
+def _uses() -> tuple[set[str], set[str]]:
+    """(attribute names, bare or imported names) that the code outside
+    ``tests/`` uses; a dotted-identifier string adds its parts to
+    both, and so does every identifier token of the CI workflow."""
+    attributes: set[str] = set()
+    names: set[str] = set()
+    for directory in CALLER_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            docstrings = _docstrings(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      and id(node) not in docstrings
+                      and DOTTED.fullmatch(node.value)):
+                    parts = node.value.split(".")
+                    attributes.update(parts)
+                    names.update(parts)
+    tokens = set(re.findall(r"[A-Za-z_]\w*",
+                            CI_FILE.read_text(encoding="utf-8")))
+    return attributes | tokens, names | tokens
+
+
+def _overrides_foreign_base(module: str, owner: str, name: str) -> bool:
+    """Whether ``owner.name`` overrides a method that a base class from
+    outside ``repro`` defines (``http.server`` calls those)."""
+    cls = getattr(importlib.import_module(module), owner, None)
+    return cls is not None and any(
+        name in vars(base) for base in cls.__mro__[1:]
+        if not base.__module__.startswith("repro"))
+
+
+def _definitions():
+    """(qualified name, is a method) for every ``def`` at module level
+    or directly in a module-level class body under ``src/repro``."""
+    for module, path in sorted(_modules().items()):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield module, None, node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        yield module, node.name, item.name
+
+
+def test_every_function_has_a_caller():
+    attributes, names = _uses()
+    uncalled = []
+    for module, owner, name in _definitions():
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if owner is None:
+            if name in attributes or name in names:
+                continue
+        elif (name in attributes or HTTP_DISPATCH.fullmatch(name)
+              or _overrides_foreign_base(module, owner, name)):
+            continue
+        uncalled.append(f"{module}.{owner}.{name}" if owner
+                        else f"{module}.{name}")
+    assert not uncalled, f"only tests call {uncalled}"

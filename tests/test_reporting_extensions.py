@@ -9,7 +9,6 @@ from repro.reporting.ascii_charts import (
     box_panel,
     box_strip,
     scatter,
-    sparkline,
 )
 from repro.reporting.summary import render_study_report
 
@@ -81,19 +80,6 @@ class TestScatter:
     def test_mismatched_lengths(self):
         with pytest.raises(AnalysisError):
             scatter([1, 2], [1])
-
-
-class TestSparkline:
-    def test_monotone(self):
-        line = sparkline([1, 2, 3, 4])
-        assert line[0] == "▁" and line[-1] == "█"
-
-    def test_flat(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty_raises(self):
-        with pytest.raises(AnalysisError):
-            sparkline([])
 
 
 class TestStudyReport:

@@ -8,7 +8,7 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.runner import process_corpus
 from repro.synth.dataset import generate_corpus
 from repro.synth.reports import RawDocument
-from repro.taxonomy import FailureCategory, FaultTag, category_of
+from repro.taxonomy import FailureCategory, category_of
 
 
 class TestHostileDocuments:
@@ -73,24 +73,11 @@ class TestDictionaryPersistence:
 
 
 class TestUpperQuartileClaim:
-    def test_perception_drives_upper_dpm_quartiles(self, db):
+    def test_perception_drives_upper_dpm_quartiles(self, paper_rows):
         """Paper: "the perception-based machine learning faults are
         responsible for DPM measurements in the upper three
         quartiles"."""
-        from repro.analysis.dpm import dpm_quantile_tags
-        from repro.taxonomy import MlSubcategory, ml_subcategory_of
-
-        def perception_share(tags: list[FaultTag]) -> float:
-            if not tags:
-                return 0.0
-            perception = sum(
-                1 for tag in tags
-                if ml_subcategory_of(tag) is MlSubcategory.PERCEPTION)
-            return perception / len(tags)
-
-        bands = dpm_quantile_tags(db, "Waymo")
-        upper = perception_share(bands["upper"])
-        assert upper > 0.4  # perception dominates the high-DPM months
+        paper_rows.check("fig4-waymo-upper-quartiles-perception")
 
     def test_unknown_category_is_small_outside_tesla(self, db):
         unknown = sum(

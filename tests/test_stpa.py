@@ -1,20 +1,32 @@
 """Tests for the STPA control-structure model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import StpaError
 from repro.parsing.records import DisengagementRecord
+from repro.stpa import structure as structure_module
 from repro.stpa.components import STANDARD_COMPONENTS
 from repro.stpa.control_loops import CONTROL_LOOPS
 from repro.stpa.hazards import UnsafeControlAction, causal_factor_for_tag
 from repro.stpa.mapping import overlay_failures
-from repro.stpa.structure import EdgeKind, build_control_structure
+from repro.stpa.structure import EDGES, EdgeKind, build_control_structure
 from repro.taxonomy import FaultTag
+
+#: (source, target) of every Fig. 3 edge.
+PAIRS = {(source, target) for source, target, _, _ in EDGES}
 
 
 @pytest.fixture(scope="module")
 def structure():
     return build_control_structure()
+
+
+def _closes(nodes: tuple[str, ...]) -> bool:
+    """Whether the node sequence closes a cycle of Fig. 3 edges."""
+    cycle = [*nodes, nodes[0]]
+    return all(pair in PAIRS for pair in zip(cycle, cycle[1:]))
 
 
 class TestStructure:
@@ -25,23 +37,23 @@ class TestStructure:
         names = {c.name for c in structure.components()}
         assert names == set(STANDARD_COMPONENTS)
 
-    def test_autonomy_pipeline_edges(self, structure):
-        graph = structure.graph
-        for source, target in [
-                ("sensors", "recognition"),
+    def test_autonomy_pipeline_edges(self):
+        assert {("sensors", "recognition"),
                 ("recognition", "planner_controller"),
                 ("planner_controller", "follower"),
                 ("follower", "actuators"),
-                ("actuators", "mechanical")]:
-            assert graph.has_edge(source, target)
+                ("actuators", "mechanical")} <= PAIRS
 
     def test_driver_receives_takeover_requests(self, structure):
-        assert "planner_controller" in structure.feedback_sources(
-            "driver")
+        assert ("planner_controller", EdgeKind.FEEDBACK) in {
+            (source, kind) for source, _, kind, _
+            in structure.in_edges("driver")}
 
     def test_mechanical_is_controlled_by_driver_and_actuators(
             self, structure):
-        controllers = set(structure.controllers_of("mechanical"))
+        controllers = {source for source, _, kind, _
+                       in structure.in_edges("mechanical")
+                       if kind is EdgeKind.CONTROL}
         assert {"driver", "actuators"} <= controllers
 
     def test_observation_edges_model_non_av_interaction(self, structure):
@@ -50,20 +62,35 @@ class TestStructure:
         assert ("non_av_driver", "sensors") in pairs
         assert ("mechanical", "non_av_driver") in pairs
 
-    def test_unknown_component_raises(self, structure):
-        with pytest.raises(StpaError):
-            structure.component("flux_capacitor")
+    def test_unknown_component_raises(self, structure, monkeypatch):
+        monkeypatch.setattr(structure_module, "EDGES", (
+            *EDGES, ("driver", "flux_capacitor", EdgeKind.CONTROL, "x")))
+        with pytest.raises(StpaError, match="flux_capacitor"):
+            structure.validate()
+
+    def test_disconnected_component_raises(self, structure, monkeypatch):
+        monkeypatch.setattr(structure_module, "EDGES", tuple(
+            edge for edge in EDGES if "network" not in edge[:2]))
+        with pytest.raises(StpaError, match="network is disconnected"):
+            structure.validate()
+
+    def test_edges_group_by_source_in_component_order(self, structure):
+        order = list(STANDARD_COMPONENTS)
+        for kind in EdgeKind:
+            sources = [order.index(source) for source, _, _
+                       in structure.edges_of_kind(kind)]
+            assert sources == sorted(sources)
 
 
 class TestControlLoops:
     def test_three_loops_defined(self):
         assert set(CONTROL_LOOPS) == {"CL-1", "CL-2", "CL-3"}
 
-    def test_cl2_closes_in_graph(self, structure):
-        assert structure.loop_exists(list(CONTROL_LOOPS["CL-2"].nodes))
+    def test_cl2_closes_in_graph(self):
+        assert _closes(CONTROL_LOOPS["CL-2"].nodes)
 
-    def test_cl3_closes_in_graph(self, structure):
-        assert structure.loop_exists(list(CONTROL_LOOPS["CL-3"].nodes))
+    def test_cl3_closes_in_graph(self):
+        assert _closes(CONTROL_LOOPS["CL-3"].nodes)
 
     def test_cl1_includes_non_av_driver(self):
         assert "non_av_driver" in CONTROL_LOOPS["CL-1"].nodes
@@ -117,8 +144,9 @@ class TestOverlay:
 
     def test_component_share(self):
         overlay = overlay_failures(self._records())
-        assert overlay.component_share("recognition") == pytest.approx(
-            0.5)
+        localized = overlay.total - overlay.unlocalized
+        assert overlay.by_component["recognition"] / localized == \
+            pytest.approx(0.5)
 
     def test_dominant_component(self):
         overlay = overlay_failures(self._records())
@@ -131,7 +159,8 @@ class TestOverlay:
         assert loops["CL-1"] == 3
 
     def test_truth_overlay(self, db):
-        overlay = overlay_failures(db.disengagements, use_truth=True)
+        overlay = overlay_failures([replace(record, tag=record.truth_tag)
+                                    for record in db.disengagements])
         assert overlay.total == len(db.disengagements)
         # Perception dominates (the paper's central finding).
         assert overlay.dominant_component() == "recognition"

@@ -7,6 +7,15 @@ from repro.calibration.manufacturers import MANUFACTURERS, ReportPeriod
 from repro.synth.fleet import build_roster, fleet_size
 
 
+def _all_vehicles(roster):
+    """Every distinct vehicle across both periods."""
+    seen = {}
+    for vehicles in roster.by_period.values():
+        for vehicle in vehicles:
+            seen.setdefault(vehicle.vehicle_id, vehicle)
+    return list(seen.values())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
@@ -53,20 +62,20 @@ def test_waymo_vehicle_naming(rng):
 
 def test_vins_are_unique_and_17_chars(rng):
     roster = build_roster("Waymo", rng)
-    vins = [v.vin for v in roster.all_vehicles()]
+    vins = [v.vin for v in _all_vehicles(roster)]
     assert len(set(vins)) == len(vins)
     assert all(len(v) == 17 for v in vins)
 
 
 def test_vins_exclude_ambiguous_letters(rng):
     roster = build_roster("Bosch", rng)
-    for vehicle in roster.all_vehicles():
+    for vehicle in _all_vehicles(roster):
         assert not set(vehicle.vin) & {"I", "O", "Q"}
 
 
 def test_honda_has_empty_fleet(rng):
     roster = build_roster("Honda", rng)
-    assert roster.all_vehicles() == []
+    assert _all_vehicles(roster) == []
 
 
 def test_fleet_size_uses_assumptions_for_dashes():
@@ -84,5 +93,5 @@ def test_fleet_size_reads_table1_when_present():
 def test_rosters_are_deterministic_per_seed():
     a = build_roster("Delphi", np.random.default_rng(5))
     b = build_roster("Delphi", np.random.default_rng(5))
-    assert [v.vin for v in a.all_vehicles()] == \
-        [v.vin for v in b.all_vehicles()]
+    assert [v.vin for v in _all_vehicles(a)] == \
+        [v.vin for v in _all_vehicles(b)]

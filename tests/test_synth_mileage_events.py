@@ -49,7 +49,10 @@ class TestMileagePlan:
         assert cumulative[-1] == pytest.approx(nissan_plan.total_miles)
 
     def test_per_vehicle_totals_cover_fleet(self, nissan_plan):
-        by_vehicle = nissan_plan.miles_by_vehicle()
+        by_vehicle: dict[str, float] = {}
+        for cell in nissan_plan.cells:
+            by_vehicle[cell.vehicle_id] = (
+                by_vehicle.get(cell.vehicle_id, 0.0) + cell.miles)
         assert len(by_vehicle) == 4  # period-1 fleet size
         assert sum(by_vehicle.values()) == pytest.approx(
             nissan_plan.total_miles)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.stpa.render import to_dot, to_outline
-from repro.stpa.structure import build_control_structure
+from repro.stpa.structure import EDGES, build_control_structure
 
 
 class TestRender:
@@ -15,7 +15,7 @@ class TestRender:
         dot = to_dot(structure)
         assert dot.startswith("digraph control_structure {")
         assert dot.rstrip().endswith("}")
-        assert dot.count("->") == structure.graph.number_of_edges()
+        assert dot.count("->") == len(EDGES)
 
     def test_dot_contains_all_nodes(self, structure):
         dot = to_dot(structure)

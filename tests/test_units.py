@@ -8,49 +8,6 @@ from repro.errors import FieldCoercionError
 from repro import units
 
 
-class TestParseNumber:
-    def test_plain(self):
-        assert units.parse_number("42") == 42.0
-
-    def test_decimal(self):
-        assert units.parse_number("3.14") == pytest.approx(3.14)
-
-    def test_thousands_separators(self):
-        assert units.parse_number("1,116,605 miles") == 1116605.0
-
-    def test_scientific(self):
-        assert units.parse_number("2e-6") == pytest.approx(2e-6)
-
-    def test_embedded_in_text(self):
-        assert units.parse_number("drove 123.4 miles") == pytest.approx(
-            123.4)
-
-    def test_no_number_raises(self):
-        with pytest.raises(FieldCoercionError):
-            units.parse_number("no digits here")
-
-
-class TestParseMiles:
-    def test_miles_passthrough(self):
-        assert units.parse_miles("100 miles") == 100.0
-
-    def test_km_converted(self):
-        assert units.parse_miles("100 km") == pytest.approx(62.1371)
-
-    def test_kilometres_spelled_out(self):
-        assert units.parse_miles("10 kilometres") == pytest.approx(
-            6.21371)
-
-
-class TestParseMph:
-    def test_mph(self):
-        assert units.parse_mph("25 MPH") == 25.0
-
-    def test_kph_converted(self):
-        assert units.parse_mph("40 km/h") == pytest.approx(
-            40 * 0.621371)
-
-
 class TestParseDuration:
     def test_seconds(self):
         assert units.parse_duration_seconds("0.8 sec") == pytest.approx(
